@@ -8,12 +8,15 @@ package repro_test
 
 import (
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/congest"
 	"repro/internal/graph"
 	"repro/internal/hybrid"
 	"repro/internal/nq"
+	"repro/internal/runner"
 )
 
 func requireAllocFree(t *testing.T) {
@@ -195,5 +198,54 @@ func TestCoreKernelAllocBudgets(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, c.run); allocs > c.budget {
 			t.Errorf("%s allocates %.1f times per run, budget %.0f", c.name, allocs, c.budget)
 		}
+	}
+}
+
+// mapBlobStore is a minimal in-memory runner.BlobStore.
+type mapBlobStore struct {
+	mu sync.Mutex
+	m  map[string][]byte
+}
+
+func (s *mapBlobStore) Get(key string) ([]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	v, ok := s.m[key]
+	return v, ok
+}
+
+func (s *mapBlobStore) Put(key string, value []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.m[key] = value
+}
+
+// TestGraphRestoreAllocBudget pins a topology restore at O(n+m): the
+// codec carries the diameter, so decoding path/4096 from a filled store
+// must not rerun the all-sources BFS sweep, whose one 32 KB distance
+// vector per source alone allocates about 134 MB.
+func TestGraphRestoreAllocBudget(t *testing.T) {
+	requireAllocFree(t)
+	const n = 4096
+	store := &mapBlobStore{m: map[string][]byte{}}
+	if _, err := runner.NewGraphCache(store, 0).Get(graph.FamilyPath, n, 1); err != nil {
+		t.Fatal(err)
+	}
+	gc := runner.NewGraphCache(store, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := gc.Get(graph.FamilyPath, n, 1)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := gc.Stats(); st.Builds != 0 || st.StoreHits != 1 {
+		t.Fatalf("restore stats %+v, want 0 builds and 1 store hit", st)
+	}
+	if d := g.Diameter(); d != n-1 {
+		t.Fatalf("restored diameter %d, want %d", d, n-1)
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 8 {
+		t.Fatalf("restoring path/%d allocated %.1f MB, budget 8 MB", n, mb)
 	}
 }

@@ -1,7 +1,7 @@
 // Package artifact is the content-addressed blob layer under the sweep
 // pipeline (DESIGN.md §9): a namespaced, generic two-tier store that
 // serves every artifact kind the harness content-addresses — encoded
-// result rows (namespace "results", see internal/resultcache) and
+// result rows (namespace "results", see runner.CellCache) and
 // frozen CSR graph topologies (namespace "graphs", see
 // runner.GraphCache) — through one byte-bounded memory tier and one
 // persistent disk tier.
@@ -20,7 +20,7 @@
 // pairs; the disk tier is an append-only log of JSONL segments shared
 // by all namespaces, each record tagged with its namespace ("results"
 // is the default and is omitted on disk, which keeps the format
-// backward compatible with the segments internal/resultcache wrote
+// backward compatible with the segments the result cache of §7 wrote
 // before this layer existed). Gets fall through memory to disk
 // (promoting hits); Puts write through to both. Stats are kept per
 // namespace and for the disk tier. All methods are safe for concurrent

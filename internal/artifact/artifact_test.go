@@ -92,7 +92,7 @@ func TestPerNamespaceStats(t *testing.T) {
 }
 
 // TestDefaultNamespaceBackCompat: records written without a namespace
-// tag (the pre-namespace resultcache format) are served from the
+// tag (the pre-namespace result-cache format) are served from the
 // default "results" namespace.
 func TestDefaultNamespaceBackCompat(t *testing.T) {
 	dir := t.TempDir()

@@ -2,10 +2,12 @@ package graph
 
 // The deterministic binary codec for frozen graphs (DESIGN.md §9).
 // EncodeCSR serializes exactly the CSR snapshot Freeze built —
-// rowStart, to, w — so a decoded graph is frozen, read-shareable, and
-// byte-identical to a rebuilt-and-re-encoded one: the arrays preserve
-// adjacency order, and every traversal visits neighbors in that order
-// (§4). That determinism is what lets runner.GraphCache persist
+// rowStart, to, w — plus the exact hop diameter, so a decoded graph is
+// frozen, read-shareable, already carries the D every prediction is
+// capped by, and is byte-identical to a rebuilt-and-re-encoded one:
+// the arrays preserve adjacency order, every traversal visits
+// neighbors in that order (§4), and the diameter is a function of the
+// topology. That determinism is what lets runner.GraphCache persist
 // topologies through the artifact disk tier and hand the same instance
 // to every sweep point, mirroring the paper's universal-optimality
 // premise that the bounds — and here the bytes — are functions of the
@@ -23,23 +25,25 @@ import (
 // CodecVersion names the CSR wire format. It is part of every encoded
 // header and of runner.GraphCache's content addresses, so a format
 // change orphans persisted topologies instead of misreading them.
-const CodecVersion uint32 = 1
+const CodecVersion uint32 = 2
 
 // csrMagic starts every encoded graph.
 var csrMagic = [4]byte{'H', 'C', 'S', 'R'}
 
-// csrHeaderLen is magic + version + n + halfEdges.
-const csrHeaderLen = 4 + 4 + 8 + 8
+// csrHeaderLen is magic + version + n + halfEdges + diameter.
+const csrHeaderLen = 4 + 4 + 8 + 8 + 8
 
 // ErrNotFrozen is returned by EncodeCSR for a graph without a CSR
 // snapshot; call Freeze first.
 var ErrNotFrozen = errors.New("graph: encoding requires a frozen graph (call Freeze)")
 
 // EncodeCSR serializes a frozen graph into the deterministic binary
-// CSR format: a fixed header (magic, CodecVersion, n, half-edge count)
-// followed by the little-endian rowStart (int32), to (int32) and w
-// (int64) arrays. Two graphs with identical CSR arrays encode to
-// identical bytes.
+// CSR format: a fixed header (magic, CodecVersion, n, half-edge count,
+// hop diameter) followed by the little-endian rowStart (int32), to
+// (int32) and w (int64) arrays. The diameter is g.Diameter() — 0 for
+// n ≤ 1, Inf for a disconnected graph — so encoding an unseeded graph
+// pays its O(n·m) computation once, and every decode inherits it. Two
+// graphs with identical CSR arrays encode to identical bytes.
 func EncodeCSR(g *Graph) ([]byte, error) {
 	c := g.csr
 	if c == nil {
@@ -52,6 +56,7 @@ func EncodeCSR(g *Graph) ([]byte, error) {
 	binary.LittleEndian.PutUint32(buf[4:], CodecVersion)
 	binary.LittleEndian.PutUint64(buf[8:], uint64(n))
 	binary.LittleEndian.PutUint64(buf[16:], uint64(h))
+	binary.LittleEndian.PutUint64(buf[24:], uint64(g.Diameter()))
 	off := csrHeaderLen
 	for _, v := range c.rowStart {
 		binary.LittleEndian.PutUint32(buf[off:], uint32(v))
@@ -75,7 +80,11 @@ func EncodeCSR(g *Graph) ([]byte, error) {
 // endpoints, no self-loops, positive weights, and half-edge symmetry
 // (every (u,v,w) half-edge has its (v,u,w) mate) — so a corrupt or
 // truncated blob returns an error rather than a graph that violates
-// the library's invariants.
+// the library's invariants. The stored diameter D is then checked
+// against one BFS from node 0, e = ecc(0): a connected graph needs
+// e ≤ D ≤ 2e (0 when n ≤ 1), a disconnected one exactly D = Inf. An
+// accepted D pre-fills the Diameter cache, so a restore costs O(n+m)
+// instead of the O(n·m) all-sources sweep.
 func DecodeCSR(data []byte) (*Graph, error) {
 	if len(data) < csrHeaderLen {
 		return nil, fmt.Errorf("graph: codec: truncated header (%d bytes)", len(data))
@@ -88,6 +97,7 @@ func DecodeCSR(data []byte) (*Graph, error) {
 	}
 	n64 := binary.LittleEndian.Uint64(data[8:])
 	h64 := binary.LittleEndian.Uint64(data[16:])
+	diam := int64(binary.LittleEndian.Uint64(data[24:]))
 	// Bounds first, so the size arithmetic below cannot overflow (int
 	// may be 32 bits) or over-allocate: every rowStart entry needs 4
 	// payload bytes and every half-edge 12, so both counts are capped
@@ -162,6 +172,18 @@ func DecodeCSR(data []byte) (*Graph, error) {
 			return nil, fmt.Errorf("graph: codec: asymmetric edge (%d,%d,w=%d)", e[0], e[1], e[2])
 		}
 	}
+	// ecc(0) brackets the diameter (ecc ≤ D ≤ 2·ecc by the triangle
+	// inequality through node 0) and is Inf exactly when the graph is
+	// disconnected; n = 0 yields e = 0 like n = 1.
+	e := g.Eccentricity(0)
+	if e >= Inf {
+		if diam != Inf {
+			return nil, fmt.Errorf("graph: codec: diameter %d on a disconnected graph, want Inf", diam)
+		}
+	} else if diam < e || diam > 2*e {
+		return nil, fmt.Errorf("graph: codec: diameter %d outside [%d,%d] bracketed by ecc(0)", diam, e, 2*e)
+	}
+	g.diam.Store(diam)
 	return g, nil
 }
 

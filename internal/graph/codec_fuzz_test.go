@@ -31,6 +31,19 @@ func FuzzDecodeCSR(f *testing.F) {
 		tweaked[len(tweaked)-1] ^= 0xff
 		f.Add(tweaked)
 	}
+	// The diameter field's two special values: Inf on a disconnected
+	// graph, 0 on a single node.
+	split := graph.New(4)
+	if err := split.AddEdge(0, 1, 1); err != nil {
+		f.Fatal(err)
+	}
+	for _, g := range []*graph.Graph{split.Freeze(), graph.New(1).Freeze()} {
+		blob, err := graph.EncodeCSR(g)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
 	f.Add([]byte{})
 	f.Add([]byte("HCSR"))
 

@@ -8,7 +8,9 @@ package graph_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -157,37 +159,108 @@ func TestEncodeRequiresFrozen(t *testing.T) {
 	}
 }
 
+// headerLen derives the codec's header length from a blob: everything
+// before the rowStart (4 bytes per node + 1) and half-edge (4-byte to,
+// 8-byte w) arrays.
+func headerLen(g *graph.Graph, blob []byte) int {
+	return len(blob) - 4*(g.N()+1) - 12*2*g.M()
+}
+
+// withDiameter returns a copy of blob whose stored diameter (the last
+// header field) is d.
+func withDiameter(g *graph.Graph, blob []byte, d int64) []byte {
+	b := append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint64(b[headerLen(g, b)-8:], uint64(d))
+	return b
+}
+
 // TestDecodeRejectsCorruption: structured corruption of a valid blob
-// must fail loudly, never produce an invariant-violating graph.
+// must fail loudly, never produce an invariant-violating graph, while
+// every diameter the ecc(0) bracket admits round-trips.
 func TestDecodeRejectsCorruption(t *testing.T) {
-	g := buildFamily(t, graph.FamilyCycle, 16, 1)
-	blob, err := graph.EncodeCSR(g)
-	if err != nil {
-		t.Fatal(err)
+	encode := func(g *graph.Graph) []byte {
+		t.Helper()
+		blob, err := graph.EncodeCSR(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
 	}
+	g := buildFamily(t, graph.FamilyCycle, 16, 1)
+	blob := encode(g)
+	hdr := headerLen(g, blob)
 	corrupt := func(mutate func(b []byte)) []byte {
 		b := append([]byte(nil), blob...)
 		mutate(b)
 		return b
 	}
-	cases := map[string][]byte{
-		"empty":        {},
-		"short header": blob[:10],
-		"bad magic":    corrupt(func(b []byte) { b[0] = 'X' }),
-		"bad version":  corrupt(func(b []byte) { b[4] = 99 }),
-		"truncated":    blob[:len(blob)-3],
-		"padded":       append(append([]byte(nil), blob...), 0),
-		"huge n":       corrupt(func(b []byte) { b[12] = 0xff }),
-		// rowStart[0] lives right after the header.
-		"bad offsets": corrupt(func(b []byte) { b[24] = 1 }),
-		// First endpoint: point node 0's first neighbor at itself.
-		"self-loop": corrupt(func(b []byte) {
-			copy(b[24+4*17:], []byte{0, 0, 0, 0})
-		}),
+	one := graph.New(1).Freeze()
+	oneBlob := encode(one)
+	split := graph.New(5)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {3, 4}} {
+		if err := split.AddEdge(e[0], e[1], 1); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for name, data := range cases {
-		if _, err := graph.DecodeCSR(data); err == nil {
+	splitBlob := encode(split.Freeze())
+
+	// Each case names the check it must trip, so a case that drifts
+	// onto another field fails instead of passing for the wrong reason.
+	// C_16: ecc(0) = D = 8.
+	cases := map[string]struct {
+		data []byte
+		want string
+	}{
+		"empty":        {[]byte{}, "truncated header"},
+		"short header": {blob[:10], "truncated header"},
+		"bad magic":    {corrupt(func(b []byte) { b[0] = 'X' }), "bad magic"},
+		"bad version":  {corrupt(func(b []byte) { b[4] = 99 }), "version"},
+		"truncated":    {blob[:len(blob)-3], "payload is"},
+		"padded":       {append(append([]byte(nil), blob...), 0), "payload is"},
+		"huge n":       {corrupt(func(b []byte) { b[12] = 0xff }), "implausible sizes"},
+		// rowStart[0] lives right after the header.
+		"bad offsets": {corrupt(func(b []byte) { b[hdr] = 1 }), "row offsets"},
+		// First endpoint: point node 0's first neighbor at itself.
+		"self-loop": {corrupt(func(b []byte) {
+			copy(b[hdr+4*(g.N()+1):], []byte{0, 0, 0, 0})
+		}), "self-loop"},
+		"diameter below ecc(0)":        {withDiameter(g, blob, 7), "diameter"},
+		"diameter above 2*ecc(0)":      {withDiameter(g, blob, 17), "diameter"},
+		"negative diameter":            {withDiameter(g, blob, -8), "diameter"},
+		"Inf diameter on connected":    {withDiameter(g, blob, graph.Inf), "diameter"},
+		"finite diameter disconnected": {withDiameter(split, splitBlob, 2), "diameter"},
+		"nonzero diameter on n=1":      {withDiameter(one, oneBlob, 1), "diameter"},
+	}
+	for name, c := range cases {
+		_, err := graph.DecodeCSR(c.data)
+		if err == nil {
 			t.Errorf("%s: DecodeCSR accepted corrupt input", name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: DecodeCSR error %q, want one mentioning %q", name, err, c.want)
+		}
+	}
+
+	// The bracket is the only diameter check: any D in [ecc(0),
+	// 2·ecc(0)] decodes, and the special values round-trip too.
+	accepted := map[string]struct {
+		data []byte
+		want int64
+	}{
+		"exact":        {blob, 8},
+		"2*ecc(0)":     {withDiameter(g, blob, 16), 16},
+		"disconnected": {splitBlob, graph.Inf},
+		"one node":     {oneBlob, 0},
+	}
+	for name, c := range accepted {
+		dec, err := graph.DecodeCSR(c.data)
+		if err != nil {
+			t.Fatalf("%s: DecodeCSR: %v", name, err)
+		}
+		if got := dec.Diameter(); got != c.want {
+			t.Fatalf("%s: decoded diameter %d, want %d", name, got, c.want)
+		}
+		if re := encode(dec); !bytes.Equal(re, c.data) {
+			t.Fatalf("%s: re-encodes differently", name)
 		}
 	}
 }

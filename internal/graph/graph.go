@@ -39,7 +39,8 @@ type Graph struct {
 	adj [][]Edge
 	m   int
 	// diam caches Diameter(); 0 means "not computed" (recomputing a
-	// diameter-0 graph is free). Invalidated by AddEdge. Atomic so a
+	// diameter-0 graph is free). Pre-filled by the analytic generators
+	// (seedDiameter) and by DecodeCSR. Invalidated by AddEdge. Atomic so a
 	// frozen graph shared by concurrent sweep cells (runner.GraphCache)
 	// may compute it lazily from any of them: the value is a pure
 	// function of the graph, so racing writers store the same number.

@@ -30,7 +30,8 @@ const CodeVersion = "2026-07-repro-3"
 
 // CellCache is the runner's cache-lookup hook: a content-addressed
 // store of encoded cell rows. Implementations must be safe for
-// concurrent use; internal/resultcache provides the production one.
+// concurrent use; hybridnet.Server provides the production one, a view
+// of the "results" namespace of an internal/artifact store.
 // Values handed to Put and returned by Get are treated as immutable.
 type CellCache interface {
 	// Get returns the encoded rows stored under key, if any.
