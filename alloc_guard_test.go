@@ -7,11 +7,14 @@ package repro_test
 // a regression that must be justified.
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/congest"
 	"repro/internal/graph"
 	"repro/internal/hybrid"
@@ -247,5 +250,39 @@ func TestGraphRestoreAllocBudget(t *testing.T) {
 	}
 	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 8 {
 		t.Fatalf("restoring path/%d allocated %.1f MB, budget 8 MB", n, mb)
+	}
+}
+
+// TestDiskReopenAllocBudget pins a disk-tier reopen at O(index): the
+// reindex streams every segment through one read buffer and feeds
+// values into the record CRC chunk by chunk, so reopening 8 MiB of
+// blobs must not allocate anything proportional to the blobs.
+func TestDiskReopenAllocBudget(t *testing.T) {
+	requireAllocFree(t)
+	dir := t.TempDir()
+	s, err := artifact.NewStoreWithDisk(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns := s.Namespace("graphs")
+	for i := 0; i < 8; i++ {
+		ns.Put(fmt.Sprintf("blob-%d", i), bytes.Repeat([]byte{byte(i)}, 1<<20))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s2, err := artifact.NewStoreWithDisk(0, dir)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if d := s2.Stats().Disk; d.Reindexed != 8 {
+		t.Fatalf("reopen reindexed %d records, want 8", d.Reindexed)
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb >= 1 {
+		t.Fatalf("reopening 8 x 1 MiB blobs allocated %.2f MB, budget 1 MB", mb)
 	}
 }

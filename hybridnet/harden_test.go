@@ -133,6 +133,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		"hybridd_pool_workers 2",
 		`hybridd_sweeps{state="done"} 1`,
 		`hybridd_admission_shed_total{reason="rate"} 0`,
+		"hybridd_disk_corrupt_records_total 0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -561,6 +561,7 @@ func (s *Server) registerMetrics() {
 	reg.GaugeFunc("hybridd_disk_live_bytes", "Disk-tier bytes still referenced by the index.", func() float64 { return float64(s.diskStats().LiveBytes) })
 	reg.GaugeFunc("hybridd_disk_segments", "Disk-tier segment files.", func() float64 { return float64(s.diskStats().Segments) })
 	reg.GaugeFunc("hybridd_disk_compactions_total", "Disk GC passes that rewrote or dropped a segment.", func() float64 { return float64(s.diskStats().Compactions) })
+	reg.GaugeFunc("hybridd_disk_corrupt_records_total", "Disk-tier records dropped because their frame failed verification.", func() float64 { return float64(s.diskStats().CorruptRecords) })
 }
 
 func (s *Server) diskStats() artifact.DiskStats {

@@ -17,14 +17,12 @@
 //
 // Layout: a Store owns the tiers; a Namespace is a named view of them.
 // The memory tier is a 16-shard byte-bounded LRU over (namespace, key)
-// pairs; the disk tier is an append-only log of JSONL segments shared
-// by all namespaces, each record tagged with its namespace ("results"
-// is the default and is omitted on disk, which keeps the format
-// backward compatible with the segments the result cache of §7 wrote
-// before this layer existed). Gets fall through memory to disk
-// (promoting hits); Puts write through to both. Stats are kept per
-// namespace and for the disk tier. All methods are safe for concurrent
-// use.
+// pairs; the disk tier is an append-only log of binary segments shared
+// by all namespaces, each record one CRC-32C-checked frame carrying its
+// namespace, key and value (see disk.go). Gets fall through memory to
+// disk (promoting hits, verifying every frame read back); Puts write
+// through to both. Stats are kept per namespace and for the disk tier.
+// All methods are safe for concurrent use.
 package artifact
 
 import (
@@ -42,9 +40,8 @@ const shardCount = 16
 // non-positive one.
 const DefaultMaxBytes = 64 << 20
 
-// DefaultNamespace is the namespace of blobs whose disk records carry
-// no explicit namespace tag — the result rows, which predate the
-// namespace scheme.
+// DefaultNamespace is the namespace Store.Namespace("") resolves to —
+// the result rows, which predate the namespace scheme.
 const DefaultNamespace = "results"
 
 // Stats is a point-in-time snapshot of one namespace's (or the whole
@@ -103,7 +100,7 @@ func (s *Stats) add(o Stats) {
 
 // DiskStats describes the persistent tier.
 type DiskStats struct {
-	// Segments is the number of JSONL segment files.
+	// Segments is the number of segment files.
 	Segments int `json:"segments"`
 	// Bytes is the total size of all segments.
 	Bytes int64 `json:"bytes"`
@@ -124,11 +121,16 @@ type DiskStats struct {
 	// the threshold.
 	SegmentsCompacted int `json:"segments_compacted"`
 	// SegmentsDropped counts segments deleted whole to enforce the
-	// byte bound, live records included.
+	// byte bound, live records included, and segments of the retired
+	// JSONL format deleted on open.
 	SegmentsDropped int `json:"segments_dropped"`
 	// RecordsCollected counts index entries discarded by the retain
 	// filter or a segment drop.
 	RecordsCollected int `json:"records_collected"`
+	// CorruptRecords counts records dropped from the index because
+	// their frame failed its CRC, namespace or key check on a Get or
+	// during compaction; each such Get is a miss.
+	CorruptRecords int `json:"corrupt_records,omitempty"`
 }
 
 // StoreStats is the full snapshot Stats() returns: the totals across
@@ -218,7 +220,7 @@ func NewStore(maxBytes int64) *Store {
 }
 
 // NewStoreWithDisk returns a store whose blobs additionally persist as
-// JSONL segments under dir; existing segments are indexed on open, so a
+// binary segments under dir; existing segments are indexed on open, so a
 // new process serves the previous process's artifacts from disk.
 func NewStoreWithDisk(maxBytes int64, dir string) (*Store, error) {
 	s := NewStore(maxBytes)

@@ -2,7 +2,6 @@ package artifact
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -91,16 +90,13 @@ func TestPerNamespaceStats(t *testing.T) {
 	}
 }
 
-// TestDefaultNamespaceBackCompat: records written without a namespace
-// tag (the pre-namespace result-cache format) are served from the
-// default "results" namespace.
-func TestDefaultNamespaceBackCompat(t *testing.T) {
+// TestLegacyJSONLSegmentsDropped: segments of the retired JSONL record
+// format are deleted on open — their keys miss and are recomputed —
+// and counted as dropped segments.
+func TestLegacyJSONLSegmentsDropped(t *testing.T) {
 	dir := t.TempDir()
-	line, err := json.Marshal(record{Key: "legacy", Value: []byte("old-rows")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), append(line, '\n'), 0o644); err != nil {
+	legacy := filepath.Join(dir, "seg-000001.jsonl")
+	if err := os.WriteFile(legacy, []byte(`{"key":"legacy","value":"b2xkLXJvd3M="}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s, err := NewStoreWithDisk(1<<20, dir)
@@ -108,11 +104,14 @@ func TestDefaultNamespaceBackCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if v, ok := s.Namespace(DefaultNamespace).Get("legacy"); !ok || string(v) != "old-rows" {
-		t.Fatalf("legacy record lost: %q, %v", v, ok)
+	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
+		t.Fatalf("legacy segment survived open: %v", err)
 	}
-	if _, ok := s.Namespace("graphs").Get("legacy"); ok {
-		t.Fatal("legacy record leaked into another namespace")
+	if v, ok := s.Namespace(DefaultNamespace).Get("legacy"); ok {
+		t.Fatalf("legacy record served: %q", v)
+	}
+	if d := s.Stats().Disk; d.SegmentsDropped != 1 || d.Entries != 0 {
+		t.Fatalf("disk stats after legacy drop: %+v", d)
 	}
 	// The empty name aliases the default namespace.
 	if s.Namespace("") != s.Namespace(DefaultNamespace) {
@@ -304,7 +303,7 @@ func TestDiskSegmentRotation(t *testing.T) {
 		t.Fatalf("rotation not reflected in stats: %+v", d)
 	}
 	s.Close()
-	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.jsonl"))
+	segs, _ := filepath.Glob(filepath.Join(dir, segmentGlob))
 	if len(segs) < 3 {
 		t.Fatalf("expected rotation to produce several segments, got %v", segs)
 	}
@@ -354,6 +353,106 @@ func TestDiskIgnoresTrailingGarbage(t *testing.T) {
 	}
 	if _, ok := ns.Get("torn"); ok {
 		t.Fatal("torn record surfaced")
+	}
+}
+
+// TestDiskAppendAfterTornTail: a record appended after reopening over a
+// torn tail must survive the next reopen — open truncates the newest
+// segment to its last whole record instead of appending after the
+// torn bytes.
+func TestDiskAppendAfterTornTail(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewStoreWithDisk(1<<20, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Namespace("results").Put("good", []byte("value"))
+	s.Close()
+	f, err := os.OpenFile(filepath.Join(dir, segmentName(1)), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(`{"key":"torn","val`) // torn write
+	f.Close()
+
+	s2, err := NewStoreWithDisk(1<<20, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2.Namespace("results").Put("after", []byte("appended"))
+	s2.Close()
+
+	s3, err := NewStoreWithDisk(1<<20, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	ns := s3.Namespace("results")
+	for k, want := range map[string]string{"good": "value", "after": "appended"} {
+		if v, ok := ns.Get(k); !ok || string(v) != want {
+			t.Fatalf("%s after torn tail + reopen: %q (ok=%v)", k, v, ok)
+		}
+	}
+}
+
+// TestDiskCorruptRecordMisses: a flipped value byte in a sealed segment
+// turns the Get into a miss that drops the index entry and counts the
+// record as corrupt; the recompute's re-Put is served after a reopen.
+func TestDiskCorruptRecordMisses(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewStoreWithDisk(1<<20, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.disk.segmentBytes = 256 // seal segment 1 after a couple of records
+	ns := s.Namespace("graphs")
+	ns.SetDiskOnlyPuts(true) // every Get reads the disk tier
+	want := bytes.Repeat([]byte("v"), 100)
+	ns.Put("victim", want)
+	for i := 0; i < 4; i++ {
+		ns.Put(fmt.Sprintf("filler-%d", i), want)
+	}
+	l := s.disk.index[memKey{ns: "graphs", key: "victim"}]
+	if l.seg == s.disk.curID {
+		t.Fatalf("victim still in the active segment %d", l.seg)
+	}
+	flipByte(t, dir, l, int64(l.len)-1) // last value byte
+
+	if v, ok := ns.Get("victim"); ok {
+		t.Fatalf("corrupt record served: %q", v)
+	}
+	d := s.Stats().Disk
+	if d.CorruptRecords != 1 || d.Entries != 4 {
+		t.Fatalf("disk stats after corrupt read: %+v", d)
+	}
+	if st := ns.Stats(); st.Misses != 1 || st.DiskHits != 0 {
+		t.Fatalf("namespace stats after corrupt read: %+v", st)
+	}
+	fresh := bytes.Repeat([]byte("w"), 100)
+	ns.Put("victim", fresh)
+	s.Close()
+
+	s2, err := NewStoreWithDisk(1<<20, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if v, ok := s2.Namespace("graphs").Get("victim"); !ok || !bytes.Equal(v, fresh) {
+		t.Fatalf("re-put value not served after reopen: %q (ok=%v)", v, ok)
+	}
+}
+
+// flipByte corrupts the byte at offset at inside the record frame l.
+func flipByte(t *testing.T, dir string, l loc, at int64) {
+	t.Helper()
+	seg := segmentPath(dir, l.seg)
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[l.off+at] ^= 0x01
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,37 +1,53 @@
 package artifact
 
-// The disk tier: an append-only log of JSONL segments shared by every
-// namespace. Each record is one {"ns": ..., "key": ..., "value": base64}
-// line ("ns" omitted for DefaultNamespace, which keeps the segments
-// written by the pre-namespace result cache readable); segments rotate
-// at a size threshold so a long-lived service never grows one unbounded
-// file. On open every segment is scanned once to build the in-memory
-// index (later records shadow earlier ones — the log is the source of
-// truth, the index a cache of offsets); Gets then read exactly one
-// record back via ReadAt. Writes and index mutations are serialized by
-// one mutex — the heavy work (simulation, topology construction)
-// happens far above this layer.
+// The disk tier: an append-only log of binary segments shared by every
+// namespace. Each record is one little-endian frame
+//
+//	crc32c u32 | nsLen u16 | keyLen u16 | valLen u32 | ns | key | value
+//
+// whose CRC-32C (Castagnoli) covers every byte after itself; segments
+// rotate at a size threshold so a long-lived service never grows one
+// unbounded file. On open every segment is streamed once to build the
+// in-memory index — only records whose CRC verifies are indexed, later
+// records shadow earlier ones (the log is the source of truth, the
+// index a cache of offsets), a fully framed record that fails its CRC
+// is skipped as dead bytes, and a record running past EOF (a torn
+// write) ends the scan. The newest segment is truncated to the end of
+// its last whole record before it is reopened for appending, so a new
+// record never lands glued to torn bytes. Gets then read exactly one
+// frame back via ReadAt and verify its CRC, namespace and key; a
+// mismatch is a miss that drops the index entry (DiskStats
+// .CorruptRecords), so the caller's recompute re-appends the record.
+// Writes and index mutations are serialized by one mutex — the heavy
+// work (simulation, topology construction) happens far above this layer.
+//
+// Segments of the retired JSONL format (seg-*.jsonl) are deleted on
+// open and counted in DiskStats.SegmentsDropped: the tier is a
+// recomputable cache, so there is one record format and one reader.
 //
 // Garbage collection (DESIGN.md §11): shadowed records, records whose
 // keys fail the configured retain filter (rows orphaned by a
-// CodeVersion bump), and torn or malformed lines are dead bytes that an
+// CodeVersion bump), and torn or corrupt frames are dead bytes that an
 // append-only log never reclaims on its own. The tier therefore keeps
 // per-segment live-byte accounts and, after each rotation (and on
 // Store.CompactDisk), rewrites sealed segments whose live ratio has
-// dropped below the threshold: live records are re-appended to the
-// active segment — always a higher-numbered file, so a crash mid-pass
-// leaves duplicates that reindexing resolves by its existing
+// dropped below the threshold: live records are verified and re-appended
+// to the active segment — always a higher-numbered file, so a crash
+// mid-pass leaves duplicates that reindexing resolves by its existing
 // later-shadows-earlier rule — and the old file is deleted. A total
 // byte bound is enforced last by dropping whole oldest segments (the
 // store is a cache; dropped records are recomputable). Concurrent
 // readers are safe: a Get races the pass only between its index lookup
-// and its ReadAt, fails the read (the file is gone or repointed), and
-// retries through the updated index.
+// and its ReadAt, fails the read (the file is gone), and retries through
+// the updated index.
 
 import (
 	"bufio"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -44,6 +60,20 @@ const defaultSegmentBytes = 4 << 20
 // defaultLiveRatio is the compaction threshold: a sealed segment whose
 // live bytes fall below this fraction of its size is rewritten.
 const defaultLiveRatio = 0.5
+
+// segmentFormat names segment files (fmt verb for the id); segmentGlob
+// matches them, and legacySegmentGlob the retired JSONL segments.
+const (
+	segmentFormat     = "seg-%06d.log"
+	segmentGlob       = "seg-*.log"
+	legacySegmentGlob = "seg-*.jsonl"
+)
+
+// frameHeader is the fixed prefix of a record frame: crc32c u32,
+// nsLen u16, keyLen u16, valLen u32.
+const frameHeader = 12
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // GCConfig parameterizes the disk tier's garbage collector
 // (Store.SetGC). The zero value enables compaction at the defaults
@@ -69,13 +99,6 @@ type GCConfig struct {
 	SegmentBytes int64
 }
 
-// record is the JSONL schema of one disk entry.
-type record struct {
-	NS    string `json:"ns,omitempty"` // empty means DefaultNamespace
-	Key   string `json:"key"`
-	Value []byte `json:"value"` // encoding/json applies base64
-}
-
 // loc addresses one record inside the segment set.
 type loc struct {
 	seg int
@@ -99,6 +122,7 @@ type diskTier struct {
 	reindexed    int // records recovered from pre-existing segments at open
 	segmentBytes int64
 	broken       bool // a write failed; stop appending, keep serving reads
+	corrupt      int  // records dropped because their frame failed verification
 
 	// GC configuration (SetGC) and counters.
 	maxBytes      int64
@@ -110,28 +134,51 @@ type diskTier struct {
 	recsCollected int // dead records reclaimed (shadowed, torn, or retain-filtered)
 }
 
-func segmentName(id int) string { return fmt.Sprintf("seg-%06d.jsonl", id) }
+func segmentName(id int) string { return fmt.Sprintf(segmentFormat, id) }
 
 func segmentPath(dir string, id int) string { return filepath.Join(dir, segmentName(id)) }
 
-// diskNS maps a record's on-disk namespace tag to the in-memory one.
-func diskNS(ns string) string {
-	if ns == "" {
-		return DefaultNamespace
-	}
-	return ns
+// appendFrame appends the record frame of (ns, key, value) to dst. The
+// caller guarantees the lengths fit the header fields.
+func appendFrame(dst []byte, ns, key string, value []byte) []byte {
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, 0) // CRC, patched below
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(ns)))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(key)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(value)))
+	dst = append(dst, ns...)
+	dst = append(dst, key...)
+	dst = append(dst, value...)
+	binary.LittleEndian.PutUint32(dst[start:], crc32.Checksum(dst[start+4:], castagnoli))
+	return dst
 }
 
-// recordNS maps an in-memory namespace to its on-disk tag.
-func recordNS(ns string) string {
-	if ns == DefaultNamespace {
-		return ""
+// frameValue verifies one whole frame read back from a segment — its
+// length, CRC, namespace and key — and returns its value as a subslice
+// of frame.
+func frameValue(frame []byte, ns, key string) ([]byte, bool) {
+	if len(frame) < frameHeader {
+		return nil, false
 	}
-	return ns
+	nsLen := int(binary.LittleEndian.Uint16(frame[4:]))
+	keyLen := int(binary.LittleEndian.Uint16(frame[6:]))
+	valLen := int64(binary.LittleEndian.Uint32(frame[8:]))
+	if nsLen != len(ns) || keyLen != len(key) || int64(len(frame)) != frameHeader+int64(nsLen+keyLen)+valLen {
+		return nil, false
+	}
+	if binary.LittleEndian.Uint32(frame) != crc32.Checksum(frame[4:], castagnoli) {
+		return nil, false
+	}
+	body := frame[frameHeader:]
+	if string(body[:nsLen]) != ns || string(body[nsLen:nsLen+keyLen]) != key {
+		return nil, false
+	}
+	return body[nsLen+keyLen:], true
 }
 
-// openDiskTier indexes every existing segment under dir (creating the
-// directory if needed) and opens the newest one for appending.
+// openDiskTier deletes retired JSONL segments, indexes every existing
+// segment under dir (creating the directory if needed), truncates the
+// newest one to its last whole record and opens it for appending.
 func openDiskTier(dir string) (*diskTier, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -143,18 +190,30 @@ func openDiskTier(dir string) (*diskTier, error) {
 		segmentBytes: defaultSegmentBytes,
 		liveRatio:    defaultLiveRatio,
 	}
-	names, err := filepath.Glob(filepath.Join(dir, "seg-*.jsonl"))
+	legacy, err := filepath.Glob(filepath.Join(dir, legacySegmentGlob))
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range legacy {
+		if err := os.Remove(name); err != nil {
+			return nil, err
+		}
+		d.segDropped++
+	}
+	names, err := filepath.Glob(filepath.Join(dir, segmentGlob))
 	if err != nil {
 		return nil, err
 	}
 	sort.Strings(names)
-	maxID := 0
+	r := bufio.NewReaderSize(nil, 1<<16)
+	maxID, maxEnd := 0, int64(0)
 	for _, name := range names {
 		var id int
-		if _, err := fmt.Sscanf(filepath.Base(name), "seg-%06d.jsonl", &id); err != nil {
+		if _, err := fmt.Sscanf(filepath.Base(name), segmentFormat, &id); err != nil {
 			continue
 		}
-		if err := d.indexSegment(name, id); err != nil {
+		end, err := d.indexSegment(r, name, id)
+		if err != nil {
 			return nil, fmt.Errorf("artifact: indexing %s: %w", name, err)
 		}
 		info := d.segs[id]
@@ -162,7 +221,7 @@ func openDiskTier(dir string) (*diskTier, error) {
 			info.bytes = st.Size()
 		}
 		if id > maxID {
-			maxID = id
+			maxID, maxEnd = id, end
 		}
 	}
 	d.reindexed = len(d.index)
@@ -170,7 +229,15 @@ func openDiskTier(dir string) (*diskTier, error) {
 	if d.curID == 0 {
 		d.curID = 1
 	}
-	f, err := os.OpenFile(segmentPath(dir, d.curID), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	path := segmentPath(dir, d.curID)
+	if info := d.segs[d.curID]; info != nil && info.bytes > maxEnd {
+		// A torn tail: cut it off so the next append starts a whole frame.
+		if err := os.Truncate(path, maxEnd); err != nil {
+			return nil, err
+		}
+		info.bytes = maxEnd
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -186,61 +253,111 @@ func openDiskTier(dir string) (*diskTier, error) {
 	return d, nil
 }
 
-// indexSegment scans one segment line by line, recording offsets and
-// live-byte accounts. A trailing partial line (a crashed writer) is
-// ignored; malformed full lines are skipped rather than failing the
-// whole tier — both count as dead bytes the collector may reclaim.
-func (d *diskTier) indexSegment(path string, id int) error {
+// indexSegment streams one segment through r, recording the offsets and
+// live-byte accounts of every record whose CRC verifies, and returns
+// the end offset of the last whole frame. Values are fed into the CRC
+// chunk by chunk, so memory stays O(index) however large the blobs.
+// A fully framed record that fails its CRC is skipped; a frame running
+// past EOF (a crashed writer) ends the scan. Both count as dead bytes
+// the collector may reclaim. A read error other than EOF is returned.
+func (d *diskTier) indexSegment(r *bufio.Reader, path string, id int) (int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer f.Close()
+	r.Reset(f)
 	info := d.segs[id]
 	if info == nil {
 		info = &segInfo{}
 		d.segs[id] = info
 	}
-	r := bufio.NewReaderSize(f, 1<<16)
-	var off int64
-	for {
-		line, err := r.ReadBytes('\n')
-		if err != nil {
-			// Incomplete trailing line or EOF: stop here.
-			return nil
+	var (
+		off  int64
+		hdr  [frameHeader]byte
+		name []byte
+	)
+	// stop ends the scan at off: cleanly at EOF, which (mid-frame) is a
+	// torn tail, and with the error otherwise — a read failure must not
+	// pass for a torn tail, or open would truncate intact records.
+	stop := func(err error) (int64, error) {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return off, nil
 		}
-		var rec record
-		if json.Unmarshal(line, &rec) == nil && rec.Key != "" {
-			k := memKey{ns: diskNS(rec.NS), key: rec.Key}
+		return off, err
+	}
+	for {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return stop(err)
+		}
+		nsLen := int(binary.LittleEndian.Uint16(hdr[4:]))
+		keyLen := int(binary.LittleEndian.Uint16(hdr[6:]))
+		valLen := int64(binary.LittleEndian.Uint32(hdr[8:]))
+		if need := nsLen + keyLen; cap(name) < need {
+			name = make([]byte, need)
+		} else {
+			name = name[:need]
+		}
+		if _, err := io.ReadFull(r, name); err != nil {
+			return stop(err)
+		}
+		crc := crc32.Update(0, castagnoli, hdr[4:])
+		crc = crc32.Update(crc, castagnoli, name)
+		for rem := valLen; rem > 0; {
+			chunk, err := r.Peek(int(min(rem, int64(r.Size()))))
+			crc = crc32.Update(crc, castagnoli, chunk)
+			r.Discard(len(chunk)) // cannot fail: chunk is buffered
+			if err != nil {
+				return stop(err)
+			}
+			rem -= int64(len(chunk))
+		}
+		n := frameHeader + int64(nsLen+keyLen) + valLen
+		if crc == binary.LittleEndian.Uint32(hdr[:]) {
+			k := memKey{ns: string(name[:nsLen]), key: string(name[nsLen:])}
 			if old, ok := d.index[k]; ok {
 				d.segs[old.seg].live -= int64(old.len) // shadowed
 			}
-			d.index[k] = loc{seg: id, off: off, len: len(line)}
-			info.live += int64(len(line))
+			d.index[k] = loc{seg: id, off: off, len: int(n)}
+			info.live += n
 		}
-		off += int64(len(line))
+		off += n
 	}
 }
 
 // get returns the record stored under (ns, key). A read that races a
 // compaction pass (the segment was rewritten and deleted between the
 // index lookup and the ReadAt) retries once through the updated index.
+// A frame that reads back whole but fails verification is corrupt: it
+// is dropped from the index and the Get misses.
 func (d *diskTier) get(ns, key string) ([]byte, bool) {
+	k := memKey{ns: ns, key: key}
 	for attempt := 0; attempt < 2; attempt++ {
 		d.mu.Lock()
-		l, ok := d.index[memKey{ns: ns, key: key}]
+		l, ok := d.index[k]
 		d.mu.Unlock()
 		if !ok {
 			return nil, false
 		}
-		if v, ok := d.readAt(l, ns, key); ok {
+		frame, ok := d.readAt(l)
+		if !ok {
+			continue
+		}
+		if v, ok := frameValue(frame, ns, key); ok {
 			return v, true
 		}
+		d.mu.Lock()
+		if cur, ok := d.index[k]; ok && cur == l {
+			d.dropCorruptLocked(k, l)
+		}
+		d.mu.Unlock()
+		return nil, false
 	}
 	return nil, false
 }
 
-func (d *diskTier) readAt(l loc, ns, key string) ([]byte, bool) {
+// readAt reads the frame at l with one ReadAt.
+func (d *diskTier) readAt(l loc) ([]byte, bool) {
 	f, err := os.Open(segmentPath(d.dir, l.seg))
 	if err != nil {
 		return nil, false
@@ -250,22 +367,25 @@ func (d *diskTier) readAt(l loc, ns, key string) ([]byte, bool) {
 	if _, err := f.ReadAt(buf, l.off); err != nil {
 		return nil, false
 	}
-	var rec record
-	if err := json.Unmarshal(buf, &rec); err != nil || rec.Key != key || diskNS(rec.NS) != ns {
-		return nil, false
-	}
-	return rec.Value, true
+	return buf, true
+}
+
+// dropCorruptLocked forgets a record whose frame failed verification.
+// The caller holds d.mu.
+func (d *diskTier) dropCorruptLocked(k memKey, l loc) {
+	delete(d.index, k)
+	d.segs[l.seg].live -= int64(l.len)
+	d.corrupt++
 }
 
 // put appends one record and reports whether it was durably written.
 // Crossing the rotation threshold seals the active segment and runs a
 // GC pass over the sealed set.
 func (d *diskTier) put(ns, key string, value []byte) bool {
-	line, err := json.Marshal(record{NS: recordNS(ns), Key: key, Value: value})
-	if err != nil {
-		return false
+	if len(ns) > math.MaxUint16 || len(key) > math.MaxUint16 || uint64(len(value)) > math.MaxUint32 {
+		return false // does not fit the frame header
 	}
-	line = append(line, '\n')
+	frame := appendFrame(make([]byte, 0, frameHeader+len(ns)+len(key)+len(value)), ns, key, value)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	// An existing key is appended again (shadowing the old record on
@@ -274,23 +394,23 @@ func (d *diskTier) put(ns, key string, value []byte) bool {
 	// values, but a Put over an existing key only happens when the old
 	// record failed to decode — skipping would make corruption
 	// permanent, and the memory tier already holds the new value.
-	rotated, ok := d.appendLocked(memKey{ns: ns, key: key}, line)
+	rotated, ok := d.appendLocked(memKey{ns: ns, key: key}, frame)
 	if ok && rotated {
 		d.gcLocked()
 	}
 	return ok
 }
 
-// appendLocked writes one prepared line to the active segment,
+// appendLocked writes one prepared frame to the active segment,
 // rotating first when the threshold would be crossed, and repoints the
 // index. It never triggers GC — put does that, so the collector's own
 // re-appends cannot recurse. Reports (rotated, ok).
-func (d *diskTier) appendLocked(k memKey, line []byte) (rotated, ok bool) {
+func (d *diskTier) appendLocked(k memKey, frame []byte) (rotated, ok bool) {
 	if d.cur == nil || d.broken {
 		return false, false
 	}
 	info := d.segs[d.curID]
-	if info.bytes > 0 && info.bytes+int64(len(line)) > d.segmentBytes {
+	if info.bytes > 0 && info.bytes+int64(len(frame)) > d.segmentBytes {
 		if err := d.rotate(); err != nil {
 			d.broken = true
 			return false, false
@@ -298,16 +418,16 @@ func (d *diskTier) appendLocked(k memKey, line []byte) (rotated, ok bool) {
 		rotated = true
 		info = d.segs[d.curID]
 	}
-	if _, err := d.cur.Write(line); err != nil {
+	if _, err := d.cur.Write(frame); err != nil {
 		d.broken = true
 		return rotated, false
 	}
 	if old, exists := d.index[k]; exists {
 		d.segs[old.seg].live -= int64(old.len) // shadowed
 	}
-	d.index[k] = loc{seg: d.curID, off: info.bytes, len: len(line)}
-	info.bytes += int64(len(line))
-	info.live += int64(len(line))
+	d.index[k] = loc{seg: d.curID, off: info.bytes, len: len(frame)}
+	info.bytes += int64(len(frame))
+	info.live += int64(len(frame))
 	return rotated, true
 }
 
@@ -378,9 +498,10 @@ func (d *diskTier) gcLocked() {
 
 	// (2) Compact sealed segments whose live ratio dropped below the
 	// threshold. Keys are grouped per segment in one index scan; the
-	// live records are re-appended to the active (always
+	// live records are verified and re-appended to the active (always
 	// higher-numbered) segment, so even a crash between the copy and
 	// the delete reindexes correctly — the copies shadow the originals.
+	// A record that fails verification is dropped, not copied forward.
 	if d.liveRatio > 0 {
 		victims := make(map[int][]memKey)
 		for k, l := range d.index {
@@ -408,12 +529,16 @@ func (d *diskTier) gcLocked() {
 				}
 				for _, k := range keys {
 					l := d.index[k]
-					line := make([]byte, l.len)
-					if _, err := f.ReadAt(line, l.off); err != nil {
+					frame := make([]byte, l.len)
+					if _, err := f.ReadAt(frame, l.off); err != nil {
 						ok = false
 						break
 					}
-					if _, wok := d.appendLocked(k, line); !wok {
+					if _, valid := frameValue(frame, k.ns, k.key); !valid {
+						d.dropCorruptLocked(k, l)
+						continue
+					}
+					if _, wok := d.appendLocked(k, frame); !wok {
 						ok = false
 						break
 					}
@@ -484,6 +609,7 @@ func (d *diskTier) stats() DiskStats {
 		SegmentsCompacted: d.segCompacted,
 		SegmentsDropped:   d.segDropped,
 		RecordsCollected:  d.recsCollected,
+		CorruptRecords:    d.corrupt,
 	}
 }
 

@@ -93,7 +93,7 @@ func TestGCToleratesTornTail(t *testing.T) {
 	s.Close()
 
 	// Tear the newest segment mid-line.
-	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.jsonl"))
+	segs, err := filepath.Glob(filepath.Join(dir, segmentGlob))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segments: %v", err)
 	}
@@ -123,6 +123,39 @@ func TestGCToleratesTornTail(t *testing.T) {
 	ns2.Put("fresh", val(3))
 	if v, ok := ns2.Get("fresh"); !ok || !bytes.Equal(v, val(3)) {
 		t.Fatal("store broken after torn-tail recovery")
+	}
+}
+
+// TestGCDropsCorruptRecords: compaction verifies every live record it
+// copies forward; one whose frame no longer checks out is dropped and
+// counted, never carried into the new segment.
+func TestGCDropsCorruptRecords(t *testing.T) {
+	dir := t.TempDir()
+	s := newGCStore(t, dir, GCConfig{})
+	ns := s.Namespace("results")
+	ns.SetDiskOnlyPuts(true)
+	for i := 0; i < 4; i++ {
+		ns.Put(fmt.Sprintf("key-%d", i), val(i))
+	}
+	flipByte(t, dir, s.disk.index[memKey{ns: "results", key: "key-0"}], frameHeader) // first namespace byte
+	// Shadow the rest of key-0's segment so compaction rewrites it.
+	for round := 0; round < 3; round++ {
+		for i := 1; i < 8; i++ {
+			ns.Put(fmt.Sprintf("key-%d", i), val(i))
+		}
+	}
+	s.CompactDisk()
+	d := s.Stats().Disk
+	if d.CorruptRecords != 1 || d.SegmentsCompacted == 0 {
+		t.Fatalf("compaction did not drop the corrupt record: %+v", d)
+	}
+	if _, ok := ns.Get("key-0"); ok {
+		t.Fatal("corrupt record served after compaction")
+	}
+	for i := 1; i < 8; i++ {
+		if v, ok := ns.Get(fmt.Sprintf("key-%d", i)); !ok || !bytes.Equal(v, val(i)) {
+			t.Fatalf("key-%d lost across compaction (ok=%v)", i, ok)
+		}
 	}
 }
 
