@@ -286,3 +286,46 @@ func TestDiskReopenAllocBudget(t *testing.T) {
 		t.Fatalf("reopening 8 x 1 MiB blobs allocated %.2f MB, budget 1 MB", mb)
 	}
 }
+
+// allocatedBytes returns the bytes f allocates.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDiameterAllocBudget pins the all-sources diameter at the hop
+// kernel's pooled scratch: an uncached Diameter of the 1024-node
+// expander runs 16 batches of 64 sources over three per-node bit words,
+// where one BFS per node allocated about 12 MB of distance vectors.
+func TestDiameterAllocBudget(t *testing.T) {
+	requireAllocFree(t)
+	g := coreExpander() // RandomRegular seeds no diameter
+	if kb := float64(allocatedBytes(func() { g.Diameter() })) / 1024; kb >= 256 {
+		t.Fatalf("uncached Diameter of a %d-node expander allocated %.0f KB, budget 256 KB", g.N(), kb)
+	}
+}
+
+// TestBallProfilesAllocBudget pins the profile kernel at its output:
+// each 64-node chunk's rows are written once by the hop kernel and
+// copied once into the flat artifact, so BallProfiles on the 4096-node
+// expander may allocate at most 1.1× the artifact's arrays plus those
+// staged rows (at the per-node ball growth it was about twice that).
+func TestBallProfilesAllocBudget(t *testing.T) {
+	requireAllocFree(t)
+	g := graph.RandomRegular(4096, 4, rand.New(rand.NewSource(7))).Freeze()
+	r := graph.ProfileRadius(g.N(), g.Diameter()) // also warms the kernel scratch
+	var p *graph.Profiles
+	got := allocatedBytes(func() { p = g.BallProfilesWorkers(r, 1) })
+	entries := 0
+	for v := 0; v < p.N(); v++ {
+		entries += p.Len(v)
+	}
+	artifact := 4*(p.N()+1) + 4*entries + 8*p.N() // rowStart, sizes, ecc
+	budget := 1.1 * float64(artifact+4*entries)
+	if float64(got) > budget {
+		t.Fatalf("BallProfilesWorkers(%d, 1) on a %d-node expander allocated %d bytes, budget %.0f (artifact %d bytes)", r, g.N(), got, budget, artifact)
+	}
+}

@@ -50,7 +50,7 @@ func NQScalingScenario(families []graph.Family, n int, ks []int) *runner.Scenari
 // 16n with a workload grid reaching k = 4096. Every size shares one
 // graph instance across its five k-points, so the sweep is only
 // tractable with the topology cache (runner.GraphCache): the dominant
-// per-cell cost — the O(n·m) exact diameter behind the min{·, D}
+// per-cell cost — the all-sources exact diameter behind the min{·, D}
 // prediction — is paid once per instance instead of once per point.
 func NQScalingLargeScenario(families []graph.Family, n int) *runner.Scenario[NQScalingRow] {
 	return nqScalingScenario("nqscaling-large", families, []int{4 * n, 16 * n},
@@ -68,8 +68,8 @@ const NQXLNodes = 1_000_000
 // dominate memory); every cell answers through the early-exit ball
 // kernel, sharded across graph.MaxKernelWorkers(), and the min{·, D}
 // cap comes from the generators' analytic diameter seeds instead of the
-// O(n·m) all-BFS sweep. The n parameter exists for shape tests; the
-// registry runs it at NQXLNodes.
+// all-sources hop-kernel sweep (n/64 batches, O(n·m) at worst). The n
+// parameter exists for shape tests; the registry runs it at NQXLNodes.
 func NQScalingXLScenario(families []graph.Family, n int) *runner.Scenario[NQScalingRow] {
 	return nqScalingScenario("nqscaling-xl", families, []int{n},
 		[]int{16, 256, 4096}, false)

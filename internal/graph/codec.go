@@ -42,7 +42,8 @@ var ErrNotFrozen = errors.New("graph: encoding requires a frozen graph (call Fre
 // hop diameter) followed by the little-endian rowStart (int32), to
 // (int32) and w (int64) arrays. The diameter is g.Diameter() — 0 for
 // n ≤ 1, Inf for a disconnected graph — so encoding an unseeded graph
-// pays its O(n·m) computation once, and every decode inherits it. Two
+// pays its all-sources hop-kernel sweep once, and every decode
+// inherits it. Two
 // graphs with identical CSR arrays encode to identical bytes.
 func EncodeCSR(g *Graph) ([]byte, error) {
 	c := g.csr
@@ -84,7 +85,7 @@ func EncodeCSR(g *Graph) ([]byte, error) {
 // against one BFS from node 0, e = ecc(0): a connected graph needs
 // e ≤ D ≤ 2e (0 when n ≤ 1), a disconnected one exactly D = Inf. An
 // accepted D pre-fills the Diameter cache, so a restore costs O(n+m)
-// instead of the O(n·m) all-sources sweep.
+// instead of the all-sources hop-kernel sweep.
 func DecodeCSR(data []byte) (*Graph, error) {
 	if len(data) < csrHeaderLen {
 		return nil, fmt.Errorf("graph: codec: truncated header (%d bytes)", len(data))

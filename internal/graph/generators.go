@@ -6,8 +6,9 @@ import (
 )
 
 // seedDiameter pre-fills the Diameter cache with an analytically known
-// value, sparing the O(n·m) all-BFS sweep on deterministic families —
-// at n = 10^6 that sweep is intractable, and the closed forms here are
+// value, sparing the all-sources diameter sweep (n/64 batches of the
+// 64-source hop kernel, O(n·m) at worst) on deterministic families — at
+// n = 10^6 that sweep is intractable, and the closed forms here are
 // what lets the nqscaling-xl cells run. Callers must seed after the
 // last mustAddEdge (AddEdge invalidates the cache); every formula is
 // certified against oracle.Diameter in TestAnalyticDiameters.

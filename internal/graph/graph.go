@@ -40,7 +40,8 @@ type Graph struct {
 	m   int
 	// diam caches Diameter(); 0 means "not computed" (recomputing a
 	// diameter-0 graph is free). Pre-filled by the analytic generators
-	// (seedDiameter) and by DecodeCSR. Invalidated by AddEdge. Atomic so a
+	// (seedDiameter) and by DecodeCSR, and carried by Clone and by the
+	// weight-only copies of Reweight. Invalidated by AddEdge. Atomic so a
 	// frozen graph shared by concurrent sweep cells (runner.GraphCache)
 	// may compute it lazily from any of them: the value is a pure
 	// function of the graph, so racing writers store the same number.
@@ -49,7 +50,7 @@ type Graph struct {
 	// (BallProfiles); nil until attached. Like diam it is a pure
 	// function of the topology, so concurrent attachers of a shared
 	// frozen graph only race about equivalent values (AttachProfiles
-	// keeps the deepest). Invalidated by AddEdge.
+	// keeps the deepest). Carried and invalidated like diam.
 	profiles atomic.Pointer[Profiles]
 	// csr is the frozen flat representation; non-nil once Freeze ran.
 	csr *csr
@@ -61,6 +62,10 @@ type Graph struct {
 	// MultiSourceDijkstra (below the parallel-kernel threshold), so
 	// repeated calls allocate only their result vectors.
 	heapPool sync.Pool
+	// hopPool recycles the per-node bit words and frontier lists of the
+	// 64-source hop kernel (hopkernel.go) behind Diameter and
+	// BallProfiles.
+	hopPool sync.Pool
 	// kernelPool recycles the frontier bitsets and worker state of the
 	// direction-optimizing BFS kernel (kernels.go).
 	kernelPool sync.Pool
@@ -212,7 +217,9 @@ func (g *Graph) Clone() *Graph {
 
 // Reweight returns a copy of g whose edge weights are f(u, v, w). The
 // function must return a positive weight. The copy of a frozen graph
-// is frozen.
+// is frozen. The copy keeps the hop facts already cached on g — the
+// diameter and the attached ball profiles — since weights cannot change
+// them; AddEdge on an unfrozen copy drops both, as on any graph.
 func (g *Graph) Reweight(f func(u, v int, w int64) int64) (*Graph, error) {
 	c := New(g.N())
 	for _, e := range g.Edges() {
@@ -221,13 +228,17 @@ func (g *Graph) Reweight(f func(u, v int, w int64) int64) (*Graph, error) {
 			return nil, err
 		}
 	}
+	c.diam.Store(g.diam.Load())
+	c.profiles.Store(g.profiles.Load())
 	if g.csr != nil {
 		c.Freeze()
 	}
 	return c, nil
 }
 
-// Unweighted returns a copy of g with all edge weights set to 1.
+// Unweighted returns a copy of g with all edge weights set to 1. Like
+// every Reweight copy it keeps g's cached diameter and ball profiles,
+// so a hop diameter known on g is not recomputed on the copy.
 func (g *Graph) Unweighted() *Graph {
 	c, _ := g.Reweight(func(_, _ int, _ int64) int64 { return 1 })
 	return c

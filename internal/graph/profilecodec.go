@@ -110,11 +110,15 @@ func DecodeProfiles(data []byte) (*Profiles, error) {
 	if p.rowStart[0] != 0 || int(p.rowStart[n]) != entries {
 		return nil, fmt.Errorf("graph: profile codec: row offsets span [%d,%d], want [0,%d]", p.rowStart[0], p.rowStart[n], entries)
 	}
+	// Monotone offsets from 0 to entries keep every row inside sizes;
+	// check them all before any row is read.
 	for v := 0; v < n; v++ {
-		lo, hi := p.rowStart[v], p.rowStart[v+1]
-		if lo > hi {
+		if p.rowStart[v] > p.rowStart[v+1] {
 			return nil, fmt.Errorf("graph: profile codec: row offsets not monotone at node %d", v)
 		}
+	}
+	for v := 0; v < n; v++ {
+		lo, hi := p.rowStart[v], p.rowStart[v+1]
 		rowLen := int(hi - lo)
 		if rowLen < 1 || rowLen > maxR+1 {
 			return nil, fmt.Errorf("graph: profile codec: node %d has %d profile entries, want within [1,%d]", v, rowLen, maxR+1)

@@ -6,20 +6,16 @@ package graph
 // node-by-node inside every NQ query is the hottest remaining path of
 // the harness — an nqscaling grid re-derives the same curves for every
 // k on the same frozen graph. BallProfiles computes all n truncated
-// profiles in one parallel pass over the CSR arrays and packages them
-// as an immutable, codec-friendly Profiles artifact; eccentricities
-// (and hence the exact hop diameter) fall out as a byproduct whenever
-// the truncation radius covers the graph. BallReach is the companion
+// profiles in one parallel pass of the 64-source hop kernel
+// (hopkernel.go) and packages them as an immutable, codec-friendly
+// Profiles artifact; eccentricities (and hence the exact hop diameter)
+// fall out as a byproduct whenever the truncation radius covers the
+// graph. BallReach is the companion
 // single-k kernel: one ball growth that stops the moment the
 // Definition 3.1 condition t·|B_t(v)| ≥ k is decided, for callers that
 // ask about a single k and should not pay for a full profile.
 
-import (
-	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "runtime"
 
 // EccUnknown marks an eccentricity the truncated kernel could not
 // determine: the node's BFS was cut off by maxR before exhausting its
@@ -150,19 +146,6 @@ func (g *Graph) AttachProfiles(p *Profiles) *Profiles {
 	}
 }
 
-// profileChunkSize is the node-range granularity of the parallel
-// kernel: workers claim fixed chunks through an atomic cursor, so the
-// assembled artifact is byte-identical at any worker count while load
-// stays balanced across heterogeneous BFS costs.
-const profileChunkSize = 64
-
-// profileChunk holds one claimed node range's results until assembly.
-type profileChunk struct {
-	lens  []int32 // profile length per node in the chunk
-	sizes []int32 // concatenated chunk profiles
-	ecc   []int64
-}
-
 // BallProfiles computes every node's ball-size profile truncated at
 // maxR on a GOMAXPROCS-sized worker pool. See BallProfilesWorkers.
 func (g *Graph) BallProfiles(maxR int) *Profiles {
@@ -170,11 +153,11 @@ func (g *Graph) BallProfiles(maxR int) *Profiles {
 }
 
 // BallProfilesWorkers is BallProfiles with an explicit worker count
-// (≤ 0 means GOMAXPROCS). Each worker grows balls with its own pooled
-// epoch-marked scratch (the Ball/BallSizes pool), claiming fixed node
-// chunks from an atomic cursor; the result is assembled in node order,
-// so the artifact — including its EncodeProfiles bytes — is identical
-// at any worker count. Eccentricities are exact for nodes whose search
+// (≤ 0 means GOMAXPROCS). Workers claim 64-node chunks from an atomic
+// cursor and profile each chunk with one call of the bit-parallel hop
+// kernel (hopkernel.go); the result is assembled in node order, so the
+// artifact — including its EncodeProfiles bytes — is identical at any
+// worker count. Eccentricities are exact for nodes whose search
 // exhausted within maxR (EccUnknown otherwise, Inf when the component
 // excludes part of the graph), and the exact diameter is available
 // whenever every node resolved.
@@ -190,52 +173,22 @@ func (g *Graph) BallProfilesWorkers(maxR, workers int) *Profiles {
 		ecc:      make([]int64, n),
 		diam:     0,
 	}
-	if n == 0 {
-		p.sizes = []int32{}
-		return p
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	chunks := (n + profileChunkSize - 1) / profileChunkSize
-	if workers > chunks {
-		workers = chunks
+	// Each chunk writes its row lengths into rowStart[lo+1:hi+1] (summed
+	// into offsets below) and its eccentricities into ecc[lo:hi]; only
+	// the rows themselves wait in per-chunk slices for assembly.
+	chunks := make([][]int32, (n+hopBatch-1)/hopBatch)
+	forEachHopBatch(n, workers, nil, func(lo, hi int) {
+		chunks[lo/hopBatch] = g.hopKernel(lo, hi, maxR, p.ecc[lo:hi], p.rowStart[lo+1:hi+1])
+	})
+	for v := 0; v < n; v++ {
+		p.rowStart[v+1] += p.rowStart[v]
 	}
-	results := make([]profileChunk, chunks)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				ci := int(cursor.Add(1)) - 1
-				if ci >= chunks {
-					return
-				}
-				g.profileChunk(ci, maxR, &results[ci])
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Assemble the flat artifact in node order.
-	total := 0
-	for ci := range results {
-		for _, l := range results[ci].lens {
-			total += int(l)
-		}
-	}
-	p.sizes = make([]int32, 0, total)
-	v := 0
-	for ci := range results {
-		c := &results[ci]
-		p.sizes = append(p.sizes, c.sizes...)
-		for i, l := range c.lens {
-			p.rowStart[v+1] = p.rowStart[v] + l
-			p.ecc[v] = c.ecc[i]
-			v++
-		}
+	p.sizes = make([]int32, 0, p.rowStart[n])
+	for _, rows := range chunks {
+		p.sizes = append(p.sizes, rows...)
 	}
 	for _, e := range p.ecc {
 		if e == EccUnknown {
@@ -247,77 +200,6 @@ func (g *Graph) BallProfilesWorkers(maxR, workers int) *Profiles {
 		}
 	}
 	return p
-}
-
-// profileChunk grows the balls of one node chunk with this worker's
-// pooled scratch.
-func (g *Graph) profileChunk(ci, maxR int, out *profileChunk) {
-	n := g.N()
-	lo := ci * profileChunkSize
-	hi := lo + profileChunkSize
-	if hi > n {
-		hi = n
-	}
-	out.lens = make([]int32, 0, hi-lo)
-	// A profile row holds at most maxR+1 entries; most stop far sooner.
-	out.sizes = make([]int32, 0, hi-lo)
-	out.ecc = make([]int64, 0, hi-lo)
-	s := g.getBallScratch()
-	defer g.ballPool.Put(s)
-	for v := lo; v < hi; v++ {
-		// Fresh epoch per node (same trick as getBallScratch, without
-		// the pool round-trip).
-		if s.epoch == math.MaxInt32 {
-			clear(s.mark)
-			s.epoch = 0
-		}
-		s.epoch++
-		mark, epoch := s.mark, s.epoch
-		mark[v] = epoch
-		frontier := append(s.front[:0], int32(v))
-		next := s.nextFr[:0]
-		total := 1
-		rowLen := int32(1)
-		out.sizes = append(out.sizes, 1)
-		t := 0
-		for t < maxR && len(frontier) > 0 && total < n {
-			t++
-			next = next[:0]
-			if c := g.csr; c != nil {
-				for _, u := range frontier {
-					for _, x := range c.to[c.rowStart[u]:c.rowStart[u+1]] {
-						if mark[x] != epoch {
-							mark[x] = epoch
-							next = append(next, x)
-						}
-					}
-				}
-			} else {
-				for _, u := range frontier {
-					for _, e := range g.adj[u] {
-						if mark[e.To] != epoch {
-							mark[e.To] = epoch
-							next = append(next, e.To)
-						}
-					}
-				}
-			}
-			total += len(next)
-			frontier, next = next, frontier
-			out.sizes = append(out.sizes, int32(total))
-			rowLen++
-		}
-		s.front, s.nextFr = frontier, next
-		switch {
-		case total == n:
-			out.ecc = append(out.ecc, int64(t))
-		case len(frontier) == 0:
-			out.ecc = append(out.ecc, Inf)
-		default:
-			out.ecc = append(out.ecc, EccUnknown)
-		}
-		out.lens = append(out.lens, rowLen)
-	}
 }
 
 // BallReach is the early-exit single-k kernel behind NQ_k: it grows

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -12,10 +13,16 @@ import (
 func TestProfilesMatchBallSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	graphs := map[string]*Graph{
-		"path":     Path(40),
-		"grid":     Grid(6, 2),
-		"random":   RandomConnected(35, 0.1, rng),
-		"unfrozen": func() *Graph { g := New(5); g.mustAddEdge(0, 1, 1); g.mustAddEdge(1, 2, 1); g.mustAddEdge(3, 4, 1); return g }(),
+		"path":   Path(40),
+		"grid":   Grid(6, 2),
+		"random": RandomConnected(35, 0.1, rng),
+		"unfrozen": func() *Graph {
+			g := New(5)
+			g.mustAddEdge(0, 1, 1)
+			g.mustAddEdge(1, 2, 1)
+			g.mustAddEdge(3, 4, 1)
+			return g
+		}(),
 	}
 	for name, g := range graphs {
 		for _, maxR := range []int{0, 1, 3, g.N()} {
@@ -274,5 +281,34 @@ func TestProfilesCodecRejectsCorruption(t *testing.T) {
 	}
 	if _, err := DecodeProfiles(blob); err != nil {
 		t.Fatalf("pristine blob rejected: %v", err)
+	}
+}
+
+// offsetPastEntriesBlob is a profile blob whose first row offset pair
+// (0,5) looks sane but runs past the two stored sizes: n=2, maxR=10,
+// entries=2, rowStart=[0,5,2], sizes=[1,1], ecc=[1,1].
+func offsetPastEntriesBlob() []byte {
+	b := make([]byte, 0, profHeaderLen+4*3+4*2+8*2)
+	b = append(b, profMagic[:]...)
+	b = binary.LittleEndian.AppendUint32(b, ProfilesCodecVersion)
+	for _, v := range []uint64{2, 10, 2} { // n, maxR, entries
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	for _, v := range []uint32{0, 5, 2, 1, 1} { // rowStart, then sizes
+		b = binary.LittleEndian.AppendUint32(b, v)
+	}
+	for _, v := range []uint64{1, 1} { // ecc
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	return b
+}
+
+// TestDecodeProfilesRejectsOffsetPastEntries: every row offset must be
+// checked against the sizes array before any row is read, so a blob
+// whose offsets are monotone only pair by pair returns an error
+// instead of indexing past the sizes.
+func TestDecodeProfilesRejectsOffsetPastEntries(t *testing.T) {
+	if _, err := DecodeProfiles(offsetPastEntriesBlob()); err == nil {
+		t.Fatal("blob with a row offset past the entry count decoded")
 	}
 }

@@ -1,6 +1,10 @@
 package graph
 
-import "math"
+import (
+	"math"
+	"slices"
+	"sync/atomic"
+)
 
 // BFS returns hop distances from src (Inf marks unreachable nodes).
 // Large frozen graphs (n ≥ 2^15) route to the direction-optimizing
@@ -227,23 +231,25 @@ func (g *Graph) Eccentricity(v int) int64 {
 	return ecc
 }
 
-// Diameter returns the exact hop diameter max_{v,w} hop(v,w), computed by
-// a BFS from every node (O(n·m), cached until the graph changes); Inf for
-// disconnected graphs.
+// Diameter returns the exact hop diameter max_{v,w} hop(v,w): the
+// largest eccentricity over the 64-source batches of the hop kernel
+// (hopkernel.go), claimed by MaxKernelWorkers workers and cached until
+// the graph changes; Inf for disconnected graphs, found as soon as any
+// batch meets a second component.
 func (g *Graph) Diameter() int64 {
 	if d := g.diam.Load(); d != 0 {
 		return d
 	}
-	var d int64
-	for v := 0; v < g.N(); v++ {
-		if e := g.Eccentricity(v); e > d {
-			d = e
-			if d >= Inf {
-				g.diam.Store(Inf)
-				return Inf
-			}
+	n := g.N()
+	var diam atomic.Int64
+	forEachHopBatch(n, MaxKernelWorkers(), func() bool { return diam.Load() >= Inf }, func(lo, hi int) {
+		var ecc [hopBatch]int64
+		g.hopKernel(lo, hi, n, ecc[:hi-lo], nil)
+		d := slices.Max(ecc[:hi-lo])
+		for cur := diam.Load(); d > cur && !diam.CompareAndSwap(cur, d); cur = diam.Load() {
 		}
-	}
+	})
+	d := diam.Load()
 	g.diam.Store(d)
 	return d
 }

@@ -223,9 +223,10 @@ func validate(g *graph.Graph, k int) (d int, err error) {
 }
 
 // PerNode returns NQ_k(v) for every node, plus NQ_k(G) = max_v NQ_k(v).
-// The diameter D is computed exactly (O(n·m), cached on the graph); the
-// per-node values come from the attached profile when one covers k and
-// from the early-exit kernel otherwise.
+// The diameter D is computed exactly (one all-sources sweep of the
+// 64-source hop kernel, cached on the graph); the per-node values come
+// from the attached profile when one covers k and from the early-exit
+// kernel otherwise.
 func PerNode(g *graph.Graph, k int) (perNode []int, nq int, err error) {
 	d, err := validate(g, k)
 	if err != nil {

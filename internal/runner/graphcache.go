@@ -158,7 +158,7 @@ func (gc *GraphCache) load(family graph.Family, n int, seed int64, key string) (
 	// Warm the lazy diameter while still under the singleflight: every
 	// registered measurement reads it (the baseline formulas and the
 	// min{·, D} predictions), and without this the cells released
-	// together would each pay the O(n·m) computation that sharing is
+	// together would each pay the all-sources sweep that sharing is
 	// supposed to amortize. The codec carries the diameter, so a store
 	// restore (disk or peer fill) arrives warm and this is free; only a
 	// fresh build of an unseeded family pays it — in EncodeCSR when a
