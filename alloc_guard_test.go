@@ -298,8 +298,8 @@ func allocatedBytes(f func()) uint64 {
 
 // TestDiameterAllocBudget pins the all-sources diameter at the hop
 // kernel's pooled scratch: an uncached Diameter of the 1024-node
-// expander runs 16 batches of 64 sources over three per-node bit words,
-// where one BFS per node allocated about 12 MB of distance vectors.
+// expander runs 16 batches of 64 sources over three per-node bit words
+// and must not allocate a distance vector per source.
 func TestDiameterAllocBudget(t *testing.T) {
 	requireAllocFree(t)
 	g := coreExpander() // RandomRegular seeds no diameter
@@ -312,7 +312,7 @@ func TestDiameterAllocBudget(t *testing.T) {
 // each 64-node chunk's rows are written once by the hop kernel and
 // copied once into the flat artifact, so BallProfiles on the 4096-node
 // expander may allocate at most 1.1× the artifact's arrays plus those
-// staged rows (at the per-node ball growth it was about twice that).
+// staged rows.
 func TestBallProfilesAllocBudget(t *testing.T) {
 	requireAllocFree(t)
 	g := graph.RandomRegular(4096, 4, rand.New(rand.NewSource(7))).Freeze()
