@@ -13,16 +13,10 @@ import (
 func TestProfilesMatchBallSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	graphs := map[string]*Graph{
-		"path":   Path(40),
-		"grid":   Grid(6, 2),
-		"random": RandomConnected(35, 0.1, rng),
-		"unfrozen": func() *Graph {
-			g := New(5)
-			g.mustAddEdge(0, 1, 1)
-			g.mustAddEdge(1, 2, 1)
-			g.mustAddEdge(3, 4, 1)
-			return g
-		}(),
+		"path":     Path(40),
+		"grid":     Grid(6, 2),
+		"random":   RandomConnected(35, 0.1, rng),
+		"unfrozen": func() *Graph { g := New(5); g.mustAddEdge(0, 1, 1); g.mustAddEdge(1, 2, 1); g.mustAddEdge(3, 4, 1); return g }(),
 	}
 	for name, g := range graphs {
 		for _, maxR := range []int{0, 1, 3, g.N()} {
