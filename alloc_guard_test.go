@@ -20,6 +20,7 @@ import (
 	"repro/internal/hybrid"
 	"repro/internal/nq"
 	"repro/internal/runner"
+	"repro/internal/spanner"
 )
 
 func requireAllocFree(t *testing.T) {
@@ -190,7 +191,7 @@ func TestCoreKernelAllocBudgets(t *testing.T) {
 		run    func()
 	}{
 		{"BFS", 2, func() { grid.BFS(0) }},
-		// The distHeap scratch is pooled on the graph (PR 9), so the
+		// The DistHeap scratch is pooled on the graph, so the
 		// heap Dijkstras allocate only their result vectors.
 		{"Dijkstra", 1, func() { weighted.Dijkstra(0) }},
 		{"MultiSourceDijkstra", 2, func() { weighted.MultiSourceDijkstra([]int{0, 5, 9}) }},
@@ -327,5 +328,21 @@ func TestBallProfilesAllocBudget(t *testing.T) {
 	budget := 1.1 * float64(artifact+4*entries)
 	if float64(got) > budget {
 		t.Fatalf("BallProfilesWorkers(%d, 1) on a %d-node expander allocated %d bytes, budget %.0f (artifact %d bytes)", r, g.N(), got, budget, artifact)
+	}
+}
+
+// TestSpannerAllocBudget pins the greedy spanner at its output: every
+// candidate edge's bounded Dijkstra reuses one dense distance array and
+// one heap, so a 3-spanner of a weighted 1024-node 8-regular graph must
+// not allocate per search.
+func TestSpannerAllocBudget(t *testing.T) {
+	requireAllocFree(t)
+	g := graph.RandomWeights(graph.RandomRegular(1024, 8, rand.New(rand.NewSource(7))), 1000, rand.New(rand.NewSource(3)))
+	if mb := float64(allocatedBytes(func() {
+		if _, err := spanner.Compute(g, 2); err != nil {
+			t.Fatal(err)
+		}
+	})) / (1 << 20); mb >= 1 {
+		t.Fatalf("spanner.Compute(k=2) on a weighted %d-node 8-regular graph allocated %.2f MB, budget 1 MB", g.N(), mb)
 	}
 }

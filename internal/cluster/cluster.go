@@ -174,20 +174,19 @@ func assignClosestRuler(net *hybrid.Net, rulers []int, radius int) []int {
 
 func collectClusters(g *graph.Graph, rulers []int, of []int) []Cluster {
 	clusters := make([]Cluster, len(rulers))
+	// BFS order from each leader restricted to its own cluster keeps
+	// members sorted by hop distance from the leader. Clusters are
+	// disjoint, so one seen array serves every BFS.
+	seen := make([]bool, g.N())
 	for i, r := range rulers {
 		clusters[i].Leader = r
-	}
-	// BFS order from each leader restricted to its own cluster keeps
-	// members sorted by hop distance from the leader.
-	for i, r := range rulers {
-		order := clusterBFSOrder(g, r, of, i)
-		clusters[i].Members = order
+		clusters[i].Members = clusterBFSOrder(g, r, of, i, seen)
 	}
 	return clusters
 }
 
-func clusterBFSOrder(g *graph.Graph, leader int, of []int, ci int) []int {
-	seen := map[int]bool{leader: true}
+func clusterBFSOrder(g *graph.Graph, leader int, of []int, ci int, seen []bool) []int {
+	seen[leader] = true
 	queue := []int{leader}
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]

@@ -254,36 +254,43 @@ func (g *Graph) Diameter() int64 {
 	return d
 }
 
-// distHeap is a manual binary min-heap of (node, dist) pairs for Dijkstra.
-type distHeap struct {
+// DistHeap is a binary min-heap of (node, dist) pairs: the frontier of
+// every Dijkstra in this package, and of the greedy spanner's bounded
+// searches. The zero value is an empty heap.
+type DistHeap struct {
 	node []int32
 	d    []int64
 }
 
-func newDistHeap(capacity int) *distHeap {
-	return &distHeap{node: make([]int32, 0, capacity), d: make([]int64, 0, capacity)}
+func newDistHeap(capacity int) *DistHeap {
+	return &DistHeap{node: make([]int32, 0, capacity), d: make([]int64, 0, capacity)}
 }
 
 // getDistHeap returns an empty heap from the graph's pool, so repeated
 // Dijkstra calls allocate only their result vectors. Return it with
 // g.heapPool.Put once drained.
-func (g *Graph) getDistHeap() *distHeap {
-	h, _ := g.heapPool.Get().(*distHeap)
+func (g *Graph) getDistHeap() *DistHeap {
+	h, _ := g.heapPool.Get().(*DistHeap)
 	if h == nil || cap(h.node) < g.N() {
 		return newDistHeap(g.N())
 	}
-	h.node, h.d = h.node[:0], h.d[:0]
+	h.Reset()
 	return h
 }
 
-func (h *distHeap) Len() int { return len(h.node) }
+// Len returns the number of entries in the heap.
+func (h *DistHeap) Len() int { return len(h.node) }
 
-func (h *distHeap) swap(i, j int) {
+// Reset empties the heap, keeping its backing arrays.
+func (h *DistHeap) Reset() { h.node, h.d = h.node[:0], h.d[:0] }
+
+func (h *DistHeap) swap(i, j int) {
 	h.node[i], h.node[j] = h.node[j], h.node[i]
 	h.d[i], h.d[j] = h.d[j], h.d[i]
 }
 
-func (h *distHeap) push(v int32, d int64) {
+// Push adds node v with key d.
+func (h *DistHeap) Push(v int32, d int64) {
 	h.node = append(h.node, v)
 	h.d = append(h.d, d)
 	for i := len(h.d) - 1; i > 0; {
@@ -296,7 +303,9 @@ func (h *distHeap) push(v int32, d int64) {
 	}
 }
 
-func (h *distHeap) pop() (int32, int64) {
+// Pop removes and returns an entry with the smallest key. The heap must
+// not be empty.
+func (h *DistHeap) Pop() (int32, int64) {
 	v, d := h.node[0], h.d[0]
 	last := len(h.node) - 1
 	h.swap(0, last)
@@ -340,17 +349,17 @@ func (g *Graph) dijkstraHeap(src int) []int64 {
 	dist[src] = 0
 	h := g.getDistHeap()
 	defer g.heapPool.Put(h)
-	h.push(int32(src), 0)
+	h.Push(int32(src), 0)
 	g.dijkstraLoop(h, dist, nil)
 	return dist
 }
 
 // dijkstraLoop drains the heap, relaxing edges; when nearest is non-nil
 // it propagates the closest-source index alongside the distances.
-func (g *Graph) dijkstraLoop(h *distHeap, dist []int64, nearest []int) {
+func (g *Graph) dijkstraLoop(h *DistHeap, dist []int64, nearest []int) {
 	if c := g.csr; c != nil {
 		for h.Len() > 0 {
-			v, d := h.pop()
+			v, d := h.Pop()
 			if d > dist[v] {
 				continue
 			}
@@ -363,14 +372,14 @@ func (g *Graph) dijkstraLoop(h *distHeap, dist []int64, nearest []int) {
 					if nearest != nil {
 						nearest[u] = nearest[v]
 					}
-					h.push(u, nd)
+					h.Push(u, nd)
 				}
 			}
 		}
 		return
 	}
 	for h.Len() > 0 {
-		v, d := h.pop()
+		v, d := h.Pop()
 		if d > dist[v] {
 			continue
 		}
@@ -380,7 +389,7 @@ func (g *Graph) dijkstraLoop(h *distHeap, dist []int64, nearest []int) {
 				if nearest != nil {
 					nearest[e.To] = nearest[v]
 				}
-				h.push(e.To, nd)
+				h.Push(e.To, nd)
 			}
 		}
 	}
@@ -412,7 +421,7 @@ func (g *Graph) multiSourceDijkstraHeap(srcs []int) (dist []int64, nearest []int
 		if s >= 0 && s < n && dist[s] > 0 {
 			dist[s] = 0
 			nearest[s] = i
-			h.push(int32(s), 0)
+			h.Push(int32(s), 0)
 		}
 	}
 	g.dijkstraLoop(h, dist, nearest)

@@ -8,10 +8,17 @@
 // the classical greedy spanner — which satisfies the same stretch bound
 // and the stronger size bound O(n^{1+1/k}) — and charges the cited eÕ(1)
 // rounds through Distributed.
+//
+// The greedy scan asks one bounded shortest-path question per input
+// edge. Compute answers all of them with one dense search state: the
+// kept edges as adjacency lists, epoch-stamped distance arrays of size
+// n and one graph.DistHeap, so a search costs time only in the part of
+// the spanner it reaches and reuses the memory of the searches before.
 package spanner
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/graph"
@@ -22,6 +29,11 @@ import (
 // non-decreasing weight order and kept iff the spanner distance between
 // the endpoints currently exceeds (2k-1)·w. The result has stretch at
 // most 2k-1 and O(n^{1+1/k}) edges.
+//
+// Each candidate edge costs one Dijkstra from u on the spanner built so
+// far, cut off at (2k-1)·w and stopped as soon as v is reached within
+// it. All of those searches share one dense state (see search), so the
+// scan allocates only the spanner itself.
 func Compute(g *graph.Graph, k int) (*graph.Graph, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("spanner: k=%d < 1", k)
@@ -37,64 +49,81 @@ func Compute(g *graph.Graph, k int) (*graph.Graph, error) {
 		return edges[i].V < edges[j].V
 	})
 	h := graph.New(g.N())
+	s := newSearch(g.N())
 	stretch := int64(2*k - 1)
 	for _, e := range edges {
-		limit := stretch * e.W
-		if boundedDistanceExceeds(h, e.U, e.V, limit) {
-			if err := h.AddEdge(e.U, e.V, e.W); err != nil {
-				return nil, err
-			}
+		if s.within(e.U, e.V, stretch*e.W) {
+			continue
 		}
+		if err := h.AddEdge(e.U, e.V, e.W); err != nil {
+			return nil, err
+		}
+		s.add(e.U, e.V, e.W)
 	}
 	return h, nil
 }
 
-// boundedDistanceExceeds reports whether d_h(u,v) > limit, using a
-// Dijkstra that abandons paths longer than limit.
-func boundedDistanceExceeds(h *graph.Graph, u, v int, limit int64) bool {
+// arc is one direction of a kept spanner edge.
+type arc struct {
+	to int32
+	w  int64
+}
+
+// search is the bounded-Dijkstra state Compute reuses for every
+// candidate edge: the kept edges as adjacency lists, distances valid only
+// where stamp equals the current epoch (so no per-search clearing), and
+// one heap emptied before each search.
+type search struct {
+	adj   [][]arc
+	dist  []int64
+	stamp []uint32
+	epoch uint32
+	heap  graph.DistHeap
+}
+
+func newSearch(n int) *search {
+	return &search{adj: make([][]arc, n), dist: make([]int64, n), stamp: make([]uint32, n)}
+}
+
+// add records the kept edge {u,v} of weight w.
+func (s *search) add(u, v int, w int64) {
+	s.adj[u] = append(s.adj[u], arc{int32(v), w})
+	s.adj[v] = append(s.adj[v], arc{int32(u), w})
+}
+
+// within reports whether the kept edges join u and v by a path of
+// weight at most limit.
+func (s *search) within(u, v int, limit int64) bool {
 	if u == v {
-		return false
+		return true
 	}
-	dist := map[int]int64{u: 0}
-	// Small local heap: (dist, node) pairs as packed int64 won't fit
-	// weights; use slices.
-	type item struct {
-		d int64
-		v int
+	if s.epoch == math.MaxUint32 {
+		clear(s.stamp)
+		s.epoch = 0
 	}
-	pq := []item{{0, u}}
-	pop := func() item {
-		best := 0
-		for i := 1; i < len(pq); i++ {
-			if pq[i].d < pq[best].d {
-				best = i
-			}
-		}
-		it := pq[best]
-		pq[best] = pq[len(pq)-1]
-		pq = pq[:len(pq)-1]
-		return it
-	}
-	for len(pq) > 0 {
-		it := pop()
-		if d, ok := dist[it.v]; ok && it.d > d {
+	s.epoch++
+	epoch, dist, stamp := s.epoch, s.dist, s.stamp
+	dist[u], stamp[u] = 0, epoch
+	s.heap.Reset()
+	s.heap.Push(int32(u), 0)
+	for s.heap.Len() > 0 {
+		x, d := s.heap.Pop()
+		if d > dist[x] {
 			continue
 		}
-		if it.v == v {
-			return false
-		}
-		for _, e := range h.Neighbors(it.v) {
-			nd := it.d + e.W
-			if nd > limit {
+		for _, a := range s.adj[x] {
+			nd := d + a.w
+			if nd > limit || (stamp[a.to] == epoch && nd >= dist[a.to]) {
 				continue
 			}
-			if d, ok := dist[int(e.To)]; !ok || nd < d {
-				dist[int(e.To)] = nd
-				pq = append(pq, item{nd, int(e.To)})
+			if int(a.to) == v {
+				return true
 			}
+			dist[a.to], stamp[a.to] = nd, epoch
+			s.heap.Push(a.to, nd)
 		}
 	}
-	return true
+	return false
 }
 
 // Distributed computes the spanner and charges the cited [RG20] eÕ(1)

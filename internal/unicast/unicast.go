@@ -320,13 +320,18 @@ func consolidateSources(net *hybrid.Net, cl *cluster.Clustering, sources []int, 
 	if p > 1 {
 		p = 1
 	}
-	perCluster := make(map[int][]int) // cluster -> sources in it
+	// Sources per cluster, visited in cluster order so that the sampling
+	// below draws from rng in the same order on every run.
+	perCluster := make([][]int, len(cl.Clusters))
 	for _, s := range sources {
 		ci := cl.Of[s]
 		perCluster[ci] = append(perCluster[ci], s)
 	}
 	superOf = make(map[int]int, len(sources))
 	for _, ss := range perCluster {
+		if len(ss) == 0 {
+			continue
+		}
 		var supers []int
 		for _, s := range ss {
 			if rng.Float64() < p {

@@ -249,6 +249,34 @@ func TestRouteCase3Lemma54Reduction(t *testing.T) {
 	}
 }
 
+// TestRouteLemma54Deterministic: one seed gives one Result. The
+// super-source sampling draws from rng once per source, cluster by
+// cluster, so the order clusters are visited in must be fixed.
+func TestRouteLemma54Deterministic(t *testing.T) {
+	g := graph.Grid(32, 2)
+	n := g.N()
+	distinct := make(map[Result]bool)
+	for run := 0; run < 20; run++ {
+		rng := rand.New(rand.NewSource(17))
+		sources := SampleNodes(n, 0.9, rng)
+		targets := SampleNodes(n, 2/float64(n), rng)
+		if len(targets) == 0 {
+			targets = []int{0}
+		}
+		res, err := Route(newNet(t, g), Spec{Case: RandomSourcesRandomTargets, Sources: sources, Targets: targets, K: n, L: 2}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Reduced {
+			t.Fatal("Lemma 5.4 reduction did not fire")
+		}
+		distinct[*res] = true
+	}
+	if len(distinct) != 1 {
+		t.Fatalf("20 runs with one seed gave %d distinct results: %v", len(distinct), distinct)
+	}
+}
+
 func TestRouteCase3ReversesWhenLBigger(t *testing.T) {
 	g := graph.Grid(12, 2)
 	net := newNet(t, g)
