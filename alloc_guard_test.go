@@ -31,7 +31,7 @@ func requireAllocFree(t *testing.T) {
 }
 
 // TestCoreRoundLoopAllocationFree is the acceptance gate of the pooled
-// engine: one steady-state TickLocal + SendGlobal round on a frozen
+// engine: one steady-state TickLocal + SendGlobal round on a
 // 1024-node graph must perform zero allocations.
 func TestCoreRoundLoopAllocationFree(t *testing.T) {
 	requireAllocFree(t)
@@ -254,6 +254,29 @@ func TestGraphRestoreAllocBudget(t *testing.T) {
 	}
 }
 
+// TestGraphResidentBudget pins a built graph at its CSR arrays: a
+// Graph keeps rowStart (4 bytes per node + 1) and the to/w half-edge
+// arrays (4 + 8 bytes each) and no second copy of its edges, so the
+// 2^16-node torus may retain at most 1.1× those arrays after GC.
+func TestGraphResidentBudget(t *testing.T) {
+	requireAllocFree(t)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	g, err := graph.Build(graph.FamilyTorus2D, 1<<16, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	arrays := 4*(g.N()+1) + 12*2*g.M()
+	held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	runtime.KeepAlive(g)
+	if budget := 1.1 * float64(arrays); float64(held) > budget {
+		t.Fatalf("a built %d-node torus retains %d bytes, budget %.0f (CSR arrays %d bytes)", g.N(), held, budget, arrays)
+	}
+}
+
 // TestDiskReopenAllocBudget pins a disk-tier reopen at O(index): the
 // reindex streams every segment through one read buffer and feeds
 // values into the record CRC chunk by chunk, so reopening 8 MiB of
@@ -316,7 +339,7 @@ func TestDiameterAllocBudget(t *testing.T) {
 // staged rows.
 func TestBallProfilesAllocBudget(t *testing.T) {
 	requireAllocFree(t)
-	g := graph.RandomRegular(4096, 4, rand.New(rand.NewSource(7))).Freeze()
+	g := graph.RandomRegular(4096, 4, rand.New(rand.NewSource(7)))
 	r := graph.ProfileRadius(g.N(), g.Diameter()) // also warms the kernel scratch
 	var p *graph.Profiles
 	got := allocatedBytes(func() { p = g.BallProfilesWorkers(r, 1) })

@@ -19,10 +19,10 @@ import (
 const coreN = 1024
 
 func coreExpander() *graph.Graph {
-	return graph.RandomRegular(coreN, 4, rand.New(rand.NewSource(7))).Freeze()
+	return graph.RandomRegular(coreN, 4, rand.New(rand.NewSource(7)))
 }
 
-func coreGrid() *graph.Graph { return graph.Grid2D(32).Freeze() }
+func coreGrid() *graph.Graph { return graph.Grid2D(32) }
 
 func coreNet(b *testing.B, g *graph.Graph, cfg hybrid.Config) *hybrid.Net {
 	b.Helper()

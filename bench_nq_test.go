@@ -41,8 +41,8 @@ var nqBenchKs = []int{16, 64, 256, 1024, 4096}
 // 2-d grid (the Theorem 16 shape), both at n = 1024.
 func nqBenchGraphs() []*graph.Graph {
 	return []*graph.Graph{
-		graph.Path(1024).Freeze(),
-		graph.Grid2D(32).Freeze(),
+		graph.Path(1024),
+		graph.Grid2D(32),
 	}
 }
 

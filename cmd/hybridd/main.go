@@ -2,7 +2,7 @@
 // long-running sweep service (stdlib net/http only) over the scenario
 // registry of internal/experiments, backed by the namespaced
 // content-addressed artifact store of internal/artifact — result rows
-// in one namespace, frozen CSR topologies in another — so repeated
+// in one namespace, CSR topologies in another — so repeated
 // sweep cells are answered without re-simulation and each distinct
 // graph instance is built once and shared across points, sweeps, and
 // restarts (DESIGN.md §7, §9).

@@ -43,3 +43,19 @@ func ExampleNQ() {
 	// Output:
 	// NQ_1024(path) = 32, NQ_1024(grid) = 12
 }
+
+// ExampleNewGraph builds a 4-cycle through the graph builder: AddEdge
+// validates each edge, and Build lays them out as an immutable graph.
+func ExampleNewGraph() {
+	b := hybridnet.NewGraph(4)
+	for v := 0; v < 4; v++ {
+		if err := b.AddEdge(v, (v+1)%4, 1); err != nil {
+			fmt.Println("error:", err)
+			return
+		}
+	}
+	g := b.Build()
+	fmt.Printf("n=%d m=%d D=%d\n", g.N(), g.M(), g.Diameter())
+	// Output:
+	// n=4 m=4 D=2
+}

@@ -50,7 +50,7 @@ const (
 
 // Graph generators (Section 1.2 / Definition 3.9).
 var (
-	NewGraph      = graph.New
+	NewGraph      = graph.NewBuilder
 	Path          = graph.Path
 	Cycle         = graph.Cycle
 	Grid          = graph.Grid

@@ -5,7 +5,7 @@ package hybridnet
 // shared fair worker pool (runner.Pool) as the batching admission
 // layer and a namespaced content-addressed artifact store
 // (internal/artifact) underneath — result rows in one namespace,
-// frozen CSR topologies in a second, derived ball-profile artifacts in
+// CSR topologies in a second, derived ball-profile artifacts in
 // a third, finished-sweep records in a fourth — so repeated cells are
 // served without re-simulation, every distinct graph instance is built
 // exactly once, and a sweep evicted from the bounded in-memory
@@ -51,7 +51,7 @@ import (
 	"repro/internal/runner"
 )
 
-// graphNamespace is the artifact namespace holding encoded frozen
+// graphNamespace is the artifact namespace holding encoded
 // topologies (artifact.DefaultNamespace holds the result rows).
 const graphNamespace = "graphs"
 

@@ -2,7 +2,7 @@
 // pipeline (DESIGN.md §9): a namespaced, generic two-tier store that
 // serves every artifact kind the harness content-addresses — encoded
 // result rows (namespace "results", see runner.CellCache) and
-// frozen CSR graph topologies (namespace "graphs", see
+// CSR graph topologies (namespace "graphs", see
 // runner.GraphCache) — through one byte-bounded memory tier and one
 // persistent disk tier.
 //
@@ -11,7 +11,7 @@
 // Leitersdorf and Schneider (PODC 2024) replace worst-case bounds with
 // per-input-graph guarantees, every blob here is instance-keyed —
 // valid for exactly one content address and byte-reproducible from it.
-// Sharing one frozen topology across every point of a table row is the
+// Sharing one topology across every point of a table row is the
 // storage-side counterpart of the paper's "bounds are functions of the
 // graph" move.
 //

@@ -256,7 +256,7 @@ func (h *eventHeap) pop() event {
 }
 
 // Sim is one simulation instance: a set of node goroutines over a
-// frozen graph, a deterministic event queue, and a fault-injecting
+// shared graph, a deterministic event queue, and a fault-injecting
 // transport. Construct with New; not safe for concurrent use.
 type Sim struct {
 	g     *graph.Graph
@@ -297,7 +297,7 @@ type hashWriter struct {
 
 // New builds a simulation over g (which must be non-empty and
 // connected, the paper's standing assumption) with one node per vertex
-// built by mk. The graph is frozen if it was not already.
+// built by mk. g is only read, so simulations may share one graph.
 func New(g *graph.Graph, cfg Config, mk func(v int) Node) (*Sim, error) {
 	n := g.N()
 	if n == 0 {
@@ -306,7 +306,6 @@ func New(g *graph.Graph, cfg Config, mk func(v int) Node) (*Sim, error) {
 	if !g.Connected() {
 		return nil, graph.ErrDisconnected
 	}
-	g.Freeze()
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}

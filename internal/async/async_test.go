@@ -164,6 +164,39 @@ func TestDisseminateReachesFullSet(t *testing.T) {
 	}
 }
 
+// TestConcurrentSimsShareGraph runs two simulations on one graph at
+// once: New only reads its graph, so -race must stay quiet and both
+// runs must report the same distances and trace.
+func TestConcurrentSimsShareGraph(t *testing.T) {
+	g := graph.Grid2D(8)
+	var dist [2][]int64
+	var reps [2]*Report
+	errs := make(chan error, 2)
+	for i := range dist {
+		go func() {
+			var err error
+			dist[i], reps[i], err = BFS(g, 0, Options{Seed: 1})
+			errs <- err
+		}()
+	}
+	for range dist {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := oracle.BFS(g, 0)
+	for i := range dist {
+		for v := range want {
+			if dist[i][v] != want[v] {
+				t.Fatalf("run %d node %d: got %d want %d", i, v, dist[i][v], want[v])
+			}
+		}
+	}
+	if reps[0].Digest != reps[1].Digest {
+		t.Fatal("concurrent runs on one graph produced different traces")
+	}
+}
+
 func TestRunTwiceErrors(t *testing.T) {
 	g := testGraph(t, 16, 1)
 	sim, err := New(g, Config{Seed: 1}, func(v int) Node { return &distNode{src: v == 0, hop: true} })

@@ -141,22 +141,8 @@ func assignClosestRuler(net *hybrid.Net, rulers []int, radius int) []int {
 				continue
 			}
 			nd := dist[v] + 1
-			// Iterate the flat CSR row on frozen graphs (the sweep
-			// path, DESIGN.md §4); the adjacency order is identical, so
-			// the lexicographic relaxation resolves the same labels.
-			if row, _ := g.Row(v); row != nil {
-				for _, u := range row {
-					if nd < dist[u] || (nd == dist[u] && leadID[v] < leadID[u]) {
-						dist[u] = nd
-						leadID[u] = leadID[v]
-						leadIdx[u] = leadIdx[v]
-						changed = true
-					}
-				}
-				continue
-			}
-			for _, e := range g.Neighbors(v) {
-				u := int(e.To)
+			row, _ := g.Row(v)
+			for _, u := range row {
 				if nd < dist[u] || (nd == dist[u] && leadID[v] < leadID[u]) {
 					dist[u] = nd
 					leadID[u] = leadID[v]

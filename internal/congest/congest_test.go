@@ -95,9 +95,7 @@ func TestRunnerRejectsPerEdgeViolation(t *testing.T) {
 	nodes := make([]Node, 3)
 	for v := 0; v < 3; v++ {
 		c := &cheater{}
-		for _, e := range g.Neighbors(v) {
-			c.neighbors = append(c.neighbors, int(e.To))
-		}
+		g.ForEachNeighbor(v, func(u int, _ int64) { c.neighbors = append(c.neighbors, u) })
 		nodes[v] = c
 	}
 	r, err := NewRunner(net, nodes)
@@ -252,9 +250,7 @@ func TestRunnerShardedRejectsPerEdgeViolation(t *testing.T) {
 		nodes := make([]Node, g.N())
 		for v := range nodes {
 			c := &cheater{}
-			for _, e := range g.Neighbors(v) {
-				c.neighbors = append(c.neighbors, int(e.To))
-			}
+			g.ForEachNeighbor(v, func(u int, _ int64) { c.neighbors = append(c.neighbors, u) })
 			nodes[v] = c
 		}
 		r, err := NewRunner(net, nodes)

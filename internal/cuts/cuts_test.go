@@ -44,7 +44,7 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(graph.Path(4), 1, rng, Options{}); err == nil {
 		t.Fatal("eps=1 accepted")
 	}
-	if _, err := Build(graph.New(0), 0.5, rng, Options{}); err == nil {
+	if _, err := Build(graph.NewBuilder(0).Build(), 0.5, rng, Options{}); err == nil {
 		t.Fatal("empty graph accepted")
 	}
 }

@@ -51,9 +51,9 @@ func TestReportByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestSweepCellsRunTheCSRPath pins that every sweep cell's graph is
-// frozen, i.e. the byte-identical reports certified above are produced
-// by the CSR hot paths, not the adjacency-list fallback.
+// TestSweepCellsRunTheCSRPath pins that every sweep cell resolves its
+// graph; a graph.Graph has no representation but the CSR arrays, so the
+// byte-identical reports certified above come from the CSR hot paths.
 func TestSweepCellsRunTheCSRPath(t *testing.T) {
 	sc := Table1Scenario(DefaultFamilies(), 64, []int{16}, 5)
 	cells := runner.Cells(sc)
@@ -61,12 +61,8 @@ func TestSweepCellsRunTheCSRPath(t *testing.T) {
 		t.Fatal("no cells")
 	}
 	for i := range cells {
-		g, err := cells[i].BuildGraph()
-		if err != nil {
+		if _, err := cells[i].BuildGraph(); err != nil {
 			t.Fatalf("cell %s: %v", cells[i].String(), err)
-		}
-		if !g.Frozen() {
-			t.Fatalf("cell %s: graph not frozen", cells[i].String())
 		}
 	}
 }

@@ -1,23 +1,21 @@
 package graph
 
-// The deterministic binary codec for frozen graphs (DESIGN.md §9).
-// EncodeCSR serializes exactly the CSR snapshot Freeze built —
-// rowStart, to, w — plus the exact hop diameter, so a decoded graph is
-// frozen, read-shareable, already carries the D every prediction is
-// capped by, and is byte-identical to a rebuilt-and-re-encoded one:
-// the arrays preserve adjacency order, every traversal visits
-// neighbors in that order (§4), and the diameter is a function of the
-// topology. That determinism is what lets runner.GraphCache persist
-// topologies through the artifact disk tier and hand the same instance
-// to every sweep point, mirroring the paper's universal-optimality
-// premise that the bounds — and here the bytes — are functions of the
-// input graph G.
+// The deterministic binary codec for graphs (DESIGN.md §9). EncodeCSR
+// serializes exactly a graph's CSR arrays — rowStart, to, w — plus the
+// exact hop diameter, so a decoded graph is read-shareable, already
+// carries the D every prediction is capped by, and is byte-identical
+// to a rebuilt-and-re-encoded one: the arrays keep the Builder's
+// insertion order, every traversal visits neighbors in that order
+// (§4), and the diameter is a function of the topology. That
+// determinism is what lets runner.GraphCache persist topologies
+// through the artifact disk tier and hand the same instance to every
+// sweep point, mirroring the paper's universal-optimality premise that
+// the bounds — and here the bytes — are functions of the input graph G.
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"math"
 )
@@ -33,25 +31,17 @@ var csrMagic = [4]byte{'H', 'C', 'S', 'R'}
 // csrHeaderLen is magic + version + n + halfEdges + diameter.
 const csrHeaderLen = 4 + 4 + 8 + 8 + 8
 
-// ErrNotFrozen is returned by EncodeCSR for a graph without a CSR
-// snapshot; call Freeze first.
-var ErrNotFrozen = errors.New("graph: encoding requires a frozen graph (call Freeze)")
-
-// EncodeCSR serializes a frozen graph into the deterministic binary
-// CSR format: a fixed header (magic, CodecVersion, n, half-edge count,
-// hop diameter) followed by the little-endian rowStart (int32), to
-// (int32) and w (int64) arrays. The diameter is g.Diameter() — 0 for
-// n ≤ 1, Inf for a disconnected graph — so encoding an unseeded graph
-// pays its all-sources hop-kernel sweep once, and every decode
-// inherits it. Two
-// graphs with identical CSR arrays encode to identical bytes.
+// EncodeCSR serializes g into the deterministic binary CSR format: a
+// fixed header (magic, CodecVersion, n, half-edge count, hop diameter)
+// followed by the little-endian rowStart (int32), to (int32) and w
+// (int64) arrays. The diameter is g.Diameter() — 0 for n ≤ 1, Inf for
+// a disconnected graph — so encoding an unseeded graph pays its
+// all-sources hop-kernel sweep once, and every decode inherits it. Two
+// graphs with identical CSR arrays encode to identical bytes. Every
+// Graph encodes; the error result is always nil.
 func EncodeCSR(g *Graph) ([]byte, error) {
-	c := g.csr
-	if c == nil {
-		return nil, ErrNotFrozen
-	}
-	n := len(g.adj)
-	h := len(c.to)
+	n := g.N()
+	h := len(g.to)
 	buf := make([]byte, csrHeaderLen+4*(n+1)+4*h+8*h)
 	copy(buf, csrMagic[:])
 	binary.LittleEndian.PutUint32(buf[4:], CodecVersion)
@@ -59,24 +49,23 @@ func EncodeCSR(g *Graph) ([]byte, error) {
 	binary.LittleEndian.PutUint64(buf[16:], uint64(h))
 	binary.LittleEndian.PutUint64(buf[24:], uint64(g.Diameter()))
 	off := csrHeaderLen
-	for _, v := range c.rowStart {
+	for _, v := range g.rowStart {
 		binary.LittleEndian.PutUint32(buf[off:], uint32(v))
 		off += 4
 	}
-	for _, v := range c.to {
+	for _, v := range g.to {
 		binary.LittleEndian.PutUint32(buf[off:], uint32(v))
 		off += 4
 	}
-	for _, v := range c.w {
+	for _, v := range g.w {
 		binary.LittleEndian.PutUint64(buf[off:], uint64(v))
 		off += 8
 	}
 	return buf, nil
 }
 
-// DecodeCSR parses an EncodeCSR blob back into a frozen graph,
-// rebuilding the adjacency lists from the CSR rows so both
-// representations agree. The input is validated structurally — header
+// DecodeCSR parses an EncodeCSR blob back into a graph whose arrays
+// are the blob's. The input is validated structurally — header
 // shape, exact payload length, monotone row offsets, in-range
 // endpoints, no self-loops, positive weights, and half-edge symmetry
 // (every (u,v,w) half-edge has its (v,u,w) mate) — so a corrupt or
@@ -115,29 +104,29 @@ func DecodeCSR(data []byte) (*Graph, error) {
 	if len(data) != want {
 		return nil, fmt.Errorf("graph: codec: payload is %d bytes, want %d for n=%d halfEdges=%d", len(data), want, n, h)
 	}
-	c := &csr{
+	g := &Graph{
 		rowStart: make([]int32, n+1),
 		to:       make([]int32, h),
 		w:        make([]int64, h),
 	}
 	off := csrHeaderLen
-	for i := range c.rowStart {
-		c.rowStart[i] = int32(binary.LittleEndian.Uint32(data[off:]))
+	for i := range g.rowStart {
+		g.rowStart[i] = int32(binary.LittleEndian.Uint32(data[off:]))
 		off += 4
 	}
-	for i := range c.to {
-		c.to[i] = int32(binary.LittleEndian.Uint32(data[off:]))
+	for i := range g.to {
+		g.to[i] = int32(binary.LittleEndian.Uint32(data[off:]))
 		off += 4
 	}
-	for i := range c.w {
-		c.w[i] = int64(binary.LittleEndian.Uint64(data[off:]))
+	for i := range g.w {
+		g.w[i] = int64(binary.LittleEndian.Uint64(data[off:]))
 		off += 8
 	}
-	if c.rowStart[0] != 0 || int(c.rowStart[n]) != h {
-		return nil, fmt.Errorf("graph: codec: row offsets span [%d,%d], want [0,%d]", c.rowStart[0], c.rowStart[n], h)
+	if g.rowStart[0] != 0 || int(g.rowStart[n]) != h {
+		return nil, fmt.Errorf("graph: codec: row offsets span [%d,%d], want [0,%d]", g.rowStart[0], g.rowStart[n], h)
 	}
 	for v := 0; v < n; v++ {
-		if c.rowStart[v] > c.rowStart[v+1] {
+		if g.rowStart[v] > g.rowStart[v+1] {
 			return nil, fmt.Errorf("graph: codec: row offsets not monotone at node %d", v)
 		}
 	}
@@ -145,12 +134,9 @@ func DecodeCSR(data []byte) (*Graph, error) {
 	// must cancel out for the graph to be undirected. Weight mismatches
 	// between directions surface as an unmatched leftover.
 	mates := make(map[[3]int64]int, h/2)
-	g := &Graph{adj: make([][]Edge, n), m: h / 2, csr: c}
 	for v := 0; v < n; v++ {
-		lo, hi := c.rowStart[v], c.rowStart[v+1]
-		g.adj[v] = make([]Edge, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			u, w := int(c.to[i]), c.w[i]
+		for i := g.rowStart[v]; i < g.rowStart[v+1]; i++ {
+			u, w := int(g.to[i]), g.w[i]
 			if u < 0 || u >= n {
 				return nil, fmt.Errorf("graph: codec: endpoint %d of node %d out of range [0,%d)", u, v, n)
 			}
@@ -165,7 +151,6 @@ func DecodeCSR(data []byte) (*Graph, error) {
 			} else {
 				mates[[3]int64{int64(u), int64(v), w}]--
 			}
-			g.adj[v] = append(g.adj[v], Edge{To: int32(u), W: w})
 		}
 	}
 	for e, count := range mates {
@@ -189,8 +174,8 @@ func DecodeCSR(data []byte) (*Graph, error) {
 }
 
 // CSRHash returns the graph's content address: the SHA-256 hex digest
-// of its EncodeCSR bytes. Graphs with identical frozen topology hash
-// identically; ErrNotFrozen for an unfrozen graph.
+// of its EncodeCSR bytes. Graphs with identical CSR arrays hash
+// identically; the error result is always nil.
 func CSRHash(g *Graph) (string, error) {
 	blob, err := EncodeCSR(g)
 	if err != nil {

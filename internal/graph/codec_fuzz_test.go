@@ -2,7 +2,7 @@ package graph_test
 
 // FuzzDecodeCSR hardens the codec against arbitrary input: DecodeCSR
 // must never panic, and anything it accepts must be a well-formed
-// frozen graph that re-encodes to exactly the bytes it was decoded
+// graph that re-encodes to exactly the bytes it was decoded
 // from (the codec is a bijection on its accepted set).
 
 import (
@@ -33,11 +33,11 @@ func FuzzDecodeCSR(f *testing.F) {
 	}
 	// The diameter field's two special values: Inf on a disconnected
 	// graph, 0 on a single node.
-	split := graph.New(4)
+	split := graph.NewBuilder(4)
 	if err := split.AddEdge(0, 1, 1); err != nil {
 		f.Fatal(err)
 	}
-	for _, g := range []*graph.Graph{split.Freeze(), graph.New(1).Freeze()} {
+	for _, g := range []*graph.Graph{split.Build(), graph.NewBuilder(1).Build()} {
 		blob, err := graph.EncodeCSR(g)
 		if err != nil {
 			f.Fatal(err)
@@ -51,9 +51,6 @@ func FuzzDecodeCSR(f *testing.F) {
 		g, err := graph.DecodeCSR(data)
 		if err != nil {
 			return
-		}
-		if !g.Frozen() {
-			t.Fatal("accepted graph is not frozen")
 		}
 		if g.N() > 0 {
 			// Spot-check invariants the library relies on: traversals

@@ -2,7 +2,7 @@ package graph_test
 
 // The differential suite for the CSR codec (satellite of DESIGN.md §9):
 // every built-in family × size × seed must round-trip through
-// EncodeCSR/DecodeCSR into a frozen graph that re-encodes
+// EncodeCSR/DecodeCSR into a graph that re-encodes
 // byte-identically, matches a freshly rebuilt instance byte for byte,
 // and agrees with the independent internal/oracle traversals.
 
@@ -52,12 +52,6 @@ func TestCodecRoundTripDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%d/%d: DecodeCSR: %v", fam, n, seed, err)
 				}
-				if !dec.Frozen() {
-					t.Fatalf("%s/%d/%d: decoded graph is not frozen", fam, n, seed)
-				}
-				if err := dec.AddEdge(0, 1, 1); err != graph.ErrFrozen {
-					t.Fatalf("%s/%d/%d: AddEdge on decoded graph = %v, want ErrFrozen", fam, n, seed, err)
-				}
 				if dec.N() != g.N() || dec.M() != g.M() {
 					t.Fatalf("%s/%d/%d: decoded shape %d/%d, want %d/%d", fam, n, seed, dec.N(), dec.M(), g.N(), g.M())
 				}
@@ -89,7 +83,7 @@ func TestCodecRoundTripDifferential(t *testing.T) {
 					}
 				}
 
-				// Differential traversals: the decoded graph's frozen hot
+				// Differential traversals: the decoded graph's hot
 				// paths must agree with the oracle run on the original.
 				for _, src := range []int{0, g.N() / 2, g.N() - 1} {
 					wantBFS := oracle.BFS(g, src)
@@ -119,7 +113,7 @@ func TestCodecRoundTripDifferential(t *testing.T) {
 // all unweighted, so reweight one explicitly).
 func TestCodecWeightedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	g := graph.RandomWeights(buildFamily(t, graph.FamilyGrid2D, 64, 1), 1000, rng).Freeze()
+	g := graph.RandomWeights(buildFamily(t, graph.FamilyGrid2D, 64, 1), 1000, rng)
 	blob, err := graph.EncodeCSR(g)
 	if err != nil {
 		t.Fatal(err)
@@ -138,24 +132,6 @@ func TestCodecWeightedRoundTrip(t *testing.T) {
 	}
 	if re, _ := graph.EncodeCSR(dec); !bytes.Equal(blob, re) {
 		t.Fatal("weighted graph re-encodes differently")
-	}
-}
-
-// TestEncodeRequiresFrozen: the codec refuses an unfrozen graph rather
-// than snapshotting a mutable adjacency.
-func TestEncodeRequiresFrozen(t *testing.T) {
-	g := graph.New(4)
-	if err := g.AddEdge(0, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := graph.EncodeCSR(g); err != graph.ErrNotFrozen {
-		t.Fatalf("EncodeCSR(unfrozen) = %v, want ErrNotFrozen", err)
-	}
-	if _, err := graph.CSRHash(g); err != graph.ErrNotFrozen {
-		t.Fatalf("CSRHash(unfrozen) = %v, want ErrNotFrozen", err)
-	}
-	if _, err := graph.EncodeCSR(g.Freeze()); err != nil {
-		t.Fatalf("EncodeCSR(frozen) = %v", err)
 	}
 }
 
@@ -194,15 +170,16 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		mutate(b)
 		return b
 	}
-	one := graph.New(1).Freeze()
+	one := graph.NewBuilder(1).Build()
 	oneBlob := encode(one)
-	split := graph.New(5)
+	sb := graph.NewBuilder(5)
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {3, 4}} {
-		if err := split.AddEdge(e[0], e[1], 1); err != nil {
+		if err := sb.AddEdge(e[0], e[1], 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	splitBlob := encode(split.Freeze())
+	split := sb.Build()
+	splitBlob := encode(split)
 
 	// Each case names the check it must trip, so a case that drifts
 	// onto another field fails instead of passing for the wrong reason.

@@ -1,10 +1,9 @@
 package graph_test
 
-// Differential tests of the CSR hot paths: every frozen traversal must
-// agree with the unfrozen adjacency-list walk on identically-constructed
-// graphs, and both must agree with the independent sequential oracle
-// (internal/oracle) across all 11 graph families. Also the regression
-// test for the Freeze/AddEdge mutation guard.
+// Differential tests of the CSR layout and hot paths: a built row lists
+// its half-edges in insertion order, and every traversal agrees with
+// the independent sequential oracle (internal/oracle) across all 11
+// graph families.
 
 import (
 	"math/rand"
@@ -15,182 +14,40 @@ import (
 	"repro/internal/oracle"
 )
 
-// TestAddEdgeAfterFreezeErrors is the regression test for the mutation
-// guard: AddEdge on a frozen graph must fail with ErrFrozen and leave
-// both representations untouched.
-func TestAddEdgeAfterFreezeErrors(t *testing.T) {
-	g := graph.Path(5)
-	if err := g.AddEdge(0, 2, 1); err != nil {
-		t.Fatalf("AddEdge before Freeze: %v", err)
-	}
-	if g.Frozen() {
-		t.Fatal("graph frozen before Freeze")
-	}
-	g.Freeze()
-	if !g.Frozen() {
-		t.Fatal("Frozen() false after Freeze")
-	}
-	m := g.M()
-	if err := g.AddEdge(1, 3, 1); err != graph.ErrFrozen {
-		t.Fatalf("AddEdge after Freeze: err=%v, want ErrFrozen", err)
-	}
-	if g.M() != m {
-		t.Fatalf("edge count changed by rejected AddEdge: %d -> %d", m, g.M())
-	}
-	if g.HasEdge(1, 3) {
-		t.Fatal("rejected edge present")
-	}
-	// Freeze is idempotent.
-	g.Freeze()
-	if got := g.BFS(0)[4]; got != 3 {
-		t.Fatalf("frozen BFS wrong: d(0,4)=%d, want 3", got)
-	}
-}
-
-// TestBuildReturnsFrozen pins the generator contract: every family
-// built through Build is frozen.
-func TestBuildReturnsFrozen(t *testing.T) {
-	for _, f := range graph.Families() {
-		g, err := graph.Build(f, 40, rand.New(rand.NewSource(1)))
-		if err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
-		if !g.Frozen() {
-			t.Errorf("%s: Build did not freeze", f)
-		}
-		if err := g.AddEdge(0, g.N()-1, 1); err != graph.ErrFrozen {
-			t.Errorf("%s: AddEdge on built graph: %v, want ErrFrozen", f, err)
-		}
-	}
-}
-
-// TestDerivedGraphsPreserveFrozen: Clone, Reweight, Unweighted and
-// Subgraph of a frozen graph stay frozen (and of an unfrozen graph stay
-// unfrozen).
-func TestDerivedGraphsPreserveFrozen(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	frozen := graph.RandomConnected(30, 0.1, rng).Freeze()
-	unfrozen := graph.RandomConnected(30, 0.1, rng)
-	if !frozen.Clone().Frozen() || unfrozen.Clone().Frozen() {
-		t.Fatal("Clone does not preserve frozen state")
-	}
-	if !graph.RandomWeights(frozen, 9, rng).Frozen() {
-		t.Fatal("Reweight of frozen graph not frozen")
-	}
-	if graph.RandomWeights(unfrozen, 9, rng).Frozen() {
-		t.Fatal("Reweight of unfrozen graph frozen")
-	}
-	if !frozen.Unweighted().Frozen() {
-		t.Fatal("Unweighted of frozen graph not frozen")
-	}
-	keep := make([]bool, frozen.N())
-	for v := 0; v < 10; v++ {
-		keep[v] = true
-	}
-	if sub, _ := frozen.Subgraph(keep); !sub.Frozen() {
-		t.Fatal("Subgraph of frozen graph not frozen")
-	}
-}
-
-// TestRowMatchesNeighbors: the CSR row of every node must list the same
-// neighbors and weights, in the same order, as the adjacency list.
+// TestRowMatchesNeighbors: the CSR row of every node must list the
+// neighbors and weights the Builder was given, in insertion order.
 func TestRowMatchesNeighbors(t *testing.T) {
-	g := graph.RandomConnected(50, 0.1, rand.New(rand.NewSource(3)))
-	if to, w := g.Row(0); to != nil || w != nil {
-		t.Fatal("Row non-nil before Freeze")
+	rng := rand.New(rand.NewSource(3))
+	const n = 50
+	b := graph.NewBuilder(n)
+	type half struct {
+		to int32
+		w  int64
 	}
-	g.Freeze()
-	for v := 0; v < g.N(); v++ {
+	want := make([][]half, n)
+	for i := 0; i < 4*n; i++ {
+		u, v, w := rng.Intn(n), rng.Intn(n), 1+rng.Int63n(9)
+		if u == v || b.HasEdge(u, v) {
+			continue
+		}
+		if err := b.AddEdge(u, v, w); err != nil {
+			t.Fatal(err)
+		}
+		want[u] = append(want[u], half{int32(v), w})
+		want[v] = append(want[v], half{int32(u), w})
+	}
+	g := b.Build()
+	if to, w := g.Row(n); to != nil || w != nil {
+		t.Fatal("Row non-nil for an out-of-range node")
+	}
+	for v := 0; v < n; v++ {
 		to, w := g.Row(v)
-		es := g.Neighbors(v)
-		if len(to) != len(es) || len(w) != len(es) {
-			t.Fatalf("node %d: row length %d/%d vs %d neighbors", v, len(to), len(w), len(es))
+		if len(to) != len(want[v]) || len(w) != len(want[v]) || g.Degree(v) != len(want[v]) {
+			t.Fatalf("node %d: row length %d/%d vs %d inserted", v, len(to), len(w), len(want[v]))
 		}
-		for i, e := range es {
-			if to[i] != e.To || w[i] != e.W {
-				t.Fatalf("node %d slot %d: row (%d,%d) vs edge (%d,%d)", v, i, to[i], w[i], e.To, e.W)
-			}
-		}
-	}
-}
-
-// twins lists generator pairs that construct the identical instance
-// twice — same constructor, same seed, hence identical per-node
-// adjacency order — so frozen and unfrozen traversals can be compared
-// exactly, including order-sensitive outputs.
-func twins(n int, seed int64) map[string]func() *graph.Graph {
-	return map[string]func() *graph.Graph{
-		"path":          func() *graph.Graph { return graph.Path(n) },
-		"cycle":         func() *graph.Graph { return graph.Cycle(n) },
-		"grid2d":        func() *graph.Graph { return graph.Grid(6, 2) },
-		"grid3d":        func() *graph.Graph { return graph.Grid(4, 3) },
-		"torus2d":       func() *graph.Graph { return graph.Torus(6, 2) },
-		"ringofcliques": func() *graph.Graph { return graph.RingOfCliques(8, 5) },
-		"lollipop":      func() *graph.Graph { return graph.Lollipop(7, n-7) },
-		"tree":          func() *graph.Graph { return graph.BinaryTree(n) },
-		"hypercube":     func() *graph.Graph { return graph.Hypercube(5) },
-		"random": func() *graph.Graph {
-			return graph.RandomConnected(n, 0.08, rand.New(rand.NewSource(seed)))
-		},
-		"expander": func() *graph.Graph {
-			return graph.RandomRegular(n, 4, rand.New(rand.NewSource(seed)))
-		},
-	}
-}
-
-// TestFrozenMatchesUnfrozenTwins compares every traversal on the frozen
-// and unfrozen builds of the same instance, including order-sensitive
-// outputs (Ball order, closest-source indices): the CSR arrays preserve
-// adjacency order exactly, so results must be deep-equal.
-func TestFrozenMatchesUnfrozenTwins(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		for name, mk := range twins(40, seed) {
-			unfrozen := mk()
-			frozen := mk().Freeze()
-			n := unfrozen.N()
-			srcs := []int{0, n / 2, n - 1}
-
-			if got, want := frozen.BFS(0), unfrozen.BFS(0); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s/seed=%d: BFS differs", name, seed)
-			}
-			fd, fn := frozen.MultiSourceBFS(srcs)
-			ud, un := unfrozen.MultiSourceBFS(srcs)
-			if !reflect.DeepEqual(fd, ud) || !reflect.DeepEqual(fn, un) {
-				t.Fatalf("%s/seed=%d: MultiSourceBFS differs", name, seed)
-			}
-			wf := graph.RandomWeights(frozen, 50, rand.New(rand.NewSource(seed)))
-			wu := graph.RandomWeights(unfrozen, 50, rand.New(rand.NewSource(seed)))
-			if got, want := wf.Dijkstra(0), wu.Dijkstra(0); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s/seed=%d: Dijkstra differs", name, seed)
-			}
-			fwd, fwn := wf.MultiSourceDijkstra(srcs)
-			uwd, uwn := wu.MultiSourceDijkstra(srcs)
-			if !reflect.DeepEqual(fwd, uwd) || !reflect.DeepEqual(fwn, uwn) {
-				t.Fatalf("%s/seed=%d: MultiSourceDijkstra differs", name, seed)
-			}
-			if got, want := wf.HopLimitedDistances(0, 4), wu.HopLimitedDistances(0, 4); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s/seed=%d: HopLimitedDistances differs", name, seed)
-			}
-			if got, want := frozen.Ball(0, 3), unfrozen.Ball(0, 3); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s/seed=%d: Ball order differs", name, seed)
-			}
-			if got, want := frozen.BallSizes(0, 6), unfrozen.BallSizes(0, 6); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s/seed=%d: BallSizes differs", name, seed)
-			}
-			if frozen.Connected() != unfrozen.Connected() {
-				t.Fatalf("%s/seed=%d: Connected differs", name, seed)
-			}
-			for v := 0; v < n; v += 7 {
-				for u := 0; u < n; u += 5 {
-					fw, fok := frozen.EdgeWeight(v, u)
-					uw, uok := unfrozen.EdgeWeight(v, u)
-					if fok != uok || fw != uw {
-						t.Fatalf("%s/seed=%d: EdgeWeight(%d,%d) differs", name, seed, v, u)
-					}
-					if frozen.HasEdge(v, u) != unfrozen.HasEdge(v, u) {
-						t.Fatalf("%s/seed=%d: HasEdge(%d,%d) differs", name, seed, v, u)
-					}
-				}
+		for i, e := range want[v] {
+			if to[i] != e.to || w[i] != e.w {
+				t.Fatalf("node %d slot %d: row (%d,%d) vs inserted (%d,%d)", v, i, to[i], w[i], e.to, e.w)
 			}
 		}
 	}
@@ -198,7 +55,7 @@ func TestFrozenMatchesUnfrozenTwins(t *testing.T) {
 
 // TestFrozenTraversalsMatchOracle is the graph-kernel differential
 // suite: on every family in Families, two sizes, three seeds, the
-// frozen CSR traversals must agree exactly with the independent
+// CSR traversals must agree exactly with the independent
 // sequential oracle.
 func TestFrozenTraversalsMatchOracle(t *testing.T) {
 	for _, f := range graph.Families() {

@@ -1,6 +1,6 @@
 package graph
 
-// Delta-stepping SSSP (DESIGN.md §14). On large frozen graphs the
+// Delta-stepping SSSP (DESIGN.md §14). On large graphs the
 // binary-heap Dijkstra spends its time in O(log n) sift chains; the
 // bucket relaxation here replaces them with O(1) appends. Distances
 // are partitioned into width-Δ buckets drained in increasing order;
@@ -82,25 +82,24 @@ func (g *Graph) getDeltaScratch(workers, ringK int) *deltaScratch {
 // Δ only shifts work between passes; the fixpoint (and so the output)
 // is the same for any width.
 func (g *Graph) deltaParams() (delta int64, ringK int) {
-	// The parameters are a pure function of the frozen weights; cache
+	// The parameters are a pure function of the weights; cache
 	// them on the graph (packed into one word) so repeated SSSP calls
 	// skip the full edge-weight scan. Racing writers store the same
 	// value, like the diameter cache.
 	if packed := g.deltaCache.Load(); packed != 0 {
 		return packed >> 16, int(packed & 0xFFFF)
 	}
-	c := g.csr
 	var sum, maxW int64
-	for _, w := range c.w {
+	for _, w := range g.w {
 		sum += w
 		if w > maxW {
 			maxW = w
 		}
 	}
 	delta = 1
-	if n := int64(g.N()); len(c.w) > 0 && n > 0 {
-		mean := sum / int64(len(c.w))
-		if avgDeg := int64(len(c.w)) / n; avgDeg > 0 {
+	if n := int64(g.N()); len(g.w) > 0 && n > 0 {
+		mean := sum / int64(len(g.w))
+		if avgDeg := int64(len(g.w)) / n; avgDeg > 0 {
 			delta = mean / avgDeg
 		} else {
 			delta = mean
@@ -127,13 +126,9 @@ func (g *Graph) deltaParams() (delta int64, ringK int) {
 
 // DeltaStepping returns weighted distances d(src, ·) like Dijkstra,
 // computed by the delta-stepping bucket kernel with the given worker
-// count (≤ 0 means MaxKernelWorkers). Requires a frozen graph (falls
-// back to the heap Dijkstra otherwise). Output is byte-identical to
+// count (≤ 0 means MaxKernelWorkers). Output is byte-identical to
 // Dijkstra at any worker count.
 func (g *Graph) DeltaStepping(src, workers int) []int64 {
-	if g.csr == nil {
-		return g.dijkstraHeap(src)
-	}
 	dist := newDistVector(g.N())
 	if src < 0 || src >= g.N() {
 		return dist
@@ -149,9 +144,6 @@ func (g *Graph) DeltaStepping(src, workers int) []int64 {
 // pin down (the sequential heap's tie-break is schedule-dependent only
 // in the sense of following heap order; see MultiSourceDijkstra).
 func (g *Graph) MultiSourceDeltaStepping(srcs []int, workers int) (dist []int64, nearest []int) {
-	if g.csr == nil {
-		return g.multiSourceDijkstraHeap(srcs)
-	}
 	n := g.N()
 	dist = newDistVector(n)
 	nearest = make([]int, n)
@@ -166,7 +158,7 @@ func (g *Graph) MultiSourceDeltaStepping(srcs []int, workers int) (dist []int64,
 // when nearest is non-nil it seeds the source indices and derives the
 // full vector afterwards via nearestFromDist.
 func (g *Graph) deltaStep(srcs []int, dist []int64, nearest []int, workers int) {
-	n, c := g.N(), g.csr
+	n := g.N()
 	if workers <= 0 {
 		workers = MaxKernelWorkers()
 	}
@@ -200,8 +192,8 @@ func (g *Graph) deltaStep(srcs []int, dist []int64, nearest []int, workers int) 
 		}
 		s.drainedAt[v] = dv
 		pushes := 0
-		lo, hi := c.rowStart[v], c.rowStart[v+1]
-		row, rw := c.to[lo:hi], c.w[lo:hi]
+		lo, hi := g.rowStart[v], g.rowStart[v+1]
+		row, rw := g.to[lo:hi], g.w[lo:hi]
 		for j, u := range row {
 			if nd := dv + rw[j]; nd < dist[u] {
 				dist[u] = nd
@@ -221,8 +213,8 @@ func (g *Graph) deltaStep(srcs []int, dist []int64, nearest []int, workers int) 
 		}
 		atomic.StoreInt64(&s.drainedAt[v], dv)
 		pushes := 0
-		lo, hi := c.rowStart[v], c.rowStart[v+1]
-		row, rw := c.to[lo:hi], c.w[lo:hi]
+		lo, hi := g.rowStart[v], g.rowStart[v+1]
+		row, rw := g.to[lo:hi], g.w[lo:hi]
 		for j, u := range row {
 			nd := dv + rw[j]
 			for {
@@ -323,7 +315,7 @@ func (g *Graph) drainParallel(list []int32, b int64, workers int, relaxFrom func
 // weights are positive, so every tight predecessor was visited
 // earlier, and the result is the unique min-source-index assignment.
 func (g *Graph) nearestFromDist(dist []int64, nearest []int, s *deltaScratch) {
-	n, c := g.N(), g.csr
+	n := g.N()
 	if len(s.order) < n {
 		s.order = make([]int32, n)
 		s.tmp = make([]int32, n)
@@ -377,8 +369,8 @@ func (g *Graph) nearestFromDist(dist []int64, nearest []int, s *deltaScratch) {
 			continue // sources keep their seeded index
 		}
 		best := nearest[v]
-		lo, hi := c.rowStart[v], c.rowStart[v+1]
-		row, rw := c.to[lo:hi], c.w[lo:hi]
+		lo, hi := g.rowStart[v], g.rowStart[v+1]
+		row, rw := g.to[lo:hi], g.w[lo:hi]
 		for j, u := range row {
 			if dist[u]+rw[j] == dv {
 				if nr := nearest[u]; best == -1 || (nr != -1 && nr < best) {

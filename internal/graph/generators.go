@@ -5,13 +5,13 @@ import (
 	"math/rand"
 )
 
-// seedDiameter pre-fills the Diameter cache with an analytically known
-// value, sparing the all-sources diameter sweep (n/64 batches of the
-// 64-source hop kernel, O(n·m) at worst) on deterministic families — at
-// n = 10^6 that sweep is intractable, and the closed forms here are
-// what lets the nqscaling-xl cells run. Callers must seed after the
-// last mustAddEdge (AddEdge invalidates the cache); every formula is
-// certified against oracle.Diameter in TestAnalyticDiameters.
+// seedDiameter pre-fills the Diameter cache of a freshly built graph
+// with an analytically known value, sparing the all-sources diameter
+// sweep (n/64 batches of the 64-source hop kernel, O(n·m) at worst) on
+// deterministic families — at n = 10^6 that sweep is intractable, and
+// the closed forms here are what lets the nqscaling-xl cells run.
+// Every formula is certified against oracle.Diameter in
+// TestAnalyticDiameters.
 func seedDiameter(g *Graph, d int64) *Graph {
 	if d > 0 {
 		g.diam.Store(d)
@@ -21,46 +21,54 @@ func seedDiameter(g *Graph, d int64) *Graph {
 
 // Path returns the n-node path P_n (Theorem 15: NQ_k ∈ min{Θ(√k), D}).
 func Path(n int) *Graph {
-	g := New(n)
+	return seedDiameter(path(n).Build(), int64(n-1))
+}
+
+func path(n int) *Builder {
+	b := NewBuilder(n)
 	for i := 0; i+1 < n; i++ {
-		g.mustAddEdge(i, i+1, 1)
+		b.mustAddEdge(i, i+1, 1)
 	}
-	return seedDiameter(g, int64(n-1))
+	return b
 }
 
 // Cycle returns the n-node cycle C_n.
 func Cycle(n int) *Graph {
-	g := Path(n)
-	if n >= 3 {
-		g.mustAddEdge(n-1, 0, 1)
-		seedDiameter(g, int64(n/2))
+	if n < 3 {
+		return Path(n)
 	}
-	return g
+	b := path(n)
+	b.mustAddEdge(n-1, 0, 1)
+	return seedDiameter(b.Build(), int64(n/2))
 }
 
 // Grid returns the d-dimensional grid graph with side length side
 // (Definition 3.9): the d-fold Cartesian product of the side-node path,
 // with n = side^d nodes. Theorem 16: NQ_k ∈ min{Θ(k^{1/(d+1)}), D}.
 func Grid(side, d int) *Graph {
+	return seedDiameter(grid(side, d).Build(), int64(max(d, 0))*int64(side-1))
+}
+
+func grid(side, d int) *Builder {
 	if side < 1 || d < 1 {
-		return New(0)
+		return NewBuilder(0)
 	}
 	n := 1
 	for i := 0; i < d; i++ {
 		n *= side
 	}
-	g := New(n)
+	b := NewBuilder(n)
 	// Node v has coordinates (v / side^i) % side for axis i.
 	stride := 1
 	for axis := 0; axis < d; axis++ {
 		for v := 0; v < n; v++ {
 			if (v/stride)%side+1 < side {
-				g.mustAddEdge(v, v+stride, 1)
+				b.mustAddEdge(v, v+stride, 1)
 			}
 		}
 		stride *= side
 	}
-	return seedDiameter(g, int64(d)*int64(side-1))
+	return b
 }
 
 // Grid2D returns the side×side 2-dimensional grid.
@@ -68,57 +76,50 @@ func Grid2D(side int) *Graph { return Grid(side, 2) }
 
 // Torus returns the d-dimensional torus (grid with wraparound edges).
 func Torus(side, d int) *Graph {
-	g := Grid(side, d)
 	if side < 3 {
-		return g
+		return Grid(side, d)
 	}
-	n := g.N()
+	b := grid(side, d)
+	n := len(b.adj)
 	stride := 1
 	for axis := 0; axis < d; axis++ {
 		for v := 0; v < n; v++ {
 			if (v/stride)%side == side-1 {
-				g.mustAddEdge(v, v-(side-1)*stride, 1)
+				b.mustAddEdge(v, v-(side-1)*stride, 1)
 			}
 		}
 		stride *= side
 	}
-	return seedDiameter(g, int64(d)*int64(side/2))
+	return seedDiameter(b.Build(), int64(d)*int64(side/2))
 }
 
 // Complete returns the complete graph K_n.
 func Complete(n int) *Graph {
-	g := New(n)
+	b := NewBuilder(n)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			g.mustAddEdge(u, v, 1)
+			b.mustAddEdge(u, v, 1)
 		}
 	}
-	if n >= 2 {
-		seedDiameter(g, 1)
-	}
-	return g
+	return seedDiameter(b.Build(), min(int64(n-1), 1))
 }
 
 // Star returns the star with one center (node 0) and n-1 leaves.
 func Star(n int) *Graph {
-	g := New(n)
+	b := NewBuilder(n)
 	for v := 1; v < n; v++ {
-		g.mustAddEdge(0, v, 1)
+		b.mustAddEdge(0, v, 1)
 	}
-	if n >= 3 {
-		seedDiameter(g, 2)
-	} else if n == 2 {
-		seedDiameter(g, 1)
-	}
-	return g
+	return seedDiameter(b.Build(), min(int64(n-1), 2))
 }
 
 // BinaryTree returns the complete binary tree on n nodes (heap indexing).
 func BinaryTree(n int) *Graph {
-	g := New(n)
+	b := NewBuilder(n)
 	for v := 1; v < n; v++ {
-		g.mustAddEdge(v, (v-1)/2, 1)
+		b.mustAddEdge(v, (v-1)/2, 1)
 	}
+	g := b.Build()
 	// The diameter path runs through the root: the deepest node of the
 	// left subtree (the first depth-D node, index 2^D-1, is always on
 	// the left) to the deepest of the right (depth D when index
@@ -143,12 +144,12 @@ func BinaryTree(n int) *Graph {
 // universal from existential bounds.
 func RingOfCliques(rings, cliqueSize int) *Graph {
 	n := rings * cliqueSize
-	g := New(n)
+	b := NewBuilder(n)
 	for r := 0; r < rings; r++ {
 		base := r * cliqueSize
 		for i := 0; i < cliqueSize; i++ {
 			for j := i + 1; j < cliqueSize; j++ {
-				g.mustAddEdge(base+i, base+j, 1)
+				b.mustAddEdge(base+i, base+j, 1)
 			}
 		}
 	}
@@ -158,10 +159,10 @@ func RingOfCliques(rings, cliqueSize int) *Graph {
 			break // avoid a parallel edge between the only two cliques
 		}
 		if rings >= 2 {
-			g.mustAddEdge(r*cliqueSize, next*cliqueSize+cliqueSize-1, 1)
+			b.mustAddEdge(r*cliqueSize, next*cliqueSize+cliqueSize-1, 1)
 		}
 	}
-	return g
+	return b.Build()
 }
 
 // Lollipop returns a clique of cliqueSize nodes with a path of pathLen
@@ -169,10 +170,10 @@ func RingOfCliques(rings, cliqueSize int) *Graph {
 // bounds in HYBRID (an isolated long path, cf. Section 3.2 of the paper).
 func Lollipop(cliqueSize, pathLen int) *Graph {
 	n := cliqueSize + pathLen
-	g := New(n)
+	b := NewBuilder(n)
 	for u := 0; u < cliqueSize; u++ {
 		for v := u + 1; v < cliqueSize; v++ {
-			g.mustAddEdge(u, v, 1)
+			b.mustAddEdge(u, v, 1)
 		}
 	}
 	for i := 0; i < pathLen; i++ {
@@ -180,20 +181,20 @@ func Lollipop(cliqueSize, pathLen int) *Graph {
 		if i == 0 {
 			prev = 0
 		}
-		g.mustAddEdge(prev, cliqueSize+i, 1)
+		b.mustAddEdge(prev, cliqueSize+i, 1)
 	}
 	// Farthest pair: a non-anchor clique node to the path end (one hop
 	// into the anchor, then the path). Degenerate shapes reduce to the
 	// clique (pathLen = 0) or a bare path (cliqueSize ≤ 1).
+	g := b.Build()
 	switch {
 	case cliqueSize <= 1:
-		seedDiameter(g, int64(n-1))
+		return seedDiameter(g, int64(n-1))
 	case pathLen == 0:
-		seedDiameter(g, 1)
+		return seedDiameter(g, 1)
 	default:
-		seedDiameter(g, int64(pathLen+1))
+		return seedDiameter(g, int64(pathLen+1))
 	}
-	return g
 }
 
 // Hypercube returns the d-dimensional hypercube Q_d on 2^d nodes:
@@ -205,15 +206,15 @@ func Hypercube(d int) *Graph {
 		d = 0
 	}
 	n := 1 << d
-	g := New(n)
+	b := NewBuilder(n)
 	for v := 0; v < n; v++ {
-		for b := 0; b < d; b++ {
-			if u := v ^ (1 << b); v < u {
-				g.mustAddEdge(v, u, 1)
+		for bit := 0; bit < d; bit++ {
+			if u := v ^ (1 << bit); v < u {
+				b.mustAddEdge(v, u, 1)
 			}
 		}
 	}
-	return seedDiameter(g, int64(d))
+	return seedDiameter(b.Build(), int64(d))
 }
 
 // RandomRegular returns a connected (approximately) d-regular expander-
@@ -221,45 +222,45 @@ func Hypercube(d int) *Graph {
 // edges skipped). Such unions are expanders w.h.p., giving logarithmic
 // diameter and the smallest possible NQ_k.
 func RandomRegular(n, d int, rng *rand.Rand) *Graph {
-	g := New(n)
 	if n < 3 {
 		return Path(n)
 	}
+	b := NewBuilder(n)
 	for c := 0; c < (d+1)/2; c++ {
 		perm := rng.Perm(n)
 		for i := 0; i < n; i++ {
 			u, v := perm[i], perm[(i+1)%n]
-			if u != v && !g.HasEdge(u, v) {
-				g.mustAddEdge(u, v, 1)
+			if u != v && !b.HasEdge(u, v) {
+				b.mustAddEdge(u, v, 1)
 			}
 		}
 	}
-	return g
+	return b.Build()
 }
 
 // RandomConnected returns a connected Erdős–Rényi-style graph: a uniform
 // random spanning tree plus each remaining pair independently with
 // probability p. Weights are 1.
 func RandomConnected(n int, p float64, rng *rand.Rand) *Graph {
-	g := New(n)
+	b := NewBuilder(n)
 	if n == 0 {
-		return g
+		return b.Build()
 	}
 	// Random spanning tree via random attachment (uniform recursive tree).
 	perm := rng.Perm(n)
 	for i := 1; i < n; i++ {
-		g.mustAddEdge(perm[i], perm[rng.Intn(i)], 1)
+		b.mustAddEdge(perm[i], perm[rng.Intn(i)], 1)
 	}
 	if p > 0 {
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
-				if !g.HasEdge(u, v) && rng.Float64() < p {
-					g.mustAddEdge(u, v, 1)
+				if !b.HasEdge(u, v) && rng.Float64() < p {
+					b.mustAddEdge(u, v, 1)
 				}
 			}
 		}
 	}
-	return g
+	return b.Build()
 }
 
 // RandomWeights returns a copy of g with each edge weight drawn uniformly
@@ -300,18 +301,9 @@ func Families() []Family {
 
 // Build constructs a member of the family with approximately n nodes
 // (grids round down to a perfect power). The rng is used only by
-// FamilyRandom; it may be nil for deterministic families. The returned
-// graph is frozen (Freeze): its hot-path traversals run on the flat CSR
-// arrays and further AddEdge calls fail with ErrFrozen.
+// FamilyRandom; it may be nil for deterministic families. Like every
+// Graph, the result is immutable and safe to share between goroutines.
 func Build(f Family, n int, rng *rand.Rand) (*Graph, error) {
-	g, err := build(f, n, rng)
-	if err != nil {
-		return nil, err
-	}
-	return g.Freeze(), nil
-}
-
-func build(f Family, n int, rng *rand.Rand) (*Graph, error) {
 	switch f {
 	case FamilyPath:
 		return Path(n), nil

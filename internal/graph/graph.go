@@ -21,39 +21,32 @@ import (
 // Inf + maxWeight does not overflow int64.
 const Inf int64 = math.MaxInt64 / 4
 
-// Edge is a directed half-edge stored in an adjacency list. An undirected
-// edge {u,v} appears as Edge{To: v} in u's list and Edge{To: u} in v's.
-type Edge struct {
-	To int32
-	W  int64
-}
-
-// Graph is an undirected graph with int64 edge weights.
-// The zero value is an empty graph; use New to allocate n nodes.
-//
-// A graph has two representations: the mutable adjacency lists filled
-// by AddEdge, and the flat CSR arrays built once by Freeze (csr.go).
-// Freezing makes the graph immutable and switches every hot-path
-// traversal onto the cache-dense flat arrays.
+// Graph is an immutable undirected graph with int64 edge weights,
+// stored as compressed sparse rows (DESIGN.md §4). Construct one with a
+// Builder, a generator, Reweight or DecodeCSR; once built it never
+// changes, so any number of goroutines may read it concurrently.
 type Graph struct {
-	adj [][]Edge
-	m   int
+	// The half-edges leaving node v occupy positions
+	// rowStart[v]..rowStart[v+1] of the flat to/w arrays, in the order
+	// the Builder inserted them, so every traversal visits neighbors in
+	// that order.
+	rowStart []int32 // len n+1, monotone; rowStart[n] == 2m
+	to       []int32 // len 2m, neighbor of each half-edge
+	w        []int64 // len 2m, weight of each half-edge
 	// diam caches Diameter(); 0 means "not computed" (recomputing a
 	// diameter-0 graph is free). Pre-filled by the analytic generators
-	// (seedDiameter) and by DecodeCSR, and carried by Clone and by the
-	// weight-only copies of Reweight. Invalidated by AddEdge. Atomic so a
-	// frozen graph shared by concurrent sweep cells (runner.GraphCache)
-	// may compute it lazily from any of them: the value is a pure
-	// function of the graph, so racing writers store the same number.
+	// (seedDiameter) and by DecodeCSR, and carried by the weight-only
+	// copies of Reweight. Atomic so a graph shared by concurrent sweep
+	// cells (runner.GraphCache) may compute it lazily from any of them:
+	// the value is a pure function of the graph, so racing writers
+	// store the same number.
 	diam atomic.Int64
 	// profiles memoizes the batched ball-profile artifact
 	// (BallProfiles); nil until attached. Like diam it is a pure
 	// function of the topology, so concurrent attachers of a shared
-	// frozen graph only race about equivalent values (AttachProfiles
-	// keeps the deepest). Carried and invalidated like diam.
+	// graph only race about equivalent values (AttachProfiles keeps the
+	// deepest). Carried like diam.
 	profiles atomic.Pointer[Profiles]
-	// csr is the frozen flat representation; non-nil once Freeze ran.
-	csr *csr
 	// ballPool recycles the epoch-marked scratch of Ball and BallSizes,
 	// keeping those calls O(|ball|) instead of Θ(n). Safe for
 	// concurrent readers of the graph.
@@ -73,34 +66,36 @@ type Graph struct {
 	// delta-stepping SSSP kernel (deltastep.go).
 	deltaPool sync.Pool
 	// deltaCache memoizes deltaParams (Δ<<16 | ringK; 0 = uncomputed):
-	// a pure function of the frozen weights, like diam.
+	// a pure function of the weights, like diam.
 	deltaCache atomic.Int64
 }
 
-// New returns a graph with n isolated nodes.
-func New(n int) *Graph {
-	if n < 0 {
-		n = 0
-	}
-	return &Graph{adj: make([][]Edge, n)}
+// edge is a directed half-edge in a Builder's adjacency list. An
+// undirected edge {u,v} appears as edge{to: v} in u's list and
+// edge{to: u} in v's.
+type edge struct {
+	to int32
+	w  int64
 }
 
-// N returns the number of nodes.
-func (g *Graph) N() int { return len(g.adj) }
+// Builder accumulates the edges of a graph; Build lays them out as an
+// immutable Graph. The zero value is a builder for the empty graph.
+type Builder struct {
+	adj [][]edge
+	m   int
+}
 
-// M returns the number of undirected edges.
-func (g *Graph) M() int { return g.m }
+// NewBuilder returns a builder for a graph with n isolated nodes.
+func NewBuilder(n int) *Builder {
+	return &Builder{adj: make([][]edge, max(n, 0))}
+}
 
 // AddEdge inserts the undirected edge {u,v} with weight w.
-// It returns an error for self-loops, out-of-range endpoints,
-// non-positive weights, or a frozen graph (ErrFrozen). Parallel edges
-// are not detected (the generators never create them; use HasEdge if
-// in doubt).
-func (g *Graph) AddEdge(u, v int, w int64) error {
-	if g.csr != nil {
-		return ErrFrozen
-	}
-	n := len(g.adj)
+// It returns an error for self-loops, out-of-range endpoints or
+// non-positive weights. Parallel edges are not detected (the generators
+// never create them; use HasEdge if in doubt).
+func (b *Builder) AddEdge(u, v int, w int64) error {
+	n := len(b.adj)
 	if u < 0 || u >= n || v < 0 || v >= n {
 		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, n)
 	}
@@ -110,47 +105,100 @@ func (g *Graph) AddEdge(u, v int, w int64) error {
 	if w <= 0 {
 		return fmt.Errorf("graph: non-positive weight %d on edge (%d,%d)", w, u, v)
 	}
-	g.adj[u] = append(g.adj[u], Edge{To: int32(v), W: w})
-	g.adj[v] = append(g.adj[v], Edge{To: int32(u), W: w})
-	g.m++
-	g.diam.Store(0)
-	g.profiles.Store(nil)
+	b.adj[u] = append(b.adj[u], edge{to: int32(v), w: w})
+	b.adj[v] = append(b.adj[v], edge{to: int32(u), w: w})
+	b.m++
 	return nil
 }
 
 // mustAddEdge is used by generators, which construct edges known to be valid.
-func (g *Graph) mustAddEdge(u, v int, w int64) {
-	if err := g.AddEdge(u, v, w); err != nil {
+func (b *Builder) mustAddEdge(u, v int, w int64) {
+	if err := b.AddEdge(u, v, w); err != nil {
 		panic("graph: generator produced invalid edge: " + err.Error())
 	}
 }
 
-// Neighbors returns the adjacency list of v. The returned slice is owned by
-// the graph and must not be modified.
-func (g *Graph) Neighbors(v int) []Edge { return g.adj[v] }
-
-// Degree returns the number of edges incident to v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
-
-// HasEdge reports whether the undirected edge {u,v} is present.
-func (g *Graph) HasEdge(u, v int) bool {
-	if u < 0 || u >= len(g.adj) || v < 0 || v >= len(g.adj) {
+// HasEdge reports whether the undirected edge {u,v} has been added.
+func (b *Builder) HasEdge(u, v int) bool {
+	if u < 0 || u >= len(b.adj) || v < 0 || v >= len(b.adj) {
 		return false
 	}
 	// Scan the shorter list.
-	if len(g.adj[u]) > len(g.adj[v]) {
+	if len(b.adj[u]) > len(b.adj[v]) {
 		u, v = v, u
 	}
-	if c := g.csr; c != nil {
-		for i, end := c.rowStart[u], c.rowStart[u+1]; i < end; i++ {
-			if int(c.to[i]) == v {
-				return true
-			}
+	for _, e := range b.adj[u] {
+		if int(e.to) == v {
+			return true
 		}
+	}
+	return false
+}
+
+// Build lays the edges added so far out as a Graph: node v's row lists
+// its half-edges in insertion order. The builder stays usable; later
+// edges do not affect graphs already built.
+func (b *Builder) Build() *Graph {
+	n := len(b.adj)
+	g := &Graph{
+		rowStart: make([]int32, n+1),
+		to:       make([]int32, 2*b.m),
+		w:        make([]int64, 2*b.m),
+	}
+	pos := int32(0)
+	for v, es := range b.adj {
+		g.rowStart[v] = pos
+		for _, e := range es {
+			g.to[pos] = e.to
+			g.w[pos] = e.w
+			pos++
+		}
+	}
+	g.rowStart[n] = pos
+	return g
+}
+
+// N returns the number of nodes.
+func (g *Graph) N() int { return len(g.rowStart) - 1 }
+
+// M returns the number of undirected edges.
+func (g *Graph) M() int { return len(g.to) / 2 }
+
+// Row returns the adjacency row of v as flat neighbor/weight slices, in
+// insertion order; both are nil when v is out of range. The slices
+// alias the graph's arrays and must not be modified.
+func (g *Graph) Row(v int) (to []int32, w []int64) {
+	if v < 0 || v+1 >= len(g.rowStart) {
+		return nil, nil
+	}
+	lo, hi := g.rowStart[v], g.rowStart[v+1]
+	return g.to[lo:hi], g.w[lo:hi]
+}
+
+// ForEachNeighbor calls f for every neighbor of v in row order.
+func (g *Graph) ForEachNeighbor(v int, f func(u int, w int64)) {
+	lo, hi := g.rowStart[v], g.rowStart[v+1]
+	row, rw := g.to[lo:hi], g.w[lo:hi]
+	for i, u := range row {
+		f(int(u), rw[i])
+	}
+}
+
+// Degree returns the number of edges incident to v.
+func (g *Graph) Degree(v int) int { return int(g.rowStart[v+1] - g.rowStart[v]) }
+
+// HasEdge reports whether the undirected edge {u,v} is present.
+func (g *Graph) HasEdge(u, v int) bool {
+	n := g.N()
+	if u < 0 || u >= n || v < 0 || v >= n {
 		return false
 	}
-	for _, e := range g.adj[u] {
-		if int(e.To) == v {
+	// Scan the shorter row.
+	if g.Degree(u) > g.Degree(v) {
+		u, v = v, u
+	}
+	for _, x := range g.to[g.rowStart[u]:g.rowStart[u+1]] {
+		if int(x) == v {
 			return true
 		}
 	}
@@ -159,20 +207,10 @@ func (g *Graph) HasEdge(u, v int) bool {
 
 // EdgeWeight returns the weight of the edge {u,v}, or (0,false) if absent.
 func (g *Graph) EdgeWeight(u, v int) (int64, bool) {
-	if u < 0 || u >= len(g.adj) {
-		return 0, false
-	}
-	if c := g.csr; c != nil {
-		for i, end := c.rowStart[u], c.rowStart[u+1]; i < end; i++ {
-			if int(c.to[i]) == v {
-				return c.w[i], true
-			}
-		}
-		return 0, false
-	}
-	for _, e := range g.adj[u] {
-		if int(e.To) == v {
-			return e.W, true
+	to, w := g.Row(u)
+	for i, x := range to {
+		if int(x) == v {
+			return w[i], true
 		}
 	}
 	return 0, false
@@ -185,54 +223,34 @@ type UndirectedEdge struct {
 }
 
 // Edges returns every undirected edge exactly once, with U < V,
-// in adjacency order.
+// in row order.
 func (g *Graph) Edges() []UndirectedEdge {
-	out := make([]UndirectedEdge, 0, g.m)
-	for u := range g.adj {
-		for _, e := range g.adj[u] {
-			if u < int(e.To) {
-				out = append(out, UndirectedEdge{U: u, V: int(e.To), W: e.W})
+	out := make([]UndirectedEdge, 0, g.M())
+	for u := 0; u < g.N(); u++ {
+		for i := g.rowStart[u]; i < g.rowStart[u+1]; i++ {
+			if v := int(g.to[i]); u < v {
+				out = append(out, UndirectedEdge{U: u, V: v, W: g.w[i]})
 			}
 		}
 	}
 	return out
 }
 
-// Clone returns a deep copy of g. A frozen graph clones frozen. The
-// lazy annotations (diameter, ball profiles) carry over: both are pure
-// functions of the topology, and Profiles instances are immutable, so
-// sharing one is safe.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{adj: make([][]Edge, len(g.adj)), m: g.m}
-	c.diam.Store(g.diam.Load())
-	c.profiles.Store(g.profiles.Load())
-	for v, es := range g.adj {
-		c.adj[v] = append([]Edge(nil), es...)
-	}
-	if g.csr != nil {
-		c.Freeze()
-	}
-	return c
-}
-
 // Reweight returns a copy of g whose edge weights are f(u, v, w). The
-// function must return a positive weight. The copy of a frozen graph
-// is frozen. The copy keeps the hop facts already cached on g — the
-// diameter and the attached ball profiles — since weights cannot change
-// them; AddEdge on an unfrozen copy drops both, as on any graph.
+// function must return a positive weight. It is called once per edge
+// in Edges() order, and the copy's rows list the edges in that order.
+// The copy keeps the hop facts already cached on g — the diameter and
+// the attached ball profiles — since weights cannot change them.
 func (g *Graph) Reweight(f func(u, v int, w int64) int64) (*Graph, error) {
-	c := New(g.N())
+	b := NewBuilder(g.N())
 	for _, e := range g.Edges() {
-		w := f(e.U, e.V, e.W)
-		if err := c.AddEdge(e.U, e.V, w); err != nil {
+		if err := b.AddEdge(e.U, e.V, f(e.U, e.V, e.W)); err != nil {
 			return nil, err
 		}
 	}
+	c := b.Build()
 	c.diam.Store(g.diam.Load())
 	c.profiles.Store(g.profiles.Load())
-	if g.csr != nil {
-		c.Freeze()
-	}
 	return c, nil
 }
 
@@ -246,11 +264,9 @@ func (g *Graph) Unweighted() *Graph {
 
 // IsWeighted reports whether any edge has weight != 1.
 func (g *Graph) IsWeighted() bool {
-	for u := range g.adj {
-		for _, e := range g.adj[u] {
-			if e.W != 1 {
-				return true
-			}
+	for _, w := range g.w {
+		if w != 1 {
+			return true
 		}
 	}
 	return false
@@ -258,15 +274,11 @@ func (g *Graph) IsWeighted() bool {
 
 // MaxWeight returns the largest edge weight (0 for an edgeless graph).
 func (g *Graph) MaxWeight() int64 {
-	var w int64
-	for u := range g.adj {
-		for _, e := range g.adj[u] {
-			if e.W > w {
-				w = e.W
-			}
-		}
+	var m int64
+	for _, w := range g.w {
+		m = max(m, w)
 	}
-	return w
+	return m
 }
 
 // ErrDisconnected is returned by algorithms that require a connected graph.
@@ -282,59 +294,16 @@ func (g *Graph) Connected() bool {
 	stack := make([]int32, 1, n)
 	seen[0] = true
 	count := 1
-	if c := g.csr; c != nil {
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for i, end := c.rowStart[v], c.rowStart[v+1]; i < end; i++ {
-				if u := c.to[i]; !seen[u] {
-					seen[u] = true
-					count++
-					stack = append(stack, u)
-				}
-			}
-		}
-		return count == n
-	}
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, e := range g.adj[v] {
-			if !seen[e.To] {
-				seen[e.To] = true
+		for _, u := range g.to[g.rowStart[v]:g.rowStart[v+1]] {
+			if !seen[u] {
+				seen[u] = true
 				count++
-				stack = append(stack, e.To)
+				stack = append(stack, u)
 			}
 		}
 	}
 	return count == n
-}
-
-// Subgraph returns the subgraph induced by keep (keep[v] == true), along
-// with the mapping from new indices to original ones. The subgraph of a
-// frozen graph is frozen.
-func (g *Graph) Subgraph(keep []bool) (*Graph, []int) {
-	idx := make([]int32, g.N())
-	var orig []int
-	for v := range idx {
-		idx[v] = -1
-	}
-	for v := 0; v < g.N(); v++ {
-		if keep[v] {
-			idx[v] = int32(len(orig))
-			orig = append(orig, v)
-		}
-	}
-	sub := New(len(orig))
-	for _, v := range orig {
-		for _, e := range g.adj[v] {
-			if u := int(e.To); keep[u] && v < u {
-				sub.mustAddEdge(int(idx[v]), int(idx[u]), e.W)
-			}
-		}
-	}
-	if g.csr != nil {
-		sub.Freeze()
-	}
-	return sub, orig
 }

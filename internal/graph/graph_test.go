@@ -7,13 +7,17 @@ import (
 )
 
 func TestNewAndAddEdge(t *testing.T) {
-	g := New(4)
-	if g.N() != 4 || g.M() != 0 {
+	b := NewBuilder(4)
+	if g := b.Build(); g.N() != 4 || g.M() != 0 {
 		t.Fatalf("got n=%d m=%d, want 4, 0", g.N(), g.M())
 	}
-	if err := g.AddEdge(0, 1, 5); err != nil {
+	if err := b.AddEdge(0, 1, 5); err != nil {
 		t.Fatal(err)
 	}
+	if !b.HasEdge(1, 0) || b.HasEdge(0, 2) {
+		t.Fatal("Builder.HasEdge wrong")
+	}
+	g := b.Build()
 	if g.M() != 1 {
 		t.Fatalf("M=%d, want 1", g.M())
 	}
@@ -26,7 +30,7 @@ func TestNewAndAddEdge(t *testing.T) {
 }
 
 func TestAddEdgeErrors(t *testing.T) {
-	g := New(3)
+	b := NewBuilder(3)
 	cases := []struct {
 		u, v int
 		w    int64
@@ -38,7 +42,7 @@ func TestAddEdgeErrors(t *testing.T) {
 		{0, 1, -2}, // negative weight
 	}
 	for _, c := range cases {
-		if err := g.AddEdge(c.u, c.v, c.w); err == nil {
+		if err := b.AddEdge(c.u, c.v, c.w); err == nil {
 			t.Errorf("AddEdge(%d,%d,%d) succeeded, want error", c.u, c.v, c.w)
 		}
 	}
@@ -245,13 +249,14 @@ func TestDijkstraAgainstBFSUnweighted(t *testing.T) {
 }
 
 func TestDijkstraWeighted(t *testing.T) {
-	g := New(4)
+	b := NewBuilder(4)
 	// 0-1 (1), 1-2 (1), 0-2 (5), 2-3 (1)
 	for _, e := range []UndirectedEdge{{0, 1, 1}, {1, 2, 1}, {0, 2, 5}, {2, 3, 1}} {
-		if err := g.AddEdge(e.U, e.V, e.W); err != nil {
+		if err := b.AddEdge(e.U, e.V, e.W); err != nil {
 			t.Fatal(err)
 		}
 	}
+	g := b.Build()
 	d := g.Dijkstra(0)
 	want := []int64{0, 1, 2, 3}
 	for v, w := range want {
@@ -262,12 +267,13 @@ func TestDijkstraWeighted(t *testing.T) {
 }
 
 func TestHopLimitedDistances(t *testing.T) {
-	g := New(4)
+	b := NewBuilder(4)
 	for _, e := range []UndirectedEdge{{0, 1, 1}, {1, 2, 1}, {0, 2, 5}, {2, 3, 1}} {
-		if err := g.AddEdge(e.U, e.V, e.W); err != nil {
+		if err := b.AddEdge(e.U, e.V, e.W); err != nil {
 			t.Fatal(err)
 		}
 	}
+	g := b.Build()
 	d1 := g.HopLimitedDistances(0, 1)
 	if d1[2] != 5 {
 		t.Fatalf("d^1(0,2)=%d, want 5 (direct edge)", d1[2])
@@ -320,27 +326,8 @@ func TestHopLimitedPropertyQuick(t *testing.T) {
 	}
 }
 
-func TestSubgraph(t *testing.T) {
-	g := Cycle(6)
-	keep := []bool{true, true, true, false, false, false}
-	sub, orig := g.Subgraph(keep)
-	if sub.N() != 3 || len(orig) != 3 {
-		t.Fatalf("sub n=%d", sub.N())
-	}
-	if sub.M() != 2 { // path 0-1-2 survives; wrap edge lost
-		t.Fatalf("sub m=%d, want 2", sub.M())
-	}
-}
-
-func TestCloneAndReweight(t *testing.T) {
+func TestReweight(t *testing.T) {
 	g := Path(4)
-	c := g.Clone()
-	if err := c.AddEdge(0, 3, 7); err != nil {
-		t.Fatal(err)
-	}
-	if g.HasEdge(0, 3) {
-		t.Fatal("clone shares storage with original")
-	}
 	w, err := g.Reweight(func(_, _ int, _ int64) int64 { return 9 })
 	if err != nil {
 		t.Fatal(err)
@@ -348,8 +335,14 @@ func TestCloneAndReweight(t *testing.T) {
 	if !w.IsWeighted() || w.MaxWeight() != 9 {
 		t.Fatal("reweight failed")
 	}
+	if g.IsWeighted() {
+		t.Fatal("reweight changed the original")
+	}
 	if u := w.Unweighted(); u.IsWeighted() {
 		t.Fatal("unweighted copy still weighted")
+	}
+	if _, err := g.Reweight(func(_, _ int, _ int64) int64 { return 0 }); err == nil {
+		t.Fatal("reweight accepted a non-positive weight")
 	}
 }
 
@@ -360,12 +353,13 @@ func TestEdgesRoundTrip(t *testing.T) {
 	if len(edges) != g.M() {
 		t.Fatalf("Edges() returned %d, M()=%d", len(edges), g.M())
 	}
-	h := New(g.N())
+	b := NewBuilder(g.N())
 	for _, e := range edges {
-		if err := h.AddEdge(e.U, e.V, e.W); err != nil {
+		if err := b.AddEdge(e.U, e.V, e.W); err != nil {
 			t.Fatal(err)
 		}
 	}
+	h := b.Build()
 	for _, e := range edges {
 		if w, ok := h.EdgeWeight(e.U, e.V); !ok || w != e.W {
 			t.Fatalf("edge (%d,%d) lost in round trip", e.U, e.V)
@@ -409,10 +403,11 @@ func TestAPSPExactSymmetric(t *testing.T) {
 }
 
 func TestDiameterDisconnected(t *testing.T) {
-	g := New(4)
-	if err := g.AddEdge(0, 1, 1); err != nil {
+	b := NewBuilder(4)
+	if err := b.AddEdge(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
+	g := b.Build()
 	if g.Connected() {
 		t.Fatal("disconnected graph reported connected")
 	}

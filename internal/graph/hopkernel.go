@@ -22,7 +22,6 @@ const hopBatch = 64
 type hopScratch struct {
 	seen, cur, nxt []uint64          // per node: sources that reached it / its frontier bits now / next level
 	curSet, nxtSet []uint64          // one bit per node: cur / nxt is nonzero
-	row            []int32           // an unfrozen graph's adjacency row, copied out
 	levels         [][hopBatch]int32 // levels[t][i] = |B_t(lo+i)|, kept when rows are requested
 }
 
@@ -73,7 +72,6 @@ func (g *Graph) hopKernel(lo, hi, maxR int, ecc []int64, lens []int32) []int32 {
 	if n == 1 {
 		ecc[0], live = 0, 0
 	}
-	c := g.csr
 	for t := 1; t <= maxR && live != 0; t++ {
 		// Expand the frontier one level, in node order. A source's new
 		// nodes are the neighbors it has not seen yet; seen absorbs
@@ -90,16 +88,7 @@ func (g *Graph) hopKernel(lo, hi, maxR int, ecc []int64, lens []int32) []int32 {
 				if f == 0 {
 					continue
 				}
-				var row []int32
-				if c != nil {
-					row = c.to[c.rowStart[u]:c.rowStart[u+1]]
-				} else {
-					row = s.row[:0]
-					for _, e := range g.adj[u] {
-						row = append(row, e.To)
-					}
-					s.row = row
-				}
+				row := g.to[g.rowStart[u]:g.rowStart[u+1]]
 				if f&(f-1) == 0 {
 					// One source: its new neighbors all count for it.
 					k := int32(0)

@@ -18,24 +18,20 @@ import (
 )
 
 // uncached copies g edge by edge, so the copy starts without a cached
-// diameter or attached profiles; frozen when g is.
+// diameter or attached profiles.
 func uncached(t testing.TB, g *graph.Graph) *graph.Graph {
 	t.Helper()
-	c := graph.New(g.N())
+	b := graph.NewBuilder(g.N())
 	for _, e := range g.Edges() {
-		if err := c.AddEdge(e.U, e.V, e.W); err != nil {
+		if err := b.AddEdge(e.U, e.V, e.W); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if g.Frozen() {
-		c.Freeze()
-	}
-	return c
+	return b.Build()
 }
 
 // hopKernelGraphs returns the differential test's inputs by name: all
-// families at batch-boundary sizes, two disconnected graphs and an
-// unfrozen one.
+// families at batch-boundary sizes and two disconnected graphs.
 func hopKernelGraphs(t *testing.T) map[string]*graph.Graph {
 	out := map[string]*graph.Graph{}
 	for _, n := range []int{1, 2, 63, 64, 65, 129, 576} {
@@ -47,7 +43,7 @@ func hopKernelGraphs(t *testing.T) map[string]*graph.Graph {
 			out[fmt.Sprintf("%s/%d", f, n)] = g
 		}
 	}
-	two := graph.New(100)
+	two := graph.NewBuilder(100)
 	for v := 0; v+1 < 100; v++ {
 		if v != 69 { // components 0..69 (a path) and 70..99
 			if err := two.AddEdge(v, v+1, 1); err != nil {
@@ -55,22 +51,21 @@ func hopKernelGraphs(t *testing.T) map[string]*graph.Graph {
 			}
 		}
 	}
-	out["two-components"] = two.Freeze()
-	isolated := graph.New(70)
+	out["two-components"] = two.Build()
+	isolated := graph.NewBuilder(70)
 	for v := 1; v < 70; v++ {
 		if err := isolated.AddEdge(v, 1+v%69, 1); err != nil { // node 0 stays isolated
 			t.Fatal(err)
 		}
 	}
-	out["isolated-node"] = isolated.Freeze()
-	out["unfrozen"] = graph.RandomConnected(150, 0.03, rand.New(rand.NewSource(4)))
+	out["isolated-node"] = isolated.Build()
 	return out
 }
 
 // TestHopKernelMatchesPerSourceBFS: every profile row, eccentricity and
 // diameter the kernel computes equals what per-source searches give,
-// at truncation radii from 0 to n, including partial 64-source batches,
-// disconnected graphs and the adjacency-list walk of an unfrozen graph.
+// at truncation radii from 0 to n, including partial 64-source batches
+// and disconnected graphs.
 func TestHopKernelMatchesPerSourceBFS(t *testing.T) {
 	for name, g := range hopKernelGraphs(t) {
 		n := g.N()
@@ -125,9 +120,7 @@ func TestHopKernelProfilesGolden(t *testing.T) {
 }
 
 // TestReweightCarriesHopFacts: a weight-only copy keeps the diameter
-// and the attached profiles (weights cannot change hop structure), a
-// subgraph does not (its topology changes), and AddEdge on an unfrozen
-// copy drops both.
+// and the attached profiles (weights cannot change hop structure).
 func TestReweightCarriesHopFacts(t *testing.T) {
 	g, err := graph.Build(graph.FamilyExpander, 256, rand.New(rand.NewSource(2)))
 	if err != nil {
@@ -159,33 +152,15 @@ func TestReweightCarriesHopFacts(t *testing.T) {
 
 	path := graph.Path(10) // diameter 9, seeded by the generator
 	path.AttachProfiles(path.BallProfiles(path.N()))
-	keep := make([]bool, 10)
-	for v := 0; v < 5; v++ {
-		keep[v] = true
-	}
-	sub, _ := path.Subgraph(keep)
-	if sub.Profiles() != nil {
-		t.Fatal("Subgraph carried the profiles of a different topology")
-	}
-	if got := sub.Diameter(); got != 4 {
-		t.Fatalf("5-node subpath has diameter %d, want 4", got)
-	}
-
 	copied, err := path.Reweight(func(_, _ int, w int64) int64 { return w + 1 })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if copied.Profiles() == nil {
-		t.Fatal("unfrozen Reweight copy dropped the attached profiles")
+		t.Fatal("Reweight copy of a generator graph dropped the attached profiles")
 	}
-	if err := copied.AddEdge(0, 9, 1); err != nil {
-		t.Fatal(err)
-	}
-	if copied.Profiles() != nil {
-		t.Fatal("AddEdge kept profiles of the old topology")
-	}
-	if got := copied.Diameter(); got != 5 {
-		t.Fatalf("10-cycle has diameter %d, want 5", got)
+	if got := copied.Diameter(); got != 9 {
+		t.Fatalf("reweighted 10-path has diameter %d, want 9", got)
 	}
 }
 

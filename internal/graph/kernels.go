@@ -4,7 +4,7 @@ package graph
 // workhorses — BFS, multi-source BFS, Dijkstra, hop-limited search —
 // are exact algorithms whose outputs are pure functions of the graph,
 // so the engine may swap their implementations freely as long as the
-// replacement computes the same vectors. On frozen graphs at
+// replacement computes the same vectors. On graphs of
 // kernelMinN nodes and above, the classic sequential kernels hand off
 // to direction-optimizing BFS (this file) and delta-stepping SSSP
 // (deltastep.go): level-synchronous and bucket-synchronous algorithms
@@ -113,13 +113,9 @@ func (g *Graph) getBFSScratch(workers int) *bfsScratch {
 }
 
 // BFSWorkers is BFS with an explicit worker count (≤ 0 means the
-// process budget, MaxKernelWorkers). On a frozen graph it runs the
-// direction-optimizing kernel; otherwise it falls back to the
-// sequential queue BFS. The output is identical at any worker count.
+// process budget, MaxKernelWorkers): the direction-optimizing kernel
+// at any n. The output is identical at any worker count.
 func (g *Graph) BFSWorkers(src, workers int) []int64 {
-	if g.csr == nil {
-		return g.bfsSequential(src)
-	}
 	dist := newDistVector(g.N())
 	g.bfsDirOpt([]int{src}, dist, nil, workers)
 	return dist
@@ -131,9 +127,6 @@ func (g *Graph) BFSWorkers(src, workers int) []int64 {
 // smallest position in srcs among those at minimal distance — so the
 // output matches the sequential implementation byte for byte.
 func (g *Graph) MultiSourceBFSWorkers(srcs []int, workers int) (dist []int64, nearest []int) {
-	if g.csr == nil {
-		return g.multiSourceBFSSequential(srcs)
-	}
 	n := g.N()
 	dist = newDistVector(n)
 	nearest = make([]int, n)
@@ -160,7 +153,7 @@ func newDistVector(n int) []int64 {
 // BFS level assignment and nearest[v] the unique minimum over v's
 // predecessors — schedule-independence is structural, not incidental.
 func (g *Graph) bfsDirOpt(srcs []int, dist []int64, nearest []int, workers int) {
-	n, c := g.N(), g.csr
+	n := g.N()
 	if workers <= 0 {
 		workers = MaxKernelWorkers()
 	}
@@ -181,10 +174,10 @@ func (g *Graph) bfsDirOpt(srcs []int, dist []int64, nearest []int, workers int) 
 		}
 		unvisited.Remove(src)
 		frontier = append(frontier, int32(src))
-		frontierEdges += int64(c.rowStart[src+1] - c.rowStart[src])
+		frontierEdges += int64(g.rowStart[src+1] - g.rowStart[src])
 	}
 	frontierCount := len(frontier)
-	unvisitedEdges := int64(2*g.m) - frontierEdges
+	unvisitedEdges := int64(len(g.to)) - frontierEdges
 	topDown := true
 
 	for level := int64(1); frontierCount > 0; level++ {
@@ -234,7 +227,6 @@ func appendInt32Indices(b bitset.Set, dst []int32, lo, hi int) []int32 {
 // pass as the minimum over the node's level-(L-1) neighbors, which is
 // schedule-independent.
 func (g *Graph) topDownLevel(frontier []int32, level int64, dist []int64, nearest []int, workers int, s *bfsScratch) ([]int32, int, int64) {
-	c := g.csr
 	next := s.nextList[:0]
 	if workers <= 1 || len(frontier) < kernelGrain {
 		// Inline path: plain writes, with the same min-index resolution
@@ -246,14 +238,14 @@ func (g *Graph) topDownLevel(frontier []int32, level int64, dist []int64, neares
 			if nearest != nil {
 				nr = nearest[v]
 			}
-			for _, u := range c.to[c.rowStart[v]:c.rowStart[v+1]] {
+			for _, u := range g.to[g.rowStart[v]:g.rowStart[v+1]] {
 				if dist[u] == Inf {
 					dist[u] = level
 					if nearest != nil {
 						nearest[u] = nr
 					}
 					next = append(next, u)
-					edges += int64(c.rowStart[u+1] - c.rowStart[u])
+					edges += int64(g.rowStart[u+1] - g.rowStart[u])
 				} else if nearest != nil && dist[u] == level && nr < nearest[u] {
 					nearest[u] = nr
 				}
@@ -287,7 +279,7 @@ func (g *Graph) topDownLevel(frontier []int32, level int64, dist []int64, neares
 					hi = len(frontier)
 				}
 				for _, v := range frontier[lo:hi] {
-					for _, u := range c.to[c.rowStart[v]:c.rowStart[v+1]] {
+					for _, u := range g.to[g.rowStart[v]:g.rowStart[v+1]] {
 						if atomic.LoadInt64(&dist[u]) == Inf &&
 							atomic.CompareAndSwapInt64(&dist[u], Inf, level) {
 							found = append(found, u)
@@ -308,7 +300,7 @@ func (g *Graph) topDownLevel(frontier []int32, level int64, dist []int64, neares
 		for _, u := range s.workers[w].found {
 			next = append(next, u)
 			s.unvisited.Remove(int(u))
-			edges += int64(c.rowStart[u+1] - c.rowStart[u])
+			edges += int64(g.rowStart[u+1] - g.rowStart[u])
 		}
 	}
 	if nearest != nil {
@@ -323,11 +315,10 @@ func (g *Graph) topDownLevel(frontier []int32, level int64, dist []int64, neares
 // is owned by one chunk, previous-level values are stable, so the pass
 // is race-free and deterministic.
 func (g *Graph) resolveNearest(nodes []int32, level int64, dist []int64, nearest []int, workers int) {
-	c := g.csr
 	prev := level - 1
 	resolve := func(u int32) {
 		best := int(^uint(0) >> 1)
-		for _, w := range c.to[c.rowStart[u]:c.rowStart[u+1]] {
+		for _, w := range g.to[g.rowStart[u]:g.rowStart[u+1]] {
 			if dist[w] == prev && nearest[w] < best {
 				best = nearest[w]
 			}
@@ -374,7 +365,6 @@ func (g *Graph) resolveNearest(nodes []int32, level int64, dist []int64, nearest
 // next-frontier words are written exclusively by the owning worker.
 func (g *Graph) bottomUpLevel(level int64, dist []int64, nearest []int, workers int, s *bfsScratch) (int, int64) {
 	n := g.N()
-	c := g.csr
 	cur, next, unvisited := s.cur, s.next, s.unvisited
 	next.Clear()
 	chunks := (n + kernelChunk - 1) / kernelChunk
@@ -392,7 +382,7 @@ func (g *Graph) bottomUpLevel(level int64, dist []int64, nearest []int, workers 
 		for _, v := range ws.idx {
 			hit := false
 			if nearest == nil {
-				for _, u := range c.to[c.rowStart[v]:c.rowStart[v+1]] {
+				for _, u := range g.to[g.rowStart[v]:g.rowStart[v+1]] {
 					if cur.Has(int(u)) {
 						hit = true
 						break
@@ -401,7 +391,7 @@ func (g *Graph) bottomUpLevel(level int64, dist []int64, nearest []int, workers 
 			} else {
 				// The min over frontier neighbors needs the full row.
 				best := int(^uint(0) >> 1)
-				for _, u := range c.to[c.rowStart[v]:c.rowStart[v+1]] {
+				for _, u := range g.to[g.rowStart[v]:g.rowStart[v+1]] {
 					if cur.Has(int(u)) && nearest[u] < best {
 						best = nearest[u]
 						hit = true
@@ -415,7 +405,7 @@ func (g *Graph) bottomUpLevel(level int64, dist []int64, nearest []int, workers 
 				dist[v] = level
 				next.Add(v)
 				ws.count++
-				ws.edges += int64(c.rowStart[v+1] - c.rowStart[v])
+				ws.edges += int64(g.rowStart[v+1] - g.rowStart[v])
 			}
 		}
 	}
@@ -463,10 +453,7 @@ func (g *Graph) bottomUpLevel(level int64, dist []int64, nearest []int, workers 
 // atomic min transitions and the improved set is schedule-independent
 // (a node improved iff the round's minimum beats its previous value).
 func (g *Graph) HopLimitedDistancesWorkers(src, h, workers int) []int64 {
-	if g.csr == nil {
-		return g.hopLimitedSequential(src, h)
-	}
-	n, c := g.N(), g.csr
+	n := g.N()
 	if workers <= 0 {
 		workers = MaxKernelWorkers()
 	}
@@ -486,8 +473,8 @@ func (g *Graph) HopLimitedDistancesWorkers(src, h, workers int) []int64 {
 
 	relaxChunk := func(lo, hi int, found []int32) []int32 {
 		for _, e := range active[lo:hi] {
-			row := c.to[c.rowStart[e.v]:c.rowStart[e.v+1]]
-			rw := c.w[c.rowStart[e.v]:c.rowStart[e.v+1]]
+			row := g.to[g.rowStart[e.v]:g.rowStart[e.v+1]]
+			rw := g.w[g.rowStart[e.v]:g.rowStart[e.v+1]]
 			for j, u := range row {
 				nd := e.d + rw[j]
 				for {

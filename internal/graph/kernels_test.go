@@ -138,8 +138,7 @@ func TestKernelWorkerCountInvariance(t *testing.T) {
 
 // TestKernelAutoSelection crosses the n ≥ 2^15 routing threshold and
 // checks the public entry points still agree with the sequential
-// implementations, which keep running verbatim on an unfrozen copy
-// (only frozen graphs route to the kernels).
+// implementations they replace there.
 func TestKernelAutoSelection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-n auto-selection suite")
@@ -149,40 +148,28 @@ func TestKernelAutoSelection(t *testing.T) {
 	// FamilyRandom's generator is quadratic at this scale, so it stays
 	// in the small-n differential suite.
 	for _, f := range []graph.Family{graph.FamilyPath, graph.FamilyExpander} {
-		frozen, err := graph.Build(f, 33000, rand.New(rand.NewSource(2)))
+		g, err := graph.Build(f, 33000, rand.New(rand.NewSource(2)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		unfrozen := graph.New(frozen.N())
-		for _, e := range frozen.Edges() {
-			if err := unfrozen.AddEdge(e.U, e.V, e.W); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got, want := frozen.BFS(7), unfrozen.BFS(7); !reflect.DeepEqual(got, want) {
+		if got, want := g.BFS(7), graph.BFSSequential(g, 7); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: auto-selected BFS differs from sequential", f)
 		}
-		srcs := []int{1, frozen.N() / 3, frozen.N() - 2}
-		gd, gn := frozen.MultiSourceBFS(srcs)
-		wd, wn := unfrozen.MultiSourceBFS(srcs)
+		srcs := []int{1, g.N() / 3, g.N() - 2}
+		gd, gn := g.MultiSourceBFS(srcs)
+		wd, wn := graph.MultiSourceBFSSequential(g, srcs)
 		if !reflect.DeepEqual(gd, wd) || !reflect.DeepEqual(gn, wn) {
 			t.Fatalf("%s: auto-selected MultiSourceBFS differs from sequential", f)
 		}
 
-		wfrozen := graph.RandomWeights(frozen, 40, rand.New(rand.NewSource(3)))
-		wunfrozen := graph.New(wfrozen.N())
-		for _, e := range wfrozen.Edges() {
-			if err := wunfrozen.AddEdge(e.U, e.V, e.W); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got, want := wfrozen.Dijkstra(7), wunfrozen.Dijkstra(7); !reflect.DeepEqual(got, want) {
+		wg := graph.RandomWeights(g, 40, rand.New(rand.NewSource(3)))
+		if got, want := wg.Dijkstra(7), graph.DijkstraHeap(wg, 7); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: auto-selected Dijkstra differs from heap Dijkstra", f)
 		}
 		// The auto-selected hop-limited kernel is the strictly
 		// synchronous one, so the oracle — not the shortcutting
 		// sequential frontier — is the reference.
-		if got, want := wfrozen.HopLimitedDistances(4, 3), oracle.HopLimited(wfrozen, 4, 3); !reflect.DeepEqual(got, want) {
+		if got, want := wg.HopLimitedDistances(4, 3), oracle.HopLimited(wg, 4, 3); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: auto-selected HopLimitedDistances differs from oracle", f)
 		}
 	}

@@ -11,11 +11,11 @@ import (
 )
 
 func FuzzDecodeProfiles(f *testing.F) {
-	twoComponents := New(6)
+	twoComponents := NewBuilder(6)
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {3, 4}, {4, 5}} {
 		twoComponents.mustAddEdge(e[0], e[1], 1)
 	}
-	for _, g := range []*Graph{Path(20), RandomRegular(32, 4, rand.New(rand.NewSource(3))), twoComponents} {
+	for _, g := range []*Graph{Path(20), RandomRegular(32, 4, rand.New(rand.NewSource(3))), twoComponents.Build()} {
 		for _, maxR := range []int{2, ProfileRadius(g.N(), g.Diameter())} {
 			blob := EncodeProfiles(g.BallProfiles(maxR))
 			f.Add(blob)

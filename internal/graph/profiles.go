@@ -5,7 +5,7 @@ package graph
 // per-node ball-size profiles t ↦ |B_t(v)|. Growing those balls
 // node-by-node inside every NQ query is the hottest remaining path of
 // the harness — an nqscaling grid re-derives the same curves for every
-// k on the same frozen graph. BallProfiles computes all n truncated
+// k on the same graph. BallProfiles computes all n truncated
 // profiles in one parallel pass of the 64-source hop kernel
 // (hopkernel.go) and packages them as an immutable, codec-friendly
 // Profiles artifact; eccentricities (and hence the exact hop diameter)
@@ -228,22 +228,11 @@ func (g *Graph) BallReach(v, maxT int, need int64) (t, size int, ok bool) {
 	for t := 1; t <= maxT; t++ {
 		if len(frontier) > 0 && total < n {
 			next = next[:0]
-			if c := g.csr; c != nil {
-				for _, u := range frontier {
-					for _, x := range c.to[c.rowStart[u]:c.rowStart[u+1]] {
-						if mark[x] != epoch {
-							mark[x] = epoch
-							next = append(next, x)
-						}
-					}
-				}
-			} else {
-				for _, u := range frontier {
-					for _, e := range g.adj[u] {
-						if mark[e.To] != epoch {
-							mark[e.To] = epoch
-							next = append(next, e.To)
-						}
+			for _, u := range frontier {
+				for _, x := range g.to[g.rowStart[u]:g.rowStart[u+1]] {
+					if mark[x] != epoch {
+						mark[x] = epoch
+						next = append(next, x)
 					}
 				}
 			}

@@ -13,10 +13,9 @@ import (
 func TestProfilesMatchBallSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	graphs := map[string]*Graph{
-		"path":     Path(40),
-		"grid":     Grid(6, 2),
-		"random":   RandomConnected(35, 0.1, rng),
-		"unfrozen": func() *Graph { g := New(5); g.mustAddEdge(0, 1, 1); g.mustAddEdge(1, 2, 1); g.mustAddEdge(3, 4, 1); return g }(),
+		"path":   Path(40),
+		"grid":   Grid(6, 2),
+		"random": RandomConnected(35, 0.1, rng),
 	}
 	for name, g := range graphs {
 		for _, maxR := range []int{0, 1, 3, g.N()} {
@@ -75,10 +74,10 @@ func TestProfilesEccentricities(t *testing.T) {
 		t.Fatal("Covers disagrees with the truncation radius")
 	}
 
-	disc := New(4)
+	disc := NewBuilder(4)
 	disc.mustAddEdge(0, 1, 1)
 	disc.mustAddEdge(2, 3, 1)
-	p := disc.BallProfiles(10)
+	p := disc.Build().BallProfiles(10)
 	for v := 0; v < 4; v++ {
 		if p.Ecc(v) != Inf {
 			t.Fatalf("disconnected ecc(%d)=%d, want Inf", v, p.Ecc(v))
@@ -89,8 +88,7 @@ func TestProfilesEccentricities(t *testing.T) {
 	}
 }
 
-// TestAttachProfiles: attachment keeps the deepest artifact, AddEdge
-// invalidates it, Clone carries it over.
+// TestAttachProfiles: attachment keeps the deepest artifact.
 func TestAttachProfiles(t *testing.T) {
 	g := Cycle(20)
 	shallow := g.BallProfiles(2)
@@ -108,22 +106,6 @@ func TestAttachProfiles(t *testing.T) {
 	g.AttachProfiles(full)
 	if got := g.AttachProfiles(deep); got != full {
 		t.Fatal("truncated artifact displaced a complete one")
-	}
-
-	c := g.Clone()
-	if c.Profiles() != full {
-		t.Fatal("Clone dropped the attached profiles")
-	}
-
-	mutable := New(3)
-	mutable.mustAddEdge(0, 1, 1)
-	mutable.AttachProfiles(mutable.BallProfiles(4))
-	if mutable.Profiles() == nil {
-		t.Fatal("attach on mutable graph failed")
-	}
-	mutable.mustAddEdge(1, 2, 1)
-	if mutable.Profiles() != nil {
-		t.Fatal("AddEdge kept a stale profile attached")
 	}
 }
 
@@ -199,7 +181,7 @@ func TestProfileRadius(t *testing.T) {
 // re-encodes to the same bytes.
 func TestProfilesCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, g := range []*Graph{Path(30), Grid(5, 2), RandomConnected(40, 0.1, rng), New(0)} {
+	for _, g := range []*Graph{Path(30), Grid(5, 2), RandomConnected(40, 0.1, rng), NewBuilder(0).Build()} {
 		for _, maxR := range []int{0, 2, g.N()} {
 			p := g.BallProfiles(maxR)
 			blob := EncodeProfiles(p)

@@ -7,10 +7,10 @@ import (
 )
 
 // BFS returns hop distances from src (Inf marks unreachable nodes).
-// Large frozen graphs (n ≥ 2^15) route to the direction-optimizing
+// Large graphs (n ≥ 2^15) route to the direction-optimizing
 // parallel kernel (kernels.go); the output is identical either way.
 func (g *Graph) BFS(src int) []int64 {
-	if g.csr != nil && g.N() >= kernelMinN {
+	if g.N() >= kernelMinN {
 		return g.BFSWorkers(src, 0)
 	}
 	return g.bfsSequential(src)
@@ -27,25 +27,13 @@ func (g *Graph) bfsSequential(src int) []int64 {
 	dist[src] = 0
 	queue := make([]int32, 1, g.N())
 	queue[0] = int32(src)
-	if c := g.csr; c != nil {
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			d := dist[v] + 1
-			for _, u := range c.to[c.rowStart[v]:c.rowStart[v+1]] {
-				if dist[u] == Inf {
-					dist[u] = d
-					queue = append(queue, u)
-				}
-			}
-		}
-		return dist
-	}
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
-		for _, e := range g.adj[v] {
-			if dist[e.To] == Inf {
-				dist[e.To] = dist[v] + 1
-				queue = append(queue, e.To)
+		d := dist[v] + 1
+		for _, u := range g.to[g.rowStart[v]:g.rowStart[v+1]] {
+			if dist[u] == Inf {
+				dist[u] = d
+				queue = append(queue, u)
 			}
 		}
 	}
@@ -55,12 +43,12 @@ func (g *Graph) bfsSequential(src int) []int64 {
 // MultiSourceBFS returns, for each node, the hop distance to the closest
 // source and that source's index within srcs (closest source ties broken
 // by BFS order, i.e. by the smallest position in srcs). nearest is -1 for
-// unreachable nodes. Large frozen graphs (n ≥ 2^15) route to the
+// unreachable nodes. Large graphs (n ≥ 2^15) route to the
 // direction-optimizing parallel kernel, which reproduces the same
 // tie-break (the queue stays sorted by nearest-source index within
 // each level, so BFS order and min-source-index coincide).
 func (g *Graph) MultiSourceBFS(srcs []int) (dist []int64, nearest []int) {
-	if g.csr != nil && g.N() >= kernelMinN {
+	if g.N() >= kernelMinN {
 		return g.MultiSourceBFSWorkers(srcs, 0)
 	}
 	return g.multiSourceBFSSequential(srcs)
@@ -82,27 +70,14 @@ func (g *Graph) multiSourceBFSSequential(srcs []int) (dist []int64, nearest []in
 			queue = append(queue, int32(s))
 		}
 	}
-	if c := g.csr; c != nil {
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			d, nr := dist[v]+1, nearest[v]
-			for _, u := range c.to[c.rowStart[v]:c.rowStart[v+1]] {
-				if dist[u] == Inf {
-					dist[u] = d
-					nearest[u] = nr
-					queue = append(queue, u)
-				}
-			}
-		}
-		return dist, nearest
-	}
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
-		for _, e := range g.adj[v] {
-			if dist[e.To] == Inf {
-				dist[e.To] = dist[v] + 1
-				nearest[e.To] = nearest[v]
-				queue = append(queue, e.To)
+		d, nr := dist[v]+1, nearest[v]
+		for _, u := range g.to[g.rowStart[v]:g.rowStart[v+1]] {
+			if dist[u] == Inf {
+				dist[u] = d
+				nearest[u] = nr
+				queue = append(queue, u)
 			}
 		}
 	}
@@ -148,24 +123,12 @@ func (g *Graph) Ball(v, t int) []int {
 	out := []int{v}
 	for depth := 0; depth < t && len(frontier) > 0; depth++ {
 		next = next[:0]
-		if c := g.csr; c != nil {
-			for _, u := range frontier {
-				for _, x := range c.to[c.rowStart[u]:c.rowStart[u+1]] {
-					if mark[x] != epoch {
-						mark[x] = epoch
-						next = append(next, x)
-						out = append(out, int(x))
-					}
-				}
-			}
-		} else {
-			for _, u := range frontier {
-				for _, e := range g.adj[u] {
-					if mark[e.To] != epoch {
-						mark[e.To] = epoch
-						next = append(next, e.To)
-						out = append(out, int(e.To))
-					}
+		for _, u := range frontier {
+			for _, x := range g.to[g.rowStart[u]:g.rowStart[u+1]] {
+				if mark[x] != epoch {
+					mark[x] = epoch
+					next = append(next, x)
+					out = append(out, int(x))
 				}
 			}
 		}
@@ -192,22 +155,11 @@ func (g *Graph) BallSizes(v, maxT int) []int {
 	sizes = append(sizes, total)
 	for t := 1; t <= maxT && len(frontier) > 0 && total < n; t++ {
 		next = next[:0]
-		if c := g.csr; c != nil {
-			for _, u := range frontier {
-				for _, x := range c.to[c.rowStart[u]:c.rowStart[u+1]] {
-					if mark[x] != epoch {
-						mark[x] = epoch
-						next = append(next, x)
-					}
-				}
-			}
-		} else {
-			for _, u := range frontier {
-				for _, e := range g.adj[u] {
-					if mark[e.To] != epoch {
-						mark[e.To] = epoch
-						next = append(next, e.To)
-					}
+		for _, u := range frontier {
+			for _, x := range g.to[g.rowStart[u]:g.rowStart[u+1]] {
+				if mark[x] != epoch {
+					mark[x] = epoch
+					next = append(next, x)
 				}
 			}
 		}
@@ -329,10 +281,10 @@ func (h *DistHeap) Pop() (int32, int64) {
 }
 
 // Dijkstra returns weighted distances d(src, ·) (Inf for unreachable).
-// Large frozen graphs (n ≥ 2^15) route to the delta-stepping bucket
+// Large graphs (n ≥ 2^15) route to the delta-stepping bucket
 // kernel (deltastep.go); the output is identical either way.
 func (g *Graph) Dijkstra(src int) []int64 {
-	if g.csr != nil && g.N() >= kernelMinN {
+	if g.N() >= kernelMinN {
 		return g.DeltaStepping(src, 0)
 	}
 	return g.dijkstraHeap(src)
@@ -357,39 +309,21 @@ func (g *Graph) dijkstraHeap(src int) []int64 {
 // dijkstraLoop drains the heap, relaxing edges; when nearest is non-nil
 // it propagates the closest-source index alongside the distances.
 func (g *Graph) dijkstraLoop(h *DistHeap, dist []int64, nearest []int) {
-	if c := g.csr; c != nil {
-		for h.Len() > 0 {
-			v, d := h.Pop()
-			if d > dist[v] {
-				continue
-			}
-			lo, hi := c.rowStart[v], c.rowStart[v+1]
-			row, rw := c.to[lo:hi], c.w[lo:hi]
-			rw = rw[:len(row)]
-			for j, u := range row {
-				if nd := d + rw[j]; nd < dist[u] {
-					dist[u] = nd
-					if nearest != nil {
-						nearest[u] = nearest[v]
-					}
-					h.Push(u, nd)
-				}
-			}
-		}
-		return
-	}
 	for h.Len() > 0 {
 		v, d := h.Pop()
 		if d > dist[v] {
 			continue
 		}
-		for _, e := range g.adj[v] {
-			if nd := d + e.W; nd < dist[e.To] {
-				dist[e.To] = nd
+		lo, hi := g.rowStart[v], g.rowStart[v+1]
+		row, rw := g.to[lo:hi], g.w[lo:hi]
+		rw = rw[:len(row)]
+		for j, u := range row {
+			if nd := d + rw[j]; nd < dist[u] {
+				dist[u] = nd
 				if nearest != nil {
-					nearest[e.To] = nearest[v]
+					nearest[u] = nearest[v]
 				}
-				h.Push(e.To, nd)
+				h.Push(u, nd)
 			}
 		}
 	}
@@ -398,10 +332,10 @@ func (g *Graph) dijkstraLoop(h *DistHeap, dist []int64, nearest []int) {
 // MultiSourceDijkstra returns, for each node, the weighted distance to the
 // closest source and that source's index within srcs (-1 if unreachable).
 // Below the parallel-kernel threshold ties between equally close sources
-// follow heap order; large frozen graphs (n ≥ 2^15) route to the
+// follow heap order; large graphs (n ≥ 2^15) route to the
 // delta-stepping kernel, which resolves them to the smallest source index.
 func (g *Graph) MultiSourceDijkstra(srcs []int) (dist []int64, nearest []int) {
-	if g.csr != nil && g.N() >= kernelMinN {
+	if g.N() >= kernelMinN {
 		return g.MultiSourceDeltaStepping(srcs, 0)
 	}
 	return g.multiSourceDijkstraHeap(srcs)
@@ -430,10 +364,10 @@ func (g *Graph) multiSourceDijkstraHeap(srcs []int) (dist []int64, nearest []int
 
 // HopLimitedDistances returns d^h(src, ·): the weight of the lightest path
 // using at most h edges (Inf if no such path). Bellman–Ford with h
-// relaxation rounds, O(h·m). Large frozen graphs (n ≥ 2^15) route to the
+// relaxation rounds, O(h·m). Large graphs (n ≥ 2^15) route to the
 // strictly synchronous parallel kernel (kernels.go).
 func (g *Graph) HopLimitedDistances(src, h int) []int64 {
-	if g.csr != nil && g.N() >= kernelMinN {
+	if g.N() >= kernelMinN {
 		return g.HopLimitedDistancesWorkers(src, h, 0)
 	}
 	return g.hopLimitedSequential(src, h)
@@ -456,32 +390,17 @@ func (g *Graph) hopLimitedSequential(src, h int) []int64 {
 	inActive := make([]bool, n)
 	for round := 0; round < h && len(active) > 0; round++ {
 		next = next[:0]
-		if c := g.csr; c != nil {
-			for _, v := range active {
-				dv := cur[v]
-				lo, hi := c.rowStart[v], c.rowStart[v+1]
-				row, rw := c.to[lo:hi], c.w[lo:hi]
-				rw = rw[:len(row)]
-				for j, u := range row {
-					if nd := dv + rw[j]; nd < cur[u] {
-						cur[u] = nd
-						if !inActive[u] {
-							inActive[u] = true
-							next = append(next, u)
-						}
-					}
-				}
-			}
-		} else {
-			for _, v := range active {
-				dv := cur[v]
-				for _, e := range g.adj[v] {
-					if nd := dv + e.W; nd < cur[e.To] {
-						cur[e.To] = nd
-						if !inActive[e.To] {
-							inActive[e.To] = true
-							next = append(next, e.To)
-						}
+		for _, v := range active {
+			dv := cur[v]
+			lo, hi := g.rowStart[v], g.rowStart[v+1]
+			row, rw := g.to[lo:hi], g.w[lo:hi]
+			rw = rw[:len(row)]
+			for j, u := range row {
+				if nd := dv + rw[j]; nd < cur[u] {
+					cur[u] = nd
+					if !inActive[u] {
+						inActive[u] = true
+						next = append(next, u)
 					}
 				}
 			}

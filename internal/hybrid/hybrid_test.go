@@ -18,14 +18,14 @@ func newNet(t *testing.T, g *graph.Graph, cfg Config) *Net {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(graph.New(0), Config{}); !errors.Is(err, ErrEmptyGraph) {
+	if _, err := New(graph.NewBuilder(0).Build(), Config{}); !errors.Is(err, ErrEmptyGraph) {
 		t.Fatalf("empty graph: err=%v", err)
 	}
-	g := graph.New(3)
-	if err := g.AddEdge(0, 1, 1); err != nil {
+	b := graph.NewBuilder(3)
+	if err := b.AddEdge(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(g, Config{}); !errors.Is(err, graph.ErrDisconnected) {
+	if _, err := New(b.Build(), Config{}); !errors.Is(err, graph.ErrDisconnected) {
 		t.Fatalf("disconnected: err=%v", err)
 	}
 }

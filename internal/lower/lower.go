@@ -243,9 +243,9 @@ func bfsTreeParents(g *graph.Graph, src int) []int {
 	queue := []int{src}
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
-		for _, e := range g.Neighbors(v) {
-			u := int(e.To)
-			if !seen[u] {
+		row, _ := g.Row(v)
+		for _, x := range row {
+			if u := int(x); !seen[u] {
 				seen[u] = true
 				parent[u] = v
 				queue = append(queue, u)
@@ -262,9 +262,9 @@ func bfsOrder(g *graph.Graph, src int) []int {
 	queue := []int{src}
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
-		for _, e := range g.Neighbors(v) {
-			u := int(e.To)
-			if !seen[u] {
+		row, _ := g.Row(v)
+		for _, x := range row {
+			if u := int(x); !seen[u] {
 				seen[u] = true
 				queue = append(queue, u)
 			}

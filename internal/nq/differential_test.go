@@ -73,7 +73,7 @@ func TestProfileNQAgainstOracle(t *testing.T) {
 		for _, n := range []int{24, 40} {
 			for seed := int64(1); seed <= 3; seed++ {
 				g := buildGraph(t, f, n, seed)
-				profiled := g.Clone()
+				profiled := buildGraph(t, f, n, seed)
 				profiled.AttachProfiles(
 					profiled.BallProfiles(graph.ProfileRadius(profiled.N(), profiled.Diameter())))
 				for _, k := range []int{1, 5, n, 4 * n, 12 * n} {

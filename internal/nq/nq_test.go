@@ -64,13 +64,13 @@ func TestPerNodeMatchesBruteForce(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	if _, _, err := PerNode(graph.New(0), 1); err == nil {
+	if _, _, err := PerNode(graph.NewBuilder(0).Build(), 1); err == nil {
 		t.Fatal("empty graph accepted")
 	}
 	if _, _, err := PerNode(graph.Path(3), 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	g := graph.New(2)
+	g := graph.NewBuilder(2).Build()
 	if _, _, err := PerNode(g, 1); err == nil {
 		t.Fatal("disconnected graph accepted")
 	}

@@ -2,10 +2,10 @@
 // are differentially tested against. Its implementations are
 // deliberately independent of the simulation core: every function
 // rebuilds its own adjacency from Graph.Edges() (never touching the
-// adjacency lists or the CSR arrays) and uses textbook algorithms with
+// CSR arrays) and uses textbook algorithms with
 // different data structures than internal/graph — BFS over an explicit
 // queue, Dijkstra by O(n²) linear minimum scans instead of a binary
-// heap. A bug in the CSR layout, the frozen traversals, or the engine's
+// heap. A bug in the CSR layout, the graph traversals, or the engine's
 // scheduling therefore cannot cancel out against an identical bug here.
 //
 // All distances use graph.Inf for unreachable nodes, matching the

@@ -71,13 +71,14 @@ func TestDijkstraMatchesBFSUnweighted(t *testing.T) {
 // TestDijkstraWeightedPath pins exact weighted distances on a path with
 // known prefix sums.
 func TestDijkstraWeightedPath(t *testing.T) {
-	g := graph.New(5)
+	b := graph.NewBuilder(5)
 	ws := []int64{3, 1, 4, 1}
 	for i, w := range ws {
-		if err := g.AddEdge(i, i+1, w); err != nil {
+		if err := b.AddEdge(i, i+1, w); err != nil {
 			t.Fatal(err)
 		}
 	}
+	g := b.Build()
 	dist := Dijkstra(g, 0)
 	var sum int64
 	for v := 1; v < 5; v++ {
@@ -112,10 +113,11 @@ func TestEccentricitiesAndDiameter(t *testing.T) {
 
 // TestDisconnectedInf: unreachable nodes report graph.Inf.
 func TestDisconnectedInf(t *testing.T) {
-	g := graph.New(4)
-	if err := g.AddEdge(0, 1, 1); err != nil {
+	b := graph.NewBuilder(4)
+	if err := b.AddEdge(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
+	g := b.Build()
 	dist := BFS(g, 0)
 	if dist[2] != graph.Inf || dist[3] != graph.Inf {
 		t.Fatalf("disconnected distances %v, want Inf for nodes 2,3", dist)

@@ -57,11 +57,12 @@ func Compute(g *graph.Graph, order []int, alpha int) ([]int, error) {
 			if int(depth[u]) == alpha-1 {
 				continue
 			}
-			for _, e := range g.Neighbors(int(u)) {
-				if depth[e.To] < 0 {
-					depth[e.To] = depth[u] + 1
-					blocked[e.To] = true
-					queue = append(queue, e.To)
+			row, _ := g.Row(int(u))
+			for _, x := range row {
+				if depth[x] < 0 {
+					depth[x] = depth[u] + 1
+					blocked[x] = true
+					queue = append(queue, x)
 				}
 			}
 		}

@@ -6,11 +6,11 @@ package runner
 // runner encodes that by deriving a point-independent GraphSeed per
 // cell — and the GraphCache exploits it: concurrent workers asking for
 // the same (family, n, GraphSeed) coordinate build the graph exactly
-// once (singleflight), share the immutable frozen instance in memory,
-// and persist its CSR encoding through the artifact store so later
-// processes restore instead of rebuild. Sharing is safe because built
-// graphs are frozen (graph.ErrFrozen guards mutation) and every lazy
-// annotation on them is atomic.
+// once (singleflight), share the immutable instance in memory, and
+// persist its CSR encoding through the artifact store so later
+// processes restore instead of rebuild. Sharing is safe because a
+// graph.Graph has no mutators and every lazy annotation on it is
+// atomic.
 
 import (
 	"container/list"
@@ -111,10 +111,9 @@ func NewGraphCache(store BlobStore, maxGraphs int) *GraphCache {
 	}
 }
 
-// Get returns the frozen graph of one topology coordinate, building it
+// Get returns the graph of one topology coordinate, building it
 // at most once per process regardless of how many workers ask
-// concurrently. The returned instance is shared: callers must treat it
-// as immutable (it is frozen, so AddEdge already fails) and must not
+// concurrently. The returned instance is shared: callers must not
 // assume exclusive ownership of anything reachable from it.
 func (gc *GraphCache) Get(family graph.Family, n int, seed int64) (*graph.Graph, error) {
 	key := GraphKey(family, n, seed)

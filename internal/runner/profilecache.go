@@ -2,7 +2,7 @@ package runner
 
 // The derived-artifact layer over the topology cache (DESIGN.md §10).
 // A ball-profile artifact (graph.Profiles) is a pure function of one
-// topology coordinate, just like the frozen graph itself — so the same
+// topology coordinate, just like the graph itself — so the same
 // content-addressing that shares graphs across sweep cells
 // (GraphCache, §9) shares the profiles derived from them: concurrent
 // workers asking for the same (family, n, GraphSeed) coordinate

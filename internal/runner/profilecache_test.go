@@ -9,7 +9,7 @@ import (
 	"repro/internal/nq"
 )
 
-// profileCacheGraph builds the shared frozen instance of one coordinate
+// profileCacheGraph builds the shared instance of one coordinate
 // the way a sweep would (through a GraphCache).
 func profileCacheGraph(t *testing.T, fam graph.Family, n int, seed int64) *graph.Graph {
 	t.Helper()

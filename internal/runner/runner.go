@@ -185,11 +185,10 @@ func (c *Cell) Rng() *rand.Rand { return rand.New(rand.NewSource(c.Seed())) }
 
 // BuildGraph returns the cell's graph instance for GraphSeed. With a
 // GraphCache attached (Runner.Graphs) the returned graph is the shared
-// frozen instance every cell of the same (family, n, GraphSeed)
+// instance every cell of the same (family, n, GraphSeed)
 // coordinate sees — built exactly once, identical to a per-cell build;
-// without one it is constructed fresh. Either way callers must treat
-// the graph as immutable (it is frozen; derive copies via Clone,
-// Reweight or Subgraph to modify).
+// without one it is constructed fresh. Either way the graph is
+// immutable; derive weight variants with Reweight.
 func (c *Cell) BuildGraph() (*graph.Graph, error) {
 	if c.graphs != nil {
 		return c.graphs.Get(c.Family, c.N, c.GraphSeed())
@@ -301,7 +300,7 @@ type Runner struct {
 	// Graphs, when non-nil, deduplicates topology construction: every
 	// cell resolves BuildGraph through this cache, so each distinct
 	// (family, n, GraphSeed) coordinate is built exactly once and the
-	// frozen instance is shared across points, sweeps, and Pool
+	// instance is shared across points, sweeps, and Pool
 	// tenants (DESIGN.md §9). Rows are unchanged — the shared instance
 	// is byte-identical to a per-cell build.
 	Graphs *GraphCache

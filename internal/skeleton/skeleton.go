@@ -92,7 +92,7 @@ func Build(g *graph.Graph, x int, forced []int, materializeEdges bool, rng *rand
 	}
 	sk.H = h
 	if materializeEdges {
-		s := graph.New(len(sk.Nodes))
+		s := graph.NewBuilder(len(sk.Nodes))
 		for i, v := range sk.Nodes {
 			dist := g.HopLimitedDistances(v, h)
 			for j := i + 1; j < len(sk.Nodes); j++ {
@@ -104,7 +104,7 @@ func Build(g *graph.Graph, x int, forced []int, materializeEdges bool, rng *rand
 				}
 			}
 		}
-		sk.S = s
+		sk.S = s.Build()
 	}
 	return sk, nil
 }

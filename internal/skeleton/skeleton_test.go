@@ -9,7 +9,7 @@ import (
 
 func TestBuildValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	if _, err := Build(graph.New(0), 2, nil, false, rng); err == nil {
+	if _, err := Build(graph.NewBuilder(0).Build(), 2, nil, false, rng); err == nil {
 		t.Fatal("empty graph accepted")
 	}
 	if _, err := Build(graph.Path(4), 0, nil, false, rng); err == nil {

@@ -14,8 +14,9 @@ import (
 
 // referenceCompute is the original greedy spanner, kept as the
 // differential reference for Compute: the same edge scan, but each
-// candidate edge runs a fresh Dijkstra on h with its distances in a map
-// and a linear-scan priority queue.
+// candidate edge runs a fresh Dijkstra on the kept edges (adjacency
+// lists in keep order) with its distances in a map and a linear-scan
+// priority queue.
 func referenceCompute(g *graph.Graph, k int) (*graph.Graph, error) {
 	edges := g.Edges()
 	sort.Slice(edges, func(i, j int) bool {
@@ -27,20 +28,24 @@ func referenceCompute(g *graph.Graph, k int) (*graph.Graph, error) {
 		}
 		return edges[i].V < edges[j].V
 	})
-	h := graph.New(g.N())
+	h := graph.NewBuilder(g.N())
+	adj := make([][]arc, g.N())
 	stretch := int64(2*k - 1)
 	for _, e := range edges {
-		if referenceExceeds(h, e.U, e.V, stretch*e.W) {
+		if referenceExceeds(adj, e.U, e.V, stretch*e.W) {
 			if err := h.AddEdge(e.U, e.V, e.W); err != nil {
 				return nil, err
 			}
+			adj[e.U] = append(adj[e.U], arc{int32(e.V), e.W})
+			adj[e.V] = append(adj[e.V], arc{int32(e.U), e.W})
 		}
 	}
-	return h, nil
+	return h.Build(), nil
 }
 
-// referenceExceeds reports whether d_h(u,v) > limit.
-func referenceExceeds(h *graph.Graph, u, v int, limit int64) bool {
+// referenceExceeds reports whether d_h(u,v) > limit, where adj holds
+// h's adjacency lists.
+func referenceExceeds(adj [][]arc, u, v int, limit int64) bool {
 	if u == v {
 		return false
 	}
@@ -70,14 +75,14 @@ func referenceExceeds(h *graph.Graph, u, v int, limit int64) bool {
 		if it.v == v {
 			return false
 		}
-		for _, e := range h.Neighbors(it.v) {
-			nd := it.d + e.W
+		for _, e := range adj[it.v] {
+			nd := it.d + e.w
 			if nd > limit {
 				continue
 			}
-			if d, ok := dist[int(e.To)]; !ok || nd < d {
-				dist[int(e.To)] = nd
-				pq = append(pq, item{nd, int(e.To)})
+			if d, ok := dist[int(e.to)]; !ok || nd < d {
+				dist[int(e.to)] = nd
+				pq = append(pq, item{nd, int(e.to)})
 			}
 		}
 	}
@@ -86,15 +91,15 @@ func referenceExceeds(h *graph.Graph, u, v int, limit int64) bool {
 
 // twoComponents returns two random connected 30-node graphs side by side.
 func twoComponents(rng *rand.Rand) *graph.Graph {
-	g := graph.New(60)
+	b := graph.NewBuilder(60)
 	for off := 0; off < 60; off += 30 {
 		for _, e := range graph.RandomConnected(30, 0.3, rng).Edges() {
-			if err := g.AddEdge(off+e.U, off+e.V, e.W); err != nil {
+			if err := b.AddEdge(off+e.U, off+e.V, e.W); err != nil {
 				panic(err)
 			}
 		}
 	}
-	return g
+	return b.Build()
 }
 
 // TestComputeMatchesReference: Compute keeps exactly the reference's

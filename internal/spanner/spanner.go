@@ -48,7 +48,7 @@ func Compute(g *graph.Graph, k int) (*graph.Graph, error) {
 		}
 		return edges[i].V < edges[j].V
 	})
-	h := graph.New(g.N())
+	h := graph.NewBuilder(g.N())
 	s := newSearch(g.N())
 	stretch := int64(2*k - 1)
 	for _, e := range edges {
@@ -60,7 +60,7 @@ func Compute(g *graph.Graph, k int) (*graph.Graph, error) {
 		}
 		s.add(e.U, e.V, e.W)
 	}
-	return h, nil
+	return h.Build(), nil
 }
 
 // arc is one direction of a kept spanner edge.

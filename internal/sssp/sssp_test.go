@@ -199,7 +199,7 @@ func TestEulerianOrientationEvenGraphsQuick(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		// Build an Eulerian graph as a union of random edge-disjoint cycles.
 		n := 6 + rng.Intn(20)
-		g := graph.New(n)
+		b := graph.NewBuilder(n)
 		for c := 0; c < 3; c++ {
 			perm := rng.Perm(n)
 			size := 3 + rng.Intn(n-3)
@@ -207,7 +207,7 @@ func TestEulerianOrientationEvenGraphsQuick(t *testing.T) {
 			ok := true
 			for i := range cycle {
 				u, v := cycle[i], cycle[(i+1)%size]
-				if g.HasEdge(u, v) {
+				if b.HasEdge(u, v) {
 					ok = false
 					break
 				}
@@ -216,11 +216,12 @@ func TestEulerianOrientationEvenGraphsQuick(t *testing.T) {
 				continue
 			}
 			for i := range cycle {
-				if err := g.AddEdge(cycle[i], cycle[(i+1)%size], 1); err != nil {
+				if err := b.AddEdge(cycle[i], cycle[(i+1)%size], 1); err != nil {
 					return false
 				}
 			}
 		}
+		g := b.Build()
 		orient, err := EulerianOrientation(g)
 		if err != nil {
 			return false
