@@ -256,7 +256,7 @@ func (h *eventHeap) pop() event {
 }
 
 // Sim is one simulation instance: a set of node goroutines over a
-// shared graph, a deterministic event queue, and a fault-injecting
+// read-only graph, a deterministic event queue, and a fault-injecting
 // transport. Construct with New; not safe for concurrent use.
 type Sim struct {
 	g     *graph.Graph
