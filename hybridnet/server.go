@@ -387,6 +387,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		s.streamBuffer = DefaultStreamBuffer
 	}
 
+	// Topologies and profiles are always built once and shared; they
+	// persist only with a disk tier. The stores stay untyped nil
+	// otherwise: a nil *artifact.Namespace inside the interface would
+	// not read as "no store".
+	var graphStore, profileStore runner.BlobStore
 	if cfg.CacheBytes >= 0 {
 		if cfg.CacheDir != "" {
 			store, err := artifact.NewStoreWithDisk(cfg.CacheBytes, cfg.CacheDir)
@@ -410,10 +415,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		if cfg.CacheDir != "" {
 			gns := s.store.Namespace(graphNamespace)
 			gns.SetDiskOnlyPuts(true)
-			s.graphs = runner.NewGraphCache(gns, 0)
+			graphStore = gns
 			pns := s.store.Namespace(profileNamespace)
 			pns.SetDiskOnlyPuts(true)
-			s.profiles = runner.NewProfileCache(pns, 0)
+			profileStore = pns
 			// Disk GC (DESIGN.md §11): result rows and sweep records are
 			// version-addressed, so rows under any other version prefix
 			// are orphans no future Get can request — age them out.
@@ -429,16 +434,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 					return true
 				},
 			})
-		} else {
-			s.graphs = runner.NewGraphCache(nil, 0)
-			s.profiles = runner.NewProfileCache(nil, 0)
 		}
-	} else {
-		// No artifact store: topologies and profiles are still built
-		// once and shared, just not persisted.
-		s.graphs = runner.NewGraphCache(nil, 0)
-		s.profiles = runner.NewProfileCache(nil, 0)
 	}
+	s.graphs = runner.NewGraphCache(graphStore, 0)
+	s.profiles = runner.NewProfileCache(profileStore, 0)
 
 	if len(cfg.Peers) > 0 || cfg.Self != "" {
 		if len(cfg.Peers) == 0 {

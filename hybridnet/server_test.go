@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/hybridnet"
+	"repro/internal/runner"
 )
 
 func newTestServer(t *testing.T, cfg hybridnet.ServerConfig) *hybridnet.Server {
@@ -304,6 +305,40 @@ func TestServerProfileArtifacts(t *testing.T) {
 	}
 	if warm := results(t, srv2, st3.ID, "md"); !bytes.Equal(coldResults, warm) {
 		t.Fatalf("results differ across restart:\n%s\nvs\n%s", coldResults, warm)
+	}
+}
+
+// TestCacheStatsJSONKeys pins the graph_cache and profile_cache blocks
+// of /v1/cache/stats byte for byte: field names and their order are a
+// wire contract for dashboards and the load tool.
+func TestCacheStatsJSONKeys(t *testing.T) {
+	const (
+		graphBlock   = `{"builds":0,"mem_hits":0,"store_hits":0,"dedups":0,"evictions":0,"entries":0}`
+		profileBlock = `{"computes":0,"attach_hits":0,"mem_hits":0,"store_hits":0,"dedups":0,"evictions":0,"entries":0}`
+	)
+	marshal := func(v any) string {
+		t.Helper()
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	if got := marshal(runner.GraphCacheStats{}); got != graphBlock {
+		t.Errorf("GraphCacheStats = %s, want %s", got, graphBlock)
+	}
+	if got := marshal(runner.ProfileCacheStats{}); got != profileBlock {
+		t.Errorf("ProfileCacheStats = %s, want %s", got, profileBlock)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(marshal(newTestServer(t, hybridnet.ServerConfig{}).CacheStats())), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(doc["graph_cache"]); got != graphBlock {
+		t.Errorf("fresh server graph_cache = %s, want %s", got, graphBlock)
+	}
+	if got := string(doc["profile_cache"]); got != profileBlock {
+		t.Errorf("fresh server profile_cache = %s, want %s", got, profileBlock)
 	}
 }
 

@@ -242,3 +242,19 @@ func TestCollectBuildsEachGraphOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestGraphCacheFailedBuildNotCached: a build error reaches every
+// caller and leaves nothing behind — the next Get tries again, and
+// nothing is counted, cached or persisted.
+func TestGraphCacheFailedBuildNotCached(t *testing.T) {
+	store := newMapBlobStore()
+	gc := NewGraphCache(store, 0)
+	for i := 0; i < 2; i++ {
+		if g, err := gc.Get(graph.Family("no-such-family"), 32, 1); err == nil {
+			t.Fatalf("Get %d: unknown family built %v", i, g)
+		}
+	}
+	if st := gc.Stats(); st.Builds != 0 || st.Entries != 0 || store.puts != 0 {
+		t.Fatalf("failed build left state behind: stats %+v, %d puts", st, store.puts)
+	}
+}

@@ -3,7 +3,7 @@ package runner
 // The derived-artifact layer over the topology cache (DESIGN.md §10).
 // A ball-profile artifact (graph.Profiles) is a pure function of one
 // topology coordinate, just like the graph itself — so the same
-// content-addressing that shares graphs across sweep cells
+// content-addressed core that shares graphs across sweep cells
 // (GraphCache, §9) shares the profiles derived from them: concurrent
 // workers asking for the same (family, n, GraphSeed) coordinate
 // compute the profile exactly once (singleflight), share the immutable
@@ -13,19 +13,13 @@ package runner
 // profiles once per distinct graph — and zero times on resubmission.
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
 )
-
-// DefaultMaxProfiles bounds the decoded artifacts a ProfileCache keeps
-// in memory when NewProfileCache is given a non-positive limit.
-const DefaultMaxProfiles = 64
 
 // ProfileKey returns the content address of one topology coordinate's
 // ball-profile artifact. It covers the build inputs (family, n, seed),
@@ -65,44 +59,18 @@ type ProfileCacheStats struct {
 // ProfileCache deduplicates ball-profile computation across sweep
 // cells, concurrent sweeps, and Pool tenants. Construct with
 // NewProfileCache; attach to Runner.Profiles (or share one across many
-// Runners, typically alongside the GraphCache it mirrors).
+// Runners, typically alongside a GraphCache).
 type ProfileCache struct {
-	store       BlobStore // optional persistence; nil = memory only
-	maxProfiles int
-
-	mu       sync.Mutex
-	profiles map[string]*list.Element // key → lru element holding *profileEntry
-	lru      *list.List               // front = most recently used
-	inflight map[string]*profileCall
-
-	computes, attachHits, memHits, storeHits, dedups, evictions atomic.Uint64
-}
-
-type profileEntry struct {
-	key string
-	p   *graph.Profiles
-}
-
-// profileCall is one in-flight computation all concurrent askers share.
-type profileCall struct {
-	done chan struct{}
-	p    *graph.Profiles
+	c          *blobCache[*graph.Profiles]
+	attachHits atomic.Uint64
 }
 
 // NewProfileCache returns a cache holding up to maxProfiles decoded
-// artifacts (non-positive means DefaultMaxProfiles), persisting
-// encodings through store when it is non-nil.
+// artifacts (non-positive means 64), persisting encodings through
+// store when it is non-nil.
 func NewProfileCache(store BlobStore, maxProfiles int) *ProfileCache {
-	if maxProfiles <= 0 {
-		maxProfiles = DefaultMaxProfiles
-	}
-	return &ProfileCache{
-		store:       store,
-		maxProfiles: maxProfiles,
-		profiles:    make(map[string]*list.Element),
-		lru:         list.New(),
-		inflight:    make(map[string]*profileCall),
-	}
+	encode := func(p *graph.Profiles) ([]byte, error) { return graph.EncodeProfiles(p), nil }
+	return &ProfileCache{c: newBlobCache(store, maxProfiles, encode, graph.DecodeProfiles)}
 }
 
 // Attach returns the ball-profile artifact of one topology coordinate,
@@ -119,104 +87,27 @@ func (pc *ProfileCache) Attach(g *graph.Graph, family graph.Family, n int, seed 
 		pc.attachHits.Add(1)
 		return p
 	}
-	key := ProfileKey(family, n, seed)
-	pc.mu.Lock()
-	if el, ok := pc.profiles[key]; ok {
-		p := el.Value.(*profileEntry).p
-		if pc.usable(p, g, radius) {
-			pc.lru.MoveToFront(el)
-			pc.mu.Unlock()
-			pc.memHits.Add(1)
-			return g.AttachProfiles(p)
-		}
-		// A stale entry (policy change, or a key collision across
-		// mismatched graphs) is dropped and recomputed below.
-		pc.lru.Remove(el)
-		delete(pc.profiles, key)
-	}
-	if c, ok := pc.inflight[key]; ok {
-		pc.mu.Unlock()
-		pc.dedups.Add(1)
-		<-c.done
-		if pc.usable(c.p, g, radius) {
-			return g.AttachProfiles(c.p)
-		}
-		// The joined computation ran against a different instance
-		// (possible only under key collisions); fall back to a local
-		// computation without poisoning the cache.
-		return g.AttachProfiles(g.BallProfiles(radius))
-	}
-	c := &profileCall{done: make(chan struct{})}
-	pc.inflight[key] = c
-	pc.mu.Unlock()
-
-	c.p = pc.load(g, radius, key)
-
-	pc.mu.Lock()
-	delete(pc.inflight, key)
-	pc.insert(key, c.p)
-	pc.mu.Unlock()
-	close(c.done)
-	return g.AttachProfiles(c.p)
-}
-
-// usable reports whether a cached artifact fits this graph and covers
-// the canonical radius (a deeper or complete artifact also qualifies).
-func (pc *ProfileCache) usable(p *graph.Profiles, g *graph.Graph, radius int) bool {
-	return p != nil && p.N() == g.N() && p.Covers(radius)
-}
-
-// load restores the artifact from the blob store or computes and
-// persists it. A blob that fails to decode, mismatches the graph, or
-// predates a deeper truncation policy falls back to a recomputation —
-// and the fresh encoding is re-put, shadowing the stale record.
-func (pc *ProfileCache) load(g *graph.Graph, radius int, key string) *graph.Profiles {
-	if pc.store != nil {
-		if blob, ok := pc.store.Get(key); ok {
-			if p, err := graph.DecodeProfiles(blob); err == nil && pc.usable(p, g, radius) {
-				pc.storeHits.Add(1)
-				return p
-			}
-		}
-	}
-	p := g.BallProfiles(radius)
-	pc.computes.Add(1)
-	if pc.store != nil {
-		pc.store.Put(key, graph.EncodeProfiles(p))
-	}
-	return p
-}
-
-// insert places a decoded artifact into the LRU (caller holds pc.mu).
-// Evicted artifacts stay alive for the graphs they are attached to;
-// the cache merely stops handing them out.
-func (pc *ProfileCache) insert(key string, p *graph.Profiles) {
-	if el, ok := pc.profiles[key]; ok {
-		el.Value.(*profileEntry).p = p
-		pc.lru.MoveToFront(el)
-		return
-	}
-	pc.profiles[key] = pc.lru.PushFront(&profileEntry{key: key, p: p})
-	for pc.lru.Len() > pc.maxProfiles {
-		back := pc.lru.Back()
-		pc.lru.Remove(back)
-		delete(pc.profiles, back.Value.(*profileEntry).key)
-		pc.evictions.Add(1)
-	}
+	// A cached artifact serves g only if it was grown on a graph of g's
+	// size and covers the canonical radius (a deeper or complete one
+	// also qualifies); anything else — a policy change, or a key
+	// collision across mismatched graphs — is recomputed.
+	fits := func(p *graph.Profiles) bool { return p != nil && p.N() == g.N() && p.Covers(radius) }
+	// The build cannot fail, so neither can get.
+	p, _ := pc.c.get(ProfileKey(family, n, seed), fits, func() (*graph.Profiles, error) {
+		return g.BallProfiles(radius), nil
+	})
+	return g.AttachProfiles(p)
 }
 
 // Stats snapshots the counters.
 func (pc *ProfileCache) Stats() ProfileCacheStats {
-	pc.mu.Lock()
-	entries := pc.lru.Len()
-	pc.mu.Unlock()
 	return ProfileCacheStats{
-		Computes:   pc.computes.Load(),
+		Computes:   pc.c.builds.Load(),
 		AttachHits: pc.attachHits.Load(),
-		MemHits:    pc.memHits.Load(),
-		StoreHits:  pc.storeHits.Load(),
-		Dedups:     pc.dedups.Load(),
-		Evictions:  pc.evictions.Load(),
-		Entries:    entries,
+		MemHits:    pc.c.memHits.Load(),
+		StoreHits:  pc.c.storeHits.Load(),
+		Dedups:     pc.c.dedups.Load(),
+		Evictions:  pc.c.evictions.Load(),
+		Entries:    pc.c.len(),
 	}
 }

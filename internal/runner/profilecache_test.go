@@ -223,3 +223,38 @@ func TestCollectComputesEachProfileOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestProfileCacheMismatchedArtifactRecomputes: an artifact stored or
+// cached under a coordinate's key but grown on a graph of another size
+// never serves the caller — a stored blob is recomputed and shadowed,
+// and so is a memory entry that does not fit the caller's graph.
+func TestProfileCacheMismatchedArtifactRecomputes(t *testing.T) {
+	store := newMapBlobStore()
+	key := ProfileKey(graph.FamilyPath, 32, 1)
+	small := profileCacheGraph(t, graph.FamilyPath, 16, 1)
+	store.m[key] = graph.EncodeProfiles(small.BallProfiles(graph.ProfileRadius(small.N(), small.Diameter())))
+	pc := NewProfileCache(store, 0)
+
+	g := profileCacheGraph(t, graph.FamilyPath, 32, 1)
+	p := pc.Attach(g, graph.FamilyPath, 32, 1)
+	if p.N() != g.N() {
+		t.Fatalf("served an artifact of %d nodes for a %d-node graph", p.N(), g.N())
+	}
+	if st := pc.Stats(); st.Computes != 1 || st.StoreHits != 0 {
+		t.Fatalf("mismatched blob not recomputed: %+v", st)
+	}
+	if !bytes.Equal(store.m[key], graph.EncodeProfiles(p)) {
+		t.Fatal("recomputation did not shadow the mismatched record")
+	}
+
+	// The memory entry now holds the 32-node artifact; a caller with a
+	// graph of another size under the same key gets its own.
+	other := profileCacheGraph(t, graph.FamilyPath, 16, 1)
+	q := pc.Attach(other, graph.FamilyPath, 32, 1)
+	if q.N() != other.N() {
+		t.Fatalf("served an artifact of %d nodes for a %d-node graph", q.N(), other.N())
+	}
+	if st := pc.Stats(); st.Computes != 2 || st.MemHits != 0 || st.StoreHits != 0 {
+		t.Fatalf("mismatched memory entry served: %+v", st)
+	}
+}
