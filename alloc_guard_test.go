@@ -19,6 +19,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hybrid"
 	"repro/internal/nq"
+	"repro/internal/overlay"
 	"repro/internal/runner"
 	"repro/internal/spanner"
 )
@@ -127,6 +128,29 @@ func TestCoreNQOfAllocFree(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("nq.Of (%s path) allocates %.1f times per run, want 0", tc.name, allocs)
 		}
+	}
+}
+
+// TestCoreTreeAggregateAllocFree pins one steady-state Lemma 4.4
+// aggregation (NQ_k's per-depth step) at zero allocations: the tree
+// reuses its level schedules and its suffixed phase labels.
+func TestCoreTreeAggregateAllocFree(t *testing.T) {
+	requireAllocFree(t)
+	net, err := hybrid.New(graph.Grid2D(24), hybrid.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := overlay.Build(net, "nq")
+	if _, err := tree.Aggregate("nq", 1); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := tree.Aggregate("nq", 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Tree.Aggregate allocates %.1f times per run, want 0", allocs)
 	}
 }
 

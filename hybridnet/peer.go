@@ -27,8 +27,8 @@ import (
 // PeerStats is the cluster section of /v1/cache/stats: membership with
 // liveness, fetch outcomes, degradations, and the replication queue.
 type PeerStats struct {
-	Self     string        `json:"self"`
-	Members  []peer.Status `json:"members"`
+	Self    string        `json:"self"`
+	Members []peer.Status `json:"members"`
 	// Fetch counts remote fill attempts by outcome
 	// (hit/miss/error/timeout).
 	Fetch map[string]uint64 `json:"fetch"`

@@ -111,11 +111,12 @@ func Unweighted(net *hybrid.Net, eps float64, wantValues bool) ([][]int64, *Resu
 	// gives stretch 1+ε'' with ε'' = 3ε̃+ε̃², ε̃ = ε/4 ⇒ ε'' < ε.
 	epsT := eps / 4
 	leaderDist := make([][]int64, len(leaders))
+	quant := sssp.NewQuantizer(epsT)
 	for i, r := range leaders {
 		bfs := g.BFS(r)
 		leaderDist[i] = make([]int64, n)
 		for v, d := range bfs {
-			leaderDist[i][v] = sssp.QuantizeUp(d, epsT)
+			leaderDist[i][v] = quant.Up(d)
 		}
 	}
 	// Closest leader per node (exact unweighted distance).
@@ -377,11 +378,12 @@ func KLSP(net *hybrid.Net, sources, targets []int, eps float64, c KLSPCase, rng 
 		// ℓ' sequential Theorem 13 runs, one per target.
 		net.Charge("klsp/target-sssp", l*sssp.Theorem13Rounds(net.PLog(), eps))
 		dist = make([][]int64, l)
+		quant := sssp.NewQuantizer(eps)
 		for ti, t := range targets {
 			d := g.Dijkstra(t)
 			row := make([]int64, k)
 			for si, s := range sources {
-				row[si] = sssp.QuantizeUp(d[s], eps)
+				row[si] = quant.Up(d[s])
 			}
 			dist[ti] = row
 		}

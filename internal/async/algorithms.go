@@ -159,7 +159,7 @@ func SSSP(g *graph.Graph, src int, opt Options) ([]int64, *Report, error) {
 
 // Approx computes the Theorem 13 (1+eps)-approximate SSSP on the async
 // backend: exact asynchronous relaxation followed by the same
-// QuantizeUp rounding the synchronous sssp.Approx applies, so the two
+// sssp.Quantizer rounding the synchronous sssp.Approx applies, so the two
 // backends' outputs are byte-identical wherever both converge.
 func Approx(g *graph.Graph, src int, eps float64, opt Options) ([]int64, *Report, error) {
 	if eps <= 0 {
@@ -169,8 +169,9 @@ func Approx(g *graph.Graph, src int, eps float64, opt Options) ([]int64, *Report
 	if err != nil {
 		return nil, nil, err
 	}
+	quant := sssp.NewQuantizer(eps)
 	for v, d := range dist {
-		dist[v] = sssp.QuantizeUp(d, eps)
+		dist[v] = quant.Up(d)
 	}
 	return dist, rep, nil
 }

@@ -517,7 +517,8 @@ func (e *ErrUnknownTarget) Error() string {
 // on success.
 //
 // The schedule builder runs in O(len(msgs)) time on pooled scratch: in
-// steady state it performs no allocations at all.
+// steady state it performs no allocations at all. It only reads msgs:
+// overlay trees hand it their persistent per-level schedules.
 func (net *Net) SendGlobal(phase string, msgs []Msg) (int, error) {
 	if net.cfg.LocalOnly {
 		return 0, &ErrModeDisabled{Mode: "global", Phase: phase}

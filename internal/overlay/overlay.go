@@ -25,20 +25,19 @@ type Tree struct {
 	// Pos maps a node to its position in Members, or -1.
 	Pos []int
 	net *hybrid.Net
-	// msgs is the pooled per-level message buffer of ConvergeCast and
-	// BroadcastDown, reused (truncated, not reallocated) across levels
-	// and calls. Trees persist on the network via Memo, so in steady
-	// state the Lemma 4.4 aggregation allocates nothing.
-	msgs []hybrid.Msg
-}
-
-// msgScratch returns the pooled level buffer, sized to the widest level.
-func (t *Tree) msgScratch() []hybrid.Msg {
-	if t.msgs == nil {
-		widest := (len(t.Members) + 1) / 2
-		t.msgs = make([]hybrid.Msg, 0, 2*widest)
-	}
-	return t.msgs[:0]
+	// up and down are the Lemma 4.4 schedules: for every non-root
+	// position c, up[c-1] is the message from Members[c] to its parent
+	// and down[c-1] the reverse one. Heap order groups them by level
+	// (see level), so ConvergeCast and BroadcastDown hand SendGlobal
+	// subslices of them. They are built on the first aggregation and
+	// reused by every later one; width is the Size they carry, rewritten
+	// only when a call asks for another. Trees persist on the network
+	// via Memo, so in steady state the aggregation allocates nothing.
+	up, down []hybrid.Msg
+	width    int
+	// phase is the last phase label seen, upPhase and downPhase its
+	// audit labels, cached so that repeating a phase builds no string.
+	phase, upPhase, downPhase string
 }
 
 // Build constructs a virtual rooted tree of constant degree and depth
@@ -151,80 +150,80 @@ func (t *Tree) Children(v int) []int {
 	return out
 }
 
-// levels returns the member positions grouped by depth, root first.
-func (t *Tree) levels() [][]int {
-	var out [][]int
-	for start := 0; start < len(t.Members); {
-		width := len(out)
-		size := 1 << width
-		end := start + size
-		if end > len(t.Members) {
-			end = len(t.Members)
-		}
-		level := make([]int, 0, end-start)
-		for i := start; i < end; i++ {
-			level = append(level, i)
-		}
-		out = append(out, level)
-		start = end
+// schedules returns up and down with every message carrying width
+// words, building them on the first call.
+func (t *Tree) schedules(width int) (up, down []hybrid.Msg) {
+	if width <= 0 {
+		width = 1
 	}
-	return out
+	if t.up == nil {
+		m := len(t.Members)
+		t.up = make([]hybrid.Msg, m-1)
+		t.down = make([]hybrid.Msg, m-1)
+		for c := 1; c < m; c++ {
+			child, parent := t.Members[c], t.Members[(c-1)/2]
+			t.up[c-1] = hybrid.Msg{From: child, To: parent, Size: width}
+			t.down[c-1] = hybrid.Msg{From: parent, To: child, Size: width}
+		}
+		t.width = width
+	}
+	if width != t.width {
+		for i := range t.up {
+			t.up[i].Size = width
+			t.down[i].Size = width
+		}
+		t.width = width
+	}
+	return t.up, t.down
+}
+
+// level returns the part of a schedule whose messages have a child at
+// depth d ≥ 1: positions 2^d−1 up to 2^(d+1)−2.
+func level(sched []hybrid.Msg, d int) []hybrid.Msg {
+	return sched[1<<d-2 : min(1<<(d+1)-2, len(sched))]
+}
+
+// labels returns the audit labels of phase's converge-cast and
+// broadcast.
+func (t *Tree) labels(phase string) (up, down string) {
+	if phase != t.phase || t.upPhase == "" {
+		t.phase = phase
+		t.upPhase = phase + "/convergecast"
+		t.downPhase = phase + "/broadcastdown"
+	}
+	return t.upPhase, t.downPhase
 }
 
 // ConvergeCast sends width O(log n)-bit words from every member to its
 // parent, level by level (deepest first), aggregating at internal nodes —
 // the upward half of Lemma 4.4. It returns the simulated global rounds.
 func (t *Tree) ConvergeCast(phase string, width int) (int, error) {
-	if width <= 0 {
-		width = 1
-	}
-	levels := t.levels()
+	up, _ := t.schedules(width)
+	label, _ := t.labels(phase)
 	total := 0
-	msgs := t.msgScratch()
-	for li := len(levels) - 1; li >= 1; li-- {
-		msgs = msgs[:0]
-		for _, pos := range levels[li] {
-			child := t.Members[pos]
-			parent := t.Members[(pos-1)/2]
-			msgs = append(msgs, hybrid.Msg{From: child, To: parent, Size: width})
-		}
-		r, err := t.net.SendGlobal(phase+"/convergecast", msgs)
+	for d := t.Depth(); d >= 1; d-- {
+		r, err := t.net.SendGlobal(label, level(up, d))
 		if err != nil {
 			return total, err
 		}
 		total += r
 	}
-	t.msgs = msgs[:0]
 	return total, nil
 }
 
 // BroadcastDown sends width words from every member to its children,
 // level by level from the root — the downward half of Lemma 4.4.
 func (t *Tree) BroadcastDown(phase string, width int) (int, error) {
-	if width <= 0 {
-		width = 1
-	}
-	levels := t.levels()
+	_, down := t.schedules(width)
+	_, label := t.labels(phase)
 	total := 0
-	msgs := t.msgScratch()
-	for li := 0; li+1 < len(levels); li++ {
-		msgs = msgs[:0]
-		for _, pos := range levels[li] {
-			parent := t.Members[pos]
-			if l := 2*pos + 1; l < len(t.Members) {
-				msgs = append(msgs, hybrid.Msg{From: parent, To: t.Members[l], Size: width})
-			}
-			if r := 2*pos + 2; r < len(t.Members) {
-				msgs = append(msgs, hybrid.Msg{From: parent, To: t.Members[r], Size: width})
-			}
-		}
-		r, err := t.net.SendGlobal(phase+"/broadcastdown", msgs)
+	for d := 1; d <= t.Depth(); d++ {
+		r, err := t.net.SendGlobal(label, level(down, d))
 		if err != nil {
 			return total, err
 		}
 		total += r
 	}
-	t.msgs = msgs[:0]
 	return total, nil
 }
 

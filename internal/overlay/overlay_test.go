@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -109,6 +110,41 @@ func TestAggregateWideLoad(t *testing.T) {
 	}
 	if r <= 2*tr.Depth() {
 		t.Fatalf("wide aggregate too cheap: %d", r)
+	}
+}
+
+// TestAggregateWidthChangeReusesSchedules: a tree that aggregated at
+// width 1 and then at width 12 charges the width-12 call exactly what a
+// fresh tree charges, so the reused schedules carry the new Size.
+func TestAggregateWidthChangeReusesSchedules(t *testing.T) {
+	fresh := Build(newNet(t, graph.Path(64), hybrid.Config{}), "x")
+	want, err := fresh.Aggregate("x", 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := newNet(t, graph.Path(64), hybrid.Config{})
+	tr := Build(net, "x")
+	narrow, err := tr.Aggregate("x", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := tr.Aggregate("x", 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || got <= narrow {
+		t.Fatalf("width 12 after width 1: %d rounds, fresh tree %d (width 1: %d)", got, want, narrow)
+	}
+	if again, err := tr.Aggregate("y", 1); err != nil || again != narrow {
+		t.Fatalf("width 1 again under a new phase: %d rounds (err %v), want %d", again, err, narrow)
+	}
+	audit := net.Audit()
+	var phases []string
+	for _, e := range audit[len(audit)-2:] {
+		phases = append(phases, e.Phase)
+	}
+	if want := []string{"y/convergecast", "y/broadcastdown"}; !slices.Equal(phases, want) {
+		t.Fatalf("last audit phases %q, want %q", phases, want)
 	}
 }
 

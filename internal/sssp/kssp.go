@@ -76,6 +76,7 @@ func KSSP(net *hybrid.Net, sources []int, eps float64, randomSources bool, rng *
 	gamma := net.Cap()
 	plog := net.PLog()
 	tSSSP := Theorem13Rounds(plog, eps)
+	quant := NewQuantizer(eps)
 
 	// Regime 1: enough global capacity to run all k SSSP instances in
 	// parallel (Theorem 14, third bullet).
@@ -83,7 +84,7 @@ func KSSP(net *hybrid.Net, sources []int, eps float64, randomSources bool, rng *
 		net.Charge("kssp/parallel", tSSSP)
 		dist := make([][]int64, k)
 		for i, s := range sources {
-			dist[i] = quantizeAll(g.Dijkstra(s), eps)
+			dist[i] = quantizeAll(g.Dijkstra(s), quant)
 		}
 		return dist, &KSSPResult{Regime: RegimeParallel, Stretch: 1 + eps, Rounds: net.Rounds() - start}, nil
 	}
@@ -95,7 +96,7 @@ func KSSP(net *hybrid.Net, sources []int, eps float64, randomSources bool, rng *
 		net.Charge("kssp/chlp21", cost)
 		dist := make([][]int64, k)
 		for i, s := range sources {
-			dist[i] = quantizeAll(g.Dijkstra(s), eps)
+			dist[i] = quantizeAll(g.Dijkstra(s), quant)
 		}
 		return dist, &KSSPResult{Regime: RegimeLargeK, Stretch: 1 + eps, Rounds: net.Rounds() - start}, nil
 	}
@@ -133,7 +134,7 @@ func KSSP(net *hybrid.Net, sources []int, eps float64, randomSources bool, rng *
 		// [d, (1+ε)d] w.h.p. (proof of Lemma 9.4), realized here by the
 		// quantized distance.
 		for i, s := range sources {
-			dist[i] = quantizeAll(g.Dijkstra(s), eps)
+			dist[i] = quantizeAll(g.Dijkstra(s), quant)
 		}
 		res.Regime = RegimeRandomSkeleton
 		res.Stretch = 1 + eps
@@ -153,10 +154,10 @@ func KSSP(net *hybrid.Net, sources []int, eps float64, randomSources bool, rng *
 		if us < 0 {
 			// No skeleton node within h hops (tiny-graph corner): fall
 			// back to the direct estimate.
-			dist[i] = quantizeAll(g.Dijkstra(s), eps)
+			dist[i] = quantizeAll(g.Dijkstra(s), quant)
 			continue
 		}
-		proxy := quantizeAll(g.Dijkstra(us), eps) // ed(·, u_s), stretch 1+ε
+		proxy := quantizeAll(g.Dijkstra(us), quant) // ed(·, u_s), stretch 1+ε
 		row := make([]int64, n)
 		for v := 0; v < n; v++ {
 			est := graph.Inf
@@ -186,10 +187,10 @@ func closestSkeleton(sk *skeleton.Skeleton, dh []int64) (int, int64) {
 	return best, bestD
 }
 
-func quantizeAll(d []int64, eps float64) []int64 {
+func quantizeAll(d []int64, q *Quantizer) []int64 {
 	out := make([]int64, len(d))
 	for i, x := range d {
-		out[i] = QuantizeUp(x, eps)
+		out[i] = q.Up(x)
 	}
 	return out
 }

@@ -27,21 +27,64 @@ import (
 // QuantizeUp rounds d up to the next power of (1+eps): the returned value
 // q satisfies d ≤ q ≤ (1+eps)·d (up to float rounding at the boundary).
 // 0 and Inf are preserved. This is the paper-faithful way to realize a
-// (1+ε)-approximate distance that never underestimates.
+// (1+ε)-approximate distance that never underestimates. Loops that
+// round many distances at one eps use a Quantizer instead.
 func QuantizeUp(d int64, eps float64) int64 {
-	if d <= 0 || d >= graph.Inf || eps <= 0 {
+	q := Quantizer{eps: eps, step: math.Log1p(eps)}
+	return q.Up(d)
+}
+
+// quantizerTableCap bounds a Quantizer's table: exponents at or above it
+// (distances beyond (1+eps)^4096) compute their power directly.
+const quantizerTableCap = 1 << 12
+
+// Quantizer is QuantizeUp for one fixed eps. It computes log(1+eps) once
+// and memoizes ⌊exp(i·log(1+eps))⌋ per exponent i, so rounding a
+// distance costs one Log instead of a Log and an Exp. Every table entry
+// is computed by the direct path's float expression, so Up(d) equals
+// QuantizeUp(d, eps) bit for bit. A Quantizer is not safe for
+// concurrent use.
+type Quantizer struct {
+	eps, step float64
+	memo      bool
+	pow       []int64 // pow[i] = ⌊exp(i·step)⌋ once computed, 0 before
+}
+
+// NewQuantizer returns a memoizing Quantizer for eps.
+func NewQuantizer(eps float64) *Quantizer {
+	return &Quantizer{eps: eps, step: math.Log1p(eps), memo: true}
+}
+
+// Up returns QuantizeUp(d, eps).
+func (z *Quantizer) Up(d int64) int64 {
+	if d <= 0 || d >= graph.Inf || z.eps <= 0 {
 		return d
 	}
-	step := math.Log1p(eps)
-	i := math.Ceil(math.Log(float64(d)) / step)
-	q := int64(math.Floor(math.Exp(float64(i) * step)))
+	q := z.power(math.Ceil(math.Log(float64(d)) / z.step))
 	if q < d {
 		q = d
 	}
-	if lim := int64(float64(d) * (1 + eps)); q > lim && lim >= d {
+	if lim := int64(float64(d) * (1 + z.eps)); q > lim && lim >= d {
 		q = lim
 	}
 	return q
+}
+
+// power returns ⌊exp(i·step)⌋ for the exponent i ≥ 0 Up chose, from
+// the table when memoizing and i is below the cap (a NaN eps makes i
+// NaN, which takes the direct path).
+func (z *Quantizer) power(i float64) int64 {
+	if !z.memo || !(i < quantizerTableCap) {
+		return int64(math.Floor(math.Exp(i * z.step)))
+	}
+	k := int(i)
+	if k >= len(z.pow) {
+		z.pow = append(z.pow, make([]int64, k+1-len(z.pow))...)
+	}
+	if z.pow[k] == 0 {
+		z.pow[k] = int64(math.Floor(math.Exp(i * z.step)))
+	}
+	return z.pow[k]
 }
 
 // Theorem13Rounds is the charged cost of one Theorem 13 SSSP run:
@@ -71,8 +114,9 @@ func Approx(net *hybrid.Net, source int, eps float64) ([]int64, error) {
 	net.Charge("sssp/theorem13", Theorem13Rounds(net.PLog(), eps))
 	exact := net.Graph().Dijkstra(source)
 	out := make([]int64, len(exact))
+	q := NewQuantizer(eps)
 	for v, d := range exact {
-		out[v] = QuantizeUp(d, eps)
+		out[v] = q.Up(d)
 	}
 	return out, nil
 }
