@@ -214,10 +214,12 @@ func TestCoreKernelAllocBudgets(t *testing.T) {
 		budget float64
 		run    func()
 	}{
-		{"BFS", 2, func() { grid.BFS(0) }},
-		// The DistHeap scratch is pooled on the graph, so the
-		// heap Dijkstras allocate only their result vectors.
+		// The BFS queue and the DistHeap scratch are pooled on the
+		// graph, so BFS and the heap Dijkstras allocate only their
+		// result vectors; on unit weights Dijkstra is BFS.
+		{"BFS", 1, func() { grid.BFS(0) }},
 		{"Dijkstra", 1, func() { weighted.Dijkstra(0) }},
+		{"Dijkstra (unit weights)", 1, func() { grid.Dijkstra(0) }},
 		{"MultiSourceDijkstra", 2, func() { weighted.MultiSourceDijkstra([]int{0, 5, 9}) }},
 		{"HopLimitedDistances", 4, func() { grid.HopLimitedDistances(0, 16) }},
 		{"BallSizes", 2, func() { grid.BallSizes(0, 16) }},

@@ -320,6 +320,9 @@ type Namespace struct {
 
 	flightMu sync.Mutex
 	flights  map[string]*flight
+	// testHookMissed, when set by a test, runs in Get between the
+	// local miss and the flight lookup.
+	testHookMissed func(key string)
 
 	counters
 }

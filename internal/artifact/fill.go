@@ -61,7 +61,15 @@ type flight struct {
 // so the next restart or LRU eviction is served locally: ownership
 // migration is self-healing because any peer that ever served a key
 // keeps it.
+//
+// The caller's local miss happened before flightMu was taken, so a
+// previous leader may have written the blob through and retired its
+// flight in between. A new leader therefore looks in the local tiers
+// once more before it fetches.
 func (ns *Namespace) fillThrough(key string, fill FillFunc) ([]byte, bool) {
+	if ns.testHookMissed != nil {
+		ns.testHookMissed(key)
+	}
 	ns.flightMu.Lock()
 	if ns.flights == nil {
 		ns.flights = make(map[string]*flight)
@@ -81,6 +89,10 @@ func (ns *Namespace) fillThrough(key string, fill FillFunc) ([]byte, bool) {
 		close(f.done)
 	}()
 
+	if v, ok := ns.getLocal(key); ok {
+		f.blob, f.ok = v, true
+		return v, true
+	}
 	blob, digest, err := fill(key)
 	if err != nil {
 		if !errors.Is(err, ErrFillUnavailable) {

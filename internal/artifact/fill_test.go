@@ -60,6 +60,49 @@ func TestFillSingleflight(t *testing.T) {
 	}
 }
 
+// TestFillLateMissReadsWriteThrough pins the interleaving behind the
+// intermittent TestFillSingleflight failure: a Get misses locally,
+// then a leader fills, writes through and retires its flight before
+// that Get reaches the flight lookup. The late Get must be served from
+// the local tiers, not fetch the key from the peer a second time.
+func TestFillLateMissReadsWriteThrough(t *testing.T) {
+	blob := []byte("remote blob")
+	var calls atomic.Int32
+	ns := NewStore(1 << 20).Namespace("results")
+	ns.SetFill(func(key string) ([]byte, string, error) {
+		calls.Add(1)
+		return blob, digestOf(blob), nil
+	})
+	var hooked atomic.Bool
+	missed, resume := make(chan struct{}), make(chan struct{})
+	ns.testHookMissed = func(string) {
+		if hooked.CompareAndSwap(false, true) {
+			close(missed)
+			<-resume
+		}
+	}
+
+	late := make(chan []byte)
+	go func() {
+		v, _ := ns.Get("v=1/abc")
+		late <- v
+	}()
+	<-missed // the late Get has missed locally and waits before the flight lookup
+	if v, ok := ns.Get("v=1/abc"); !ok || string(v) != string(blob) {
+		t.Fatalf("leader Get = %q, %v; want the filled blob", v, ok)
+	}
+	close(resume)
+	if v := <-late; string(v) != string(blob) {
+		t.Fatalf("late Get = %q; want the filled blob", v)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("a late miss performed %d remote fetches in all, want exactly 1", n)
+	}
+	if st := ns.Stats(); st.Fills != 1 || st.Hits != 2 || st.Misses != 0 {
+		t.Fatalf("stats = %+v; want 1 fill, 2 hits, 0 misses", st)
+	}
+}
+
 func TestFillHashMismatchRejected(t *testing.T) {
 	ns := NewStore(1 << 20).Namespace("results")
 	corrupt := []byte("bit-flipped on the wire")

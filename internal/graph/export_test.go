@@ -4,6 +4,7 @@ package graph
 // kernelMinN, exposed so the external tests can compare them with the
 // parallel kernels on graphs above the threshold.
 var (
+	KernelMinN               = kernelMinN
 	BFSSequential            = (*Graph).bfsSequential
 	MultiSourceBFSSequential = (*Graph).multiSourceBFSSequential
 	DijkstraHeap             = (*Graph).dijkstraHeap

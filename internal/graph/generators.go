@@ -142,6 +142,12 @@ func BinaryTree(n int) *Graph {
 // cycle, adjacent cliques joined by a single edge. This family has small
 // NQ_k for moderate k (dense neighborhoods) but large diameter, separating
 // universal from existential bounds.
+//
+// With cliqueSize ≥ 3 every clique has a node on neither joining edge,
+// and two such nodes ⌊rings/2⌋ cliques apart are 2⌊rings/2⌋+1 hops
+// apart (in, then one bridge and one clique edge per clique passed);
+// that is the diameter. Smaller cliques have no such node and another
+// formula, so they stay unseeded.
 func RingOfCliques(rings, cliqueSize int) *Graph {
 	n := rings * cliqueSize
 	b := NewBuilder(n)
@@ -162,7 +168,10 @@ func RingOfCliques(rings, cliqueSize int) *Graph {
 			b.mustAddEdge(r*cliqueSize, next*cliqueSize+cliqueSize-1, 1)
 		}
 	}
-	return b.Build()
+	if rings < 1 || cliqueSize < 3 {
+		return b.Build()
+	}
+	return seedDiameter(b.Build(), int64(2*(rings/2)+1))
 }
 
 // Lollipop returns a clique of cliqueSize nodes with a path of pathLen

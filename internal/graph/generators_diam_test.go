@@ -9,6 +9,7 @@ package graph_test
 // odd and even cycles and tori).
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/graph"
@@ -44,6 +45,11 @@ func TestAnalyticDiameters(t *testing.T) {
 	}
 	for _, shape := range [][2]int{{1, 0}, {1, 5}, {2, 0}, {2, 1}, {4, 0}, {4, 7}, {8, 20}} {
 		add("lollipop", graph.Lollipop(shape[0], shape[1]))
+	}
+	for rings := 1; rings <= 10; rings++ {
+		for size := 1; size <= 6; size++ {
+			add(fmt.Sprintf("ringofcliques %d×%d", rings, size), graph.RingOfCliques(rings, size))
+		}
 	}
 	for _, c := range cases {
 		want := oracle.Diameter(c.g)

@@ -55,6 +55,9 @@ type Graph struct {
 	// MultiSourceDijkstra (below the parallel-kernel threshold), so
 	// repeated calls allocate only their result vectors.
 	heapPool sync.Pool
+	// queuePool recycles the capacity-n queue of the sequential BFS
+	// (*[]int32), so a one-shot BFS allocates only its result vector.
+	queuePool sync.Pool
 	// hopPool recycles the per-node bit words and frontier lists of the
 	// 64-source hop kernel (hopkernel.go) behind Diameter and
 	// BallProfiles.
@@ -68,7 +71,17 @@ type Graph struct {
 	// deltaCache memoizes deltaParams (Δ<<16 | ringK; 0 = uncomputed):
 	// a pure function of the weights, like diam.
 	deltaCache atomic.Int64
+	// unit memoizes IsWeighted (0 = not computed, else unitWeights or
+	// someWeighted), which routes Dijkstra to BFS. A pure function of
+	// the weights like deltaCache, so Reweight copies never carry it.
+	unit atomic.Int32
 }
+
+// Values of Graph.unit once computed.
+const (
+	unitWeights int32 = iota + 1
+	someWeighted
+)
 
 // edge is a directed half-edge in a Builder's adjacency list. An
 // undirected edge {u,v} appears as edge{to: v} in u's list and
@@ -240,7 +253,9 @@ func (g *Graph) Edges() []UndirectedEdge {
 // function must return a positive weight. It is called once per edge
 // in Edges() order, and the copy's rows list the edges in that order.
 // The copy keeps the hop facts already cached on g — the diameter and
-// the attached ball profiles — since weights cannot change them.
+// the attached ball profiles — since weights cannot change them. It
+// does not keep the facts that depend on the weights (IsWeighted, the
+// delta-stepping parameters); the copy derives them from its own.
 func (g *Graph) Reweight(f func(u, v int, w int64) int64) (*Graph, error) {
 	b := NewBuilder(g.N())
 	for _, e := range g.Edges() {
@@ -262,14 +277,24 @@ func (g *Graph) Unweighted() *Graph {
 	return c
 }
 
-// IsWeighted reports whether any edge has weight != 1.
+// IsWeighted reports whether any edge has weight != 1. The O(m) scan
+// runs once per graph; later calls read the memoized answer.
 func (g *Graph) IsWeighted() bool {
+	switch g.unit.Load() {
+	case unitWeights:
+		return false
+	case someWeighted:
+		return true
+	}
+	state := unitWeights
 	for _, w := range g.w {
 		if w != 1 {
-			return true
+			state = someWeighted
+			break
 		}
 	}
-	return false
+	g.unit.Store(state)
+	return state == someWeighted
 }
 
 // MaxWeight returns the largest edge weight (0 for an edgeless graph).

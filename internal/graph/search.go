@@ -25,8 +25,9 @@ func (g *Graph) bfsSequential(src int) []int64 {
 		return dist
 	}
 	dist[src] = 0
-	queue := make([]int32, 1, g.N())
-	queue[0] = int32(src)
+	q := g.getQueue()
+	defer g.queuePool.Put(q)
+	queue := append((*q)[:0], int32(src))
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
 		d := dist[v] + 1
@@ -38,6 +39,19 @@ func (g *Graph) bfsSequential(src int) []int64 {
 		}
 	}
 	return dist
+}
+
+// getQueue returns a pooled BFS queue of capacity n (every node is
+// enqueued at most once, so appends never reallocate it). Return it
+// with g.queuePool.Put. The pool holds a pointer so that Put does not
+// allocate.
+func (g *Graph) getQueue() *[]int32 {
+	q, _ := g.queuePool.Get().(*[]int32)
+	if q == nil || cap(*q) < g.N() {
+		s := make([]int32, 0, g.N())
+		q = &s
+	}
+	return q
 }
 
 // MultiSourceBFS returns, for each node, the hop distance to the closest
@@ -62,7 +76,9 @@ func (g *Graph) multiSourceBFSSequential(srcs []int) (dist []int64, nearest []in
 		dist[i] = Inf
 		nearest[i] = -1
 	}
-	queue := make([]int32, 0, n)
+	q := g.getQueue()
+	defer g.queuePool.Put(q)
+	queue := (*q)[:0]
 	for i, s := range srcs {
 		if s >= 0 && s < n && dist[s] == Inf {
 			dist[s] = 0
@@ -281,9 +297,13 @@ func (h *DistHeap) Pop() (int32, int64) {
 }
 
 // Dijkstra returns weighted distances d(src, ·) (Inf for unreachable).
-// Large graphs (n ≥ 2^15) route to the delta-stepping bucket
-// kernel (deltastep.go); the output is identical either way.
+// On unit weights it is BFS, which gives the same distances without a
+// heap. Otherwise large graphs (n ≥ 2^15) route to the delta-stepping
+// bucket kernel (deltastep.go); the output is identical either way.
 func (g *Graph) Dijkstra(src int) []int64 {
+	if !g.IsWeighted() {
+		return g.BFS(src)
+	}
 	if g.N() >= kernelMinN {
 		return g.DeltaStepping(src, 0)
 	}

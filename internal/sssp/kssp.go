@@ -187,10 +187,12 @@ func closestSkeleton(sk *skeleton.Skeleton, dh []int64) (int, int64) {
 	return best, bestD
 }
 
+// quantizeAll rounds every entry of d up in place and returns d. Every
+// caller passes a distance vector Dijkstra has just returned, which it
+// owns, so no second vector is needed.
 func quantizeAll(d []int64, q *Quantizer) []int64 {
-	out := make([]int64, len(d))
 	for i, x := range d {
-		out[i] = q.Up(x)
+		d[i] = q.Up(x)
 	}
-	return out
+	return d
 }

@@ -32,12 +32,21 @@ var quantizerEpsilons = []float64{0.01, 0.1, 0.25, 0.5, 1, 2}
 // TestQuantizerMatchesReference: Quantizer.Up and QuantizeUp equal the
 // reference bit for bit on every distance in [−2, 2^21), on 10^6 random
 // distances below Inf (the large ones reach exponents above the table
-// cap), and on the pass-through inputs d ≥ Inf and eps ≤ 0.
+// cap), and on the pass-through inputs d ≥ Inf and eps ≤ 0. Each
+// distance in [−2, 2^21) is queried twice, in shuffled order, so the
+// per-distance memo is both filled and read back in between queries at
+// or above its cap.
 func TestQuantizerMatchesReference(t *testing.T) {
+	const lo, hi = -2, 1 << 21
+	ds := make([]int32, 0, 2*(hi-lo))
+	for d := int32(lo); d < hi; d++ {
+		ds = append(ds, d, d)
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(ds), func(i, j int) { ds[i], ds[j] = ds[j], ds[i] })
 	for _, eps := range quantizerEpsilons {
 		q := NewQuantizer(eps)
-		for d := int64(-2); d < 1<<21; d++ {
-			if got, want := q.Up(d), referenceQuantizeUp(d, eps); got != want {
+		for _, d := range ds {
+			if got, want := q.Up(int64(d)), referenceQuantizeUp(int64(d), eps); got != want {
 				t.Fatalf("eps=%v: Up(%d) = %d, reference %d", eps, d, got, want)
 			}
 		}

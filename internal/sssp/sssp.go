@@ -34,20 +34,23 @@ func QuantizeUp(d int64, eps float64) int64 {
 	return q.Up(d)
 }
 
-// quantizerTableCap bounds a Quantizer's table: exponents at or above it
-// (distances beyond (1+eps)^4096) compute their power directly.
+// quantizerTableCap bounds a Quantizer's tables: exponents at or above
+// it (distances beyond (1+eps)^4096) compute their power directly, and
+// distances at or above it are rounded without the per-distance memo.
 const quantizerTableCap = 1 << 12
 
 // Quantizer is QuantizeUp for one fixed eps. It computes log(1+eps) once
 // and memoizes ⌊exp(i·log(1+eps))⌋ per exponent i, so rounding a
-// distance costs one Log instead of a Log and an Exp. Every table entry
-// is computed by the direct path's float expression, so Up(d) equals
-// QuantizeUp(d, eps) bit for bit. A Quantizer is not safe for
-// concurrent use.
+// distance costs one Log instead of a Log and an Exp; a distance below
+// quantizerTableCap is rounded once and then read back from a
+// per-distance table. Every table entry is computed by the direct
+// path's float expressions, so Up(d) equals QuantizeUp(d, eps) bit for
+// bit. A Quantizer is not safe for concurrent use.
 type Quantizer struct {
 	eps, step float64
 	memo      bool
 	pow       []int64 // pow[i] = ⌊exp(i·step)⌋ once computed, 0 before
+	byD       []int64 // byD[d] = Up(d) once computed, 0 before (Up(d) ≥ d > 0)
 }
 
 // NewQuantizer returns a memoizing Quantizer for eps.
@@ -57,6 +60,20 @@ func NewQuantizer(eps float64) *Quantizer {
 
 // Up returns QuantizeUp(d, eps).
 func (z *Quantizer) Up(d int64) int64 {
+	if !z.memo || d <= 0 || d >= quantizerTableCap {
+		return z.up(d)
+	}
+	if d >= int64(len(z.byD)) {
+		z.byD = append(z.byD, make([]int64, d+1-int64(len(z.byD)))...)
+	}
+	if z.byD[d] == 0 {
+		z.byD[d] = z.up(d)
+	}
+	return z.byD[d]
+}
+
+// up is Up without the per-distance memo.
+func (z *Quantizer) up(d int64) int64 {
 	if d <= 0 || d >= graph.Inf || z.eps <= 0 {
 		return d
 	}
@@ -112,13 +129,7 @@ func Approx(net *hybrid.Net, source int, eps float64) ([]int64, error) {
 		return nil, fmt.Errorf("sssp: eps=%v must be positive", eps)
 	}
 	net.Charge("sssp/theorem13", Theorem13Rounds(net.PLog(), eps))
-	exact := net.Graph().Dijkstra(source)
-	out := make([]int64, len(exact))
-	q := NewQuantizer(eps)
-	for v, d := range exact {
-		out[v] = q.Up(d)
-	}
-	return out, nil
+	return quantizeAll(net.Graph().Dijkstra(source), NewQuantizer(eps)), nil
 }
 
 // ExactBFS runs the unweighted exact SSSP as a genuinely distributed
