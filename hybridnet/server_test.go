@@ -308,6 +308,38 @@ func TestServerProfileArtifacts(t *testing.T) {
 	}
 }
 
+// TestServerSharesSeedFreeTopologiesAcrossScenarios: a server that
+// sweeps table1 and then table2 over {path, random} builds the seed-free
+// path once for both, and the seeded random graph once per scenario
+// (each scenario derives its own GraphSeed). Each scenario's results are
+// byte-identical to those of a server that swept it alone.
+func TestServerSharesSeedFreeTopologiesAcrossScenarios(t *testing.T) {
+	sweep := func(srv *hybridnet.Server, scenario string) []byte {
+		t.Helper()
+		st, err := srv.Submit(hybridnet.SweepRequest{Scenario: scenario, Families: []string{"path", "random"}, N: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err = srv.Wait(st.ID); err != nil || st.State != hybridnet.SweepDone {
+			t.Fatalf("%s sweep: %+v, %v", scenario, st, err)
+		}
+		return results(t, srv, st.ID, "jsonl")
+	}
+	srv := newTestServer(t, hybridnet.ServerConfig{})
+	shared := map[string][]byte{}
+	for _, scenario := range []string{"table1", "table2"} {
+		shared[scenario] = sweep(srv, scenario)
+	}
+	if gc := srv.CacheStats().GraphCache; gc.Builds != 1+2 {
+		t.Fatalf("table1 then table2 built %d graphs, want 3 (path once, random per scenario): %+v", gc.Builds, gc)
+	}
+	for _, scenario := range []string{"table1", "table2"} {
+		if alone := sweep(newTestServer(t, hybridnet.ServerConfig{}), scenario); !bytes.Equal(alone, shared[scenario]) {
+			t.Fatalf("%s results depend on the sweeps before it:\n%s\nvs\n%s", scenario, shared[scenario], alone)
+		}
+	}
+}
+
 // TestCacheStatsJSONKeys pins the graph_cache and profile_cache blocks
 // of /v1/cache/stats byte for byte: field names and their order are a
 // wire contract for dashboards and the load tool.

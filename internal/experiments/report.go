@@ -119,9 +119,10 @@ func WriteReport(w io.Writer, cfg ReportConfig) error {
 		return err
 	}
 	// One topology cache and one derived-profile cache for the whole
-	// report: within each section the sweep points share their
-	// (family, n, GraphSeed) instance, so every distinct graph is built
-	// exactly once and its ball-profile artifact grown exactly once.
+	// report: the sweep points share their topology instance, and a
+	// seed-free family's (family, n) instance is shared across sections
+	// too, so every distinct graph is built exactly once and its
+	// ball-profile artifact grown exactly once.
 	// Sharing does not change the output — a cached instance is
 	// byte-identical to a per-cell build, and profile-served NQ values
 	// equal per-cell ball growth (DESIGN.md §9–10).

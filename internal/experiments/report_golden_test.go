@@ -3,6 +3,7 @@ package experiments
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
 	"testing"
 )
 
@@ -21,5 +22,20 @@ func TestReportGolden(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != reportGolden576 {
 		t.Fatalf("default report (N=576, seed 1, jsonl) hashes to %s, want %s", got, reportGolden576)
+	}
+}
+
+// BenchmarkWriteReport times the default report of TestReportGolden
+// (N = 576, seed 1, JSONL, one worker) written to io.Discard, each
+// iteration from fresh topology and profile caches, as cmd/experiments
+// runs it. Profile it with
+//
+//	go test -run '^$' -bench WriteReport -benchtime 12x -cpuprofile cpu.out ./internal/experiments
+func BenchmarkWriteReport(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := WriteReport(io.Discard, ReportConfig{N: 576, Seed: 1, Workers: 1, Format: "jsonl"}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

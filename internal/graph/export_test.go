@@ -9,3 +9,11 @@ var (
 	MultiSourceBFSSequential = (*Graph).multiSourceBFSSequential
 	DijkstraHeap             = (*Graph).dijkstraHeap
 )
+
+// ForceHopDirection makes every hop-kernel level push (pull false) or
+// pull (pull true) until the returned restore runs, so a test can check
+// each direction on its own against per-source searches.
+func ForceHopDirection(pull bool) (restore func()) {
+	hopDirectionOverride = func() bool { return pull }
+	return func() { hopDirectionOverride = nil }
+}

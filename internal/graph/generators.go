@@ -308,9 +308,15 @@ func Families() []Family {
 	}
 }
 
+// Seeded reports whether Build draws the family's graph from its rng.
+// Only FamilyRandom and FamilyExpander do; every other family is a
+// fixed function of n, the same graph at every seed.
+func (f Family) Seeded() bool { return f == FamilyRandom || f == FamilyExpander }
+
 // Build constructs a member of the family with approximately n nodes
-// (grids round down to a perfect power). The rng is used only by
-// FamilyRandom; it may be nil for deterministic families. Like every
+// (grids round down to a perfect power). The rng is used only by the
+// Seeded families (FamilyRandom and FamilyExpander); it may be nil, which
+// means seed 1, and it is ignored by every other family. Like every
 // Graph, the result is immutable and safe to share between goroutines.
 func Build(f Family, n int, rng *rand.Rand) (*Graph, error) {
 	switch f {

@@ -7,6 +7,16 @@ package graph
 // share every edge scan. Both all-sources hop facts the harness needs —
 // the exact diameter (Diameter) and the truncated ball profiles
 // t ↦ |B_t(v)| (BallProfiles) — are batches of this one kernel.
+//
+// Each level runs in one of two directions, the direction-optimizing
+// BFS of Beamer et al. (SC 2012) applied per batch. A push level walks
+// the frontier and ORs each frontier node's bits into its neighbours;
+// a pull level walks every node that some live source has not reached
+// and ORs its neighbours' frontier bits into it, writing only its own
+// words. Pulling pays for every unreached node's edges, pushing for
+// every frontier node's edges and every new (source, node) pair, so
+// the kernel pulls exactly when the second estimate is the larger one
+// (pullLevel). Both directions reach the same nodes at every level.
 
 import (
 	"math/bits"
@@ -72,54 +82,59 @@ func (g *Graph) hopKernel(lo, hi, maxR int, ecc []int64, lens []int32) []int32 {
 	if n == 1 {
 		ecc[0], live = 0, 0
 	}
+	pairs := nb // new (source, node) pairs of the last level
 	for t := 1; t <= maxR && live != 0; t++ {
-		// Expand the frontier one level, in node order. A source's new
-		// nodes are the neighbors it has not seen yet; seen absorbs
-		// them at once, so later scans of the same level skip them.
 		var cnt [hopBatch]int32
 		nlo, nhi := len(nxtSet), -1
-		for w := wlo; w <= whi; w++ {
-			word := curSet[w]
-			curSet[w] = 0
-			for ; word != 0; word &= word - 1 {
-				u := w<<6 | bits.TrailingZeros64(word)
-				f := cur[u] & live
-				cur[u] = 0
-				if f == 0 {
-					continue
-				}
-				row := g.to[g.rowStart[u]:g.rowStart[u+1]]
-				if f&(f-1) == 0 {
-					// One source: its new neighbors all count for it.
-					k := int32(0)
-					for _, x := range row {
-						if sx := seen[x]; sx&f == 0 {
-							seen[x] = sx | f
-							nxt[x] |= f
-							if xw := x >> 6; nxtSet[xw] == 0 {
-								nlo, nhi = min(nlo, int(xw)), max(nhi, int(xw))
-							}
-							nxtSet[x>>6] |= 1 << (x & 63)
-							k++
-						}
-					}
-					cnt[bits.TrailingZeros64(f)] += k
-					continue
-				}
-				for _, x := range row {
-					sx := seen[x]
-					nw := f &^ sx
-					if nw == 0 {
+		if g.pullLevel(pairs, curSet, wlo, whi) {
+			nlo, nhi = g.pullHopLevel(live, seen, cur, nxt, curSet, nxtSet, wlo, whi, &cnt)
+		} else {
+			// Expand the frontier one level, in node order. A source's new
+			// nodes are the neighbors it has not seen yet; seen absorbs
+			// them at once, so later scans of the same level skip them.
+			for w := wlo; w <= whi; w++ {
+				word := curSet[w]
+				curSet[w] = 0
+				for ; word != 0; word &= word - 1 {
+					u := w<<6 | bits.TrailingZeros64(word)
+					f := cur[u] & live
+					cur[u] = 0
+					if f == 0 {
 						continue
 					}
-					seen[x] = sx | nw
-					nxt[x] |= nw
-					if xw := x >> 6; nxtSet[xw] == 0 {
-						nlo, nhi = min(nlo, int(xw)), max(nhi, int(xw))
+					row := g.to[g.rowStart[u]:g.rowStart[u+1]]
+					if f&(f-1) == 0 {
+						// One source: its new neighbors all count for it.
+						k := int32(0)
+						for _, x := range row {
+							if sx := seen[x]; sx&f == 0 {
+								seen[x] = sx | f
+								nxt[x] |= f
+								if xw := x >> 6; nxtSet[xw] == 0 {
+									nlo, nhi = min(nlo, int(xw)), max(nhi, int(xw))
+								}
+								nxtSet[x>>6] |= 1 << (x & 63)
+								k++
+							}
+						}
+						cnt[bits.TrailingZeros64(f)] += k
+						continue
 					}
-					nxtSet[x>>6] |= 1 << (x & 63)
-					for ; nw != 0; nw &= nw - 1 {
-						cnt[bits.TrailingZeros64(nw)]++
+					for _, x := range row {
+						sx := seen[x]
+						nw := f &^ sx
+						if nw == 0 {
+							continue
+						}
+						seen[x] = sx | nw
+						nxt[x] |= nw
+						if xw := x >> 6; nxtSet[xw] == 0 {
+							nlo, nhi = min(nlo, int(xw)), max(nhi, int(xw))
+						}
+						nxtSet[x>>6] |= 1 << (x & 63)
+						for ; nw != 0; nw &= nw - 1 {
+							cnt[bits.TrailingZeros64(nw)]++
+						}
 					}
 				}
 			}
@@ -128,9 +143,11 @@ func (g *Graph) hopKernel(lo, hi, maxR int, ecc []int64, lens []int32) []int32 {
 		cur, nxt, curSet, nxtSet = nxt, cur, nxtSet, curSet
 		wlo, whi = nlo, nhi
 		slo, shi = min(slo, nlo), max(shi, nhi)
+		pairs = 0
 		for m := live; m != 0; m &= m - 1 {
 			i := bits.TrailingZeros64(m)
 			total[i] += cnt[i]
+			pairs += int(cnt[i])
 			rowLen[i]++
 			switch {
 			case int(total[i]) == n:
@@ -168,6 +185,101 @@ func (g *Graph) hopKernel(lo, hi, maxR int, ecc []int64, lens []int32) []int32 {
 		}
 	}
 	return out
+}
+
+// hopDirectionOverride, when non-nil, replaces pullLevel's rule: it
+// reports whether a level pulls. Tests set it to run each direction on
+// its own; it is nil in production.
+var hopDirectionOverride func() bool
+
+// pullLevel reports whether the next level pulls. curSet[wlo..whi]
+// holds the frontier's nonzero words and pairs is the number of new
+// (source, node) pairs the last level found, which stands in for the
+// next level's. With F frontier nodes, P pairs, m edges and average
+// degree d̄ = 2m/n, the costs are about
+//
+//	push: F·(4 + d̄) + P    (per frontier node and edge, per new pair)
+//	pull: n·(3 + d̄/2)      (per node and edge, every node unreached)
+//
+// in units of about 2 ns, a least-squares fit of per-level times of
+// both directions over the 11 families at n = 576 and 4096. The pull
+// estimate counts every node as unreached, its upper bound, so a level
+// pulls only when the push estimate beats even that. F ≤ P, so the
+// frontier is counted only when P alone could tip the rule.
+func (g *Graph) pullLevel(pairs int, curSet []uint64, wlo, whi int) bool {
+	if hopDirectionOverride != nil {
+		return hopDirectionOverride()
+	}
+	n, m, p := int64(g.N()), int64(len(g.to)/2), int64(pairs)
+	pull := n * (3*n + m)
+	if p*(5*n+2*m) <= pull {
+		return false
+	}
+	f := int64(0)
+	for w := wlo; w <= whi; w++ {
+		f += int64(bits.OnesCount64(curSet[w]))
+	}
+	return f*(4*n+2*m)+p*n > pull
+}
+
+// pullHopLevel expands the frontier one level in the pull direction:
+// every node x that some live source has not seen ORs its neighbours'
+// cur words, keeps the bits of the live sources it has not seen and
+// writes its own seen, nxt and nxtSet words, in node order. Per-source
+// counts of the new nodes accumulate in bit-sliced 4-bit counters held
+// in registers, c_j holding bit j of every source's count mod 16; a
+// carry out of c3 adds 16 to cnt, and the remainders are added at the
+// end. It then zeroes the frontier (its cur words and curSet[wlo..whi])
+// and returns the range of nonzero nxtSet words.
+func (g *Graph) pullHopLevel(live uint64, seen, cur, nxt, curSet, nxtSet []uint64, wlo, whi int, cnt *[hopBatch]int32) (nlo, nhi int) {
+	n := g.N()
+	nlo, nhi = len(nxtSet), -1
+	var c0, c1, c2, c3 uint64
+	for w := range nxtSet {
+		var set uint64
+		for x := w << 6; x < min(w<<6+64, n); x++ {
+			sx := seen[x]
+			miss := live &^ sx
+			if miss == 0 {
+				continue
+			}
+			var acc uint64
+			for _, u := range g.to[g.rowStart[x]:g.rowStart[x+1]] {
+				acc |= cur[u]
+			}
+			nw := acc & miss
+			if nw == 0 {
+				continue
+			}
+			seen[x] = sx | nw
+			nxt[x] = nw
+			set |= 1 << (x & 63)
+			k := c0 & nw
+			c0 ^= nw
+			k, c1 = c1&k, c1^k
+			k, c2 = c2&k, c2^k
+			k, c3 = c3&k, c3^k
+			for ; k != 0; k &= k - 1 {
+				cnt[bits.TrailingZeros64(k)] += 16
+			}
+		}
+		if set != 0 {
+			nxtSet[w] = set
+			nlo, nhi = min(nlo, w), w
+		}
+	}
+	for j, plane := range [...]uint64{c0, c1, c2, c3} {
+		for ; plane != 0; plane &= plane - 1 {
+			cnt[bits.TrailingZeros64(plane)] += 1 << j
+		}
+	}
+	for w := wlo; w <= whi; w++ {
+		for word := curSet[w]; word != 0; word &= word - 1 {
+			cur[w<<6|bits.TrailingZeros64(word)] = 0
+		}
+		curSet[w] = 0
+	}
+	return nlo, nhi
 }
 
 // forEachHopBatch calls fn(lo, hi) for every hopBatch-node source range

@@ -65,36 +65,52 @@ func hopKernelGraphs(t *testing.T) map[string]*graph.Graph {
 // TestHopKernelMatchesPerSourceBFS: every profile row, eccentricity and
 // diameter the kernel computes equals what per-source searches give,
 // at truncation radii from 0 to n, including partial 64-source batches
-// and disconnected graphs.
+// and disconnected graphs — with every level pushed, with every level
+// pulled, and with the kernel's own per-level choice.
 func TestHopKernelMatchesPerSourceBFS(t *testing.T) {
 	for name, g := range hopKernelGraphs(t) {
 		n := g.N()
-		if want, got := oracle.Diameter(g), uncached(t, g).Diameter(); got != want {
-			t.Fatalf("%s: Diameter %d, oracle %d", name, got, want)
-		}
+		diam := oracle.Diameter(g)
 		ecc := make([]int64, n)
 		for v := range ecc {
 			ecc[v] = g.Eccentricity(v)
 		}
-		for _, maxR := range []int{0, 1, graph.ProfileRadius(n, g.Diameter()), n} {
-			p := g.BallProfilesWorkers(maxR, 1)
-			for v := 0; v < n; v++ {
-				if e := p.Ecc(v); e != graph.EccUnknown && e != ecc[v] {
-					t.Fatalf("%s maxR=%d: Ecc(%d)=%d, Eccentricity %d", name, maxR, v, e, ecc[v])
+		radii := []int{0, 1, graph.ProfileRadius(n, diam), n}
+		sizes := make([][][]int, len(radii)) // sizes[r][v] = BallSizes(v, radii[r])
+		for r, maxR := range radii {
+			sizes[r] = make([][]int, n)
+			for v := range sizes[r] {
+				sizes[r][v] = g.BallSizes(v, maxR)
+			}
+		}
+		for _, mode := range []string{"push", "pull", "adaptive"} {
+			func() {
+				if mode != "adaptive" {
+					defer graph.ForceHopDirection(mode == "pull")() // Fatalf runs it too
 				}
-				sizes := g.BallSizes(v, maxR)
-				if p.Len(v) != len(sizes) {
-					t.Fatalf("%s maxR=%d: Len(%d)=%d, BallSizes has %d entries", name, maxR, v, p.Len(v), len(sizes))
+				if got := uncached(t, g).Diameter(); got != diam {
+					t.Fatalf("%s %s: Diameter %d, oracle %d", mode, name, got, diam)
 				}
-				for tt, want := range sizes {
-					if got := p.Size(v, tt); got != want {
-						t.Fatalf("%s maxR=%d: Size(%d,%d)=%d, BallSizes %d", name, maxR, v, tt, got, want)
+				for r, maxR := range radii {
+					p := g.BallProfilesWorkers(maxR, 1)
+					for v := 0; v < n; v++ {
+						if e := p.Ecc(v); e != graph.EccUnknown && e != ecc[v] {
+							t.Fatalf("%s %s maxR=%d: Ecc(%d)=%d, Eccentricity %d", mode, name, maxR, v, e, ecc[v])
+						}
+						if p.Len(v) != len(sizes[r][v]) {
+							t.Fatalf("%s %s maxR=%d: Len(%d)=%d, BallSizes has %d entries", mode, name, maxR, v, p.Len(v), len(sizes[r][v]))
+						}
+						for tt, want := range sizes[r][v] {
+							if got := p.Size(v, tt); got != want {
+								t.Fatalf("%s %s maxR=%d: Size(%d,%d)=%d, BallSizes %d", mode, name, maxR, v, tt, got, want)
+							}
+						}
+					}
+					if !bytes.Equal(graph.EncodeProfiles(p), graph.EncodeProfiles(g.BallProfilesWorkers(maxR, 4))) {
+						t.Fatalf("%s %s maxR=%d: profiles differ between 1 and 4 workers", mode, name, maxR)
 					}
 				}
-			}
-			if !bytes.Equal(graph.EncodeProfiles(p), graph.EncodeProfiles(g.BallProfilesWorkers(maxR, 4))) {
-				t.Fatalf("%s maxR=%d: profiles differ between 1 and 4 workers", name, maxR)
-			}
+			}()
 		}
 	}
 }
@@ -164,40 +180,47 @@ func TestReweightCarriesHopFacts(t *testing.T) {
 	}
 }
 
+// benchSizes are the kernel benchmarks' graph sizes: the default
+// report's n and a larger one.
+var benchSizes = []int{576, 4096}
+
 // BenchmarkBallProfiles times the canonical profile artifact of each
-// family at n = 4096 on one worker.
+// family on one worker.
 func BenchmarkBallProfiles(b *testing.B) {
-	for _, f := range graph.Families() {
-		g, err := graph.Build(f, 4096, rand.New(rand.NewSource(1)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		r := graph.ProfileRadius(g.N(), g.Diameter())
-		b.Run(string(f), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				g.BallProfilesWorkers(r, 1)
+	for _, n := range benchSizes {
+		for _, f := range graph.Families() {
+			g, err := graph.Build(f, n, rand.New(rand.NewSource(1)))
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
+			r := graph.ProfileRadius(g.N(), g.Diameter())
+			b.Run(fmt.Sprintf("n=%d/%s", n, f), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					g.BallProfilesWorkers(r, 1)
+				}
+			})
+		}
 	}
 }
 
-// BenchmarkDiameter times an uncached Diameter of each family at
-// n = 4096.
+// BenchmarkDiameter times an uncached Diameter of each family.
 func BenchmarkDiameter(b *testing.B) {
-	for _, f := range graph.Families() {
-		g, err := graph.Build(f, 4096, rand.New(rand.NewSource(1)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(string(f), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				c := uncached(b, g)
-				b.StartTimer()
-				c.Diameter()
+	for _, n := range benchSizes {
+		for _, f := range graph.Families() {
+			g, err := graph.Build(f, n, rand.New(rand.NewSource(1)))
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
+			b.Run(fmt.Sprintf("n=%d/%s", n, f), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					c := uncached(b, g)
+					b.StartTimer()
+					c.Diameter()
+				}
+			})
+		}
 	}
 }

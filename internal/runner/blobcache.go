@@ -1,8 +1,9 @@
 package runner
 
 // The one derived-artifact cache (DESIGN.md §9–§10). A topology and
-// its ball profiles are both pure functions of one (family, n,
-// GraphSeed) coordinate, so GraphCache and ProfileCache are thin
+// its ball profiles are both pure functions of one topology coordinate
+// — (family, n, GraphSeed) for a seeded family, (family, n) for a
+// seed-free one — so GraphCache and ProfileCache are thin
 // front-ends over this core: each supplies a content address, a codec
 // and a build, and the core shares the decoded value in a bounded LRU,
 // builds it at most once per process (singleflight), and persists its

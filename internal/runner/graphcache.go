@@ -5,12 +5,14 @@ package runner
 // every resubmission of a sweep, measures the same instance of G. The
 // runner encodes that by deriving a point-independent GraphSeed per
 // cell — and the GraphCache exploits it: concurrent workers asking for
-// the same (family, n, GraphSeed) coordinate build the graph exactly
-// once (singleflight), share the immutable instance in memory, and
-// persist its CSR encoding through the artifact store so later
-// processes restore instead of rebuild. Sharing is safe because a
-// graph.Graph has no mutators and every lazy annotation on it is
-// atomic.
+// the same topology build the graph exactly once (singleflight), share
+// the immutable instance in memory, and persist its CSR encoding
+// through the artifact store so later processes restore instead of
+// rebuild. A topology is (family, n, GraphSeed) for the seeded families
+// and (family, n) for every other one, whose graph ignores the seed
+// (graph.Family.Seeded), so one instance serves every scenario and base
+// seed. Sharing is safe because a graph.Graph has no mutators and every
+// lazy annotation on it is atomic.
 
 import (
 	"crypto/sha256"
@@ -22,20 +24,31 @@ import (
 )
 
 // GraphKey returns the content address of one topology coordinate. It
-// covers the build inputs (family, n, seed) and graph.CodecVersion, so
-// a codec format change orphans persisted topologies instead of
-// misreading them.
+// covers the build inputs (family, n, and the seed if the family is
+// seeded; see topologySeed) and graph.CodecVersion, so a codec format
+// change orphans persisted topologies instead of misreading them.
 func GraphKey(family graph.Family, n int, seed int64) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "graph\x00codec=%d\x00family=%s\x00n=%d\x00seed=%d", graph.CodecVersion, family, n, seed)
+	fmt.Fprintf(h, "graph\x00codec=%d\x00family=%s\x00n=%d\x00seed=%d", graph.CodecVersion, family, n, topologySeed(family, seed))
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// topologySeed is the seed a topology's keys cover: the build seed for
+// a seeded family and 0 for every other one, whose graph is the same at
+// every seed, so all seeds of a seed-free (family, n) share one key.
+func topologySeed(family graph.Family, seed int64) int64 {
+	if family.Seeded() {
+		return seed
+	}
+	return 0
 }
 
 // GraphCacheStats snapshots a GraphCache's effectiveness counters.
 type GraphCacheStats struct {
 	// Builds counts graphs constructed from scratch — the acceptance
-	// invariant is one build per distinct (family, n, GraphSeed) across
-	// a whole sweep, zero across a resubmission.
+	// invariant is one build per distinct GraphKey per process (one per
+	// (family, n) for a seed-free family, one per (family, n,
+	// GraphSeed) for a seeded one), zero across a resubmission.
 	Builds uint64 `json:"builds"`
 	// MemHits counts Gets served by a decoded in-memory instance.
 	MemHits uint64 `json:"mem_hits"`

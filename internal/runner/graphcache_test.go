@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/nq"
 )
 
 // mapBlobStore is a minimal BlobStore for tests, with a put/get trace.
@@ -160,11 +161,12 @@ func TestGraphCacheCorruptBlobRebuilds(t *testing.T) {
 
 // TestGraphCacheEvictionBound: the decoded-instance LRU respects its
 // limit; evicted coordinates are restored from the store, not rebuilt.
+// It uses a seeded family, so each seed is a distinct topology.
 func TestGraphCacheEvictionBound(t *testing.T) {
 	store := newMapBlobStore()
 	gc := NewGraphCache(store, 2)
 	for seed := int64(1); seed <= 3; seed++ {
-		if _, err := gc.Get(graph.FamilyPath, 32, seed); err != nil {
+		if _, err := gc.Get(graph.FamilyRandom, 32, seed); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,7 +175,7 @@ func TestGraphCacheEvictionBound(t *testing.T) {
 		t.Fatalf("stats %+v", st)
 	}
 	// Seed 1 was evicted: the store restores it without a rebuild.
-	if _, err := gc.Get(graph.FamilyPath, 32, 1); err != nil {
+	if _, err := gc.Get(graph.FamilyRandom, 32, 1); err != nil {
 		t.Fatal(err)
 	}
 	if st := gc.Stats(); st.Builds != 3 || st.StoreHits != 1 {
@@ -181,16 +183,16 @@ func TestGraphCacheEvictionBound(t *testing.T) {
 	}
 }
 
-// TestCollectBuildsEachGraphOnce is the tentpole acceptance at the
-// runner level: a sweep whose grid shares topologies across points
-// builds each distinct (family, n, GraphSeed) exactly once, and an
-// immediately repeated sweep builds zero.
+// TestCollectBuildsEachGraphOnce is the acceptance at the runner
+// level: a sweep whose grid shares topologies across points builds
+// each distinct (family, n, GraphSeed) of the seeded families exactly
+// once, and an immediately repeated sweep builds zero.
 func TestCollectBuildsEachGraphOnce(t *testing.T) {
 	gc := NewGraphCache(nil, 0)
 	type row struct{ Hash string }
 	sc := &Scenario[row]{
 		Name:     "graphshare",
-		Families: []graph.Family{graph.FamilyPath, graph.FamilyGrid2D},
+		Families: []graph.Family{graph.FamilyRandom, graph.FamilyExpander},
 		Ns:       []int{32, 64},
 		Seeds:    []int64{1, 2},
 		Points:   PointsK([]int{1, 2, 4}),
@@ -239,6 +241,71 @@ func TestCollectBuildsEachGraphOnce(t *testing.T) {
 	for i := range bare {
 		if bare[i] != cold[i] {
 			t.Fatalf("row %d differs from the uncached run: %+v vs %+v", i, cold[i], bare[i])
+		}
+	}
+}
+
+// TestSeedFreeTopologySharedAcrossScenarios: two scenarios swept at
+// two base seeds each build and profile the seed-free path once, and
+// the seeded random family once per (scenario, base seed), whose
+// GraphSeed differs. The shared path instance is the one every cell
+// would build on its own.
+func TestSeedFreeTopologySharedAcrossScenarios(t *testing.T) {
+	gc := NewGraphCache(nil, 0)
+	pc := NewProfileCache(nil, 0)
+	type row struct {
+		Hash string
+		NQ   int
+	}
+	run := func(c *Cell) ([]row, error) {
+		g, err := c.BuildGraph()
+		if err != nil {
+			return nil, err
+		}
+		c.BallProfiles(g)
+		h, err := graph.CSRHash(g)
+		if err != nil {
+			return nil, err
+		}
+		q, err := nq.Of(g, c.Point.K)
+		if err != nil {
+			return nil, err
+		}
+		return []row{{Hash: h, NQ: q}}, nil
+	}
+	var shared, bare [][]row
+	for _, name := range []string{"first", "second"} {
+		sc := &Scenario[row]{
+			Name:     name,
+			Families: []graph.Family{graph.FamilyPath, graph.FamilyRandom},
+			Ns:       []int{48},
+			Seeds:    []int64{1, 2},
+			Points:   PointsK([]int{4, 16}),
+			Run:      run,
+		}
+		rows, err := Collect(&Runner{Workers: 4, Graphs: gc, Profiles: pc}, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared = append(shared, rows)
+		rows, err = Collect(&Runner{Workers: 1}, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bare = append(bare, rows)
+	}
+	const want = 1 + 2*2 // path once; random per scenario × base seed
+	if st := gc.Stats(); st.Builds != want {
+		t.Fatalf("built %d graphs, want %d (stats %+v)", st.Builds, want, st)
+	}
+	if st := pc.Stats(); st.Computes != want {
+		t.Fatalf("computed %d profiles, want %d (stats %+v)", st.Computes, want, st)
+	}
+	for s := range shared {
+		for i := range shared[s] {
+			if shared[s][i] != bare[s][i] {
+				t.Fatalf("scenario %d row %d: shared %+v, uncached %+v", s, i, shared[s][i], bare[s][i])
+			}
 		}
 	}
 }

@@ -5,8 +5,9 @@ package runner
 // topology coordinate, just like the graph itself — so the same
 // content-addressed core that shares graphs across sweep cells
 // (GraphCache, §9) shares the profiles derived from them: concurrent
-// workers asking for the same (family, n, GraphSeed) coordinate
-// compute the profile exactly once (singleflight), share the immutable
+// workers asking for the same topology (keyed like GraphKey, the seed
+// folded away for seed-free families) compute the profile exactly once
+// (singleflight), share the immutable
 // decoded artifact in memory, and persist its encoding through the
 // artifact store's "profiles" namespace so later processes restore
 // instead of recompute. An entire nqscaling sweep therefore grows ball
@@ -22,7 +23,8 @@ import (
 )
 
 // ProfileKey returns the content address of one topology coordinate's
-// ball-profile artifact. It covers the build inputs (family, n, seed),
+// ball-profile artifact. It covers the build inputs (family, n, and
+// the seed if the family is seeded, as in GraphKey),
 // graph.CodecVersion (the profile derives from the decoded topology)
 // and graph.ProfilesCodecVersion (wire format and truncation policy),
 // so a change to either orphans persisted artifacts instead of
@@ -30,15 +32,16 @@ import (
 func ProfileKey(family graph.Family, n int, seed int64) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "profiles\x00codec=%d\x00profilecodec=%d\x00family=%s\x00n=%d\x00seed=%d",
-		graph.CodecVersion, graph.ProfilesCodecVersion, family, n, seed)
+		graph.CodecVersion, graph.ProfilesCodecVersion, family, n, topologySeed(family, seed))
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // ProfileCacheStats snapshots a ProfileCache's effectiveness counters.
 type ProfileCacheStats struct {
 	// Computes counts profiles grown from scratch by the batch kernel —
-	// the acceptance invariant is one per distinct (family, n,
-	// GraphSeed) across a whole sweep, zero across a resubmission.
+	// the acceptance invariant is one per distinct ProfileKey per
+	// process (one per (family, n) for a seed-free family), zero across
+	// a resubmission.
 	Computes uint64 `json:"computes"`
 	// AttachHits counts Gets answered by a profile already attached to
 	// the shared graph instance (the cheapest path: no lock, no lookup).

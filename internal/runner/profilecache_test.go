@@ -130,36 +130,37 @@ func TestProfileCacheCorruptBlobRecomputes(t *testing.T) {
 
 // TestProfileCacheEvictionBound: the decoded-artifact LRU respects its
 // limit; evicted coordinates are restored from the store, not
-// recomputed.
+// recomputed. It uses a seeded family, so each seed is a distinct
+// topology.
 func TestProfileCacheEvictionBound(t *testing.T) {
 	store := newMapBlobStore()
 	pc := NewProfileCache(store, 2)
 	for seed := int64(1); seed <= 3; seed++ {
-		pc.Attach(profileCacheGraph(t, graph.FamilyPath, 32, seed), graph.FamilyPath, 32, seed)
+		pc.Attach(profileCacheGraph(t, graph.FamilyRandom, 32, seed), graph.FamilyRandom, 32, seed)
 	}
 	st := pc.Stats()
 	if st.Entries != 2 || st.Evictions != 1 || st.Computes != 3 {
 		t.Fatalf("stats %+v", st)
 	}
 	// Seed 1 was evicted: the store restores it without a recompute.
-	pc.Attach(profileCacheGraph(t, graph.FamilyPath, 32, 1), graph.FamilyPath, 32, 1)
+	pc.Attach(profileCacheGraph(t, graph.FamilyRandom, 32, 1), graph.FamilyRandom, 32, 1)
 	if st := pc.Stats(); st.Computes != 3 || st.StoreHits != 1 {
 		t.Fatalf("eviction refill recomputed: %+v", st)
 	}
 }
 
-// TestCollectComputesEachProfileOnce is the tentpole acceptance at the
-// runner level: an nqscaling-shaped sweep whose cells share topologies
-// across k-points computes each distinct coordinate's ball profile
-// exactly once, a repeated sweep computes zero, and the NQ values are
-// identical to a profile-free run.
+// TestCollectComputesEachProfileOnce is the acceptance at the runner
+// level: an nqscaling-shaped sweep whose cells share topologies across
+// k-points computes each distinct (family, n, GraphSeed) coordinate's
+// ball profile of the seeded families exactly once, a repeated sweep
+// computes zero, and the NQ values are identical to a profile-free run.
 func TestCollectComputesEachProfileOnce(t *testing.T) {
 	gc := NewGraphCache(nil, 0)
 	pc := NewProfileCache(nil, 0)
 	type row struct{ NQ int }
 	sc := &Scenario[row]{
 		Name:     "profileshare",
-		Families: []graph.Family{graph.FamilyPath, graph.FamilyGrid2D},
+		Families: []graph.Family{graph.FamilyRandom, graph.FamilyExpander},
 		Ns:       []int{32, 64},
 		Seeds:    []int64{1, 2},
 		Points:   PointsK([]int{4, 16, 64, 256}),

@@ -185,8 +185,8 @@ func (c *Cell) Rng() *rand.Rand { return rand.New(rand.NewSource(c.Seed())) }
 
 // BuildGraph returns the cell's graph instance for GraphSeed. With a
 // GraphCache attached (Runner.Graphs) the returned graph is the shared
-// instance every cell of the same (family, n, GraphSeed)
-// coordinate sees — built exactly once, identical to a per-cell build;
+// instance every cell of the same topology (GraphKey) sees — built
+// exactly once, identical to a per-cell build;
 // without one it is constructed fresh. Either way the graph is
 // immutable; derive weight variants with Reweight.
 func (c *Cell) BuildGraph() (*graph.Graph, error) {
@@ -200,8 +200,8 @@ func (c *Cell) BuildGraph() (*graph.Graph, error) {
 // graph (which must be the instance BuildGraph returned), memoizing it
 // on g so every NQ query against the instance answers from the profile
 // (DESIGN.md §10). With a ProfileCache attached (Runner.Profiles) the
-// artifact is computed once per distinct (family, n, GraphSeed)
-// coordinate across the whole sweep (singleflight) and persisted
+// artifact is computed once per distinct topology (ProfileKey) across
+// the whole sweep (singleflight) and persisted
 // content-addressed; without one it is computed locally at the same
 // canonical radius and attached to g — at most once per concurrent
 // asker, since this fallback has no singleflight (workers racing on a
@@ -299,10 +299,11 @@ type Runner struct {
 	CacheVersion string
 	// Graphs, when non-nil, deduplicates topology construction: every
 	// cell resolves BuildGraph through this cache, so each distinct
-	// (family, n, GraphSeed) coordinate is built exactly once and the
-	// instance is shared across points, sweeps, and Pool
-	// tenants (DESIGN.md §9). Rows are unchanged — the shared instance
-	// is byte-identical to a per-cell build.
+	// topology (GraphKey: the seed counts only for seeded families) is
+	// built exactly once and the instance is shared across points,
+	// scenarios, sweeps, and Pool tenants (DESIGN.md §9). Rows are
+	// unchanged — the shared instance is byte-identical to a per-cell
+	// build.
 	Graphs *GraphCache
 	// Profiles, when non-nil, deduplicates the derived ball-profile
 	// artifacts the NQ measurements read (DESIGN.md §10): every cell
