@@ -215,12 +215,11 @@ func TestCoreKernelAllocBudgets(t *testing.T) {
 		run    func()
 	}{
 		// The BFS queue and the DistHeap scratch are pooled on the
-		// graph, so BFS and the heap Dijkstras allocate only their
+		// graph, so BFS and the heap Dijkstra allocate only their
 		// result vectors; on unit weights Dijkstra is BFS.
 		{"BFS", 1, func() { grid.BFS(0) }},
 		{"Dijkstra", 1, func() { weighted.Dijkstra(0) }},
 		{"Dijkstra (unit weights)", 1, func() { grid.Dijkstra(0) }},
-		{"MultiSourceDijkstra", 2, func() { weighted.MultiSourceDijkstra([]int{0, 5, 9}) }},
 		{"HopLimitedDistances", 4, func() { grid.HopLimitedDistances(0, 16) }},
 		{"BallSizes", 2, func() { grid.BallSizes(0, 16) }},
 	}

@@ -132,6 +132,10 @@ type diskTier struct {
 	segCompacted  int
 	segDropped    int
 	recsCollected int // dead records reclaimed (shadowed, torn, or retain-filtered)
+
+	// testHookRemove, when set by a test, runs in removeSegment just
+	// before a GC pass deletes segment id's file.
+	testHookRemove func(id int)
 }
 
 func segmentName(id int) string { return fmt.Sprintf(segmentFormat, id) }
@@ -548,8 +552,7 @@ func (d *diskTier) gcLocked() {
 			if !ok {
 				continue // keep the segment; a later pass retries
 			}
-			os.Remove(segmentPath(d.dir, id))
-			delete(d.segs, id)
+			d.removeSegment(id)
 			d.segCompacted++
 			worked = true
 		}
@@ -573,8 +576,7 @@ func (d *diskTier) gcLocked() {
 					d.recsCollected++
 				}
 			}
-			os.Remove(segmentPath(d.dir, oldest))
-			delete(d.segs, oldest)
+			d.removeSegment(oldest)
 			d.segDropped++
 			worked = true
 		}
@@ -582,6 +584,16 @@ func (d *diskTier) gcLocked() {
 	if worked {
 		d.compactions++
 	}
+}
+
+// removeSegment deletes a sealed segment's file and its byte account.
+// The caller holds d.mu.
+func (d *diskTier) removeSegment(id int) {
+	if d.testHookRemove != nil {
+		d.testHookRemove(id)
+	}
+	os.Remove(segmentPath(d.dir, id))
+	delete(d.segs, id)
 }
 
 func (d *diskTier) totalBytesLocked() int64 {

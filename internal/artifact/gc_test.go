@@ -307,3 +307,103 @@ func TestGCConcurrentGetPut(t *testing.T) {
 
 // allWritersDone reports when the writers' 1200 puts have landed.
 func allWritersDone(ns *Namespace) bool { return ns.Stats().Puts >= 1200 }
+
+// TestGCCompactionCrashConsistent: a crash anywhere in a compaction
+// pass must reopen to the last acknowledged value of every key. The
+// crash states are rebuilt from a snapshot of the segments taken before
+// the pass: the active segment cut at every byte offset of the region
+// the pass appended, and each victim segment present unless the pass
+// had already removed it when the active segment reached that size.
+func TestGCCompactionCrashConsistent(t *testing.T) {
+	dir := t.TempDir()
+	// Churn with compaction off, so the forced pass below does all the
+	// work. Every fourth key keeps its first record, so the early
+	// segments are mostly shadowed but still hold live records.
+	s := newGCStore(t, dir, GCConfig{LiveRatio: -1})
+	ns := s.Namespace("results")
+	want := map[string][]byte{}
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 12; i++ {
+			if round > 0 && i%4 == 0 {
+				continue
+			}
+			k := fmt.Sprintf("key-%02d", i)
+			want[k] = val(i + round)
+			ns.Put(k, want[k])
+		}
+	}
+	s.Close()
+
+	// Reopen with the default 4 MiB segments, so the pass appends to one
+	// active segment without rotating, and snapshot the segment files.
+	s2, err := NewStoreWithDisk(1<<20, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	names, err := filepath.Glob(filepath.Join(dir, segmentGlob))
+	if err != nil || len(names) < 3 {
+		t.Fatalf("want several segments before compaction, got %v (%v)", names, err)
+	}
+	snapshot := map[string][]byte{}
+	for _, name := range names {
+		if snapshot[filepath.Base(name)], err = os.ReadFile(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	active := filepath.Base(names[len(names)-1])
+	pre := len(snapshot[active])
+	removedAt := map[string]int{} // victim → active segment size at its removal
+	s2.disk.testHookRemove = func(id int) {
+		st, err := os.Stat(filepath.Join(dir, active))
+		if err != nil {
+			t.Fatal(err)
+		}
+		removedAt[segmentName(id)] = int(st.Size())
+	}
+	s2.CompactDisk()
+	if n := s2.Stats().Disk.SegmentsCompacted; n < 2 || len(removedAt) != n {
+		t.Fatalf("compacted %d segments, observed %d removals", n, len(removedAt))
+	}
+	post, err := os.ReadFile(filepath.Join(dir, active))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(post) <= pre || !bytes.Equal(post[:pre], snapshot[active]) {
+		t.Fatalf("compaction did not append to the active segment (%d → %d bytes)", pre, len(post))
+	}
+
+	root := t.TempDir()
+	for cut := pre; cut <= len(post); cut++ {
+		crash := filepath.Join(root, fmt.Sprintf("cut-%d", cut))
+		if err := os.Mkdir(crash, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for name, data := range snapshot {
+			if at, removed := removedAt[name]; removed && at <= cut {
+				continue
+			}
+			if name == active {
+				data = post[:cut]
+			}
+			if err := os.WriteFile(filepath.Join(crash, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cs, err := NewStoreWithDisk(1<<20, crash)
+		if err != nil {
+			t.Fatalf("cut %d: reopen: %v", cut, err)
+		}
+		cns := cs.Namespace("results")
+		for k, v := range want {
+			if got, ok := cns.Get(k); !ok || !bytes.Equal(got, v) {
+				cs.Close()
+				t.Fatalf("crash after %d of %d appended bytes: %s = %q (ok=%v), want its last value", cut-pre, len(post)-pre, k, got, ok)
+			}
+		}
+		cs.Close()
+		if err := os.RemoveAll(crash); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

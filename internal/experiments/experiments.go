@@ -29,7 +29,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/graph"
 	"repro/internal/hybrid"
-	"repro/internal/runner"
+	"repro/internal/unicast"
 )
 
 // DefaultFamilies are the graph families every table sweeps by default:
@@ -53,11 +53,6 @@ func params(net *hybrid.Net, k, l int, eps float64) baseline.Params {
 	}
 }
 
-// RenderTable renders a markdown table.
-func RenderTable(header []string, rows [][]string) string {
-	return runner.Markdown(header, rows)
-}
-
 func f1(x float64) string {
 	if math.IsInf(x, 0) || math.IsNaN(x) {
 		return "-"
@@ -68,16 +63,10 @@ func f1(x float64) string {
 // sampleNodes returns every node independently with probability p, but
 // never an empty set (it falls back to node 0).
 func sampleNodes(n int, p float64, rng *rand.Rand) []int {
-	var out []int
-	for v := 0; v < n; v++ {
-		if rng.Float64() < p {
-			out = append(out, v)
-		}
+	if out := unicast.SampleNodes(n, p, rng); len(out) > 0 {
+		return out
 	}
-	if len(out) == 0 {
-		out = []int{0}
-	}
-	return out
+	return []int{0}
 }
 
 func firstK(k int) []int {

@@ -64,12 +64,6 @@ func Figure1Scenario(families []graph.Family, n int, betas []float64, eps float6
 	}
 }
 
-// Figure1 regenerates Figure 1 on one family on the default parallel
-// runner.
-func Figure1(fam graph.Family, n int, betas []float64, eps float64, seed int64) ([]Figure1Point, error) {
-	return runner.Collect(runner.Parallel(), Figure1Scenario([]graph.Family{fam}, n, betas, eps, seed))
-}
-
 func figure1Point(c *runner.Cell, g *graph.Graph, eps float64) (*Figure1Point, error) {
 	nn := g.N()
 	beta := c.Point.Beta
@@ -149,13 +143,6 @@ func Figure1Data(fam graph.Family, points []Figure1Point) *runner.Table {
 	return t
 }
 
-// FormatFigure1 renders the landscape as a markdown table plus an ASCII
-// sketch of δ versus β (the paper's Figure 1 axes).
-func FormatFigure1(points []Figure1Point) string {
-	t := Figure1Data("", points)
-	return runner.Markdown(t.Header, t.Rows) + "\n" + t.Note
-}
-
 // asciiLandscape sketches δ (vertical) against β (horizontal): '*' marks
 // the measured Theorem 14 exponent, '.' the √k lower-bound exponent β/2.
 func asciiLandscape(points []Figure1Point) string {
@@ -182,7 +169,7 @@ func asciiLandscape(points []Figure1Point) string {
 		put(i, p.Beta/2, '.') // the eΩ(√k) = n^{β/2} region boundary
 		put(i, p.Delta, '*')
 	}
-	b = append(b, []byte("δ=1/2 +"+string(make([]byte, 0))+"\n")...)
+	b = append(b, []byte("δ=1/2 +\n")...)
 	for i, r := range rows {
 		label := "      |"
 		if i == 0 {

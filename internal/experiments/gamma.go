@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 
 	"repro/internal/graph"
@@ -64,13 +63,6 @@ func GammaScalingScenario(fam graph.Family, n, k int, capFactors []int, eps floa
 	}
 }
 
-// GammaScaling sweeps the global capacity for a fixed k-SSP instance on
-// the family (random sources, parameter eps) on the default parallel
-// runner.
-func GammaScaling(fam graph.Family, n, k int, capFactors []int, eps float64, seed int64) ([]GammaRow, error) {
-	return runner.Collect(runner.Parallel(), GammaScalingScenario(fam, n, k, capFactors, eps, seed))
-}
-
 // GammaScalingData renders rows into the sink-neutral table form.
 func GammaScalingData(rows []GammaRow) *runner.Table {
 	t := &runner.Table{
@@ -90,22 +82,4 @@ func GammaScalingData(rows []GammaRow) *runner.Table {
 		})
 	}
 	return t
-}
-
-// FormatGammaScaling renders rows as markdown.
-func FormatGammaScaling(rows []GammaRow) string {
-	t := GammaScalingData(rows)
-	return runner.Markdown(t.Header, t.Rows)
-}
-
-// GammaScalingCSV writes the sweep as CSV.
-func GammaScalingCSV(w io.Writer, rows []GammaRow) error {
-	header := []string{"cap_factor", "gamma", "k", "rounds", "regime", "stretch"}
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			itoa(r.CapFactor), itoa(r.Gamma), itoa(r.K), itoa(r.Rounds), r.Regime, ftoa(r.Stretch),
-		})
-	}
-	return writeCSV(w, header, cells)
 }

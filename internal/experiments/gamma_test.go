@@ -6,10 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/runner"
 )
 
 func TestGammaScalingMonotone(t *testing.T) {
-	rows, err := GammaScaling(graph.FamilyPath, 576, 48, []int{1, 4, 16}, 0.5, 1)
+	rows, err := collectWorkers(0, GammaScalingScenario(graph.FamilyPath, 576, 48, []int{1, 4, 16}, 0.5, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,11 +27,12 @@ func TestGammaScalingMonotone(t *testing.T) {
 	if !strings.Contains(rows[len(rows)-1].Regime, "parallel") {
 		t.Fatalf("final regime %q, want parallel", rows[len(rows)-1].Regime)
 	}
-	if !strings.Contains(FormatGammaScaling(rows), "parallel") {
+	tbl := GammaScalingData(rows)
+	if !strings.Contains(markdown(tbl), "parallel") {
 		t.Fatal("format failed")
 	}
 	var buf bytes.Buffer
-	if err := GammaScalingCSV(&buf, rows); err != nil {
+	if err := runner.WriteTable(runner.NewCSVSink(&buf), tbl); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "cap_factor") {

@@ -172,12 +172,6 @@ func distsEqual(a, b []int64) bool {
 	return true
 }
 
-// Robustness runs the sweep over all families on the default parallel
-// runner.
-func Robustness(n int, seed int64) ([]RobustnessRow, error) {
-	return runner.Collect(runner.Parallel(), RobustnessScenario(nil, n, seed))
-}
-
 // RobustnessData renders rows into the sink-neutral table form.
 func RobustnessData(rows []RobustnessRow) *runner.Table {
 	t := &runner.Table{
@@ -215,10 +209,4 @@ func robustnessValues(r RobustnessRow) []string {
 		fmt.Sprintf("%d", r.Retries),
 		fmt.Sprintf("%d", r.Restarts),
 	}
-}
-
-// FormatRobustness renders rows as markdown.
-func FormatRobustness(rows []RobustnessRow) string {
-	t := RobustnessData(rows)
-	return runner.Markdown(t.Header, t.Rows)
 }

@@ -60,11 +60,6 @@ func Table1Scenario(families []graph.Family, n int, ks []int, seed int64) *runne
 	}
 }
 
-// Table1 regenerates Table 1 on the default parallel runner.
-func Table1(families []graph.Family, n int, ks []int, seed int64) ([]Table1Row, error) {
-	return runner.Collect(runner.Parallel(), Table1Scenario(families, n, ks, seed))
-}
-
 func table1Row(c *runner.Cell, g *graph.Graph) (*Table1Row, error) {
 	n, k := g.N(), c.Point.K
 	rng := c.Rng()
@@ -191,10 +186,4 @@ func Table1Data(rows []Table1Row) *runner.Table {
 		t.Rows = append(t.Rows, table1Values(r))
 	}
 	return t
-}
-
-// FormatTable1 renders rows as markdown.
-func FormatTable1(rows []Table1Row) string {
-	t := Table1Data(rows)
-	return runner.Markdown(t.Header, t.Rows)
 }

@@ -57,11 +57,6 @@ func Table2Scenario(families []graph.Family, n int, seed int64) *runner.Scenario
 	}
 }
 
-// Table2 regenerates Table 2 on the default parallel runner.
-func Table2(families []graph.Family, n int, seed int64) ([]Table2Row, error) {
-	return runner.Collect(runner.Parallel(), Table2Scenario(families, n, seed))
-}
-
 func table2Row(c *runner.Cell, g *graph.Graph) (*Table2Row, error) {
 	rng := c.Rng()
 	row := &Table2Row{Family: string(c.Family), N: g.N()}
@@ -169,10 +164,4 @@ func Table2Data(rows []Table2Row) *runner.Table {
 		t.Rows = append(t.Rows, table2Values(r))
 	}
 	return t
-}
-
-// FormatTable2 renders rows as markdown.
-func FormatTable2(rows []Table2Row) string {
-	t := Table2Data(rows)
-	return runner.Markdown(t.Header, t.Rows)
 }

@@ -56,11 +56,6 @@ func Table3Scenario(families []graph.Family, n int, ks []int, seed int64) *runne
 	}
 }
 
-// Table3 regenerates Table 3 on the default parallel runner.
-func Table3(families []graph.Family, n int, ks []int, seed int64) ([]Table3Row, error) {
-	return runner.Collect(runner.Parallel(), Table3Scenario(families, n, ks, seed))
-}
-
 func table3Row(c *runner.Cell, g *graph.Graph) (*Table3Row, error) {
 	n, k := g.N(), c.Point.K
 	rng := c.Rng()
@@ -130,10 +125,4 @@ func Table3Data(rows []Table3Row) *runner.Table {
 		t.Rows = append(t.Rows, table3Values(r))
 	}
 	return t
-}
-
-// FormatTable3 renders rows as markdown.
-func FormatTable3(rows []Table3Row) string {
-	t := Table3Data(rows)
-	return runner.Markdown(t.Header, t.Rows)
 }

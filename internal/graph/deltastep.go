@@ -13,9 +13,7 @@ package graph
 // Determinism does not rest on the drain schedule: bucket b's fixpoint
 // is min over all paths through nodes with distance < (b+1)Δ, a pure
 // function of the graph, so the final vector is byte-identical at any
-// worker count. The multi-source nearest vector is derived after the
-// fact by one pass over the shortest-path DAG in (distance, node)
-// order, which pins the documented min-source-index tie-break.
+// worker count.
 
 import (
 	"math/bits"
@@ -36,9 +34,6 @@ type deltaScratch struct {
 	spare     []int32     // recycled storage for the list being drained
 	drainedAt []int64     // dist value at the node's last drain; -1 never
 	perWorker [][][]int32 // [worker][ring slot] push buffers
-	// radix-sort scratch of the nearest pass
-	order, tmp []int32
-	counts     []int32
 }
 
 func (g *Graph) getDeltaScratch(workers, ringK int) *deltaScratch {
@@ -133,32 +128,6 @@ func (g *Graph) DeltaStepping(src, workers int) []int64 {
 	if src < 0 || src >= g.N() {
 		return dist
 	}
-	g.deltaStep([]int{src}, dist, nil, workers)
-	return dist
-}
-
-// MultiSourceDeltaStepping is the delta-stepping counterpart of
-// MultiSourceDijkstra (≤ 0 workers means MaxKernelWorkers). The
-// nearest vector breaks closest-source ties toward the smallest
-// position in srcs — the deterministic tie-break the parallel kernels
-// pin down (the sequential heap's tie-break is schedule-dependent only
-// in the sense of following heap order; see MultiSourceDijkstra).
-func (g *Graph) MultiSourceDeltaStepping(srcs []int, workers int) (dist []int64, nearest []int) {
-	n := g.N()
-	dist = newDistVector(n)
-	nearest = make([]int, n)
-	for i := range nearest {
-		nearest[i] = -1
-	}
-	g.deltaStep(srcs, dist, nearest, workers)
-	return dist, nearest
-}
-
-// deltaStep runs the bucket relaxation, filling dist from the sources;
-// when nearest is non-nil it seeds the source indices and derives the
-// full vector afterwards via nearestFromDist.
-func (g *Graph) deltaStep(srcs []int, dist []int64, nearest []int, workers int) {
-	n := g.N()
 	if workers <= 0 {
 		workers = MaxKernelWorkers()
 	}
@@ -168,18 +137,9 @@ func (g *Graph) deltaStep(srcs []int, dist []int64, nearest []int, workers int) 
 	s := g.getDeltaScratch(workers, ringK)
 	defer g.deltaPool.Put(s)
 
-	pending := 0
-	for i, src := range srcs {
-		if src < 0 || src >= n || dist[src] != Inf {
-			continue
-		}
-		dist[src] = 0
-		if nearest != nil {
-			nearest[src] = i
-		}
-		s.buckets[0] = append(s.buckets[0], int32(src))
-		pending++
-	}
+	dist[src] = 0
+	s.buckets[0] = append(s.buckets[0], int32(src))
+	pending := 1
 
 	// relaxSeq drains one entry on the calling goroutine with plain
 	// loads and stores — safe whenever no sharded drain is in flight
@@ -246,10 +206,7 @@ func (g *Graph) deltaStep(srcs []int, dist []int64, nearest []int, workers int) 
 			s.spare = list[:0]
 		}
 	}
-
-	if nearest != nil {
-		g.nearestFromDist(dist, nearest, s)
-	}
+	return dist
 }
 
 // drainInline processes one drain list on the calling goroutine,
@@ -306,78 +263,4 @@ func (g *Graph) drainParallel(list []int32, b int64, workers int, relaxFrom func
 		}
 	}
 	return total
-}
-
-// nearestFromDist derives the closest-source indices from a finished
-// distance vector: nodes are visited in (distance, index) order — a
-// stable LSD radix sort on the distances — and each takes the minimum
-// nearest over its tight predecessors (dist[u] + w == dist[v]). Edge
-// weights are positive, so every tight predecessor was visited
-// earlier, and the result is the unique min-source-index assignment.
-func (g *Graph) nearestFromDist(dist []int64, nearest []int, s *deltaScratch) {
-	n := g.N()
-	if len(s.order) < n {
-		s.order = make([]int32, n)
-		s.tmp = make([]int32, n)
-	}
-	if len(s.counts) < 1<<16 {
-		s.counts = make([]int32, 1<<16)
-	}
-	order, tmp, counts := s.order[:n], s.tmp[:n], s.counts
-	for i := range order {
-		order[i] = int32(i)
-	}
-	for shift := 0; shift < 64; shift += 16 {
-		// Skip passes whose key bits are all equal (common once the
-		// distance range is below 2^32 — Inf keeps the top passes
-		// honest, so only truly constant passes skip).
-		first := uint64(dist[order[0]]) >> shift & 0xFFFF
-		constant := true
-		for _, v := range order {
-			if uint64(dist[v])>>shift&0xFFFF != first {
-				constant = false
-				break
-			}
-		}
-		if constant {
-			continue
-		}
-		for i := range counts {
-			counts[i] = 0
-		}
-		for _, v := range order {
-			counts[uint64(dist[v])>>shift&0xFFFF]++
-		}
-		sum := int32(0)
-		for i, cnt := range counts {
-			counts[i] = sum
-			sum += cnt
-		}
-		for _, v := range order {
-			key := uint64(dist[v]) >> shift & 0xFFFF
-			tmp[counts[key]] = v
-			counts[key]++
-		}
-		order, tmp = tmp, order
-	}
-	for _, v := range order {
-		dv := dist[v]
-		if dv >= Inf {
-			break // unreachable tail: nearest stays -1
-		}
-		if dv == 0 {
-			continue // sources keep their seeded index
-		}
-		best := nearest[v]
-		lo, hi := g.rowStart[v], g.rowStart[v+1]
-		row, rw := g.to[lo:hi], g.w[lo:hi]
-		for j, u := range row {
-			if dist[u]+rw[j] == dv {
-				if nr := nearest[u]; best == -1 || (nr != -1 && nr < best) {
-					best = nr
-				}
-			}
-		}
-		nearest[v] = best
-	}
 }

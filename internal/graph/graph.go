@@ -51,9 +51,9 @@ type Graph struct {
 	// keeping those calls O(|ball|) instead of Θ(n). Safe for
 	// concurrent readers of the graph.
 	ballPool sync.Pool
-	// heapPool recycles the binary-heap scratch of Dijkstra and
-	// MultiSourceDijkstra (below the parallel-kernel threshold), so
-	// repeated calls allocate only their result vectors.
+	// heapPool recycles the binary-heap scratch of Dijkstra (below the
+	// parallel-kernel threshold), so repeated calls allocate only their
+	// result vectors.
 	heapPool sync.Pool
 	// queuePool recycles the capacity-n queue of the sequential BFS
 	// (*[]int32), so a one-shot BFS allocates only its result vector.

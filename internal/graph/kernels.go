@@ -59,9 +59,8 @@ const (
 	// kernels: below it the sequential implementations win on constant
 	// factors (and the committed experiment tables, all swept at
 	// n ≤ 16384, stay on their historical code paths); from it upward
-	// BFS, MultiSourceBFS, Dijkstra, MultiSourceDijkstra and
-	// HopLimitedDistances route to this file and deltastep.go (Dijkstra
-	// on unit weights through BFS).
+	// BFS, MultiSourceBFS, Dijkstra and HopLimitedDistances route to
+	// this file and deltastep.go (Dijkstra on unit weights through BFS).
 	kernelMinN = 1 << 15
 	// kernelChunk is the node-range shard of the bottom-up step:
 	// 4096 nodes = 64 bitset words, so each worker's next-frontier

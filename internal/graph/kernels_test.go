@@ -61,29 +61,6 @@ func TestKernelsMatchOracleAllFamilies(t *testing.T) {
 					if !reflect.DeepEqual(msDist, seqDist) || !reflect.DeepEqual(msNearest, seqNearest) {
 						t.Fatalf("%s/n=%d/seed=%d/w=%d: MultiSourceBFSWorkers differs from sequential", f, n, seed, workers)
 					}
-
-					// Multi-source delta-stepping: distance is the min over
-					// sources, nearest the smallest index attaining it.
-					wd, wn := wg.MultiSourceDeltaStepping(srcs, workers)
-					for v := range wd {
-						want := perSSSP[0][v]
-						wantIdx := 0
-						if perSSSP[1][v] < want {
-							want, wantIdx = perSSSP[1][v], 1
-						}
-						if wd[v] != want {
-							t.Fatalf("%s/n=%d/seed=%d/w=%d: ms-delta dist(%d)=%d, oracle min %d", f, n, seed, workers, v, wd[v], want)
-						}
-						if want >= graph.Inf {
-							if wn[v] != -1 {
-								t.Fatalf("%s/n=%d/seed=%d/w=%d: ms-delta nearest[%d]=%d for unreachable node", f, n, seed, workers, v, wn[v])
-							}
-							continue
-						}
-						if wn[v] != wantIdx {
-							t.Fatalf("%s/n=%d/seed=%d/w=%d: ms-delta nearest[%d]=%d, want smallest index %d", f, n, seed, workers, v, wn[v], wantIdx)
-						}
-					}
 				}
 			}
 		}
@@ -114,7 +91,6 @@ func TestKernelWorkerCountInvariance(t *testing.T) {
 		baseBFS := g.BFSWorkers(0, 1)
 		baseMSD, baseMSN := g.MultiSourceBFSWorkers(srcs, 1)
 		baseDelta := wg.DeltaStepping(0, 1)
-		baseWD, baseWN := wg.MultiSourceDeltaStepping(srcs, 1)
 		baseHop := wg.HopLimitedDistancesWorkers(0, 8, 1)
 		for _, w := range kernelWorkerSweep()[1:] {
 			if got := g.BFSWorkers(0, w); !reflect.DeepEqual(got, baseBFS) {
@@ -125,9 +101,6 @@ func TestKernelWorkerCountInvariance(t *testing.T) {
 			}
 			if got := wg.DeltaStepping(0, w); !reflect.DeepEqual(got, baseDelta) {
 				t.Fatalf("%s: DeltaStepping diverges at %d workers", f, w)
-			}
-			if d, nr := wg.MultiSourceDeltaStepping(srcs, w); !reflect.DeepEqual(d, baseWD) || !reflect.DeepEqual(nr, baseWN) {
-				t.Fatalf("%s: MultiSourceDeltaStepping diverges at %d workers", f, w)
 			}
 			if got := wg.HopLimitedDistancesWorkers(0, 8, w); !reflect.DeepEqual(got, baseHop) {
 				t.Fatalf("%s: HopLimitedDistancesWorkers diverges at %d workers", f, w)

@@ -322,13 +322,6 @@ func (g *Graph) dijkstraHeap(src int) []int64 {
 	h := g.getDistHeap()
 	defer g.heapPool.Put(h)
 	h.Push(int32(src), 0)
-	g.dijkstraLoop(h, dist, nil)
-	return dist
-}
-
-// dijkstraLoop drains the heap, relaxing edges; when nearest is non-nil
-// it propagates the closest-source index alongside the distances.
-func (g *Graph) dijkstraLoop(h *DistHeap, dist []int64, nearest []int) {
 	for h.Len() > 0 {
 		v, d := h.Pop()
 		if d > dist[v] {
@@ -340,46 +333,11 @@ func (g *Graph) dijkstraLoop(h *DistHeap, dist []int64, nearest []int) {
 		for j, u := range row {
 			if nd := d + rw[j]; nd < dist[u] {
 				dist[u] = nd
-				if nearest != nil {
-					nearest[u] = nearest[v]
-				}
 				h.Push(u, nd)
 			}
 		}
 	}
-}
-
-// MultiSourceDijkstra returns, for each node, the weighted distance to the
-// closest source and that source's index within srcs (-1 if unreachable).
-// Below the parallel-kernel threshold ties between equally close sources
-// follow heap order; large graphs (n ≥ 2^15) route to the
-// delta-stepping kernel, which resolves them to the smallest source index.
-func (g *Graph) MultiSourceDijkstra(srcs []int) (dist []int64, nearest []int) {
-	if g.N() >= kernelMinN {
-		return g.MultiSourceDeltaStepping(srcs, 0)
-	}
-	return g.multiSourceDijkstraHeap(srcs)
-}
-
-func (g *Graph) multiSourceDijkstraHeap(srcs []int) (dist []int64, nearest []int) {
-	n := g.N()
-	dist = make([]int64, n)
-	nearest = make([]int, n)
-	for i := range dist {
-		dist[i] = Inf
-		nearest[i] = -1
-	}
-	h := g.getDistHeap()
-	defer g.heapPool.Put(h)
-	for i, s := range srcs {
-		if s >= 0 && s < n && dist[s] > 0 {
-			dist[s] = 0
-			nearest[s] = i
-			h.Push(int32(s), 0)
-		}
-	}
-	g.dijkstraLoop(h, dist, nearest)
-	return dist, nearest
+	return dist
 }
 
 // HopLimitedDistances returns d^h(src, ·): the weight of the lightest path
