@@ -15,10 +15,12 @@ package repro_test
 // The committed BENCH_sweep.json (regenerate with cmd/benchjson
 // -table bench_sweep) records both against the rebuild-per-cell
 // baseline, produced by running this file with
-// REPRO_BENCH_NO_GRAPHCACHE=1, which detaches the cache so every cell
-// builds its own instance — the behaviour before the artifact layer.
+// REPRO_BENCH_NO_GRAPHCACHE=1, under which the scenario's Run calls
+// graph.Build itself instead of Cell.BuildGraph, so every cell builds
+// its own instance — the behaviour before the artifact layer.
 
 import (
+	"math/rand"
 	"os"
 	"testing"
 
@@ -36,7 +38,7 @@ func sweepBenchScenario() *runner.Scenario[int] {
 		Ns:       []int{512},
 		Points:   runner.PointsK([]int{16, 64, 256, 1024}),
 		Run: func(c *runner.Cell) ([]int, error) {
-			g, err := c.BuildGraph()
+			g, err := benchGraph(c)
 			if err != nil {
 				return nil, err
 			}
@@ -49,13 +51,17 @@ func sweepBenchScenario() *runner.Scenario[int] {
 	}
 }
 
-// benchGraphCache returns a fresh cache, or nil under
-// REPRO_BENCH_NO_GRAPHCACHE=1 (the rebuild-per-cell baseline mode).
-func benchGraphCache() *runner.GraphCache {
-	if os.Getenv("REPRO_BENCH_NO_GRAPHCACHE") != "" {
-		return nil
+// rebuildPerCell selects the rebuild-per-cell baseline mode
+// (REPRO_BENCH_NO_GRAPHCACHE=1).
+var rebuildPerCell = os.Getenv("REPRO_BENCH_NO_GRAPHCACHE") != ""
+
+// benchGraph returns the cell's graph: the cached instance, or in the
+// baseline mode one built for this cell alone.
+func benchGraph(c *runner.Cell) (*graph.Graph, error) {
+	if rebuildPerCell {
+		return graph.Build(c.Family, c.N, rand.New(rand.NewSource(c.GraphSeed())))
 	}
-	return runner.NewGraphCache(nil, 0)
+	return c.BuildGraph()
 }
 
 func runSweepBench(b *testing.B, gc *runner.GraphCache, freshPerIter bool) {
@@ -66,7 +72,7 @@ func runSweepBench(b *testing.B, gc *runner.GraphCache, freshPerIter bool) {
 	for i := 0; i < b.N; i++ {
 		cache := gc
 		if freshPerIter {
-			cache = benchGraphCache()
+			cache = runner.NewGraphCache(nil, 0)
 		}
 		if _, err := runner.Collect(&runner.Runner{Workers: 4, Graphs: cache}, sc); err != nil {
 			b.Fatal(err)
@@ -83,12 +89,10 @@ func BenchmarkSweepGraphReuseCold(b *testing.B) {
 // BenchmarkSweepGraphReuseWarm: resubmission — the shared cache
 // already holds every topology, so sweeps build zero graphs.
 func BenchmarkSweepGraphReuseWarm(b *testing.B) {
-	gc := benchGraphCache()
-	if gc != nil {
-		// Prewarm outside the timed region.
-		if _, err := runner.Collect(&runner.Runner{Workers: 4, Graphs: gc}, sweepBenchScenario()); err != nil {
-			b.Fatal(err)
-		}
+	gc := runner.NewGraphCache(nil, 0)
+	// Prewarm outside the timed region.
+	if _, err := runner.Collect(&runner.Runner{Workers: 4, Graphs: gc}, sweepBenchScenario()); err != nil {
+		b.Fatal(err)
 	}
-	runSweepBench(b, gc, gc == nil)
+	runSweepBench(b, gc, false)
 }

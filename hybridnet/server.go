@@ -266,9 +266,12 @@ type sweep struct {
 	cached int
 
 	// bcast fans resolved cells out to stream subscribers. Sweeps
-	// created by Submit get one up front; rehydrated sweeps build one
-	// lazily on the first stream request (see streamSource).
+	// created by Submit get one up front; rehydrated sweeps get one,
+	// together with their tables, from regenerate.
 	bcast *broadcaster
+	// regenMu serializes regenerate, so a rehydrated sweep re-runs at
+	// most once however many results and stream requests race.
+	regenMu sync.Mutex
 
 	done chan struct{}
 	el   *list.Element // position in the finished-sweep LRU, nil while running
@@ -930,34 +933,22 @@ func (s *Server) Wait(id string) (SweepStatus, error) {
 }
 
 // tables returns a finished sweep's rendered tables, regenerating them
-// through the cell cache for a rehydrated sweep (cache hits make the
-// re-render byte-identical to the original run; a cold cell would be
-// re-simulated deterministically to the same rows). Errors are always
-// returned before any output is produced.
+// for a rehydrated sweep. Errors are always returned before any output
+// is produced.
 func (s *Server) tables(sw *sweep) ([]*runner.Table, error) {
 	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	switch sw.state {
-	case SweepRunning:
+	state, errMsg, tables := sw.state, sw.errMsg, sw.tables
+	sw.mu.Unlock()
+	switch {
+	case state == SweepRunning:
 		return nil, ErrSweepRunning
-	case SweepFailed:
-		return nil, fmt.Errorf("hybridnet: sweep failed: %s", sw.errMsg)
+	case state == SweepFailed:
+		return nil, fmt.Errorf("hybridnet: sweep failed: %s", errMsg)
+	case tables != nil:
+		return tables, nil
 	}
-	if sw.tables != nil {
-		return sw.tables, nil
-	}
-	req := sw.req
-	fams, err := s.normalize(&req)
-	if err != nil {
-		return nil, fmt.Errorf("hybridnet: rehydrating sweep %s: %w", sw.id, err)
-	}
-	cfg := experiments.ReportConfig{N: req.N, Seed: req.Seed, Families: fams}
-	tables, err := experiments.Generate(req.Scenario, cfg, s.newRunner(nil))
-	if err != nil {
-		return nil, fmt.Errorf("hybridnet: rehydrating sweep %s: %w", sw.id, err)
-	}
-	sw.tables = tables
-	return tables, nil
+	tables, _, err := s.regenerate(sw)
+	return tables, err
 }
 
 // WriteResults streams a finished sweep's tables into w in the given

@@ -210,12 +210,7 @@ func chunkFromEvent(ev runner.CellEvent) cellChunk {
 
 // streamSource returns the sweep's broadcaster. A sweep rehydrated
 // from its persisted record has none (there is no live run to
-// observe), so one is built on demand: the generator re-runs through
-// the result cache with a chunk-collecting observer — cells resolve as
-// cache hits, byte-identical to the original run (DESIGN.md §7) — and
-// the chunks, sorted into canonical order, become an already-finished
-// broadcaster. Two racing callers may both regenerate; the first to
-// publish wins and the duplicate is discarded.
+// observe), so regenerate builds an already-finished one.
 func (s *Server) streamSource(sw *sweep) (*broadcaster, error) {
 	sw.mu.Lock()
 	b := sw.bcast
@@ -223,15 +218,36 @@ func (s *Server) streamSource(sw *sweep) (*broadcaster, error) {
 	if b != nil {
 		return b, nil
 	}
+	_, b, err := s.regenerate(sw)
+	return b, err
+}
+
+// regenerate rebuilds a rehydrated sweep's tables and its finished
+// broadcaster in one run, at most once per sweep: the generator re-runs
+// through the result cache with a chunk-collecting observer — cells
+// resolve as cache hits, byte-identical to the original run
+// (DESIGN.md §7); a cold cell is re-simulated deterministically to the
+// same rows — and the chunks, sorted into canonical order, become an
+// already-finished broadcaster. A failed run leaves the sweep as it
+// was, so the next request retries.
+func (s *Server) regenerate(sw *sweep) ([]*runner.Table, *broadcaster, error) {
+	sw.regenMu.Lock()
+	defer sw.regenMu.Unlock()
+	sw.mu.Lock()
+	tables, b := sw.tables, sw.bcast
+	sw.mu.Unlock()
+	if tables != nil && b != nil {
+		return tables, b, nil
+	}
 	req := sw.req
 	fams, err := s.normalize(&req)
 	if err != nil {
-		return nil, fmt.Errorf("hybridnet: rehydrating sweep %s: %w", sw.id, err)
+		return nil, nil, fmt.Errorf("hybridnet: rehydrating sweep %s: %w", sw.id, err)
 	}
 	var cmu sync.Mutex
 	var chunks []cellChunk
 	cfg := experiments.ReportConfig{N: req.N, Seed: req.Seed, Families: fams}
-	r := s.newRunner(func(ev runner.CellEvent) {
+	tables, err = experiments.Generate(req.Scenario, cfg, s.newRunner(func(ev runner.CellEvent) {
 		if ev.Err != nil {
 			return
 		}
@@ -239,25 +255,18 @@ func (s *Server) streamSource(sw *sweep) (*broadcaster, error) {
 		cmu.Lock()
 		chunks = append(chunks, c)
 		cmu.Unlock()
-	})
-	tables, err := experiments.Generate(req.Scenario, cfg, r)
+	}))
 	if err != nil {
-		return nil, fmt.Errorf("hybridnet: rehydrating sweep %s: %w", sw.id, err)
+		return nil, nil, fmt.Errorf("hybridnet: rehydrating sweep %s: %w", sw.id, err)
 	}
 	sort.Slice(chunks, func(i, j int) bool { return chunks[i].index < chunks[j].index })
-	nb := newBroadcaster(s.streamBuffer)
-	nb.chunks = chunks
-	nb.terminal = SweepDone
+	b = newBroadcaster(s.streamBuffer)
+	b.chunks = chunks
+	b.terminal = SweepDone
 	sw.mu.Lock()
-	if sw.bcast == nil {
-		sw.bcast = nb
-		if sw.tables == nil {
-			sw.tables = tables // regenerated anyway; save handleResults the work
-		}
-	}
-	b = sw.bcast
+	sw.tables, sw.bcast = tables, b
 	sw.mu.Unlock()
-	return b, nil
+	return tables, b, nil
 }
 
 // terminalEvent maps a broadcaster terminal state to its stream event.

@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -282,6 +283,67 @@ func TestStreamRehydratedSweepReplay(t *testing.T) {
 	}
 	if got := reassemble(t, evs); !bytes.Equal(got, static) {
 		t.Errorf("rehydrated replay differs from static document")
+	}
+}
+
+// TestRehydratedSweepRegeneratesOnce: an evicted sweep asked for its
+// results and its stream — one after the other in either order, or
+// both at once — re-runs through the result cache once: the results
+// namespace serves each cell once, not once per request kind, and
+// both answers match the original.
+func TestRehydratedSweepRegeneratesOnce(t *testing.T) {
+	for _, order := range []string{"results-first", "stream-first", "concurrent"} {
+		srv := newTestServer(t, hybridnet.ServerConfig{Workers: 2, MaxSweeps: 1, CacheDir: t.TempDir()})
+		st, err := srv.Submit(nqPathRequest())
+		if err != nil {
+			t.Fatal(err)
+		}
+		done, err := srv.Wait(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		static := results(t, srv, st.ID, "jsonl")
+		// A second sweep pushes the first out of the single-slot registry.
+		other, err := srv.Submit(hybridnet.SweepRequest{Scenario: "nq", Families: []string{"cycle"}, N: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.Wait(other.ID); err != nil {
+			t.Fatal(err)
+		}
+
+		before := srv.CacheStats().Namespaces["results"].Hits
+		var fetched bytes.Buffer
+		var evs []hybridnet.StreamEvent
+		fetch := func() error { return srv.WriteResults(&fetched, st.ID, "jsonl") }
+		stream := func() error {
+			return srv.StreamCells(context.Background(), st.ID, func(ev hybridnet.StreamEvent) error {
+				evs = append(evs, ev)
+				return nil
+			})
+		}
+		var errs [2]error
+		switch order {
+		case "results-first":
+			errs[0], errs[1] = fetch(), stream()
+		case "stream-first":
+			errs[1], errs[0] = stream(), fetch()
+		case "concurrent":
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() { defer wg.Done(); errs[0] = fetch() }()
+			go func() { defer wg.Done(); errs[1] = stream() }()
+			wg.Wait()
+		}
+		if errs[0] != nil || errs[1] != nil {
+			t.Fatalf("%s: results err %v, stream err %v", order, errs[0], errs[1])
+		}
+		if hits := srv.CacheStats().Namespaces["results"].Hits - before; hits != uint64(done.Cells) {
+			t.Errorf("%s: results namespace served %d cell reads, want %d (one per cell)", order, hits, done.Cells)
+		}
+		if !bytes.Equal(fetched.Bytes(), static) || !bytes.Equal(reassemble(t, evs), static) {
+			t.Errorf("%s: regenerated results or stream differ from the original document", order)
+		}
 	}
 }
 

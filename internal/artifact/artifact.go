@@ -30,6 +30,8 @@ import (
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/singleflight"
 )
 
 // shardCount spreads lock contention; keys are uniform (SHA-256 hex),
@@ -306,7 +308,8 @@ func (s *Store) shard(k memKey) *shard {
 }
 
 // Namespace is one named key space of a Store. It satisfies
-// runner.CellCache and runner.BlobStore; values handed to Put and
+// runner.BlobStore, the one store interface of the sweep runner
+// (runner.CellCache is an alias of it); values handed to Put and
 // returned by Get are treated as immutable.
 type Namespace struct {
 	store        *Store
@@ -318,10 +321,9 @@ type Namespace struct {
 	fillFn atomic.Pointer[FillFunc]
 	replFn atomic.Pointer[ReplicateFunc]
 
-	flightMu sync.Mutex
-	flights  map[string]*flight
+	flight singleflight.Group[[]byte] // in-flight fills (fill.go)
 	// testHookMissed, when set by a test, runs in Get between the
-	// local miss and the flight lookup.
+	// local miss and the flight.
 	testHookMissed func(key string)
 
 	counters

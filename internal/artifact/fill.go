@@ -28,6 +28,10 @@ type ReplicateFunc func(key string, value []byte)
 // into an ordinary miss without error accounting.
 var ErrFillUnavailable = errors.New("artifact: no remote source for key")
 
+// errFillRejected reports a fetched blob whose bytes do not re-hash to
+// the advertised digest.
+var errFillRejected = errors.New("artifact: fetched blob failed its digest check")
+
 // SetFill installs (or, with nil, removes) the remote-fill hook.
 func (ns *Namespace) SetFill(f FillFunc) {
 	if f == nil {
@@ -46,67 +50,40 @@ func (ns *Namespace) SetReplicate(f ReplicateFunc) {
 	ns.replFn.Store(&f)
 }
 
-// flight is one in-progress fill; concurrent misses for the same key
-// join it instead of issuing their own remote fetch.
-type flight struct {
-	done chan struct{}
-	blob []byte
-	ok   bool
-}
-
-// fillThrough runs the fill hook under a per-key singleflight: the
-// first miss becomes the leader and fetches; followers block on the
-// leader's result. A verified blob is written through to the local
-// tiers (PutLocal — replication must not echo a fetched blob back),
-// so the next restart or LRU eviction is served locally: ownership
-// migration is self-healing because any peer that ever served a key
-// keeps it.
-//
-// The caller's local miss happened before flightMu was taken, so a
-// previous leader may have written the blob through and retired its
-// flight in between. A new leader therefore looks in the local tiers
-// once more before it fetches.
+// fillThrough runs the fill hook under the namespace's per-key
+// singleflight: the first miss becomes the leader and fetches;
+// followers block on the leader's result. A verified blob is written
+// through to the local tiers (PutLocal — replication must not echo a
+// fetched blob back), so the next restart or LRU eviction is served
+// locally: ownership migration is self-healing because any peer that
+// ever served a key keeps it.
 func (ns *Namespace) fillThrough(key string, fill FillFunc) ([]byte, bool) {
 	if ns.testHookMissed != nil {
 		ns.testHookMissed(key)
 	}
-	ns.flightMu.Lock()
-	if ns.flights == nil {
-		ns.flights = make(map[string]*flight)
-	}
-	if f, inFlight := ns.flights[key]; inFlight {
-		ns.flightMu.Unlock()
-		<-f.done
-		return f.blob, f.ok
-	}
-	f := &flight{done: make(chan struct{})}
-	ns.flights[key] = f
-	ns.flightMu.Unlock()
-	defer func() {
-		ns.flightMu.Lock()
-		delete(ns.flights, key)
-		ns.flightMu.Unlock()
-		close(f.done)
-	}()
-
-	if v, ok := ns.getLocal(key); ok {
-		f.blob, f.ok = v, true
-		return v, true
-	}
-	blob, digest, err := fill(key)
-	if err != nil {
-		if !errors.Is(err, ErrFillUnavailable) {
-			ns.fillErrors.Add(1)
+	blob, err, _ := ns.flight.Do(key, func() ([]byte, error) {
+		// The caller's local miss happened outside the flight, so a
+		// previous leader may have written the blob through and
+		// retired in between. Look in the local tiers once more before
+		// fetching.
+		if v, ok := ns.getLocal(key); ok {
+			return v, nil
 		}
-		return nil, false
-	}
-	sum := sha256.Sum256(blob)
-	if digest == "" || !strings.EqualFold(hex.EncodeToString(sum[:]), digest) {
-		ns.fillRejects.Add(1)
-		return nil, false
-	}
-	ns.fills.Add(1)
-	ns.PutLocal(key, blob)
-	f.blob, f.ok = blob, true
-	return blob, true
+		blob, digest, err := fill(key)
+		if err != nil {
+			if !errors.Is(err, ErrFillUnavailable) {
+				ns.fillErrors.Add(1)
+			}
+			return nil, err
+		}
+		sum := sha256.Sum256(blob)
+		if digest == "" || !strings.EqualFold(hex.EncodeToString(sum[:]), digest) {
+			ns.fillRejects.Add(1)
+			return nil, errFillRejected
+		}
+		ns.fills.Add(1)
+		ns.PutLocal(key, blob)
+		return blob, nil
+	})
+	return blob, err == nil
 }

@@ -6,14 +6,16 @@ package runner
 // seed-free one — so GraphCache and ProfileCache are thin
 // front-ends over this core: each supplies a content address, a codec
 // and a build, and the core shares the decoded value in a bounded LRU,
-// builds it at most once per process (singleflight), and persists its
-// encoding through an optional BlobStore so later processes restore
-// instead of rebuild.
+// builds it at most once per process (internal/singleflight), and
+// persists its encoding through an optional BlobStore so later
+// processes restore instead of rebuild.
 
 import (
 	"container/list"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/singleflight"
 )
 
 // defaultMaxEntries bounds the decoded values a cache keeps in memory
@@ -21,10 +23,12 @@ import (
 // remain restorable from the blob store, if one is attached.
 const defaultMaxEntries = 64
 
-// BlobStore is the persistence hook of the derived-artifact caches: a
-// content-addressed blob store, satisfied by artifact.Namespace.
-// Implementations must be safe for concurrent use; values handed to
-// Put and returned by Get are treated as immutable.
+// BlobStore is the one store interface of the runner: a
+// content-addressed blob store, the persistence hook of the
+// derived-artifact caches and, as CellCache, the cell-row cache. It is
+// satisfied by artifact.Namespace. Implementations must be safe for
+// concurrent use; values handed to Put and returned by Get are treated
+// as immutable.
 type BlobStore interface {
 	Get(key string) ([]byte, bool)
 	Put(key string, value []byte)
@@ -36,11 +40,15 @@ type blobCache[V any] struct {
 	encode func(V) ([]byte, error)
 	decode func([]byte) (V, error)
 	max    int
+	flight singleflight.Group[V]
 
-	mu       sync.Mutex
-	entries  map[string]*list.Element // key → lru element holding *blobEntry[V]
-	lru      *list.List               // front = most recently used
-	inflight map[string]*blobCall[V]
+	mu      sync.Mutex
+	entries map[string]*list.Element // key → lru element holding *blobEntry[V]
+	lru     *list.List               // front = most recently used
+
+	// testHookMissed, when set by a test, runs in get between the
+	// memory miss and the flight.
+	testHookMissed func(key string)
 
 	builds, memHits, storeHits, dedups, evictions atomic.Uint64
 }
@@ -50,25 +58,17 @@ type blobEntry[V any] struct {
 	v   V
 }
 
-// blobCall is one in-flight load all concurrent askers share.
-type blobCall[V any] struct {
-	done chan struct{}
-	v    V
-	err  error
-}
-
 func newBlobCache[V any](store BlobStore, max int, encode func(V) ([]byte, error), decode func([]byte) (V, error)) *blobCache[V] {
 	if max <= 0 {
 		max = defaultMaxEntries
 	}
 	return &blobCache[V]{
-		store:    store,
-		encode:   encode,
-		decode:   decode,
-		max:      max,
-		entries:  make(map[string]*list.Element),
-		lru:      list.New(),
-		inflight: make(map[string]*blobCall[V]),
+		store:   store,
+		encode:  encode,
+		decode:  decode,
+		max:     max,
+		entries: make(map[string]*list.Element),
+		lru:     list.New(),
 	}
 }
 
@@ -81,40 +81,50 @@ func newBlobCache[V any](store BlobStore, max int, encode func(V) ([]byte, error
 // A failed build is returned to every joined caller and neither cached
 // nor persisted.
 func (c *blobCache[V]) get(key string, fits func(V) bool, build func() (V, error)) (V, error) {
+	if v, ok := c.lookup(key, fits); ok {
+		return v, nil
+	}
+	if c.testHookMissed != nil {
+		c.testHookMissed(key)
+	}
+	v, err, joined := c.flight.Do(key, func() (V, error) {
+		// The miss above happened outside the flight, so a previous
+		// leader may have inserted the value and retired in between.
+		// Look once more before loading.
+		if v, ok := c.lookup(key, fits); ok {
+			return v, nil
+		}
+		v, err := c.load(key, fits, build)
+		if err == nil {
+			c.insert(key, v)
+		}
+		return v, err
+	})
+	if joined {
+		c.dedups.Add(1)
+		if err == nil && !fits(v) {
+			return build()
+		}
+	}
+	return v, err
+}
+
+// lookup returns the memory entry under key if it fits the caller,
+// counting a memory hit; an entry that does not fit is dropped.
+func (c *blobCache[V]) lookup(key string, fits func(V) bool) (V, bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		if v := el.Value.(*blobEntry[V]).v; fits(v) {
 			c.lru.MoveToFront(el)
-			c.mu.Unlock()
 			c.memHits.Add(1)
-			return v, nil
+			return v, true
 		}
 		c.lru.Remove(el)
 		delete(c.entries, key)
 	}
-	if call, ok := c.inflight[key]; ok {
-		c.mu.Unlock()
-		c.dedups.Add(1)
-		<-call.done
-		if call.err != nil || fits(call.v) {
-			return call.v, call.err
-		}
-		return build()
-	}
-	call := &blobCall[V]{done: make(chan struct{})}
-	c.inflight[key] = call
-	c.mu.Unlock()
-
-	call.v, call.err = c.load(key, fits, build)
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if call.err == nil {
-		c.insert(key, call.v)
-	}
-	c.mu.Unlock()
-	close(call.done)
-	return call.v, call.err
+	var zero V
+	return zero, false
 }
 
 // load restores the value from the blob store or builds and persists
@@ -143,10 +153,12 @@ func (c *blobCache[V]) load(key string, fits func(V) bool, build func() (V, erro
 	return v, nil
 }
 
-// insert places a decoded value into the LRU (caller holds c.mu).
-// Evicted values stay alive for the callers already holding them; the
-// cache merely stops handing them out.
+// insert places a decoded value into the LRU. Evicted values stay
+// alive for the callers already holding them; the cache merely stops
+// handing them out.
 func (c *blobCache[V]) insert(key string, v V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.entries[key] = c.lru.PushFront(&blobEntry[V]{key: key, v: v})
 	for c.lru.Len() > c.max {
 		back := c.lru.Back()

@@ -29,16 +29,11 @@ import (
 const CodeVersion = "2026-07-repro-3"
 
 // CellCache is the runner's cache-lookup hook: a content-addressed
-// store of encoded cell rows. Implementations must be safe for
-// concurrent use; hybridnet.Server provides the production one, a view
-// of the "results" namespace of an internal/artifact store.
-// Values handed to Put and returned by Get are treated as immutable.
-type CellCache interface {
-	// Get returns the encoded rows stored under key, if any.
-	Get(key string) ([]byte, bool)
-	// Put stores the encoded rows of one cell under key.
-	Put(key string, value []byte)
-}
+// store of encoded cell rows, under the same contract as the
+// derived-artifact caches' BlobStore. hybridnet.Server provides the
+// production one, a view of the "results" namespace of an
+// internal/artifact store.
+type CellCache = BlobStore
 
 // CellEvent reports the outcome of one cell of a sweep to an observer.
 type CellEvent struct {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -96,6 +97,44 @@ func TestGraphCacheSingleflight(t *testing.T) {
 	}
 	if st.MemHits+st.Dedups != workers-1 {
 		t.Fatalf("hits %d + dedups %d don't cover the other %d workers", st.MemHits, st.Dedups, workers-1)
+	}
+}
+
+// TestGraphCacheLateMissReadsInsert mirrors the artifact store's
+// TestFillLateMissReadsWriteThrough: a Get misses in memory, then a
+// leader builds, inserts and retires its flight before that Get
+// reaches the flight. The late Get must be served from memory, not
+// build the topology a second time.
+func TestGraphCacheLateMissReadsInsert(t *testing.T) {
+	gc := NewGraphCache(nil, 0)
+	var hooked atomic.Bool
+	missed, resume := make(chan struct{}), make(chan struct{})
+	gc.c.testHookMissed = func(string) {
+		if hooked.CompareAndSwap(false, true) {
+			close(missed)
+			<-resume
+		}
+	}
+
+	late := make(chan *graph.Graph)
+	go func() {
+		g, err := gc.Get(graph.FamilyGrid2D, 64, 1)
+		if err != nil {
+			t.Error(err)
+		}
+		late <- g
+	}()
+	<-missed // the late Get has missed in memory and waits before the flight
+	g, err := gc.Get(graph.FamilyGrid2D, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(resume)
+	if lg := <-late; lg != g {
+		t.Fatal("the late Get returned a second instance")
+	}
+	if st := gc.Stats(); st.Builds != 1 || st.MemHits != 1 || st.Dedups != 0 {
+		t.Fatalf("stats %+v; want 1 build and the late Get a memory hit", st)
 	}
 }
 
@@ -196,18 +235,18 @@ func TestCollectBuildsEachGraphOnce(t *testing.T) {
 		Ns:       []int{32, 64},
 		Seeds:    []int64{1, 2},
 		Points:   PointsK([]int{1, 2, 4}),
-		Run: func(c *Cell) ([]row, error) {
-			g, err := c.BuildGraph()
-			if err != nil {
-				return nil, err
-			}
-			h, err := graph.CSRHash(g)
-			if err != nil {
-				return nil, err
-			}
-			return []row{{Hash: h}}, nil
-		},
 	}
+	measure := func(g *graph.Graph, err error) ([]row, error) {
+		if err != nil {
+			return nil, err
+		}
+		h, err := graph.CSRHash(g)
+		if err != nil {
+			return nil, err
+		}
+		return []row{{Hash: h}}, nil
+	}
+	sc.Run = func(c *Cell) ([]row, error) { return measure(c.BuildGraph()) }
 	distinct := 2 * 2 * 2 // families × ns × seeds; points share
 
 	cold, err := Collect(&Runner{Workers: 8, Graphs: gc}, sc)
@@ -232,15 +271,19 @@ func TestCollectBuildsEachGraphOnce(t *testing.T) {
 		}
 	}
 
-	// And the rows are identical to a cache-free run: sharing does not
-	// change what a cell measures.
-	bare, err := Collect(&Runner{Workers: 1}, sc)
+	// And the rows are identical to a run whose cells each build their
+	// own graph: sharing does not change what a cell measures.
+	perCell := *sc
+	perCell.Run = func(c *Cell) ([]row, error) {
+		return measure(graph.Build(c.Family, c.N, rand.New(rand.NewSource(c.GraphSeed()))))
+	}
+	bare, err := Collect(&Runner{Workers: 1}, &perCell)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range bare {
 		if bare[i] != cold[i] {
-			t.Fatalf("row %d differs from the uncached run: %+v vs %+v", i, cold[i], bare[i])
+			t.Fatalf("row %d differs from the per-cell build: %+v vs %+v", i, cold[i], bare[i])
 		}
 	}
 }
@@ -248,8 +291,8 @@ func TestCollectBuildsEachGraphOnce(t *testing.T) {
 // TestSeedFreeTopologySharedAcrossScenarios: two scenarios swept at
 // two base seeds each build and profile the seed-free path once, and
 // the seeded random family once per (scenario, base seed), whose
-// GraphSeed differs. The shared path instance is the one every cell
-// would build on its own.
+// GraphSeed differs. The rows equal those of each scenario run alone
+// on its own fresh caches.
 func TestSeedFreeTopologySharedAcrossScenarios(t *testing.T) {
 	gc := NewGraphCache(nil, 0)
 	pc := NewProfileCache(nil, 0)
@@ -304,7 +347,7 @@ func TestSeedFreeTopologySharedAcrossScenarios(t *testing.T) {
 	for s := range shared {
 		for i := range shared[s] {
 			if shared[s][i] != bare[s][i] {
-				t.Fatalf("scenario %d row %d: shared %+v, uncached %+v", s, i, shared[s][i], bare[s][i])
+				t.Fatalf("scenario %d row %d: shared %+v, alone %+v", s, i, shared[s][i], bare[s][i])
 			}
 		}
 	}

@@ -19,7 +19,6 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"runtime"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/hybrid"
@@ -114,8 +113,8 @@ type Scenario[T any] struct {
 }
 
 // Cell is one unit of sweep work: a single coordinate of the scenario
-// grid. Cells are self-contained — they build their own graph and
-// derive their own seeds — so any subset can run concurrently.
+// grid. Cells derive their own seeds and reach their graph through a
+// cache keyed by its topology, so any subset can run concurrently.
 type Cell struct {
 	Scenario string
 	Family   graph.Family
@@ -127,8 +126,8 @@ type Cell struct {
 	Index int
 
 	model    hybrid.Config
-	graphs   *GraphCache   // set by Collect from Runner.Graphs; nil = build per cell
-	profiles *ProfileCache // set by Collect from Runner.Profiles; nil = compute per graph
+	graphs   *GraphCache   // the expansion's own, or Runner.Graphs
+	profiles *ProfileCache // the expansion's own, or Runner.Profiles
 }
 
 func (c *Cell) String() string {
@@ -183,39 +182,25 @@ func (c *Cell) GraphSeed() int64 { return c.DeriveSeed("graph") }
 // Rng returns a fresh point-dependent random stream for the cell.
 func (c *Cell) Rng() *rand.Rand { return rand.New(rand.NewSource(c.Seed())) }
 
-// BuildGraph returns the cell's graph instance for GraphSeed. With a
-// GraphCache attached (Runner.Graphs) the returned graph is the shared
-// instance every cell of the same topology (GraphKey) sees — built
-// exactly once, identical to a per-cell build;
-// without one it is constructed fresh. Either way the graph is
-// immutable; derive weight variants with Reweight.
+// BuildGraph returns the cell's graph instance for GraphSeed: the
+// shared instance every cell of the same topology (GraphKey) sees,
+// built once per cache — Runner.Graphs when Collect has one, else the
+// memory-only cache the cells of one Cells expansion share. The
+// instance is identical to a per-cell graph.Build and immutable;
+// derive weight variants with Reweight.
 func (c *Cell) BuildGraph() (*graph.Graph, error) {
-	if c.graphs != nil {
-		return c.graphs.Get(c.Family, c.N, c.GraphSeed())
-	}
-	return graph.Build(c.Family, c.N, rand.New(rand.NewSource(c.GraphSeed())))
+	return c.graphs.Get(c.Family, c.N, c.GraphSeed())
 }
 
 // BallProfiles returns the shared ball-profile artifact of the cell's
 // graph (which must be the instance BuildGraph returned), memoizing it
 // on g so every NQ query against the instance answers from the profile
-// (DESIGN.md §10). With a ProfileCache attached (Runner.Profiles) the
-// artifact is computed once per distinct topology (ProfileKey) across
-// the whole sweep (singleflight) and persisted
-// content-addressed; without one it is computed locally at the same
-// canonical radius and attached to g — at most once per concurrent
-// asker, since this fallback has no singleflight (workers racing on a
-// fresh shared instance may duplicate the kernel before the atomic
-// attach keeps one result). Either way the values any k-point reads
-// are identical to a per-cell computation.
+// (DESIGN.md §10). The artifact is computed once per distinct
+// topology (ProfileKey) per cache — Runner.Profiles when Collect has
+// one, else the expansion's memory-only cache — and the values any
+// k-point reads are identical to a per-cell computation.
 func (c *Cell) BallProfiles(g *graph.Graph) *graph.Profiles {
-	if c.profiles != nil {
-		return c.profiles.Attach(g, c.Family, c.N, c.GraphSeed())
-	}
-	if p := g.Profiles(); p != nil && p.Covers(graph.ProfileRadius(g.N(), g.Diameter())) {
-		return p
-	}
-	return g.AttachProfiles(g.BallProfiles(graph.ProfileRadius(g.N(), g.Diameter())))
+	return c.profiles.Attach(g, c.Family, c.N, c.GraphSeed())
 }
 
 // Config returns the cell's model configuration: the scenario template
@@ -239,7 +224,9 @@ func (c *Cell) NewNet(g *graph.Graph, seed int64) (*hybrid.Net, error) {
 }
 
 // Cells expands the scenario grid in canonical order: families
-// outermost, then sizes, base seeds, and points innermost.
+// outermost, then sizes, base seeds, and points innermost. The cells
+// share one memory-only GraphCache and ProfileCache, so the points of
+// a topology measure one instance (DESIGN.md §9).
 func Cells[T any](sc *Scenario[T]) []Cell {
 	families := sc.Families
 	if len(families) == 0 {
@@ -257,6 +244,7 @@ func Cells[T any](sc *Scenario[T]) []Cell {
 	if len(points) == 0 {
 		points = []Point{{}}
 	}
+	graphs, profiles := NewGraphCache(nil, 0), NewProfileCache(nil, 0)
 	cells := make([]Cell, 0, len(families)*len(ns)*len(seeds)*len(points))
 	for _, fam := range families {
 		for _, n := range ns {
@@ -270,6 +258,8 @@ func Cells[T any](sc *Scenario[T]) []Cell {
 						Point:    pt,
 						Index:    len(cells),
 						model:    sc.Model,
+						graphs:   graphs,
+						profiles: profiles,
 					})
 				}
 			}
@@ -280,12 +270,13 @@ func Cells[T any](sc *Scenario[T]) []Cell {
 
 // Runner fans independent sweep cells out over a fixed-size worker pool.
 type Runner struct {
-	// Workers is the pool size; values ≤ 0 mean GOMAXPROCS. Ignored
-	// when Pool is set.
+	// Workers sizes the pool Collect starts for one call when Pool is
+	// nil (capped at the call's pending cells); values ≤ 0 mean
+	// GOMAXPROCS. Ignored when Pool is set.
 	Workers int
 	// Pool, when non-nil, is a shared worker pool the sweep's cells are
-	// submitted to instead of spawning per-sweep goroutines; concurrent
-	// sweeps on one Pool are scheduled fairly per sweep.
+	// submitted to instead of a per-call one; concurrent sweeps on one
+	// Pool are scheduled fairly per sweep.
 	Pool *Pool
 	// Cache, when non-nil, is consulted before any cell is dispatched:
 	// cells whose content address (Cell.CacheKey) resolves decode their
@@ -297,20 +288,19 @@ type Runner struct {
 	// CacheVersion is the code-version component of the cache key;
 	// empty means CodeVersion.
 	CacheVersion string
-	// Graphs, when non-nil, deduplicates topology construction: every
-	// cell resolves BuildGraph through this cache, so each distinct
-	// topology (GraphKey: the seed counts only for seeded families) is
-	// built exactly once and the instance is shared across points,
-	// scenarios, sweeps, and Pool tenants (DESIGN.md §9). Rows are
-	// unchanged — the shared instance is byte-identical to a per-cell
-	// build.
+	// Graphs, when non-nil, replaces the memory-only topology cache a
+	// Collect call otherwise gives its cells: each distinct topology
+	// (GraphKey: the seed counts only for seeded families) is then
+	// built once across scenarios, sweeps and Pool tenants, and
+	// restored instead of rebuilt when the cache persists through the
+	// artifact store (DESIGN.md §9). Rows are unchanged — the shared
+	// instance is byte-identical to a per-cell build.
 	Graphs *GraphCache
-	// Profiles, when non-nil, deduplicates the derived ball-profile
-	// artifacts the NQ measurements read (DESIGN.md §10): every cell
-	// resolves Cell.BallProfiles through this cache, so each distinct
-	// topology's profile is computed exactly once per sweep — and zero
-	// times on resubmission when the cache persists through the
-	// artifact store. Rows are unchanged — profile-served NQ values
+	// Profiles, when non-nil, likewise replaces the call's memory-only
+	// cache of the ball-profile artifacts the NQ measurements read
+	// (DESIGN.md §10), so each distinct topology's profile is computed
+	// once across sweeps — and zero times on resubmission when the
+	// cache persists. Rows are unchanged — profile-served NQ values
 	// are identical to per-cell ball growth.
 	Profiles *ProfileCache
 	// Observer, when non-nil, receives one CellEvent per cell (from
@@ -324,37 +314,17 @@ func Serial() *Runner { return &Runner{Workers: 1} }
 // Parallel returns a GOMAXPROCS-sized runner.
 func Parallel() *Runner { return &Runner{} }
 
-func (r *Runner) workers() int {
-	if r == nil || r.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return r.Workers
-}
-
-func (r *Runner) cache() CellCache {
-	if r == nil {
-		return nil
-	}
-	return r.Cache
-}
-
-func (r *Runner) cacheVersion() string {
-	if r == nil || r.CacheVersion == "" {
-		return CodeVersion
-	}
-	return r.CacheVersion
-}
-
 func (r *Runner) observe(ev CellEvent) {
-	if r != nil && r.Observer != nil {
+	if r.Observer != nil {
 		r.Observer(ev)
 	}
 }
 
-// Collect runs every cell of the scenario on r's pool and returns the
-// rows concatenated in canonical cell order. The output is independent
-// of the worker count; on failure the error of the lowest-indexed
-// failing cell is returned.
+// Collect runs every cell of the scenario on r's pool — r.Pool, or a
+// pool of r.Workers started for this call — and returns the rows
+// concatenated in canonical cell order; a nil r means Parallel(). The
+// output is independent of the worker count; on failure the error of
+// the lowest-indexed failing cell is returned.
 //
 // With r.Cache set, each cell's content address is looked up first:
 // hits decode their rows from the cache and never reach the worker
@@ -364,10 +334,15 @@ func Collect[T any](r *Runner, sc *Scenario[T]) ([]T, error) {
 	if sc.Run == nil {
 		return nil, fmt.Errorf("runner: scenario %q has no Run function", sc.Name)
 	}
+	if r == nil {
+		r = Parallel()
+	}
 	cells := Cells(sc)
-	if r != nil && (r.Graphs != nil || r.Profiles != nil) {
-		for i := range cells {
+	for i := range cells {
+		if r.Graphs != nil {
 			cells[i].graphs = r.Graphs
+		}
+		if r.Profiles != nil {
 			cells[i].profiles = r.Profiles
 		}
 	}
@@ -378,7 +353,7 @@ func Collect[T any](r *Runner, sc *Scenario[T]) ([]T, error) {
 	// observer's event — only when someone is listening and the
 	// scenario knows how (streaming delivery, DESIGN.md §12).
 	render := func(c *Cell, rows []T) []RenderedRow {
-		if sc.RenderRow == nil || r == nil || r.Observer == nil || len(rows) == 0 {
+		if sc.RenderRow == nil || r.Observer == nil || len(rows) == 0 {
 			return nil
 		}
 		out := make([]RenderedRow, len(rows))
@@ -390,11 +365,14 @@ func Collect[T any](r *Runner, sc *Scenario[T]) ([]T, error) {
 
 	// Cache-lookup pass: resolve hits up front so only misses are
 	// dispatched.
-	cache := r.cache()
+	cache := r.Cache
 	var keys []string
 	pending := make([]int, 0, len(cells))
 	if cache != nil {
-		version := r.cacheVersion()
+		version := r.CacheVersion
+		if version == "" {
+			version = CodeVersion
+		}
 		keys = make([]string, len(cells))
 		for i := range cells {
 			keys[i] = cells[i].CacheKey(version)
@@ -433,36 +411,23 @@ func Collect[T any](r *Runner, sc *Scenario[T]) ([]T, error) {
 		r.observe(ev)
 	}
 
-	if r != nil && r.Pool != nil {
+	if len(pending) > 0 {
 		tasks := make([]func(), len(pending))
 		for j, i := range pending {
-			i := i
 			tasks[j] = func() { runCell(i) }
 		}
-		if err := r.Pool.Run(tasks); err != nil {
+		pool := r.Pool
+		if pool == nil {
+			workers := r.Workers
+			if workers <= 0 {
+				workers = runtime.GOMAXPROCS(0)
+			}
+			pool = NewPool(min(workers, len(tasks)))
+			defer pool.Close()
+		}
+		if err := pool.Run(tasks); err != nil {
 			return nil, fmt.Errorf("runner: scenario %q: %w", sc.Name, err)
 		}
-	} else if workers := min(r.workers(), len(pending)); workers <= 1 {
-		for _, i := range pending {
-			runCell(i)
-		}
-	} else {
-		work := make(chan int, len(pending))
-		for _, i := range pending {
-			work <- i
-		}
-		close(work)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					runCell(i)
-				}
-			}()
-		}
-		wg.Wait()
 	}
 	for i, err := range errs {
 		if err != nil {

@@ -129,9 +129,8 @@ func TestBuildGraphSameInstanceAcrossPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g0.N() != g1.N() || g0.M() != g1.M() {
-		t.Fatalf("random graph differs across points: (%d,%d) vs (%d,%d)",
-			g0.N(), g0.M(), g1.N(), g1.M())
+	if g0 != g1 {
+		t.Fatal("the points of one expansion measure distinct graph instances")
 	}
 }
 

@@ -71,24 +71,3 @@ func HelperSets(net *hybrid.Net, cl *cluster.Clustering, w []int, k int, rng *ra
 	}
 	return out, nil
 }
-
-// HelperLoadStats summarizes a helper-set family for tests and audits:
-// the smallest set size and the maximum number of sets any node serves in.
-func HelperLoadStats(n int, sets map[int][]int) (minSize, maxMembership int) {
-	minSize = -1
-	member := make([]int, n)
-	for _, hw := range sets {
-		if minSize < 0 || len(hw) < minSize {
-			minSize = len(hw)
-		}
-		for _, v := range hw {
-			member[v]++
-		}
-	}
-	for _, m := range member {
-		if m > maxMembership {
-			maxMembership = m
-		}
-	}
-	return minSize, maxMembership
-}

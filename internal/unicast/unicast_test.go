@@ -68,6 +68,27 @@ func TestHashSpreadsLoad(t *testing.T) {
 	}
 }
 
+// helperLoadStats summarizes a helper-set family:
+// the smallest set size and the maximum number of sets any node serves in.
+func helperLoadStats(n int, sets map[int][]int) (minSize, maxMembership int) {
+	minSize = -1
+	member := make([]int, n)
+	for _, hw := range sets {
+		if minSize < 0 || len(hw) < minSize {
+			minSize = len(hw)
+		}
+		for _, v := range hw {
+			member[v]++
+		}
+	}
+	for _, m := range member {
+		if m > maxMembership {
+			maxMembership = m
+		}
+	}
+	return minSize, maxMembership
+}
+
 func TestHelperSetsProperties(t *testing.T) {
 	g := graph.Grid(16, 2)
 	net := newNet(t, g)
@@ -86,7 +107,7 @@ func TestHelperSetsProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	minSize, maxMember := HelperLoadStats(g.N(), hs)
+	minSize, maxMember := helperLoadStats(g.N(), hs)
 	// Property (1): |H_w| ≥ k/NQ_k (clusters may cap it at their size).
 	wantMin := k / cl.NQ
 	if minSize < wantMin/2 {
