@@ -9,6 +9,18 @@
 // assigns every node to its closest ruler with ties broken by smaller
 // leader identifier, floods cluster membership locally, and finally splits
 // oversized clusters along BFS order from the leader.
+//
+// The closest-ruler assignment simulates β = α−1 rounds of lexicographic
+// (hop distance, leader ID) label propagation. Its fixpoint gives every
+// node v the pair (d(v, W), smallest ID among the rulers at that
+// distance): a node's label is always realised by a path, so it is never
+// below that pair, and along a shortest path to the best ruler every
+// node's label is at most it, by induction on the distance. The ruling
+// set guarantees β ≤ α−1, so the propagation reaches this fixpoint
+// within its α−1 rounds. One multi-source BFS with the rulers listed in
+// ascending ID computes the same pair: BFS assigns each node the
+// smallest source position among its closest sources (graph.MultiSourceBFS),
+// and position order is ID order.
 package cluster
 
 import (
@@ -80,7 +92,7 @@ func Build(net *hybrid.Net, k int) (*Clustering, error) {
 	// identifier: lexicographic (hop distance, leader ID) label
 	// propagation for β = alpha-1 local rounds.
 	net.TickLocal("cluster/assign", alpha-1)
-	of := assignClosestRuler(net, rulers, alpha-1)
+	of := assignClosestRuler(net, rulers)
 
 	// Members flood their cluster through the local network for twice the
 	// assignment radius, covering the weak diameter.
@@ -105,85 +117,58 @@ func Build(net *hybrid.Net, k int) (*Clustering, error) {
 	}
 	// Every member knows every other member's identifier after the flood.
 	for _, c := range clusters {
-		for _, v := range c.Members {
-			for _, u := range c.Members {
-				net.Learn(v, u)
-			}
-		}
+		net.LearnEachOther(c.Members)
 	}
 	net.SetMemo(memoKey, final)
 	return final, nil
 }
 
 // assignClosestRuler returns, per node, the index into rulers of its
-// closest ruler (ties by smaller external identifier): Bellman–Ford over
-// hop layers with lexicographic (dist, leaderID) keys, radius rounds.
-func assignClosestRuler(net *hybrid.Net, rulers []int, radius int) []int {
-	g := net.Graph()
-	n := g.N()
-	dist := make([]int64, n)
-	leadID := make([]int64, n)
-	leadIdx := make([]int, n)
-	for v := 0; v < n; v++ {
-		dist[v] = graph.Inf
-		leadID[v] = 1<<62 - 1
-		leadIdx[v] = -1
+// closest ruler, ties broken by smaller external identifier: one
+// multi-source BFS from the rulers in identifier order (see the package
+// doc for why this is the label propagation's fixpoint).
+func assignClosestRuler(net *hybrid.Net, rulers []int) []int {
+	byID := make([]int, len(rulers))
+	for i := range byID {
+		byID[i] = i
 	}
-	for i, r := range rulers {
-		dist[r] = 0
-		leadID[r] = net.ID(r)
-		leadIdx[r] = i
+	sort.Slice(byID, func(a, b int) bool { return net.ID(rulers[byID[a]]) < net.ID(rulers[byID[b]]) })
+	srcs := make([]int, len(rulers))
+	for i, ri := range byID {
+		srcs[i] = rulers[ri]
 	}
-	for round := 0; round < radius; round++ {
-		changed := false
-		for v := 0; v < n; v++ {
-			if leadIdx[v] < 0 {
-				continue
-			}
-			nd := dist[v] + 1
-			row, _ := g.Row(v)
+	_, nearest := net.Graph().MultiSourceBFS(srcs)
+	for v, pos := range nearest {
+		nearest[v] = byID[pos]
+	}
+	return nearest
+}
+
+// collectClusters lists each cluster's members in BFS order from its
+// leader, restricted to the cluster, which keeps them sorted by hop
+// distance from the leader. Clusters are disjoint and connected (a
+// node's closest-ruler path stays in its cluster), so one queue of n
+// nodes serves every BFS and each cluster's members are a segment of it.
+func collectClusters(g *graph.Graph, rulers []int, of []int) []Cluster {
+	clusters := make([]Cluster, len(rulers))
+	seen := make([]bool, g.N())
+	queue := make([]int, 0, g.N())
+	for ci, r := range rulers {
+		start := len(queue)
+		seen[r] = true
+		queue = append(queue, r)
+		for head := start; head < len(queue); head++ {
+			row, _ := g.Row(queue[head])
 			for _, u := range row {
-				if nd < dist[u] || (nd == dist[u] && leadID[v] < leadID[u]) {
-					dist[u] = nd
-					leadID[u] = leadID[v]
-					leadIdx[u] = leadIdx[v]
-					changed = true
+				if of[u] == ci && !seen[u] {
+					seen[u] = true
+					queue = append(queue, int(u))
 				}
 			}
 		}
-		if !changed {
-			break
-		}
-	}
-	return leadIdx
-}
-
-func collectClusters(g *graph.Graph, rulers []int, of []int) []Cluster {
-	clusters := make([]Cluster, len(rulers))
-	// BFS order from each leader restricted to its own cluster keeps
-	// members sorted by hop distance from the leader. Clusters are
-	// disjoint, so one seen array serves every BFS.
-	seen := make([]bool, g.N())
-	for i, r := range rulers {
-		clusters[i].Leader = r
-		clusters[i].Members = clusterBFSOrder(g, r, of, i, seen)
+		clusters[ci] = Cluster{Leader: r, Members: queue[start:len(queue):len(queue)]}
 	}
 	return clusters
-}
-
-func clusterBFSOrder(g *graph.Graph, leader int, of []int, ci int, seen []bool) []int {
-	seen[leader] = true
-	queue := []int{leader}
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		g.ForEachNeighbor(v, func(u int, _ int64) {
-			if of[u] == ci && !seen[u] {
-				seen[u] = true
-				queue = append(queue, u)
-			}
-		})
-	}
-	return queue
 }
 
 // splitClusters enforces the size upper bound 2k/NQ_k by splitting along

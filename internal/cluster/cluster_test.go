@@ -1,12 +1,15 @@
 package cluster
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/hybrid"
 	"repro/internal/nq"
+	"repro/internal/rulingset"
 )
 
 func build(t *testing.T, g *graph.Graph, k int) (*hybrid.Net, *Clustering) {
@@ -164,6 +167,132 @@ func TestLeadersHelper(t *testing.T) {
 	for i, l := range leaders {
 		if cl.Clusters[i].Leader != l {
 			t.Fatal("Leaders mismatch")
+		}
+	}
+}
+
+// assignBellmanFord is the closest-ruler assignment as the Lemma 3.5
+// label propagation states it: Bellman–Ford over hop layers with
+// lexicographic (hop distance, leader ID) keys for radius rounds. It is
+// the oracle for assignClosestRuler's one BFS.
+func assignBellmanFord(net *hybrid.Net, rulers []int, radius int) []int {
+	g := net.Graph()
+	n := g.N()
+	dist := make([]int64, n)
+	leadID := make([]int64, n)
+	leadIdx := make([]int, n)
+	for v := 0; v < n; v++ {
+		dist[v] = graph.Inf
+		leadID[v] = 1<<62 - 1
+		leadIdx[v] = -1
+	}
+	for i, r := range rulers {
+		dist[r] = 0
+		leadID[r] = net.ID(r)
+		leadIdx[r] = i
+	}
+	for round := 0; round < radius; round++ {
+		changed := false
+		for v := 0; v < n; v++ {
+			if leadIdx[v] < 0 {
+				continue
+			}
+			nd := dist[v] + 1
+			row, _ := g.Row(v)
+			for _, u := range row {
+				if nd < dist[u] || (nd == dist[u] && leadID[v] < leadID[u]) {
+					dist[u] = nd
+					leadID[u] = leadID[v]
+					leadIdx[u] = leadIdx[v]
+					changed = true
+				}
+			}
+		}
+		if !changed {
+			break
+		}
+	}
+	return leadIdx
+}
+
+// TestAssignClosestRulerMatchesBellmanFord checks the BFS assignment
+// against the label-propagation oracle on every family, with HYBRID₀
+// identifiers (so identifier order differs from index order), on the
+// ruling sets Build computes, and checks that every node's ruler lies
+// within α−1 hops.
+func TestAssignClosestRulerMatchesBellmanFord(t *testing.T) {
+	for _, f := range graph.Families() {
+		for _, n := range []int{64, 576} {
+			g, err := graph.Build(f, n, rand.New(rand.NewSource(5)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, seed := range []int64{1, 2, 3} {
+				net, err := hybrid.New(g, hybrid.Config{Variant: hybrid.VariantHybrid0, Seed: seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range []int{g.N() / 4, g.N(), 4 * g.N()} {
+					t.Run(fmt.Sprintf("%s/n=%d/seed=%d/k=%d", f, n, seed, k), func(t *testing.T) {
+						q, err := nq.Of(g, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						alpha := 2*q + 1
+						rulers, err := rulingset.Compute(g, net.SortedIDs(), alpha)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got := assignClosestRuler(net, rulers)
+						if want := assignBellmanFord(net, rulers, alpha-1); !slices.Equal(got, want) {
+							t.Fatalf("BFS assignment differs from the Bellman–Ford oracle")
+						}
+						hops := make(map[int][]int64)
+						for v, ri := range got {
+							d, ok := hops[ri]
+							if !ok {
+								d = g.BFS(rulers[ri])
+								hops[ri] = d
+							}
+							if d[v] > int64(alpha-1) {
+								t.Fatalf("node %d is %d hops from its ruler, beyond α−1 = %d", v, d[v], alpha-1)
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkClusterBuild times one Lemma 3.5 clustering on a fresh
+// network per op over a graph whose diameter and ball profiles are
+// already attached, as in a report cell: NQ_k by Lemma 3.3, the ruling
+// set, closest-ruler assignment, membership and splitting.
+func BenchmarkClusterBuild(b *testing.B) {
+	for _, f := range []graph.Family{graph.FamilyPath, graph.FamilyGrid2D, graph.FamilyExpander} {
+		g, err := graph.Build(f, 576, rand.New(rand.NewSource(1)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, k := range []int{576, 2304} {
+			b.Run(fmt.Sprintf("%s/n=576/k=%d", f, k), func(b *testing.B) {
+				run := func() {
+					net, err := hybrid.New(g, hybrid.Config{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := Build(net, k); err != nil {
+						b.Fatal(err)
+					}
+				}
+				run() // attach the graph's diameter and ball profiles
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					run()
+				}
+			})
 		}
 	}
 }

@@ -453,6 +453,20 @@ func (net *Net) Learn(v, u int) {
 	}
 }
 
+// LearnEachOther records that every node in nodes learned every other's
+// identifier (the state after flooding a cluster's membership). No-op
+// without knowledge tracking.
+func (net *Net) LearnEachOther(nodes []int) {
+	if net.know == nil {
+		return
+	}
+	for _, v := range nodes {
+		for _, u := range nodes {
+			net.know[v].Add(u)
+		}
+	}
+}
+
 // LearnAll records that every node learned every identifier (the state
 // after broadcasting all IDs, cf. the remark after Theorem 1).
 func (net *Net) LearnAll() {
@@ -572,6 +586,21 @@ func (net *Net) SendGlobal(phase string, msgs []Msg) (int, error) {
 		}
 	}
 	return rounds, nil
+}
+
+// ReplayGlobal records a repeat of a global delivery that SendGlobal has
+// already made on this network: msgs messages in rounds rounds under
+// phase. It adds the audit entry, GlobalMessages and GlobalRounds exactly
+// as SendGlobal would, without scheduling the messages again. That is
+// exact only when the repeat carries the same messages with the same
+// sizes (so the same ⌈max load/γ⌉), knowledge only grows (so every sender
+// still knows its receiver) and no message has TeachIDs (so the repeat
+// teaches nothing). Overlay trees replay their per-level schedules this
+// way (DESIGN.md §1).
+func (net *Net) ReplayGlobal(phase string, msgs, rounds int) {
+	net.record(phase, rounds, Simulated)
+	net.stats.GlobalMessages += int64(msgs)
+	net.stats.GlobalRounds += int64(rounds)
 }
 
 // DeliverOneRound models the Section 1.3 subtlety verbatim: msgs are all

@@ -2,6 +2,7 @@ package hybrid
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -236,4 +237,47 @@ func TestVariantString(t *testing.T) {
 	if Simulated.String() != "simulated" || Charged.String() != "charged" {
 		t.Fatal("kind strings wrong")
 	}
+}
+
+// TestReplayGlobalMatchesResend: replaying a delivered multiset records
+// the same audit and statistics as sending it again.
+func TestReplayGlobalMatchesResend(t *testing.T) {
+	msgs := []Msg{{From: 0, To: 1, Size: 3}, {From: 2, To: 1, Size: 2}, {From: 1, To: 3}}
+	resend := newNet(t, graph.Path(8), Config{GlobalWordCap: 2})
+	replay := newNet(t, graph.Path(8), Config{GlobalWordCap: 2})
+	for _, net := range []*Net{resend, replay} {
+		net.TickLocal("other", 1)
+		if _, err := net.SendGlobal("x", msgs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := resend.SendGlobal("x", msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay.ReplayGlobal("x", len(msgs), r)
+	if got, want := replay.Audit(), resend.Audit(); !slices.Equal(got, want) {
+		t.Fatalf("audit %v, resend %v", got, want)
+	}
+	if replay.Stats() != resend.Stats() || replay.Rounds() != resend.Rounds() {
+		t.Fatalf("stats %+v, resend %+v", replay.Stats(), resend.Stats())
+	}
+}
+
+// TestLearnEachOther: every listed node learns every other listed node
+// and nobody else.
+func TestLearnEachOther(t *testing.T) {
+	net := newNet(t, graph.Path(10), Config{Variant: VariantHybrid0, TrackKnowledge: true})
+	net.LearnEachOther([]int{0, 5, 9})
+	for _, v := range []int{0, 5, 9} {
+		for _, u := range []int{0, 5, 9} {
+			if !net.Knows(v, u) {
+				t.Fatalf("%d does not know %d", v, u)
+			}
+		}
+	}
+	if net.Knows(0, 7) || net.Knows(7, 0) {
+		t.Fatal("a node outside the group learned or was learned")
+	}
+	newNet(t, graph.Path(3), Config{}).LearnEachOther([]int{0, 2}) // no tracking: no-op
 }

@@ -35,6 +35,14 @@ type Tree struct {
 	// via Memo, so in steady state the aggregation allocates nothing.
 	up, down []hybrid.Msg
 	width    int
+	// upRounds and downRounds hold, per level d (index d-1), the rounds
+	// SendGlobal scheduled for that level of up and down at width. They
+	// fill on the first pass that delivers every level and empty when
+	// the width changes. A level's schedule is fixed for a width,
+	// knowledge only grows and the schedules carry no TeachIDs, so a
+	// later pass replays the counts with Net.ReplayGlobal instead of
+	// scheduling again (DESIGN.md §1).
+	upRounds, downRounds []int
 	// phase is the last phase label seen, upPhase and downPhase its
 	// audit labels, cached so that repeating a phase builds no string.
 	phase, upPhase, downPhase string
@@ -173,6 +181,8 @@ func (t *Tree) schedules(width int) (up, down []hybrid.Msg) {
 			t.down[i].Size = width
 		}
 		t.width = width
+		t.upRounds = t.upRounds[:0]
+		t.downRounds = t.downRounds[:0]
 	}
 	return t.up, t.down
 }
@@ -200,15 +210,7 @@ func (t *Tree) labels(phase string) (up, down string) {
 func (t *Tree) ConvergeCast(phase string, width int) (int, error) {
 	up, _ := t.schedules(width)
 	label, _ := t.labels(phase)
-	total := 0
-	for d := t.Depth(); d >= 1; d-- {
-		r, err := t.net.SendGlobal(label, level(up, d))
-		if err != nil {
-			return total, err
-		}
-		total += r
-	}
-	return total, nil
+	return t.send(label, up, &t.upRounds, true)
 }
 
 // BroadcastDown sends width words from every member to its children,
@@ -216,14 +218,40 @@ func (t *Tree) ConvergeCast(phase string, width int) (int, error) {
 func (t *Tree) BroadcastDown(phase string, width int) (int, error) {
 	_, down := t.schedules(width)
 	_, label := t.labels(phase)
+	return t.send(label, down, &t.downRounds, false)
+}
+
+// send delivers sched one level at a time, deepest first when
+// deepestFirst is set, and returns the total rounds. Once *rounds holds
+// every level's count it replays them; otherwise it schedules each level
+// with SendGlobal and keeps the counts only if every level succeeded.
+func (t *Tree) send(label string, sched []hybrid.Msg, rounds *[]int, deepestFirst bool) (int, error) {
+	depth := t.Depth()
+	replay := len(*rounds) == depth
+	if !replay && cap(*rounds) < depth {
+		*rounds = make([]int, 0, depth)
+	}
+	counts := (*rounds)[:depth]
 	total := 0
-	for d := 1; d <= t.Depth(); d++ {
-		r, err := t.net.SendGlobal(label, level(down, d))
+	for i := 1; i <= depth; i++ {
+		d := i
+		if deepestFirst {
+			d = depth + 1 - i
+		}
+		lv := level(sched, d)
+		if replay {
+			t.net.ReplayGlobal(label, len(lv), counts[d-1])
+			total += counts[d-1]
+			continue
+		}
+		r, err := t.net.SendGlobal(label, lv)
 		if err != nil {
 			return total, err
 		}
+		counts[d-1] = r
 		total += r
 	}
+	*rounds = counts
 	return total, nil
 }
 

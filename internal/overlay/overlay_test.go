@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"slices"
+	"strconv"
 	"testing"
 
 	"repro/internal/graph"
@@ -178,5 +179,114 @@ func TestSingleNodeTree(t *testing.T) {
 	}
 	if r, err := tr.Aggregate("x", 1); err != nil || r != 0 {
 		t.Fatalf("singleton aggregate r=%d err=%v", r, err)
+	}
+}
+
+// referencePass sends tr's up (or down) schedule at width level by level
+// through SendGlobal on net, with freshly built messages and the phase
+// labels the tree uses: the behaviour a tree that never replays has.
+func referencePass(net *hybrid.Net, tr *Tree, label string, width int, up bool) (int, error) {
+	depth, m := tr.Depth(), tr.Size()
+	total := 0
+	for i := 1; i <= depth; i++ {
+		d := i
+		if up {
+			d = depth + 1 - i
+		}
+		var msgs []hybrid.Msg
+		for c := 1<<d - 1; c < min(1<<(d+1)-1, m); c++ {
+			child, parent := tr.Members[c], tr.Members[(c-1)/2]
+			if up {
+				msgs = append(msgs, hybrid.Msg{From: child, To: parent, Size: width})
+			} else {
+				msgs = append(msgs, hybrid.Msg{From: parent, To: child, Size: width})
+			}
+		}
+		r, err := net.SendGlobal(label, msgs)
+		if err != nil {
+			return total, err
+		}
+		total += r
+	}
+	return total, nil
+}
+
+// TestReplayMatchesSendGlobal runs one sequence of Aggregate,
+// ConvergeCast and BroadcastDown calls on a tree, which replays its
+// level counts, and the same sequence through SendGlobal on every level
+// of a second network. Both must agree in returned rounds, errors,
+// Audit, Stats, Rounds and (under HYBRID₀) knowledge after every call,
+// across width changes back and forth.
+func TestReplayMatchesSendGlobal(t *testing.T) {
+	configs := []struct {
+		name string
+		cfg  hybrid.Config
+	}{
+		{"hybrid", hybrid.Config{}},
+		{"hybrid0-tracked", hybrid.Config{Variant: hybrid.VariantHybrid0, TrackKnowledge: true, Seed: 3}},
+		{"local-only", hybrid.Config{LocalOnly: true}},
+	}
+	for _, c := range configs {
+		for _, n := range []int{1, 2, 3, 64, 577} {
+			t.Run(c.name+"/n="+strconv.Itoa(n), func(t *testing.T) {
+				got := newNet(t, graph.Path(n), c.cfg)
+				want := newNet(t, graph.Path(n), c.cfg)
+				tr, ref := Build(got, "x"), Build(want, "x")
+				gamma := got.Cap()
+				widths := []int{1, 1, gamma, gamma, gamma + 1, 1, gamma + 1, gamma + 1, gamma, 1}
+				ops := []string{"aggregate", "convergecast", "broadcastdown"}
+				for step, w := range widths {
+					for oi, op := range ops {
+						phase := "p" + strconv.Itoa((step+oi)%2)
+						var g, r int
+						var gErr, rErr error
+						switch op {
+						case "aggregate":
+							g, gErr = tr.Aggregate(phase, w)
+							r, rErr = referencePass(want, ref, phase+"/convergecast", w, true)
+							if rErr == nil {
+								var down int
+								down, rErr = referencePass(want, ref, phase+"/broadcastdown", w, false)
+								r += down
+							}
+						case "convergecast":
+							g, gErr = tr.ConvergeCast(phase, w)
+							r, rErr = referencePass(want, ref, phase+"/convergecast", w, true)
+						case "broadcastdown":
+							g, gErr = tr.BroadcastDown(phase, w)
+							r, rErr = referencePass(want, ref, phase+"/broadcastdown", w, false)
+						}
+						at := op + " width " + strconv.Itoa(w) + " step " + strconv.Itoa(step)
+						if g != r || (gErr == nil) != (rErr == nil) {
+							t.Fatalf("%s: tree %d rounds (err %v), reference %d (err %v)", at, g, gErr, r, rErr)
+						}
+						if c.cfg.LocalOnly {
+							if (gErr != nil) != (tr.Depth() > 0) {
+								t.Fatalf("%s: err %v on a LocalOnly tree of depth %d", at, gErr, tr.Depth())
+							}
+							if len(tr.upRounds)+len(tr.downRounds) != 0 {
+								t.Fatalf("%s: failed passes cached level counts", at)
+							}
+						}
+						if !slices.Equal(got.Audit(), want.Audit()) || got.Stats() != want.Stats() || got.Rounds() != want.Rounds() {
+							t.Fatalf("%s: audit %v stats %+v, reference audit %v stats %+v",
+								at, got.Audit(), got.Stats(), want.Audit(), want.Stats())
+						}
+					}
+					// After a pass at this width, the next one replays.
+					if !c.cfg.LocalOnly && (len(tr.upRounds) != tr.Depth() || len(tr.downRounds) != tr.Depth()) {
+						t.Fatalf("width %d: %d up and %d down level counts cached, want %d",
+							w, len(tr.upRounds), len(tr.downRounds), tr.Depth())
+					}
+				}
+				for v := 0; v < n; v++ {
+					for u := 0; u < n; u++ {
+						if got.Knows(v, u) != want.Knows(v, u) {
+							t.Fatalf("Knows(%d, %d) differs from the reference", v, u)
+						}
+					}
+				}
+			})
+		}
 	}
 }
