@@ -38,7 +38,7 @@ func BenchmarkAblationGammaScaling(b *testing.B) {
 					b.Fatal(err)
 				}
 				sources := unicast.SampleNodes(n, float64(k)/float64(n), rng)
-				_, res, err := sssp.KSSP(net, sources, 0.5, true, rng)
+				_, res, err := sssp.KSSP(net, sources, 0.5, true, rng, false)
 				if err != nil {
 					b.Fatal(err)
 				}

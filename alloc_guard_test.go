@@ -9,6 +9,7 @@ package repro_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/overlay"
 	"repro/internal/runner"
 	"repro/internal/spanner"
+	"repro/internal/sssp"
 )
 
 func requireAllocFree(t *testing.T) {
@@ -222,6 +224,9 @@ func TestCoreKernelAllocBudgets(t *testing.T) {
 		{"Dijkstra (unit weights)", 1, func() { grid.Dijkstra(0) }},
 		{"HopLimitedDistances", 4, func() { grid.HopLimitedDistances(0, 16) }},
 		{"BallSizes", 2, func() { grid.BallSizes(0, 16) }},
+		// Connectivity is memoized on the graph, so every hybrid.New
+		// after the first over a shared topology skips the DFS.
+		{"Connected (memoized)", 0, func() { grid.Connected() }},
 	}
 	for _, c := range cases {
 		if allocs := testing.AllocsPerRun(20, c.run); allocs > c.budget {
@@ -392,5 +397,40 @@ func TestSpannerAllocBudget(t *testing.T) {
 		}
 	})) / (1 << 20); mb >= 1 {
 		t.Fatalf("spanner.Compute(k=2) on a weighted %d-node 8-regular graph allocated %.2f MB, budget 1 MB", g.N(), mb)
+	}
+}
+
+// TestCoreKSSPWithoutValuesAllocBudget pins a Figure 1 k-SSP cell at its
+// accounting: with wantValues false, KSSP over k = ⌈n^0.8⌉ random
+// sources on the 576-node torus materializes no distance rows, so a call
+// must allocate less than one k×n int64 matrix (746 KB). A call measured
+// 80 bytes (its result) with go1.24.0 on amd64; with values it allocated
+// 794 KB.
+func TestCoreKSSPWithoutValuesAllocBudget(t *testing.T) {
+	requireAllocFree(t)
+	const runs = 8
+	g, err := graph.Build(graph.FamilyTorus2D, 576, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.N()
+	k := int(math.Ceil(math.Pow(float64(n), 0.8)))
+	sources := rand.New(rand.NewSource(1)).Perm(n)[:k]
+	nets := make([]*hybrid.Net, runs)
+	for i := range nets {
+		if nets[i], err = hybrid.New(g, hybrid.Config{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(2))
+	perCall := allocatedBytes(func() {
+		for _, net := range nets {
+			if _, _, err := sssp.KSSP(net, sources, 0.5, true, rng, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}) / runs
+	if matrix := uint64(k * n * 8); perCall >= matrix {
+		t.Fatalf("KSSP without values (n=%d, k=%d) allocated %d bytes per call, budget %d (one k×n matrix)", n, k, perCall, matrix)
 	}
 }

@@ -258,7 +258,7 @@ func BenchmarkTable3KLSP(b *testing.B) {
 					for j := range sources {
 						sources[j] = j
 					}
-					_, res, err := apsp.KLSP(net, sources, targets, 0.5, apsp.KLSPArbitrarySources, rng)
+					_, res, err := apsp.KLSP(net, sources, targets, 0.5, apsp.KLSPArbitrarySources, rng, false)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -318,7 +318,7 @@ func BenchmarkFigure1KSSP(b *testing.B) {
 					if len(sources) == 0 {
 						sources = []int{0}
 					}
-					_, res, err := sssp.KSSP(net, sources, 0.5, true, rng)
+					_, res, err := sssp.KSSP(net, sources, 0.5, true, rng, false)
 					if err != nil {
 						b.Fatal(err)
 					}

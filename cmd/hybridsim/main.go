@@ -117,7 +117,7 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "(1+%.2f)-SSSP → %d rounds\n", *eps, net.Rounds())
 	case "kssp":
 		sources := hybridnet.SampleNodes(nn, float64(kk)/float64(nn), rng)
-		_, res, err := net.KSSP(sources, *eps, true, rng)
+		_, res, err := net.KSSP(sources, *eps, true, rng, false)
 		if err != nil {
 			return err
 		}
@@ -155,7 +155,7 @@ func run(args []string, w io.Writer) error {
 		if len(targets) == 0 {
 			targets = []int{nn - 1}
 		}
-		_, res, err := net.KLSP(sources, targets, *eps, hybridnet.KLSPArbitrarySources, rng)
+		_, res, err := net.KLSP(sources, targets, *eps, hybridnet.KLSPArbitrarySources, rng, false)
 		if err != nil {
 			return err
 		}

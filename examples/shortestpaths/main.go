@@ -57,7 +57,7 @@ func run() error {
 	net.ResetRounds()
 	k := 24
 	sources := hybridnet.SampleNodes(n, float64(k)/float64(n), rng)
-	dist, kres, err := net.KSSP(sources, 0.5, true, rng)
+	dist, kres, err := net.KSSP(sources, 0.5, true, rng, true)
 	if err != nil {
 		return err
 	}

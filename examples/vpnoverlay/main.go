@@ -46,7 +46,7 @@ func run() error {
 	if len(monitors) == 0 {
 		monitors = []int{n - 1}
 	}
-	dist, res, err := net.KLSP(servers, monitors, 0.25, hybridnet.KLSPArbitrarySources, rng)
+	dist, res, err := net.KLSP(servers, monitors, 0.25, hybridnet.KLSPArbitrarySources, rng, true)
 	if err != nil {
 		return err
 	}

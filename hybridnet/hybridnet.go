@@ -185,9 +185,11 @@ type KSSPResult = sssp.KSSPResult
 
 // KSSP solves k-source shortest paths (Theorem 14). randomSources
 // selects the (1+eps) skeleton regime; arbitrary sources get stretch
-// 3+O(eps) via proxy sources. dist[i][v] estimates d(sources[i], v).
-func (n *Network) KSSP(sources []int, eps float64, randomSources bool, rng *rand.Rand) ([][]int64, *KSSPResult, error) {
-	return sssp.KSSP(n.net, sources, eps, randomSources, rng)
+// 3+O(eps) via proxy sources. wantValues materializes the k×n estimate
+// matrix, dist[i][v] estimating d(sources[i], v); without it dist is
+// nil. Rounds, audit and rng state are the same either way.
+func (n *Network) KSSP(sources []int, eps float64, randomSources bool, rng *rand.Rand, wantValues bool) ([][]int64, *KSSPResult, error) {
+	return sssp.KSSP(n.net, sources, eps, randomSources, rng, wantValues)
 }
 
 // APSPResult reports an APSP-family run.
@@ -224,10 +226,12 @@ const (
 	KLSPRandomBoth       = apsp.KLSPRandomBoth
 )
 
-// KLSP solves the (1+eps)-approximate (k,ℓ)-SP problem (Theorem 5);
-// dist[ti][si] estimates d(targets[ti], sources[si]).
-func (n *Network) KLSP(sources, targets []int, eps float64, c apsp.KLSPCase, rng *rand.Rand) ([][]int64, *APSPResult, error) {
-	return apsp.KLSP(n.net, sources, targets, eps, c, rng)
+// KLSP solves the (1+eps)-approximate (k,ℓ)-SP problem (Theorem 5).
+// wantValues materializes the ℓ×k estimate matrix, dist[ti][si]
+// estimating d(targets[ti], sources[si]); without it dist is nil.
+// Rounds, audit and rng state are the same either way.
+func (n *Network) KLSP(sources, targets []int, eps float64, c apsp.KLSPCase, rng *rand.Rand, wantValues bool) ([][]int64, *APSPResult, error) {
+	return apsp.KLSP(n.net, sources, targets, eps, c, rng, wantValues)
 }
 
 // CutSparsifier is a broadcastable (1±ε) cut sparsifier.

@@ -140,7 +140,7 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatal("pairs mismatch")
 	}
 
-	dist, kres, err := net.KSSP(sources[:4], 0.5, false, rng)
+	dist, kres, err := net.KSSP(sources[:4], 0.5, false, rng, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestKLSPFacade(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := hybridnet.Path(80)
 	net := newNet(t, g)
-	dist, res, err := net.KLSP([]int{0, 1, 2, 3}, []int{79}, 0.5, hybridnet.KLSPArbitrarySources, rng)
+	dist, res, err := net.KLSP([]int{0, 1, 2, 3}, []int{79}, 0.5, hybridnet.KLSPArbitrarySources, rng, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -357,9 +357,9 @@ const (
 )
 
 // KLSP solves the (1+ε)-approximate (k,ℓ)-SP problem (Theorem 5): every
-// target learns its approximate distance to every source. dist is indexed
-// dist[ti][si].
-func KLSP(net *hybrid.Net, sources, targets []int, eps float64, c KLSPCase, rng *rand.Rand) ([][]int64, *Result, error) {
+// target learns its approximate distance to every source. With
+// wantValues dist is indexed dist[ti][si]; otherwise it is nil.
+func KLSP(net *hybrid.Net, sources, targets []int, eps float64, c KLSPCase, rng *rand.Rand, wantValues bool) ([][]int64, *Result, error) {
 	if len(sources) == 0 || len(targets) == 0 {
 		return nil, nil, fmt.Errorf("apsp: empty sources or targets")
 	}
@@ -377,15 +377,17 @@ func KLSP(net *hybrid.Net, sources, targets []int, eps float64, c KLSPCase, rng 
 	case KLSPArbitrarySources:
 		// ℓ' sequential Theorem 13 runs, one per target.
 		net.Charge("klsp/target-sssp", l*sssp.Theorem13Rounds(net.PLog(), eps))
-		dist = make([][]int64, l)
-		quant := sssp.NewQuantizer(eps)
-		for ti, t := range targets {
-			d := g.Dijkstra(t)
-			row := make([]int64, k)
-			for si, s := range sources {
-				row[si] = quant.Up(d[s])
+		if wantValues {
+			dist = make([][]int64, l)
+			quant := sssp.NewQuantizer(eps)
+			for ti, t := range targets {
+				d := g.Dijkstra(t)
+				row := make([]int64, k)
+				for si, s := range sources {
+					row[si] = quant.Up(d[s])
+				}
+				dist[ti] = row
 			}
-			dist[ti] = row
 		}
 		stretch = 1 + eps
 		// Reverse the knowledge: each source sends ed(s,t) to t via
@@ -396,17 +398,19 @@ func KLSP(net *hybrid.Net, sources, targets []int, eps float64, c KLSPCase, rng 
 		}
 	case KLSPRandomBoth:
 		// ℓ-SSP for the targets as sources (Theorem 14, random regime).
-		kdist, kres, err := sssp.KSSP(net, targets, eps, true, rng)
+		kdist, kres, err := sssp.KSSP(net, targets, eps, true, rng, wantValues)
 		if err != nil {
 			return nil, nil, err
 		}
-		dist = make([][]int64, l)
-		for ti := range targets {
-			row := make([]int64, k)
-			for si, s := range sources {
-				row[si] = kdist[ti][s]
+		if wantValues {
+			dist = make([][]int64, l)
+			for ti := range targets {
+				row := make([]int64, k)
+				for si, s := range sources {
+					row[si] = kdist[ti][s]
+				}
+				dist[ti] = row
 			}
-			dist[ti] = row
 		}
 		stretch = kres.Stretch
 		spec := unicast.Spec{Case: unicast.RandomSourcesRandomTargets, Sources: sources, Targets: targets, K: k, L: l}

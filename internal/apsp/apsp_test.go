@@ -160,13 +160,13 @@ func TestSkeletonValidation(t *testing.T) {
 func TestKLSPValidation(t *testing.T) {
 	net := newNet(t, graph.Path(16))
 	rng := rand.New(rand.NewSource(1))
-	if _, _, err := KLSP(net, nil, []int{1}, 0.5, KLSPArbitrarySources, rng); err == nil {
+	if _, _, err := KLSP(net, nil, []int{1}, 0.5, KLSPArbitrarySources, rng, false); err == nil {
 		t.Fatal("empty sources accepted")
 	}
-	if _, _, err := KLSP(net, []int{0}, []int{1}, 0, KLSPArbitrarySources, rng); err == nil {
+	if _, _, err := KLSP(net, []int{0}, []int{1}, 0, KLSPArbitrarySources, rng, false); err == nil {
 		t.Fatal("eps=0 accepted")
 	}
-	if _, _, err := KLSP(net, []int{0}, []int{1}, 0.5, KLSPCase(7), rng); err == nil {
+	if _, _, err := KLSP(net, []int{0}, []int{1}, 0.5, KLSPCase(7), rng, false); err == nil {
 		t.Fatal("bad case accepted")
 	}
 }
@@ -185,7 +185,7 @@ func TestKLSPTheorem5Case1(t *testing.T) {
 	if len(targets) == 0 {
 		targets = []int{n - 1}
 	}
-	dist, res, err := KLSP(net, sources, targets, 0.25, KLSPArbitrarySources, rng)
+	dist, res, err := KLSP(net, sources, targets, 0.25, KLSPArbitrarySources, rng, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestKLSPTheorem5Case2(t *testing.T) {
 	if len(sources) == 0 || len(targets) == 0 {
 		t.Skip("empty sample")
 	}
-	dist, res, err := KLSP(net, sources, targets, 0.5, KLSPRandomBoth, rng)
+	dist, res, err := KLSP(net, sources, targets, 0.5, KLSPRandomBoth, rng, true)
 	if err != nil {
 		t.Fatal(err)
 	}

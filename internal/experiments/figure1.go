@@ -80,7 +80,7 @@ func figure1Point(c *runner.Cell, g *graph.Graph, eps float64) (*Figure1Point, e
 		return nil, err
 	}
 	sources := sampleNodes(nn, float64(k)/float64(nn), rng)
-	_, res, err := sssp.KSSP(net, sources, eps, true, rng)
+	_, res, err := sssp.KSSP(net, sources, eps, true, rng, false)
 	if err != nil {
 		return nil, err
 	}

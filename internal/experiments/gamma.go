@@ -47,7 +47,7 @@ func GammaScalingScenario(fam graph.Family, n, k int, capFactors []int, eps floa
 			if err != nil {
 				return nil, err
 			}
-			_, res, err := sssp.KSSP(net, sources, eps, true, wrng)
+			_, res, err := sssp.KSSP(net, sources, eps, true, wrng, false)
 			if err != nil {
 				return nil, fmt.Errorf("gamma scaling cf=%d: %w", c.Point.CapFactor, err)
 			}

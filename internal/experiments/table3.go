@@ -80,7 +80,7 @@ func table3Row(c *runner.Cell, g *graph.Graph) (*Table3Row, error) {
 	}
 	row.L = l
 	targets := sampleNodes(n, float64(l)/float64(n), rng)
-	_, res, err := apsp.KLSP(net, firstK(k), targets, 0.5, apsp.KLSPArbitrarySources, rng)
+	_, res, err := apsp.KLSP(net, firstK(k), targets, 0.5, apsp.KLSPArbitrarySources, rng, false)
 	if err != nil {
 		return nil, err
 	}

@@ -75,12 +75,23 @@ type Graph struct {
 	// someWeighted), which routes Dijkstra to BFS. A pure function of
 	// the weights like deltaCache, so Reweight copies never carry it.
 	unit atomic.Int32
+	// conn memoizes Connected (0 = not computed, else connectedYes or
+	// connectedNo), so every hybrid.New over a shared graph skips the
+	// DFS. A pure function of the topology; Reweight copies do not
+	// carry it and recompute it on first use.
+	conn atomic.Int32
 }
 
 // Values of Graph.unit once computed.
 const (
 	unitWeights int32 = iota + 1
 	someWeighted
+)
+
+// Values of Graph.conn once computed.
+const (
+	connectedYes int32 = iota + 1
+	connectedNo
 )
 
 // edge is a directed half-edge in a Builder's adjacency list. An
@@ -309,8 +320,25 @@ func (g *Graph) MaxWeight() int64 {
 // ErrDisconnected is returned by algorithms that require a connected graph.
 var ErrDisconnected = errors.New("graph: graph is not connected")
 
-// Connected reports whether g is connected (the empty graph is connected).
+// Connected reports whether g is connected (the empty graph is
+// connected). The O(n+m) search runs once per graph; later calls read
+// the memoized answer.
 func (g *Graph) Connected() bool {
+	switch g.conn.Load() {
+	case connectedYes:
+		return true
+	case connectedNo:
+		return false
+	}
+	state := connectedNo
+	if g.connected() {
+		state = connectedYes
+	}
+	g.conn.Store(state)
+	return state == connectedYes
+}
+
+func (g *Graph) connected() bool {
 	n := g.N()
 	if n == 0 {
 		return true

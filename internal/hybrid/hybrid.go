@@ -135,9 +135,8 @@ type Net struct {
 	n     int
 	gcap  int
 	plog  int
-	ids   []int64       // external identifier of each node
-	idOf  map[int64]int // inverse of ids
-	know  []bitset.Set  // know[v].Has(u): v has learned ID(u); nil unless tracking
+	ids   []int64      // external identifier of each node
+	know  []bitset.Set // know[v].Has(u): v has learned ID(u); nil unless tracking
 	audit []AuditEntry
 	stats Stats
 	memo  map[string]any
@@ -211,7 +210,6 @@ func New(g *graph.Graph, cfg Config) (*Net, error) {
 		cfg:  cfg,
 		n:    n,
 		plog: ceilLog2(n),
-		idOf: make(map[int64]int, n),
 	}
 	net.gcap = cfg.CapFactor * net.plog
 	if cfg.GlobalWordCap > 0 {
@@ -244,9 +242,6 @@ func New(g *graph.Graph, cfg Config) (*Net, error) {
 	default:
 		return nil, fmt.Errorf("hybrid: unknown variant %d", cfg.Variant)
 	}
-	for v, id := range net.ids {
-		net.idOf[id] = v
-	}
 	if cfg.TrackKnowledge {
 		net.know = make([]bitset.Set, n)
 		for v := 0; v < n; v++ {
@@ -277,14 +272,6 @@ func (net *Net) PLog() int { return net.plog }
 
 // ID returns the external identifier of node v.
 func (net *Net) ID(v int) int64 { return net.ids[v] }
-
-// NodeOf returns the node holding identifier id, or -1.
-func (net *Net) NodeOf(id int64) int {
-	if v, ok := net.idOf[id]; ok {
-		return v
-	}
-	return -1
-}
 
 // Rounds returns the total rounds consumed so far.
 func (net *Net) Rounds() int {

@@ -47,8 +47,20 @@ func TestDefaults(t *testing.T) {
 		if net.ID(v) != int64(v) {
 			t.Fatalf("ID(%d)=%d", v, net.ID(v))
 		}
-		if net.NodeOf(int64(v)) != v {
-			t.Fatal("NodeOf mismatch")
+	}
+}
+
+// TestIDsDistinct: under both variants no two nodes share an
+// identifier.
+func TestIDsDistinct(t *testing.T) {
+	for _, variant := range []Variant{VariantHybrid, VariantHybrid0} {
+		net := newNet(t, graph.Path(100), Config{Variant: variant, Seed: 5})
+		seen := map[int64]int{}
+		for v := 0; v < net.N(); v++ {
+			if u, dup := seen[net.ID(v)]; dup {
+				t.Fatalf("%v: nodes %d and %d share identifier %d", variant, u, v, net.ID(v))
+			}
+			seen[net.ID(v)] = v
 		}
 	}
 }

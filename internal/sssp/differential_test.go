@@ -3,10 +3,12 @@ package sssp_test
 // Differential-oracle suite for the SSSP substrates: on every family in
 // the default sweep set, two sizes, three seeds, the HYBRID algorithms
 // are checked against the independent sequential oracle
-// (internal/oracle). Runs clean under -race.
+// (internal/oracle), and runs with and without distance values are
+// checked to be the same run. Runs clean under -race.
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -79,5 +81,74 @@ func TestExactBFSAgainstOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestKSSPValuesDoNotChangeTheRun: in every Theorem 14 regime a run
+// without values must make exactly the run with values — the same
+// result, audit, stats and rounds, and the same rng state afterwards —
+// and return a nil matrix. Value materialization draws nothing from the
+// rng and charges nothing.
+func TestKSSPValuesDoNotChangeTheRun(t *testing.T) {
+	block := make([]int, 30) // arbitrary sources, k > γ
+	for i := range block {
+		block[i] = i
+	}
+	cases := []struct {
+		name    string
+		g       *graph.Graph
+		sources []int
+		random  bool
+		regime  sssp.Regime
+	}{
+		{"parallel", graph.Grid(10, 2), []int{0, 5, 17}, false, sssp.RegimeParallel},
+		{"large-k", graph.Grid(8, 2), rand.New(rand.NewSource(5)).Perm(64)[:20], true, sssp.RegimeLargeK},
+		{"random-skeleton", graph.Path(300), rand.New(rand.NewSource(3)).Perm(300)[:40], true, sssp.RegimeRandomSkeleton},
+		{"arbitrary-proxy", graph.Path(300), block, false, sssp.RegimeArbitraryProxy},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			type run struct {
+				dist [][]int64
+				res  *sssp.KSSPResult
+				net  *hybrid.Net
+				next int64
+			}
+			do := func(wantValues bool) run {
+				net, err := hybrid.New(c.g, hybrid.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(11))
+				dist, res, err := sssp.KSSP(net, c.sources, 0.5, c.random, rng, wantValues)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return run{dist, res, net, rng.Int63()}
+			}
+			with, without := do(true), do(false)
+			if with.res.Regime != c.regime {
+				t.Fatalf("regime %v, want %v", with.res.Regime, c.regime)
+			}
+			if len(with.dist) != len(c.sources) {
+				t.Fatalf("with values: %d rows for %d sources", len(with.dist), len(c.sources))
+			}
+			if without.dist != nil {
+				t.Fatalf("without values: dist has %d rows, want nil", len(without.dist))
+			}
+			if *with.res != *without.res {
+				t.Fatalf("result %+v with values, %+v without", *with.res, *without.res)
+			}
+			if !slices.Equal(with.net.Audit(), without.net.Audit()) {
+				t.Fatalf("audit differs:\n%s\nvs\n%s", with.net.FormatAudit(), without.net.FormatAudit())
+			}
+			if with.net.Stats() != without.net.Stats() || with.net.Rounds() != without.net.Rounds() {
+				t.Fatalf("stats/rounds %+v/%d with values, %+v/%d without",
+					with.net.Stats(), with.net.Rounds(), without.net.Stats(), without.net.Rounds())
+			}
+			if with.next != without.next {
+				t.Fatalf("next rng draw %d with values, %d without", with.next, without.next)
+			}
+		})
 	}
 }

@@ -55,9 +55,13 @@ type KSSPResult struct {
 // KSSP solves the k-SSP problem (Theorem 14) for the given sources with
 // parameter ε. randomSources asserts the sources were sampled node-wise
 // at random (Definition 1.3), enabling the (1+ε) skeleton regime;
-// otherwise the (3+ε) proxy-source regime is used. The result dist is
-// indexed dist[i][v] = estimate of d(sources[i], v).
-func KSSP(net *hybrid.Net, sources []int, eps float64, randomSources bool, rng *rand.Rand) ([][]int64, *KSSPResult, error) {
+// otherwise the (3+ε) proxy-source regime is used. With wantValues the
+// result dist is indexed dist[i][v] = estimate of d(sources[i], v);
+// otherwise dist is nil. The estimates are materialized after every
+// charge, tick and rng draw of the run, and draw and charge nothing
+// themselves, so rounds, audit and rng state do not depend on
+// wantValues.
+func KSSP(net *hybrid.Net, sources []int, eps float64, randomSources bool, rng *rand.Rand, wantValues bool) ([][]int64, *KSSPResult, error) {
 	if len(sources) == 0 {
 		return nil, nil, fmt.Errorf("sssp: no sources")
 	}
@@ -76,17 +80,12 @@ func KSSP(net *hybrid.Net, sources []int, eps float64, randomSources bool, rng *
 	gamma := net.Cap()
 	plog := net.PLog()
 	tSSSP := Theorem13Rounds(plog, eps)
-	quant := NewQuantizer(eps)
 
 	// Regime 1: enough global capacity to run all k SSSP instances in
 	// parallel (Theorem 14, third bullet).
 	if k <= gamma {
 		net.Charge("kssp/parallel", tSSSP)
-		dist := make([][]int64, k)
-		for i, s := range sources {
-			dist[i] = quantizeAll(g.Dijkstra(s), quant)
-		}
-		return dist, &KSSPResult{Regime: RegimeParallel, Stretch: 1 + eps, Rounds: net.Rounds() - start}, nil
+		return exactRows(g, sources, eps, wantValues), &KSSPResult{Regime: RegimeParallel, Stretch: 1 + eps, Rounds: net.Rounds() - start}, nil
 	}
 
 	// Regime 4: random sources with k ≥ n^{2/3} — the paper delegates to
@@ -94,11 +93,7 @@ func KSSP(net *hybrid.Net, sources []int, eps float64, randomSources bool, rng *
 	if randomSources && float64(k) >= math.Pow(float64(n), 2.0/3.0) {
 		cost := int(math.Cbrt(float64(n))+math.Sqrt(float64(k))) * plog * plog
 		net.Charge("kssp/chlp21", cost)
-		dist := make([][]int64, k)
-		for i, s := range sources {
-			dist[i] = quantizeAll(g.Dijkstra(s), quant)
-		}
-		return dist, &KSSPResult{Regime: RegimeLargeK, Stretch: 1 + eps, Rounds: net.Rounds() - start}, nil
+		return exactRows(g, sources, eps, wantValues), &KSSPResult{Regime: RegimeLargeK, Stretch: 1 + eps, Rounds: net.Rounds() - start}, nil
 	}
 
 	// Skeleton regimes: sampling probability √(γ/k), i.e. x = ⌈√(k/γ)⌉.
@@ -125,7 +120,6 @@ func KSSP(net *hybrid.Net, sources []int, eps float64, randomSources bool, rng *
 	net.Charge("kssp/schedule", x*tSSSP)
 
 	res := &KSSPResult{SkeletonSize: sk.Size(), H: sk.H}
-	dist := make([][]int64, k)
 
 	if randomSources {
 		// Lemma 9.4: sources are skeleton nodes; every node combines its
@@ -133,13 +127,10 @@ func KSSP(net *hybrid.Net, sources []int, eps float64, randomSources bool, rng *
 		// skeleton SSSP results. The combined estimate is sandwiched in
 		// [d, (1+ε)d] w.h.p. (proof of Lemma 9.4), realized here by the
 		// quantized distance.
-		for i, s := range sources {
-			dist[i] = quantizeAll(g.Dijkstra(s), quant)
-		}
 		res.Regime = RegimeRandomSkeleton
 		res.Stretch = 1 + eps
 		res.Rounds = net.Rounds() - start
-		return dist, res, nil
+		return exactRows(g, sources, eps, wantValues), res, nil
 	}
 
 	// Arbitrary sources: each source s tags its closest skeleton node u_s
@@ -148,6 +139,14 @@ func KSSP(net *hybrid.Net, sources []int, eps float64, randomSources bool, rng *
 	// per-source offsets d^h(u_s, s) are broadcast (γ parallel Theorem 1
 	// instances, eÕ(√(k/γ)) rounds, charged).
 	net.Charge("kssp/broadcast-offsets", x*plog*plog)
+	res.Regime = RegimeArbitraryProxy
+	res.Stretch = 3 + 3*eps // ε' = 3ε in the Theorem 14 analysis
+	res.Rounds = net.Rounds() - start
+	if !wantValues {
+		return nil, res, nil
+	}
+	quant := NewQuantizer(eps)
+	dist := make([][]int64, k)
 	for i, s := range sources {
 		dh := g.HopLimitedDistances(s, sk.H)
 		us, dus := closestSkeleton(sk, dh)
@@ -171,10 +170,22 @@ func KSSP(net *hybrid.Net, sources []int, eps float64, randomSources bool, rng *
 		}
 		dist[i] = row
 	}
-	res.Regime = RegimeArbitraryProxy
-	res.Stretch = 3 + 3*eps // ε' = 3ε in the Theorem 14 analysis
-	res.Rounds = net.Rounds() - start
 	return dist, res, nil
+}
+
+// exactRows returns the quantized exact distance rows of sources, the
+// (1+ε) estimates of every random or parallel regime, or nil without
+// wantValues.
+func exactRows(g *graph.Graph, sources []int, eps float64, wantValues bool) [][]int64 {
+	if !wantValues {
+		return nil
+	}
+	quant := NewQuantizer(eps)
+	dist := make([][]int64, len(sources))
+	for i, s := range sources {
+		dist[i] = quantizeAll(g.Dijkstra(s), quant)
+	}
+	return dist
 }
 
 func closestSkeleton(sk *skeleton.Skeleton, dh []int64) (int, int64) {

@@ -251,13 +251,13 @@ func TestOracleEulerCharges(t *testing.T) {
 func TestKSSPValidation(t *testing.T) {
 	net := newNet(t, graph.Path(16))
 	rng := rand.New(rand.NewSource(1))
-	if _, _, err := KSSP(net, nil, 0.5, false, rng); err == nil {
+	if _, _, err := KSSP(net, nil, 0.5, false, rng, false); err == nil {
 		t.Fatal("no sources accepted")
 	}
-	if _, _, err := KSSP(net, []int{0}, 0, false, rng); err == nil {
+	if _, _, err := KSSP(net, []int{0}, 0, false, rng, false); err == nil {
 		t.Fatal("eps=0 accepted")
 	}
-	if _, _, err := KSSP(net, []int{99}, 0.5, false, rng); err == nil {
+	if _, _, err := KSSP(net, []int{99}, 0.5, false, rng, false); err == nil {
 		t.Fatal("bad source accepted")
 	}
 }
@@ -267,7 +267,7 @@ func TestKSSPParallelRegime(t *testing.T) {
 	net := newNet(t, g)
 	rng := rand.New(rand.NewSource(2))
 	sources := []int{0, 5, 17} // k=3 ≤ γ
-	dist, res, err := KSSP(net, sources, 0.25, false, rng)
+	dist, res, err := KSSP(net, sources, 0.25, false, rng, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestKSSPRandomSkeletonRegime(t *testing.T) {
 		s := rng.Intn(g.N())
 		sources = append(sources, s)
 	}
-	dist, res, err := KSSP(net, sources, 0.5, true, rng)
+	dist, res, err := KSSP(net, sources, 0.5, true, rng, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestKSSPArbitraryProxyRegime(t *testing.T) {
 	for i := range sources {
 		sources[i] = i
 	}
-	dist, res, err := KSSP(net, sources, 0.25, false, rng)
+	dist, res, err := KSSP(net, sources, 0.25, false, rng, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestKSSPLargeKRegime(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	k := 20
 	sources := rng.Perm(g.N())[:k]
-	dist, res, err := KSSP(net, sources, 0.5, true, rng)
+	dist, res, err := KSSP(net, sources, 0.5, true, rng, true)
 	if err != nil {
 		t.Fatal(err)
 	}
