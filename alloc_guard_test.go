@@ -135,7 +135,8 @@ func TestCoreNQOfAllocFree(t *testing.T) {
 
 // TestCoreTreeAggregateAllocFree pins one steady-state Lemma 4.4
 // aggregation (NQ_k's per-depth step) at zero allocations: the tree
-// reuses its level schedules and its suffixed phase labels.
+// charges every level from its size and reuses its suffixed phase
+// labels.
 func TestCoreTreeAggregateAllocFree(t *testing.T) {
 	requireAllocFree(t)
 	net, err := hybrid.New(graph.Grid2D(24), hybrid.Config{})

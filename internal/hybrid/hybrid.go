@@ -12,8 +12,9 @@
 //     and receive at most γ = CapFactor·⌈log₂ n⌉ messages of O(log n) bits
 //     per round. SendGlobal schedules an explicit message multiset under
 //     these caps and charges the rounds the schedule needs; LoadRounds
-//     does the same from per-node send/receive load vectors when
-//     materializing every message would be wasteful.
+//     and SendGlobalLoad do the same from per-node send/receive load
+//     vectors or from the largest load alone, when materializing every
+//     message would be wasteful.
 //
 // In HYBRID₀ a node may address a global message only to identifiers it has
 // learned (initially: itself and its neighbors in G). With
@@ -136,6 +137,7 @@ type Net struct {
 	gcap  int
 	plog  int
 	ids   []int64      // external identifier of each node
+	order []int        // SortedIDs, computed on first use
 	know  []bitset.Set // know[v].Has(u): v has learned ID(u); nil unless tracking
 	audit []AuditEntry
 	stats Stats
@@ -518,8 +520,7 @@ func (e *ErrUnknownTarget) Error() string {
 // on success.
 //
 // The schedule builder runs in O(len(msgs)) time on pooled scratch: in
-// steady state it performs no allocations at all. It only reads msgs:
-// overlay trees hand it their persistent per-level schedules.
+// steady state it performs no allocations at all. It only reads msgs.
 func (net *Net) SendGlobal(phase string, msgs []Msg) (int, error) {
 	if net.cfg.LocalOnly {
 		return 0, &ErrModeDisabled{Mode: "global", Phase: phase}
@@ -559,10 +560,7 @@ func (net *Net) SendGlobal(phase string, msgs []Msg) (int, error) {
 		out[msgs[i].From] = 0
 		in[msgs[i].To] = 0
 	}
-	rounds := (maxLoad + net.gcap - 1) / net.gcap
-	net.record(phase, rounds, Simulated)
-	net.stats.GlobalMessages += int64(len(msgs))
-	net.stats.GlobalRounds += int64(rounds)
+	rounds, _ := net.SendGlobalLoad(phase, len(msgs), maxLoad)
 	if net.know != nil {
 		for i := range msgs {
 			m := &msgs[i]
@@ -575,19 +573,26 @@ func (net *Net) SendGlobal(phase string, msgs []Msg) (int, error) {
 	return rounds, nil
 }
 
-// ReplayGlobal records a repeat of a global delivery that SendGlobal has
-// already made on this network: msgs messages in rounds rounds under
-// phase. It adds the audit entry, GlobalMessages and GlobalRounds exactly
-// as SendGlobal would, without scheduling the messages again. That is
-// exact only when the repeat carries the same messages with the same
-// sizes (so the same ⌈max load/γ⌉), knowledge only grows (so every sender
-// still knows its receiver) and no message has TeachIDs (so the repeat
-// teaches nothing). Overlay trees replay their per-level schedules this
-// way (DESIGN.md §1).
-func (net *Net) ReplayGlobal(phase string, msgs, rounds int) {
+// SendGlobalLoad charges a global delivery of msgs messages whose
+// largest per-node send or receive load is maxLoad words, exactly as
+// SendGlobal charges an explicit multiset with that load: ⌈maxLoad/γ⌉
+// Simulated rounds, the audit entry, GlobalMessages and GlobalRounds.
+// It neither checks nor teaches identifiers, so it stands in for
+// SendGlobal only when every sender already knows its receiver and no
+// message carries TeachIDs. Overlay trees charge each level of a
+// Lemma 4.4 pass this way (DESIGN.md §1).
+func (net *Net) SendGlobalLoad(phase string, msgs, maxLoad int) (int, error) {
+	if net.cfg.LocalOnly {
+		return 0, &ErrModeDisabled{Mode: "global", Phase: phase}
+	}
+	if msgs == 0 {
+		return 0, nil
+	}
+	rounds := (maxLoad + net.gcap - 1) / net.gcap
 	net.record(phase, rounds, Simulated)
 	net.stats.GlobalMessages += int64(msgs)
 	net.stats.GlobalRounds += int64(rounds)
+	return rounds, nil
 }
 
 // DeliverOneRound models the Section 1.3 subtlety verbatim: msgs are all
@@ -712,14 +717,22 @@ func (net *Net) FormatAudit() string {
 }
 
 // SortedIDs returns the node indices ordered by external identifier —
-// the canonical order used by deterministic overlay constructions.
+// the canonical order used by deterministic overlay constructions. The
+// order is computed on the first call and shared by every later one:
+// callers must not modify the returned slice.
 func (net *Net) SortedIDs() []int {
-	order := make([]int, net.n)
-	for i := range order {
-		order[i] = i
+	if net.order == nil {
+		order := make([]int, net.n)
+		for i := range order {
+			order[i] = i
+		}
+		// Under HYBRID the identifiers are the indices: already sorted.
+		if net.cfg.Variant != VariantHybrid {
+			sort.Slice(order, func(a, b int) bool { return net.ids[order[a]] < net.ids[order[b]] })
+		}
+		net.order = order
 	}
-	sort.Slice(order, func(a, b int) bool { return net.ids[order[a]] < net.ids[order[b]] })
-	return order
+	return net.order
 }
 
 func ceilLog2(n int) int {

@@ -226,11 +226,19 @@ func TestLearnBallAndLearnAll(t *testing.T) {
 }
 
 func TestSortedIDs(t *testing.T) {
-	net := newNet(t, graph.Cycle(16), Config{Variant: VariantHybrid0, Seed: 3})
-	order := net.SortedIDs()
-	for i := 1; i < len(order); i++ {
-		if net.ID(order[i-1]) >= net.ID(order[i]) {
-			t.Fatal("SortedIDs not strictly increasing")
+	for _, v := range []Variant{VariantHybrid, VariantHybrid0} {
+		net := newNet(t, graph.Cycle(16), Config{Variant: v, Seed: 3})
+		order := net.SortedIDs()
+		if len(order) != 16 {
+			t.Fatalf("%v: %d entries", v, len(order))
+		}
+		for i := 1; i < len(order); i++ {
+			if net.ID(order[i-1]) >= net.ID(order[i]) {
+				t.Fatalf("%v: SortedIDs not strictly increasing", v)
+			}
+		}
+		if again := net.SortedIDs(); &again[0] != &order[0] {
+			t.Fatalf("%v: SortedIDs recomputed the order", v)
 		}
 	}
 }
@@ -251,28 +259,40 @@ func TestVariantString(t *testing.T) {
 	}
 }
 
-// TestReplayGlobalMatchesResend: replaying a delivered multiset records
-// the same audit and statistics as sending it again.
-func TestReplayGlobalMatchesResend(t *testing.T) {
+// TestSendGlobalLoadMatchesSendGlobal: charging a multiset's message
+// count and largest load records the same rounds, audit and statistics
+// as sending the explicit messages, and a LocalOnly net rejects it.
+func TestSendGlobalLoadMatchesSendGlobal(t *testing.T) {
+	// Node 1 receives 3 + 2 words: the largest load is 5, ⌈5/2⌉ = 3 rounds.
 	msgs := []Msg{{From: 0, To: 1, Size: 3}, {From: 2, To: 1, Size: 2}, {From: 1, To: 3}}
-	resend := newNet(t, graph.Path(8), Config{GlobalWordCap: 2})
-	replay := newNet(t, graph.Path(8), Config{GlobalWordCap: 2})
-	for _, net := range []*Net{resend, replay} {
+	explicit := newNet(t, graph.Path(8), Config{GlobalWordCap: 2})
+	load := newNet(t, graph.Path(8), Config{GlobalWordCap: 2})
+	for _, net := range []*Net{explicit, load} {
 		net.TickLocal("other", 1)
-		if _, err := net.SendGlobal("x", msgs); err != nil {
+	}
+	for range 2 { // the second call coalesces into the first audit entry
+		want, err := explicit.SendGlobal("x", msgs)
+		if err != nil {
 			t.Fatal(err)
 		}
+		got, err := load.SendGlobalLoad("x", len(msgs), 5)
+		if err != nil || got != want || got != 3 {
+			t.Fatalf("SendGlobalLoad = %d (err %v), SendGlobal %d, want 3", got, err, want)
+		}
+		if got, want := load.Audit(), explicit.Audit(); !slices.Equal(got, want) {
+			t.Fatalf("audit %v, explicit %v", got, want)
+		}
+		if load.Stats() != explicit.Stats() || load.Rounds() != explicit.Rounds() {
+			t.Fatalf("stats %+v, explicit %+v", load.Stats(), explicit.Stats())
+		}
 	}
-	r, err := resend.SendGlobal("x", msgs)
-	if err != nil {
-		t.Fatal(err)
+	local := newNet(t, graph.Path(8), Config{LocalOnly: true})
+	var disabled *ErrModeDisabled
+	if r, err := local.SendGlobalLoad("x", 1, 1); !errors.As(err, &disabled) || r != 0 {
+		t.Fatalf("LocalOnly SendGlobalLoad = %d, err %v; want *ErrModeDisabled", r, err)
 	}
-	replay.ReplayGlobal("x", len(msgs), r)
-	if got, want := replay.Audit(), resend.Audit(); !slices.Equal(got, want) {
-		t.Fatalf("audit %v, resend %v", got, want)
-	}
-	if replay.Stats() != resend.Stats() || replay.Rounds() != resend.Rounds() {
-		t.Fatalf("stats %+v, resend %+v", replay.Stats(), resend.Stats())
+	if local.Rounds() != 0 || local.Stats() != (Stats{}) {
+		t.Fatalf("rejected send recorded rounds %d, stats %+v", local.Rounds(), local.Stats())
 	}
 }
 

@@ -274,13 +274,13 @@ func Witness(g *graph.Graph, k int) (v, nqv int, err error) {
 	return v, nqv, nil
 }
 
-// ensureProfiles returns a profile deep enough for k, computing and
-// attaching one with the parallel batch kernel when the graph carries
-// none (the computed radius is at least the canonical ProfileRadius,
-// so one computation serves every later k ≤ 9n on the same instance).
-func ensureProfiles(g *graph.Graph, k, d int) *graph.Profiles {
+// ensureProfiles attaches a profile deep enough for k, computed with the
+// parallel batch kernel, when the graph carries none (the computed radius
+// is at least the canonical ProfileRadius, so one computation serves
+// every later k ≤ 9n on the same instance).
+func ensureProfiles(g *graph.Graph, k, d int) {
 	if p, _ := profileFor(g, k, d); p != nil {
-		return p
+		return
 	}
 	r := graph.ProfileRadius(g.N(), int64(d))
 	if need := reqRadius(k, g.N()); need > r {
@@ -289,7 +289,7 @@ func ensureProfiles(g *graph.Graph, k, d int) *graph.Profiles {
 	if r > d {
 		r = d
 	}
-	return g.AttachProfiles(g.BallProfiles(r))
+	g.AttachProfiles(g.BallProfiles(r))
 }
 
 // Distributed computes NQ_k in the HYBRID₀ model following Lemma 3.3:
@@ -309,47 +309,28 @@ func Distributed(net *hybrid.Net, k int) (int, error) {
 		return cached.(int), nil
 	}
 	g := net.Graph()
-	diam := g.Diameter()
-	if diam >= graph.Inf {
-		return 0, graph.ErrDisconnected
-	}
-	d := int(diam)
-	if d == 0 {
-		d = 1
-	}
-	out, err := distributedRun(net, g, k, d)
+	d, err := validate(g, k)
 	if err != nil {
 		return 0, err
 	}
-	net.SetMemo(memoKey, out)
-	return out, nil
-}
-
-func distributedRun(net *hybrid.Net, g *graph.Graph, k, d int) (int, error) {
-	// One overlay tree is reused for every per-step aggregation. The
-	// ball growth itself comes from the shared batch kernel: the
-	// simulation needs min_v |B_t(v)| for every explored depth, i.e.
-	// exactly the profile artifact, computed once per graph instance
-	// instead of one BallSizes sweep per node per execution.
+	// Every t·|B_t(v)| grows with t, so the first t with N_t ≥ k/t is
+	// max_v NQ_k(v) = NQ_k(G) (d when no depth qualifies): Of reads it
+	// from the profile, and the run charges that many steps, each one
+	// explore round and one aggregation over one reused overlay tree.
 	tree := overlay.Build(net, "nq")
-	n := g.N()
-	p := ensureProfiles(g, k, d)
-	for t := 1; t <= d; t++ {
+	ensureProfiles(g, k, d)
+	q, err := Of(g, k)
+	if err != nil {
+		return 0, err
+	}
+	for t := 1; t <= q; t++ {
 		net.TickLocal("nq/explore", 1)
 		if _, err := tree.Aggregate("nq", 1); err != nil {
 			return 0, err
 		}
-		minBall := n
-		for v := 0; v < n; v++ {
-			if s := p.Size(v, t); s < minBall {
-				minBall = s
-			}
-		}
-		if int64(t)*int64(minBall) >= int64(k) {
-			return t, nil
-		}
 	}
-	return d, nil
+	net.SetMemo(memoKey, q)
+	return q, nil
 }
 
 // UpperBound returns min{D, ⌈√k⌉}, the Lemma 3.6 upper bound on NQ_k.

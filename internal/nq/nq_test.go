@@ -3,11 +3,13 @@ package nq
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/graph"
 	"repro/internal/hybrid"
+	"repro/internal/overlay"
 )
 
 // bruteForce computes NQ_k(v) straight from Definition 3.1.
@@ -221,6 +223,72 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 			budget := 8 * (want + 1) * plog * plog * plog
 			if net.Rounds() > budget {
 				t.Fatalf("graph %d k=%d: distributed NQ cost %d rounds > budget %d", gi, k, net.Rounds(), budget)
+			}
+		}
+	}
+}
+
+// scanRun is Lemma 3.3 as stated: explore one more hop, aggregate over
+// the overlay tree, and stop at the first depth t with
+// t·min_v |B_t(v)| ≥ k, scanning every node's ball at every depth.
+func scanRun(net *hybrid.Net, g *graph.Graph, k, d int) (int, error) {
+	tree := overlay.Build(net, "nq")
+	ensureProfiles(g, k, d)
+	p := g.Profiles()
+	for t := 1; t <= d; t++ {
+		net.TickLocal("nq/explore", 1)
+		if _, err := tree.Aggregate("nq", 1); err != nil {
+			return 0, err
+		}
+		minBall := g.N()
+		for v := 0; v < g.N(); v++ {
+			minBall = min(minBall, p.Size(v, t))
+		}
+		if int64(t)*int64(minBall) >= int64(k) {
+			return t, nil
+		}
+	}
+	return d, nil
+}
+
+// TestDistributedMatchesScanningLoop: Distributed, which reads the
+// stopping depth from Of, returns what the scanning loop returns and
+// leaves the same Audit, Stats and Rounds on a fresh network, on every
+// family for k from 1 to 4n under HYBRID and tracked HYBRID₀.
+func TestDistributedMatchesScanningLoop(t *testing.T) {
+	configs := []hybrid.Config{
+		{},
+		{Variant: hybrid.VariantHybrid0, TrackKnowledge: true, Seed: 5},
+	}
+	for _, f := range graph.Families() {
+		g, err := graph.Build(f, 64, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := max(int(g.Diameter()), 1)
+		n := g.N()
+		for _, k := range []int{1, n / 4, n, 4 * n} {
+			for _, cfg := range configs {
+				got, err := hybrid.New(g, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := hybrid.New(g, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				q, err := Distributed(got, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := scanRun(want, g, k, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if q != ref || !slices.Equal(got.Audit(), want.Audit()) || got.Stats() != want.Stats() || got.Rounds() != want.Rounds() {
+					t.Fatalf("%s k=%d %v: NQ %d audit %v stats %+v, scanning loop NQ %d audit %v stats %+v",
+						f, k, got.Variant(), q, got.Audit(), got.Stats(), ref, want.Audit(), want.Stats())
+				}
 			}
 		}
 	}

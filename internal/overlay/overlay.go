@@ -18,31 +18,17 @@ import (
 )
 
 // Tree is a rooted virtual tree over a subset of the network's nodes.
+// Its Lemma 4.4 passes charge every level from the level's size alone
+// (see send), so a tree holds no messages and, once its phase labels are
+// cached, an aggregation allocates nothing.
 type Tree struct {
 	// Members lists the nodes in the tree, heap-ordered: Members[0] is the
 	// root and the children of position i are positions 2i+1 and 2i+2.
+	// It is read-only: the full tree shares the network's SortedIDs.
 	Members []int
 	// Pos maps a node to its position in Members, or -1.
 	Pos []int
 	net *hybrid.Net
-	// up and down are the Lemma 4.4 schedules: for every non-root
-	// position c, up[c-1] is the message from Members[c] to its parent
-	// and down[c-1] the reverse one. Heap order groups them by level
-	// (see level), so ConvergeCast and BroadcastDown hand SendGlobal
-	// subslices of them. They are built on the first aggregation and
-	// reused by every later one; width is the Size they carry, rewritten
-	// only when a call asks for another. Trees persist on the network
-	// via Memo, so in steady state the aggregation allocates nothing.
-	up, down []hybrid.Msg
-	width    int
-	// upRounds and downRounds hold, per level d (index d-1), the rounds
-	// SendGlobal scheduled for that level of up and down at width. They
-	// fill on the first pass that delivers every level and empty when
-	// the width changes. A level's schedule is fixed for a width,
-	// knowledge only grows and the schedules carry no TeachIDs, so a
-	// later pass replays the counts with Net.ReplayGlobal instead of
-	// scheduling again (DESIGN.md §1).
-	upRounds, downRounds []int
 	// phase is the last phase label seen, upPhase and downPhase its
 	// audit labels, cached so that repeating a phase builds no string.
 	phase, upPhase, downPhase string
@@ -158,41 +144,6 @@ func (t *Tree) Children(v int) []int {
 	return out
 }
 
-// schedules returns up and down with every message carrying width
-// words, building them on the first call.
-func (t *Tree) schedules(width int) (up, down []hybrid.Msg) {
-	if width <= 0 {
-		width = 1
-	}
-	if t.up == nil {
-		m := len(t.Members)
-		t.up = make([]hybrid.Msg, m-1)
-		t.down = make([]hybrid.Msg, m-1)
-		for c := 1; c < m; c++ {
-			child, parent := t.Members[c], t.Members[(c-1)/2]
-			t.up[c-1] = hybrid.Msg{From: child, To: parent, Size: width}
-			t.down[c-1] = hybrid.Msg{From: parent, To: child, Size: width}
-		}
-		t.width = width
-	}
-	if width != t.width {
-		for i := range t.up {
-			t.up[i].Size = width
-			t.down[i].Size = width
-		}
-		t.width = width
-		t.upRounds = t.upRounds[:0]
-		t.downRounds = t.downRounds[:0]
-	}
-	return t.up, t.down
-}
-
-// level returns the part of a schedule whose messages have a child at
-// depth d ≥ 1: positions 2^d−1 up to 2^(d+1)−2.
-func level(sched []hybrid.Msg, d int) []hybrid.Msg {
-	return sched[1<<d-2 : min(1<<(d+1)-2, len(sched))]
-}
-
 // labels returns the audit labels of phase's converge-cast and
 // broadcast.
 func (t *Tree) labels(phase string) (up, down string) {
@@ -208,50 +159,41 @@ func (t *Tree) labels(phase string) (up, down string) {
 // parent, level by level (deepest first), aggregating at internal nodes —
 // the upward half of Lemma 4.4. It returns the simulated global rounds.
 func (t *Tree) ConvergeCast(phase string, width int) (int, error) {
-	up, _ := t.schedules(width)
 	label, _ := t.labels(phase)
-	return t.send(label, up, &t.upRounds, true)
+	return t.send(label, width, true)
 }
 
 // BroadcastDown sends width words from every member to its children,
 // level by level from the root — the downward half of Lemma 4.4.
 func (t *Tree) BroadcastDown(phase string, width int) (int, error) {
-	_, down := t.schedules(width)
 	_, label := t.labels(phase)
-	return t.send(label, down, &t.downRounds, false)
+	return t.send(label, width, false)
 }
 
-// send delivers sched one level at a time, deepest first when
-// deepestFirst is set, and returns the total rounds. Once *rounds holds
-// every level's count it replays them; otherwise it schedules each level
-// with SendGlobal and keeps the counts only if every level succeeded.
-func (t *Tree) send(label string, sched []hybrid.Msg, rounds *[]int, deepestFirst bool) (int, error) {
-	depth := t.Depth()
-	replay := len(*rounds) == depth
-	if !replay && cap(*rounds) < depth {
-		*rounds = make([]int, 0, depth)
-	}
-	counts := (*rounds)[:depth]
+// send charges one global delivery per level, deepest first when
+// deepestFirst is set, and returns the total rounds. Level d ≥ 1 holds
+// heap positions 2^d−1 … min(2^(d+1)−2, m−1), so it carries
+// s = min(2^d, m−2^d+1) width-word messages, one per child, and its
+// largest per-node load is width·min(2, s): a parent with two children
+// in the level carries two. Tree endpoints learned each other at
+// construction and the messages teach nothing, so this charges exactly
+// what SendGlobal charges for the explicit messages (DESIGN.md §1).
+func (t *Tree) send(label string, width int, deepestFirst bool) (int, error) {
+	width = max(width, 1)
+	depth, m := t.Depth(), len(t.Members)
 	total := 0
 	for i := 1; i <= depth; i++ {
 		d := i
 		if deepestFirst {
 			d = depth + 1 - i
 		}
-		lv := level(sched, d)
-		if replay {
-			t.net.ReplayGlobal(label, len(lv), counts[d-1])
-			total += counts[d-1]
-			continue
-		}
-		r, err := t.net.SendGlobal(label, lv)
+		s := min(1<<d, m-(1<<d)+1)
+		r, err := t.net.SendGlobalLoad(label, s, width*min(2, s))
 		if err != nil {
 			return total, err
 		}
-		counts[d-1] = r
 		total += r
 	}
-	*rounds = counts
 	return total, nil
 }
 
