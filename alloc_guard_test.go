@@ -24,6 +24,7 @@ import (
 	"repro/internal/runner"
 	"repro/internal/spanner"
 	"repro/internal/sssp"
+	"repro/internal/unicast"
 )
 
 func requireAllocFree(t *testing.T) {
@@ -386,18 +387,21 @@ func TestBallProfilesAllocBudget(t *testing.T) {
 }
 
 // TestSpannerAllocBudget pins the greedy spanner at its output: every
-// candidate edge's bounded Dijkstra reuses one dense distance array and
-// one heap, so a 3-spanner of a weighted 1024-node 8-regular graph must
-// not allocate per search.
+// candidate edge's bounded search reuses one dense distance array and
+// one heap (weighted) or one BFS queue (unit weights), so a 3-spanner of
+// a 1024-node 8-regular graph must not allocate per search, with random
+// weights or with all weights 1.
 func TestSpannerAllocBudget(t *testing.T) {
 	requireAllocFree(t)
-	g := graph.RandomWeights(graph.RandomRegular(1024, 8, rand.New(rand.NewSource(7))), 1000, rand.New(rand.NewSource(3)))
-	if mb := float64(allocatedBytes(func() {
-		if _, err := spanner.Compute(g, 2); err != nil {
-			t.Fatal(err)
+	unit := graph.RandomRegular(1024, 8, rand.New(rand.NewSource(7)))
+	for _, g := range []*graph.Graph{graph.RandomWeights(unit, 1000, rand.New(rand.NewSource(3))), unit} {
+		if mb := float64(allocatedBytes(func() {
+			if _, err := spanner.Compute(g, 2); err != nil {
+				t.Fatal(err)
+			}
+		})) / (1 << 20); mb >= 1 {
+			t.Fatalf("spanner.Compute(k=2) on a %d-node 8-regular graph (weighted %v) allocated %.2f MB, budget 1 MB", g.N(), g.IsWeighted(), mb)
 		}
-	})) / (1 << 20); mb >= 1 {
-		t.Fatalf("spanner.Compute(k=2) on a weighted %d-node 8-regular graph allocated %.2f MB, budget 1 MB", g.N(), mb)
 	}
 }
 
@@ -433,5 +437,47 @@ func TestCoreKSSPWithoutValuesAllocBudget(t *testing.T) {
 	}) / runs
 	if matrix := uint64(k * n * 8); perCall >= matrix {
 		t.Fatalf("KSSP without values (n=%d, k=%d) allocated %d bytes per call, budget %d (one k×n matrix)", n, k, perCall, matrix)
+	}
+}
+
+// TestCoreRelayAllocBudget pins a table1-sized Theorem 3 case (1) routing
+// at its allocation: k = n sources on the 576-node torus send to 4
+// targets, and one Route call on a fresh network may allocate no more
+// than the 145760 bytes the map-based, one-point-at-a-time pair loop took
+// (go1.24.0, amd64). The four-point loop keeps three n-sized load arrays
+// instead of seven and resolves each endpoint's helpers once, so it adds
+// nothing n-sized per call; it measured 126454 bytes.
+func TestCoreRelayAllocBudget(t *testing.T) {
+	requireAllocFree(t)
+	const runs = 8
+	const relayCallBudget = 145760
+	g, err := graph.Build(graph.FamilyTorus2D, 576, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.N()
+	spec := unicast.Spec{Case: unicast.ArbitrarySourcesRandomTargets, Targets: []int{17, 200, 333, 511}, K: n, L: 4}
+	for v := range n {
+		spec.Sources = append(spec.Sources, v)
+	}
+	route := func(net *hybrid.Net) {
+		if _, err := unicast.Route(net, spec, rand.New(rand.NewSource(1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nets := make([]*hybrid.Net, runs+1)
+	for i := range nets {
+		if nets[i], err = hybrid.New(g, hybrid.Config{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	route(nets[runs]) // attach the graph's diameter and ball profiles
+	perCall := allocatedBytes(func() {
+		for _, net := range nets[:runs] {
+			route(net)
+		}
+	}) / runs
+	if perCall > relayCallBudget {
+		t.Fatalf("one case (1) Route call (n=%d, k=%d, ℓ=4) allocated %d bytes, budget %d", n, n, perCall, relayCallBudget)
 	}
 }

@@ -168,3 +168,40 @@ func TestComputeWeightedGolden(t *testing.T) {
 		t.Fatalf("k=2 spanners of the 11 weighted families at n=576 hash to %s, want %s", got, spannerGolden576)
 	}
 }
+
+// TestUnitWeightBFSMatchesDijkstra: on unit weights the depth-bounded
+// BFS and the heap search keep the same spanner, compared by CSRHash, on
+// every family at n ∈ {64, 576} for k ∈ {1, 2, 3}, and Compute keeps it
+// too.
+func TestUnitWeightBFSMatchesDijkstra(t *testing.T) {
+	for _, n := range []int{64, 576} {
+		for _, f := range graph.Families() {
+			g, err := graph.Build(f, n, rand.New(rand.NewSource(1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.IsWeighted() {
+				t.Fatalf("%s/%d: built with non-unit weights", f, n)
+			}
+			for _, k := range []int{1, 2, 3} {
+				var sums [3]string
+				for i, run := range []func() (*graph.Graph, error){
+					func() (*graph.Graph, error) { return compute(g, k, true) },
+					func() (*graph.Graph, error) { return compute(g, k, false) },
+					func() (*graph.Graph, error) { return Compute(g, k) },
+				} {
+					h, err := run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if sums[i], err = graph.CSRHash(h); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if sums[0] != sums[1] || sums[2] != sums[0] {
+					t.Fatalf("%s/%d k=%d: BFS spanner %s, heap %s, Compute %s", f, n, k, sums[0], sums[1], sums[2])
+				}
+			}
+		}
+	}
+}

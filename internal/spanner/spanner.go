@@ -12,8 +12,9 @@
 // The greedy scan asks one bounded shortest-path question per input
 // edge. Compute answers all of them with one dense search state: the
 // kept edges as adjacency lists, epoch-stamped distance arrays of size
-// n and one graph.DistHeap, so a search costs time only in the part of
-// the spanner it reaches and reuses the memory of the searches before.
+// n, one graph.DistHeap for weighted graphs and one BFS queue for
+// unit-weight ones, so a search costs time only in the part of the
+// spanner it reaches and reuses the memory of the searches before.
 package spanner
 
 import (
@@ -30,11 +31,19 @@ import (
 // the endpoints currently exceeds (2k-1)·w. The result has stretch at
 // most 2k-1 and O(n^{1+1/k}) edges.
 //
-// Each candidate edge costs one Dijkstra from u on the spanner built so
-// far, cut off at (2k-1)·w and stopped as soon as v is reached within
-// it. All of those searches share one dense state (see search), so the
-// scan allocates only the spanner itself.
+// Each candidate edge costs one bounded search from u on the spanner
+// built so far, cut off at (2k-1)·w and stopped as soon as v is reached
+// within it: a Dijkstra, or on a graph whose weights are all 1 a BFS to
+// depth 2k-1, which answers the same question. All of those searches
+// share one dense state (see search), so the scan allocates only the
+// spanner itself.
 func Compute(g *graph.Graph, k int) (*graph.Graph, error) {
+	return compute(g, k, !g.IsWeighted())
+}
+
+// compute is Compute with the search chosen by unit: a BFS if true,
+// which is exact only when every weight of g is 1.
+func compute(g *graph.Graph, k int, unit bool) (*graph.Graph, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("spanner: k=%d < 1", k)
 	}
@@ -50,9 +59,13 @@ func Compute(g *graph.Graph, k int) (*graph.Graph, error) {
 	})
 	h := graph.NewBuilder(g.N())
 	s := newSearch(g.N())
+	within := s.within
+	if unit {
+		within = s.withinHops
+	}
 	stretch := int64(2*k - 1)
 	for _, e := range edges {
-		if s.within(e.U, e.V, stretch*e.W) {
+		if within(e.U, e.V, stretch*e.W) {
 			continue
 		}
 		if err := h.AddEdge(e.U, e.V, e.W); err != nil {
@@ -69,16 +82,17 @@ type arc struct {
 	w  int64
 }
 
-// search is the bounded-Dijkstra state Compute reuses for every
+// search is the bounded-search state Compute reuses for every
 // candidate edge: the kept edges as adjacency lists, distances valid only
-// where stamp equals the current epoch (so no per-search clearing), and
-// one heap emptied before each search.
+// where stamp equals the current epoch (so no per-search clearing), one
+// heap emptied before each Dijkstra and one queue before each BFS.
 type search struct {
 	adj   [][]arc
 	dist  []int64
 	stamp []uint32
 	epoch uint32
 	heap  graph.DistHeap
+	queue []int32
 }
 
 func newSearch(n int) *search {
@@ -91,19 +105,25 @@ func (s *search) add(u, v int, w int64) {
 	s.adj[v] = append(s.adj[v], arc{int32(u), w})
 }
 
+// begin starts a search from u: a fresh epoch with only u stamped, at
+// distance 0.
+func (s *search) begin(u int) {
+	if s.epoch == math.MaxUint32 {
+		clear(s.stamp)
+		s.epoch = 0
+	}
+	s.epoch++
+	s.dist[u], s.stamp[u] = 0, s.epoch
+}
+
 // within reports whether the kept edges join u and v by a path of
 // weight at most limit.
 func (s *search) within(u, v int, limit int64) bool {
 	if u == v {
 		return true
 	}
-	if s.epoch == math.MaxUint32 {
-		clear(s.stamp)
-		s.epoch = 0
-	}
-	s.epoch++
+	s.begin(u)
 	epoch, dist, stamp := s.epoch, s.dist, s.stamp
-	dist[u], stamp[u] = 0, epoch
 	s.heap.Reset()
 	s.heap.Push(int32(u), 0)
 	for s.heap.Len() > 0 {
@@ -124,6 +144,39 @@ func (s *search) within(u, v int, limit int64) bool {
 		}
 	}
 	return false
+}
+
+// withinHops is within for kept edges of weight 1: a FIFO BFS from u
+// that expands no node at depth limit and stops as soon as it reaches v.
+func (s *search) withinHops(u, v int, limit int64) bool {
+	if u == v {
+		return true
+	}
+	s.begin(u)
+	epoch, dist, stamp := s.epoch, s.dist, s.stamp
+	queue := append(s.queue[:0], int32(u))
+	found := false
+scan:
+	for head := 0; head < len(queue); head++ {
+		x := queue[head]
+		d := dist[x] + 1
+		if d > limit {
+			break // FIFO order: every later node is at least as deep
+		}
+		for _, a := range s.adj[x] {
+			if stamp[a.to] == epoch {
+				continue
+			}
+			if int(a.to) == v {
+				found = true
+				break scan
+			}
+			dist[a.to], stamp[a.to] = d, epoch
+			queue = append(queue, a.to)
+		}
+	}
+	s.queue = queue
+	return found
 }
 
 // Distributed computes the spanner and charges the cited [RG20] eÕ(1)

@@ -39,29 +39,60 @@ func NewHash(n, kappa int, rng *rand.Rand) (*Hash, error) {
 // SeedWords returns the seed size in O(log n)-bit words.
 func (h *Hash) SeedWords() int { return len(h.coeff) }
 
-// Eval returns h(i, j) ∈ [0, n) for identifiers i, j ≥ 0.
-func (h *Hash) Eval(i, j int64) int {
-	// Encode the pair as i·65537 + j modulo the prime. The encoding is
-	// injective only while both identifiers are below 2^15; HYBRID₀
-	// draws identifiers from [n²], so from n ≥ 182 distinct pairs can
-	// share a point and hence a hash value. The encoding stays as it
-	// is, since changing it would change every routed row.
-	x := uint64((i%hashPrime*65537 + j%hashPrime) % hashPrime)
-	// Horner evaluation. acc, x < 2^31 and c < 2^31, so acc·x + c < 2^63
-	// and one Mersenne reduction per step gives the residue exactly.
-	var acc uint64
-	for _, c := range h.coeff {
-		acc = reduceMersenne31(acc*x + c)
-	}
-	return int(acc % h.n)
+// pairPoint encodes the identifier pair (i, j), i, j ≥ 0, as the field
+// point i·65537 + j modulo the prime. The encoding is injective only
+// while both identifiers are below 2^15; HYBRID₀ draws identifiers from
+// [n²], so from n ≥ 182 distinct pairs can share a point and hence a
+// hash value. The encoding stays as it is, since changing it would
+// change every routed row.
+func pairPoint(i, j int64) uint64 {
+	return uint64((i%hashPrime*65537 + j%hashPrime) % hashPrime)
 }
 
-// reduceMersenne31 returns y mod 2^31 − 1 for y < 2^63. Each fold keeps
-// y's residue, since 2^31 ≡ 1; the first leaves y < 2^32 + 2^31, the
-// second y < 2^31 + 3, and one subtraction finishes.
-func reduceMersenne31(y uint64) uint64 {
+// Eval returns h(i, j) ∈ [0, n) for identifiers i, j ≥ 0: one point of
+// a padded eval4 block.
+func (h *Hash) Eval(i, j int64) int {
+	x := [4]uint64{pairPoint(i, j)}
+	return h.eval4(&x)[0]
+}
+
+// eval4 returns h at the four field points x (each below the prime).
+// Horner's rule advances four independent accumulators per coefficient,
+// so their multiplies overlap instead of forming one latency-bound
+// chain. Each step keeps only the two Mersenne folds (fold2): an
+// accumulator below 2^31 + 3 times a point below 2^31, plus a
+// coefficient below 2^31, stays below 2^63, so the folds keep every
+// residue exactly, and the conditional subtraction that makes it
+// canonical runs once per point at the end.
+func (h *Hash) eval4(x *[4]uint64) [4]int {
+	// The points are read through x on every step: copying them into
+	// locals leaves too few registers on amd64, and the loop spills.
+	var a0, a1, a2, a3 uint64
+	for _, c := range h.coeff {
+		a0 = fold2(a0*x[0] + c)
+		a1 = fold2(a1*x[1] + c)
+		a2 = fold2(a2*x[2] + c)
+		a3 = fold2(a3*x[3] + c)
+	}
+	return [4]int{
+		int(canonical(a0) % h.n),
+		int(canonical(a1) % h.n),
+		int(canonical(a2) % h.n),
+		int(canonical(a3) % h.n),
+	}
+}
+
+// fold2 returns a value below 2^31 + 3 congruent to y < 2^63 modulo
+// 2^31 − 1. Each fold keeps y's residue, since 2^31 ≡ 1; the first
+// leaves y < 2^32 + 2^31, the second y < 2^31 + 3.
+func fold2(y uint64) uint64 {
 	y = y&hashPrime + y>>31
-	y = y&hashPrime + y>>31
+	return y&hashPrime + y>>31
+}
+
+// canonical maps a fold2 result (below 2^31 + 3, so below twice the
+// prime) to its residue in [0, 2^31 − 1).
+func canonical(y uint64) uint64 {
 	if y >= hashPrime {
 		y -= hashPrime
 	}

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/broadcast"
 	"repro/internal/cluster"
@@ -102,8 +103,6 @@ func SampleNodes(n int, p float64, rng *rand.Rand) []int {
 	}
 	return out
 }
-
-type pairMsg struct{ s, t int32 }
 
 // Route solves the (k,ℓ)-routing instance described by spec (Theorem 3).
 // It requires at least one source and one target.
@@ -209,13 +208,8 @@ func routeForward(net *hybrid.Net, sources, targets []int, k int, sourceHelpers 
 		net.TickLocal("unicast/spread-sources", 4*cl.NQ)
 	}
 
-	pairs := make([]pairMsg, 0, len(sources)*len(targets))
-	for _, s := range sources {
-		for _, t := range targets {
-			pairs = append(pairs, pairMsg{int32(s), int32(t)})
-		}
-	}
-	res, err := relayPairs(net, cl, pairs, srcHelpers, targetHelpers, rng)
+	snd, rcv := newSide(sources, srcHelpers), newSide(targets, targetHelpers)
+	res, err := relayPairs(net, cl, snd, rcv, allPairs(snd, rcv), rng)
 	if err != nil {
 		return nil, err
 	}
@@ -254,13 +248,8 @@ func routeCase3(net *hybrid.Net, sources, targets []int, k, l int, rng *rand.Ran
 			return nil, err
 		}
 		net.TickLocal("unicast/spread-sources", 4*cl.NQ)
-		pairs := make([]pairMsg, 0, len(sources)*len(targets))
-		for _, s := range sources {
-			for _, t := range targets {
-				pairs = append(pairs, pairMsg{int32(s), int32(t)})
-			}
-		}
-		res, err := relayPairs(net, cl, pairs, srcHelpers, tgtHelpers, rng)
+		snd, rcv := newSide(sources, srcHelpers), newSide(targets, tgtHelpers)
+		res, err := relayPairs(net, cl, snd, rcv, allPairs(snd, rcv), rng)
 		if err != nil {
 			return nil, err
 		}
@@ -290,15 +279,23 @@ func routeCase3(net *hybrid.Net, sources, targets []int, k, l int, rng *rand.Ran
 	if err != nil {
 		return nil, err
 	}
+	supers := make([]int, len(sources))
+	for i, s := range sources {
+		supers[i] = superOf[s]
+	}
+	snd, rcv := newSide(supers, srcHelpers), newSide(subSet, tgtHelpers)
+	subs := make([][]int32, len(targets))
+	for ti, t := range targets {
+		subs[ti] = subsOf[t]
+	}
 	pairs := make([]pairMsg, 0, len(sources)*len(targets))
-	for _, s := range sources {
-		for ti, t := range targets {
-			subs := subsOf[t]
-			sub := subs[(s+ti)%len(subs)] // balanced sub-target choice
-			pairs = append(pairs, pairMsg{int32(superOf[s]), int32(sub)})
+	for i, s := range sources {
+		for ti, sub := range subs {
+			at := sub[(s+ti)%len(sub)] // balanced sub-target choice
+			pairs = append(pairs, pairMsg{snd.of(i), rcv.of(int(at))})
 		}
 	}
-	res, err := relayPairs(net, cl, pairs, srcHelpers, tgtHelpers, rng)
+	res, err := relayPairs(net, cl, snd, rcv, pairs, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -352,25 +349,25 @@ func consolidateSources(net *hybrid.Net, cl *cluster.Clustering, sources []int, 
 // fanOutTargets samples the sub-target set T' (Lemma 5.4): every node
 // joins T' with probability q = min(1, k/n·8·ln n); each target is
 // assigned the sub-targets of its cluster in a balanced way (at least
-// itself).
-func fanOutTargets(net *hybrid.Net, cl *cluster.Clustering, targets []int, k int, rng *rand.Rand) (subsOf map[int][]int, subSet []int) {
+// itself). subsOf lists a target's sub-targets as positions in subSet.
+func fanOutTargets(net *hybrid.Net, cl *cluster.Clustering, targets []int, k int, rng *rand.Rand) (subsOf map[int][]int32, subSet []int) {
 	n := net.N()
 	q := float64(k) / float64(n) * 8 * math.Log(float64(n))
 	if q > 1 {
 		q = 1
 	}
-	perCluster := make(map[int][]int)
+	perCluster := make(map[int][]int32)
 	for v := 0; v < n; v++ {
 		if rng.Float64() < q {
-			perCluster[cl.Of[v]] = append(perCluster[cl.Of[v]], v)
+			perCluster[cl.Of[v]] = append(perCluster[cl.Of[v]], int32(len(subSet)))
 			subSet = append(subSet, v)
 		}
 	}
-	subsOf = make(map[int][]int, len(targets))
+	subsOf = make(map[int][]int32, len(targets))
 	for _, t := range targets {
 		subs := perCluster[cl.Of[t]]
 		if len(subs) == 0 {
-			subs = []int{t}
+			subs = []int32{int32(len(subSet))}
 			subSet = append(subSet, t)
 		}
 		subsOf[t] = subs
@@ -378,11 +375,98 @@ func fanOutTargets(net *hybrid.Net, cl *cluster.Clustering, targets []int, k int
 	return subsOf, subSet
 }
 
+// endpoint is a node with a helper set: its messages are balanced over
+// the helpers round-robin.
+type endpoint struct {
+	helpers []int
+	node    int32
+	next    int32 // helpers[next % len(helpers)] carries the next message
+}
+
+// side is one end of the relayed pairs. Without helper sets every node
+// relays its own messages, and a pair names the node itself; with them a
+// pair names an endpoint, and at[i] is the endpoint of nodes[i].
+type side struct {
+	nodes []int
+	eps   []endpoint
+	at    []int32
+}
+
+// newSide looks up each listed node's helper set once. A node listed
+// twice shares one endpoint, so it keeps one round-robin counter.
+func newSide(nodes []int, helpers map[int][]int) side {
+	s := side{nodes: nodes}
+	if helpers == nil {
+		return s
+	}
+	s.eps = make([]endpoint, 0, len(nodes))
+	s.at = make([]int32, len(nodes))
+	seen := make(map[int]int32, min(len(nodes), len(helpers)))
+	for i, v := range nodes {
+		j, ok := seen[v]
+		if !ok {
+			j = int32(len(s.eps))
+			seen[v] = j
+			s.eps = append(s.eps, endpoint{helpers: helpers[v], node: int32(v)})
+		}
+		s.at[i] = j
+	}
+	return s
+}
+
+// of returns how a pair names the i-th listed node.
+func (s *side) of(i int) int32 {
+	if s.at == nil {
+		return int32(s.nodes[i])
+	}
+	return s.at[i]
+}
+
+// node returns the node a pair's name e stands for.
+func (s *side) node(e int32) int {
+	if s.eps == nil {
+		return int(e)
+	}
+	return int(s.eps[e].node)
+}
+
+// relay returns the node that carries the next message of e.
+func (s *side) relay(e int32) int {
+	if s.eps == nil {
+		return int(e)
+	}
+	ep := &s.eps[e]
+	if len(ep.helpers) == 0 {
+		return int(ep.node)
+	}
+	v := ep.helpers[int(ep.next)%len(ep.helpers)]
+	ep.next++
+	return v
+}
+
+// pairMsg is one message, its sender and receiver named as by side.of.
+type pairMsg struct{ s, t int32 }
+
+// allPairs returns every (sender, receiver) pair of listed nodes,
+// sender-major.
+func allPairs(snd, rcv side) []pairMsg {
+	pairs := make([]pairMsg, 0, len(snd.nodes)*len(rcv.nodes))
+	for i := range snd.nodes {
+		s := snd.of(i)
+		for j := range rcv.nodes {
+			pairs = append(pairs, pairMsg{s, rcv.of(j)})
+		}
+	}
+	return pairs
+}
+
 // relayPairs runs the global half of Algorithm 2: every pair's message
 // goes sender → intermediate h(ID(s), ID(t)) → target helper (via a
 // request/reply exchange), followed by local collection at the targets.
-// srcHelpers may be nil (senders transmit their own messages, case (1)).
-func relayPairs(net *hybrid.Net, cl *cluster.Clustering, pairs []pairMsg, srcHelpers, tgtHelpers map[int][]int, rng *rand.Rand) (*Result, error) {
+// The hash is evaluated on blocks of four pairs; the pairs of a block are
+// then tallied in order, so the round-robin choices match a pair-at-a-time
+// loop.
+func relayPairs(net *hybrid.Net, cl *cluster.Clustering, snd, rcv side, pairs []pairMsg, rng *rand.Rand) (*Result, error) {
 	n := net.N()
 	plog := net.PLog()
 	// κ-wise independent hash; seed of eÕ(NQ_k) words is broadcast with
@@ -394,66 +478,37 @@ func relayPairs(net *hybrid.Net, cl *cluster.Clustering, pairs []pairMsg, srcHel
 	}
 	net.Charge("unicast/hash-seed", cl.NQ*plog)
 
-	// Requests are balanced over each target's helpers; source messages
-	// over each source's helpers (if any).
-	rrSrc := make(map[int]int)
-	rrTgt := make(map[int]int)
-	sender := func(s int) int {
-		hs := srcHelpers[s]
-		if len(hs) == 0 {
-			return s
+	// Every pair adds one word to its sender's stage-A send, to its
+	// intermediate's stage-A receive, stage-B receive and stage-C send,
+	// and to its target helper's stage-B send and stage-C receive, so
+	// three load arrays describe all three stages.
+	sent := make([]int, n)   // sender → intermediate
+	inter := make([]int, n)  // pairs hashed onto each intermediate
+	helper := make([]int, n) // requests sent, and replies received, by target helpers
+	var x [4]uint64
+	for b := 0; b < len(pairs); b += 4 {
+		block := pairs[b:min(b+4, len(pairs))]
+		for q, p := range block {
+			x[q] = pairPoint(net.ID(snd.node(p.s)), net.ID(rcv.node(p.t)))
 		}
-		i := rrSrc[s]
-		rrSrc[s] = i + 1
-		return hs[i%len(hs)]
-	}
-	receiver := func(t int) int {
-		ht := tgtHelpers[t]
-		if len(ht) == 0 {
-			return t
+		mids := h.eval4(&x) // a short last block reuses stale points
+		for q, p := range block {
+			sent[snd.relay(p.s)]++
+			helper[rcv.relay(p.t)]++
+			inter[mids[q]]++
 		}
-		i := rrTgt[t]
-		rrTgt[t] = i + 1
-		return ht[i%len(ht)]
-	}
-
-	outA := make([]int, n) // message sender → intermediate
-	inA := make([]int, n)
-	outB := make([]int, n) // helper request → intermediate
-	inB := make([]int, n)
-	outC := make([]int, n) // intermediate reply → helper
-	inC := make([]int, n)
-	interLoad := make([]int, n)
-
-	for _, p := range pairs {
-		mid := h.Eval(net.ID(int(p.s)), net.ID(int(p.t)))
-		snd := sender(int(p.s))
-		rcv := receiver(int(p.t))
-		outA[snd]++
-		inA[mid]++
-		outB[rcv]++
-		inB[mid]++
-		outC[mid]++
-		inC[rcv]++
-		interLoad[mid]++
 	}
 	// Targets distribute their requests to their helpers locally before
 	// stage B, and collect the delivered messages afterwards.
 	net.TickLocal("unicast/spread-requests", 4*cl.NQ)
-	net.LoadRounds("unicast/send-to-intermediate", outA, inA)
-	net.LoadRounds("unicast/request", outB, inB)
-	net.LoadRounds("unicast/reply", outC, inC)
+	net.LoadRounds("unicast/send-to-intermediate", sent, inter)
+	net.LoadRounds("unicast/request", helper, inter)
+	net.LoadRounds("unicast/reply", inter, helper)
 	net.TickLocal("unicast/collect", 4*cl.NQ)
 
-	maxInter := 0
-	for _, x := range interLoad {
-		if x > maxInter {
-			maxInter = x
-		}
-	}
 	return &Result{
 		NQ:                  cl.NQ,
 		Pairs:               int64(len(pairs)),
-		MaxIntermediateLoad: maxInter,
+		MaxIntermediateLoad: slices.Max(inter),
 	}, nil
 }
