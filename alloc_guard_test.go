@@ -224,7 +224,8 @@ func TestCoreKernelAllocBudgets(t *testing.T) {
 		{"BFS", 1, func() { grid.BFS(0) }},
 		{"Dijkstra", 1, func() { weighted.Dijkstra(0) }},
 		{"Dijkstra (unit weights)", 1, func() { grid.Dijkstra(0) }},
-		{"HopLimitedDistances", 4, func() { grid.HopLimitedDistances(0, 16) }},
+		// The hop-limited frontier lists are pooled on the graph too.
+		{"HopLimitedDistances", 1, func() { grid.HopLimitedDistances(0, 16) }},
 		{"BallSizes", 2, func() { grid.BallSizes(0, 16) }},
 		// Connectivity is memoized on the graph, so every hybrid.New
 		// after the first over a shared topology skips the DFS.
@@ -343,13 +344,25 @@ func TestDiskReopenAllocBudget(t *testing.T) {
 	}
 }
 
-// allocatedBytes returns the bytes f allocates.
-func allocatedBytes(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+// allocTrials is how many times allocatedBytes measures.
+const allocTrials = 3
+
+// allocatedBytes returns the least bytes that the function fresh returns
+// allocates over allocTrials trials, each on the state a new call of
+// fresh prepares outside the measurement. TotalAlloc is process-wide, so
+// one trial can count another goroutine's allocations; the least of
+// several cannot overstate the function's own.
+func allocatedBytes(fresh func() func()) uint64 {
+	best := uint64(math.MaxUint64)
+	for range allocTrials {
+		f := fresh()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best
 }
 
 // TestDiameterAllocBudget pins the all-sources diameter at the hop
@@ -358,8 +371,12 @@ func allocatedBytes(f func()) uint64 {
 // and must not allocate a distance vector per source.
 func TestDiameterAllocBudget(t *testing.T) {
 	requireAllocFree(t)
-	g := coreExpander() // RandomRegular seeds no diameter
-	if kb := float64(allocatedBytes(func() { g.Diameter() })) / 1024; kb >= 256 {
+	var g *graph.Graph
+	kb := float64(allocatedBytes(func() func() {
+		g = coreExpander() // RandomRegular seeds no diameter
+		return func() { g.Diameter() }
+	})) / 1024
+	if kb >= 256 {
 		t.Fatalf("uncached Diameter of a %d-node expander allocated %.0f KB, budget 256 KB", g.N(), kb)
 	}
 }
@@ -374,7 +391,7 @@ func TestBallProfilesAllocBudget(t *testing.T) {
 	g := graph.RandomRegular(4096, 4, rand.New(rand.NewSource(7)))
 	r := graph.ProfileRadius(g.N(), g.Diameter()) // also warms the kernel scratch
 	var p *graph.Profiles
-	got := allocatedBytes(func() { p = g.BallProfilesWorkers(r, 1) })
+	got := allocatedBytes(func() func() { return func() { p = g.BallProfilesWorkers(r, 1) } })
 	entries := 0
 	for v := 0; v < p.N(); v++ {
 		entries += p.Len(v)
@@ -395,9 +412,11 @@ func TestSpannerAllocBudget(t *testing.T) {
 	requireAllocFree(t)
 	unit := graph.RandomRegular(1024, 8, rand.New(rand.NewSource(7)))
 	for _, g := range []*graph.Graph{graph.RandomWeights(unit, 1000, rand.New(rand.NewSource(3))), unit} {
-		if mb := float64(allocatedBytes(func() {
-			if _, err := spanner.Compute(g, 2); err != nil {
-				t.Fatal(err)
+		if mb := float64(allocatedBytes(func() func() {
+			return func() {
+				if _, err := spanner.Compute(g, 2); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})) / (1 << 20); mb >= 1 {
 			t.Fatalf("spanner.Compute(k=2) on a %d-node 8-regular graph (weighted %v) allocated %.2f MB, budget 1 MB", g.N(), g.IsWeighted(), mb)
@@ -421,17 +440,19 @@ func TestCoreKSSPWithoutValuesAllocBudget(t *testing.T) {
 	n := g.N()
 	k := int(math.Ceil(math.Pow(float64(n), 0.8)))
 	sources := rand.New(rand.NewSource(1)).Perm(n)[:k]
-	nets := make([]*hybrid.Net, runs)
-	for i := range nets {
-		if nets[i], err = hybrid.New(g, hybrid.Config{}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	rng := rand.New(rand.NewSource(2))
-	perCall := allocatedBytes(func() {
-		for _, net := range nets {
-			if _, _, err := sssp.KSSP(net, sources, 0.5, true, rng, false); err != nil {
+	perCall := allocatedBytes(func() func() {
+		nets := make([]*hybrid.Net, runs)
+		for i := range nets {
+			if nets[i], err = hybrid.New(g, hybrid.Config{}); err != nil {
 				t.Fatal(err)
+			}
+		}
+		return func() {
+			for _, net := range nets {
+				if _, _, err := sssp.KSSP(net, sources, 0.5, true, rng, false); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}) / runs
@@ -465,16 +486,23 @@ func TestCoreRelayAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	nets := make([]*hybrid.Net, runs+1)
-	for i := range nets {
-		if nets[i], err = hybrid.New(g, hybrid.Config{}); err != nil {
+	newNet := func() *hybrid.Net {
+		net, err := hybrid.New(g, hybrid.Config{})
+		if err != nil {
 			t.Fatal(err)
 		}
+		return net
 	}
-	route(nets[runs]) // attach the graph's diameter and ball profiles
-	perCall := allocatedBytes(func() {
-		for _, net := range nets[:runs] {
-			route(net)
+	route(newNet()) // attach the graph's diameter and ball profiles
+	perCall := allocatedBytes(func() func() {
+		nets := make([]*hybrid.Net, runs)
+		for i := range nets {
+			nets[i] = newNet()
+		}
+		return func() {
+			for _, net := range nets {
+				route(net)
+			}
 		}
 	}) / runs
 	if perCall > relayCallBudget {

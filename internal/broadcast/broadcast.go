@@ -223,12 +223,11 @@ func (st *treeState) loads() (out, in []int) {
 	return st.out, st.in
 }
 
+// newTreeState builds the Theorem 1 cluster tree over cl's leaders and
+// chains the clusters along it. The tree is a pure function of cl, so
+// its charges replay from the cell's transcript (hybrid.Each) and the
+// recorded tree is shared read-only.
 func newTreeState(net *hybrid.Net, cl *cluster.Clustering) (*treeState, error) {
-	// Phase 2a: cluster tree over the leaders (Lemma 4.6).
-	ctree, err := overlay.BuildOn(net, cl.Leaders(), "disseminate/clustertree")
-	if err != nil {
-		return nil, err
-	}
 	// Uniform logical tree size: the largest cluster size, so that every
 	// cluster simulates a tree of the exact same shape (members of smaller
 	// clusters simulate up to ⌈slots/|C|⌉ ≤ 2 tree nodes).
@@ -238,11 +237,21 @@ func newTreeState(net *hybrid.Net, cl *cluster.Clustering) (*treeState, error) {
 			slots = len(c.Members)
 		}
 	}
-	st := &treeState{net: net, cl: cl, ctree: ctree, slots: slots, weakDiam: 4 * cl.NQ}
-	if st.weakDiam < 1 {
-		st.weakDiam = 1
+	st := &treeState{net: net, cl: cl, slots: slots, weakDiam: max(4*cl.NQ, 1)}
+	ctree, err := hybrid.Each(net, hybrid.Phase{Name: "broadcast/cluster-tree", K: cl.K}, func() (*overlay.Tree, error) {
+		// Phase 2a: cluster tree over the leaders (Lemma 4.6).
+		t, err := overlay.BuildOn(net, cl.Leaders(), "disseminate/clustertree")
+		if err != nil {
+			return nil, err
+		}
+		st.ctree = t
+		st.chainClusters()
+		return t, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	st.chainClusters()
+	st.ctree = ctree.On(net)
 	return st, nil
 }
 

@@ -66,17 +66,22 @@ func Build(net *hybrid.Net, k int) (*Clustering, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("cluster: non-positive k=%d", k)
 	}
-	// A clustering, once established and flooded, persists for the rest
-	// of the execution; repeated requests for the same k are free.
-	memoKey := fmt.Sprintf("cluster/k=%d", k)
-	if cached, ok := net.Memo(memoKey); ok {
-		return cached.(*Clustering), nil
-	}
-	g := net.Graph()
+	// Lemma 3.3 runs first, as a phase of its own (hybrid.Once).
 	q, err := nq.Distributed(net, k)
 	if err != nil {
 		return nil, err
 	}
+	// A clustering, once established and flooded, persists for the rest
+	// of the execution; repeated requests for the same k are free.
+	return hybrid.Once(net, hybrid.Phase{Name: "cluster", K: k}, func() (*Clustering, error) {
+		return partition(net, k, q)
+	})
+}
+
+// partition is the rest of the Lemma 3.5 construction once q = NQ_k is
+// known.
+func partition(net *hybrid.Net, k, q int) (*Clustering, error) {
+	g := net.Graph()
 	diam := g.Diameter()
 	degenerate := int64(q) >= diam
 
@@ -119,7 +124,6 @@ func Build(net *hybrid.Net, k int) (*Clustering, error) {
 	for _, c := range clusters {
 		net.LearnEachOther(c.Members)
 	}
-	net.SetMemo(memoKey, final)
 	return final, nil
 }
 

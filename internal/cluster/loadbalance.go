@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/hybrid"
 )
@@ -31,8 +30,8 @@ func LoadBalance(net *hybrid.Net, c Cluster, nq int, load []int) ([]int, error) 
 	net.TickLocal("cluster/loadbalance", 2*4*nq)
 
 	out := append([]int(nil), load...)
-	// Deterministic order: surplus members sorted descending, deficit
-	// ascending; move items greedily.
+	// Deterministic order: surplus and deficit members in member order;
+	// move items greedily.
 	type entry struct {
 		idx, amount int
 	}
@@ -45,8 +44,6 @@ func LoadBalance(net *hybrid.Net, c Cluster, nq int, load []int) ([]int, error) 
 			deficit = append(deficit, entry{i, capPer - l})
 		}
 	}
-	sort.Slice(surplus, func(a, b int) bool { return surplus[a].idx < surplus[b].idx })
-	sort.Slice(deficit, func(a, b int) bool { return deficit[a].idx < deficit[b].idx })
 	di := 0
 	for _, s := range surplus {
 		need := s.amount

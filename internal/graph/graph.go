@@ -58,6 +58,9 @@ type Graph struct {
 	// queuePool recycles the capacity-n queue of the sequential BFS
 	// (*[]int32), so a one-shot BFS allocates only its result vector.
 	queuePool sync.Pool
+	// hopLimitedPool recycles the frontier lists of the sequential
+	// hop-limited Bellman–Ford (*hopFrontier).
+	hopLimitedPool sync.Pool
 	// hopPool recycles the per-node bit words and frontier lists of the
 	// 64-source hop kernel (hopkernel.go) behind Diameter and
 	// BallProfiles.
@@ -267,14 +270,34 @@ func (g *Graph) Edges() []UndirectedEdge {
 // the attached ball profiles — since weights cannot change them. It
 // does not keep the facts that depend on the weights (IsWeighted, the
 // delta-stepping parameters); the copy derives them from its own.
+//
+// Degrees are unchanged, so the copy shares g's row layout: every edge
+// {u < v} is placed at the next free slot of row u and of row v, which
+// is where a Builder fed Edges() in order would put it.
 func (g *Graph) Reweight(f func(u, v int, w int64) int64) (*Graph, error) {
-	b := NewBuilder(g.N())
-	for _, e := range g.Edges() {
-		if err := b.AddEdge(e.U, e.V, f(e.U, e.V, e.W)); err != nil {
-			return nil, err
+	n := g.N()
+	c := &Graph{
+		rowStart: append([]int32(nil), g.rowStart...),
+		to:       make([]int32, len(g.to)),
+		w:        make([]int64, len(g.w)),
+	}
+	next := append([]int32(nil), g.rowStart[:n]...)
+	for u := 0; u < n; u++ {
+		for i := g.rowStart[u]; i < g.rowStart[u+1]; i++ {
+			v := g.to[i]
+			if int(v) <= u {
+				continue
+			}
+			w := f(u, int(v), g.w[i])
+			if w <= 0 {
+				return nil, fmt.Errorf("graph: non-positive weight %d on edge (%d,%d)", w, u, v)
+			}
+			c.to[next[u]], c.w[next[u]] = v, w
+			c.to[next[v]], c.w[next[v]] = int32(u), w
+			next[u]++
+			next[v]++
 		}
 	}
-	c := b.Build()
 	c.diam.Store(g.diam.Load())
 	c.profiles.Store(g.profiles.Load())
 	return c, nil

@@ -415,3 +415,60 @@ func TestDiameterDisconnected(t *testing.T) {
 		t.Fatalf("diameter of disconnected graph = %d, want Inf", d)
 	}
 }
+
+// reweightViaBuilder is the reference Reweight: a Builder fed g's edges
+// in Edges() order with the new weights.
+func reweightViaBuilder(g *Graph, f func(u, v int, w int64) int64) (*Graph, error) {
+	b := NewBuilder(g.N())
+	for _, e := range g.Edges() {
+		if err := b.AddEdge(e.U, e.V, f(e.U, e.V, e.W)); err != nil {
+			return nil, err
+		}
+	}
+	return b.Build(), nil
+}
+
+// TestReweightMatchesBuilder: the in-place Reweight lays out the same
+// CSR arrays as the Builder path it replaced, on every family at two
+// sizes, both for unit weights and for a random weight map drawn in
+// Edges() order.
+func TestReweightMatchesBuilder(t *testing.T) {
+	for _, fam := range Families() {
+		for _, n := range []int{64, 576} {
+			g, err := Build(fam, n, rand.New(rand.NewSource(5)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			maps := map[string]func() func(u, v int, w int64) int64{
+				"unit": func() func(u, v int, w int64) int64 {
+					return func(_, _ int, _ int64) int64 { return 1 }
+				},
+				"random": func() func(u, v int, w int64) int64 {
+					rng := rand.New(rand.NewSource(int64(n)))
+					return func(_, _ int, _ int64) int64 { return 1 + rng.Int63n(1000) }
+				},
+			}
+			for name, newF := range maps {
+				got, err := g.Reweight(newF())
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := reweightViaBuilder(g, newF())
+				if err != nil {
+					t.Fatal(err)
+				}
+				gh, err := CSRHash(got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wh, err := CSRHash(want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gh != wh {
+					t.Errorf("%s n=%d %s weights: Reweight hashes to %s, Builder path to %s", fam, n, name, gh, wh)
+				}
+			}
+		}
+	}
+}

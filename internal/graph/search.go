@@ -348,34 +348,55 @@ func (g *Graph) HopLimitedDistances(src, h int) []int64 {
 	if g.N() >= kernelMinN {
 		return g.HopLimitedDistancesWorkers(src, h, 0)
 	}
-	return g.hopLimitedSequential(src, h)
+	return g.HopLimitedDistancesInto(make([]int64, g.N()), src, h)
 }
 
-func (g *Graph) hopLimitedSequential(src, h int) []int64 {
+// hopFrontier is the pooled scratch of HopLimitedDistancesInto: two
+// capacity-n frontier lists and the membership marks of the next one,
+// all false between calls.
+type hopFrontier struct {
+	active, next []int32
+	inActive     []bool
+}
+
+// HopLimitedDistancesInto is HopLimitedDistances writing into dist,
+// which must have length n, and returning it, so a caller looping over
+// sources reuses one vector. Below the parallel-kernel threshold its
+// frontier scratch is pooled on the graph and it allocates nothing.
+//
+// The relaxation is frontier-based and in place: a round relaxes only
+// from nodes improved in the previous one, reading distances that may
+// already have improved within the round, so the result lies between
+// the exact distances and the strict d^h, and equals d^h at h ≥ n−1.
+func (g *Graph) HopLimitedDistancesInto(dist []int64, src, h int) []int64 {
 	n := g.N()
-	cur := make([]int64, n)
-	for i := range cur {
-		cur[i] = Inf
+	if n >= kernelMinN {
+		copy(dist, g.HopLimitedDistancesWorkers(src, h, 0))
+		return dist
+	}
+	for i := range dist {
+		dist[i] = Inf
 	}
 	if src < 0 || src >= n {
-		return cur
+		return dist
 	}
-	cur[src] = 0
-	// frontier-based relaxation: only relax from nodes improved last round.
-	active := make([]int32, 1, n)
-	active[0] = int32(src)
-	next := make([]int32, 0, n)
-	inActive := make([]bool, n)
+	dist[src] = 0
+	s, _ := g.hopLimitedPool.Get().(*hopFrontier)
+	if s == nil || len(s.inActive) < n {
+		s = &hopFrontier{make([]int32, 0, n), make([]int32, 0, n), make([]bool, n)}
+	}
+	defer g.hopLimitedPool.Put(s)
+	active, next, inActive := append(s.active[:0], int32(src)), s.next[:0], s.inActive
 	for round := 0; round < h && len(active) > 0; round++ {
 		next = next[:0]
 		for _, v := range active {
-			dv := cur[v]
+			dv := dist[v]
 			lo, hi := g.rowStart[v], g.rowStart[v+1]
 			row, rw := g.to[lo:hi], g.w[lo:hi]
 			rw = rw[:len(row)]
 			for j, u := range row {
-				if nd := dv + rw[j]; nd < cur[u] {
-					cur[u] = nd
+				if nd := dv + rw[j]; nd < dist[u] {
+					dist[u] = nd
 					if !inActive[u] {
 						inActive[u] = true
 						next = append(next, u)
@@ -388,7 +409,8 @@ func (g *Graph) hopLimitedSequential(src, h int) []int64 {
 		}
 		active, next = next, active
 	}
-	return cur
+	s.active, s.next = active, next
+	return dist
 }
 
 // APSPExact returns the full n×n weighted distance matrix via n Dijkstra

@@ -141,7 +141,12 @@ type Net struct {
 	know  []bitset.Set // know[v].Has(u): v has learned ID(u); nil unless tracking
 	audit []AuditEntry
 	stats Stats
-	memo  map[string]any
+	// tab is the cell's transcript table (nil: every phase runs),
+	// capture the transcript of the phase being recorded, and played
+	// the outputs of the Once phases this network has paid for.
+	tab     *Transcripts
+	capture *Transcript
+	played  map[Phase]any
 	// violations counts uses of a disabled communication mode.
 	violations int
 
@@ -166,23 +171,6 @@ func (net *Net) loadScratch() (out, in []int) {
 		net.scratchIn = make([]int, net.n)
 	}
 	return net.scratchOut, net.scratchIn
-}
-
-// Memo returns a value cached on this network under key. Algorithms use
-// it for network-wide state that, once established (and paid for), stays
-// available for the rest of the execution — e.g. the Lemma 4.3 overlay
-// tree or a Lemma 3.5 clustering.
-func (net *Net) Memo(key string) (any, bool) {
-	v, ok := net.memo[key]
-	return v, ok
-}
-
-// SetMemo caches a value on this network under key.
-func (net *Net) SetMemo(key string, v any) {
-	if net.memo == nil {
-		net.memo = make(map[string]any)
-	}
-	net.memo[key] = v
 }
 
 // ErrEmptyGraph is returned when constructing a network over no nodes.
@@ -211,7 +199,7 @@ func New(g *graph.Graph, cfg Config) (*Net, error) {
 		g:    g,
 		cfg:  cfg,
 		n:    n,
-		plog: ceilLog2(n),
+		plog: PLog(n),
 	}
 	net.gcap = cfg.CapFactor * net.plog
 	if cfg.GlobalWordCap > 0 {
@@ -317,16 +305,22 @@ func (net *Net) record(phase string, rounds int, kind Kind) {
 	if rounds <= 0 {
 		return
 	}
-	// Coalesce with the previous entry when phase and kind repeat: the
-	// steady-state round loop then never grows the audit slice, and
-	// FormatAudit (which merges by phase and kind anyway) is unchanged.
-	if k := len(net.audit); k > 0 {
-		if last := &net.audit[k-1]; last.Phase == phase && last.Kind == kind {
-			last.Rounds += rounds
-			return
-		}
+	e := AuditEntry{Phase: phase, Rounds: rounds, Kind: kind}
+	net.audit = coalesce(net.audit, e)
+	if net.capture != nil {
+		net.capture.Entries = coalesce(net.capture.Entries, e)
 	}
-	net.audit = append(net.audit, AuditEntry{Phase: phase, Rounds: rounds, Kind: kind})
+}
+
+// coalesce appends e, merging it into the last entry when phase and kind
+// repeat: the steady-state round loop then never grows the audit slice,
+// and FormatAudit (which merges by phase and kind anyway) is unchanged.
+func coalesce(audit []AuditEntry, e AuditEntry) []AuditEntry {
+	if k := len(audit); k > 0 && audit[k-1].Phase == e.Phase && audit[k-1].Kind == e.Kind {
+		audit[k-1].Rounds += e.Rounds
+		return audit
+	}
+	return append(audit, e)
 }
 
 // Charge records rounds of a cited black-box subroutine (Kind Charged).
@@ -394,16 +388,11 @@ func (net *Net) SendLocal(phase string, msgs []Msg) (int, error) {
 		maxLoad := 0
 		for i := range msgs {
 			m := &msgs[i]
-			size := m.Size
-			if size <= 0 {
-				size = 1
-			}
-			size += len(m.TeachIDs)
 			k := edgeKey{m.From, m.To}
 			if k.u > k.v {
 				k.u, k.v = k.v, k.u
 			}
-			l := net.localLoad[k] + size
+			l := net.localLoad[k] + m.words()
 			net.localLoad[k] = l
 			if l > maxLoad {
 				maxLoad = l
@@ -413,16 +402,24 @@ func (net *Net) SendLocal(phase string, msgs []Msg) (int, error) {
 	}
 	net.record(phase, rounds, Simulated)
 	net.stats.LocalRounds += int64(rounds)
-	if net.know != nil {
-		for i := range msgs {
-			m := &msgs[i]
-			net.know[m.To].Add(m.From)
-			for _, u := range m.TeachIDs {
-				net.know[m.To].Add(u)
-			}
+	net.teach(msgs)
+	return rounds, nil
+}
+
+// teach applies the knowledge side effects of delivering msgs: each
+// receiver learns its sender and the message's TeachIDs. No-op without
+// knowledge tracking.
+func (net *Net) teach(msgs []Msg) {
+	if net.know == nil {
+		return
+	}
+	for i := range msgs {
+		m := &msgs[i]
+		net.know[m.To].Add(m.From)
+		for _, u := range m.TeachIDs {
+			net.know[m.To].Add(u)
 		}
 	}
-	return rounds, nil
 }
 
 // Knows reports whether node v has learned the identifier of node u.
@@ -494,6 +491,10 @@ type Msg struct {
 	TeachIDs []int
 }
 
+// words is the number of words m occupies: its Size, at least 1, plus
+// one per taught identifier.
+func (m *Msg) words() int { return max(m.Size, 1) + len(m.TeachIDs) }
+
 // ErrUnknownTarget is returned in HYBRID₀ when a sender addresses a node
 // whose identifier it has not learned.
 type ErrUnknownTarget struct {
@@ -541,11 +542,7 @@ func (net *Net) SendGlobal(phase string, msgs []Msg) (int, error) {
 	maxLoad := 0
 	for i := range msgs {
 		m := &msgs[i]
-		size := m.Size
-		if size <= 0 {
-			size = 1
-		}
-		size += len(m.TeachIDs) // each taught ID occupies one word
+		size := m.words()
 		out[m.From] += size
 		if out[m.From] > maxLoad {
 			maxLoad = out[m.From]
@@ -561,15 +558,7 @@ func (net *Net) SendGlobal(phase string, msgs []Msg) (int, error) {
 		in[msgs[i].To] = 0
 	}
 	rounds, _ := net.SendGlobalLoad(phase, len(msgs), maxLoad)
-	if net.know != nil {
-		for i := range msgs {
-			m := &msgs[i]
-			net.know[m.To].Add(m.From)
-			for _, u := range m.TeachIDs {
-				net.know[m.To].Add(u)
-			}
-		}
-	}
+	net.teach(msgs)
 	return rounds, nil
 }
 
@@ -619,23 +608,14 @@ func (net *Net) DeliverOneRound(phase string, msgs []Msg) (delivered []int, err 
 		if net.cfg.Variant == VariantHybrid0 && net.know != nil && !net.know[m.From].Has(m.To) {
 			continue // unaddressable: silently undeliverable
 		}
-		size := m.Size
-		if size <= 0 {
-			size = 1
-		}
-		size += len(m.TeachIDs)
+		size := m.words()
 		if sendUsed[m.From]+size > net.gcap || recvUsed[m.To]+size > net.gcap {
 			continue // adversary drops the overflow (Section 1.3)
 		}
 		sendUsed[m.From] += size
 		recvUsed[m.To] += size
 		delivered = append(delivered, i)
-		if net.know != nil {
-			net.know[m.To].Add(m.From)
-			for _, u := range m.TeachIDs {
-				net.know[m.To].Add(u)
-			}
-		}
+		net.teach(msgs[i : i+1])
 	}
 	for i := range msgs {
 		sendUsed[msgs[i].From] = 0
@@ -652,30 +632,19 @@ func (net *Net) DeliverOneRound(phase string, msgs []Msg) (delivered []int, err 
 // of SendGlobal: the optimal schedule length is ⌈max load/γ⌉ rounds as
 // above. Knowledge side effects are the caller's responsibility.
 func (net *Net) LoadRounds(phase string, out, in []int) int {
-	rounds := loadToRounds(out, in, net.gcap)
-	net.record(phase, rounds, Simulated)
-	var total int64
+	maxLoad, total := 0, int64(0)
 	for _, o := range out {
+		maxLoad = max(maxLoad, o)
 		total += int64(o)
 	}
+	for _, i := range in {
+		maxLoad = max(maxLoad, i)
+	}
+	rounds := (maxLoad + net.gcap - 1) / net.gcap
+	net.record(phase, rounds, Simulated)
 	net.stats.LoadMessages += total
 	net.stats.GlobalRounds += int64(rounds)
 	return rounds
-}
-
-func loadToRounds(out, in []int, gcap int) int {
-	maxLoad := 0
-	for _, o := range out {
-		if o > maxLoad {
-			maxLoad = o
-		}
-	}
-	for _, i := range in {
-		if i > maxLoad {
-			maxLoad = i
-		}
-	}
-	return (maxLoad + gcap - 1) / gcap
 }
 
 // FormatAudit renders the audit trail as an aligned text table, merging
@@ -685,31 +654,22 @@ func (net *Net) FormatAudit() string {
 		phase string
 		kind  Kind
 	}
-	type row struct {
-		phase string
-		r     int
-		kind  Kind
-	}
-	var rows []row
+	var rows []AuditEntry
 	at := make(map[key]int)
+	width := 0
 	for _, e := range net.audit {
 		k := key{e.Phase, e.Kind}
 		if i, ok := at[k]; ok {
-			rows[i].r += e.Rounds
+			rows[i].Rounds += e.Rounds
 			continue
 		}
 		at[k] = len(rows)
-		rows = append(rows, row{e.Phase, e.Rounds, e.Kind})
-	}
-	width := 0
-	for _, r := range rows {
-		if len(r.phase) > width {
-			width = len(r.phase)
-		}
+		rows = append(rows, e)
+		width = max(width, len(e.Phase))
 	}
 	s := ""
 	for _, r := range rows {
-		s += fmt.Sprintf("  %-*s %7d rounds (%s)\n", width, r.phase, r.r, r.kind)
+		s += fmt.Sprintf("  %-*s %7d rounds (%s)\n", width, r.Phase, r.Rounds, r.Kind)
 	}
 	sim, ch := net.RoundsByKind()
 	s += fmt.Sprintf("  %-*s %7d rounds (simulated %d + charged %d)\n", width, "TOTAL", sim+ch, sim, ch)
@@ -735,17 +695,12 @@ func (net *Net) SortedIDs() []int {
 	return net.order
 }
 
-func ceilLog2(n int) int {
-	l := 0
-	for v := 1; v < n; v <<= 1 {
+// PLog returns ⌈log₂ n⌉ (at least 1) — exported for cost formulas that
+// need the polylog unit without a network instance.
+func PLog(n int) int {
+	l := 1
+	for v := 2; v < n; v <<= 1 {
 		l++
-	}
-	if l == 0 {
-		l = 1
 	}
 	return l
 }
-
-// PLog returns ⌈log₂ n⌉ (at least 1) — exported for cost formulas that
-// need the polylog unit without a network instance.
-func PLog(n int) int { return ceilLog2(n) }

@@ -302,12 +302,6 @@ func Distributed(net *hybrid.Net, k int) (int, error) {
 	if k <= 0 {
 		return 0, fmt.Errorf("nq: non-positive k=%d", k)
 	}
-	// Once computed, NQ_k is global knowledge for the rest of the
-	// execution (Lemma 3.3 is run once); later calls are free.
-	memoKey := fmt.Sprintf("nq/k=%d", k)
-	if cached, ok := net.Memo(memoKey); ok {
-		return cached.(int), nil
-	}
 	g := net.Graph()
 	d, err := validate(g, k)
 	if err != nil {
@@ -316,21 +310,25 @@ func Distributed(net *hybrid.Net, k int) (int, error) {
 	// Every t·|B_t(v)| grows with t, so the first t with N_t ≥ k/t is
 	// max_v NQ_k(v) = NQ_k(G) (d when no depth qualifies): Of reads it
 	// from the profile, and the run charges that many steps, each one
-	// explore round and one aggregation over one reused overlay tree.
+	// explore round and one aggregation over one reused overlay tree,
+	// built first as a phase of its own.
 	tree := overlay.Build(net, "nq")
-	ensureProfiles(g, k, d)
-	q, err := Of(g, k)
-	if err != nil {
-		return 0, err
-	}
-	for t := 1; t <= q; t++ {
-		net.TickLocal("nq/explore", 1)
-		if _, err := tree.Aggregate("nq", 1); err != nil {
+	// Once computed, NQ_k is global knowledge for the rest of the
+	// execution (Lemma 3.3 is run once); later calls are free.
+	return hybrid.Once(net, hybrid.Phase{Name: "nq", K: k}, func() (int, error) {
+		ensureProfiles(g, k, d)
+		q, err := Of(g, k)
+		if err != nil {
 			return 0, err
 		}
-	}
-	net.SetMemo(memoKey, q)
-	return q, nil
+		for t := 1; t <= q; t++ {
+			net.TickLocal("nq/explore", 1)
+			if _, err := tree.Aggregate("nq", 1); err != nil {
+				return 0, err
+			}
+		}
+		return q, nil
+	})
 }
 
 // UpperBound returns min{D, ⌈√k⌉}, the Lemma 3.6 upper bound on NQ_k.

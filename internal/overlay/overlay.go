@@ -24,7 +24,8 @@ import (
 type Tree struct {
 	// Members lists the nodes in the tree, heap-ordered: Members[0] is the
 	// root and the children of position i are positions 2i+1 and 2i+2.
-	// It is read-only: the full tree shares the network's SortedIDs.
+	// It is read-only: the full tree shares the network's SortedIDs, and
+	// a recorded tree is shared by every network that replays it.
 	Members []int
 	// Pos maps a node to its position in Members, or -1.
 	Pos []int
@@ -37,17 +38,23 @@ type Tree struct {
 // Build constructs a virtual rooted tree of constant degree and depth
 // O(log n) over all nodes (Lemma 4.3), charging the cited O(log² n)
 // construction rounds. Tree neighbors learn each other's identifiers.
-// The tree is built once per network and reused on later calls (the
-// overlay persists for the rest of the execution), so only the first
-// call pays the construction cost.
+// The overlay persists for the rest of the execution, so only a
+// network's first call pays; a table's recorded tree is shared
+// read-only (hybrid.Once).
 func Build(net *hybrid.Net, phase string) *Tree {
-	const memoKey = "overlay/full-tree"
-	if cached, ok := net.Memo(memoKey); ok {
-		return cached.(*Tree)
+	t, _ := hybrid.Once(net, hybrid.Phase{Name: "overlay/full-tree", Label: phase}, func() (*Tree, error) {
+		return buildOn(net, net.SortedIDs(), phase), nil
+	})
+	return t.On(net)
+}
+
+// On returns t charging its passes to net: t itself when it was built on
+// net, else a view sharing its Members and Pos.
+func (t *Tree) On(net *hybrid.Net) *Tree {
+	if t.net == net {
+		return t
 	}
-	t := buildOn(net, net.SortedIDs(), phase)
-	net.SetMemo(memoKey, t)
-	return t
+	return &Tree{Members: t.Members, Pos: t.Pos, net: net}
 }
 
 // BuildOn constructs a virtual rooted tree of degree O(log n) and depth

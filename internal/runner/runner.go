@@ -124,6 +124,12 @@ type Cell struct {
 	// Index is the cell's position in the canonical expansion order
 	// (families outermost, then sizes, seeds, points).
 	Index int
+	// Transcripts is the table through which the cell's networks
+	// share their deterministic phases (DESIGN.md §1): NewNet hands it
+	// to every network it builds. Collect gives a cell a fresh table
+	// while it runs and drops it afterwards, so no transcript outlives
+	// its cell; nil runs every phase on every network.
+	Transcripts *hybrid.Transcripts
 
 	model    hybrid.Config
 	graphs   *GraphCache   // the expansion's own, or Runner.Graphs
@@ -216,11 +222,13 @@ func (c *Cell) Config() hybrid.Config {
 
 // NewNet builds a fresh network over g under the cell's model config
 // with the given seed — pass successive values of a Rng() stream when a
-// cell measures several independent executions.
+// cell measures several independent executions. The network replays
+// what a sibling already recorded in the cell's Transcripts, with
+// rounds and outputs identical to running it.
 func (c *Cell) NewNet(g *graph.Graph, seed int64) (*hybrid.Net, error) {
 	cfg := c.Config()
 	cfg.Seed = seed
-	return hybrid.New(g, cfg)
+	return hybrid.NewWith(g, cfg, c.Transcripts)
 }
 
 // Cells expands the scenario grid in canonical order: families
@@ -395,6 +403,8 @@ func Collect[T any](r *Runner, sc *Scenario[T]) ([]T, error) {
 	}
 
 	runCell := func(i int) {
+		cells[i].Transcripts = new(hybrid.Transcripts)
+		defer func() { cells[i].Transcripts = nil }()
 		results[i], errs[i] = sc.Run(&cells[i])
 		ev := CellEvent{Cell: &cells[i], Total: len(cells), Rows: len(results[i]), Err: errs[i]}
 		if errs[i] == nil {

@@ -93,8 +93,9 @@ func Build(g *graph.Graph, x int, forced []int, materializeEdges bool, rng *rand
 	sk.H = h
 	if materializeEdges {
 		s := graph.NewBuilder(len(sk.Nodes))
+		dist := make([]int64, n)
 		for i, v := range sk.Nodes {
-			dist := g.HopLimitedDistances(v, h)
+			g.HopLimitedDistancesInto(dist, v, h)
 			for j := i + 1; j < len(sk.Nodes); j++ {
 				u := sk.Nodes[j]
 				if dist[u] < graph.Inf {
