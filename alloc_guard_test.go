@@ -403,7 +403,7 @@ func TestBallProfilesAllocBudget(t *testing.T) {
 	}
 }
 
-// TestSpannerAllocBudget pins the greedy spanner at its output: every
+// TestSpannerAllocBudget pins the spanner at its output. For k = 2 every
 // candidate edge's bounded search reuses one dense distance array and
 // one heap (weighted) or one BFS queue (unit weights), so a 3-spanner of
 // a 1024-node 8-regular graph must not allocate per search, with random
@@ -421,6 +421,28 @@ func TestSpannerAllocBudget(t *testing.T) {
 		})) / (1 << 20); mb >= 1 {
 			t.Fatalf("spanner.Compute(k=2) on a %d-node 8-regular graph (weighted %v) allocated %.2f MB, budget 1 MB", g.N(), g.IsWeighted(), mb)
 		}
+	}
+
+	// k = 1 runs one search per node over g itself and never copies g's
+	// edges: on the randomly weighted 256-node clique it may allocate ten
+	// times the spanner's CSR arrays (its kept-edge list, Builder rows
+	// and CSR, with append growth) plus 256 bytes per node (the search
+	// state, candidate lists and heap). It measured 220 KB against a
+	// 285 KB budget with go1.24.0 on amd64; sorting a copy of the clique's
+	// 32640 edges, as the greedy does, took 976 KB.
+	clique := graph.RandomWeights(graph.Complete(256), 1000, rand.New(rand.NewSource(3)))
+	var h *graph.Graph
+	got := allocatedBytes(func() func() {
+		return func() {
+			var err error
+			if h, err = spanner.Compute(clique, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	csr := 4*(h.N()+1) + 24*h.M()
+	if budget := uint64(10*csr + 256*h.N()); got > budget {
+		t.Fatalf("spanner.Compute(k=1) on a weighted %d-clique allocated %d bytes, budget %d (spanner CSR %d bytes, %d edges)", clique.N(), got, budget, csr, h.M())
 	}
 }
 

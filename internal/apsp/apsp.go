@@ -224,12 +224,14 @@ func Skeleton(net *hybrid.Net, alpha int, rng *rand.Rand, wantValues bool) ([][]
 	if err != nil {
 		return nil, nil, err
 	}
+	return SkeletonWithT(net, alpha, skeletonT(net.N(), q, alpha), rng, wantValues)
+}
+
+// skeletonT is Theorem 8's skeleton parameter
+// t = n^{1/(3α+1)}·NQ_n^{2/(3+1/α)}, at least 1.
+func skeletonT(n, q, alpha int) int {
 	a := float64(alpha)
-	t := int(math.Ceil(math.Pow(float64(net.N()), 1/(3*a+1)) * math.Pow(float64(q), 2/(3+1/a))))
-	if t < 1 {
-		t = 1
-	}
-	return SkeletonWithT(net, alpha, t, rng, wantValues)
+	return max(1, int(math.Ceil(math.Pow(float64(n), 1/(3*a+1))*math.Pow(float64(q), 2/(3+1/a)))))
 }
 
 func clusterNQ(net *hybrid.Net) (int, error) {

@@ -162,7 +162,7 @@ func disseminate(net *hybrid.Net, tokensAt []int) (*run, error) {
 
 	// Delivery certificate: every cluster must now hold all k tokens.
 	for ci := range sets {
-		if missing, held, ok := state.certifyFullSet(sets[ci], k); !ok {
+		if missing, held, ok := certifyFullSet(sets[ci], k); !ok {
 			return nil, fmt.Errorf("broadcast: internal error: cluster %d holds %d/%d tokens after downcast (first missing: %d)",
 				ci, held, k, missing)
 		}
@@ -182,31 +182,21 @@ type treeState struct {
 	// out/in are the per-node word-load vectors of the current up-/down-
 	// cast level, allocated once per run and re-zeroed between levels.
 	out, in []int
-	// idx is the reused scratch of the token-set certificates: the
-	// word-skipping enumeration (bitset.Set.AppendIndices) fills it
-	// instead of probing all k bits with Has.
-	idx []int
 }
 
-// certifyFullSet checks that s holds exactly the tokens 0..k-1 — the
-// delivery invariant of the Theorem 1 data flow — via the bitset's
-// word-skipping set-bit enumeration rather than a per-bit Has scan
-// over the k-bit token set. On failure it reports the first missing
-// token and how many the set actually holds.
-func (st *treeState) certifyFullSet(s bitset.Set, k int) (missing, held int, ok bool) {
-	st.idx = s.AppendIndices(st.idx[:0])
-	held = len(st.idx)
-	if held == k {
-		// The set's capacity is k, so k distinct indices are exactly
-		// 0..k-1.
+// certifyFullSet checks that s, a set of capacity k, holds exactly the
+// tokens 0..k-1 — the delivery invariant of the Theorem 1 data flow. A
+// set of capacity k holds k tokens only if it holds all of them, so a
+// popcount decides; only on failure are the bits probed, to report the
+// first missing token and how many the set actually holds.
+func certifyFullSet(s bitset.Set, k int) (missing, held int, ok bool) {
+	if held = s.Count(); held == k {
 		return 0, held, true
 	}
-	for i, tok := range st.idx {
-		if tok != i {
-			return i, held, false
-		}
+	for s.Has(missing) {
+		missing++
 	}
-	return held, held, false
+	return missing, held, false
 }
 
 // loads returns the level load vectors, zeroed for the next level.
@@ -360,7 +350,7 @@ func (st *treeState) convergeCastSets(phase string, sets []bitset.Set, k int) er
 	// initial placement — all k tokens. (broadcastDownAll re-checks its
 	// precondition, but failing here pins a bug to the up-cast.)
 	rootCi := st.clusterOfLeader(st.ctree.Root())
-	if missing, held, ok := st.certifyFullSet(sets[rootCi], k); !ok {
+	if missing, held, ok := certifyFullSet(sets[rootCi], k); !ok {
 		return fmt.Errorf("broadcast: internal error: root cluster holds %d/%d tokens after upcast (first missing: %d)", held, k, missing)
 	}
 	return nil
@@ -371,7 +361,7 @@ func (st *treeState) convergeCastSets(phase string, sets []bitset.Set, k int) er
 func (st *treeState) broadcastDownAll(phase string, sets []bitset.Set, k int) error {
 	levels := st.treeLevels()
 	rootCi := st.clusterOfLeader(st.ctree.Root())
-	if missing, held, ok := st.certifyFullSet(sets[rootCi], k); !ok {
+	if missing, held, ok := certifyFullSet(sets[rootCi], k); !ok {
 		return fmt.Errorf("broadcast: root cluster holds %d/%d tokens before downcast (first missing: %d)", held, k, missing)
 	}
 	for li := 0; li+1 < len(levels); li++ {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/hybrid"
 	"repro/internal/nq"
@@ -302,6 +303,27 @@ func TestNeverWorseThanSqrtK(t *testing.T) {
 		bound := 64 * (int(math.Sqrt(float64(k))) + 1) * p * p * p
 		if res.Rounds > bound {
 			t.Fatalf("rounds=%d exceed eÕ(√k)=%d", res.Rounds, bound)
+		}
+	}
+}
+
+// TestCertifyFullSet: a full token set passes; a set missing one token
+// fails naming that token and the count it holds, across word
+// boundaries.
+func TestCertifyFullSet(t *testing.T) {
+	for _, k := range []int{1, 63, 64, 65, 200} {
+		s := bitset.New(k)
+		s.Fill()
+		if _, held, ok := certifyFullSet(s, k); !ok || held != k {
+			t.Fatalf("k=%d: full set failed (held %d)", k, held)
+		}
+		for _, gone := range []int{0, k / 2, k - 1} {
+			s.Fill()
+			s.Remove(gone)
+			missing, held, ok := certifyFullSet(s, k)
+			if ok || missing != gone || held != k-1 {
+				t.Fatalf("k=%d without %d: ok=%v missing=%d held=%d, want false %d %d", k, gone, ok, missing, held, gone, k-1)
+			}
 		}
 	}
 }

@@ -261,9 +261,17 @@ func RandomConnected(n int, p float64, rng *rand.Rand) *Graph {
 		b.mustAddEdge(perm[i], perm[rng.Intn(i)], 1)
 	}
 	if p > 0 {
+		// For v > u the pair {u, v} can already be an edge only through
+		// the tree, since the loop draws each pair once, at its smaller
+		// end. So u's neighbors are marked once per u instead of
+		// searched for per pair; the draws and the graph stay the same.
+		mark := make([]int32, n)
 		for u := 0; u < n; u++ {
+			for _, e := range b.adj[u] {
+				mark[e.to] = int32(u + 1)
+			}
 			for v := u + 1; v < n; v++ {
-				if !b.HasEdge(u, v) && rng.Float64() < p {
+				if mark[v] != int32(u+1) && rng.Float64() < p {
 					b.mustAddEdge(u, v, 1)
 				}
 			}

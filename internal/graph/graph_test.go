@@ -144,6 +144,53 @@ func TestRandomConnected(t *testing.T) {
 	}
 }
 
+// randomConnectedHasEdge is the reference RandomConnected: the same
+// draws, with each pair's existing edge looked up by Builder.HasEdge.
+func randomConnectedHasEdge(n int, p float64, rng *rand.Rand) *Graph {
+	b := NewBuilder(n)
+	if n == 0 {
+		return b.Build()
+	}
+	perm := rng.Perm(n)
+	for i := 1; i < n; i++ {
+		b.mustAddEdge(perm[i], perm[rng.Intn(i)], 1)
+	}
+	if p > 0 {
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if !b.HasEdge(u, v) && rng.Float64() < p {
+					b.mustAddEdge(u, v, 1)
+				}
+			}
+		}
+	}
+	return b.Build()
+}
+
+// TestRandomConnectedMatchesHasEdge: RandomConnected builds the same CSR
+// arrays as the HasEdge generator it replaced and leaves the stream at
+// the same place, over sizes, seeds and edge probabilities. The
+// generators run on one goroutine, so under the race detector, where
+// the reference's n = 2000 scans take minutes, that size is dropped.
+func TestRandomConnectedMatchesHasEdge(t *testing.T) {
+	sizes := []int{1, 2, 3, 64, 576, 2000}
+	if raceEnabled {
+		sizes = sizes[:len(sizes)-1]
+	}
+	for _, n := range sizes {
+		for seed := int64(1); seed <= 5; seed++ {
+			for _, p := range []float64{0, 0.001, 0.01, 0.3} {
+				rng, ref := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				got, _ := CSRHash(RandomConnected(n, p, rng))
+				want, _ := CSRHash(randomConnectedHasEdge(n, p, ref))
+				if got != want || rng.Int63() != ref.Int63() {
+					t.Fatalf("n=%d seed=%d p=%v: CSRHash %s, reference %s, or the streams diverged", n, seed, p, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestBuildFamilies(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, f := range Families() {

@@ -136,7 +136,7 @@ type Net struct {
 	n     int
 	gcap  int
 	plog  int
-	ids   []int64      // external identifier of each node
+	ids   []int64      // external identifier of each node; nil under HYBRID, where it is the index
 	order []int        // SortedIDs, computed on first use
 	know  []bitset.Set // know[v].Has(u): v has learned ID(u); nil unless tracking
 	audit []AuditEntry
@@ -208,14 +208,12 @@ func New(g *graph.Graph, cfg Config) (*Net, error) {
 	if net.gcap < 1 {
 		net.gcap = 1
 	}
-	net.ids = make([]int64, n)
 	switch cfg.Variant {
 	case VariantHybrid:
-		for v := 0; v < n; v++ {
-			net.ids[v] = int64(v)
-		}
+		// Node v's identifier is v itself: ID and SortedIDs need no table.
 	case VariantHybrid0:
 		// Distinct identifiers from [n^2] (c = 2), randomly assigned.
+		net.ids = make([]int64, n)
 		rng := rand.New(rand.NewSource(cfg.Seed))
 		space := int64(n) * int64(n)
 		used := make(map[int64]bool, n)
@@ -261,7 +259,12 @@ func (net *Net) Cap() int { return net.gcap }
 func (net *Net) PLog() int { return net.plog }
 
 // ID returns the external identifier of node v.
-func (net *Net) ID(v int) int64 { return net.ids[v] }
+func (net *Net) ID(v int) int64 {
+	if net.ids == nil {
+		return int64(v)
+	}
+	return net.ids[v]
+}
 
 // Rounds returns the total rounds consumed so far.
 func (net *Net) Rounds() int {
@@ -678,21 +681,32 @@ func (net *Net) FormatAudit() string {
 
 // SortedIDs returns the node indices ordered by external identifier —
 // the canonical order used by deterministic overlay constructions. The
-// order is computed on the first call and shared by every later one:
-// callers must not modify the returned slice.
+// order is computed on the first call and shared by every later one.
+// Under HYBRID it is the index order, which all networks of one
+// transcript table share. Callers must not modify the returned slice.
 func (net *Net) SortedIDs() []int {
 	if net.order == nil {
-		order := make([]int, net.n)
-		for i := range order {
-			order[i] = i
-		}
-		// Under HYBRID the identifiers are the indices: already sorted.
-		if net.cfg.Variant != VariantHybrid {
+		switch {
+		case net.ids != nil:
+			order := indexOrder(net.n)
 			sort.Slice(order, func(a, b int) bool { return net.ids[order[a]] < net.ids[order[b]] })
+			net.order = order
+		case net.tab != nil:
+			net.order = net.tab.indexOrder(net.n)
+		default:
+			net.order = indexOrder(net.n)
 		}
-		net.order = order
 	}
 	return net.order
+}
+
+// indexOrder returns a new slice 0, 1, …, n-1.
+func indexOrder(n int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	return order
 }
 
 // PLog returns ⌈log₂ n⌉ (at least 1) — exported for cost formulas that

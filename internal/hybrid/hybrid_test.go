@@ -225,10 +225,24 @@ func TestLearnBallAndLearnAll(t *testing.T) {
 	}
 }
 
+// TestSortedIDs: the order is increasing in ID and computed once; under
+// HYBRID the networks of one transcript table share one index order,
+// and a HYBRID₀ network sorts an order of its own.
 func TestSortedIDs(t *testing.T) {
+	g := graph.Cycle(16)
 	for _, v := range []Variant{VariantHybrid, VariantHybrid0} {
-		net := newNet(t, graph.Cycle(16), Config{Variant: v, Seed: 3})
-		order := net.SortedIDs()
+		tab := &Transcripts{}
+		nets := make([]*Net, 2)
+		for i := range nets {
+			var err error
+			if nets[i], err = NewWith(g, Config{Variant: v, Seed: int64(3 + i)}, tab); err != nil {
+				t.Fatal(err)
+			}
+		}
+		net, order := nets[0], nets[0].SortedIDs()
+		if shared := &nets[1].SortedIDs()[0] == &order[0]; shared != (v == VariantHybrid) {
+			t.Fatalf("%v: order shared by the table's networks: %v", v, shared)
+		}
 		if len(order) != 16 {
 			t.Fatalf("%v: %d entries", v, len(order))
 		}
@@ -239,6 +253,13 @@ func TestSortedIDs(t *testing.T) {
 		}
 		if again := net.SortedIDs(); &again[0] != &order[0] {
 			t.Fatalf("%v: SortedIDs recomputed the order", v)
+		}
+		small, err := NewWith(graph.Path(5), Config{Variant: v}, tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prefix := small.SortedIDs(); len(prefix) != 5 || cap(prefix) != 5 || (v == VariantHybrid) != (&prefix[0] == &order[0]) {
+			t.Fatalf("%v: a 5-node network of the table got order %v (cap %d)", v, prefix, cap(prefix))
 		}
 	}
 }

@@ -35,9 +35,21 @@ type recording struct {
 }
 
 // Transcripts is the table of phase transcripts the networks of one
-// sweep cell share. Like a Net it is not safe for concurrent use; the
+// sweep cell share, together with the index order their SortedIDs
+// return under HYBRID. Like a Net it is not safe for concurrent use; the
 // zero value is an empty table.
-type Transcripts struct{ byKey map[transcriptKey]*recording }
+type Transcripts struct {
+	byKey map[transcriptKey]*recording
+	order []int // 0, 1, …, for the largest network that asked
+}
+
+// indexOrder returns 0..n-1, shared read-only by the table's networks.
+func (tab *Transcripts) indexOrder(n int) []int {
+	if len(tab.order) < n {
+		tab.order = indexOrder(n)
+	}
+	return tab.order[:n:n]
+}
 
 // Runs reports how many transcripts of the named phase tab recorded and
 // how many times networks replayed one.

@@ -4,12 +4,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"math/rand"
-	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/nq"
+	"repro/internal/skeleton"
 )
 
 // referenceCompute is the original greedy spanner, kept as the
@@ -102,14 +104,61 @@ func twoComponents(rng *rand.Rand) *graph.Graph {
 	return b.Build()
 }
 
+// randomMultigraph returns a random graph on 2–25 nodes whose edges
+// repeat: about a third are extra copies of an edge already drawn, half
+// of them with its weight and half with a fresh one.
+func randomMultigraph(rng *rand.Rand) *graph.Graph {
+	n := 2 + rng.Intn(24)
+	b := graph.NewBuilder(n)
+	var drawn []graph.UndirectedEdge
+	for range 1 + rng.Intn(3*n) {
+		e := graph.UndirectedEdge{U: rng.Intn(n), V: rng.Intn(n), W: 1 + rng.Int63n(12)}
+		if len(drawn) > 0 && rng.Intn(3) == 0 {
+			e = drawn[rng.Intn(len(drawn))]
+			if rng.Intn(2) == 0 {
+				e.W = 1 + rng.Int63n(12)
+			}
+		}
+		if e.U == e.V {
+			continue
+		}
+		if err := b.AddEdge(e.U, e.V, e.W); err != nil {
+			panic(err)
+		}
+		drawn = append(drawn, e)
+	}
+	return b.Build()
+}
+
+// theorem8Skeleton returns the skeleton graph apsp.Skeleton samples on g
+// at α = 1, with t = n^{1/4}·NQ_n^{1/2} as it picks it.
+func theorem8Skeleton(t *testing.T, g *graph.Graph, rng *rand.Rand) *graph.Graph {
+	t.Helper()
+	q, err := nq.Of(g, g.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := max(1, int(math.Ceil(math.Pow(float64(g.N()), 0.25)*math.Sqrt(float64(q)))))
+	sk, err := skeleton.Build(g, x, nil, true, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sk.S
+}
+
 // TestComputeMatchesReference: Compute keeps exactly the reference's
-// edges, in the same order, on every family (small and n = 576,
-// unweighted and randomly weighted) and on a disconnected graph.
+// edges, in the same order (equal CSRHash), on every family (small and
+// n = 576, unweighted and randomly weighted) and on a disconnected
+// graph. The k = 1 rule is also checked on every family's Theorem 8
+// skeleton at n ∈ {64, 576}, weighted and with unit weights, and on
+// random multigraphs with parallel edges of equal and of unequal weight.
 func TestComputeMatchesReference(t *testing.T) {
 	type input struct {
 		name string
 		g    *graph.Graph
+		ks   []int
 	}
+	allK := []int{1, 2, 3, 5}
 	var inputs []input
 	for _, n := range []int{40, 576} {
 		for _, f := range graph.Families() {
@@ -118,15 +167,31 @@ func TestComputeMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			inputs = append(inputs,
-				input{fmt.Sprintf("%s/%d", f, n), g},
-				input{fmt.Sprintf("%s/%d/weighted", f, n), graph.RandomWeights(g, 1000, rand.New(rand.NewSource(3)))})
+				input{fmt.Sprintf("%s/%d", f, n), g, allK},
+				input{fmt.Sprintf("%s/%d/weighted", f, n), graph.RandomWeights(g, 1000, rand.New(rand.NewSource(3))), allK})
+		}
+	}
+	for _, n := range []int{64, 576} {
+		for _, f := range graph.Families() {
+			g, err := graph.Build(f, n, rand.New(rand.NewSource(1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := theorem8Skeleton(t, g, rand.New(rand.NewSource(2)))
+			inputs = append(inputs,
+				input{fmt.Sprintf("%s/%d/skeleton", f, n), s, []int{1}},
+				input{fmt.Sprintf("%s/%d/skeleton/unit", f, n), s.Unweighted(), []int{1}})
 		}
 	}
 	two := twoComponents(rand.New(rand.NewSource(5)))
-	inputs = append(inputs, input{"two-components", two},
-		input{"two-components/weighted", graph.RandomWeights(two, 50, rand.New(rand.NewSource(6)))})
+	inputs = append(inputs, input{"two-components", two, allK},
+		input{"two-components/weighted", graph.RandomWeights(two, 50, rand.New(rand.NewSource(6))), allK})
+	multi := rand.New(rand.NewSource(7))
+	for i := range 300 {
+		inputs = append(inputs, input{fmt.Sprintf("multigraph/%d", i), randomMultigraph(multi), []int{1, 2}})
+	}
 	for _, in := range inputs {
-		for _, k := range []int{1, 2, 3, 5} {
+		for _, k := range in.ks {
 			got, err := Compute(in.g, k)
 			if err != nil {
 				t.Fatal(err)
@@ -135,8 +200,10 @@ func TestComputeMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(got.Edges(), want.Edges()) {
-				t.Fatalf("%s k=%d: Compute kept %d edges, reference %d, or in another order", in.name, k, got.M(), want.M())
+			gotSum, _ := graph.CSRHash(got)
+			wantSum, _ := graph.CSRHash(want)
+			if gotSum != wantSum {
+				t.Fatalf("%s k=%d: Compute kept %d edges, reference %d, or in another order (CSRHash %s, want %s)", in.name, k, got.M(), want.M(), gotSum, wantSum)
 			}
 		}
 	}
