@@ -14,10 +14,10 @@ import (
 )
 
 // Ablation benchmarks for the design choices DESIGN.md calls out: the
-// γ-dependence of the skeleton scheduling (Theorem 14 in HYBRID(∞,γ)),
-// the adaptive helper sets of Theorem 3 versus sending directly, and the
-// NQ_k clustering of Theorem 1 versus an NCC-only pipeline and the LOCAL
-// flood.
+// γ-dependence of the skeleton scheduling (Theorem 14 in HYBRID(∞,γ))
+// and the NQ_k clustering of Theorem 1 versus an NCC-only pipeline and
+// the LOCAL flood. The Theorem 3 relay-hashing ablation lives with the
+// hash, as internal/unicast's BenchmarkAblationRelayHashing.
 
 // BenchmarkAblationGammaScaling sweeps the global capacity γ (the
 // CapFactor of HYBRID(∞, γ)) for a fixed k-SSP instance: Theorem 14
@@ -48,68 +48,6 @@ func BenchmarkAblationGammaScaling(b *testing.B) {
 			b.Logf("regime: %s", regime)
 		})
 	}
-}
-
-// BenchmarkAblationRelayHashing isolates the Lemma 5.3 design choice:
-// relaying the k·ℓ messages of a routing instance through κ-wise
-// independently hashed intermediates (load ≈ kℓ/n + log n per node)
-// versus funnelling them through one fixed relay (load k·ℓ, so the
-// relay's receive capacity forces ≥ 2kℓ/γ rounds). Only the relay stage
-// is measured — everything else in Theorem 3 is identical.
-func BenchmarkAblationRelayHashing(b *testing.B) {
-	g := mustGraph(b, graph.FamilyGrid2D, benchN)
-	n := g.N()
-	k, l := n, 8
-	pairs := make([][2]int, 0, k*l)
-	for s := 0; s < k; s++ {
-		for t := 0; t < l; t++ {
-			pairs = append(pairs, [2]int{s, (s*31 + t*97) % n})
-		}
-	}
-	b.Run("hashed-relays", func(b *testing.B) {
-		var rounds, maxLoad int
-		for i := 0; i < b.N; i++ {
-			rng := rand.New(rand.NewSource(int64(i + 1)))
-			net := mustNet(b, g, int64(i+1))
-			h, err := unicast.NewHash(n, 64, rng)
-			if err != nil {
-				b.Fatal(err)
-			}
-			out := make([]int, n)
-			in := make([]int, n)
-			load := make([]int, n)
-			for _, p := range pairs {
-				mid := h.Eval(int64(p[0]), int64(p[1]))
-				out[p[0]]++
-				in[mid]++
-				load[mid]++
-			}
-			rounds = net.LoadRounds("ablation/hashed", out, in)
-			maxLoad = 0
-			for _, x := range load {
-				if x > maxLoad {
-					maxLoad = x
-				}
-			}
-		}
-		b.ReportMetric(float64(rounds), "rounds")
-		b.ReportMetric(float64(maxLoad), "max-relay-load")
-	})
-	b.Run("single-relay", func(b *testing.B) {
-		var rounds int
-		for i := 0; i < b.N; i++ {
-			net := mustNet(b, g, int64(i+1))
-			out := make([]int, n)
-			in := make([]int, n)
-			for _, p := range pairs {
-				out[p[0]]++
-				in[0]++ // every message through node 0
-			}
-			rounds = net.LoadRounds("ablation/single", out, in)
-		}
-		b.ReportMetric(float64(rounds), "rounds")
-		b.ReportMetric(float64(len(pairs)), "max-relay-load")
-	})
 }
 
 // BenchmarkAblationClustering compares Theorem 1 against the NCC-only

@@ -12,6 +12,7 @@ package repro_test
 // relative link must resolve to a file or directory in the repository.
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
@@ -124,4 +125,130 @@ func TestDocsMarkdownLinks(t *testing.T) {
 			}
 		}
 	}
+}
+
+// testOnlyKept lists the exported functions and methods under
+// internal/ that no non-test code calls and that stay anyway, keyed by
+// "package.Name" or "package.Receiver.Name" ("package.*" keeps a whole
+// package), with the reason each stays. They are test references,
+// helpers that tests in several packages share (a _test.go file cannot
+// export them), or the paper's own claims, which ROADMAP items 1–3
+// should drive. Do not re-delete them.
+var testOnlyKept = map[string]string{
+	// References and checkers the algorithms are verified against.
+	"oracle.*":                "the sequential references every algorithm's output is checked against",
+	"cuts.ExactCutValue":      "the exact cut value Theorem 9's approximation is checked against",
+	"rulingset.Verify":        "checks the (α, β) ruling-set properties",
+	"spanner.VerifyStretch":   "checks a spanner's stretch against exact distances",
+	"sssp.VerifyStretch":      "checks approximate distances against exact ones",
+	"sssp.VerifyEulerian":     "checks an Eulerian orientation's degree balance",
+	"sssp.ExactBFS":           "the synchronous side of the async and sssp differential tests",
+	"cluster.WeakDiameter":    "checks the Lemma 3.5 clusters' weak diameter",
+	"hybrid.Net.Violations":   "models_test checks the γ-only models' mode rules with it",
+	"hybrid.Transcripts.Runs": "tests in several packages count recorded and replayed transcripts with it",
+	"graph.CSRHash":           "tests in several packages compare graph builds byte for byte with it",
+	"runner.Serial":           "the one-worker runner that tests in several packages sweep with",
+	"cliutil.VerifyUsageText": "every cmd/* test checks its binary's -h text with it",
+	// The HYBRID model variants and primitives of Section 2.
+	"hybrid.NewCongestedClique":   "the Congested Clique model variant",
+	"hybrid.NewNCC0":              "the NCC₀ model variant",
+	"hybrid.NewHybridLambdaGamma": "the HYBRID(λ, γ) model variant",
+	"hybrid.Net.LearnBall":        "the identifier knowledge after a t-round local flood",
+	"hybrid.Net.DeliverOneRound":  "the Section 1.3 single-round delivery with an adversary",
+	"hybrid.Net.SendGlobal":       "the scheduled global send that SendGlobalLoad stands in for",
+	"hybrid.Net.Knows":            "the HYBRID₀ identifier-knowledge query",
+	// Section 7 lower-bound constructions and Appendix B growth bounds.
+	"lower.BuildLemma74":                           "the Lemma 7.4 construction",
+	"lower.Partition.Separation":                   "verifies property (2) of Lemma 7.4",
+	"lower.PathSeparationInstance":                 "the canonical node-communication instance of Section 7",
+	"lower.NodeCommInstance.VerifyAgainstMeasured": "checks measured rounds against a Section 7 bound",
+	"nq.Theorem17Prediction":                       "Theorem 17's prediction",
+	"nq.DiameterBoundFromGrowth":                   "the Appendix B diameter bound",
+	"nq.GrowthExponent":                            "the Appendix B growth exponent",
+	// Paper lemmas that ROADMAP item 3 composes instead of charging.
+	"overlay.Prune":                    "Lemma 4.5's pruned overlay tree",
+	"overlay.PrunedTree.Children":      "Lemma 4.5's pruned overlay tree",
+	"overlay.PrunedTree.MaxDegree":     "Lemma 4.5's pruned overlay tree",
+	"sssp.NewMinorAggregation":         "the Section 8 Minor-Aggregation model",
+	"sssp.OracleEuler":                 "Lemma 8.6's Eulerian orientation with its round charge",
+	"experiments.GammaScalingScenario": "Theorem 14's γ sweep; ROADMAP item 1 serves it or folds it into the certificate",
+	// Operations.
+	"artifact.Store.CompactDisk": "forces the disk tier's compaction, which the crash-consistency test drives",
+}
+
+// TestDocsNoTestOnlyExports fails on production code that only tests
+// reach: an exported function or method declared in a non-test file
+// under internal/ whose name appears in no other non-test Go file of
+// the root module, examples/ or e2ebench/. Move such code into a
+// _test.go file, delete it, or add it to testOnlyKept with its reason.
+func TestDocsNoTestOnlyExports(t *testing.T) {
+	type decl struct{ key, pos string }
+	var decls []decl
+	uses := make(map[string]int)
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		declared := make(map[*ast.Ident]bool)
+		if strings.HasPrefix(path, "internal"+string(filepath.Separator)) {
+			for _, d := range f.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok || !fn.Name.IsExported() {
+					continue
+				}
+				declared[fn.Name] = true
+				key := f.Name.Name + "." + fn.Name.Name
+				if fn.Recv != nil {
+					key = f.Name.Name + "." + receiverName(fn.Recv.List[0].Type) + "." + fn.Name.Name
+				}
+				decls = append(decls, decl{key, fset.Position(fn.Pos()).String()})
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !declared[id] {
+				uses[id.Name]++
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range decls {
+		pkg, name := d.key[:strings.Index(d.key, ".")], d.key[strings.LastIndex(d.key, ".")+1:]
+		if uses[name] > 0 || testOnlyKept[d.key] != "" || testOnlyKept[pkg+".*"] != "" {
+			continue
+		}
+		t.Errorf("%s: %s is exported but only tests reach it; move it into a _test.go file, delete it, or add it to testOnlyKept with its reason", d.pos, d.key)
+	}
+}
+
+// receiverName returns the type name of a method receiver expression.
+func receiverName(expr ast.Expr) string {
+	switch e := expr.(type) {
+	case *ast.StarExpr:
+		return receiverName(e.X)
+	case *ast.IndexExpr:
+		return receiverName(e.X)
+	case *ast.IndexListExpr:
+		return receiverName(e.X)
+	case *ast.Ident:
+		return e.Name
+	}
+	return "?"
 }

@@ -106,12 +106,4 @@ func (l *Limiter) Allow(key string) (ok bool, retryAfter time.Duration) {
 	// arithmetic: waiting exactly the hint must leave the bucket at a
 	// full token, not a hair under one.
 	return false, time.Duration(math.Ceil((1-b.tokens)/l.rate*float64(time.Second))) + 1
-
-}
-
-// Clients returns the number of tracked buckets (for stats and tests).
-func (l *Limiter) Clients() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buckets)
 }

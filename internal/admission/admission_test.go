@@ -91,7 +91,7 @@ func TestClientTableBounded(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		l.Allow(fmt.Sprintf("client-%d", i))
 	}
-	if got := l.Clients(); got != 8 {
+	if got := len(l.buckets); got != 8 {
 		t.Fatalf("tracked %d clients, want bound 8", got)
 	}
 	// Eviction re-admits at full burst (generous, never stricter).
@@ -129,7 +129,7 @@ func TestConcurrentAllow(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if l.Clients() != 4 {
-		t.Fatalf("clients = %d", l.Clients())
+	if len(l.buckets) != 4 {
+		t.Fatalf("clients = %d", len(l.buckets))
 	}
 }

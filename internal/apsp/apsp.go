@@ -139,6 +139,26 @@ func Unweighted(net *hybrid.Net, eps float64, wantValues bool) ([][]int64, *Resu
 	return dist, res, nil
 }
 
+// addEdgeTokens makes every edge of g one token, announced by its
+// smaller endpoint: for each node u of g it adds the number of edges
+// {u, v} with u < v (parallel edges count once each) to tokensAt[u], or
+// to tokensAt[nodes[u]] when g's nodes stand for the nodes listed in
+// nodes.
+func addEdgeTokens(tokensAt []int, g *graph.Graph, nodes []int) {
+	for u := range g.N() {
+		at := u
+		if nodes != nil {
+			at = nodes[u]
+		}
+		to, _ := g.Row(u)
+		for _, v := range to {
+			if u < int(v) {
+				tokensAt[at]++
+			}
+		}
+	}
+}
+
 // SparseExact solves exact weighted APSP on sparse graphs by broadcasting
 // the whole graph (Corollary 2.2): m tokens through Theorem 1, then local
 // computation.
@@ -146,9 +166,7 @@ func SparseExact(net *hybrid.Net, wantValues bool) ([][]int64, *Result, error) {
 	start := net.Rounds()
 	g := net.Graph()
 	tokensAt := make([]int, net.N())
-	for _, e := range g.Edges() {
-		tokensAt[e.U]++ // the smaller endpoint announces each edge
-	}
+	addEdgeTokens(tokensAt, g, nil)
 	bres, err := broadcast.Disseminate(net, tokensAt)
 	if err != nil {
 		return nil, nil, err
@@ -183,9 +201,7 @@ func SpannerBroadcast(net *hybrid.Net, eps float64, wantValues bool) ([][]int64,
 		return nil, nil, err
 	}
 	tokensAt := make([]int, net.N())
-	for _, e := range h.Edges() {
-		tokensAt[e.U]++
-	}
+	addEdgeTokens(tokensAt, h, nil)
 	bres, err := broadcast.Disseminate(net, tokensAt)
 	if err != nil {
 		return nil, nil, err
@@ -278,9 +294,7 @@ func SkeletonWithT(net *hybrid.Net, alpha, t int, rng *rand.Rand, wantValues boo
 
 	// Broadcast the spanner edges (tokens live at skeleton nodes).
 	tokensAt := make([]int, n)
-	for _, e := range kSp.Edges() {
-		tokensAt[sk.Nodes[e.U]]++
-	}
+	addEdgeTokens(tokensAt, kSp, sk.Nodes)
 	var bNQ int
 	if kSp.M() > 0 {
 		bres, err := broadcast.Disseminate(net, tokensAt)

@@ -2,6 +2,7 @@ package apsp
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -224,6 +225,51 @@ func TestKLSPTheorem5Case2(t *testing.T) {
 			if e < d || float64(e) > res.Stretch*float64(d)+1e-6 {
 				t.Fatalf("(s=%d,t=%d): est %d vs exact %d", s, tnode, e, d)
 			}
+		}
+	}
+}
+
+// TestAddEdgeTokensMatchesEdges: counting tokens from the rows gives
+// each endpoint what counting g.Edges() gives, on every family and on
+// random multigraphs with parallel edges, with and without a node map.
+func TestAddEdgeTokensMatchesEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var graphs []*graph.Graph
+	for _, f := range graph.Families() {
+		g, err := graph.Build(f, 64, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	for range 20 {
+		n := 2 + rng.Intn(20)
+		b := graph.NewBuilder(n)
+		for range 3 * n {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u == v {
+				continue
+			}
+			for range 1 + rng.Intn(3) { // parallel copies
+				if err := b.AddEdge(u, v, 1+rng.Int63n(9)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		graphs = append(graphs, b.Build())
+	}
+	for i, g := range graphs {
+		nodes := rng.Perm(g.N() + 5)[:g.N()]
+		want, wantMapped := make([]int, g.N()), make([]int, g.N()+5)
+		for _, e := range g.Edges() {
+			want[e.U]++
+			wantMapped[nodes[e.U]]++
+		}
+		got, gotMapped := make([]int, g.N()), make([]int, g.N()+5)
+		addEdgeTokens(got, g, nil)
+		addEdgeTokens(gotMapped, g, nodes)
+		if !slices.Equal(got, want) || !slices.Equal(gotMapped, wantMapped) {
+			t.Fatalf("graph %d: row counts %v / %v, Edges() counts %v / %v", i, got, gotMapped, want, wantMapped)
 		}
 	}
 }

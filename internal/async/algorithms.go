@@ -284,36 +284,3 @@ func Disseminate(g *graph.Graph, tokensAt []int, opt Options) ([]bitset.Set, *Re
 	}
 	return sets, rep, nil
 }
-
-// EncodeDists renders a distance vector as canonical little-endian
-// bytes — the byte-identity form the differential harness compares
-// across backends.
-func EncodeDists(dist []int64) []byte {
-	out := make([]byte, 8*len(dist))
-	for i, d := range dist {
-		for b := 0; b < 8; b++ {
-			out[8*i+b] = byte(uint64(d) >> (8 * b))
-		}
-	}
-	return out
-}
-
-// EncodeTokenSets renders per-node token sets as canonical bytes: for
-// each node, the set cardinality followed by the sorted members.
-func EncodeTokenSets(sets []bitset.Set) []byte {
-	var out []byte
-	var idx []int
-	put := func(v int64) {
-		for b := 0; b < 8; b++ {
-			out = append(out, byte(uint64(v)>>(8*b)))
-		}
-	}
-	for _, s := range sets {
-		idx = s.AppendIndices(idx[:0])
-		put(int64(len(idx)))
-		for _, i := range idx {
-			put(int64(i))
-		}
-	}
-	return out
-}

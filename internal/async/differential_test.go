@@ -10,8 +10,8 @@ package async_test
 // worker counts. Runs clean under -race.
 
 import (
-	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/async"
@@ -69,7 +69,7 @@ func TestDifferentialBFS(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s/n=%d/seed=%d: ExactBFS: %v", f, n, seed, err)
 		}
-		if !bytes.Equal(async.EncodeDists(sync), async.EncodeDists(want)) {
+		if !slices.Equal(sync, want) {
 			t.Fatalf("%s/n=%d/seed=%d: sync engine disagrees with oracle", f, n, seed)
 		}
 		for _, fm := range faultMatrix {
@@ -79,7 +79,7 @@ func TestDifferentialBFS(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/n=%d/seed=%d/%s/w=%d: %v", f, n, seed, fm.name, workers, err)
 				}
-				if !bytes.Equal(async.EncodeDists(got), async.EncodeDists(want)) {
+				if !slices.Equal(got, want) {
 					t.Fatalf("%s/n=%d/seed=%d/%s/w=%d: async BFS diverged from oracle", f, n, seed, fm.name, workers)
 				}
 				if wi == 0 {
@@ -112,7 +112,7 @@ func TestDifferentialApprox(t *testing.T) {
 		for v, d := range want {
 			want[v] = sssp.QuantizeUp(d, eps)
 		}
-		if !bytes.Equal(async.EncodeDists(sync), async.EncodeDists(want)) {
+		if !slices.Equal(sync, want) {
 			t.Fatalf("%s/n=%d/seed=%d: sync Approx disagrees with quantized oracle", f, n, seed)
 		}
 		for _, fm := range faultMatrix {
@@ -121,7 +121,7 @@ func TestDifferentialApprox(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/n=%d/seed=%d/%s/w=%d: %v", f, n, seed, fm.name, workers, err)
 				}
-				if !bytes.Equal(async.EncodeDists(got), async.EncodeDists(sync)) {
+				if !slices.Equal(got, sync) {
 					t.Fatalf("%s/n=%d/seed=%d/%s/w=%d: async Approx diverged from sync engine", f, n, seed, fm.name, workers)
 				}
 			}
@@ -162,17 +162,21 @@ func TestDifferentialDisseminate(t *testing.T) {
 		for v := range want {
 			want[v] = full
 		}
-		wantBytes := async.EncodeTokenSets(want)
 		for _, fm := range faultMatrix {
 			for _, workers := range workerMatrix {
 				sets, _, err := async.Disseminate(g, tokensAt, async.Options{Seed: seed, Workers: workers, Faults: fm.f})
 				if err != nil {
 					t.Fatalf("%s/n=%d/seed=%d/%s/w=%d: %v", f, n, seed, fm.name, workers, err)
 				}
-				if !bytes.Equal(async.EncodeTokenSets(sets), wantBytes) {
+				if !slices.EqualFunc(sets, want, sameMembers) {
 					t.Fatalf("%s/n=%d/seed=%d/%s/w=%d: async token sets diverged from sync certificate", f, n, seed, fm.name, workers)
 				}
 			}
 		}
 	})
+}
+
+// sameMembers reports whether two token sets hold the same members.
+func sameMembers(a, b bitset.Set) bool {
+	return slices.Equal(a.AppendIndices(nil), b.AppendIndices(nil))
 }

@@ -5,9 +5,9 @@
 // uniform eÕ(1) convention (polylog factors written as powers of
 // plog = ⌈log₂ n⌉, matching DESIGN.md §2), so that the benchmark harness
 // can print measured universal rounds next to the existential bounds of
-// [AHK+20], [KS20], [AG21a], [CHLP21a/b] and the trivial LOCAL/NCC-only
-// floors. One NCC-only baseline is additionally implemented as an actual
-// charged pipeline over the overlay tree (NaiveTreeBroadcast).
+// [AHK+20], [KS20], [AG21a], [CHLP21a/b] and the trivial LOCAL flood.
+// One NCC-only baseline is implemented as an actual charged pipeline
+// over the overlay tree (NaiveTreeBroadcast).
 package baseline
 
 import (
@@ -139,23 +139,6 @@ func CHLP21KSSP() Formula {
 	}
 }
 
-// KS20KSSPLower is the eΩ(√k) lower bound for (k,1)-SP of [KS20]
-// (the Figure 1 shaded region), generalized to eΩ(√(k/γ)) [Sch23].
-func KS20KSSPLower() Formula {
-	return Formula{
-		Name:      "eΩ(√(k/γ))",
-		Reference: "[KS20]/[Sch23], Figure 1",
-		Kind:      "lower",
-		Rounds: func(p Params) float64 {
-			g := p.Gamma
-			if g < 1 {
-				g = 1
-			}
-			return math.Sqrt(float64(p.K)/float64(g)) / plogf(p)
-		},
-	}
-}
-
 // LocalFlood is the trivial D-round LOCAL-only algorithm (solves any of
 // the considered problems by flooding the entire input).
 func LocalFlood() Formula {
@@ -164,23 +147,6 @@ func LocalFlood() Formula {
 		Reference: "trivial D-round algorithm",
 		Kind:      "upper",
 		Rounds:    func(p Params) float64 { return float64(p.Diam) },
-	}
-}
-
-// NCCOnlyFloor is the information-theoretic floor for NCC-only
-// k-dissemination: every node must receive k words at γ per round.
-func NCCOnlyFloor() Formula {
-	return Formula{
-		Name:      "NCC floor",
-		Reference: "receive-capacity bound",
-		Kind:      "lower",
-		Rounds: func(p Params) float64 {
-			g := p.Gamma
-			if g < 1 {
-				g = 1
-			}
-			return float64(p.K) / float64(g)
-		},
 	}
 }
 
@@ -195,24 +161,4 @@ func NaiveTreeBroadcast(net *hybrid.Net, k int) int {
 	net.Charge("baseline/naive-upcast", per+tree.Depth())
 	net.Charge("baseline/naive-downcast", per+tree.Depth())
 	return net.Rounds() - start
-}
-
-// Table1 lists the prior-work comparators for Table 1.
-func Table1() []Formula {
-	return []Formula{AHKDissemination(), KS20Unicast(), LocalFlood(), NCCOnlyFloor()}
-}
-
-// Table2 lists the prior-work comparators for Table 2.
-func Table2() []Formula {
-	return []Formula{KS20APSP(), AG21APSP(), LocalFlood()}
-}
-
-// Table4 lists the prior-work comparators for Table 4.
-func Table4() []Formula {
-	return []Formula{AG21SSSP(), CHLP21SSSP(), AHKSSSP(), LocalFlood()}
-}
-
-// Figure1 lists the k-SSP comparators for Figure 1.
-func Figure1() []Formula {
-	return []Formula{CHLP21KSSP(), KS20KSSPLower(), LocalFlood()}
 }

@@ -24,7 +24,6 @@ func TestFormulaValues(t *testing.T) {
 		{AG21APSP(), 32 * 10},
 		{AG21SSSP(), 32 * 10},
 		{LocalFlood(), 62},
-		{NCCOnlyFloor(), 25.6},
 	}
 	for _, c := range cases {
 		got := c.f.Rounds(p)
@@ -52,9 +51,6 @@ func TestPowerFormulas(t *testing.T) {
 	if got := CHLP21KSSP().Rounds(p); math.Abs(got-(math.Cbrt(1024)+16)*10) > 1e-6 {
 		t.Fatalf("CHLP21KSSP=%v", got)
 	}
-	if got := KS20KSSPLower().Rounds(p); math.Abs(got-math.Sqrt(25.6)/10) > 1e-6 {
-		t.Fatalf("KS20KSSPLower=%v", got)
-	}
 }
 
 func TestNaiveTreeBroadcast(t *testing.T) {
@@ -72,18 +68,5 @@ func TestNaiveTreeBroadcast(t *testing.T) {
 	}
 	if rounds > 4*floor+10*net.PLog()*net.PLog() {
 		t.Fatalf("naive broadcast %d implausibly expensive", rounds)
-	}
-}
-
-func TestTableGroupings(t *testing.T) {
-	if len(Table1()) != 4 || len(Table2()) != 3 || len(Table4()) != 4 || len(Figure1()) != 3 {
-		t.Fatal("table groupings changed unexpectedly")
-	}
-	for _, fs := range [][]Formula{Table1(), Table2(), Table4(), Figure1()} {
-		for _, f := range fs {
-			if f.Rounds == nil {
-				t.Fatalf("%s: nil Rounds", f.Name)
-			}
-		}
 	}
 }

@@ -17,8 +17,10 @@
 // Figure1Scenario, …) — a family × n × seed × parameter grid plus a
 // per-cell measurement — and swept concurrently by internal/runner with
 // deterministic per-cell seeding, so the regenerated tables are
-// byte-identical at any worker count. WriteReport drives the registered
-// scenarios into a markdown, CSV, or JSONL sink.
+// byte-identical at any worker count. Each output table is declared once
+// as a tableSpec, through which both the finished document and the
+// per-cell stream render. WriteReport drives the registered scenarios
+// into a markdown, CSV, or JSONL sink.
 package experiments
 
 import (

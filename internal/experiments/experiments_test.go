@@ -38,7 +38,7 @@ func TestTable1SmallRun(t *testing.T) {
 	// AHK+20 √k baseline for k=n (NQ_n ≈ n^{1/3} ≪ √n there)… at these
 	// small sizes polylog constants dominate, so just require the
 	// formatted table to render.
-	txt := markdown(Table1Data(rows))
+	txt := markdown(table1Spec.table(rows))
 	if !strings.Contains(txt, "path") || !strings.Contains(txt, "grid2d") {
 		t.Fatalf("format:\n%s", txt)
 	}
@@ -64,7 +64,7 @@ func TestTable2SmallRun(t *testing.T) {
 			t.Fatalf("%s rounds = %d", name, v)
 		}
 	}
-	if !strings.Contains(markdown(Table2Data(rows)), "path") {
+	if !strings.Contains(markdown(table2Spec.table(rows)), "path") {
 		t.Fatal("format failed")
 	}
 }
@@ -80,7 +80,7 @@ func TestTable3SmallRun(t *testing.T) {
 	if rows[0].Rounds <= 0 || rows[0].Stretch < 1 {
 		t.Fatalf("bad row %+v", rows[0])
 	}
-	if !strings.Contains(markdown(Table3Data(rows)), "path") {
+	if !strings.Contains(markdown(table3Spec.table(rows)), "path") {
 		t.Fatal("format failed")
 	}
 }
@@ -97,7 +97,7 @@ func TestTable4SmallRun(t *testing.T) {
 	if rows[1].Thm13Rounds <= rows[0].Thm13Rounds {
 		t.Fatalf("eps=0.25 (%d) not costlier than eps=0.5 (%d)", rows[1].Thm13Rounds, rows[0].Thm13Rounds)
 	}
-	if !strings.Contains(markdown(Table4Data(rows)), "grid2d") {
+	if !strings.Contains(markdown(table4Spec.table(rows)), "grid2d") {
 		t.Fatal("format failed")
 	}
 }
@@ -115,7 +115,7 @@ func TestFigure1SmallRun(t *testing.T) {
 			t.Fatalf("no rounds at beta=%v", p.Beta)
 		}
 	}
-	fig := Figure1Data(graph.FamilyPath, pts)
+	fig := figure1Spec.forFamily(graph.FamilyPath).table(pts)
 	if txt := markdown(fig); !strings.Contains(txt, "regime") || !strings.Contains(fig.Note, "*") {
 		t.Fatalf("figure format:\n%s\n%s", txt, fig.Note)
 	}

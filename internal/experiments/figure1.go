@@ -38,7 +38,7 @@ type Figure1Point struct {
 // share the worker pool.
 func Figure1Scenario(families []graph.Family, n int, betas []float64, eps float64, seed int64) *runner.Scenario[Figure1Point] {
 	return &runner.Scenario[Figure1Point]{
-		Name:     "figure1",
+		Name:     figure1Spec.name,
 		Families: families,
 		Ns:       []int{n},
 		Seeds:    []int64{seed},
@@ -54,13 +54,7 @@ func Figure1Scenario(families []graph.Family, n int, betas []float64, eps float6
 			}
 			return []Figure1Point{*pt}, nil
 		},
-		RenderRow: func(c *runner.Cell, p Figure1Point) runner.RenderedRow {
-			// Figure 1 is partitioned into one table per family; the
-			// canonical cell order groups families contiguously in the
-			// same order the tables appear, so per-cell rows concatenate
-			// to the static document.
-			return runner.RenderedRow{Table: "figure1/" + string(c.Family), Keys: figure1Keys, Values: figure1Values(p)}
-		},
+		RenderRow: figure1Spec.row,
 	}
 }
 
@@ -106,41 +100,32 @@ func figure1Point(c *runner.Cell, g *graph.Graph, eps float64) (*Figure1Point, e
 	return pt, nil
 }
 
-// figure1Keys and figure1Values are shared between the finished table
-// rendering and the per-cell stream rendering (Scenario.RenderRow), so
-// streamed rows match the document byte for byte.
-var figure1Keys = []string{"beta", "k", "rounds", "delta",
-	"regime", "stretch", "chlp21_rounds", "sqrtk_lb", "delta_lb"}
-
-func figure1Values(p Figure1Point) []string {
-	return []string{
-		fmt.Sprintf("%.2f", p.Beta),
-		fmt.Sprintf("%d", p.K),
-		fmt.Sprintf("%d", p.Rounds),
-		fmt.Sprintf("%.3f", p.Delta),
-		p.Regime,
-		fmt.Sprintf("%.2f", p.Stretch),
-		f1(p.CHLP21),
-		f1(p.LowerSqrtK),
-		fmt.Sprintf("%.3f", p.DeltaLB),
-	}
-}
-
-// Figure1Data renders the landscape into the sink-neutral table form;
-// the Note carries the markdown-only ASCII sketch of δ versus β.
-func Figure1Data(fam graph.Family, points []Figure1Point) *runner.Table {
-	t := &runner.Table{
-		Name:  "figure1/" + string(fam),
-		Title: fmt.Sprintf("Figure 1 — k-SSP complexity landscape on %s (Theorem 14)", fam),
-		Header: []string{"β (k=n^β)", "k", "Thm14 rounds", "δ = log_n(rounds/eÕ(1))",
-			"regime", "stretch", "CHLP21 eÕ(n^{1/3}+√k)", "eΩ(√(k/γ))", "δ_LB"},
-		Keys: figure1Keys,
-		Note: asciiLandscape(points),
-	}
-	for _, p := range points {
-		t.Rows = append(t.Rows, figure1Values(p))
-	}
-	return t
+// figure1Spec splits Figure 1 into one table per family; the canonical
+// cell order groups families contiguously in the same order the tables
+// appear, so per-cell rows concatenate to the static document. The
+// note carries the markdown-only ASCII sketch of δ versus β.
+var figure1Spec = &tableSpec[Figure1Point]{
+	name:  "figure1",
+	title: "Figure 1 — k-SSP complexity landscape on %s (Theorem 14)",
+	header: []string{"β (k=n^β)", "k", "Thm14 rounds", "δ = log_n(rounds/eÕ(1))",
+		"regime", "stretch", "CHLP21 eÕ(n^{1/3}+√k)", "eΩ(√(k/γ))", "δ_LB"},
+	keys: []string{"beta", "k", "rounds", "delta",
+		"regime", "stretch", "chlp21_rounds", "sqrtk_lb", "delta_lb"},
+	values: func(p Figure1Point) []string {
+		return []string{
+			fmt.Sprintf("%.2f", p.Beta),
+			fmt.Sprintf("%d", p.K),
+			fmt.Sprintf("%d", p.Rounds),
+			fmt.Sprintf("%.3f", p.Delta),
+			p.Regime,
+			fmt.Sprintf("%.2f", p.Stretch),
+			f1(p.CHLP21),
+			f1(p.LowerSqrtK),
+			fmt.Sprintf("%.3f", p.DeltaLB),
+		}
+	},
+	note:   asciiLandscape,
+	family: func(p Figure1Point) graph.Family { return p.Family },
 }
 
 // asciiLandscape sketches δ (vertical) against β (horizontal): '*' marks

@@ -29,7 +29,7 @@ type GammaRow struct {
 // varying only γ.
 func GammaScalingScenario(fam graph.Family, n, k int, capFactors []int, eps float64, seed int64) *runner.Scenario[GammaRow] {
 	return &runner.Scenario[GammaRow]{
-		Name:     "gamma",
+		Name:     gammaSpec.name,
 		Families: []graph.Family{fam},
 		Ns:       []int{n},
 		Seeds:    []int64{seed},
@@ -63,23 +63,19 @@ func GammaScalingScenario(fam graph.Family, n, k int, capFactors []int, eps floa
 	}
 }
 
-// GammaScalingData renders rows into the sink-neutral table form.
-func GammaScalingData(rows []GammaRow) *runner.Table {
-	t := &runner.Table{
-		Name:   "gamma",
-		Title:  "HYBRID(∞, γ) capacity sweep (Theorem 14)",
-		Header: []string{"γ factor", "γ", "k", "Thm14 rounds", "regime", "stretch"},
-		Keys:   []string{"cap_factor", "gamma", "k", "rounds", "regime", "stretch"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
+var gammaSpec = &tableSpec[GammaRow]{
+	name:   "gamma",
+	title:  "HYBRID(∞, γ) capacity sweep (Theorem 14)",
+	header: []string{"γ factor", "γ", "k", "Thm14 rounds", "regime", "stretch"},
+	keys:   []string{"cap_factor", "gamma", "k", "rounds", "regime", "stretch"},
+	values: func(r GammaRow) []string {
+		return []string{
 			fmt.Sprintf("%d×", r.CapFactor),
 			fmt.Sprintf("%d", r.Gamma),
 			fmt.Sprintf("%d", r.K),
 			fmt.Sprintf("%d", r.Rounds),
 			r.Regime,
 			fmt.Sprintf("%.2f", r.Stretch),
-		})
-	}
-	return t
+		}
+	},
 }

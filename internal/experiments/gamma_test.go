@@ -27,7 +27,7 @@ func TestGammaScalingMonotone(t *testing.T) {
 	if !strings.Contains(rows[len(rows)-1].Regime, "parallel") {
 		t.Fatalf("final regime %q, want parallel", rows[len(rows)-1].Regime)
 	}
-	tbl := GammaScalingData(rows)
+	tbl := gammaSpec.table(rows)
 	if !strings.Contains(markdown(tbl), "parallel") {
 		t.Fatal("format failed")
 	}

@@ -42,7 +42,7 @@ func NQFamilies() []graph.Family {
 // selects all of NQFamilies. The computation is fully deterministic —
 // the seed axis is degenerate.
 func NQScalingScenario(families []graph.Family, n int, ks []int) *runner.Scenario[NQScalingRow] {
-	return nqScalingScenario("nqscaling", families, []int{n}, ks, true)
+	return nqScalingScenario(nqScalingSpec, families, []int{n}, ks, true)
 }
 
 // NQScalingLargeScenario is the large-n variant registered as
@@ -53,7 +53,7 @@ func NQScalingScenario(families []graph.Family, n int, ks []int) *runner.Scenari
 // per-cell cost — the all-sources exact diameter behind the min{·, D}
 // prediction — is paid once per instance instead of once per point.
 func NQScalingLargeScenario(families []graph.Family, n int) *runner.Scenario[NQScalingRow] {
-	return nqScalingScenario("nqscaling-large", families, []int{4 * n, 16 * n},
+	return nqScalingScenario(nqScalingLargeSpec, families, []int{4 * n, 16 * n},
 		[]int{16, 64, 256, 1024, 4096}, true)
 }
 
@@ -71,16 +71,16 @@ const NQXLNodes = 1_000_000
 // all-sources hop-kernel sweep (n/64 batches, O(n·m) at worst). The n
 // parameter exists for shape tests; the registry runs it at NQXLNodes.
 func NQScalingXLScenario(families []graph.Family, n int) *runner.Scenario[NQScalingRow] {
-	return nqScalingScenario("nqscaling-xl", families, []int{n},
+	return nqScalingScenario(nqScalingXLSpec, families, []int{n},
 		[]int{16, 256, 4096}, false)
 }
 
-func nqScalingScenario(name string, families []graph.Family, ns, ks []int, attachProfiles bool) *runner.Scenario[NQScalingRow] {
+func nqScalingScenario(spec *tableSpec[NQScalingRow], families []graph.Family, ns, ks []int, attachProfiles bool) *runner.Scenario[NQScalingRow] {
 	if len(families) == 0 {
 		families = NQFamilies()
 	}
 	return &runner.Scenario[NQScalingRow]{
-		Name:     name,
+		Name:     spec.name,
 		Families: families,
 		Ns:       ns,
 		Points:   runner.PointsK(ks),
@@ -121,9 +121,7 @@ func nqScalingScenario(name string, families []graph.Family, ns, ks []int, attac
 				Diameter:  diam,
 			}}, nil
 		},
-		RenderRow: func(c *runner.Cell, r NQScalingRow) runner.RenderedRow {
-			return runner.RenderedRow{Table: name, Keys: nqScalingKeys, Values: nqScalingValues(r)}
-		},
+		RenderRow: spec.row,
 	}
 }
 
@@ -133,54 +131,36 @@ func NQScaling(n int, ks []int) ([]NQScalingRow, error) {
 	return runner.Collect(runner.Parallel(), NQScalingScenario(nil, n, ks))
 }
 
-// NQScalingData renders rows into the sink-neutral table form.
-func NQScalingData(rows []NQScalingRow) *runner.Table {
-	return nqScalingData("nqscaling", "NQ_k scaling (Theorems 15/16)", rows)
-}
+var (
+	nqScalingSpec      = nqSpec("nqscaling", "NQ_k scaling (Theorems 15/16)")
+	nqScalingLargeSpec = nqSpec("nqscaling-large", "NQ_k scaling at large n (Theorems 15/16)")
+	nqScalingXLSpec    = nqSpec("nqscaling-xl", "NQ_k scaling at n = 10^6 (Theorems 15/16)")
+)
 
-// NQScalingLargeData renders the large-n sweep's rows.
-func NQScalingLargeData(rows []NQScalingRow) *runner.Table {
-	return nqScalingData("nqscaling-large", "NQ_k scaling at large n (Theorems 15/16)", rows)
-}
-
-// NQScalingXLData renders the million-node sweep's rows.
-func NQScalingXLData(rows []NQScalingRow) *runner.Table {
-	return nqScalingData("nqscaling-xl", "NQ_k scaling at n = 10^6 (Theorems 15/16)", rows)
-}
-
-// nqScalingKeys and nqScalingValues are shared between the finished
-// table rendering and the per-cell stream rendering
-// (Scenario.RenderRow), so streamed rows match the document byte for
-// byte.
-var nqScalingKeys = []string{"family", "n", "diameter", "k", "nq", "predicted", "ratio"}
-
-func nqScalingValues(r NQScalingRow) []string {
-	return []string{
-		r.Family,
-		fmt.Sprintf("%d", r.N),
-		fmt.Sprintf("%d", r.Diameter),
-		fmt.Sprintf("%d", r.K),
-		fmt.Sprintf("%d", r.NQ),
-		f1(r.Predicted),
-		fmt.Sprintf("%.2f", r.Ratio),
+// nqSpec declares one of the NQ-scaling tables, which differ only in
+// name and title.
+func nqSpec(name, title string) *tableSpec[NQScalingRow] {
+	return &tableSpec[NQScalingRow]{
+		name:   name,
+		title:  title,
+		header: []string{"family", "n", "D", "k", "NQ_k", "Θ(k^{1/(d+1)}) pred.", "ratio"},
+		keys:   []string{"family", "n", "diameter", "k", "nq", "predicted", "ratio"},
+		values: func(r NQScalingRow) []string {
+			return []string{
+				r.Family,
+				fmt.Sprintf("%d", r.N),
+				fmt.Sprintf("%d", r.Diameter),
+				fmt.Sprintf("%d", r.K),
+				fmt.Sprintf("%d", r.NQ),
+				f1(r.Predicted),
+				fmt.Sprintf("%.2f", r.Ratio),
+			}
+		},
 	}
-}
-
-func nqScalingData(name, title string, rows []NQScalingRow) *runner.Table {
-	t := &runner.Table{
-		Name:   name,
-		Title:  title,
-		Header: []string{"family", "n", "D", "k", "NQ_k", "Θ(k^{1/(d+1)}) pred.", "ratio"},
-		Keys:   nqScalingKeys,
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, nqScalingValues(r))
-	}
-	return t
 }
 
 // FormatNQScaling renders rows as markdown.
 func FormatNQScaling(rows []NQScalingRow) string {
-	t := NQScalingData(rows)
+	t := nqScalingSpec.table(rows)
 	return runner.Markdown(t.Header, t.Rows)
 }

@@ -25,7 +25,7 @@ func TestNQScalingXLShape(t *testing.T) {
 		t.Fatalf("xl sweep at n=400 produced %d rows, want %d", len(xlRows), want)
 	}
 	profRows, err := runner.Collect(runner.Serial(),
-		nqScalingScenario("nqscaling", fams, []int{400}, []int{16, 256, 4096}, true))
+		nqScalingScenario(nqScalingSpec, fams, []int{400}, []int{16, 256, 4096}, true))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,10 @@ import (
 )
 
 // A generator sweeps one registered report artifact through the runner
-// and renders the resulting tables. Each table file contributes its
-// generator below, so the report is assembled declaratively from the
-// registry rather than from hand-rolled loops.
+// and renders the resulting tables. Each registry entry below builds
+// its scenario from the config and renders the rows through its
+// table's spec (collectTables), so the report is assembled
+// declaratively from the registry rather than from hand-rolled loops.
 type generator func(cfg ReportConfig, r *runner.Runner) ([]*runner.Table, error)
 
 // Artifact describes one registered report artifact — the unit a sweep
@@ -37,47 +38,73 @@ var registry = []struct {
 		Name:    "nq",
 		Title:   "NQ_k scaling (Theorems 15/16)",
 		Summary: "Measured neighborhood quality NQ_k against the predicted Θ(k^{1/(d+1)}) on the Appendix B grid families.",
-	}, genNQ},
+	}, nqGen(nqScalingSpec, func(fams []graph.Family, n int) *runner.Scenario[NQScalingRow] {
+		return NQScalingScenario(fams, n, []int{16, 64, 256, 1024})
+	})},
 	{Artifact{
 		Name:    "table1",
 		Title:   "Table 1 — information dissemination",
 		Summary: "k-dissemination, k-aggregation and (k,ℓ)-routing (Theorems 1–3) versus [AHK+20]/[KS20] and the Theorem 4 lower bound.",
-	}, genTable1},
+	}, func(cfg ReportConfig, r *runner.Runner) ([]*runner.Table, error) {
+		return collectTables(r, Table1Scenario(cfg.families(), cfg.N, []int{cfg.N / 4, cfg.N, 4 * cfg.N}, cfg.Seed), table1Spec)
+	}},
 	{Artifact{
 		Name:    "table2",
 		Title:   "Table 2 — all-pairs shortest paths",
 		Summary: "The APSP family (Theorems 6–9, Corollary 2.2) versus the eΘ(√n) worst-case prior work.",
-	}, genTable2},
+	}, func(cfg ReportConfig, r *runner.Runner) ([]*runner.Table, error) {
+		return collectTables(r, Table2Scenario(cfg.families(), cfg.N, cfg.Seed), table2Spec)
+	}},
 	{Artifact{
 		Name:    "table3",
 		Title:   "Table 3 — (k,ℓ)-source shortest paths",
 		Summary: "(1+ε)-approximate (k,ℓ)-SP (Theorem 5) versus the eΩ(√k) existential bound.",
-	}, genTable3},
+	}, func(cfg ReportConfig, r *runner.Runner) ([]*runner.Table, error) {
+		return collectTables(r, Table3Scenario(cfg.families(), cfg.N, []int{cfg.N / 8, cfg.N / 2}, cfg.Seed), table3Spec)
+	}},
 	{Artifact{
 		Name:    "table4",
 		Title:   "Table 4 — single-source shortest paths",
 		Summary: "(1+ε)-approximate SSSP (Theorem 13) versus eÕ(√n), eÕ(n^{5/17}) and eÕ(n^ε) prior work.",
-	}, genTable4},
+	}, func(cfg ReportConfig, r *runner.Runner) ([]*runner.Table, error) {
+		return collectTables(r, Table4Scenario(cfg.families(), cfg.N, []float64{0.5, 0.25, 0.1}, cfg.Seed), table4Spec)
+	}},
 	{Artifact{
 		Name:    "figure1",
 		Title:   "Figure 1 — the k-SSP complexity landscape",
 		Summary: "Round complexity of k-source shortest paths across k = n^β (Theorem 14), worst-case path versus grid.",
-	}, genFigure1},
+	}, func(cfg ReportConfig, r *runner.Runner) ([]*runner.Table, error) {
+		// Figure 1 contrasts the worst-case path with the grid by
+		// default; an explicit family restriction replaces that pair.
+		// One scenario over all families, so every cell shares the pool.
+		fams := cfg.Families
+		if len(fams) == 0 {
+			fams = []graph.Family{graph.FamilyPath, graph.FamilyGrid2D}
+		}
+		betas := []float64{0, 1.0 / 6, 1.0 / 3, 0.5, 2.0 / 3, 5.0 / 6, 1}
+		return collectTables(r, Figure1Scenario(fams, cfg.N, betas, 0.5, cfg.Seed), figure1Spec)
+	}},
 	{Artifact{
 		Name:    "nqscaling-large",
 		Title:   "NQ_k scaling at large n (Theorems 15/16)",
 		Summary: "The Theorem 15/16 analysis on 4n- and 16n-node instances with k up to 4096 — a sweep sized for the shared topology cache (each instance is built once and reused across all k-points); excluded from the default quick report.",
-	}, genNQLarge},
+	}, nqGen(nqScalingLargeSpec, NQScalingLargeScenario)},
 	{Artifact{
 		Name:    "nqscaling-xl",
 		Title:   "NQ_k scaling at n = 10^6 (Theorems 15/16)",
 		Summary: "The Theorem 15/16 analysis on million-node instances — profile-free, served entirely by the sharded early-exit ball kernel over the analytic diameter seeds (DESIGN.md §14); excluded from the default quick report.",
-	}, genNQXL},
+	}, nqGen(nqScalingXLSpec, func(fams []graph.Family, _ int) *runner.Scenario[NQScalingRow] {
+		// The instance size is pinned: the artifact exists to exercise
+		// the n = 10^6 regime, whatever cfg.N asks for.
+		return NQScalingXLScenario(fams, NQXLNodes)
+	})},
 	{Artifact{
 		Name:    "robustness",
 		Title:   "Robustness — async backend under faults",
 		Summary: "Solution quality and convergence time of the asynchronous fault-injecting backend (DESIGN.md §13) versus loss and churn rates — the robustness axis the round-synchronous analysis doesn't touch; excluded from the default quick report.",
-	}, genRobustness},
+	}, func(cfg ReportConfig, r *runner.Runner) ([]*runner.Table, error) {
+		return collectTables(r, RobustnessScenario(cfg.Families, cfg.N/4, cfg.Seed), robustnessSpec)
+	}},
 }
 
 // Artifacts returns the registered report artifacts in canonical
@@ -141,120 +168,15 @@ func nqFamilyIntersection(cfg ReportConfig) ([]graph.Family, bool) {
 	return fams, len(fams) > 0
 }
 
-func genNQ(cfg ReportConfig, r *runner.Runner) ([]*runner.Table, error) {
-	fams, ok := nqFamilyIntersection(cfg)
-	if !ok {
-		return []*runner.Table{NQScalingData(nil)}, nil
-	}
-	rows, err := runner.Collect(r, NQScalingScenario(fams, cfg.N, []int{16, 64, 256, 1024}))
-	if err != nil {
-		return nil, err
-	}
-	return []*runner.Table{NQScalingData(rows)}, nil
-}
-
-// genNQLarge sweeps the large-n Theorem 15/16 grid. It is registered
-// for the sweep service and Generate but excluded from the default
-// WriteReport selection: at report scale the instances reach 16·n
-// nodes, which is only worth sweeping when the runner carries a
-// topology cache (the sweep service always does; WriteReport attaches
-// one too).
-func genNQLarge(cfg ReportConfig, r *runner.Runner) ([]*runner.Table, error) {
-	fams, ok := nqFamilyIntersection(cfg)
-	if !ok {
-		return []*runner.Table{NQScalingLargeData(nil)}, nil
-	}
-	rows, err := runner.Collect(r, NQScalingLargeScenario(fams, cfg.N))
-	if err != nil {
-		return nil, err
-	}
-	return []*runner.Table{NQScalingLargeData(rows)}, nil
-}
-
-// genNQXL sweeps the million-node Theorem 15/16 grid. The instance size
-// is pinned at NQXLNodes regardless of cfg.N — the artifact exists to
-// exercise the n = 10^6 regime, which is only tractable through the
-// parallel kernel layer. Excluded from the default WriteReport
-// selection like nqscaling-large.
-func genNQXL(cfg ReportConfig, r *runner.Runner) ([]*runner.Table, error) {
-	fams, ok := nqFamilyIntersection(cfg)
-	if !ok {
-		return []*runner.Table{NQScalingXLData(nil)}, nil
-	}
-	rows, err := runner.Collect(r, NQScalingXLScenario(fams, NQXLNodes))
-	if err != nil {
-		return nil, err
-	}
-	return []*runner.Table{NQScalingXLData(rows)}, nil
-}
-
-// genRobustness sweeps the async-backend fault grid. Registered for the
-// sweep service and Generate; excluded from the default WriteReport
-// selection like nqscaling-large — the sweep runs three async workloads
-// per fault profile per family.
-func genRobustness(cfg ReportConfig, r *runner.Runner) ([]*runner.Table, error) {
-	rows, err := runner.Collect(r, RobustnessScenario(cfg.Families, cfg.N/4, cfg.Seed))
-	if err != nil {
-		return nil, err
-	}
-	return []*runner.Table{RobustnessData(rows)}, nil
-}
-
-func genTable1(cfg ReportConfig, r *runner.Runner) ([]*runner.Table, error) {
-	rows, err := runner.Collect(r, Table1Scenario(cfg.families(), cfg.N, []int{cfg.N / 4, cfg.N, 4 * cfg.N}, cfg.Seed))
-	if err != nil {
-		return nil, err
-	}
-	return []*runner.Table{Table1Data(rows)}, nil
-}
-
-func genTable2(cfg ReportConfig, r *runner.Runner) ([]*runner.Table, error) {
-	rows, err := runner.Collect(r, Table2Scenario(cfg.families(), cfg.N, cfg.Seed))
-	if err != nil {
-		return nil, err
-	}
-	return []*runner.Table{Table2Data(rows)}, nil
-}
-
-func genTable3(cfg ReportConfig, r *runner.Runner) ([]*runner.Table, error) {
-	rows, err := runner.Collect(r, Table3Scenario(cfg.families(), cfg.N, []int{cfg.N / 8, cfg.N / 2}, cfg.Seed))
-	if err != nil {
-		return nil, err
-	}
-	return []*runner.Table{Table3Data(rows)}, nil
-}
-
-func genTable4(cfg ReportConfig, r *runner.Runner) ([]*runner.Table, error) {
-	rows, err := runner.Collect(r, Table4Scenario(cfg.families(), cfg.N, []float64{0.5, 0.25, 0.1}, cfg.Seed))
-	if err != nil {
-		return nil, err
-	}
-	return []*runner.Table{Table4Data(rows)}, nil
-}
-
-func genFigure1(cfg ReportConfig, r *runner.Runner) ([]*runner.Table, error) {
-	betas := []float64{0, 1.0 / 6, 1.0 / 3, 0.5, 2.0 / 3, 5.0 / 6, 1}
-	// Figure 1 contrasts the worst-case path with the grid by default;
-	// an explicit family restriction replaces that pair.
-	fams := []graph.Family{graph.FamilyPath, graph.FamilyGrid2D}
-	if len(cfg.Families) > 0 {
-		fams = cfg.Families
-	}
-	// One scenario over all families, so every cell shares the pool;
-	// the canonical order keeps each family's points contiguous.
-	pts, err := runner.Collect(r, Figure1Scenario(fams, cfg.N, betas, 0.5, cfg.Seed))
-	if err != nil {
-		return nil, err
-	}
-	var tables []*runner.Table
-	for _, fam := range fams {
-		var famPts []Figure1Point
-		for _, p := range pts {
-			if p.Family == fam {
-				famPts = append(famPts, p)
-			}
+// nqGen sweeps one NQ-scaling grid over the families the Theorem 15/16
+// predictions cover; a family restriction that excludes all of them
+// renders the empty table.
+func nqGen(spec *tableSpec[NQScalingRow], scenario func(fams []graph.Family, n int) *runner.Scenario[NQScalingRow]) generator {
+	return func(cfg ReportConfig, r *runner.Runner) ([]*runner.Table, error) {
+		fams, ok := nqFamilyIntersection(cfg)
+		if !ok {
+			return []*runner.Table{spec.table(nil)}, nil
 		}
-		tables = append(tables, Figure1Data(fam, famPts))
+		return collectTables(r, scenario(fams, cfg.N), spec)
 	}
-	return tables, nil
 }

@@ -121,8 +121,9 @@ func WriteReport(w io.Writer, cfg ReportConfig) error {
 	// One topology cache and one derived-profile cache for the whole
 	// report: the sweep points share their topology instance, and a
 	// seed-free family's (family, n) instance is shared across sections
-	// too, so every distinct graph is built exactly once and its
-	// ball-profile artifact grown exactly once.
+	// too, so every distinct graph is built exactly once and grows its
+	// ball-profile artifact at most once (through the profile cache for
+	// nqscaling, on the shared graph by nq itself for the tables).
 	// Sharing does not change the output — a cached instance is
 	// byte-identical to a per-cell build, and profile-served NQ values
 	// equal per-cell ball growth (DESIGN.md §9–10).

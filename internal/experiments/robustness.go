@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/async"
 	"repro/internal/graph"
@@ -69,7 +70,7 @@ func RobustnessScenario(families []graph.Family, n int, seed int64) *runner.Scen
 		families = graph.Families()
 	}
 	return &runner.Scenario[RobustnessRow]{
-		Name:     "robustness",
+		Name:     robustnessSpec.name,
 		Families: families,
 		Ns:       []int{n},
 		Seeds:    []int64{seed},
@@ -85,9 +86,7 @@ func RobustnessScenario(families []graph.Family, n int, seed int64) *runner.Scen
 			}
 			return robustnessRows(c, g, faults)
 		},
-		RenderRow: func(c *runner.Cell, r RobustnessRow) runner.RenderedRow {
-			return runner.RenderedRow{Table: "robustness", Keys: robustnessKeys, Values: robustnessValues(r)}
-		},
+		RenderRow: robustnessSpec.row,
 	}
 }
 
@@ -119,7 +118,7 @@ func robustnessRows(c *runner.Cell, g *graph.Graph, faults async.Faults) ([]Robu
 	if err != nil {
 		return nil, fmt.Errorf("robustness %s/%s: bfs: %w", c.Family, c.Point.Label, err)
 	}
-	rows := []RobustnessRow{row("bfs", distsEqual(hops, oracle.BFS(g, src)), rep)}
+	rows := []RobustnessRow{row("bfs", slices.Equal(hops, oracle.BFS(g, src)), rep)}
 
 	// Weights, source and token placement derive from point-independent
 	// streams, so every fault profile measures the same instance.
@@ -160,53 +159,30 @@ func robustnessRows(c *runner.Cell, g *graph.Graph, faults async.Faults) ([]Robu
 	return rows, nil
 }
 
-func distsEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+var robustnessSpec = &tableSpec[RobustnessRow]{
+	name:   "robustness",
+	title:  "Robustness — async backend under faults (DESIGN.md §13)",
+	header: []string{"family", "n", "profile", "algo", "exact", "ticks", "delivered", "transmissions", "dropped", "retries", "restarts"},
+	keys:   []string{"family", "n", "profile", "algo", "exact", "ticks", "delivered", "transmissions", "dropped", "retries", "restarts"},
+	values: func(r RobustnessRow) []string {
+		return []string{
+			r.Family,
+			fmt.Sprintf("%d", r.N),
+			r.Profile,
+			r.Algo,
+			fmt.Sprintf("%t", r.Exact),
+			fmt.Sprintf("%d", r.Ticks),
+			fmt.Sprintf("%d", r.Delivered),
+			fmt.Sprintf("%d", r.Transmissions),
+			fmt.Sprintf("%d", r.Dropped),
+			fmt.Sprintf("%d", r.Retries),
+			fmt.Sprintf("%d", r.Restarts),
 		}
-	}
-	return true
-}
-
-// RobustnessData renders rows into the sink-neutral table form.
-func RobustnessData(rows []RobustnessRow) *runner.Table {
-	t := &runner.Table{
-		Name:   "robustness",
-		Title:  "Robustness — async backend under faults (DESIGN.md §13)",
-		Header: []string{"family", "n", "profile", "algo", "exact", "ticks", "delivered", "transmissions", "dropped", "retries", "restarts"},
-		Keys:   robustnessKeys,
-		Note: "Solution quality and logical-clock convergence time of the asynchronous " +
+	},
+	note: func([]RobustnessRow) string {
+		return "Solution quality and logical-clock convergence time of the asynchronous " +
 			"backend under fault injection. The transport retries through loss and churn, " +
 			"so exact should hold everywhere; the cost of faults shows up in ticks, " +
-			"retries and restarts.",
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, robustnessValues(r))
-	}
-	return t
-}
-
-// robustnessKeys and robustnessValues are shared between the finished
-// table rendering and the per-cell stream rendering (Scenario.RenderRow)
-// so streamed rows match the document byte for byte (DESIGN.md §12).
-var robustnessKeys = []string{"family", "n", "profile", "algo", "exact", "ticks", "delivered", "transmissions", "dropped", "retries", "restarts"}
-
-func robustnessValues(r RobustnessRow) []string {
-	return []string{
-		r.Family,
-		fmt.Sprintf("%d", r.N),
-		r.Profile,
-		r.Algo,
-		fmt.Sprintf("%t", r.Exact),
-		fmt.Sprintf("%d", r.Ticks),
-		fmt.Sprintf("%d", r.Delivered),
-		fmt.Sprintf("%d", r.Transmissions),
-		fmt.Sprintf("%d", r.Dropped),
-		fmt.Sprintf("%d", r.Retries),
-		fmt.Sprintf("%d", r.Restarts),
-	}
+			"retries and restarts."
+	},
 }

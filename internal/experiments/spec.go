@@ -1,0 +1,79 @@
+package experiments
+
+import (
+	"fmt"
+
+	"repro/internal/graph"
+	"repro/internal/runner"
+)
+
+// tableSpec declares one output table once: its name, title, display
+// header and machine keys, and how a row formats. The finished document
+// (table) and the per-cell stream (row, a scenario's RenderRow) both
+// format through it, so a streamed row is byte-identical to the
+// document's (DESIGN.md §12).
+type tableSpec[T any] struct {
+	name, title  string
+	header, keys []string
+	values       func(T) []string
+	// note, when set, renders the markdown-only trailer of the table
+	// from its rows.
+	note func(rows []T) string
+	// family, when set, splits the spec into one table per graph family
+	// (Figure 1): forFamily names each one.
+	family func(T) graph.Family
+}
+
+// forFamily returns the spec of family fam's table: the name gains a
+// "/fam" suffix and fam fills the title's %s verb. A spec without a
+// family split is returned as is.
+func (s *tableSpec[T]) forFamily(fam graph.Family) *tableSpec[T] {
+	if s.family == nil {
+		return s
+	}
+	fs := *s
+	fs.name, fs.title, fs.family = s.name+"/"+string(fam), fmt.Sprintf(s.title, fam), nil
+	return &fs
+}
+
+// table renders rows into the finished table.
+func (s *tableSpec[T]) table(rows []T) *runner.Table {
+	t := &runner.Table{Name: s.name, Title: s.title, Header: s.header, Keys: s.keys}
+	for _, r := range rows {
+		t.Rows = append(t.Rows, s.values(r))
+	}
+	if s.note != nil {
+		t.Note = s.note(rows)
+	}
+	return t
+}
+
+// row renders one of cell c's rows in table coordinates; scenarios use
+// it as their RenderRow.
+func (s *tableSpec[T]) row(c *runner.Cell, r T) runner.RenderedRow {
+	return runner.RenderedRow{Table: s.forFamily(c.Family).name, Keys: s.keys, Values: s.values(r)}
+}
+
+// collectTables sweeps sc on r and renders its rows through spec: one
+// table, or, for a spec split by family, one table per family of sc in
+// sweep order.
+func collectTables[T any](r *runner.Runner, sc *runner.Scenario[T], spec *tableSpec[T]) ([]*runner.Table, error) {
+	rows, err := runner.Collect(r, sc)
+	if err != nil {
+		return nil, err
+	}
+	if spec.family == nil {
+		return []*runner.Table{spec.table(rows)}, nil
+	}
+	var tables []*runner.Table
+	for _, fam := range sc.Families {
+		var famRows []T
+		for _, row := range rows {
+			if spec.family(row) == fam {
+				famRows = append(famRows, row)
+			}
+		}
+		tables = append(tables, spec.forFamily(fam).table(famRows))
+	}
+	return tables, nil
+}

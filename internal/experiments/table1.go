@@ -38,7 +38,7 @@ type Table1Row struct {
 // random targets, and evaluates the baselines and the lower bound.
 func Table1Scenario(families []graph.Family, n int, ks []int, seed int64) *runner.Scenario[Table1Row] {
 	return &runner.Scenario[Table1Row]{
-		Name:     "table1",
+		Name:     table1Spec.name,
 		Families: families,
 		Ns:       []int{n},
 		Seeds:    []int64{seed},
@@ -54,9 +54,7 @@ func Table1Scenario(families []graph.Family, n int, ks []int, seed int64) *runne
 			}
 			return []Table1Row{*row}, nil
 		},
-		RenderRow: func(c *runner.Cell, r Table1Row) runner.RenderedRow {
-			return runner.RenderedRow{Table: "table1", Keys: table1Keys, Values: table1Values(r)}
-		},
+		RenderRow: table1Spec.row,
 	}
 }
 
@@ -149,41 +147,28 @@ func table1Row(c *runner.Cell, g *graph.Graph) (*Table1Row, error) {
 	return row, nil
 }
 
-// table1Keys and table1Values are shared between the finished table
-// rendering and the per-cell stream rendering (Scenario.RenderRow), so
-// streamed rows match the document byte for byte.
-var table1Keys = []string{"family", "n", "k", "nq", "thm1_rounds", "thm2_rounds",
-	"thm3_rounds_l", "ahk_rounds", "ks20_unicast", "ncc_naive", "local_d", "thm4_lb"}
-
-func table1Values(r Table1Row) []string {
-	return []string{
-		r.Family,
-		fmt.Sprintf("%d", r.N),
-		fmt.Sprintf("%d", r.K),
-		fmt.Sprintf("%d", r.NQ),
-		fmt.Sprintf("%d", r.DisseminationRounds),
-		fmt.Sprintf("%d", r.AggregationRounds),
-		fmt.Sprintf("%d (ℓ=%d)", r.RoutingRounds, r.RoutingL),
-		f1(r.AHKRounds),
-		f1(r.KS20Unicast),
-		fmt.Sprintf("%d", r.NaiveNCC),
-		fmt.Sprintf("%d", r.LocalFlood),
-		f1(r.LowerBound),
-	}
-}
-
-// Table1Data renders rows into the sink-neutral table form.
-func Table1Data(rows []Table1Row) *runner.Table {
-	t := &runner.Table{
-		Name:  "table1",
-		Title: "Table 1 — information dissemination (Theorems 1-4)",
-		Header: []string{"family", "n", "k", "NQ_k",
-			"Thm1 (rounds)", "Thm2 (rounds)", "Thm3 (rounds, ℓ)",
-			"AHK+20 eÕ(√k+ℓ)", "KS20 unicast", "NCC naive", "LOCAL D", "Thm4 LB"},
-		Keys: table1Keys,
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, table1Values(r))
-	}
-	return t
+var table1Spec = &tableSpec[Table1Row]{
+	name:  "table1",
+	title: "Table 1 — information dissemination (Theorems 1-4)",
+	header: []string{"family", "n", "k", "NQ_k",
+		"Thm1 (rounds)", "Thm2 (rounds)", "Thm3 (rounds, ℓ)",
+		"AHK+20 eÕ(√k+ℓ)", "KS20 unicast", "NCC naive", "LOCAL D", "Thm4 LB"},
+	keys: []string{"family", "n", "k", "nq", "thm1_rounds", "thm2_rounds",
+		"thm3_rounds_l", "ahk_rounds", "ks20_unicast", "ncc_naive", "local_d", "thm4_lb"},
+	values: func(r Table1Row) []string {
+		return []string{
+			r.Family,
+			fmt.Sprintf("%d", r.N),
+			fmt.Sprintf("%d", r.K),
+			fmt.Sprintf("%d", r.NQ),
+			fmt.Sprintf("%d", r.DisseminationRounds),
+			fmt.Sprintf("%d", r.AggregationRounds),
+			fmt.Sprintf("%d (ℓ=%d)", r.RoutingRounds, r.RoutingL),
+			f1(r.AHKRounds),
+			f1(r.KS20Unicast),
+			fmt.Sprintf("%d", r.NaiveNCC),
+			fmt.Sprintf("%d", r.LocalFlood),
+			f1(r.LowerBound),
+		}
+	},
 }

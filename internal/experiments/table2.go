@@ -36,7 +36,7 @@ type Table2Row struct {
 // the four universal APSP algorithms and the cut approximation.
 func Table2Scenario(families []graph.Family, n int, seed int64) *runner.Scenario[Table2Row] {
 	return &runner.Scenario[Table2Row]{
-		Name:     "table2",
+		Name:     table2Spec.name,
 		Families: families,
 		Ns:       []int{n},
 		Seeds:    []int64{seed},
@@ -51,9 +51,7 @@ func Table2Scenario(families []graph.Family, n int, seed int64) *runner.Scenario
 			}
 			return []Table2Row{*row}, nil
 		},
-		RenderRow: func(c *runner.Cell, r Table2Row) runner.RenderedRow {
-			return runner.RenderedRow{Table: "table2", Keys: table2Keys, Values: table2Values(r)}
-		},
+		RenderRow: table2Spec.row,
 	}
 }
 
@@ -126,42 +124,29 @@ func table2Row(c *runner.Cell, g *graph.Graph) (*Table2Row, error) {
 	return row, nil
 }
 
-// table2Keys and table2Values are shared between the finished table
-// rendering and the per-cell stream rendering (Scenario.RenderRow), so
-// streamed rows match the document byte for byte.
-var table2Keys = []string{"family", "n", "nq", "thm6_rounds", "cor22_rounds",
-	"cor23_rounds_stretch", "thm8_rounds", "thm9_rounds",
-	"ks20_rounds", "ag21_rounds", "local_d", "thm11_lb"}
-
-func table2Values(r Table2Row) []string {
-	return []string{
-		r.Family,
-		fmt.Sprintf("%d", r.N),
-		fmt.Sprintf("%d", r.NQ),
-		fmt.Sprintf("%d", r.UnweightedRounds),
-		fmt.Sprintf("%d", r.SparseExactRounds),
-		fmt.Sprintf("%d (%.1f)", r.SpannerRounds, r.SpannerStretch),
-		fmt.Sprintf("%d", r.SkeletonRounds),
-		fmt.Sprintf("%d", r.CutsRounds),
-		f1(r.KS20Rounds),
-		f1(r.AG21Rounds),
-		fmt.Sprintf("%d", r.LocalFlood),
-		f1(r.LowerBound),
-	}
-}
-
-// Table2Data renders rows into the sink-neutral table form.
-func Table2Data(rows []Table2Row) *runner.Table {
-	t := &runner.Table{
-		Name:  "table2",
-		Title: "Table 2 — APSP (Theorems 6-9, Corollary 2.2)",
-		Header: []string{"family", "n", "NQ_n",
-			"Thm6 1+ε", "Cor2.2 exact", "Cor2.3 spanner (stretch)", "Thm8 4α-1", "Thm9 cuts",
-			"KS20 eÕ(√n)", "AG21 eÕ(√n)", "LOCAL D", "Thm11 LB"},
-		Keys: table2Keys,
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, table2Values(r))
-	}
-	return t
+var table2Spec = &tableSpec[Table2Row]{
+	name:  "table2",
+	title: "Table 2 — APSP (Theorems 6-9, Corollary 2.2)",
+	header: []string{"family", "n", "NQ_n",
+		"Thm6 1+ε", "Cor2.2 exact", "Cor2.3 spanner (stretch)", "Thm8 4α-1", "Thm9 cuts",
+		"KS20 eÕ(√n)", "AG21 eÕ(√n)", "LOCAL D", "Thm11 LB"},
+	keys: []string{"family", "n", "nq", "thm6_rounds", "cor22_rounds",
+		"cor23_rounds_stretch", "thm8_rounds", "thm9_rounds",
+		"ks20_rounds", "ag21_rounds", "local_d", "thm11_lb"},
+	values: func(r Table2Row) []string {
+		return []string{
+			r.Family,
+			fmt.Sprintf("%d", r.N),
+			fmt.Sprintf("%d", r.NQ),
+			fmt.Sprintf("%d", r.UnweightedRounds),
+			fmt.Sprintf("%d", r.SparseExactRounds),
+			fmt.Sprintf("%d (%.1f)", r.SpannerRounds, r.SpannerStretch),
+			fmt.Sprintf("%d", r.SkeletonRounds),
+			fmt.Sprintf("%d", r.CutsRounds),
+			f1(r.KS20Rounds),
+			f1(r.AG21Rounds),
+			fmt.Sprintf("%d", r.LocalFlood),
+			f1(r.LowerBound),
+		}
+	},
 }

@@ -31,7 +31,7 @@ type Table3Row struct {
 // Cells whose k exceeds the realized instance size contribute no row.
 func Table3Scenario(families []graph.Family, n int, ks []int, seed int64) *runner.Scenario[Table3Row] {
 	return &runner.Scenario[Table3Row]{
-		Name:     "table3",
+		Name:     table3Spec.name,
 		Families: families,
 		Ns:       []int{n},
 		Seeds:    []int64{seed},
@@ -50,9 +50,7 @@ func Table3Scenario(families []graph.Family, n int, ks []int, seed int64) *runne
 			}
 			return []Table3Row{*row}, nil
 		},
-		RenderRow: func(c *runner.Cell, r Table3Row) runner.RenderedRow {
-			return runner.RenderedRow{Table: "table3", Keys: table3Keys, Values: table3Values(r)}
-		},
+		RenderRow: table3Spec.row,
 	}
 }
 
@@ -91,38 +89,25 @@ func table3Row(c *runner.Cell, g *graph.Graph) (*Table3Row, error) {
 	return row, nil
 }
 
-// table3Keys and table3Values are shared between the finished table
-// rendering and the per-cell stream rendering (Scenario.RenderRow), so
-// streamed rows match the document byte for byte.
-var table3Keys = []string{"family", "n", "k", "l", "nq",
-	"thm5_rounds", "stretch", "sqrtk_lb", "thm11_lb", "local_d"}
-
-func table3Values(r Table3Row) []string {
-	return []string{
-		r.Family,
-		fmt.Sprintf("%d", r.N),
-		fmt.Sprintf("%d", r.K),
-		fmt.Sprintf("%d", r.L),
-		fmt.Sprintf("%d", r.NQ),
-		fmt.Sprintf("%d", r.Rounds),
-		fmt.Sprintf("%.2f", r.Stretch),
-		f1(r.SqrtKLower),
-		f1(r.UniversalLower),
-		fmt.Sprintf("%d", r.LocalFlood),
-	}
-}
-
-// Table3Data renders rows into the sink-neutral table form.
-func Table3Data(rows []Table3Row) *runner.Table {
-	t := &runner.Table{
-		Name:  "table3",
-		Title: "Table 3 — (k,ℓ)-shortest paths (Theorem 5)",
-		Header: []string{"family", "n", "k", "ℓ", "NQ_k",
-			"Thm5 (rounds)", "stretch", "eΩ(√(k/γ)) exist.", "Thm11 LB", "LOCAL D"},
-		Keys: table3Keys,
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, table3Values(r))
-	}
-	return t
+var table3Spec = &tableSpec[Table3Row]{
+	name:  "table3",
+	title: "Table 3 — (k,ℓ)-shortest paths (Theorem 5)",
+	header: []string{"family", "n", "k", "ℓ", "NQ_k",
+		"Thm5 (rounds)", "stretch", "eΩ(√(k/γ)) exist.", "Thm11 LB", "LOCAL D"},
+	keys: []string{"family", "n", "k", "l", "nq",
+		"thm5_rounds", "stretch", "sqrtk_lb", "thm11_lb", "local_d"},
+	values: func(r Table3Row) []string {
+		return []string{
+			r.Family,
+			fmt.Sprintf("%d", r.N),
+			fmt.Sprintf("%d", r.K),
+			fmt.Sprintf("%d", r.L),
+			fmt.Sprintf("%d", r.NQ),
+			fmt.Sprintf("%d", r.Rounds),
+			fmt.Sprintf("%.2f", r.Stretch),
+			f1(r.SqrtKLower),
+			f1(r.UniversalLower),
+			fmt.Sprintf("%d", r.LocalFlood),
+		}
+	},
 }

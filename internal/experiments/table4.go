@@ -28,7 +28,7 @@ type Table4Row struct {
 // runs the Theorem 13 (1+ε)-SSSP from node 0.
 func Table4Scenario(families []graph.Family, n int, epss []float64, seed int64) *runner.Scenario[Table4Row] {
 	return &runner.Scenario[Table4Row]{
-		Name:     "table4",
+		Name:     table4Spec.name,
 		Families: families,
 		Ns:       []int{n},
 		Seeds:    []int64{seed},
@@ -58,42 +58,27 @@ func Table4Scenario(families []graph.Family, n int, epss []float64, seed int64) 
 				LocalFlood:   p.Diam,
 			}}, nil
 		},
-		RenderRow: func(c *runner.Cell, r Table4Row) runner.RenderedRow {
-			return runner.RenderedRow{Table: "table4", Keys: table4Keys, Values: table4Values(r)}
-		},
+		RenderRow: table4Spec.row,
 	}
 }
 
-// table4Keys and table4Values are shared between the finished table
-// rendering and the per-cell stream rendering (Scenario.RenderRow), so
-// streamed rows match the document byte for byte.
-var table4Keys = []string{"family", "n", "eps", "thm13_rounds",
-	"ag21_rounds", "chlp21_rounds", "ahk_rounds", "local_d"}
-
-func table4Values(r Table4Row) []string {
-	return []string{
-		r.Family,
-		fmt.Sprintf("%d", r.N),
-		fmt.Sprintf("%.2f", r.Eps),
-		fmt.Sprintf("%d", r.Thm13Rounds),
-		f1(r.AG21Rounds),
-		f1(r.CHLP21Rounds),
-		f1(r.AHKRounds),
-		fmt.Sprintf("%d", r.LocalFlood),
-	}
-}
-
-// Table4Data renders rows into the sink-neutral table form.
-func Table4Data(rows []Table4Row) *runner.Table {
-	t := &runner.Table{
-		Name:  "table4",
-		Title: "Table 4 — SSSP (Theorem 13)",
-		Header: []string{"family", "n", "ε",
-			"Thm13 eÕ(1/ε²)", "AG21 eÕ(√n)", "CHLP21 eÕ(n^{5/17})", "AHK+20 eÕ(n^ε)", "LOCAL D"},
-		Keys: table4Keys,
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, table4Values(r))
-	}
-	return t
+var table4Spec = &tableSpec[Table4Row]{
+	name:  "table4",
+	title: "Table 4 — SSSP (Theorem 13)",
+	header: []string{"family", "n", "ε",
+		"Thm13 eÕ(1/ε²)", "AG21 eÕ(√n)", "CHLP21 eÕ(n^{5/17})", "AHK+20 eÕ(n^ε)", "LOCAL D"},
+	keys: []string{"family", "n", "eps", "thm13_rounds",
+		"ag21_rounds", "chlp21_rounds", "ahk_rounds", "local_d"},
+	values: func(r Table4Row) []string {
+		return []string{
+			r.Family,
+			fmt.Sprintf("%d", r.N),
+			fmt.Sprintf("%.2f", r.Eps),
+			fmt.Sprintf("%d", r.Thm13Rounds),
+			f1(r.AG21Rounds),
+			f1(r.CHLP21Rounds),
+			f1(r.AHKRounds),
+			fmt.Sprintf("%d", r.LocalFlood),
+		}
+	},
 }

@@ -331,15 +331,6 @@ func (g *Graph) IsWeighted() bool {
 	return state == someWeighted
 }
 
-// MaxWeight returns the largest edge weight (0 for an edgeless graph).
-func (g *Graph) MaxWeight() int64 {
-	var m int64
-	for _, w := range g.w {
-		m = max(m, w)
-	}
-	return m
-}
-
 // ErrDisconnected is returned by algorithms that require a connected graph.
 var ErrDisconnected = errors.New("graph: graph is not connected")
 

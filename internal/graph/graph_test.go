@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -379,7 +380,7 @@ func TestReweight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !w.IsWeighted() || w.MaxWeight() != 9 {
+	if !w.IsWeighted() || slices.Max(w.w) != 9 {
 		t.Fatal("reweight failed")
 	}
 	if g.IsWeighted() {
@@ -416,8 +417,15 @@ func TestEdgesRoundTrip(t *testing.T) {
 
 func TestUnionFind(t *testing.T) {
 	uf := NewUnionFind(5)
-	if uf.Sets() != 5 {
-		t.Fatalf("sets=%d", uf.Sets())
+	sets := func() int {
+		roots := make(map[int]bool)
+		for v := range 5 {
+			roots[uf.Find(v)] = true
+		}
+		return len(roots)
+	}
+	if sets() != 5 {
+		t.Fatalf("sets=%d", sets())
 	}
 	if !uf.Union(0, 1) || !uf.Union(1, 2) {
 		t.Fatal("union of distinct sets returned false")
@@ -425,11 +433,11 @@ func TestUnionFind(t *testing.T) {
 	if uf.Union(0, 2) {
 		t.Fatal("union of same set returned true")
 	}
-	if !uf.Same(0, 2) || uf.Same(0, 3) {
-		t.Fatal("Same gives wrong answers")
+	if uf.Find(0) != uf.Find(2) || uf.Find(0) == uf.Find(3) {
+		t.Fatal("Find gives wrong representatives")
 	}
-	if uf.Sets() != 3 {
-		t.Fatalf("sets=%d, want 3", uf.Sets())
+	if sets() != 3 {
+		t.Fatalf("sets=%d, want 3", sets())
 	}
 }
 

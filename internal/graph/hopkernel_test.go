@@ -94,7 +94,7 @@ func TestHopKernelMatchesPerSourceBFS(t *testing.T) {
 				for r, maxR := range radii {
 					p := g.BallProfilesWorkers(maxR, 1)
 					for v := 0; v < n; v++ {
-						if e := p.Ecc(v); e != graph.EccUnknown && e != ecc[v] {
+						if e := p.Eccentricities()[v]; e != graph.EccUnknown && e != ecc[v] {
 							t.Fatalf("%s %s maxR=%d: Ecc(%d)=%d, Eccentricity %d", mode, name, maxR, v, e, ecc[v])
 						}
 						if p.Len(v) != len(sizes[r][v]) {

@@ -32,7 +32,7 @@ func FuzzDecodeProfiles(f *testing.F) {
 			return
 		}
 		for v := 0; v < p.N(); v++ {
-			_ = p.Size(v, p.MaxR()+1)
+			_ = p.Size(v, p.maxR+1)
 		}
 		if re := EncodeProfiles(p); !bytes.Equal(re, data) {
 			t.Fatalf("codec is not a bijection: accepted %d bytes, re-encoded %d differing bytes", len(data), len(re))

@@ -40,17 +40,14 @@ type Profiles struct {
 // N returns the number of nodes profiled.
 func (p *Profiles) N() int { return p.n }
 
-// MaxR returns the truncation radius the profiles were computed to.
-func (p *Profiles) MaxR() int { return p.maxR }
-
 // Len returns the number of stored entries of node v's profile
 // (|B_t(v)| for t = 0..Len(v)-1).
 func (p *Profiles) Len(v int) int { return int(p.rowStart[v+1] - p.rowStart[v]) }
 
 // Size returns |B_t(v)|. Entries past the stored profile repeat the
 // final stored value, which is exact whenever the node's BFS exhausted
-// (Ecc(v) != EccUnknown) or t ≤ MaxR; beyond both the true ball may be
-// larger.
+// (its eccentricity is not EccUnknown) or t is at most the truncation
+// radius; beyond both the true ball may be larger.
 func (p *Profiles) Size(v, t int) int {
 	lo, hi := p.rowStart[v], p.rowStart[v+1]
 	if int32(t) < hi-lo {
@@ -59,13 +56,10 @@ func (p *Profiles) Size(v, t int) int {
 	return int(p.sizes[hi-1])
 }
 
-// Ecc returns node v's exact hop eccentricity, Inf when v's component
-// excludes part of the graph, or EccUnknown when the truncation radius
-// cut the search off first.
-func (p *Profiles) Ecc(v int) int64 { return p.ecc[v] }
-
-// Eccentricities returns the per-node eccentricity vector. The slice
-// is owned by the Profiles and must not be modified.
+// Eccentricities returns the per-node eccentricity vector: node v's
+// exact hop eccentricity, Inf when v's component excludes part of the
+// graph, or EccUnknown when the truncation radius cut the search off
+// first. The slice is owned by the Profiles and must not be modified.
 func (p *Profiles) Eccentricities() []int64 { return p.ecc }
 
 // Diameter returns the exact hop diameter (Inf for a disconnected
@@ -78,13 +72,14 @@ func (p *Profiles) Diameter() (diam int64, ok bool) {
 	return p.diam, true
 }
 
-// Complete reports that every node's BFS exhausted within MaxR, making
-// every profile entry, eccentricity and the diameter exact for all t.
+// Complete reports that every node's BFS exhausted within the
+// truncation radius, making every profile entry, eccentricity and the
+// diameter exact for all t.
 func (p *Profiles) Complete() bool { return p.diam != EccUnknown }
 
 // Covers reports whether p answers ball sizes exactly for every radius
-// up to r (it always does up to MaxR, and for every radius at all once
-// complete).
+// up to r (it always does up to the truncation radius, and for every
+// radius at all once complete).
 func (p *Profiles) Covers(r int) bool { return p.Complete() || r <= p.maxR }
 
 // ProfileRadius is the canonical truncation radius of the shared

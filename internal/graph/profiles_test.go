@@ -20,8 +20,8 @@ func TestProfilesMatchBallSizes(t *testing.T) {
 	for name, g := range graphs {
 		for _, maxR := range []int{0, 1, 3, g.N()} {
 			p := g.BallProfiles(maxR)
-			if p.N() != g.N() || p.MaxR() != maxR {
-				t.Fatalf("%s maxR=%d: shape n=%d maxR=%d", name, maxR, p.N(), p.MaxR())
+			if p.N() != g.N() || p.maxR != maxR {
+				t.Fatalf("%s maxR=%d: shape n=%d maxR=%d", name, maxR, p.N(), p.maxR)
 			}
 			for v := 0; v < g.N(); v++ {
 				sizes := g.BallSizes(v, maxR)
@@ -49,8 +49,8 @@ func TestProfilesEccentricities(t *testing.T) {
 	g := Path(30)
 	full := g.BallProfiles(g.N())
 	for v := 0; v < g.N(); v++ {
-		if want := g.Eccentricity(v); full.Ecc(v) != want {
-			t.Fatalf("ecc(%d)=%d, want %d", v, full.Ecc(v), want)
+		if want := g.Eccentricity(v); full.Eccentricities()[v] != want {
+			t.Fatalf("ecc(%d)=%d, want %d", v, full.Eccentricities()[v], want)
 		}
 	}
 	if d, ok := full.Diameter(); !ok || d != g.Diameter() {
@@ -67,8 +67,8 @@ func TestProfilesEccentricities(t *testing.T) {
 	if _, ok := trunc.Diameter(); ok {
 		t.Fatal("truncated profile reported a diameter")
 	}
-	if trunc.Ecc(0) != EccUnknown {
-		t.Fatalf("endpoint ecc %d, want EccUnknown", trunc.Ecc(0))
+	if trunc.Eccentricities()[0] != EccUnknown {
+		t.Fatalf("endpoint ecc %d, want EccUnknown", trunc.Eccentricities()[0])
 	}
 	if !trunc.Covers(3) || trunc.Covers(4) {
 		t.Fatal("Covers disagrees with the truncation radius")
@@ -79,8 +79,8 @@ func TestProfilesEccentricities(t *testing.T) {
 	disc.mustAddEdge(2, 3, 1)
 	p := disc.Build().BallProfiles(10)
 	for v := 0; v < 4; v++ {
-		if p.Ecc(v) != Inf {
-			t.Fatalf("disconnected ecc(%d)=%d, want Inf", v, p.Ecc(v))
+		if p.Eccentricities()[v] != Inf {
+			t.Fatalf("disconnected ecc(%d)=%d, want Inf", v, p.Eccentricities()[v])
 		}
 	}
 	if d, ok := p.Diameter(); !ok || d != Inf {
@@ -192,13 +192,13 @@ func TestProfilesCodecRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			if got.N() != p.N() || got.MaxR() != p.MaxR() || got.Complete() != p.Complete() {
+			if got.N() != p.N() || got.maxR != p.maxR || got.Complete() != p.Complete() {
 				t.Fatalf("decoded shape (%d,%d,%v), want (%d,%d,%v)",
-					got.N(), got.MaxR(), got.Complete(), p.N(), p.MaxR(), p.Complete())
+					got.N(), got.maxR, got.Complete(), p.N(), p.maxR, p.Complete())
 			}
 			for v := 0; v < p.N(); v++ {
-				if got.Ecc(v) != p.Ecc(v) || got.Len(v) != p.Len(v) {
-					t.Fatalf("node %d: decoded (ecc=%d,len=%d), want (%d,%d)", v, got.Ecc(v), got.Len(v), p.Ecc(v), p.Len(v))
+				if got.Eccentricities()[v] != p.Eccentricities()[v] || got.Len(v) != p.Len(v) {
+					t.Fatalf("node %d: decoded (ecc=%d,len=%d), want (%d,%d)", v, got.Eccentricities()[v], got.Len(v), p.Eccentricities()[v], p.Len(v))
 				}
 				for tt := 0; tt <= maxR; tt++ {
 					if got.Size(v, tt) != p.Size(v, tt) {

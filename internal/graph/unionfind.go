@@ -5,12 +5,11 @@ package graph
 type UnionFind struct {
 	parent []int32
 	rank   []int8
-	sets   int
 }
 
 // NewUnionFind returns n singleton sets.
 func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{parent: make([]int32, n), rank: make([]int8, n), sets: n}
+	uf := &UnionFind{parent: make([]int32, n), rank: make([]int8, n)}
 	for i := range uf.parent {
 		uf.parent[i] = int32(i)
 	}
@@ -40,12 +39,5 @@ func (uf *UnionFind) Union(x, y int) bool {
 	if uf.rank[rx] == uf.rank[ry] {
 		uf.rank[rx]++
 	}
-	uf.sets--
 	return true
 }
-
-// Sets returns the number of disjoint sets.
-func (uf *UnionFind) Sets() int { return uf.sets }
-
-// Same reports whether x and y are in the same set.
-func (uf *UnionFind) Same(x, y int) bool { return uf.Find(x) == uf.Find(y) }

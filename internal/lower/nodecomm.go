@@ -75,10 +75,6 @@ func (inst *NodeCommInstance) Evaluate(g *graph.Graph, gamma int, p float64) (ro
 	return NodeCommunication(p, inst.EntropyBits, ball, gamma, h), h, ball, nil
 }
 
-// BitStringEntropy returns H(X) for a uniform random bit string of the
-// given length — the X used by the Lemma 7.2 and Theorem 11 reductions.
-func BitStringEntropy(bits int) float64 { return float64(bits) }
-
 // TokenSetEntropy returns H(X) for k tokens of ⌈log k⌉+1 bits each with
 // independent uniform payload bits, as in Lemma 7.2 (k/2 one-bit tokens).
 func TokenSetEntropy(k int) float64 {

@@ -65,9 +65,6 @@ func TestNodeCommInstanceValidation(t *testing.T) {
 }
 
 func TestEntropyHelpers(t *testing.T) {
-	if BitStringEntropy(64) != 64 {
-		t.Fatal("bit string entropy")
-	}
 	if TokenSetEntropy(100) != 50 {
 		t.Fatal("token set entropy")
 	}

@@ -117,27 +117,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Quantile returns an upper bound on the q-quantile (0 < q ≤ 1) of the
-// observed distribution: the smallest bucket bound whose cumulative
-// count covers q, +Inf if the quantile lies beyond the last bound, and
-// NaN before any observation. This is the same estimate a Prometheus
-// histogram_quantile query would give, computed locally.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return math.NaN()
-	}
-	need := uint64(math.Ceil(q * float64(total)))
-	var cum uint64
-	for i, b := range h.bounds {
-		cum += h.counts[i].Load()
-		if cum >= need {
-			return b
-		}
-	}
-	return math.Inf(1)
-}
-
 // series is one rendered line (or histogram line group).
 type series struct {
 	labels  string // rendered {k="v",...} or ""

@@ -64,12 +64,12 @@ func TestHistogram(t *testing.T) {
 	if got := h.Sum(); math.Abs(got-56.05) > 1e-9 {
 		t.Fatalf("sum = %v", got)
 	}
-	// Quantile returns the covering bucket bound.
-	if q := h.Quantile(0.5); q != 1 {
-		t.Fatalf("p50 = %v, want 1", q)
-	}
-	if q := h.Quantile(0.99); !math.IsInf(q, 1) {
-		t.Fatalf("p99 = %v, want +Inf (beyond last bound)", q)
+	// Each value lands in the first bucket whose bound covers it; 50
+	// lies beyond the last bound and counts only toward +Inf.
+	for i, want := range []uint64{1, 2, 1} {
+		if got := h.counts[i].Load(); got != want {
+			t.Fatalf("bucket le=%v holds %d, want %d", h.bounds[i], got, want)
+		}
 	}
 	out := render(t, r)
 	for _, want := range []string{
@@ -86,11 +86,17 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-func TestQuantileEmpty(t *testing.T) {
+func TestHistogramEmpty(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("x_seconds", "x", nil)
-	if q := h.Quantile(0.99); !math.IsNaN(q) {
-		t.Fatalf("empty histogram p99 = %v, want NaN", q)
+	if h.Count() != 0 || h.Sum() != 0 {
+		t.Fatalf("empty histogram count = %d, sum = %v", h.Count(), h.Sum())
+	}
+	out := render(t, r)
+	for _, want := range []string{`x_seconds_bucket{le="+Inf"} 0`, "x_seconds_count 0"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q in:\n%s", want, out)
+		}
 	}
 }
 

@@ -42,8 +42,8 @@ func TestBallProfilesAgainstOracle(t *testing.T) {
 				}
 				wantEcc := oracle.Eccentricities(g)
 				for v := 0; v < g.N(); v++ {
-					if p.Ecc(v) != wantEcc[v] {
-						t.Fatalf("%s/n=%d/seed=%d: ecc(%d)=%d, oracle %d", f, n, seed, v, p.Ecc(v), wantEcc[v])
+					if p.Eccentricities()[v] != wantEcc[v] {
+						t.Fatalf("%s/n=%d/seed=%d: ecc(%d)=%d, oracle %d", f, n, seed, v, p.Eccentricities()[v], wantEcc[v])
 					}
 				}
 				diam, ok := p.Diameter()

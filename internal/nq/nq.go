@@ -330,12 +330,3 @@ func Distributed(net *hybrid.Net, k int) (int, error) {
 		return q, nil
 	})
 }
-
-// UpperBound returns min{D, ⌈√k⌉}, the Lemma 3.6 upper bound on NQ_k.
-func UpperBound(diameter int64, k int) int {
-	s := ceilSqrt(k)
-	if int64(s) > diameter && diameter > 0 {
-		return int(diameter)
-	}
-	return s
-}

@@ -303,12 +303,3 @@ func TestDistributedRejectsBadK(t *testing.T) {
 		t.Fatal("k=0 accepted")
 	}
 }
-
-func TestUpperBoundHelper(t *testing.T) {
-	if UpperBound(100, 16) != 4 {
-		t.Fatalf("UpperBound(100,16)=%d", UpperBound(100, 16))
-	}
-	if UpperBound(3, 100) != 3 {
-		t.Fatalf("UpperBound(3,100)=%d", UpperBound(3, 100))
-	}
-}

@@ -135,22 +135,6 @@ func (t *Tree) Parent(v int) int {
 	return t.Members[(i-1)/2]
 }
 
-// Children returns the children of node v (0–2 of them).
-func (t *Tree) Children(v int) []int {
-	i := t.Pos[v]
-	if i < 0 {
-		return nil
-	}
-	var out []int
-	if l := 2*i + 1; l < len(t.Members) {
-		out = append(out, t.Members[l])
-	}
-	if r := 2*i + 2; r < len(t.Members) {
-		out = append(out, t.Members[r])
-	}
-	return out
-}
-
 // labels returns the audit labels of phase's converge-cast and
 // broadcast.
 func (t *Tree) labels(phase string) (up, down string) {

@@ -42,13 +42,13 @@ func TestBuildStructure(t *testing.T) {
 		if v != root && tr.Parent(v) == -1 {
 			t.Fatalf("member %d has no parent", v)
 		}
-		if len(tr.Children(v)) > 2 {
-			t.Fatalf("member %d has %d children", v, len(tr.Children(v)))
+		if len(children(tr, v)) > 2 {
+			t.Fatalf("member %d has %d children", v, len(children(tr, v)))
 		}
 	}
 	// Parent/child relations are mutually consistent.
 	for _, v := range tr.Members {
-		for _, c := range tr.Children(v) {
+		for _, c := range children(tr, v) {
 			if tr.Parent(c) != v {
 				t.Fatalf("child %d of %d has parent %d", c, v, tr.Parent(c))
 			}
@@ -304,4 +304,20 @@ func TestTreeMatchesSendGlobal(t *testing.T) {
 			})
 		}
 	}
+}
+
+// children returns the children of tree member v (0–2 of them).
+func children(t *Tree, v int) []int {
+	i := t.Pos[v]
+	if i < 0 {
+		return nil
+	}
+	var out []int
+	if l := 2*i + 1; l < len(t.Members) {
+		out = append(out, t.Members[l])
+	}
+	if r := 2*i + 2; r < len(t.Members) {
+		out = append(out, t.Members[r])
+	}
+	return out
 }

@@ -38,10 +38,11 @@ func ProfileKey(family graph.Family, n int, seed int64) string {
 
 // ProfileCacheStats snapshots a ProfileCache's effectiveness counters.
 type ProfileCacheStats struct {
-	// Computes counts profiles grown from scratch by the batch kernel —
-	// the acceptance invariant is one per distinct ProfileKey per
-	// process (one per (family, n) for a seed-free family), zero across
-	// a resubmission.
+	// Computes counts profiles this cache grew from scratch with the
+	// batch kernel — at most one per distinct ProfileKey per process
+	// (one per (family, n) for a seed-free family), zero across a
+	// resubmission. Profiles that nq grows itself for a graph the
+	// cache never saw (the NQ queries of tables 1–3) are not counted.
 	Computes uint64 `json:"computes"`
 	// AttachHits counts Gets answered by a profile already attached to
 	// the shared graph instance (the cheapest path: no lock, no lookup).

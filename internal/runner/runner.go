@@ -305,11 +305,14 @@ type Runner struct {
 	// instance is byte-identical to a per-cell build.
 	Graphs *GraphCache
 	// Profiles, when non-nil, likewise replaces the call's memory-only
-	// cache of the ball-profile artifacts the NQ measurements read
-	// (DESIGN.md §10), so each distinct topology's profile is computed
+	// cache of the ball-profile artifacts that Cell.BallProfiles serves
+	// (DESIGN.md §10), so each profile asked for that way is computed
 	// once across sweeps — and zero times on resubmission when the
-	// cache persists. Rows are unchanged — profile-served NQ values
-	// are identical to per-cell ball growth.
+	// cache persists. Only the nqscaling sweeps ask that way. An NQ
+	// query on a graph without a profile grows one itself (nq's
+	// ensureProfiles), outside this cache: no singleflight, no
+	// persistence, not counted. Rows are unchanged either way —
+	// profile-served NQ values are identical to per-cell ball growth.
 	Profiles *ProfileCache
 	// Observer, when non-nil, receives one CellEvent per cell (from
 	// worker goroutines; it must be safe for concurrent use).

@@ -46,7 +46,7 @@ type Skeleton struct {
 // Theorem 14). When materializeEdges is set, the weighted skeleton graph
 // S is constructed explicitly via hop-limited searches (O(|V_S|·h·m));
 // otherwise only the node sample is produced and distances should be read
-// through HopDistancesFrom.
+// through g.HopLimitedDistances(v, sk.H).
 func Build(g *graph.Graph, x int, forced []int, materializeEdges bool, rng *rand.Rand) (*Skeleton, error) {
 	n := g.N()
 	if n == 0 {
@@ -108,25 +108,6 @@ func Build(g *graph.Graph, x int, forced []int, materializeEdges bool, rng *rand
 		sk.S = s.Build()
 	}
 	return sk, nil
-}
-
-// HopDistancesFrom returns d^h_G(v, ·) for the skeleton's hop parameter.
-func (sk *Skeleton) HopDistancesFrom(g *graph.Graph, v int) []int64 {
-	return g.HopLimitedDistances(v, sk.H)
-}
-
-// ClosestSkeletonNode returns the skeleton node u minimizing d^h(v, u)
-// together with that distance (ties by smaller index); (-1, Inf) if no
-// skeleton node is within h hops.
-func (sk *Skeleton) ClosestSkeletonNode(g *graph.Graph, v int) (int, int64) {
-	dist := sk.HopDistancesFrom(g, v)
-	best, bestD := -1, graph.Inf
-	for _, u := range sk.Nodes {
-		if dist[u] < bestD {
-			best, bestD = u, dist[u]
-		}
-	}
-	return best, bestD
 }
 
 // Size returns |V_S|.

@@ -2,6 +2,7 @@ package skeleton
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -81,7 +82,8 @@ func TestSkeletonCoversHHopBalls(t *testing.T) {
 	}
 	misses := 0
 	for v := 0; v < g.N(); v += 7 {
-		if u, _ := sk.ClosestSkeletonNode(g, v); u < 0 {
+		dist := g.HopLimitedDistances(v, sk.H)
+		if !slices.ContainsFunc(sk.Nodes, func(u int) bool { return dist[u] < graph.Inf }) {
 			misses++
 		}
 	}
@@ -121,7 +123,7 @@ func TestHopDistancesFrom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := sk.HopDistancesFrom(g, 0)
+	d := g.HopLimitedDistances(0, sk.H)
 	for v := 0; v <= sk.H && v < 50; v++ {
 		if d[v] != int64(v) {
 			t.Fatalf("d^h(0,%d)=%d", v, d[v])

@@ -36,9 +36,6 @@ func NewHash(n, kappa int, rng *rand.Rand) (*Hash, error) {
 	return h, nil
 }
 
-// SeedWords returns the seed size in O(log n)-bit words.
-func (h *Hash) SeedWords() int { return len(h.coeff) }
-
 // pairPoint encodes the identifier pair (i, j), i, j ≥ 0, as the field
 // point i·65537 + j modulo the prime. The encoding is injective only
 // while both identifiers are below 2^15; HYBRID₀ draws identifiers from
@@ -47,13 +44,6 @@ func (h *Hash) SeedWords() int { return len(h.coeff) }
 // change every routed row.
 func pairPoint(i, j int64) uint64 {
 	return uint64((i%hashPrime*65537 + j%hashPrime) % hashPrime)
-}
-
-// Eval returns h(i, j) ∈ [0, n) for identifiers i, j ≥ 0: one point of
-// a padded eval4 block.
-func (h *Hash) Eval(i, j int64) int {
-	x := [4]uint64{pairPoint(i, j)}
-	return h.eval4(&x)[0]
 }
 
 // eval4 returns h at the four field points x (each below the prime).

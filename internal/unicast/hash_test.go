@@ -6,7 +6,14 @@ import (
 	"testing"
 )
 
-// referenceEval is Hash.Eval as it was before the Mersenne reduction,
+// eval returns h(i, j) ∈ [0, n) for identifiers i, j ≥ 0: one point of
+// a padded eval4 block, the scalar form of the relay's hashing.
+func (h *Hash) eval(i, j int64) int {
+	x := [4]uint64{pairPoint(i, j)}
+	return h.eval4(&x)[0]
+}
+
+// referenceEval is the scalar hash as it was before the Mersenne reduction,
 // kept as the differential reference: the same pair encoding and a
 // Horner step of one int64 multiply and two % per coefficient.
 func referenceEval(h *Hash, i, j int64) int {
@@ -34,7 +41,7 @@ func evalBlocks(h *Hash, xs []uint64) []int {
 	return out
 }
 
-// TestHashEvalMatchesReference: Eval and the four-point kernel equal the
+// TestHashEvalMatchesReference: eval and the four-point kernel equal the
 // %-based Horner for κ ∈ {1, 2, 37, 400} on identifiers drawn from
 // [0, n²), as HYBRID₀ assigns them, with n large enough that many exceed
 // 2^31 − 1, and on batches whose last block holds one to four points.
@@ -58,8 +65,8 @@ func TestHashEvalMatchesReference(t *testing.T) {
 			js := ids[max(0, a-20):min(len(ids), a+20)]
 			xs := make([]uint64, len(js))
 			for b, j := range js {
-				if got, want := h.Eval(i, j), referenceEval(h, i, j); got != want {
-					t.Fatalf("κ=%d: Eval(%d, %d) = %d, reference %d", kappa, i, j, got, want)
+				if got, want := h.eval(i, j), referenceEval(h, i, j); got != want {
+					t.Fatalf("κ=%d: eval(%d, %d) = %d, reference %d", kappa, i, j, got, want)
 				}
 				xs[b] = pairPoint(i, j)
 			}

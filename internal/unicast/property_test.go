@@ -157,10 +157,10 @@ func TestHashSeedSensitivity(t *testing.T) {
 	}
 	same, diff := 0, 0
 	for i := int64(0); i < 200; i++ {
-		if h1.Eval(i, i+1) != h1b.Eval(i, i+1) {
+		if h1.eval(i, i+1) != h1b.eval(i, i+1) {
 			t.Fatal("same seed produced different hashes")
 		}
-		if h1.Eval(i, i+1) == h2.Eval(i, i+1) {
+		if h1.eval(i, i+1) == h2.eval(i, i+1) {
 			same++
 		} else {
 			diff++

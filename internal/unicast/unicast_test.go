@@ -29,16 +29,16 @@ func TestHashRangeAndDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.SeedWords() != 16 {
-		t.Fatalf("seed words=%d", h.SeedWords())
+	if len(h.coeff) != 16 {
+		t.Fatalf("seed words=%d", len(h.coeff))
 	}
 	for i := int64(0); i < 50; i++ {
 		for j := int64(0); j < 50; j += 7 {
-			v := h.Eval(i, j)
+			v := h.eval(i, j)
 			if v < 0 || v >= 100 {
 				t.Fatalf("h(%d,%d)=%d out of range", i, j, v)
 			}
-			if v != h.Eval(i, j) {
+			if v != h.eval(i, j) {
 				t.Fatal("hash not deterministic")
 			}
 		}
@@ -59,7 +59,7 @@ func TestHashSpreadsLoad(t *testing.T) {
 	}
 	load := make([]int, n)
 	for i := 0; i < n; i++ {
-		load[h.Eval(int64(i), int64(i*31+7))]++
+		load[h.eval(int64(i), int64(i*31+7))]++
 	}
 	for b, l := range load {
 		if l > 12 { // ~log n + slack
