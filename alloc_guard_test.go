@@ -381,6 +381,38 @@ func TestDiameterAllocBudget(t *testing.T) {
 	}
 }
 
+// TestDiameterAllocBudgetLongCycle pins the diameter pass at its
+// scratch where the graph is too deep for its ball profiles: on an
+// unseeded 4096-node cycle (D = 2048, past ProfileRadius(4096, -1) =
+// 200) the first batch's searches pass the radius, the pass stops
+// keeping rows, and an uncached Diameter stays within the same 256 KB
+// — the profiles it would otherwise keep take over 3 MB. Each worker
+// holds its own kernel scratch (three words per node, and the rows of
+// its first batch up to the radius), so the pass runs on one worker
+// and the budget holds at any core count.
+func TestDiameterAllocBudgetLongCycle(t *testing.T) {
+	requireAllocFree(t)
+	graph.SetMaxKernelWorkers(1)
+	defer graph.SetMaxKernelWorkers(0)
+	var g *graph.Graph
+	kb := float64(allocatedBytes(func() func() {
+		b := graph.NewBuilder(4096) // a Builder graph has no seeded diameter
+		for v := 0; v < 4096; v++ {
+			if err := b.AddEdge(v, (v+1)%4096, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g = b.Build()
+		return func() { g.Diameter() }
+	})) / 1024
+	if kb >= 256 {
+		t.Fatalf("uncached Diameter of a %d-node cycle allocated %.0f KB, budget 256 KB", g.N(), kb)
+	}
+	if g.Diameter() != 2048 || g.Profiles() != nil {
+		t.Fatalf("cycle: diameter %d, profiles kept %v; want 2048 and none", g.Diameter(), g.Profiles() != nil)
+	}
+}
+
 // TestBallProfilesAllocBudget pins the profile kernel at its output:
 // each 64-node chunk's rows are written once by the hop kernel and
 // copied once into the flat artifact, so BallProfiles on the 4096-node

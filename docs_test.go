@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -178,13 +179,18 @@ var testOnlyKept = map[string]string{
 
 // TestDocsNoTestOnlyExports fails on production code that only tests
 // reach: an exported function or method declared in a non-test file
-// under internal/ whose name appears in no other non-test Go file of
-// the root module, examples/ or e2ebench/. Move such code into a
-// _test.go file, delete it, or add it to testOnlyKept with its reason.
+// under internal/ that no non-test Go file of the root module,
+// examples/ or e2ebench/ uses. A method counts as used wherever its
+// name appears; a package-level function only where it is named as
+// pkg.Name (qualified through an import) or by its bare name inside
+// its own package, so a field or method of the same name elsewhere
+// does not hide it. Move such code into a _test.go file, delete it, or
+// add it to testOnlyKept with its reason.
 func TestDocsNoTestOnlyExports(t *testing.T) {
 	type decl struct{ key, pos string }
 	var decls []decl
-	uses := make(map[string]int)
+	uses := make(map[string]int)     // identifiers by name: method uses
+	funcUses := make(map[string]int) // "pkg.Name": package-level function uses
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -218,9 +224,33 @@ func TestDocsNoTestOnlyExports(t *testing.T) {
 				decls = append(decls, decl{key, fset.Position(fn.Pos()).String()})
 			}
 		}
+		// imports maps the file's import names to package names (the last
+		// element of the path, which is every package's name here).
+		imports := make(map[string]string)
+		for _, imp := range f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			name := path[strings.LastIndex(path, "/")+1:]
+			local := name
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			imports[local] = name
+		}
+		selected := make(map[*ast.Ident]bool) // the Sel of every selector
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				uses[id.Name]++
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				selected[n.Sel] = true
+				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					funcUses[imports[x.Name]+"."+n.Sel.Name]++
+				}
+			case *ast.Ident:
+				if !declared[n] {
+					uses[n.Name]++
+					if !selected[n] {
+						funcUses[f.Name.Name+"."+n.Name]++
+					}
+				}
 			}
 			return true
 		})
@@ -231,7 +261,11 @@ func TestDocsNoTestOnlyExports(t *testing.T) {
 	}
 	for _, d := range decls {
 		pkg, name := d.key[:strings.Index(d.key, ".")], d.key[strings.LastIndex(d.key, ".")+1:]
-		if uses[name] > 0 || testOnlyKept[d.key] != "" || testOnlyKept[pkg+".*"] != "" {
+		used := funcUses[d.key] > 0
+		if strings.Count(d.key, ".") == 2 { // a method
+			used = uses[name] > 0
+		}
+		if used || testOnlyKept[d.key] != "" || testOnlyKept[pkg+".*"] != "" {
 			continue
 		}
 		t.Errorf("%s: %s is exported but only tests reach it; move it into a _test.go file, delete it, or add it to testOnlyKept with its reason", d.pos, d.key)

@@ -139,17 +139,6 @@ func CHLP21KSSP() Formula {
 	}
 }
 
-// LocalFlood is the trivial D-round LOCAL-only algorithm (solves any of
-// the considered problems by flooding the entire input).
-func LocalFlood() Formula {
-	return Formula{
-		Name:      "LOCAL flood",
-		Reference: "trivial D-round algorithm",
-		Kind:      "upper",
-		Rounds:    func(p Params) float64 { return float64(p.Diam) },
-	}
-}
-
 // NaiveTreeBroadcast charges the idealized NCC-only pipeline: all k
 // tokens converge to the overlay-tree root and are pipelined down
 // (⌈k/γ⌉ + depth each way). It is the measured stand-in for a

@@ -23,7 +23,6 @@ func TestFormulaValues(t *testing.T) {
 		{KS20APSP(), 32 * 10},
 		{AG21APSP(), 32 * 10},
 		{AG21SSSP(), 32 * 10},
-		{LocalFlood(), 62},
 	}
 	for _, c := range cases {
 		got := c.f.Rounds(p)

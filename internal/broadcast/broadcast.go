@@ -274,9 +274,9 @@ func (st *treeState) chainClusters() {
 		if hi > st.slots {
 			hi = st.slots
 		}
-		for _, leader := range st.ctree.Members {
+		for i, leader := range st.ctree.Members {
 			ci := st.clusterOfLeader(leader)
-			parentLeader := st.ctree.Parent(leader)
+			parentLeader := st.ctree.Parent(i)
 			if parentLeader < 0 {
 				continue
 			}
@@ -335,9 +335,9 @@ func (st *treeState) convergeCastSets(phase string, sets []bitset.Set, k int) er
 		out, in := st.loads()
 		type edge struct{ child, parent int }
 		var edges []edge
-		for _, leader := range levels[li] {
+		for j, leader := range levels[li] {
 			ci := st.clusterOfLeader(leader)
-			pi := st.clusterOfLeader(st.ctree.Parent(leader))
+			pi := st.parentCluster(li, j)
 			edges = append(edges, edge{ci, pi})
 			st.addTransferLoad(out, in, ci, pi, sets[ci].Count())
 		}
@@ -367,19 +367,25 @@ func (st *treeState) broadcastDownAll(phase string, sets []bitset.Set, k int) er
 	for li := 0; li+1 < len(levels); li++ {
 		st.loadBalance(phase + "/loadbalance")
 		out, in := st.loads()
-		for _, leader := range levels[li+1] {
+		for j, leader := range levels[li+1] {
 			ci := st.clusterOfLeader(leader)
-			pi := st.clusterOfLeader(st.ctree.Parent(leader))
+			pi := st.parentCluster(li+1, j)
 			st.addTransferLoad(out, in, pi, ci, k)
 		}
 		st.net.LoadRounds(phase, out, in)
-		for _, leader := range levels[li+1] {
+		for j, leader := range levels[li+1] {
 			ci := st.clusterOfLeader(leader)
-			pi := st.clusterOfLeader(st.ctree.Parent(leader))
+			pi := st.parentCluster(li+1, j)
 			sets[ci].UnionWith(sets[pi])
 		}
 	}
 	return nil
+}
+
+// parentCluster returns the cluster of the parent of the j-th leader of
+// tree level li ≥ 1, which sits at heap position 2^li − 1 + j.
+func (st *treeState) parentCluster(li, j int) int {
+	return st.clusterOfLeader(st.ctree.Parent(1<<li - 1 + j))
 }
 
 // treeLevels groups the cluster-tree member leaders by depth, root first.
@@ -475,9 +481,9 @@ func Aggregate(net *hybrid.Net, k int, values [][]int64, f AggregateFunc) ([]int
 	for li := len(levels) - 1; li >= 1; li-- {
 		st.loadBalance("aggregate/upcast/loadbalance")
 		out, in := st.loads()
-		for _, leader := range levels[li] {
+		for j, leader := range levels[li] {
 			ci := st.clusterOfLeader(leader)
-			pi := st.clusterOfLeader(st.ctree.Parent(leader))
+			pi := st.parentCluster(li, j)
 			st.addTransferLoad(out, in, ci, pi, k)
 		}
 		net.LoadRounds("aggregate/upcast", out, in)

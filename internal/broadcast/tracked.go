@@ -131,15 +131,15 @@ func DisseminateTracked(net *hybrid.Net, tokensAt []int) (*TrackedResult, error)
 	for li := len(levels) - 1; li >= 1; li-- {
 		out := make([]int, n)
 		in := make([]int, n)
-		for _, leader := range levels[li] {
+		for j, leader := range levels[li] {
 			ci := st.clusterOfLeader(leader)
-			pi := st.clusterOfLeader(st.ctree.Parent(leader))
+			pi := st.parentCluster(li, j)
 			st.addTransferLoad(out, in, ci, pi, countTokens(held[ci]))
 			transfer(ci, pi)
 		}
 		net.LoadRounds("tracked/upcast", out, in)
-		for _, leader := range levels[li] {
-			pi := st.clusterOfLeader(st.ctree.Parent(leader))
+		for j := range levels[li] {
+			pi := st.parentCluster(li, j)
 			if err := balance(pi); err != nil {
 				return nil, err
 			}
@@ -156,9 +156,9 @@ func DisseminateTracked(net *hybrid.Net, tokensAt []int) (*TrackedResult, error)
 	for li := 0; li+1 < len(levels); li++ {
 		out := make([]int, n)
 		in := make([]int, n)
-		for _, leader := range levels[li+1] {
+		for j, leader := range levels[li+1] {
 			ci := st.clusterOfLeader(leader)
-			pi := st.clusterOfLeader(st.ctree.Parent(leader))
+			pi := st.parentCluster(li+1, j)
 			st.addTransferLoad(out, in, pi, ci, k)
 			transfer(pi, ci)
 		}

@@ -17,3 +17,6 @@ func ForceHopDirection(pull bool) (restore func()) {
 	hopDirectionOverride = func() bool { return pull }
 	return func() { hopDirectionOverride = nil }
 }
+
+// RaceEnabled is raceEnabled for the external tests.
+const RaceEnabled = raceEnabled

@@ -24,8 +24,10 @@ func Path(n int) *Graph {
 	return seedDiameter(path(n).Build(), int64(n-1))
 }
 
+// path's rows have room for two edges each, so Cycle's closing edge
+// fits too.
 func path(n int) *Builder {
-	b := NewBuilder(n)
+	b := newBuilderDegrees(n, func(int) int { return 2 })
 	for i := 0; i+1 < n; i++ {
 		b.mustAddEdge(i, i+1, 1)
 	}
@@ -57,7 +59,8 @@ func grid(side, d int) *Builder {
 	for i := 0; i < d; i++ {
 		n *= side
 	}
-	b := NewBuilder(n)
+	// At most two edges per axis, which Torus's wraparound edges fill.
+	b := newBuilderDegrees(n, func(int) int { return 2 * d })
 	// Node v has coordinates (v / side^i) % side for axis i.
 	stride := 1
 	for axis := 0; axis < d; axis++ {
@@ -95,7 +98,7 @@ func Torus(side, d int) *Graph {
 
 // Complete returns the complete graph K_n.
 func Complete(n int) *Graph {
-	b := NewBuilder(n)
+	b := newBuilderDegrees(n, func(int) int { return n - 1 })
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			b.mustAddEdge(u, v, 1)
@@ -106,7 +109,12 @@ func Complete(n int) *Graph {
 
 // Star returns the star with one center (node 0) and n-1 leaves.
 func Star(n int) *Graph {
-	b := NewBuilder(n)
+	b := newBuilderDegrees(n, func(v int) int {
+		if v == 0 {
+			return n - 1
+		}
+		return 1
+	})
 	for v := 1; v < n; v++ {
 		b.mustAddEdge(0, v, 1)
 	}
@@ -115,7 +123,19 @@ func Star(n int) *Graph {
 
 // BinaryTree returns the complete binary tree on n nodes (heap indexing).
 func BinaryTree(n int) *Graph {
-	b := NewBuilder(n)
+	b := newBuilderDegrees(n, func(v int) int {
+		d := 0
+		if v > 0 {
+			d++ // the parent
+		}
+		if 2*v+1 < n {
+			d++
+		}
+		if 2*v+2 < n {
+			d++
+		}
+		return d
+	})
 	for v := 1; v < n; v++ {
 		b.mustAddEdge(v, (v-1)/2, 1)
 	}
@@ -150,7 +170,18 @@ func BinaryTree(n int) *Graph {
 // formula, so they stay unseeded.
 func RingOfCliques(rings, cliqueSize int) *Graph {
 	n := rings * cliqueSize
-	b := NewBuilder(n)
+	// A clique's first node joins the next clique, its last node the
+	// previous one.
+	b := newBuilderDegrees(n, func(v int) int {
+		d := cliqueSize - 1
+		if v%cliqueSize == 0 {
+			d++
+		}
+		if v%cliqueSize == cliqueSize-1 {
+			d++
+		}
+		return d
+	})
 	for r := 0; r < rings; r++ {
 		base := r * cliqueSize
 		for i := 0; i < cliqueSize; i++ {
@@ -179,7 +210,18 @@ func RingOfCliques(rings, cliqueSize int) *Graph {
 // bounds in HYBRID (an isolated long path, cf. Section 3.2 of the paper).
 func Lollipop(cliqueSize, pathLen int) *Graph {
 	n := cliqueSize + pathLen
-	b := NewBuilder(n)
+	// Clique nodes have their clique edges, the anchor (node 0) one more;
+	// path nodes at most two.
+	b := newBuilderDegrees(n, func(v int) int {
+		switch {
+		case v >= cliqueSize:
+			return 2
+		case v == 0:
+			return cliqueSize
+		default:
+			return cliqueSize - 1
+		}
+	})
 	for u := 0; u < cliqueSize; u++ {
 		for v := u + 1; v < cliqueSize; v++ {
 			b.mustAddEdge(u, v, 1)
@@ -215,7 +257,7 @@ func Hypercube(d int) *Graph {
 		d = 0
 	}
 	n := 1 << d
-	b := NewBuilder(n)
+	b := newBuilderDegrees(n, func(int) int { return d })
 	for v := 0; v < n; v++ {
 		for bit := 0; bit < d; bit++ {
 			if u := v ^ (1 << bit); v < u {
@@ -234,8 +276,10 @@ func RandomRegular(n, d int, rng *rand.Rand) *Graph {
 	if n < 3 {
 		return Path(n)
 	}
-	b := NewBuilder(n)
-	for c := 0; c < (d+1)/2; c++ {
+	// Each Hamiltonian cycle adds at most two edges per node.
+	cycles := (d + 1) / 2
+	b := newBuilderDegrees(n, func(int) int { return 2 * cycles })
+	for c := 0; c < cycles; c++ {
 		perm := rng.Perm(n)
 		for i := 0; i < n; i++ {
 			u, v := perm[i], perm[(i+1)%n]
@@ -251,31 +295,57 @@ func RandomRegular(n, d int, rng *rand.Rand) *Graph {
 // random spanning tree plus each remaining pair independently with
 // probability p. Weights are 1.
 func RandomConnected(n int, p float64, rng *rand.Rand) *Graph {
-	b := NewBuilder(n)
 	if n == 0 {
-		return b.Build()
+		return NewBuilder(0).Build()
 	}
+	// Every edge is drawn before the builder is made, so that its rows
+	// can be sized to the degrees; the edges are then added in the order
+	// they were drawn, the tree's first.
+	deg := make([]int, n)
 	// Random spanning tree via random attachment (uniform recursive tree).
+	tree := make([][2]int32, n-1)
 	perm := rng.Perm(n)
 	for i := 1; i < n; i++ {
-		b.mustAddEdge(perm[i], perm[rng.Intn(i)], 1)
+		u, v := perm[i], perm[rng.Intn(i)]
+		tree[i-1] = [2]int32{int32(u), int32(v)}
+		deg[u]++
+		deg[v]++
 	}
+	var extra [][2]int32
 	if p > 0 {
 		// For v > u the pair {u, v} can already be an edge only through
 		// the tree, since the loop draws each pair once, at its smaller
-		// end. So u's neighbors are marked once per u instead of
-		// searched for per pair; the draws and the graph stay the same.
+		// end. So u's tree neighbors above u are marked once per u
+		// instead of searched for per pair. They are listed per node by
+		// linking the tree edges from head[u] through link.
+		head, link := make([]int32, n), make([]int32, n-1)
+		for u := range head {
+			head[u] = -1
+		}
+		for e, uv := range tree {
+			lo := min(uv[0], uv[1])
+			link[e], head[lo] = head[lo], int32(e)
+		}
 		mark := make([]int32, n)
 		for u := 0; u < n; u++ {
-			for _, e := range b.adj[u] {
-				mark[e.to] = int32(u + 1)
+			for e := head[u]; e >= 0; e = link[e] {
+				mark[max(tree[e][0], tree[e][1])] = int32(u + 1)
 			}
 			for v := u + 1; v < n; v++ {
 				if mark[v] != int32(u+1) && rng.Float64() < p {
-					b.mustAddEdge(u, v, 1)
+					extra = append(extra, [2]int32{int32(u), int32(v)})
+					deg[u]++
+					deg[v]++
 				}
 			}
 		}
+	}
+	b := newBuilderDegrees(n, func(v int) int { return deg[v] })
+	for _, uv := range tree {
+		b.mustAddEdge(int(uv[0]), int(uv[1]), 1)
+	}
+	for _, uv := range extra {
+		b.mustAddEdge(int(uv[0]), int(uv[1]), 1)
 	}
 	return b.Build()
 }

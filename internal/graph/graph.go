@@ -42,11 +42,17 @@ type Graph struct {
 	// store the same number.
 	diam atomic.Int64
 	// profiles memoizes the batched ball-profile artifact
-	// (BallProfiles); nil until attached. Like diam it is a pure
-	// function of the topology, so concurrent attachers of a shared
-	// graph only race about equivalent values (AttachProfiles keeps the
-	// deepest). Carried like diam.
+	// (BallProfiles); nil until attached, or until the Diameter pass
+	// keeps the profiles it walked. Like diam it is a pure function of
+	// the topology, so concurrent attachers of a shared graph only race
+	// about equivalent values (AttachProfiles keeps the deepest).
+	// Carried like diam.
 	profiles atomic.Pointer[Profiles]
+	// adopted records that AttachProfiles has attached (or kept) the
+	// profiles, which the Diameter pass alone does not: a cache that
+	// owns the artifact (runner.ProfileCache) still loads, counts and
+	// persists what the pass kept. Carried with profiles.
+	adopted atomic.Bool
 	// ballPool recycles the epoch-marked scratch of Ball and BallSizes,
 	// keeping those calls O(|ball|) instead of Θ(n). Safe for
 	// concurrent readers of the graph.
@@ -115,6 +121,27 @@ type Builder struct {
 // NewBuilder returns a builder for a graph with n isolated nodes.
 func NewBuilder(n int) *Builder {
 	return &Builder{adj: make([][]edge, max(n, 0))}
+}
+
+// newBuilderDegrees returns a builder for n isolated nodes whose rows
+// have room for deg(v) half-edges each, carved from one backing array,
+// so that a generator that knows each node's degree, or a tight bound
+// on it, fills its rows without growing them. A row that outgrows its
+// room still grows on its own, by append.
+func newBuilderDegrees(n int, deg func(v int) int) *Builder {
+	b := NewBuilder(n)
+	total := 0
+	for v := range b.adj {
+		total += deg(v)
+	}
+	flat := make([]edge, total)
+	off := 0
+	for v := range b.adj {
+		d := deg(v)
+		b.adj[v] = flat[off : off : off+d]
+		off += d
+	}
+	return b
 }
 
 // AddEdge inserts the undirected edge {u,v} with weight w.
@@ -300,6 +327,7 @@ func (g *Graph) Reweight(f func(u, v int, w int64) int64) (*Graph, error) {
 	}
 	c.diam.Store(g.diam.Load())
 	c.profiles.Store(g.profiles.Load())
+	c.adopted.Store(g.adopted.Load())
 	return c, nil
 }
 

@@ -2,11 +2,16 @@ package graph
 
 // The bit-parallel all-sources hop kernel (DESIGN.md §10): the
 // multi-source BFS of Then et al., "The More the Merrier" (VLDB 2015).
-// One call runs BFS from up to 64 consecutive sources at once, one bit
-// per source in a uint64 word per node, so sources whose balls overlap
-// share every edge scan. Both all-sources hop facts the harness needs —
-// the exact diameter (Diameter) and the truncated ball profiles
-// t ↦ |B_t(v)| (BallProfiles) — are batches of this one kernel.
+// One call runs BFS from up to 64 sources at once, one bit per source
+// in a uint64 word per node, so sources whose balls overlap share every
+// edge scan. Every all-sources hop question the harness asks is a run
+// of batches of this one kernel: the exact diameter (Diameter, which
+// also keeps the ball profiles when they are short), the truncated
+// ball profiles t ↦ |B_t(v)| (BallProfiles), both over consecutive
+// node ranges, and the pairwise hop distances among a node list
+// (HopDistancesAmong, the unit-weight skeleton edges of
+// Definition 6.2), whose batches are slices of the list and whose
+// first-hit sink records when each source reaches each listed node.
 //
 // Each level runs in one of two directions, the direction-optimizing
 // BFS of Beamer et al. (SC 2012) applied per batch. A push level walks
@@ -32,7 +37,7 @@ const hopBatch = 64
 type hopScratch struct {
 	seen, cur, nxt []uint64          // per node: sources that reached it / its frontier bits now / next level
 	curSet, nxtSet []uint64          // one bit per node: cur / nxt is nonzero
-	levels         [][hopBatch]int32 // levels[t][i] = |B_t(lo+i)|, kept when rows are requested
+	levels         [][hopBatch]int32 // levels[t][i] = |B_t(src[i])|, kept when rows are requested
 }
 
 func (g *Graph) getHopScratch() *hopScratch {
@@ -47,36 +52,76 @@ func (g *Graph) getHopScratch() *hopScratch {
 	return s
 }
 
-// hopKernel runs BFS from the sources lo..hi-1 (at most hopBatch of
-// them) truncated at radius maxR, and writes source lo+i's
-// eccentricity to ecc[i]: exact when its search exhausted the graph,
-// Inf when its component excludes part of the graph, EccUnknown when
-// maxR cut it off first. When lens is non-nil it also returns every
-// source's ball-size row |B_0|, |B_1|, … concatenated in source order,
-// with row i's length in lens[i]. A row has BallSizes' truncation: it
-// stops at maxR, at |B_t| = n, or one level after the frontier
-// empties (so a disconnected node's row repeats its last entry once).
-func (g *Graph) hopKernel(lo, hi, maxR int, ecc []int64, lens []int32) []int32 {
+// hopRange returns the consecutive sources lo..hi-1 of one batch, held
+// in buf: the batches of Diameter and BallProfiles.
+func hopRange(buf *[hopBatch]int, lo, hi int) []int {
+	src := buf[:hi-lo]
+	for i := range src {
+		src[i] = lo + i
+	}
+	return src
+}
+
+// hopSink records, for one kernel call, the first hop at which each
+// source reaches each node of a target set: when source i reaches
+// target x at hop t ≤ maxR, hit[i*cols+col[x]] = t. The caller zeroes
+// hit before the call, so 0 marks a target not reached within maxR (or
+// the source itself, reached at hop 0).
+type hopSink struct {
+	set  []uint64 // one bit per node: the target set
+	col  []int32  // per node: its column in hit (read for targets only)
+	cols int      // columns per source row
+	hit  []int32  // len(src)·cols first hops
+}
+
+// record writes the first hop t of every (source, target) pair the
+// frontier cur/curSet[wlo..whi] holds: the frontier's bits are exactly
+// the pairs reached at hop t.
+func (sink *hopSink) record(t int, cur, curSet []uint64, wlo, whi int) {
+	for w := wlo; w <= whi; w++ {
+		for word := curSet[w] & sink.set[w]; word != 0; word &= word - 1 {
+			x := w<<6 | bits.TrailingZeros64(word)
+			c := int(sink.col[x])
+			for f := cur[x]; f != 0; f &= f - 1 {
+				sink.hit[bits.TrailingZeros64(f)*sink.cols+c] = int32(t)
+			}
+		}
+	}
+}
+
+// hopKernel runs BFS from the distinct sources src (at most hopBatch of
+// them) truncated at radius maxR, and writes source i's eccentricity
+// to ecc[i]: exact when its search exhausted the graph, Inf when its
+// component excludes part of the graph, EccUnknown when maxR cut it
+// off first. When sink is non-nil it records the first hops to its
+// targets. When lens is non-nil it also returns every source's
+// ball-size row |B_0|, |B_1|, … concatenated in source order, with row
+// i's length in lens[i] — unless some search is still growing past
+// radius rowR, in which case it stops keeping rows, leaves lens alone
+// and returns nil. A row has BallSizes' truncation: it stops at maxR,
+// at |B_t| = n, or one level after the frontier empties (so a
+// disconnected node's row repeats its last entry once).
+func (g *Graph) hopKernel(src []int, maxR, rowR int, ecc []int64, lens []int32, sink *hopSink) []int32 {
 	n := g.N()
-	nb := hi - lo
+	nb := len(src)
 	s := g.getHopScratch()
 	defer g.hopPool.Put(s)
 	seen, cur, nxt, curSet, nxtSet := s.seen, s.cur, s.nxt, s.curSet, s.nxtSet
 	rows := lens != nil
 	levels := s.levels[:0]
-
+	rowMax := min(maxR, rowR, n) + 1 // the most entries a row can have
 	var total, rowLen [hopBatch]int32
-	for i := 0; i < nb; i++ {
-		v := lo + i
+	wlo, whi := len(curSet), -1 // the curSet words that may be nonzero
+	for i, v := range src {
 		seen[v], cur[v] = 1<<i, 1<<i
 		curSet[v>>6] |= 1 << (v & 63)
+		wlo, whi = min(wlo, v>>6), max(whi, v>>6)
 		total[i], rowLen[i] = 1, 1
 		ecc[i] = EccUnknown
 	}
-	wlo, whi := lo>>6, (hi-1)>>6 // the curSet words that may be nonzero
-	slo, shi := wlo, whi         // the node words [64·slo, 64·shi+64) hold every nonzero seen word
+	slo, shi := wlo, whi // the node words [64·slo, 64·shi+64) hold every nonzero seen word
 	if rows {
-		levels = append(levels, total)
+		levels = appendLevel(levels, &total, rowMax)
 	}
 	live := ^uint64(0) >> (hopBatch - nb) // sources whose rows still grow
 	if n == 1 {
@@ -84,6 +129,10 @@ func (g *Graph) hopKernel(lo, hi, maxR int, ecc []int64, lens []int32) []int32 {
 	}
 	pairs := nb // new (source, node) pairs of the last level
 	for t := 1; t <= maxR && live != 0; t++ {
+		if rows && t > rowR {
+			rows = false
+			lens = nil
+		}
 		var cnt [hopBatch]int32
 		nlo, nhi := len(nxtSet), -1
 		if g.pullLevel(pairs, curSet, wlo, whi) {
@@ -143,6 +192,9 @@ func (g *Graph) hopKernel(lo, hi, maxR int, ecc []int64, lens []int32) []int32 {
 		cur, nxt, curSet, nxtSet = nxt, cur, nxtSet, curSet
 		wlo, whi = nlo, nhi
 		slo, shi = min(slo, nlo), max(shi, nhi)
+		if sink != nil {
+			sink.record(t, cur, curSet, wlo, whi)
+		}
 		pairs = 0
 		for m := live; m != 0; m &= m - 1 {
 			i := bits.TrailingZeros64(m)
@@ -159,7 +211,7 @@ func (g *Graph) hopKernel(lo, hi, maxR int, ecc []int64, lens []int32) []int32 {
 			}
 		}
 		if rows {
-			levels = append(levels, total)
+			levels = appendLevel(levels, &total, rowMax)
 		}
 	}
 	for w := wlo; w <= whi; w++ {
@@ -170,7 +222,7 @@ func (g *Graph) hopKernel(lo, hi, maxR int, ecc []int64, lens []int32) []int32 {
 	}
 	clear(seen[slo<<6 : min(shi<<6+64, n)])
 	s.cur, s.nxt, s.curSet, s.nxtSet, s.levels = cur, nxt, curSet, nxtSet, levels
-	if !rows {
+	if lens == nil {
 		return nil
 	}
 	entries := 0
@@ -185,6 +237,60 @@ func (g *Graph) hopKernel(lo, hi, maxR int, ecc []int64, lens []int32) []int32 {
 		}
 	}
 	return out
+}
+
+// appendLevel appends one level's ball sizes to levels. It grows them
+// by doubling, as append does, but never past rowMax entries, the most
+// a row can have: deep searches whose rows are dropped at rowR then
+// hold at most that many levels.
+func appendLevel(levels [][hopBatch]int32, total *[hopBatch]int32, rowMax int) [][hopBatch]int32 {
+	if len(levels) == cap(levels) {
+		grown := make([][hopBatch]int32, len(levels), max(min(2*cap(levels), rowMax), len(levels)+1))
+		copy(grown, levels)
+		levels = grown
+	}
+	return append(levels, *total)
+}
+
+// HopDistancesAmong calls fn(i, j, d) for every pair of positions
+// i < j of nodes whose nodes are d ≤ h hops apart, in (i, j) order —
+// the unit-weight edges of a skeleton graph (Definition 6.2) over the
+// list. nodes must be distinct nodes of g. It stops at fn's first
+// error and returns it.
+//
+// Batches of 64 consecutive list entries each run the hop kernel to
+// radius h once, with a first-hit sink over the whole list writing
+// into one 64×len(nodes) block of hops, which the batch's pairs are
+// read from and which the next batch reuses.
+func (g *Graph) HopDistancesAmong(nodes []int, h int, fn func(i, j int, d int64) error) error {
+	n, k := g.N(), len(nodes)
+	sink := &hopSink{
+		set:  make([]uint64, (n+63)/64),
+		col:  make([]int32, n),
+		cols: k,
+		hit:  make([]int32, min(k, hopBatch)*k),
+	}
+	for c, v := range nodes {
+		sink.set[v>>6] |= 1 << (v & 63)
+		sink.col[v] = int32(c)
+	}
+	var ecc [hopBatch]int64
+	for lo := 0; lo < k; lo += hopBatch {
+		src := nodes[lo:min(lo+hopBatch, k)]
+		clear(sink.hit)
+		g.hopKernel(src, h, h, ecc[:len(src)], nil, sink)
+		for i := range src {
+			row := sink.hit[i*k : (i+1)*k]
+			for j := lo + i + 1; j < k; j++ {
+				if d := row[j]; d > 0 {
+					if err := fn(lo+i, j, int64(d)); err != nil {
+						return err
+					}
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // hopDirectionOverride, when non-nil, replaces pullLevel's rule: it

@@ -224,3 +224,166 @@ func BenchmarkDiameter(b *testing.B) {
 		}
 	}
 }
+
+// hopPairsRef returns the hop distances among the listed nodes, from
+// one BFS per node: pairs[i][j] = hop(nodes[i], nodes[j]).
+func hopPairsRef(g *graph.Graph, nodes []int) [][]int64 {
+	pairs := make([][]int64, len(nodes))
+	for i, v := range nodes {
+		pairs[i] = make([]int64, len(nodes))
+		dist := g.BFS(v)
+		for j, u := range nodes {
+			pairs[i][j] = dist[u]
+		}
+	}
+	return pairs
+}
+
+// TestHopDistancesAmongMatchesPerSourceBFS: the pairwise hop distances
+// that the kernel's first-hit sink records equal per-source BFS, in
+// (i, j) order, for node lists of one partial batch, exactly one batch,
+// one batch and one node, and several batches, listed in ascending and
+// in shuffled order, at radii below and at the diameter (past it on
+// disconnected graphs) — with
+// every level pushed, every level pulled, and the kernel's own choice.
+func TestHopDistancesAmongMatchesPerSourceBFS(t *testing.T) {
+	for name, g := range hopKernelGraphs(t) {
+		n := g.N()
+		if n < 63 || graph.RaceEnabled && n > 129 {
+			continue // the race detector runs the smaller sizes only
+		}
+		rng := rand.New(rand.NewSource(int64(n)))
+		lists := map[string][]int{}
+		for _, k := range []int{63, 64, 65, min(n, 200)} {
+			if k > n {
+				continue
+			}
+			asc := make([]int, k)
+			for i := range asc {
+				asc[i] = i * n / k
+			}
+			lists[fmt.Sprintf("asc%d", k)] = asc
+			lists[fmt.Sprintf("perm%d", k)] = rng.Perm(n)[:k]
+		}
+		diam := oracle.Diameter(g)
+		radii := []int{1, 7, n} // a disconnected graph's searches run out
+		if diam < graph.Inf {
+			radii = []int{1, 7, int(diam) - 1, int(diam)}
+		}
+		for lname, nodes := range lists {
+			dist := hopPairsRef(g, nodes)
+			for _, h := range radii {
+				for _, mode := range []string{"push", "pull", "adaptive"} {
+					func() {
+						if mode != "adaptive" {
+							defer graph.ForceHopDirection(mode == "pull")()
+						}
+						lastI, lastJ, got := -1, -1, 0
+						err := g.HopDistancesAmong(nodes, h, func(i, j int, d int64) error {
+							if i >= j || i < lastI || (i == lastI && j <= lastJ) {
+								t.Fatalf("%s %s h=%d %s: pair (%d, %d) after (%d, %d)", mode, name, h, lname, i, j, lastI, lastJ)
+							}
+							if dist[i][j] != d {
+								t.Fatalf("%s %s h=%d %s: pair (%d, %d) at %d hops, BFS %d", mode, name, h, lname, i, j, d, dist[i][j])
+							}
+							lastI, lastJ = i, j
+							got++
+							return nil
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						total := 0
+						for i := range dist {
+							for _, d := range dist[i][i+1:] {
+								if d <= int64(h) {
+									total++
+								}
+							}
+						}
+						if got != total {
+							t.Fatalf("%s %s h=%d %s: %d pairs, BFS finds %d", mode, name, h, lname, got, total)
+						}
+					}()
+				}
+			}
+		}
+	}
+}
+
+// TestDiameterKeepsCompleteProfiles: an uncached Diameter attaches the
+// profiles its pass walked exactly when every search exhausts within
+// ProfileRadius(n, -1) — connected graphs with D at most that radius —
+// and they encode to the bytes of BallProfiles(ProfileRadius(n, D)).
+// The pass leaves them for AttachProfiles to adopt. Disconnected
+// graphs and graphs whose diameter passes the radius, by one hop or by
+// many, get nothing, and the diameter is the oracle's in every case.
+func TestDiameterKeepsCompleteProfiles(t *testing.T) {
+	// lollipop returns an unseeded clique-plus-path on n nodes with
+	// diameter d (a path of d−1 nodes hangs off the clique).
+	lollipop := func(n int, d int64) *graph.Graph {
+		return uncached(t, graph.Lollipop(n-int(d)+1, int(d)-1))
+	}
+	r100 := int64(graph.ProfileRadius(100, -1)) // 38
+	keep := map[string]*graph.Graph{
+		"radius-exactly": lollipop(100, r100),
+		"single":         graph.NewBuilder(1).Build(),
+		"edge":           graph.Path(2),
+		"path3":          graph.Path(3),
+		"triangle":       graph.Cycle(3),
+	}
+	sizes := []int{64, 65, 576}
+	if graph.RaceEnabled {
+		sizes = sizes[:2]
+	}
+	for _, n := range sizes {
+		for _, f := range []graph.Family{graph.FamilyRandom, graph.FamilyExpander} {
+			g, err := graph.Build(f, n, rand.New(rand.NewSource(int64(n))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			keep[fmt.Sprintf("%s/%d", f, n)] = g
+		}
+		keep[fmt.Sprintf("regular8/%d", n)] = graph.RandomRegular(n, 8, rand.New(rand.NewSource(3)))
+	}
+	drop := map[string]*graph.Graph{
+		"radius-plus-one": lollipop(100, r100+1),
+		"long-cycle":      uncached(t, graph.Cycle(300)),
+		"empty":           graph.NewBuilder(0).Build(),
+	}
+	for name, g := range hopKernelGraphs(t) {
+		if !g.Connected() {
+			drop[name] = uncached(t, g)
+		}
+	}
+	for name, g := range keep {
+		for _, c := range []*graph.Graph{uncached(t, g)} {
+			d := c.Diameter()
+			if want := oracle.Diameter(g); d != want {
+				t.Fatalf("%s: Diameter %d, oracle %d", name, d, want)
+			}
+			p := c.Profiles()
+			if p == nil {
+				t.Fatalf("%s (D = %d, n = %d): the diameter pass kept no profiles", name, d, c.N())
+			}
+			want := graph.EncodeProfiles(c.BallProfiles(graph.ProfileRadius(c.N(), d)))
+			if !bytes.Equal(graph.EncodeProfiles(p), want) {
+				t.Fatalf("%s: kept profiles differ from BallProfiles(ProfileRadius(n, D))", name)
+			}
+			if c.AttachedProfiles() != nil {
+				t.Fatalf("%s: the diameter pass adopted its own profiles", name)
+			}
+			if c.AttachProfiles(c.BallProfiles(graph.ProfileRadius(c.N(), d))) != p || c.AttachedProfiles() != p {
+				t.Fatalf("%s: AttachProfiles did not adopt the kept profiles", name)
+			}
+		}
+	}
+	for name, g := range drop {
+		if d, want := g.Diameter(), oracle.Diameter(g); d != want {
+			t.Fatalf("%s: Diameter %d, oracle %d", name, d, want)
+		}
+		if g.Profiles() != nil {
+			t.Fatalf("%s (D = %d, radius %d): the diameter pass kept profiles", name, g.Diameter(), graph.ProfileRadius(g.N(), -1))
+		}
+	}
+}

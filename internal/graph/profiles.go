@@ -110,19 +110,34 @@ func ceilSqrt(n int) int {
 	return s
 }
 
-// Profiles returns the ball profiles memoized on the graph, or nil if
-// none were attached yet. Like the cached diameter, attachment is
-// idempotent content: profiles are a pure function of the topology, so
-// any attached instance is interchangeable with a recomputation.
+// MaxR returns the truncation radius the profiles were grown to.
+func (p *Profiles) MaxR() int { return p.maxR }
+
+// Profiles returns the ball profiles memoized on the graph — attached
+// by AttachProfiles, or kept by the Diameter pass — or nil if there
+// are none yet. Like the cached diameter, attachment is idempotent
+// content: profiles are a pure function of the topology, so any
+// attached instance is interchangeable with a recomputation.
 func (g *Graph) Profiles() *Profiles {
+	return g.profiles.Load()
+}
+
+// AttachedProfiles returns the memoized ball profiles once
+// AttachProfiles has attached or kept them, and nil while none are
+// memoized or only the Diameter pass has kept some.
+func (g *Graph) AttachedProfiles() *Profiles {
+	if !g.adopted.Load() {
+		return nil
+	}
 	return g.profiles.Load()
 }
 
 // AttachProfiles memoizes p on the graph for later Profiles callers,
 // keeping whichever of p and the already-attached profiles sees
 // farther (a complete one beats any truncated one). It returns the
-// winning instance. Attaching profiles of a different node count is a
-// programming error and panics.
+// winning instance, which AttachedProfiles reports from then on.
+// Attaching profiles of a different node count is a programming error
+// and panics.
 func (g *Graph) AttachProfiles(p *Profiles) *Profiles {
 	if p == nil {
 		return g.profiles.Load()
@@ -133,9 +148,11 @@ func (g *Graph) AttachProfiles(p *Profiles) *Profiles {
 	for {
 		cur := g.profiles.Load()
 		if cur != nil && (cur.Complete() || (!p.Complete() && cur.maxR >= p.maxR)) {
+			g.adopted.Store(true)
 			return cur
 		}
 		if g.profiles.CompareAndSwap(cur, p) {
+			g.adopted.Store(true)
 			return p
 		}
 	}
@@ -172,19 +189,14 @@ func (g *Graph) BallProfilesWorkers(maxR, workers int) *Profiles {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	// Each chunk writes its row lengths into rowStart[lo+1:hi+1] (summed
-	// into offsets below) and its eccentricities into ecc[lo:hi]; only
-	// the rows themselves wait in per-chunk slices for assembly.
+	// into offsets by assemble) and its eccentricities into ecc[lo:hi];
+	// only the rows themselves wait in per-chunk slices for assembly.
 	chunks := make([][]int32, (n+hopBatch-1)/hopBatch)
 	forEachHopBatch(n, workers, nil, func(lo, hi int) {
-		chunks[lo/hopBatch] = g.hopKernel(lo, hi, maxR, p.ecc[lo:hi], p.rowStart[lo+1:hi+1])
+		var src [hopBatch]int
+		chunks[lo/hopBatch] = g.hopKernel(hopRange(&src, lo, hi), maxR, maxR, p.ecc[lo:hi], p.rowStart[lo+1:hi+1], nil)
 	})
-	for v := 0; v < n; v++ {
-		p.rowStart[v+1] += p.rowStart[v]
-	}
-	p.sizes = make([]int32, 0, p.rowStart[n])
-	for _, rows := range chunks {
-		p.sizes = append(p.sizes, rows...)
-	}
+	p.assemble(chunks)
 	for _, e := range p.ecc {
 		if e == EccUnknown {
 			p.diam = EccUnknown
@@ -194,6 +206,33 @@ func (g *Graph) BallProfilesWorkers(maxR, workers int) *Profiles {
 			p.diam = e
 		}
 	}
+	return p
+}
+
+// assemble turns p.rowStart, holding each node v's row length at v+1,
+// into row offsets, and concatenates the per-batch rows of chunks, in
+// node order, into p.sizes.
+func (p *Profiles) assemble(chunks [][]int32) {
+	for v := 0; v < p.n; v++ {
+		p.rowStart[v+1] += p.rowStart[v]
+	}
+	p.sizes = make([]int32, 0, p.rowStart[p.n])
+	for _, rows := range chunks {
+		p.sizes = append(p.sizes, rows...)
+	}
+}
+
+// keptProfiles packages the rows that a complete Diameter pass kept —
+// every search reached all n nodes within ProfileRadius(n, -1), so
+// every node's row ends at |B_ecc(v)| = n — as the artifact BallProfiles(
+// ProfileRadius(n, diam)) computes: the same rows, with ecc(v) one less
+// than v's row length. rowStart holds each row length at v+1.
+func keptProfiles(n int, diam int64, rowStart []int32, chunks [][]int32) *Profiles {
+	p := &Profiles{n: n, maxR: ProfileRadius(n, diam), rowStart: rowStart, ecc: make([]int64, n), diam: diam}
+	for v := range p.ecc {
+		p.ecc[v] = int64(rowStart[v+1]) - 1
+	}
+	p.assemble(chunks)
 	return p
 }
 

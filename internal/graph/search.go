@@ -204,20 +204,44 @@ func (g *Graph) Eccentricity(v int) int64 {
 // (hopkernel.go), claimed by MaxKernelWorkers workers and cached until
 // the graph changes; Inf for disconnected graphs, found as soon as any
 // batch meets a second component.
+//
+// The pass keeps every source's ball-size row while the searches stay
+// within ProfileRadius(n, -1) = 3⌈√n⌉+8. When every search reaches
+// all n nodes within it, the graph is connected with D at most that
+// radius, and the rows are exactly BallProfiles(ProfileRadius(n, D)):
+// they are attached as the graph's profiles (unless some are attached
+// already), so no second all-sources pass grows them. As soon as a
+// search passes the radius the remaining batches keep no rows.
 func (g *Graph) Diameter() int64 {
 	if d := g.diam.Load(); d != 0 {
 		return d
 	}
 	n := g.N()
+	rowR := ProfileRadius(n, -1)
+	rowStart := make([]int32, n+1) // row lengths at v+1 while rows are kept
+	chunks := make([][]int32, (n+hopBatch-1)/hopBatch)
 	var diam atomic.Int64
+	var dropped atomic.Bool
 	forEachHopBatch(n, MaxKernelWorkers(), func() bool { return diam.Load() >= Inf }, func(lo, hi int) {
 		var ecc [hopBatch]int64
-		g.hopKernel(lo, hi, n, ecc[:hi-lo], nil)
+		var src [hopBatch]int
+		var lens []int32
+		if !dropped.Load() {
+			lens = rowStart[lo+1 : hi+1]
+		}
+		if rows := g.hopKernel(hopRange(&src, lo, hi), n, rowR, ecc[:hi-lo], lens, nil); rows != nil {
+			chunks[lo/hopBatch] = rows
+		} else {
+			dropped.Store(true)
+		}
 		d := slices.Max(ecc[:hi-lo])
 		for cur := diam.Load(); d > cur && !diam.CompareAndSwap(cur, d); cur = diam.Load() {
 		}
 	})
 	d := diam.Load()
+	if n > 0 && d < Inf && !dropped.Load() {
+		g.profiles.CompareAndSwap(nil, keptProfiles(n, d, rowStart, chunks))
+	}
 	g.diam.Store(d)
 	return d
 }

@@ -27,9 +27,7 @@ type Tree struct {
 	// It is read-only: the full tree shares the network's SortedIDs, and
 	// a recorded tree is shared by every network that replays it.
 	Members []int
-	// Pos maps a node to its position in Members, or -1.
-	Pos []int
-	net *hybrid.Net
+	net     *hybrid.Net
 	// phase is the last phase label seen, upPhase and downPhase its
 	// audit labels, cached so that repeating a phase builds no string.
 	phase, upPhase, downPhase string
@@ -49,12 +47,12 @@ func Build(net *hybrid.Net, phase string) *Tree {
 }
 
 // On returns t charging its passes to net: t itself when it was built on
-// net, else a view sharing its Members and Pos.
+// net, else a view sharing its Members.
 func (t *Tree) On(net *hybrid.Net) *Tree {
 	if t.net == net {
 		return t
 	}
-	return &Tree{Members: t.Members, Pos: t.Pos, net: net}
+	return &Tree{Members: t.Members, net: net}
 }
 
 // BuildOn constructs a virtual rooted tree of degree O(log n) and depth
@@ -88,17 +86,7 @@ func BuildOn(net *hybrid.Net, members []int, phase string) (*Tree, error) {
 func buildOn(net *hybrid.Net, ordered []int, phase string) *Tree {
 	plog := net.PLog()
 	net.Charge(phase+"/overlay-build", plog*plog)
-	t := &Tree{
-		Members: ordered,
-		Pos:     make([]int, net.N()),
-		net:     net,
-	}
-	for v := range t.Pos {
-		t.Pos[v] = -1
-	}
-	for i, v := range ordered {
-		t.Pos[v] = i
-	}
+	t := &Tree{Members: ordered, net: net}
 	// Tree neighbors know each other after the construction.
 	for i, v := range ordered {
 		if i > 0 {
@@ -125,10 +113,9 @@ func (t *Tree) Depth() int {
 	return d
 }
 
-// Parent returns the parent of node v in the tree, or -1 for the root or
-// non-members.
-func (t *Tree) Parent(v int) int {
-	i := t.Pos[v]
+// Parent returns the parent node of the member at position i of
+// Members, or -1 for the root.
+func (t *Tree) Parent(i int) int {
 	if i <= 0 {
 		return -1
 	}

@@ -29,28 +29,27 @@ func TestBuildStructure(t *testing.T) {
 		t.Fatalf("depth=%d, want 5", d)
 	}
 	// Every non-root member has a parent; root has none.
-	root := tr.Root()
-	if tr.Parent(root) != -1 {
+	if tr.Parent(0) != -1 {
 		t.Fatal("root has a parent")
 	}
 	seen := map[int]bool{}
-	for _, v := range tr.Members {
+	for i, v := range tr.Members {
 		if seen[v] {
 			t.Fatalf("duplicate member %d", v)
 		}
 		seen[v] = true
-		if v != root && tr.Parent(v) == -1 {
+		if i > 0 && tr.Parent(i) == -1 {
 			t.Fatalf("member %d has no parent", v)
 		}
-		if len(children(tr, v)) > 2 {
-			t.Fatalf("member %d has %d children", v, len(children(tr, v)))
+		if len(children(tr, i)) > 2 {
+			t.Fatalf("member %d has %d children", v, len(children(tr, i)))
 		}
 	}
 	// Parent/child relations are mutually consistent.
-	for _, v := range tr.Members {
-		for _, c := range children(tr, v) {
+	for i, v := range tr.Members {
+		for _, c := range children(tr, i) {
 			if tr.Parent(c) != v {
-				t.Fatalf("child %d of %d has parent %d", c, v, tr.Parent(c))
+				t.Fatalf("child %d of %d has parent %d", tr.Members[c], v, tr.Parent(c))
 			}
 		}
 	}
@@ -83,8 +82,8 @@ func TestBuildOnSubsetValidation(t *testing.T) {
 	if tr.Size() != 4 {
 		t.Fatalf("size=%d", tr.Size())
 	}
-	if tr.Pos[3] != -1 {
-		t.Fatal("non-member has a position")
+	if slices.Contains(tr.Members, 3) {
+		t.Fatal("non-member is a member")
 	}
 }
 
@@ -306,18 +305,14 @@ func TestTreeMatchesSendGlobal(t *testing.T) {
 	}
 }
 
-// children returns the children of tree member v (0–2 of them).
-func children(t *Tree, v int) []int {
-	i := t.Pos[v]
-	if i < 0 {
-		return nil
-	}
+// children returns the positions of the children of the member at
+// position i (0–2 of them).
+func children(t *Tree, i int) []int {
 	var out []int
-	if l := 2*i + 1; l < len(t.Members) {
-		out = append(out, t.Members[l])
-	}
-	if r := 2*i + 2; r < len(t.Members) {
-		out = append(out, t.Members[r])
+	for _, c := range []int{2*i + 1, 2*i + 2} {
+		if c < len(t.Members) {
+			out = append(out, c)
+		}
 	}
 	return out
 }

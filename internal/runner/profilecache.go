@@ -87,7 +87,7 @@ func (pc *ProfileCache) Attach(g *graph.Graph, family graph.Family, n int, seed 
 	// The canonical radius is a function of the graph alone, so the
 	// artifact's content never depends on which cell asked first.
 	radius := graph.ProfileRadius(g.N(), g.Diameter())
-	if p := g.Profiles(); p != nil && p.Covers(radius) {
+	if p := g.AttachedProfiles(); p != nil && p.Covers(radius) {
 		pc.attachHits.Add(1)
 		return p
 	}
@@ -96,8 +96,15 @@ func (pc *ProfileCache) Attach(g *graph.Graph, family graph.Family, n int, seed 
 	// also qualifies); anything else — a policy change, or a key
 	// collision across mismatched graphs — is recomputed.
 	fits := func(p *graph.Profiles) bool { return p != nil && p.N() == g.N() && p.Covers(radius) }
-	// The build cannot fail, so neither can get.
+	// The build cannot fail, so neither can get. Profiles that g holds
+	// at the canonical radius are the artifact itself — the Diameter
+	// pass keeps them when they are short — so the build takes them
+	// instead of running the kernel again, and they are counted and
+	// persisted like a computed artifact.
 	p, _ := pc.c.get(ProfileKey(family, n, seed), fits, func() (*graph.Profiles, error) {
+		if p := g.Profiles(); p != nil && p.MaxR() == radius {
+			return p, nil
+		}
 		return g.BallProfiles(radius), nil
 	})
 	return g.AttachProfiles(p)

@@ -44,6 +44,36 @@ func TestProfileCacheSharedArtifact(t *testing.T) {
 	}
 }
 
+// TestProfileCacheAdoptsDiameterProfiles: profiles that the diameter
+// pass kept are the coordinate's artifact. The first Attach loads,
+// counts and persists them instead of growing them again; the next is
+// an attach hit.
+func TestProfileCacheAdoptsDiameterProfiles(t *testing.T) {
+	store := newMapBlobStore()
+	pc := NewProfileCache(store, 0)
+	g := profileCacheGraph(t, graph.FamilyExpander, 128, 3) // no seeded diameter
+	radius := graph.ProfileRadius(g.N(), g.Diameter())
+	kept := g.Profiles()
+	if kept == nil {
+		t.Fatal("the diameter pass kept no profiles")
+	}
+	if p := pc.Attach(g, graph.FamilyExpander, 128, 3); p != kept {
+		t.Fatal("Attach returned other profiles than the graph held")
+	}
+	if st := pc.Stats(); st.Computes != 1 || st.AttachHits != 0 || store.puts != 1 {
+		t.Fatalf("first Attach: stats %+v, %d puts; want 1 compute and 1 put", st, store.puts)
+	}
+	if cached, _ := pc.c.lookup(ProfileKey(graph.FamilyExpander, 128, 3), func(*graph.Profiles) bool { return true }); cached != kept {
+		t.Fatal("the cache grew its own profiles instead of taking the kept ones")
+	}
+	if !bytes.Equal(store.m[ProfileKey(graph.FamilyExpander, 128, 3)], graph.EncodeProfiles(g.BallProfiles(radius))) {
+		t.Fatal("persisted artifact differs from BallProfiles at the canonical radius")
+	}
+	if p := pc.Attach(g, graph.FamilyExpander, 128, 3); p != kept || pc.Stats().AttachHits != 1 {
+		t.Fatalf("second Attach: stats %+v, want one attach hit", pc.Stats())
+	}
+}
+
 // TestProfileCacheSingleflight: concurrent workers asking for the same
 // coordinate trigger exactly one computation.
 func TestProfileCacheSingleflight(t *testing.T) {

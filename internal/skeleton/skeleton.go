@@ -44,7 +44,8 @@ type Skeleton struct {
 // Build samples a skeleton with parameter x from g. Nodes in forced are
 // always included (the paper adds shortest-path sources this way in
 // Theorem 14). When materializeEdges is set, the weighted skeleton graph
-// S is constructed explicitly via hop-limited searches (O(|V_S|·h·m));
+// S is constructed explicitly via hop-limited searches (O(|V_S|·h·m);
+// on unit weights ⌈|V_S|/64⌉ batches of the 64-source hop kernel);
 // otherwise only the node sample is produced and distances should be read
 // through g.HopLimitedDistances(v, sk.H).
 func Build(g *graph.Graph, x int, forced []int, materializeEdges bool, rng *rand.Rand) (*Skeleton, error) {
@@ -93,21 +94,35 @@ func Build(g *graph.Graph, x int, forced []int, materializeEdges bool, rng *rand
 	sk.H = h
 	if materializeEdges {
 		s := graph.NewBuilder(len(sk.Nodes))
-		dist := make([]int64, n)
-		for i, v := range sk.Nodes {
-			g.HopLimitedDistancesInto(dist, v, h)
-			for j := i + 1; j < len(sk.Nodes); j++ {
-				u := sk.Nodes[j]
-				if dist[u] < graph.Inf {
-					if err := s.AddEdge(i, j, dist[u]); err != nil {
-						return nil, err
-					}
-				}
-			}
+		if err := hopEdges(g, sk.Nodes, h, s.AddEdge); err != nil {
+			return nil, err
 		}
 		sk.S = s.Build()
 	}
 	return sk, nil
+}
+
+// hopEdges calls add(i, j, d^h(nodes[i], nodes[j])) for every pair
+// i < j within h hops, in (i, j) order. On unit weights d^h is the hop
+// distance, and the pairs come from the 64-source hop kernel
+// (graph.HopDistancesAmong); weighted graphs run one hop-limited
+// Bellman–Ford per node.
+func hopEdges(g *graph.Graph, nodes []int, h int, add func(i, j int, d int64) error) error {
+	if !g.IsWeighted() {
+		return g.HopDistancesAmong(nodes, h, add)
+	}
+	dist := make([]int64, g.N())
+	for i, v := range nodes {
+		g.HopLimitedDistancesInto(dist, v, h)
+		for j := i + 1; j < len(nodes); j++ {
+			if d := dist[nodes[j]]; d < graph.Inf {
+				if err := add(i, j, d); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // Size returns |V_S|.
