@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/nq"
+	"repro/internal/oracle"
 	"repro/internal/runner"
 )
 
@@ -66,6 +68,39 @@ func TestTable2SmallRun(t *testing.T) {
 	}
 	if !strings.Contains(markdown(table2Spec.table(rows)), "path") {
 		t.Fatal("format failed")
+	}
+}
+
+// TestTable2RingOfCliquesNQmFromProfile: Corollary 2.2
+// (apsp.SparseExact) asks NQ_m, and the ring of cliques at n = 576 has
+// m = 6648 > 9n = 5184. The profile that Table 2's cell attaches stops
+// each row at K = max{9n, m}, none of them with the ball complete, so
+// it decides k = m and the cell answers NQ_m from the rows instead of
+// growing 576 balls with BallReach. The answer is Definition 3.1's.
+func TestTable2RingOfCliquesNQmFromProfile(t *testing.T) {
+	gc := runner.NewGraphCache(nil, 0)
+	sc := Table2Scenario([]graph.Family{graph.FamilyRingOfCliques}, 576, 1)
+	if _, err := runner.Collect(&runner.Runner{Workers: 1, Graphs: gc}, sc); err != nil {
+		t.Fatal(err)
+	}
+	g, err := gc.Get(graph.FamilyRingOfCliques, 576, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := g.M()
+	if m <= 9*g.N() {
+		t.Fatalf("m = %d is not above 9n = %d", m, 9*g.N())
+	}
+	p := g.Profiles()
+	if p == nil || p.Complete() || !p.Decides(m) {
+		t.Fatalf("the cell's profile (attached %v) does not decide k = m by its stop at K", p != nil)
+	}
+	_, want, err := oracle.NQPerNode(g, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := nq.Of(g, m); err != nil || got != want {
+		t.Fatalf("NQ_m = %d (err %v), oracle %d", got, err, want)
 	}
 }
 

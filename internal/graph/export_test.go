@@ -20,3 +20,13 @@ func ForceHopDirection(pull bool) (restore func()) {
 
 // RaceEnabled is raceEnabled for the external tests.
 const RaceEnabled = raceEnabled
+
+// The profile tests' references, for the external tests: BallSizes
+// rows cut at the stop, and the hop kernel's eccentricities.
+var (
+	StopRow              = stopRow
+	KernelEccentricities = kernelEccentricities
+)
+
+// EccUnknown is eccUnknown for the external tests.
+const EccUnknown = eccUnknown

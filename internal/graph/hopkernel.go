@@ -89,27 +89,37 @@ func (sink *hopSink) record(t int, cur, curSet []uint64, wlo, whi int) {
 	}
 }
 
+// hopRows asks hopKernel for every source's ball-size row |B_0|,
+// |B_1|, …, which ends at the first t where one of these holds:
+// |B_t| = n; the frontier emptied a level before (so a disconnected
+// source's row repeats its last entry once); t·|B_t| ≥ stop, the first
+// radius that decides Definition 3.1's condition for every k ≤ stop;
+// or t = maxR.
+type hopRows struct {
+	stop  int64   // K = ProfileStop()
+	keepR int     // the kernel drops every row once a search is still growing past this radius
+	lens  []int32 // row i's length, written by the kernel unless it drops the rows
+}
+
 // hopKernel runs BFS from the distinct sources src (at most hopBatch of
-// them) truncated at radius maxR, and writes source i's eccentricity
-// to ecc[i]: exact when its search exhausted the graph, Inf when its
-// component excludes part of the graph, EccUnknown when maxR cut it
-// off first. When sink is non-nil it records the first hops to its
-// targets. When lens is non-nil it also returns every source's
-// ball-size row |B_0|, |B_1|, … concatenated in source order, with row
-// i's length in lens[i] — unless some search is still growing past
-// radius rowR, in which case it stops keeping rows, leaves lens alone
-// and returns nil. A row has BallSizes' truncation: it stops at maxR,
-// at |B_t| = n, or one level after the frontier empties (so a
-// disconnected node's row repeats its last entry once).
-func (g *Graph) hopKernel(src []int, maxR, rowR int, ecc []int64, lens []int32, sink *hopSink) []int32 {
+// them) truncated at radius maxR. When ecc is non-nil it writes source
+// i's eccentricity to ecc[i] as its search ends: exact when it
+// exhausted the graph, Inf when its component excludes part of the
+// graph; ecc[i] is left alone when maxR cuts the search off first.
+// When sink is non-nil it records the first
+// hops to its targets. When rows is non-nil it also returns every
+// source's row (see hopRows) concatenated in source order, with row i's
+// length in rows.lens[i] — unless some search is still growing past
+// radius rows.keepR, in which case it drops the rows, leaves lens alone
+// and returns nil. A source whose row has ended stops searching unless
+// its eccentricity is asked for.
+func (g *Graph) hopKernel(src []int, maxR int, ecc []int64, rows *hopRows, sink *hopSink) []int32 {
 	n := g.N()
 	nb := len(src)
 	s := g.getHopScratch()
 	defer g.hopPool.Put(s)
 	seen, cur, nxt, curSet, nxtSet := s.seen, s.cur, s.nxt, s.curSet, s.nxtSet
-	rows := lens != nil
 	levels := s.levels[:0]
-	rowMax := min(maxR, rowR, n) + 1 // the most entries a row can have
 	var total, rowLen [hopBatch]int32
 	wlo, whi := len(curSet), -1 // the curSet words that may be nonzero
 	for i, v := range src {
@@ -117,21 +127,30 @@ func (g *Graph) hopKernel(src []int, maxR, rowR int, ecc []int64, lens []int32, 
 		curSet[v>>6] |= 1 << (v & 63)
 		wlo, whi = min(wlo, v>>6), max(whi, v>>6)
 		total[i], rowLen[i] = 1, 1
-		ecc[i] = EccUnknown
 	}
 	slo, shi := wlo, whi // the node words [64·slo, 64·shi+64) hold every nonzero seen word
-	if rows {
-		levels = appendLevel(levels, &total, rowMax)
-	}
-	live := ^uint64(0) >> (hopBatch - nb) // sources whose rows still grow
+
+	live := ^uint64(0) >> (hopBatch - nb) // sources still searching
 	if n == 1 {
-		ecc[0], live = 0, 0
+		live = 0
+		if ecc != nil {
+			ecc[0] = 0
+		}
+	}
+	var growing uint64 // sources whose rows still grow
+	var stop int64     // rows.stop
+	rowMax := 0        // the most entries a row can have
+	retire := false    // a source retires when its row ends
+	if rows != nil {
+		growing, stop = live, rows.stop
+		rowMax = min(maxR, rows.keepR, n) + 1
+		retire = ecc == nil
+		levels = appendLevel(levels, &total, rowMax)
 	}
 	pairs := nb // new (source, node) pairs of the last level
 	for t := 1; t <= maxR && live != 0; t++ {
-		if rows && t > rowR {
-			rows = false
-			lens = nil
+		if rows != nil && t > rows.keepR {
+			rows, growing = nil, 0
 		}
 		var cnt [hopBatch]int32
 		nlo, nhi := len(nxtSet), -1
@@ -196,22 +215,36 @@ func (g *Graph) hopKernel(src []int, maxR, rowR int, ecc []int64, lens []int32, 
 			sink.record(t, cur, curSet, wlo, whi)
 		}
 		pairs = 0
+		grew := growing
 		for m := live; m != 0; m &= m - 1 {
 			i := bits.TrailingZeros64(m)
 			total[i] += cnt[i]
 			pairs += int(cnt[i])
-			rowLen[i]++
+			full, exhausted := int(total[i]) == n, cnt[i] == 0
+			if grew&(1<<i) != 0 {
+				rowLen[i]++
+				if full || exhausted || int64(t)*int64(total[i]) >= stop {
+					growing &^= 1 << i
+				}
+			}
 			switch {
-			case int(total[i]) == n:
-				ecc[i] = int64(t)
+			case full:
+				if ecc != nil {
+					ecc[i] = int64(t)
+				}
 				live &^= 1 << i
-			case cnt[i] == 0:
-				ecc[i] = Inf
+			case exhausted:
+				if ecc != nil {
+					ecc[i] = Inf
+				}
 				live &^= 1 << i
 			}
 		}
-		if rows {
+		if grew != 0 {
 			levels = appendLevel(levels, &total, rowMax)
+		}
+		if retire {
+			live &= growing
 		}
 	}
 	for w := wlo; w <= whi; w++ {
@@ -222,12 +255,12 @@ func (g *Graph) hopKernel(src []int, maxR, rowR int, ecc []int64, lens []int32, 
 	}
 	clear(seen[slo<<6 : min(shi<<6+64, n)])
 	s.cur, s.nxt, s.curSet, s.nxtSet, s.levels = cur, nxt, curSet, nxtSet, levels
-	if lens == nil {
+	if rows == nil {
 		return nil
 	}
 	entries := 0
 	for i := 0; i < nb; i++ {
-		lens[i] = rowLen[i]
+		rows.lens[i] = rowLen[i]
 		entries += int(rowLen[i])
 	}
 	out := make([]int32, 0, entries)
@@ -241,8 +274,9 @@ func (g *Graph) hopKernel(src []int, maxR, rowR int, ecc []int64, lens []int32, 
 
 // appendLevel appends one level's ball sizes to levels. It grows them
 // by doubling, as append does, but never past rowMax entries, the most
-// a row can have: deep searches whose rows are dropped at rowR then
-// hold at most that many levels.
+// a row can have: the kernel appends levels only while some row grows,
+// so deep searches whose rows stop early or are dropped at keepR hold
+// at most that many levels.
 func appendLevel(levels [][hopBatch]int32, total *[hopBatch]int32, rowMax int) [][hopBatch]int32 {
 	if len(levels) == cap(levels) {
 		grown := make([][hopBatch]int32, len(levels), max(min(2*cap(levels), rowMax), len(levels)+1))
@@ -274,11 +308,10 @@ func (g *Graph) HopDistancesAmong(nodes []int, h int, fn func(i, j int, d int64)
 		sink.set[v>>6] |= 1 << (v & 63)
 		sink.col[v] = int32(c)
 	}
-	var ecc [hopBatch]int64
 	for lo := 0; lo < k; lo += hopBatch {
 		src := nodes[lo:min(lo+hopBatch, k)]
 		clear(sink.hit)
-		g.hopKernel(src, h, h, ecc[:len(src)], nil, sink)
+		g.hopKernel(src, h, nil, nil, sink)
 		for i := range src {
 			row := sink.hit[i*k : (i+1)*k]
 			for j := lo + i + 1; j < k; j++ {

@@ -1,8 +1,9 @@
 package graph_test
 
 // The 64-source hop kernel behind Diameter and BallProfiles is checked
-// against per-source searches: the library's own BallSizes and
-// Eccentricity, and the independent oracle diameter.
+// against per-source searches: the library's own BallSizes (cut at
+// each row's first t·|B_t| ≥ K) and Eccentricity, and the independent
+// oracle diameter.
 
 import (
 	"bytes"
@@ -63,9 +64,10 @@ func hopKernelGraphs(t *testing.T) map[string]*graph.Graph {
 }
 
 // TestHopKernelMatchesPerSourceBFS: every profile row, eccentricity and
-// diameter the kernel computes equals what per-source searches give,
-// at truncation radii from 0 to n, including partial 64-source batches
-// and disconnected graphs — with every level pushed, with every level
+// diameter the kernel computes equals what per-source searches give —
+// a row is BallSizes cut at its first t·|B_t| ≥ K — at truncation
+// radii from 0 to n, including partial 64-source batches and
+// disconnected graphs, with every level pushed, with every level
 // pulled, and with the kernel's own per-level choice.
 func TestHopKernelMatchesPerSourceBFS(t *testing.T) {
 	for name, g := range hopKernelGraphs(t) {
@@ -76,11 +78,11 @@ func TestHopKernelMatchesPerSourceBFS(t *testing.T) {
 			ecc[v] = g.Eccentricity(v)
 		}
 		radii := []int{0, 1, graph.ProfileRadius(n, diam), n}
-		sizes := make([][][]int, len(radii)) // sizes[r][v] = BallSizes(v, radii[r])
+		sizes := make([][][]int, len(radii)) // sizes[r][v] = BallSizes(v, radii[r]) cut at K
 		for r, maxR := range radii {
 			sizes[r] = make([][]int, n)
 			for v := range sizes[r] {
-				sizes[r][v] = g.BallSizes(v, maxR)
+				sizes[r][v] = graph.StopRow(g.BallSizes(v, maxR), g.ProfileStop())
 			}
 		}
 		for _, mode := range []string{"push", "pull", "adaptive"} {
@@ -93,9 +95,10 @@ func TestHopKernelMatchesPerSourceBFS(t *testing.T) {
 				}
 				for r, maxR := range radii {
 					p := g.BallProfilesWorkers(maxR, 1)
+					kecc := graph.KernelEccentricities(g, maxR)
 					for v := 0; v < n; v++ {
-						if e := p.Eccentricities()[v]; e != graph.EccUnknown && e != ecc[v] {
-							t.Fatalf("%s %s maxR=%d: Ecc(%d)=%d, Eccentricity %d", mode, name, maxR, v, e, ecc[v])
+						if e := kecc[v]; e != ecc[v] && (e != graph.EccUnknown || maxR == n) {
+							t.Fatalf("%s %s maxR=%d: kernel ecc(%d)=%d, Eccentricity %d", mode, name, maxR, v, e, ecc[v])
 						}
 						if p.Len(v) != len(sizes[r][v]) {
 							t.Fatalf("%s %s maxR=%d: Len(%d)=%d, BallSizes has %d entries", mode, name, maxR, v, p.Len(v), len(sizes[r][v]))
@@ -117,9 +120,10 @@ func TestHopKernelMatchesPerSourceBFS(t *testing.T) {
 
 // profilesGolden576 is the sha256 of the EncodeProfiles bytes of all
 // families at n = 576 (Build seed 1, radius ProfileRadius), concatenated
-// in Families order, as the per-node ball growth computed them before
-// the hop kernel replaced it.
-const profilesGolden576 = "51d5fa17fb8f36fa8505705ace49f091cfaa13422403f70dfabc5023242fb415"
+// in Families order, with every row cut at its first t·|B_t| ≥ K
+// (TestHopKernelMatchesPerSourceBFS checks the same rows against
+// BallSizes cut by that rule).
+const profilesGolden576 = "67c61c1e7982c76de008c4222c181e59ad4d443f2e67255a617a7b3505b55d70"
 
 func TestHopKernelProfilesGolden(t *testing.T) {
 	h := sha256.New()
@@ -314,7 +318,9 @@ func TestHopDistancesAmongMatchesPerSourceBFS(t *testing.T) {
 // TestDiameterKeepsCompleteProfiles: an uncached Diameter attaches the
 // profiles its pass walked exactly when every search exhausts within
 // ProfileRadius(n, -1) — connected graphs with D at most that radius —
-// and they encode to the bytes of BallProfiles(ProfileRadius(n, D)).
+// and, each row cut at its first t·|B_t| ≥ K while the searches run on
+// to the eccentricities, they encode to the bytes of
+// BallProfiles(ProfileRadius(n, D)).
 // The pass leaves them for AttachProfiles to adopt. Disconnected
 // graphs and graphs whose diameter passes the radius, by one hop or by
 // many, get nothing, and the diameter is the oracle's in every case.

@@ -14,54 +14,54 @@ import (
 )
 
 // ProfilesCodecVersion names the profile wire format AND the canonical
-// truncation policy (ProfileRadius). It is part of every encoded
-// header and of runner.ProfileCache's content addresses; bump it when
-// either changes so persisted artifacts are orphaned, not misread.
-const ProfilesCodecVersion uint32 = 1
+// truncation policy (ProfileRadius and the ProfileStop at which every
+// row ends). It is part of every encoded header and of
+// runner.ProfileCache's content addresses; bump it when either changes
+// so persisted artifacts are orphaned, not misread.
+const ProfilesCodecVersion uint32 = 2
 
 // profMagic starts every encoded profile artifact.
 var profMagic = [4]byte{'H', 'P', 'R', 'F'}
 
-// profHeaderLen is magic + version + n + maxR + entries.
-const profHeaderLen = 4 + 4 + 8 + 8 + 8
+// profHeaderLen is magic + version + n + maxR + stop + entries.
+const profHeaderLen = 4 + 4 + 8 + 8 + 8 + 8
 
 // EncodeProfiles serializes a Profiles artifact into the deterministic
 // binary format: a fixed header (magic, ProfilesCodecVersion, n, maxR,
-// entry count) followed by the little-endian rowStart (uint32), sizes
-// (uint32) and eccentricity (uint64 two's-complement int64) arrays.
+// the stop K, entry count) followed by the little-endian rowStart
+// (uint32) and ball-size (uint32) arrays, the rows in node order.
 func EncodeProfiles(p *Profiles) []byte {
 	n := p.n
-	entries := len(p.sizes)
-	buf := make([]byte, profHeaderLen+4*(n+1)+4*entries+8*n)
+	entries := int(p.rowStart[n])
+	buf := make([]byte, profHeaderLen+4*(n+1)+4*entries)
 	copy(buf, profMagic[:])
 	binary.LittleEndian.PutUint32(buf[4:], ProfilesCodecVersion)
 	binary.LittleEndian.PutUint64(buf[8:], uint64(n))
 	binary.LittleEndian.PutUint64(buf[16:], uint64(p.maxR))
-	binary.LittleEndian.PutUint64(buf[24:], uint64(entries))
+	binary.LittleEndian.PutUint64(buf[24:], uint64(p.stop))
+	binary.LittleEndian.PutUint64(buf[32:], uint64(entries))
 	off := profHeaderLen
 	for _, v := range p.rowStart {
 		binary.LittleEndian.PutUint32(buf[off:], uint32(v))
 		off += 4
 	}
-	for _, v := range p.sizes {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(v))
-		off += 4
-	}
-	for _, e := range p.ecc {
-		binary.LittleEndian.PutUint64(buf[off:], uint64(e))
-		off += 8
+	for _, rows := range p.chunks {
+		for _, v := range rows {
+			binary.LittleEndian.PutUint32(buf[off:], uint32(v))
+			off += 4
+		}
 	}
 	return buf
 }
 
 // DecodeProfiles parses an EncodeProfiles blob back into a Profiles
 // artifact, revalidating the structural invariants — header shape,
-// exact payload length, monotone row offsets, per-row lengths within
-// [1, maxR+1], non-decreasing ball sizes starting at 1 and bounded by
-// n, and eccentricities that are EccUnknown, Inf, or within [0, maxR]
-// — so a corrupt or truncated blob returns an error rather than an
-// artifact that violates the kernel's invariants. The diameter is
-// rederived from the eccentricities.
+// exact payload length, monotone row offsets, non-decreasing ball
+// sizes starting at 1 and bounded by n, and every row ending exactly
+// at its first end (|B_t| = n, one level after its frontier emptied,
+// t·|B_t| ≥ K, or t = maxR) — so a corrupt or truncated blob returns
+// an error rather than an artifact that violates the kernel's
+// invariants or decides a k its rows do not.
 func DecodeProfiles(data []byte) (*Profiles, error) {
 	if len(data) < profHeaderLen {
 		return nil, fmt.Errorf("graph: profile codec: truncated header (%d bytes)", len(data))
@@ -74,83 +74,77 @@ func DecodeProfiles(data []byte) (*Profiles, error) {
 	}
 	n64 := binary.LittleEndian.Uint64(data[8:])
 	r64 := binary.LittleEndian.Uint64(data[16:])
-	e64 := binary.LittleEndian.Uint64(data[24:])
+	s64 := binary.LittleEndian.Uint64(data[24:])
+	e64 := binary.LittleEndian.Uint64(data[32:])
 	// Bounds before size arithmetic (int may be 32 bits): every
-	// rowStart entry needs 4 payload bytes, every size entry 4, every
-	// eccentricity 8.
-	if n64 > math.MaxInt32 || e64 > math.MaxInt32 || r64 > math.MaxInt32 ||
-		n64 > uint64(len(data))/8 || e64 > uint64(len(data))/4 {
-		return nil, fmt.Errorf("graph: profile codec: implausible sizes n=%d maxR=%d entries=%d for %d bytes", n64, r64, e64, len(data))
+	// rowStart entry needs 4 payload bytes, and so does every size
+	// entry. K is at least 9n, and t·|B_t| < 2^62 for any row.
+	if n64 > math.MaxInt32 || e64 > math.MaxInt32 || r64 > math.MaxInt32 || s64 > 1<<62 ||
+		n64 > uint64(len(data))/4 || e64 > uint64(len(data))/4 || s64 < 9*n64 {
+		return nil, fmt.Errorf("graph: profile codec: implausible sizes n=%d maxR=%d stop=%d entries=%d for %d bytes", n64, r64, s64, e64, len(data))
 	}
-	n, maxR, entries := int(n64), int(r64), int(e64)
-	want := profHeaderLen + 4*(n+1) + 4*entries + 8*n
+	n, maxR, stop, entries := int(n64), int(r64), int64(s64), int(e64)
+	want := profHeaderLen + 4*(n+1) + 4*entries
 	if len(data) != want {
 		return nil, fmt.Errorf("graph: profile codec: payload is %d bytes, want %d for n=%d entries=%d", len(data), want, n, entries)
 	}
-	p := &Profiles{
-		n:        n,
-		maxR:     maxR,
-		rowStart: make([]int32, n+1),
-		sizes:    make([]int32, entries),
-		ecc:      make([]int64, n),
-	}
+	rowStart := make([]int32, n+1)
+	sizes := make([]int32, entries)
 	off := profHeaderLen
-	for i := range p.rowStart {
-		p.rowStart[i] = int32(binary.LittleEndian.Uint32(data[off:]))
+	for i := range rowStart {
+		rowStart[i] = int32(binary.LittleEndian.Uint32(data[off:]))
 		off += 4
 	}
-	for i := range p.sizes {
-		p.sizes[i] = int32(binary.LittleEndian.Uint32(data[off:]))
+	for i := range sizes {
+		sizes[i] = int32(binary.LittleEndian.Uint32(data[off:]))
 		off += 4
 	}
-	for i := range p.ecc {
-		p.ecc[i] = int64(binary.LittleEndian.Uint64(data[off:]))
-		off += 8
-	}
-	if p.rowStart[0] != 0 || int(p.rowStart[n]) != entries {
-		return nil, fmt.Errorf("graph: profile codec: row offsets span [%d,%d], want [0,%d]", p.rowStart[0], p.rowStart[n], entries)
+	if rowStart[0] != 0 || int(rowStart[n]) != entries {
+		return nil, fmt.Errorf("graph: profile codec: row offsets span [%d,%d], want [0,%d]", rowStart[0], rowStart[n], entries)
 	}
 	// Monotone offsets from 0 to entries keep every row inside sizes;
 	// check them all before any row is read.
 	for v := 0; v < n; v++ {
-		if p.rowStart[v] > p.rowStart[v+1] {
+		if rowStart[v] > rowStart[v+1] {
 			return nil, fmt.Errorf("graph: profile codec: row offsets not monotone at node %d", v)
 		}
 	}
 	for v := 0; v < n; v++ {
-		lo, hi := p.rowStart[v], p.rowStart[v+1]
-		rowLen := int(hi - lo)
-		if rowLen < 1 || rowLen > maxR+1 {
-			return nil, fmt.Errorf("graph: profile codec: node %d has %d profile entries, want within [1,%d]", v, rowLen, maxR+1)
+		row := sizes[rowStart[v]:rowStart[v+1]]
+		if len(row) < 1 || len(row) > maxR+1 {
+			return nil, fmt.Errorf("graph: profile codec: node %d has %d profile entries, want within [1,%d]", v, len(row), maxR+1)
 		}
-		if p.sizes[lo] != 1 {
-			return nil, fmt.Errorf("graph: profile codec: node %d profile starts at %d, want |B_0|=1", v, p.sizes[lo])
+		if row[0] != 1 {
+			return nil, fmt.Errorf("graph: profile codec: node %d profile starts at %d, want |B_0|=1", v, row[0])
 		}
-		for i := lo + 1; i < hi; i++ {
-			if p.sizes[i] < p.sizes[i-1] || int(p.sizes[i]) > n {
+		for t := 1; t < len(row); t++ {
+			if row[t] < row[t-1] || int(row[t]) > n {
 				return nil, fmt.Errorf("graph: profile codec: node %d profile not a monotone ball-size sequence within [1,%d]", v, n)
 			}
 		}
-		if e := p.ecc[v]; e != EccUnknown && e != Inf && (e < 0 || e > int64(maxR)) {
-			return nil, fmt.Errorf("graph: profile codec: node %d eccentricity %d outside [0,%d]", v, e, maxR)
-		}
-		// Kernel invariant: a row shorter than maxR+1 means the search
-		// exhausted, so its eccentricity must be known — without this a
-		// corrupt blob could masquerade its truncated sizes as exact
-		// (Size repeats the final entry for exhausted rows).
-		if p.ecc[v] == EccUnknown && rowLen != maxR+1 {
-			return nil, fmt.Errorf("graph: profile codec: node %d has unknown eccentricity but only %d/%d profile entries", v, rowLen, maxR+1)
-		}
-	}
-	p.diam = 0
-	for _, e := range p.ecc {
-		if e == EccUnknown {
-			p.diam = EccUnknown
-			break
-		}
-		if e > p.diam {
-			p.diam = e
+		// The kernel ends a row at its first end and nowhere else: a row
+		// that ran past one would carry sizes its stop never vouched for,
+		// and one that ended early would masquerade its last size as
+		// final (Size repeats it) or decide a k it does not.
+		for t := range row {
+			if last := t == len(row)-1; rowEnds(row, t, n, maxR, stop) != last {
+				return nil, fmt.Errorf("graph: profile codec: node %d profile ends at t=%d, but its first end is elsewhere", v, len(row)-1)
+			}
 		}
 	}
+	chunks := make([][]int32, (n+hopBatch-1)/hopBatch)
+	for b := range chunks {
+		chunks[b] = sizes[rowStart[b*hopBatch]:rowStart[min(b*hopBatch+hopBatch, n)]]
+	}
+	p := &Profiles{n: n, maxR: maxR, stop: stop, rowStart: rowStart, chunks: chunks}
+	p.decide()
 	return p, nil
+}
+
+// rowEnds reports whether the kernel ends a row at t: |B_t| = n, the
+// size did not grow at t (the frontier emptied at t-1), t·|B_t| ≥ stop,
+// or t = maxR.
+func rowEnds(row []int32, t, n, maxR int, stop int64) bool {
+	size := row[t]
+	return int(size) == n || (t > 0 && row[t-1] == size) || int64(t)*int64(size) >= stop || t == maxR
 }

@@ -2,11 +2,14 @@ package graph
 
 // FuzzDecodeProfiles hardens the profile codec against arbitrary
 // input: DecodeProfiles must never panic, and anything it accepts must
-// re-encode to exactly the bytes it was decoded from.
+// re-encode to exactly the bytes it was decoded from. Its seeds include
+// rows that stop at K short of every other end, and blobs whose rows
+// end one entry late or early, or of the previous version.
 
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -21,6 +24,17 @@ func FuzzDecodeProfiles(f *testing.F) {
 			f.Add(blob)
 			f.Add(blob[:len(blob)/2])
 		}
+	}
+	// Rows that stop at K = 9n: a long path's and a long cycle's.
+	for _, g := range []*Graph{Path(150), Cycle(200)} {
+		p := g.BallProfiles(ProfileRadius(g.N(), g.Diameter()))
+		rows := profileRows(p)
+		f.Add(EncodeProfiles(p))
+		f.Add(v1ProfileBlob(p))
+		late := append(slices.Clone(rows[0]), rows[0][len(rows[0])-1]+1)
+		f.Add(profileBlob(p.n, p.maxR, p.stop, append([][]int32{late}, rows[1:]...)))
+		early := rows[0][:len(rows[0])-1]
+		f.Add(profileBlob(p.n, p.maxR, p.stop, append([][]int32{early}, rows[1:]...)))
 	}
 	f.Add(offsetPastEntriesBlob())
 	f.Add([]byte{})

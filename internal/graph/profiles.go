@@ -5,36 +5,73 @@ package graph
 // per-node ball-size profiles t ↦ |B_t(v)|. Growing those balls
 // node-by-node inside every NQ query is the hottest remaining path of
 // the harness — an nqscaling grid re-derives the same curves for every
-// k on the same graph. BallProfiles computes all n truncated
-// profiles in one parallel pass of the 64-source hop kernel
-// (hopkernel.go) and packages them as an immutable, codec-friendly
-// Profiles artifact; eccentricities (and hence the exact hop diameter)
-// fall out as a byproduct whenever the truncation radius covers the
-// graph. BallReach is the companion
-// single-k kernel: one ball growth that stops the moment the
-// Definition 3.1 condition t·|B_t(v)| ≥ k is decided, for callers that
-// ask about a single k and should not pay for a full profile.
+// k on the same graph. BallProfiles computes all n profiles in one
+// parallel pass of the 64-source hop kernel (hopkernel.go), each row
+// grown only until it decides Definition 3.1 for every k ≤ K =
+// max{9n, m}, and packages them as an immutable, codec-friendly
+// Profiles artifact. BallReach is the companion single-k kernel: one
+// ball growth that stops the moment the Definition 3.1 condition
+// t·|B_t(v)| ≥ k is decided, for callers that ask about a single k and
+// should not pay for a full profile.
 
-import "runtime"
-
-// EccUnknown marks an eccentricity the truncated kernel could not
-// determine: the node's BFS was cut off by maxR before exhausting its
-// component. A disconnected node's eccentricity is Inf, not EccUnknown.
-const EccUnknown int64 = -1
+import (
+	"math"
+	"runtime"
+)
 
 // Profiles is the batch artifact of BallProfiles: every node's
-// truncated ball-size profile in one flat CSR-style layout, plus the
-// per-node eccentricities and the diameter when the truncation radius
-// resolved them. A Profiles is immutable after construction and safe
-// to share between goroutines and graph instances with identical
-// topology (it depends only on hop structure, never on edge weights).
+// ball-size row |B_0(v)|, |B_1(v)|, …, which ends at the first t where
+// |B_t(v)| = n, where the frontier emptied a level before (the row
+// repeats its last entry once), where t·|B_t(v)| ≥ K for the
+// topology's K = ProfileStop(), or at t = maxR. The row's last entry
+// so says why it ended. A Profiles is immutable after construction
+// and safe to share between goroutines and graph instances with
+// identical topology (it depends only on hop structure, never on edge
+// weights).
 type Profiles struct {
 	n        int
 	maxR     int
-	rowStart []int32 // len n+1; node v's profile is sizes[rowStart[v]:rowStart[v+1]]
-	sizes    []int32 // sizes[rowStart[v]+t] = |B_t(v)|, truncated as in BallSizes
-	ecc      []int64 // exact ecc, Inf (component exhausted below n), or EccUnknown
-	diam     int64   // max ecc; EccUnknown when any ecc is unknown
+	stop     int64     // K: every row ends at its first t with t·|B_t| ≥ stop at the latest
+	rowStart []int32   // len n+1; node v's row holds entries rowStart[v]..rowStart[v+1]-1 of all rows in node order
+	chunks   [][]int32 // chunks[b] holds the rows of nodes 64b..64b+63 back to back, as the kernel wrote them
+	decided  int64     // the largest k every row decides; math.MaxInt64 when every row ended full or exhausted
+}
+
+// newProfiles packages the rows of one kernel pass: rowStart holds
+// each node v's row length at v+1 and becomes the row offsets, and
+// chunks[b] holds the kernel's rows of the b-th 64-node batch, which
+// stay the artifact's storage.
+func newProfiles(n, maxR int, stop int64, rowStart []int32, chunks [][]int32) *Profiles {
+	for v := 0; v < n; v++ {
+		rowStart[v+1] += rowStart[v]
+	}
+	p := &Profiles{n: n, maxR: maxR, stop: stop, rowStart: rowStart, chunks: chunks}
+	p.decide()
+	return p
+}
+
+// row returns node v's stored row.
+func (p *Profiles) row(v int) []int32 {
+	base := p.rowStart[v&^(hopBatch-1)]
+	return p.chunks[v/hopBatch][p.rowStart[v]-base : p.rowStart[v+1]-base]
+}
+
+// decide sets p.decided from the rows' last entries. A row that ended
+// at |B_t| = n or one level after its frontier emptied holds every
+// ball size there is: it decides every k. Any other row ended at its
+// last entry t, with |B_t| the size there, and decides exactly the k ≤
+// t·|B_t| (past t its sizes only grow, so t'·|B_t'| ≥ k for every
+// t' ≥ t as well); a row that stopped at K decides at least every
+// k ≤ K, and decided never exceeds K unless every row is final.
+func (p *Profiles) decide() {
+	p.decided = math.MaxInt64
+	for v := 0; v < p.n; v++ {
+		row := p.row(v)
+		t := len(row) - 1
+		if last := row[t]; int(last) != p.n && (t == 0 || row[t-1] != last) {
+			p.decided = min(p.decided, p.stop, int64(t)*int64(last))
+		}
+	}
 }
 
 // N returns the number of nodes profiled.
@@ -44,51 +81,42 @@ func (p *Profiles) N() int { return p.n }
 // (|B_t(v)| for t = 0..Len(v)-1).
 func (p *Profiles) Len(v int) int { return int(p.rowStart[v+1] - p.rowStart[v]) }
 
-// Size returns |B_t(v)|. Entries past the stored profile repeat the
-// final stored value, which is exact whenever the node's BFS exhausted
-// (its eccentricity is not EccUnknown) or t is at most the truncation
-// radius; beyond both the true ball may be larger.
+// Size returns |B_t(v)| for t < Len(v). Past the stored row it repeats
+// the row's last entry: exact when the row ended at |B_t| = n or after
+// its frontier emptied; otherwise the true ball may be larger, but
+// t·Size(v, t) is then at least what the row decides (Decides), so
+// Definition 3.1's test t·|B_t(v)| ≥ k has the same answer on Size as
+// on the true ball for every k the artifact decides.
 func (p *Profiles) Size(v, t int) int {
-	lo, hi := p.rowStart[v], p.rowStart[v+1]
-	if int32(t) < hi-lo {
-		return int(p.sizes[lo+int32(t)])
-	}
-	return int(p.sizes[hi-1])
+	row := p.row(v)
+	return int(row[min(t, len(row)-1)])
 }
 
-// Eccentricities returns the per-node eccentricity vector: node v's
-// exact hop eccentricity, Inf when v's component excludes part of the
-// graph, or EccUnknown when the truncation radius cut the search off
-// first. The slice is owned by the Profiles and must not be modified.
-func (p *Profiles) Eccentricities() []int64 { return p.ecc }
+// Complete reports that every row ended at |B_t| = n or after its
+// frontier emptied, so every entry of Size is exact for all t.
+func (p *Profiles) Complete() bool { return p.decided == math.MaxInt64 }
 
-// Diameter returns the exact hop diameter (Inf for a disconnected
-// graph). ok is false when any eccentricity is EccUnknown, i.e. the
-// truncation radius did not cover the graph.
-func (p *Profiles) Diameter() (diam int64, ok bool) {
-	if p.diam == EccUnknown {
-		return 0, false
-	}
-	return p.diam, true
-}
+// Decides reports whether p answers Definition 3.1's condition
+// t·|B_t(v)| ≥ k exactly at every node and radius: k ≤ K and no row
+// was cut off at maxR before t·|B_t| reached k, or every row is
+// complete.
+func (p *Profiles) Decides(k int) bool { return int64(k) <= p.decided }
 
-// Complete reports that every node's BFS exhausted within the
-// truncation radius, making every profile entry, eccentricity and the
-// diameter exact for all t.
-func (p *Profiles) Complete() bool { return p.diam != EccUnknown }
-
-// Covers reports whether p answers ball sizes exactly for every radius
-// up to r (it always does up to the truncation radius, and for every
-// radius at all once complete).
-func (p *Profiles) Covers(r int) bool { return p.Complete() || r <= p.maxR }
+// ProfileStop returns K = max{9n, m}, where each row of the graph's
+// ball profiles stops: at its first t with t·|B_t(v)| ≥ K, so a
+// profile answers NQ_k (Definition 3.1) for every k ≤ K. The 9n is
+// what the canonical radius ProfileRadius promises; the m covers the
+// k = m queries of Corollary 2.2 (apsp.SparseExact) on graphs with
+// more than 9n edges.
+func (g *Graph) ProfileStop() int { return max(9*g.N(), g.M()) }
 
 // ProfileRadius is the canonical truncation radius of the shared
 // profile artifacts (runner.ProfileCache, DESIGN.md §10):
-// min{D, 3⌈√n⌉+8}. By Lemma 3.6-style growth, a profile of this depth
-// answers NQ_k exactly for every k ≤ 9n — the first radius t with
+// min{D, 3⌈√n⌉+8}. By Lemma 3.6-style growth, the first radius t with
 // t·|B_t(v)| ≥ k satisfies t ≤ max{⌈√k⌉, ⌈k/n⌉} whenever the graph is
-// connected — while costing O(n·√n) space instead of the O(n·D) of a
-// full profile (quadratic on paths). A negative diam means unknown; a
+// connected, so every row stops at K = 9n within this radius, while
+// the artifact costs O(n·√n) space instead of the O(n·D) of a full
+// profile (quadratic on paths). A negative diam means unknown; a
 // diam ≥ Inf (disconnected) leaves the √n term in charge.
 func ProfileRadius(n int, diam int64) int {
 	r := 3*ceilSqrt(n) + 8
@@ -167,73 +195,29 @@ func (g *Graph) BallProfiles(maxR int) *Profiles {
 // BallProfilesWorkers is BallProfiles with an explicit worker count
 // (≤ 0 means GOMAXPROCS). Workers claim 64-node chunks from an atomic
 // cursor and profile each chunk with one call of the bit-parallel hop
-// kernel (hopkernel.go); the result is assembled in node order, so the
+// kernel (hopkernel.go), whose sources retire as their rows end; each
+// chunk's rows stay where the kernel wrote them, in node order, so the
 // artifact — including its EncodeProfiles bytes — is identical at any
-// worker count. Eccentricities are exact for nodes whose search
-// exhausted within maxR (EccUnknown otherwise, Inf when the component
-// excludes part of the graph), and the exact diameter is available
-// whenever every node resolved.
+// worker count.
 func (g *Graph) BallProfilesWorkers(maxR, workers int) *Profiles {
 	n := g.N()
 	if maxR < 0 {
 		maxR = 0
 	}
-	p := &Profiles{
-		n:        n,
-		maxR:     maxR,
-		rowStart: make([]int32, n+1),
-		ecc:      make([]int64, n),
-		diam:     0,
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	stop := int64(g.ProfileStop())
 	// Each chunk writes its row lengths into rowStart[lo+1:hi+1] (summed
-	// into offsets by assemble) and its eccentricities into ecc[lo:hi];
-	// only the rows themselves wait in per-chunk slices for assembly.
+	// into offsets by newProfiles) and its rows into chunks.
+	rowStart := make([]int32, n+1)
 	chunks := make([][]int32, (n+hopBatch-1)/hopBatch)
 	forEachHopBatch(n, workers, nil, func(lo, hi int) {
 		var src [hopBatch]int
-		chunks[lo/hopBatch] = g.hopKernel(hopRange(&src, lo, hi), maxR, maxR, p.ecc[lo:hi], p.rowStart[lo+1:hi+1], nil)
+		rows := hopRows{stop: stop, keepR: maxR, lens: rowStart[lo+1 : hi+1]}
+		chunks[lo/hopBatch] = g.hopKernel(hopRange(&src, lo, hi), maxR, nil, &rows, nil)
 	})
-	p.assemble(chunks)
-	for _, e := range p.ecc {
-		if e == EccUnknown {
-			p.diam = EccUnknown
-			break
-		}
-		if e > p.diam {
-			p.diam = e
-		}
-	}
-	return p
-}
-
-// assemble turns p.rowStart, holding each node v's row length at v+1,
-// into row offsets, and concatenates the per-batch rows of chunks, in
-// node order, into p.sizes.
-func (p *Profiles) assemble(chunks [][]int32) {
-	for v := 0; v < p.n; v++ {
-		p.rowStart[v+1] += p.rowStart[v]
-	}
-	p.sizes = make([]int32, 0, p.rowStart[p.n])
-	for _, rows := range chunks {
-		p.sizes = append(p.sizes, rows...)
-	}
-}
-
-// keptProfiles packages the rows that a complete Diameter pass kept —
-// every search reached all n nodes within ProfileRadius(n, -1), so
-// every node's row ends at |B_ecc(v)| = n — as the artifact BallProfiles(
-// ProfileRadius(n, diam)) computes: the same rows, with ecc(v) one less
-// than v's row length. rowStart holds each row length at v+1.
-func keptProfiles(n int, diam int64, rowStart []int32, chunks [][]int32) *Profiles {
-	p := &Profiles{n: n, maxR: ProfileRadius(n, diam), rowStart: rowStart, ecc: make([]int64, n), diam: diam}
-	for v := range p.ecc {
-		p.ecc[v] = int64(rowStart[v+1]) - 1
-	}
-	p.assemble(chunks)
-	return p
+	return newProfiles(n, maxR, stop, rowStart, chunks)
 }
 
 // BallReach is the early-exit single-k kernel behind NQ_k: it grows

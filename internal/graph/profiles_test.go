@@ -4,12 +4,26 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
+// stopRow cuts a BallSizes row at its first t with t·|B_t| ≥ stop,
+// where a BallProfiles row stops: the reference rows of the profile
+// tests.
+func stopRow(sizes []int, stop int) []int {
+	for t, size := range sizes {
+		if t*size >= stop {
+			return sizes[:t+1]
+		}
+	}
+	return sizes
+}
+
 // TestProfilesMatchBallSizes: the batch kernel must agree entrywise
-// with the incremental BallSizes it batches, including the truncation
-// semantics (entries past the stored row repeat the final value).
+// with the incremental BallSizes it batches, cut at each row's first
+// t·|B_t| ≥ K, including the truncation semantics (entries past the
+// stored row repeat the final value).
 func TestProfilesMatchBallSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	graphs := map[string]*Graph{
@@ -18,21 +32,19 @@ func TestProfilesMatchBallSizes(t *testing.T) {
 		"random": RandomConnected(35, 0.1, rng),
 	}
 	for name, g := range graphs {
-		for _, maxR := range []int{0, 1, 3, g.N()} {
+		stop := g.ProfileStop()
+		for _, maxR := range []int{0, 1, 3, 12, g.N()} {
 			p := g.BallProfiles(maxR)
-			if p.N() != g.N() || p.maxR != maxR {
-				t.Fatalf("%s maxR=%d: shape n=%d maxR=%d", name, maxR, p.N(), p.maxR)
+			if p.N() != g.N() || p.maxR != maxR || p.stop != int64(stop) {
+				t.Fatalf("%s maxR=%d: shape n=%d maxR=%d stop=%d", name, maxR, p.N(), p.maxR, p.stop)
 			}
 			for v := 0; v < g.N(); v++ {
-				sizes := g.BallSizes(v, maxR)
+				sizes := stopRow(g.BallSizes(v, maxR), stop)
 				if p.Len(v) != len(sizes) {
-					t.Fatalf("%s maxR=%d v=%d: profile len %d, BallSizes len %d", name, maxR, v, p.Len(v), len(sizes))
+					t.Fatalf("%s maxR=%d v=%d: profile len %d, BallSizes cut at K has %d", name, maxR, v, p.Len(v), len(sizes))
 				}
 				for tt := 0; tt <= maxR; tt++ {
-					want := sizes[len(sizes)-1]
-					if tt < len(sizes) {
-						want = sizes[tt]
-					}
+					want := sizes[min(tt, len(sizes)-1)]
 					if got := p.Size(v, tt); got != want {
 						t.Fatalf("%s maxR=%d: |B_%d(%d)|=%d, BallSizes %d", name, maxR, tt, v, got, want)
 					}
@@ -42,49 +54,71 @@ func TestProfilesMatchBallSizes(t *testing.T) {
 	}
 }
 
-// TestProfilesEccentricities: full-depth profiles report exact
-// eccentricities (Inf on disconnected graphs), truncated ones mark the
-// cut-off nodes EccUnknown and withhold the diameter.
+// eccUnknown is kernelEccentricities' mark for a search that maxR cut
+// off, where the kernel writes no eccentricity.
+const eccUnknown int64 = -1
+
+// kernelEccentricities runs the hop kernel over every 64-node batch
+// of g at radius maxR and returns the eccentricities it reports.
+func kernelEccentricities(g *Graph, maxR int) []int64 {
+	ecc := make([]int64, g.N())
+	for v := range ecc {
+		ecc[v] = eccUnknown
+	}
+	for lo := 0; lo < g.N(); lo += hopBatch {
+		hi := min(lo+hopBatch, g.N())
+		var src [hopBatch]int
+		g.hopKernel(hopRange(&src, lo, hi), maxR, ecc[lo:hi], nil, nil)
+	}
+	return ecc
+}
+
+// TestProfilesEccentricities: the hop kernel reports exact
+// eccentricities (Inf on disconnected graphs) and eccUnknown where
+// maxR cuts a search off, and a profile reads from its rows' ends what
+// it decides: every k ≤ K when each row stopped at K or is final, less
+// when maxR cut a row off first, and every k once every row is final.
 func TestProfilesEccentricities(t *testing.T) {
 	g := Path(30)
-	full := g.BallProfiles(g.N())
+	full := kernelEccentricities(g, g.N())
 	for v := 0; v < g.N(); v++ {
-		if want := g.Eccentricity(v); full.Eccentricities()[v] != want {
-			t.Fatalf("ecc(%d)=%d, want %d", v, full.Eccentricities()[v], want)
+		if want := g.Eccentricity(v); full[v] != want {
+			t.Fatalf("ecc(%d)=%d, want %d", v, full[v], want)
 		}
 	}
-	if d, ok := full.Diameter(); !ok || d != g.Diameter() {
-		t.Fatalf("full diameter (%d,%v), want (%d,true)", d, ok, g.Diameter())
+	if trunc := kernelEccentricities(g, 3); trunc[0] != eccUnknown || trunc[15] != eccUnknown {
+		t.Fatalf("radius-3 eccentricities %d, %d, want eccUnknown", trunc[0], trunc[15])
 	}
-	if !full.Complete() {
-		t.Fatal("full-depth path profile not complete")
-	}
-
-	trunc := g.BallProfiles(3)
-	if trunc.Complete() {
-		t.Fatal("radius-3 profile of a 30-path cannot be complete")
-	}
-	if _, ok := trunc.Diameter(); ok {
-		t.Fatal("truncated profile reported a diameter")
-	}
-	if trunc.Eccentricities()[0] != EccUnknown {
-		t.Fatalf("endpoint ecc %d, want EccUnknown", trunc.Eccentricities()[0])
-	}
-	if !trunc.Covers(3) || trunc.Covers(4) {
-		t.Fatal("Covers disagrees with the truncation radius")
-	}
-
 	disc := NewBuilder(4)
 	disc.mustAddEdge(0, 1, 1)
 	disc.mustAddEdge(2, 3, 1)
-	p := disc.Build().BallProfiles(10)
-	for v := 0; v < 4; v++ {
-		if p.Eccentricities()[v] != Inf {
-			t.Fatalf("disconnected ecc(%d)=%d, want Inf", v, p.Eccentricities()[v])
+	dg := disc.Build()
+	for v, e := range kernelEccentricities(dg, 10) {
+		if e != Inf {
+			t.Fatalf("disconnected ecc(%d)=%d, want Inf", v, e)
 		}
 	}
-	if d, ok := p.Diameter(); !ok || d != Inf {
-		t.Fatalf("disconnected diameter (%d,%v), want (Inf,true)", d, ok)
+
+	// A 30-path's K is 270: the endpoint rows stop at t = 16
+	// (16·17 = 272), long before |B_t| = n.
+	stop := g.ProfileStop()
+	deep := g.BallProfiles(g.N())
+	if deep.Complete() || !deep.Decides(stop) || deep.Decides(stop+1) {
+		t.Fatalf("full-depth path profile: complete %v, decides K %v, K+1 %v; want false, true, false",
+			deep.Complete(), deep.Decides(stop), deep.Decides(stop+1))
+	}
+	if deep.Len(0) != 17 {
+		t.Fatalf("endpoint row has %d entries, want 17", deep.Len(0))
+	}
+	// At radius 3 the endpoint rows are cut at 3·|B_3| = 12.
+	trunc := g.BallProfiles(3)
+	if !trunc.Decides(12) || trunc.Decides(13) {
+		t.Fatal("radius-3 profile does not decide exactly k ≤ 3·|B_3(0)| = 12")
+	}
+	for name, p := range map[string]*Profiles{"5-cycle": Cycle(5).BallProfiles(5), "disconnected": dg.BallProfiles(10)} {
+		if !p.Complete() || !p.Decides(1<<40) {
+			t.Fatalf("%s: rows all final, yet complete %v", name, p.Complete())
+		}
 	}
 }
 
@@ -181,7 +215,7 @@ func TestProfileRadius(t *testing.T) {
 // re-encodes to the same bytes.
 func TestProfilesCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, g := range []*Graph{Path(30), Grid(5, 2), RandomConnected(40, 0.1, rng), NewBuilder(0).Build()} {
+	for _, g := range []*Graph{Path(30), Path(130), Grid(5, 2), RandomConnected(40, 0.1, rng), NewBuilder(0).Build()} {
 		for _, maxR := range []int{0, 2, g.N()} {
 			p := g.BallProfiles(maxR)
 			blob := EncodeProfiles(p)
@@ -192,24 +226,19 @@ func TestProfilesCodecRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			if got.N() != p.N() || got.maxR != p.maxR || got.Complete() != p.Complete() {
-				t.Fatalf("decoded shape (%d,%d,%v), want (%d,%d,%v)",
-					got.N(), got.maxR, got.Complete(), p.N(), p.maxR, p.Complete())
+			if got.N() != p.N() || got.maxR != p.maxR || got.stop != p.stop || got.decided != p.decided {
+				t.Fatalf("decoded shape (%d,%d,%d,%d), want (%d,%d,%d,%d)",
+					got.N(), got.maxR, got.stop, got.decided, p.N(), p.maxR, p.stop, p.decided)
 			}
 			for v := 0; v < p.N(); v++ {
-				if got.Eccentricities()[v] != p.Eccentricities()[v] || got.Len(v) != p.Len(v) {
-					t.Fatalf("node %d: decoded (ecc=%d,len=%d), want (%d,%d)", v, got.Eccentricities()[v], got.Len(v), p.Eccentricities()[v], p.Len(v))
+				if got.Len(v) != p.Len(v) {
+					t.Fatalf("node %d: decoded len %d, want %d", v, got.Len(v), p.Len(v))
 				}
 				for tt := 0; tt <= maxR; tt++ {
 					if got.Size(v, tt) != p.Size(v, tt) {
 						t.Fatalf("node %d t=%d: decoded size %d, want %d", v, tt, got.Size(v, tt), p.Size(v, tt))
 					}
 				}
-			}
-			d1, ok1 := p.Diameter()
-			d2, ok2 := got.Diameter()
-			if d1 != d2 || ok1 != ok2 {
-				t.Fatalf("decoded diameter (%d,%v), want (%d,%v)", d2, ok2, d1, ok1)
 			}
 			if !bytes.Equal(EncodeProfiles(got), blob) {
 				t.Fatal("re-encoding differs from the original bytes")
@@ -218,63 +247,132 @@ func TestProfilesCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestProfilesCodecRejectsCorruption: structural damage must fail
-// decoding rather than producing an invalid artifact.
+// profileRows returns copies of p's rows in node order.
+func profileRows(p *Profiles) [][]int32 {
+	rows := make([][]int32, p.n)
+	for v := range rows {
+		rows[v] = slices.Clone(p.row(v))
+	}
+	return rows
+}
+
+// profileBlob encodes rows by hand in the current layout, so a test
+// can store rows the kernel would never write.
+func profileBlob(n, maxR int, stop int64, rows [][]int32) []byte {
+	entries := 0
+	for _, row := range rows {
+		entries += len(row)
+	}
+	b := binary.LittleEndian.AppendUint32(append([]byte(nil), profMagic[:]...), ProfilesCodecVersion)
+	for _, v := range []uint64{uint64(n), uint64(maxR), uint64(stop), uint64(entries)} {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	off := uint32(0)
+	b = binary.LittleEndian.AppendUint32(b, off)
+	for _, row := range rows {
+		off += uint32(len(row))
+		b = binary.LittleEndian.AppendUint32(b, off)
+	}
+	for _, row := range rows {
+		for _, size := range row {
+			b = binary.LittleEndian.AppendUint32(b, uint32(size))
+		}
+	}
+	return b
+}
+
+// v1ProfileBlob encodes p in the version-1 layout: no stop in the
+// header, and an eccentricity array after the sizes (here each row's
+// length minus one, which is what version 1 stored for a final row).
+func v1ProfileBlob(p *Profiles) []byte {
+	rows := profileRows(p)
+	entries := int(p.rowStart[p.n])
+	b := binary.LittleEndian.AppendUint32(append([]byte(nil), profMagic[:]...), 1)
+	for _, v := range []uint64{uint64(p.n), uint64(p.maxR), uint64(entries)} {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	for _, off := range p.rowStart {
+		b = binary.LittleEndian.AppendUint32(b, uint32(off))
+	}
+	for _, row := range rows {
+		for _, size := range row {
+			b = binary.LittleEndian.AppendUint32(b, uint32(size))
+		}
+	}
+	for _, row := range rows {
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(row)-1))
+	}
+	return b
+}
+
+// TestProfilesCodecRejectsCorruption: structural damage, rows that do
+// not end exactly where the kernel ends them, and blobs of another
+// version must fail decoding rather than produce an invalid artifact.
 func TestProfilesCodecRejectsCorruption(t *testing.T) {
 	p := Grid(4, 2).BallProfiles(6)
 	blob := EncodeProfiles(p)
-	cases := map[string]func([]byte) []byte{
-		"truncated header": func(b []byte) []byte { return b[:10] },
-		"bad magic":        func(b []byte) []byte { b[0] ^= 0xff; return b },
-		"bad version":      func(b []byte) []byte { b[4] = 99; return b },
-		"short payload":    func(b []byte) []byte { return b[:len(b)-3] },
-		"huge n":           func(b []byte) []byte { b[8] = 0xff; b[9] = 0xff; b[10] = 0xff; b[11] = 0xff; return b },
-		"zero first size": func(b []byte) []byte {
+	// A 40-path's rows stop at K = 360 (the endpoints' at t = 19, with
+	// 19·20 = 380), short of every other end.
+	path := Path(40)
+	stopped := path.BallProfiles(path.N())
+	stop := int64(path.ProfileStop())
+	if stopped.Len(0) != 20 {
+		t.Fatalf("endpoint row of the 40-path has %d entries, want 20", stopped.Len(0))
+	}
+	withRow0 := func(row []int32) []byte {
+		rows := profileRows(stopped)
+		rows[0] = row
+		return profileBlob(path.N(), path.N(), stop, rows)
+	}
+	row0 := profileRows(stopped)[0]
+	cases := map[string][]byte{
+		"truncated header": blob[:10],
+		"bad magic":        append([]byte{'X'}, blob[1:]...),
+		"bad version":      append(append(slices.Clone(blob[:4]), 99, 0, 0, 0), blob[8:]...),
+		"short payload":    blob[:len(blob)-3],
+		"huge n":           append(append(slices.Clone(blob[:8]), 0xff, 0xff, 0xff, 0xff), blob[12:]...),
+		"zero first size": func() []byte {
+			b := slices.Clone(blob)
 			b[profHeaderLen+4*(p.n+1)] = 0
 			return b
-		},
-		"bad ecc": func(b []byte) []byte {
-			off := len(b) - 8*p.n
-			b[off] = 0x77 // ecc(0) = 0x77 > maxR, neither Inf nor EccUnknown
-			return b
-		},
-		"unknown ecc on exhausted row": func(b []byte) []byte {
-			// Node 5 (a grid center) exhausts before maxR, so its row is
-			// short; marking it EccUnknown must be rejected, or the
-			// short row's sizes would masquerade as exact for all t.
-			off := len(b) - 8*p.n + 8*5
-			for i := 0; i < 8; i++ {
-				b[off+i] = 0xff // int64(-1) = EccUnknown
-			}
-			return b
-		},
+		}(),
+		"exhausted row not ended": func() []byte {
+			// Node 5 (a grid center) reaches all 16 nodes before maxR;
+			// a row that runs on past |B_t| = n is not the kernel's.
+			rows := profileRows(p)
+			rows[5] = append(rows[5], 16)
+			return profileBlob(p.n, p.maxR, p.stop, rows)
+		}(),
+		"row past its stop":     withRow0(append(slices.Clone(row0), 21)),
+		"row short of its stop": withRow0(row0[:len(row0)-1]),
+		"stop raised":           profileBlob(path.N(), path.N(), stop+100, profileRows(stopped)),
+		"stop below 9n":         profileBlob(path.N(), path.N(), int64(9*path.N()-1), profileRows(stopped)),
+		"version 1":             v1ProfileBlob(stopped),
 	}
-	for name, corrupt := range cases {
-		mutated := corrupt(append([]byte(nil), blob...))
+	for name, mutated := range cases {
 		if _, err := DecodeProfiles(mutated); err == nil {
 			t.Fatalf("%s: corrupt blob decoded", name)
 		}
 	}
-	if _, err := DecodeProfiles(blob); err != nil {
-		t.Fatalf("pristine blob rejected: %v", err)
+	for _, pristine := range [][]byte{blob, EncodeProfiles(stopped), profileBlob(path.N(), path.N(), stop, profileRows(stopped))} {
+		if _, err := DecodeProfiles(pristine); err != nil {
+			t.Fatalf("pristine blob rejected: %v", err)
+		}
 	}
 }
 
 // offsetPastEntriesBlob is a profile blob whose first row offset pair
 // (0,5) looks sane but runs past the two stored sizes: n=2, maxR=10,
-// entries=2, rowStart=[0,5,2], sizes=[1,1], ecc=[1,1].
+// stop=18, entries=2, rowStart=[0,5,2], sizes=[1,1].
 func offsetPastEntriesBlob() []byte {
-	b := make([]byte, 0, profHeaderLen+4*3+4*2+8*2)
+	b := make([]byte, 0, profHeaderLen+4*3+4*2)
 	b = append(b, profMagic[:]...)
 	b = binary.LittleEndian.AppendUint32(b, ProfilesCodecVersion)
-	for _, v := range []uint64{2, 10, 2} { // n, maxR, entries
+	for _, v := range []uint64{2, 10, 18, 2} { // n, maxR, stop, entries
 		b = binary.LittleEndian.AppendUint64(b, v)
 	}
 	for _, v := range []uint32{0, 5, 2, 1, 1} { // rowStart, then sizes
 		b = binary.LittleEndian.AppendUint32(b, v)
-	}
-	for _, v := range []uint64{1, 1} { // ecc
-		b = binary.LittleEndian.AppendUint64(b, v)
 	}
 	return b
 }

@@ -206,18 +206,20 @@ func (g *Graph) Eccentricity(v int) int64 {
 // batch meets a second component.
 //
 // The pass keeps every source's ball-size row while the searches stay
-// within ProfileRadius(n, -1) = 3⌈√n⌉+8. When every search reaches
-// all n nodes within it, the graph is connected with D at most that
-// radius, and the rows are exactly BallProfiles(ProfileRadius(n, D)):
-// they are attached as the graph's profiles (unless some are attached
-// already), so no second all-sources pass grows them. As soon as a
-// search passes the radius the remaining batches keep no rows.
+// within ProfileRadius(n, -1) = 3⌈√n⌉+8, each cut at the row's first
+// t with t·|B_t| ≥ ProfileStop() like a BallProfiles row; the searches
+// themselves run on to the eccentricities. When every search reaches
+// all n nodes within that radius, the graph is connected with D at most
+// that radius, and the rows are exactly BallProfiles(ProfileRadius(n,
+// D)): they are attached as the graph's profiles (unless some are
+// attached already), so no second all-sources pass grows them. As soon
+// as a search passes the radius the remaining batches keep no rows.
 func (g *Graph) Diameter() int64 {
 	if d := g.diam.Load(); d != 0 {
 		return d
 	}
 	n := g.N()
-	rowR := ProfileRadius(n, -1)
+	stop, keepR := int64(g.ProfileStop()), ProfileRadius(n, -1)
 	rowStart := make([]int32, n+1) // row lengths at v+1 while rows are kept
 	chunks := make([][]int32, (n+hopBatch-1)/hopBatch)
 	var diam atomic.Int64
@@ -225,12 +227,12 @@ func (g *Graph) Diameter() int64 {
 	forEachHopBatch(n, MaxKernelWorkers(), func() bool { return diam.Load() >= Inf }, func(lo, hi int) {
 		var ecc [hopBatch]int64
 		var src [hopBatch]int
-		var lens []int32
+		var rows *hopRows
 		if !dropped.Load() {
-			lens = rowStart[lo+1 : hi+1]
+			rows = &hopRows{stop: stop, keepR: keepR, lens: rowStart[lo+1 : hi+1]}
 		}
-		if rows := g.hopKernel(hopRange(&src, lo, hi), n, rowR, ecc[:hi-lo], lens, nil); rows != nil {
-			chunks[lo/hopBatch] = rows
+		if out := g.hopKernel(hopRange(&src, lo, hi), n, ecc[:hi-lo], rows, nil); out != nil {
+			chunks[lo/hopBatch] = out
 		} else {
 			dropped.Store(true)
 		}
@@ -240,7 +242,7 @@ func (g *Graph) Diameter() int64 {
 	})
 	d := diam.Load()
 	if n > 0 && d < Inf && !dropped.Load() {
-		g.profiles.CompareAndSwap(nil, keptProfiles(n, d, rowStart, chunks))
+		g.profiles.CompareAndSwap(nil, newProfiles(n, ProfileRadius(n, d), stop, rowStart, chunks))
 	}
 	g.diam.Store(d)
 	return d

@@ -1,16 +1,18 @@
 package nq_test
 
 // Differential-oracle suite for the batched ball-profile kernel
-// (DESIGN.md §10): profile-served NQ_k, eccentricities and the
-// diameter are checked against the independent sequential oracle on
-// every default family, two sizes, three seeds — and the assembled
-// artifact must be byte-identical at 1 and 8 kernel workers. Runs
-// clean under -race, which exercises the parallel kernel's chunk
-// claiming and the concurrent profile attachment.
+// (DESIGN.md §10): profile rows, profile-served NQ_k and the diameter
+// are checked against the independent sequential oracle on every
+// default family, two sizes, three seeds — and the assembled artifact
+// must be byte-identical at 1 and 8 kernel workers. Runs clean under
+// -race, which exercises the parallel kernel's chunk claiming and the
+// concurrent profile attachment.
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -28,80 +30,131 @@ func buildGraph(t *testing.T, f graph.Family, n int, seed int64) *graph.Graph {
 	return g
 }
 
-// TestBallProfilesAgainstOracle: a full-depth profile must reproduce
-// the oracle's eccentricities and diameter exactly, and its per-radius
-// ball sizes must match the oracle's counting BFS for every node.
+// oracleRow returns node v's ball sizes from the oracle's counting
+// BFS up to radius maxR, ended where the kernel ends a row: at
+// |B_t| = n, one level after the ball stops growing, at the first t
+// with t·|B_t| ≥ stop, or at maxR.
+func oracleRow(g *graph.Graph, v, maxR, stop int) []int {
+	sizes := oracle.BallSizes(g, v, maxR)
+	for t, size := range sizes {
+		if size == g.N() || (t > 0 && sizes[t-1] == size) || t*size >= stop {
+			return sizes[:t+1]
+		}
+	}
+	return sizes
+}
+
+// TestBallProfilesAgainstOracle: a full-depth profile's rows must be
+// the oracle's ball sizes, each ended at its first t·|B_t| ≥ K unless
+// the ball covers its component first; the profile decides every
+// k ≤ K, and every k exactly when all rows end with the ball complete.
+// The diameter the hop kernel finds must be the oracle's.
 func TestBallProfilesAgainstOracle(t *testing.T) {
 	for _, f := range graph.Families() {
 		for _, n := range []int{24, 40} {
 			for seed := int64(1); seed <= 3; seed++ {
 				g := buildGraph(t, f, n, seed)
+				stop := g.ProfileStop()
 				p := g.BallProfiles(g.N())
-				if !p.Complete() {
-					t.Fatalf("%s/n=%d/seed=%d: full-depth profile incomplete", f, n, seed)
-				}
-				wantEcc := oracle.Eccentricities(g)
+				complete := true
 				for v := 0; v < g.N(); v++ {
-					if p.Eccentricities()[v] != wantEcc[v] {
-						t.Fatalf("%s/n=%d/seed=%d: ecc(%d)=%d, oracle %d", f, n, seed, v, p.Eccentricities()[v], wantEcc[v])
+					want := oracleRow(g, v, g.N(), stop)
+					if p.Len(v) != len(want) {
+						t.Fatalf("%s/n=%d/seed=%d: node %d has %d profile entries, oracle row %d", f, n, seed, v, p.Len(v), len(want))
 					}
-				}
-				diam, ok := p.Diameter()
-				if want := oracle.Diameter(g); !ok || diam != want {
-					t.Fatalf("%s/n=%d/seed=%d: profile diameter %d (ok=%v), oracle %d", f, n, seed, diam, ok, want)
-				}
-				for _, v := range []int{0, g.N() / 2, g.N() - 1} {
-					maxT := 6
-					sizes := oracle.BallSizes(g, v, maxT)
-					for tt := 0; tt <= maxT; tt++ {
-						if got := p.Size(v, tt); got != sizes[tt] {
-							t.Fatalf("%s/n=%d/seed=%d: |B_%d(%d)|=%d, oracle %d", f, n, seed, tt, v, got, sizes[tt])
+					for tt, size := range want {
+						if got := p.Size(v, tt); got != size {
+							t.Fatalf("%s/n=%d/seed=%d: |B_%d(%d)|=%d, oracle %d", f, n, seed, tt, v, got, size)
 						}
 					}
+					complete = complete && want[len(want)-1] == g.N()
+				}
+				if !p.Decides(stop) || p.Complete() != complete || p.Decides(stop+1) != complete {
+					t.Fatalf("%s/n=%d/seed=%d: decides K %v, complete %v, decides K+1 %v; oracle rows complete %v",
+						f, n, seed, p.Decides(stop), p.Complete(), p.Decides(stop+1), complete)
+				}
+				if diam, want := uncachedDiameter(t, g), oracle.Diameter(g); diam != want {
+					t.Fatalf("%s/n=%d/seed=%d: kernel diameter %d, oracle %d", f, n, seed, diam, want)
 				}
 			}
 		}
 	}
 }
 
+// uncachedDiameter runs the hop kernel's diameter pass on an
+// edge-by-edge copy of g, which starts without the diameter that
+// some generators seed.
+func uncachedDiameter(t *testing.T, g *graph.Graph) int64 {
+	t.Helper()
+	b := graph.NewBuilder(g.N())
+	for _, e := range g.Edges() {
+		if err := b.AddEdge(e.U, e.V, e.W); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.Build().Diameter()
+}
+
 // TestProfileNQAgainstOracle: both evaluation paths — early-exit
 // kernel (no profile attached) and profile binary search — must agree
 // with the oracle's Definition 3.1 counting on every node, for
-// workloads spanning the fast path, the √k regime, and the D cap.
+// workloads spanning the fast path, the √k regime, the D cap, and the
+// profile's reach: k ∈ {9n, m, K} are the largest it decides, and
+// K + 1 is past it, so unless every row is complete the profiled graph
+// answers K + 1 with the early-exit kernel too. A ring of twelve
+// 20-cliques has m = 2292 > 9n = 2160, so there K = m, and every one
+// of its rows stops at K before the ball covers the graph.
 func TestProfileNQAgainstOracle(t *testing.T) {
+	type instance struct {
+		name  string
+		build func() *graph.Graph
+	}
+	var instances []instance
 	for _, f := range graph.Families() {
 		for _, n := range []int{24, 40} {
 			for seed := int64(1); seed <= 3; seed++ {
-				g := buildGraph(t, f, n, seed)
-				profiled := buildGraph(t, f, n, seed)
-				profiled.AttachProfiles(
-					profiled.BallProfiles(graph.ProfileRadius(profiled.N(), profiled.Diameter())))
-				for _, k := range []int{1, 5, n, 4 * n, 12 * n} {
-					wantPer, wantNQ, err := oracle.NQPerNode(g, k)
-					if err != nil {
-						t.Fatalf("%s/n=%d/seed=%d k=%d: oracle: %v", f, n, seed, k, err)
-					}
-					for name, gg := range map[string]*graph.Graph{"kernel": g, "profile": profiled} {
-						per, q, err := nq.PerNode(gg, k)
-						if err != nil {
-							t.Fatalf("%s/n=%d/seed=%d k=%d (%s): %v", f, n, seed, k, name, err)
-						}
-						if q != wantNQ {
-							t.Fatalf("%s/n=%d/seed=%d k=%d (%s): NQ=%d, oracle %d", f, n, seed, k, name, q, wantNQ)
-						}
-						for v := range per {
-							if per[v] != wantPer[v] {
-								t.Fatalf("%s/n=%d/seed=%d k=%d (%s): NQ(%d)=%d, oracle %d",
-									f, n, seed, k, name, v, per[v], wantPer[v])
-							}
-						}
-						if w, qw, err := nq.Witness(gg, k); err != nil || qw != wantNQ || wantPer[w] != wantNQ {
-							t.Fatalf("%s/n=%d/seed=%d k=%d (%s): witness (%d,%d), err=%v, oracle max %d",
-								f, n, seed, k, name, w, qw, err, wantNQ)
-						}
+				instances = append(instances, instance{fmt.Sprintf("%s/n=%d/seed=%d", f, n, seed), func() *graph.Graph { return buildGraph(t, f, n, seed) }})
+			}
+		}
+	}
+	instances = append(instances, instance{"ring of twelve 20-cliques", func() *graph.Graph { return graph.RingOfCliques(12, 20) }})
+	for _, in := range instances {
+		g, profiled := in.build(), in.build()
+		n := g.N()
+		p := profiled.AttachProfiles(
+			profiled.BallProfiles(graph.ProfileRadius(profiled.N(), profiled.Diameter())))
+		stop := g.ProfileStop()
+		if !p.Decides(stop) || p.Decides(stop+1) != p.Complete() {
+			t.Fatalf("%s: canonical profile decides K %v, K+1 %v, complete %v",
+				in.name, p.Decides(stop), p.Decides(stop+1), p.Complete())
+		}
+		ks := []int{1, 5, n, 4 * n, 9 * n, 12 * n, g.M(), stop, stop + 1}
+		slices.Sort(ks)
+		for _, k := range slices.Compact(ks) {
+			wantPer, wantNQ, err := oracle.NQPerNode(g, k)
+			if err != nil {
+				t.Fatalf("%s k=%d: oracle: %v", in.name, k, err)
+			}
+			for name, gg := range map[string]*graph.Graph{"kernel": g, "profile": profiled} {
+				per, q, err := nq.PerNode(gg, k)
+				if err != nil {
+					t.Fatalf("%s k=%d (%s): %v", in.name, k, name, err)
+				}
+				if q != wantNQ {
+					t.Fatalf("%s k=%d (%s): NQ=%d, oracle %d", in.name, k, name, q, wantNQ)
+				}
+				for v := range per {
+					if per[v] != wantPer[v] {
+						t.Fatalf("%s k=%d (%s): NQ(%d)=%d, oracle %d", in.name, k, name, v, per[v], wantPer[v])
 					}
 				}
+				if w, qw, err := nq.Witness(gg, k); err != nil || qw != wantNQ || wantPer[w] != wantNQ {
+					t.Fatalf("%s k=%d (%s): witness (%d,%d), err=%v, oracle max %d", in.name, k, name, w, qw, err, wantNQ)
+				}
 			}
+		}
+		if profiled.Profiles() != p {
+			t.Fatalf("%s: an NQ query replaced the attached profile", in.name)
 		}
 	}
 }

@@ -8,9 +8,9 @@
 //
 // Two evaluation paths back every query (DESIGN.md §10). When the graph
 // carries a ball-profile artifact (graph.BallProfiles, shared across
-// sweep cells by runner.ProfileCache) that is deep enough for k, each
-// node answers in O(log) time by binary search on the strictly
-// increasing sequence t·|B_t(v)|. Otherwise the early-exit kernel
+// sweep cells by runner.ProfileCache) that decides k, each node
+// answers in O(log) time by binary search on the strictly increasing
+// sequence t·|B_t(v)|. Otherwise the early-exit kernel
 // graph.BallReach grows each ball only until the Definition 3.1
 // condition is decided. Both paths return identical values.
 package nq
@@ -123,7 +123,7 @@ func profileMax(p *graph.Profiles, n int, perNode []int, k, hi, d int) int {
 }
 
 // kernelMax is profileMax's counterpart on the early-exit ball kernel
-// path (no profile covers k).
+// path (no profile decides k).
 func kernelMax(g *graph.Graph, n int, perNode []int, k, d int) int {
 	if parallelNodes(n) {
 		return maxOverNodesParallel(n, perNode, func(v int) int { return kernelValue(g, v, k, d) })
@@ -155,29 +155,22 @@ func reqRadius(k, n int) int {
 }
 
 // profileFor returns the graph's attached ball-profile artifact if it
-// is deep enough to answer NQ_k exactly, plus the search bound
+// decides NQ_k exactly (Profiles.Decides), plus the search bound
 // hi = min{D, reqRadius} every per-node query shares (the min because
-// values are capped at D). nil when no covering profile is attached.
+// values are capped at D). nil when no deciding profile is attached.
 func profileFor(g *graph.Graph, k, d int) (p *graph.Profiles, hi int) {
 	p = g.Profiles()
-	if p == nil {
+	if p == nil || !p.Decides(k) {
 		return nil, 0
 	}
-	hi = reqRadius(k, p.N())
-	if hi > d {
-		hi = d
-	}
-	if !p.Covers(hi) {
-		return nil, 0
-	}
-	return p, hi
+	return p, min(reqRadius(k, p.N()), d)
 }
 
-// profileValue answers NQ_k(v) from a covering profile: binary search
+// profileValue answers NQ_k(v) from a deciding profile: binary search
 // for the smallest t with t·|B_t(v)| ≥ k over [1, hi] (the bound
 // profileFor computed once per query) — the sequence is strictly
-// increasing in t — falling back to the D cap when no radius in range
-// qualifies.
+// increasing in t, and past a row's end Size keeps the test's answer —
+// falling back to the D cap when no radius in range qualifies.
 func profileValue(p *graph.Profiles, v, k, hi, d int) int {
 	if int64(hi)*int64(p.Size(v, hi)) < int64(k) {
 		return d
@@ -225,7 +218,7 @@ func validate(g *graph.Graph, k int) (d int, err error) {
 // PerNode returns NQ_k(v) for every node, plus NQ_k(G) = max_v NQ_k(v).
 // The diameter D is computed exactly (one all-sources sweep of the
 // 64-source hop kernel, cached on the graph); the per-node values come
-// from the attached profile when one covers k and from the early-exit
+// from the attached profile when one decides k and from the early-exit
 // kernel otherwise.
 func PerNode(g *graph.Graph, k int) (perNode []int, nq int, err error) {
 	d, err := validate(g, k)
@@ -274,22 +267,18 @@ func Witness(g *graph.Graph, k int) (v, nqv int, err error) {
 	return v, nqv, nil
 }
 
-// ensureProfiles attaches a profile deep enough for k, computed with the
-// parallel batch kernel, when the graph carries none (the computed radius
-// is at least the canonical ProfileRadius, so one computation serves
-// every later k ≤ 9n on the same instance).
+// ensureProfiles attaches a profile that decides k, computed with the
+// parallel batch kernel, when the graph carries none (the computed
+// radius is at least the canonical ProfileRadius, so one computation
+// serves every later k ≤ K = ProfileStop on the same instance). A
+// k > K is left to the early-exit kernel: no profile's rows reach it
+// unless they are complete.
 func ensureProfiles(g *graph.Graph, k, d int) {
-	if p, _ := profileFor(g, k, d); p != nil {
+	if p, _ := profileFor(g, k, d); p != nil || k > g.ProfileStop() {
 		return
 	}
-	r := graph.ProfileRadius(g.N(), int64(d))
-	if need := reqRadius(k, g.N()); need > r {
-		r = need
-	}
-	if r > d {
-		r = d
-	}
-	g.AttachProfiles(g.BallProfiles(r))
+	r := max(graph.ProfileRadius(g.N(), int64(d)), reqRadius(k, g.N()))
+	g.AttachProfiles(g.BallProfiles(min(r, d)))
 }
 
 // Distributed computes NQ_k in the HYBRID₀ model following Lemma 3.3:

@@ -303,3 +303,44 @@ func TestDistributedRejectsBadK(t *testing.T) {
 		t.Fatal("k=0 accepted")
 	}
 }
+
+// TestProfileForStopsAtK: a profile whose rows stop at K answers every
+// k ≤ K from its rows and no k past K: ensureProfiles leaves K + 1 to
+// the early-exit kernel instead of growing a profile that could not
+// decide it either, and both paths match Definition 3.1.
+func TestProfileForStopsAtK(t *testing.T) {
+	g := graph.Path(40)
+	d := int(g.Diameter())
+	stop := g.ProfileStop()
+	ensureProfiles(g, stop, d)
+	p := g.Profiles()
+	if p == nil || p.Complete() {
+		t.Fatal("the 40-path's canonical profile is missing or complete")
+	}
+	if q, _ := profileFor(g, stop, d); q != p {
+		t.Fatal("k = K is not answered from the attached profile")
+	}
+	ensureProfiles(g, stop+1, d)
+	if g.Profiles() != p {
+		t.Fatal("k = K+1 grew another profile")
+	}
+	if q, _ := profileFor(g, stop+1, d); q != nil {
+		t.Fatal("k = K+1 is answered from a profile that does not decide it")
+	}
+	bare := graph.Path(40)
+	ensureProfiles(bare, stop+1, d)
+	if bare.Profiles() != nil {
+		t.Fatal("k = K+1 grew a profile on a graph that had none")
+	}
+	for _, k := range []int{stop, stop + 1} {
+		want := 0
+		for v := 0; v < g.N(); v++ {
+			want = max(want, bruteForce(g, v, k))
+		}
+		for name, gg := range map[string]*graph.Graph{"profiled": g, "bare": bare} {
+			if got, err := Of(gg, k); err != nil || got != want {
+				t.Fatalf("%s k=%d: NQ = %d (err %v), Definition 3.1 gives %d", name, k, got, err, want)
+			}
+		}
+	}
+}

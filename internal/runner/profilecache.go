@@ -87,15 +87,17 @@ func (pc *ProfileCache) Attach(g *graph.Graph, family graph.Family, n int, seed 
 	// The canonical radius is a function of the graph alone, so the
 	// artifact's content never depends on which cell asked first.
 	radius := graph.ProfileRadius(g.N(), g.Diameter())
-	if p := g.AttachedProfiles(); p != nil && p.Covers(radius) {
+	// An artifact serves g if it was grown on a graph of g's size and
+	// decides every k ≤ K, as the canonical one does: every row stops
+	// at 9n within the canonical radius, and the families whose m
+	// exceeds 9n have D within it. Anything else — a policy change, or
+	// a key collision across mismatched graphs — is recomputed.
+	stop := g.ProfileStop()
+	fits := func(p *graph.Profiles) bool { return p != nil && p.N() == g.N() && p.Decides(stop) }
+	if p := g.AttachedProfiles(); fits(p) {
 		pc.attachHits.Add(1)
 		return p
 	}
-	// A cached artifact serves g only if it was grown on a graph of g's
-	// size and covers the canonical radius (a deeper or complete one
-	// also qualifies); anything else — a policy change, or a key
-	// collision across mismatched graphs — is recomputed.
-	fits := func(p *graph.Profiles) bool { return p != nil && p.N() == g.N() && p.Covers(radius) }
 	// The build cannot fail, so neither can get. Profiles that g holds
 	// at the canonical radius are the artifact itself — the Diameter
 	// pass keeps them when they are short — so the build takes them

@@ -2,11 +2,13 @@ package runner
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sync"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/nq"
+	"repro/internal/oracle"
 )
 
 // profileCacheGraph builds the shared instance of one coordinate
@@ -155,6 +157,100 @@ func TestProfileCacheCorruptBlobRecomputes(t *testing.T) {
 	}
 	if !bytes.Equal(store.m[key], graph.EncodeProfiles(p)) {
 		t.Fatal("recomputation did not shadow the corrupt record")
+	}
+}
+
+// encodeProfileRows writes a profile blob by hand: the version-2
+// layout (magic, version, n, maxR, stop, entries, row offsets, sizes)
+// or, for version 1, its predecessor (no stop, and one eccentricity
+// per row after the sizes), so a test can store rows the kernel would
+// never write.
+func encodeProfileRows(version uint32, maxR int, stop int64, rows [][]int32) []byte {
+	entries := 0
+	for _, row := range rows {
+		entries += len(row)
+	}
+	b := binary.LittleEndian.AppendUint32([]byte("HPRF"), version)
+	header := []uint64{uint64(len(rows)), uint64(maxR), uint64(stop), uint64(entries)}
+	if version == 1 {
+		header = []uint64{uint64(len(rows)), uint64(maxR), uint64(entries)}
+	}
+	for _, v := range header {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	off := uint32(0)
+	b = binary.LittleEndian.AppendUint32(b, off)
+	for _, row := range rows {
+		off += uint32(len(row))
+		b = binary.LittleEndian.AppendUint32(b, off)
+	}
+	for _, row := range rows {
+		for _, size := range row {
+			b = binary.LittleEndian.AppendUint32(b, uint32(size))
+		}
+	}
+	if version == 1 {
+		for _, row := range rows {
+			b = binary.LittleEndian.AppendUint64(b, uint64(len(row)-1))
+		}
+	}
+	return b
+}
+
+// TestProfileCacheRejectsRowsOffTheirStop: a stored blob whose row
+// runs one entry past its stop at K, one whose row ends short of it
+// with nothing else ending it, and a blob of codec version 1 never
+// serve. Each is a counted miss, recomputed and shadowed by the
+// canonical artifact, and NQ stays the oracle's.
+func TestProfileCacheRejectsRowsOffTheirStop(t *testing.T) {
+	const fam, n, seed = graph.FamilyPath, 48, 1
+	key := ProfileKey(fam, n, seed)
+	ref := profileCacheGraph(t, fam, n, seed)
+	canonical := ref.BallProfiles(graph.ProfileRadius(ref.N(), ref.Diameter()))
+	stop := ref.ProfileStop()
+	rows := func() [][]int32 {
+		rows := make([][]int32, n)
+		for v := range rows {
+			for tt := 0; tt < canonical.Len(v); tt++ {
+				rows[v] = append(rows[v], int32(canonical.Size(v, tt)))
+			}
+		}
+		return rows
+	}
+	if !bytes.Equal(encodeProfileRows(graph.ProfilesCodecVersion, canonical.MaxR(), int64(stop), rows()), graph.EncodeProfiles(canonical)) {
+		t.Fatal("the hand encoder does not reproduce EncodeProfiles")
+	}
+	// The endpoint's row stops at t = 21 (21·22 = 462 ≥ K = 432), with
+	// maxR = 29 and the ball far from the path's 48 nodes.
+	late, early := rows(), rows()
+	late[0] = append(late[0], late[0][len(late[0])-1]+1)
+	early[0] = early[0][:len(early[0])-1]
+	blobs := map[string][]byte{
+		"row past its stop":     encodeProfileRows(graph.ProfilesCodecVersion, canonical.MaxR(), int64(stop), late),
+		"row short of its stop": encodeProfileRows(graph.ProfilesCodecVersion, canonical.MaxR(), int64(stop), early),
+		"version 1":             encodeProfileRows(1, canonical.MaxR(), 0, rows()),
+	}
+	for name, blob := range blobs {
+		store := newMapBlobStore()
+		store.m[key] = blob
+		pc := NewProfileCache(store, 0)
+		g := profileCacheGraph(t, fam, n, seed)
+		pc.Attach(g, fam, n, seed)
+		if st := pc.Stats(); st.Computes != 1 || st.StoreHits != 0 {
+			t.Fatalf("%s: stats %+v, want one compute and no store hit", name, st)
+		}
+		if !bytes.Equal(store.m[key], graph.EncodeProfiles(canonical)) {
+			t.Fatalf("%s: the recomputation did not shadow the stored blob", name)
+		}
+		for _, k := range []int{n, 9 * n, stop} {
+			_, want, err := oracle.NQPerNode(g, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := nq.Of(g, k); err != nil || got != want {
+				t.Fatalf("%s k=%d: NQ = %d (err %v), oracle %d", name, k, got, err, want)
+			}
+		}
 	}
 }
 
