@@ -213,6 +213,7 @@ func TestCoreKernelAllocBudgets(t *testing.T) {
 	requireAllocFree(t)
 	grid := coreGrid()
 	weighted := graph.RandomWeights(coreExpander(), 100, rand.New(rand.NewSource(9)))
+	hopDist := make([]int64, grid.N())
 	cases := []struct {
 		name   string
 		budget float64
@@ -226,6 +227,7 @@ func TestCoreKernelAllocBudgets(t *testing.T) {
 		{"Dijkstra (unit weights)", 1, func() { grid.Dijkstra(0) }},
 		// The hop-limited frontier lists are pooled on the graph too.
 		{"HopLimitedDistances", 1, func() { grid.HopLimitedDistances(0, 16) }},
+		{"HopLimitedDistancesInto", 0, func() { grid.HopLimitedDistancesInto(hopDist, 0, 16) }},
 		{"BallSizes", 2, func() { grid.BallSizes(0, 16) }},
 		// Connectivity is memoized on the graph, so every hybrid.New
 		// after the first over a shared topology skips the DFS.
@@ -432,6 +434,23 @@ func TestBallProfilesAllocBudget(t *testing.T) {
 	budget := 1.1 * float64(artifact)
 	if float64(got) > budget {
 		t.Fatalf("BallProfilesWorkers(%d, 1) on a %d-node expander allocated %d bytes, budget %.0f (artifact %d bytes)", r, g.N(), got, budget, artifact)
+	}
+}
+
+// TestBallProfilesHonorsWorkerBudget: BallProfiles runs on the process
+// worker budget, so under SetMaxKernelWorkers(1) it allocates exactly
+// what BallProfilesWorkers(r, 1) does — one worker spawns no goroutines
+// and holds one kernel scratch.
+func TestBallProfilesHonorsWorkerBudget(t *testing.T) {
+	requireAllocFree(t)
+	graph.SetMaxKernelWorkers(1)
+	defer graph.SetMaxKernelWorkers(0)
+	g := graph.RandomRegular(4096, 4, rand.New(rand.NewSource(7)))
+	r := graph.ProfileRadius(g.N(), g.Diameter())
+	one := allocatedBytes(func() func() { return func() { g.BallProfilesWorkers(r, 1) } })
+	budget := allocatedBytes(func() func() { return func() { g.BallProfiles(r) } })
+	if budget != one {
+		t.Fatalf("BallProfiles(%d) under a one-worker budget allocated %d bytes, BallProfilesWorkers(%d, 1) %d", r, budget, r, one)
 	}
 }
 

@@ -90,21 +90,14 @@ func TestFrozenTraversalsMatchOracle(t *testing.T) {
 					t.Fatalf("%s/diam: diameter=%d, oracle %d (n=%d seed=%d)", f, got, want, n, seed)
 				}
 
-				// Hop-limited sandwich: d ≤ frontier-relaxed d^h ≤ oracle d^h
-				// (the in-place frontier may shortcut extra hops within a
-				// round, so it can be tighter than the strict d^h), exact at
-				// h ≥ n-1.
-				h := 3
-				exact := oracle.Dijkstra(wg, 0)
-				hopOracle := oracle.HopLimited(wg, 0, h)
-				hopGot := wg.HopLimitedDistances(0, h)
-				for v := range hopGot {
-					if hopGot[v] < exact[v] || hopGot[v] > hopOracle[v] {
-						t.Fatalf("%s/hop: node %d: d^%d=%d outside [%d,%d] (n=%d seed=%d)",
-							f, v, h, hopGot[v], exact[v], hopOracle[v], n, seed)
+				// Hop-limited: exactly the oracle's d^h, and the exact
+				// distances at h ≥ n-1.
+				for _, h := range []int{3, wg.N() - 1} {
+					if got, want := wg.HopLimitedDistances(0, h), oracle.HopLimited(wg, 0, h); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s/hop: d^%d(0, ·) differs from oracle (n=%d seed=%d)", f, h, n, seed)
 					}
 				}
-				if got := wg.HopLimitedDistances(0, wg.N()-1); !reflect.DeepEqual(got, exact) {
+				if got := wg.HopLimitedDistances(0, wg.N()-1); !reflect.DeepEqual(got, oracle.Dijkstra(wg, 0)) {
 					t.Fatalf("%s/hop-full: full-hop distances differ from exact (n=%d seed=%d)", f, n, seed)
 				}
 

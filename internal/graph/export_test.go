@@ -10,6 +10,10 @@ var (
 	DijkstraHeap             = (*Graph).dijkstraHeap
 )
 
+// HopLimitedInto is HopLimitedDistancesInto with an explicit worker
+// count in place of MaxKernelWorkers, for the worker-sweep tests.
+var HopLimitedInto = (*Graph).hopLimitedInto
+
 // ForceHopDirection makes every hop-kernel level push (pull false) or
 // pull (pull true) until the returned restore runs, so a test can check
 // each direction on its own against per-source searches.

@@ -64,8 +64,8 @@ type Graph struct {
 	// queuePool recycles the capacity-n queue of the sequential BFS
 	// (*[]int32), so a one-shot BFS allocates only its result vector.
 	queuePool sync.Pool
-	// hopLimitedPool recycles the frontier lists of the sequential
-	// hop-limited Bellman–Ford (*hopFrontier).
+	// hopLimitedPool recycles the frontier lists and marks of the
+	// hop-limited Bellman–Ford (*hopLimitedScratch).
 	hopLimitedPool sync.Pool
 	// hopPool recycles the per-node bit words and frontier lists of the
 	// 64-source hop kernel (hopkernel.go) behind Diameter and

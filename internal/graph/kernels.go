@@ -11,6 +11,10 @@ package graph
 // whose schedules shard across a worker pool without changing a single
 // output byte. Below the threshold the historical implementations run
 // unchanged, keeping the committed experiment tables byte-identical.
+// The hop-limited Bellman–Ford (search.go) has no threshold: one
+// round-synchronous kernel serves every n, relaxing a round inline
+// while its frontier is shorter than kernelGrain·workers and sharding
+// it otherwise.
 //
 // Sharding follows the BallProfiles pattern: workers claim fixed
 // chunks through an atomic cursor and every cross-worker reduction is
@@ -59,16 +63,17 @@ const (
 	// kernels: below it the sequential implementations win on constant
 	// factors (and the committed experiment tables, all swept at
 	// n ≤ 16384, stay on their historical code paths); from it upward
-	// BFS, MultiSourceBFS, Dijkstra and HopLimitedDistances route to
-	// this file and deltastep.go (Dijkstra on unit weights through BFS).
+	// BFS, MultiSourceBFS and Dijkstra route to this file and
+	// deltastep.go (Dijkstra on unit weights through BFS).
 	kernelMinN = 1 << 15
 	// kernelChunk is the node-range shard of the bottom-up step:
 	// 4096 nodes = 64 bitset words, so each worker's next-frontier
 	// writes land in a disjoint word range.
 	kernelChunk = 1 << 12
-	// kernelGrain is the minimum frontier size a level fans out at;
-	// below it the level runs inline on the calling goroutine (a path
-	// graph's one-node frontiers never pay goroutine overhead).
+	// kernelGrain is the minimum frontier size a level fans out at
+	// (per worker, in the hop-limited Bellman–Ford); below it the level
+	// runs inline on the calling goroutine (a path graph's one-node
+	// frontiers never pay goroutine overhead).
 	kernelGrain = 2048
 	// bfsAlpha and bfsBeta are the direction-switching constants of
 	// Beamer's heuristic: top-down switches to bottom-up once the
@@ -139,9 +144,17 @@ func (g *Graph) MultiSourceBFSWorkers(srcs []int, workers int) (dist []int64, ne
 
 // newDistVector allocates a distance vector initialized to Inf.
 func newDistVector(n int) []int64 {
-	dist := make([]int64, n)
-	for i := range dist {
-		dist[i] = Inf
+	return fillInf(make([]int64, n))
+}
+
+// fillInf sets every entry of dist to Inf by doubling copies, which run
+// as block moves rather than one store per entry, and returns dist.
+func fillInf(dist []int64) []int64 {
+	if len(dist) > 0 {
+		dist[0] = Inf
+		for i := 1; i < len(dist); i *= 2 {
+			copy(dist[i:], dist[:i])
+		}
 	}
 	return dist
 }
@@ -443,104 +456,4 @@ func (g *Graph) bottomUpLevel(level int64, dist []int64, nearest []int, workers 
 	}
 	unvisited.AndNotFrom(unvisited, next)
 	return count, edges
-}
-
-// HopLimitedDistancesWorkers is HopLimitedDistances with an explicit
-// worker count (≤ 0 means MaxKernelWorkers): a strictly synchronous
-// frontier Bellman–Ford. Each round relaxes from the (node, distance)
-// pairs captured at the end of the previous round, so round r computes
-// exactly d^r regardless of the schedule; improvements land through
-// atomic min transitions and the improved set is schedule-independent
-// (a node improved iff the round's minimum beats its previous value).
-func (g *Graph) HopLimitedDistancesWorkers(src, h, workers int) []int64 {
-	n := g.N()
-	if workers <= 0 {
-		workers = MaxKernelWorkers()
-	}
-	dist := newDistVector(n)
-	if src < 0 || src >= n {
-		return dist
-	}
-	dist[src] = 0
-	type frontierEntry struct {
-		v int32
-		d int64
-	}
-	active := []frontierEntry{{int32(src), 0}}
-	var next []frontierEntry
-	perWorker := make([][]int32, workers)
-	improved := bitset.New(n)
-
-	relaxChunk := func(lo, hi int, found []int32) []int32 {
-		for _, e := range active[lo:hi] {
-			row := g.to[g.rowStart[e.v]:g.rowStart[e.v+1]]
-			rw := g.w[g.rowStart[e.v]:g.rowStart[e.v+1]]
-			for j, u := range row {
-				nd := e.d + rw[j]
-				for {
-					old := atomic.LoadInt64(&dist[u])
-					if nd >= old {
-						break
-					}
-					if atomic.CompareAndSwapInt64(&dist[u], old, nd) {
-						found = append(found, u)
-						break
-					}
-				}
-			}
-		}
-		return found
-	}
-
-	for round := 0; round < h && len(active) > 0; round++ {
-		for w := range perWorker {
-			perWorker[w] = perWorker[w][:0]
-		}
-		if workers <= 1 || len(active) < kernelGrain {
-			perWorker[0] = relaxChunk(0, len(active), perWorker[0])
-		} else {
-			const grain = 256
-			chunks := (len(active) + grain - 1) / grain
-			var cursor atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					found := perWorker[w][:0]
-					for {
-						ci := int(cursor.Add(1)) - 1
-						if ci >= chunks {
-							break
-						}
-						lo := ci * grain
-						hi := lo + grain
-						if hi > len(active) {
-							hi = len(active)
-						}
-						found = relaxChunk(lo, hi, found)
-					}
-					perWorker[w] = found
-				}(w)
-			}
-			wg.Wait()
-		}
-		// Capture the next round's frontier: improved nodes with their
-		// end-of-round distances, deduplicated through a bitset (a node
-		// may improve several times within one round).
-		next = next[:0]
-		for w := range perWorker {
-			for _, u := range perWorker[w] {
-				if !improved.Has(int(u)) {
-					improved.Add(int(u))
-					next = append(next, frontierEntry{u, dist[u]})
-				}
-			}
-		}
-		for _, e := range next {
-			improved.Remove(int(e.v))
-		}
-		active, next = next, active
-	}
-	return dist
 }

@@ -14,10 +14,7 @@ package graph
 // t·|B_t(v)| ≥ k is decided, for callers that ask about a single k and
 // should not pay for a full profile.
 
-import (
-	"math"
-	"runtime"
-)
+import "math"
 
 // Profiles is the batch artifact of BallProfiles: every node's
 // ball-size row |B_0(v)|, |B_1(v)|, …, which ends at the first t where
@@ -187,15 +184,16 @@ func (g *Graph) AttachProfiles(p *Profiles) *Profiles {
 }
 
 // BallProfiles computes every node's ball-size profile truncated at
-// maxR on a GOMAXPROCS-sized worker pool. See BallProfilesWorkers.
+// maxR on the process worker budget, MaxKernelWorkers. See
+// BallProfilesWorkers.
 func (g *Graph) BallProfiles(maxR int) *Profiles {
 	return g.BallProfilesWorkers(maxR, 0)
 }
 
 // BallProfilesWorkers is BallProfiles with an explicit worker count
-// (≤ 0 means GOMAXPROCS). Workers claim 64-node chunks from an atomic
-// cursor and profile each chunk with one call of the bit-parallel hop
-// kernel (hopkernel.go), whose sources retire as their rows end; each
+// (≤ 0 means MaxKernelWorkers). Workers claim 64-node chunks from an
+// atomic cursor and profile each chunk with one call of the bit-parallel
+// hop kernel (hopkernel.go), whose sources retire as their rows end; each
 // chunk's rows stay where the kernel wrote them, in node order, so the
 // artifact — including its EncodeProfiles bytes — is identical at any
 // worker count.
@@ -205,7 +203,7 @@ func (g *Graph) BallProfilesWorkers(maxR, workers int) *Profiles {
 		maxR = 0
 	}
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		workers = MaxKernelWorkers()
 	}
 	stop := int64(g.ProfileStop())
 	// Each chunk writes its row lengths into rowStart[lo+1:hi+1] (summed

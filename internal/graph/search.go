@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"slices"
+	"sync"
 	"sync/atomic"
 )
 
@@ -367,76 +368,145 @@ func (g *Graph) dijkstraHeap(src int) []int64 {
 }
 
 // HopLimitedDistances returns d^h(src, ·): the weight of the lightest path
-// using at most h edges (Inf if no such path). Bellman–Ford with h
-// relaxation rounds, O(h·m). Large graphs (n ≥ 2^15) route to the
-// strictly synchronous parallel kernel (kernels.go).
+// using at most h edges (Inf if no such path). Synchronous frontier
+// Bellman–Ford with at most h relaxation rounds, O(h·m); see
+// HopLimitedDistancesInto.
 func (g *Graph) HopLimitedDistances(src, h int) []int64 {
-	if g.N() >= kernelMinN {
-		return g.HopLimitedDistancesWorkers(src, h, 0)
-	}
 	return g.HopLimitedDistancesInto(make([]int64, g.N()), src, h)
 }
 
-// hopFrontier is the pooled scratch of HopLimitedDistancesInto: two
-// capacity-n frontier lists and the membership marks of the next one,
-// all false between calls.
-type hopFrontier struct {
-	active, next []int32
-	inActive     []bool
+// hopEntry is one frontier entry of the hop-limited Bellman–Ford: a node
+// improved in the previous round and its distance when that round ended.
+type hopEntry struct {
+	v int32
+	d int64
+}
+
+// hopLimitedScratch is the pooled scratch of HopLimitedDistancesInto:
+// two frontier lists, the membership marks of the next one (all false
+// between rounds) and each worker's improvements in a sharded round.
+type hopLimitedScratch struct {
+	active, next []hopEntry
+	marked       []bool
+	found        [][]int32
 }
 
 // HopLimitedDistancesInto is HopLimitedDistances writing into dist,
 // which must have length n, and returning it, so a caller looping over
-// sources reuses one vector. Below the parallel-kernel threshold its
-// frontier scratch is pooled on the graph and it allocates nothing.
+// sources reuses one vector. Its scratch is pooled on the graph, so it
+// allocates nothing once warm.
 //
-// The relaxation is frontier-based and in place: a round relaxes only
-// from nodes improved in the previous one, reading distances that may
-// already have improved within the round, so the result lies between
-// the exact distances and the strict d^h, and equals d^h at h ≥ n−1.
+// Round r relaxes from the (node, distance) pairs captured when round
+// r−1 ended, so it computes exactly d^r whatever the schedule: every
+// node improved in the round joins the next frontier with its
+// end-of-round distance. A round whose frontier is shorter than
+// kernelGrain·MaxKernelWorkers() relaxes inline with plain stores; a
+// wider one shards over the workers (relaxSharded), and since the
+// improved set and its distances are schedule-independent the output
+// is identical at any worker count.
 func (g *Graph) HopLimitedDistancesInto(dist []int64, src, h int) []int64 {
+	return g.hopLimitedInto(dist, src, h, MaxKernelWorkers())
+}
+
+func (g *Graph) hopLimitedInto(dist []int64, src, h, workers int) []int64 {
 	n := g.N()
-	if n >= kernelMinN {
-		copy(dist, g.HopLimitedDistancesWorkers(src, h, 0))
-		return dist
-	}
-	for i := range dist {
-		dist[i] = Inf
-	}
+	fillInf(dist)
 	if src < 0 || src >= n {
 		return dist
 	}
 	dist[src] = 0
-	s, _ := g.hopLimitedPool.Get().(*hopFrontier)
-	if s == nil || len(s.inActive) < n {
-		s = &hopFrontier{make([]int32, 0, n), make([]int32, 0, n), make([]bool, n)}
+	s, _ := g.hopLimitedPool.Get().(*hopLimitedScratch)
+	if s == nil || len(s.marked) < n {
+		s = &hopLimitedScratch{marked: make([]bool, n)}
 	}
 	defer g.hopLimitedPool.Put(s)
-	active, next, inActive := append(s.active[:0], int32(src)), s.next[:0], s.inActive
+	active, next, marked := append(s.active[:0], hopEntry{int32(src), 0}), s.next[:0], s.marked
 	for round := 0; round < h && len(active) > 0; round++ {
 		next = next[:0]
-		for _, v := range active {
-			dv := dist[v]
-			lo, hi := g.rowStart[v], g.rowStart[v+1]
-			row, rw := g.to[lo:hi], g.w[lo:hi]
-			rw = rw[:len(row)]
-			for j, u := range row {
-				if nd := dv + rw[j]; nd < dist[u] {
-					dist[u] = nd
-					if !inActive[u] {
-						inActive[u] = true
-						next = append(next, u)
+		if workers <= 1 || len(active) < kernelGrain*workers {
+			for _, e := range active {
+				lo, hi := g.rowStart[e.v], g.rowStart[e.v+1]
+				row, rw := g.to[lo:hi], g.w[lo:hi]
+				rw = rw[:len(row)]
+				for j, u := range row {
+					if nd := e.d + rw[j]; nd < dist[u] {
+						dist[u] = nd
+						if !marked[u] {
+							marked[u] = true
+							next = append(next, hopEntry{v: u})
+						}
+					}
+				}
+			}
+		} else {
+			if len(s.found) < workers {
+				s.found = make([][]int32, workers)
+			}
+			g.relaxSharded(active, dist, s.found[:workers])
+			for _, found := range s.found[:workers] {
+				for _, u := range found {
+					if !marked[u] {
+						marked[u] = true
+						next = append(next, hopEntry{v: u})
 					}
 				}
 			}
 		}
-		for _, v := range next {
-			inActive[v] = false
+		for i, e := range next {
+			next[i].d = dist[e.v]
+			marked[e.v] = false
 		}
 		active, next = next, active
 	}
 	s.active, s.next = active, next
 	return dist
+}
+
+// relaxSharded relaxes one wide round: len(found) workers claim
+// 256-entry chunks of active and lower dist through atomic min
+// transitions, each listing in found[w] the nodes it improved (a node
+// may appear more than once). It is a function of its own because its
+// goroutines capture their arguments, which must then live on the heap;
+// inlined into hopLimitedInto it would move the frontier there on every
+// call, sharded or not.
+func (g *Graph) relaxSharded(active []hopEntry, dist []int64, found [][]int32) {
+	const grain = 256
+	chunks := (len(active) + grain - 1) / grain
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	for w := range found {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			improved := found[w][:0]
+			for {
+				ci := int(cursor.Add(1)) - 1
+				if ci >= chunks {
+					break
+				}
+				for _, e := range active[ci*grain : min((ci+1)*grain, len(active))] {
+					lo, hi := g.rowStart[e.v], g.rowStart[e.v+1]
+					row, rw := g.to[lo:hi], g.w[lo:hi]
+					rw = rw[:len(row)]
+					for j, u := range row {
+						nd := e.d + rw[j]
+						for {
+							old := atomic.LoadInt64(&dist[u])
+							if nd >= old {
+								break
+							}
+							if atomic.CompareAndSwapInt64(&dist[u], old, nd) {
+								improved = append(improved, u)
+								break
+							}
+						}
+					}
+				}
+			}
+			found[w] = improved
+		}(w)
+	}
+	wg.Wait()
 }
 
 // APSPExact returns the full n×n weighted distance matrix via n Dijkstra

@@ -103,7 +103,8 @@ func uncachedDiameter(t *testing.T, g *graph.Graph) int64 {
 // K + 1 is past it, so unless every row is complete the profiled graph
 // answers K + 1 with the early-exit kernel too. A ring of twelve
 // 20-cliques has m = 2292 > 9n = 2160, so there K = m, and every one
-// of its rows stops at K before the ball covers the graph.
+// of its rows stops at K before the ball covers the graph; so does
+// Table 2's 576-node ring of 24 24-cliques (m = 6648 > 9n = 5184).
 func TestProfileNQAgainstOracle(t *testing.T) {
 	type instance struct {
 		name  string
@@ -117,7 +118,9 @@ func TestProfileNQAgainstOracle(t *testing.T) {
 			}
 		}
 	}
-	instances = append(instances, instance{"ring of twelve 20-cliques", func() *graph.Graph { return graph.RingOfCliques(12, 20) }})
+	instances = append(instances,
+		instance{"ring of twelve 20-cliques", func() *graph.Graph { return graph.RingOfCliques(12, 20) }},
+		instance{"ring of 24 24-cliques (Table 2)", func() *graph.Graph { return graph.RingOfCliques(24, 24) }})
 	for _, in := range instances {
 		g, profiled := in.build(), in.build()
 		n := g.N()

@@ -1,8 +1,8 @@
 // Package oracle is the sequential ground truth the HYBRID algorithms
 // are differentially tested against. Its implementations are
 // deliberately independent of the simulation core: every function
-// rebuilds its own adjacency from Graph.Edges() (never touching the
-// CSR arrays) and uses textbook algorithms with
+// builds its own adjacency from Graph.Edges() once per call (never
+// touching the CSR arrays) and uses textbook algorithms with
 // different data structures than internal/graph — BFS over an explicit
 // queue, Dijkstra by O(n²) linear minimum scans instead of a binary
 // heap. A bug in the CSR layout, the graph traversals, or the engine's
@@ -37,7 +37,12 @@ func build(g *graph.Graph) *adjacency {
 // BFS returns exact hop distances from src; graph.Inf marks unreachable
 // nodes (and every node when src is out of range).
 func BFS(g *graph.Graph, src int) []int64 {
-	a := build(g)
+	return build(g).bfs(src)
+}
+
+// bfs is BFS over an adjacency already built, so the all-sources
+// functions build theirs once per call.
+func (a *adjacency) bfs(src int) []int64 {
 	dist := make([]int64, a.n)
 	for i := range dist {
 		dist[i] = graph.Inf
@@ -63,7 +68,10 @@ func BFS(g *graph.Graph, src int) []int64 {
 // Dijkstra returns exact weighted distances from src by repeated linear
 // minimum scans (no heap): O(n² + m) time, n extractions.
 func Dijkstra(g *graph.Graph, src int) []int64 {
-	a := build(g)
+	return build(g).dijkstra(src)
+}
+
+func (a *adjacency) dijkstra(src int) []int64 {
 	dist := make([]int64, a.n)
 	done := make([]bool, a.n)
 	for i := range dist {
@@ -94,18 +102,20 @@ func Dijkstra(g *graph.Graph, src int) []int64 {
 
 // APSP returns the exact n×n weighted distance matrix.
 func APSP(g *graph.Graph) [][]int64 {
-	out := make([][]int64, g.N())
+	a := build(g)
+	out := make([][]int64, a.n)
 	for v := range out {
-		out[v] = Dijkstra(g, v)
+		out[v] = a.dijkstra(v)
 	}
 	return out
 }
 
 // HopAPSP returns the exact n×n hop (unweighted) distance matrix.
 func HopAPSP(g *graph.Graph) [][]int64 {
-	out := make([][]int64, g.N())
+	a := build(g)
+	out := make([][]int64, a.n)
 	for v := range out {
-		out[v] = BFS(g, v)
+		out[v] = a.bfs(v)
 	}
 	return out
 }
@@ -113,11 +123,14 @@ func HopAPSP(g *graph.Graph) [][]int64 {
 // Eccentricities returns ecc(v) = max_w hop(v, w) for every node;
 // graph.Inf on disconnected graphs.
 func Eccentricities(g *graph.Graph) []int64 {
-	n := g.N()
-	out := make([]int64, n)
-	for v := 0; v < n; v++ {
+	return build(g).eccentricities()
+}
+
+func (a *adjacency) eccentricities() []int64 {
+	out := make([]int64, a.n)
+	for v := range out {
 		var ecc int64
-		for _, d := range BFS(g, v) {
+		for _, d := range a.bfs(v) {
 			if d > ecc {
 				ecc = d
 			}
@@ -130,8 +143,12 @@ func Eccentricities(g *graph.Graph) []int64 {
 // Diameter returns max_v ecc(v) (0 for the empty graph, graph.Inf for
 // disconnected graphs).
 func Diameter(g *graph.Graph) int64 {
+	return build(g).diameter()
+}
+
+func (a *adjacency) diameter() int64 {
 	var d int64
-	for _, e := range Eccentricities(g) {
+	for _, e := range a.eccentricities() {
 		if e > d {
 			d = e
 		}
@@ -161,8 +178,9 @@ func BallSizes(g *graph.Graph, v, maxT int) []int {
 // early-exit and profile evaluation paths. The graph must be
 // connected (graph.ErrDisconnected otherwise).
 func NQPerNode(g *graph.Graph, k int) (perNode []int, nq int, err error) {
-	n := g.N()
-	diam := Diameter(g)
+	a := build(g)
+	n := a.n
+	diam := a.diameter()
 	if diam >= graph.Inf {
 		return nil, 0, graph.ErrDisconnected
 	}
@@ -172,7 +190,7 @@ func NQPerNode(g *graph.Graph, k int) (perNode []int, nq int, err error) {
 	}
 	perNode = make([]int, n)
 	for v := 0; v < n; v++ {
-		dist := BFS(g, v)
+		dist := a.bfs(v)
 		perNode[v] = d
 		for t := 1; t <= d; t++ {
 			size := 0
@@ -195,7 +213,9 @@ func NQPerNode(g *graph.Graph, k int) (perNode []int, nq int, err error) {
 
 // HopLimited returns d^h(src, ·), the lightest weight of any path with
 // at most h edges, by h full relaxation sweeps over the edge list
-// (classical Bellman–Ford, no frontier optimization).
+// (classical Bellman–Ford, no frontier optimization). A sweep that
+// changes nothing is a fixpoint every later sweep repeats, so the
+// loop stops there.
 func HopLimited(g *graph.Graph, src, h int) []int64 {
 	n := g.N()
 	cur := make([]int64, n)
@@ -208,17 +228,18 @@ func HopLimited(g *graph.Graph, src, h int) []int64 {
 	cur[src] = 0
 	edges := g.Edges()
 	next := make([]int64, n)
-	for round := 0; round < h; round++ {
+	for changed, round := true, 0; changed && round < h; round++ {
 		copy(next, cur)
+		changed = false
 		for _, e := range edges {
 			if cur[e.U] != graph.Inf {
 				if nd := cur[e.U] + e.W; nd < next[e.V] {
-					next[e.V] = nd
+					next[e.V], changed = nd, true
 				}
 			}
 			if cur[e.V] != graph.Inf {
 				if nd := cur[e.V] + e.W; nd < next[e.U] {
-					next[e.U] = nd
+					next[e.U], changed = nd, true
 				}
 			}
 		}

@@ -105,8 +105,9 @@ func Build(g *graph.Graph, x int, forced []int, materializeEdges bool, rng *rand
 // hopEdges calls add(i, j, d^h(nodes[i], nodes[j])) for every pair
 // i < j within h hops, in (i, j) order. On unit weights d^h is the hop
 // distance, and the pairs come from the 64-source hop kernel
-// (graph.HopDistancesAmong); weighted graphs run one hop-limited
-// Bellman–Ford per node.
+// (graph.HopDistancesAmong); weighted graphs run one round-synchronous
+// hop-limited Bellman–Ford per node (graph.HopLimitedDistancesInto),
+// which returns d^h exactly at every n.
 func hopEdges(g *graph.Graph, nodes []int, h int, add func(i, j int, d int64) error) error {
 	if !g.IsWeighted() {
 		return g.HopDistancesAmong(nodes, h, add)
