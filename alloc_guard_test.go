@@ -103,6 +103,29 @@ func TestCoreLoadRoundsAllocationFree(t *testing.T) {
 	}
 }
 
+// TestCoreChargeAllocationFree pins Net.Charge: an entry of the charge
+// table records its rounds without allocating once its audit entry
+// exists, and an entry under a caller's phase allocates its label only.
+func TestCoreChargeAllocationFree(t *testing.T) {
+	requireAllocFree(t)
+	net, err := hybrid.New(coreExpander(), hybrid.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Charge(hybrid.CostTheorem13, hybrid.CostArgs{Eps: 0.5})
+	if allocs := testing.AllocsPerRun(200, func() {
+		net.Charge(hybrid.CostTheorem13, hybrid.CostArgs{Eps: 0.5})
+	}); allocs != 0 {
+		t.Fatalf("Charge allocates %.1f times per run, want 0", allocs)
+	}
+	phase := "core/prefix"
+	if allocs := testing.AllocsPerRun(200, func() {
+		net.Charge(hybrid.CostOverlayBuild, hybrid.CostArgs{Prefix: phase})
+	}); allocs > 1 {
+		t.Fatalf("prefixed Charge allocates %.1f times per run, want ≤ 1", allocs)
+	}
+}
+
 // TestCoreNQOfAllocFree pins nq.Of's max-only paths at zero steady-state
 // allocations: unlike PerNode it must not materialize a per-node slice,
 // on either the early-exit kernel path or the profile binary-search

@@ -60,7 +60,7 @@ func mustGraph(b *testing.B, fam graph.Family, n int) *graph.Graph {
 
 func params(net *hybrid.Net, k, l int, eps float64) baseline.Params {
 	return baseline.Params{
-		N: net.N(), K: k, L: l, Gamma: net.Cap(), PLog: net.PLog(),
+		N: net.N(), K: k, L: l, PLog: net.PLog(),
 		Eps: eps, Diam: net.Graph().Diameter(),
 	}
 }
@@ -91,7 +91,7 @@ func BenchmarkTable1Dissemination(b *testing.B) {
 				}
 				b.ReportMetric(float64(rounds), "rounds")
 				b.ReportMetric(float64(nqv), "NQ_k")
-				b.ReportMetric(baseline.AHKDissemination().Rounds(params(net, k, 1, 0)), "baseline-rounds")
+				b.ReportMetric(baseline.AHKDissemination(params(net, k, 1, 0)), "baseline-rounds")
 				b.ReportMetric(lb.Rounds, "lowerbound-rounds")
 			})
 		}
@@ -151,7 +151,7 @@ func BenchmarkTable1Unicast(b *testing.B) {
 			net := mustNet(b, g, 1)
 			b.ReportMetric(float64(rounds), "rounds")
 			b.ReportMetric(float64(pairs), "pairs")
-			b.ReportMetric(baseline.KS20Unicast().Rounds(params(net, k, l, 0)), "baseline-rounds")
+			b.ReportMetric(baseline.KS20Unicast(params(net, k, l, 0)), "baseline-rounds")
 		})
 	}
 }
@@ -211,7 +211,7 @@ func BenchmarkTable2APSP(b *testing.B) {
 				}
 				net := mustNet(b, g, 1)
 				b.ReportMetric(float64(rounds), "rounds")
-				b.ReportMetric(baseline.KS20APSP().Rounds(params(net, g.N(), g.N(), 0.5)), "baseline-rounds")
+				b.ReportMetric(baseline.KS20APSP(params(net, g.N(), g.N(), 0.5)), "baseline-rounds")
 			})
 		}
 	}
@@ -294,8 +294,8 @@ func BenchmarkTable4SSSP(b *testing.B) {
 			net := mustNet(b, g, 1)
 			p := params(net, 1, 1, eps)
 			b.ReportMetric(float64(rounds), "rounds")
-			b.ReportMetric(baseline.CHLP21SSSP().Rounds(p), "chlp21-rounds")
-			b.ReportMetric(baseline.AG21SSSP().Rounds(p), "ag21-rounds")
+			b.ReportMetric(baseline.CHLP21SSSP(p), "chlp21-rounds")
+			b.ReportMetric(baseline.AG21SSSP(p), "ag21-rounds")
 		})
 	}
 }
@@ -328,7 +328,7 @@ func BenchmarkFigure1KSSP(b *testing.B) {
 				b.ReportMetric(float64(rounds), "rounds")
 				b.ReportMetric(stretch, "stretch")
 				b.ReportMetric(lower.ExistentialSqrtK(k, net.Cap()), "sqrtk-lb")
-				b.ReportMetric(baseline.CHLP21KSSP().Rounds(params(net, k, 1, 0.5)), "chlp21-rounds")
+				b.ReportMetric(baseline.CHLP21KSSP(params(net, k, 1, 0.5)), "chlp21-rounds")
 			})
 		}
 	}

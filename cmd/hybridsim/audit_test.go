@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -149,4 +153,55 @@ func TestAuditGolden(t *testing.T) {
 	if len(runs) != len(auditGolden) {
 		t.Errorf("%d runs, %d pinned hashes", len(runs), len(auditGolden))
 	}
+
+	// Every entry of the charge table is charged by some pinned run; an
+	// entry whose phase starts with "/" is recorded under its caller's.
+	charged := make(map[string]bool)
+	for _, audit := range runs {
+		for _, line := range strings.Split(audit, "\n") {
+			if strings.HasSuffix(line, "(charged)") {
+				charged[strings.Fields(line)[0]] = true
+			}
+		}
+	}
+	phases := costPhases(t)
+	if len(phases) == 0 {
+		t.Fatal("no entries parsed from the charge table")
+	}
+	for _, p := range phases {
+		found := charged[p]
+		for c := range charged {
+			found = found || strings.HasPrefix(p, "/") && strings.HasSuffix(c, p)
+		}
+		if !found {
+			t.Errorf("charge table entry %q is charged by no pinned run", p)
+		}
+	}
+}
+
+// costPhases returns the phase of every entry of the charge table, the
+// &Cost{phase, …} literals of internal/hybrid/costs.go.
+func costPhases(t *testing.T) []string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "../../internal/hybrid/costs.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var phases []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		lit, ok := n.(*ast.CompositeLit)
+		if !ok {
+			return true
+		}
+		if id, ok := lit.Type.(*ast.Ident); !ok || id.Name != "Cost" {
+			return true
+		}
+		phase, err := strconv.Unquote(lit.Elts[0].(*ast.BasicLit).Value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		phases = append(phases, phase)
+		return false
+	})
+	return phases
 }

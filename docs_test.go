@@ -10,6 +10,9 @@ package repro_test
 //
 // TestDocsMarkdownLinks keeps the top-level markdown honest: every
 // relative link must resolve to a file or directory in the repository.
+//
+// TestDocsChargeTable keeps DESIGN.md §2's list of charged phases equal
+// to the charge table in internal/hybrid/costs.go.
 
 import (
 	"go/ast"
@@ -285,4 +288,56 @@ func receiverName(expr ast.Expr) string {
 		return e.Name
 	}
 	return "?"
+}
+
+// TestDocsChargeTable requires DESIGN.md §2 to list every entry of the
+// charge table — the &Cost{phase, cite, kind, formula} literals of
+// internal/hybrid/costs.go — in order, as its phase (a leading "/"
+// written "<phase>/"), citation and kind, and nothing else.
+func TestDocsChargeTable(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("internal", "hybrid", "costs.go"), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var table []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		lit, ok := n.(*ast.CompositeLit)
+		if !ok {
+			return true
+		}
+		if id, ok := lit.Type.(*ast.Ident); !ok || id.Name != "Cost" {
+			return true
+		}
+		var col [3]string
+		for i := range col {
+			if col[i], err = strconv.Unquote(lit.Elts[i].(*ast.BasicLit).Value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if col[2] != "cited" && col[2] != "own" && col[2] != "baseline" {
+			t.Errorf("charge table entry %q has kind %q, want cited, own or baseline", col[0], col[2])
+		}
+		if strings.HasPrefix(col[0], "/") {
+			col[0] = "<phase>" + col[0]
+		}
+		table = append(table, "`"+col[0]+"` | "+col[1]+" | "+col[2])
+		return false
+	})
+	data, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec, _ := strings.Cut(string(data), "\n## 2. ")
+	sec, _, _ = strings.Cut(sec, "\n## 3. ")
+	var design []string
+	for _, line := range strings.Split(sec, "\n") {
+		if row, ok := strings.CutPrefix(line, "| `"); ok {
+			cols := strings.SplitN(row, " | ", 4)
+			design = append(design, "`"+strings.Join(cols[:3], " | "))
+		}
+	}
+	if len(table) == 0 || strings.Join(table, "\n") != strings.Join(design, "\n") {
+		t.Errorf("DESIGN.md §2 lists the charged phases\n%s\nbut the charge table holds\n%s",
+			strings.Join(design, "\n"), strings.Join(table, "\n"))
+	}
 }

@@ -76,8 +76,8 @@ func Unweighted(net *hybrid.Net, eps float64, wantValues bool) ([][]int64, *Resu
 	}
 	leaders := cl.Leaders()
 
-	// (1+ε)-SSSP from every leader (Theorem 13, |R| sequential runs).
-	net.Charge("apsp/leader-sssp", len(leaders)*sssp.Theorem13Rounds(net.PLog(), eps))
+	// (1+ε)-SSSP from every leader.
+	net.Charge(hybrid.CostLeaderSSSP, hybrid.CostArgs{Eps: eps, Runs: len(leaders)})
 
 	// Local exploration radius x = 4·NQ_n·⌈log n⌉/ε.
 	x := int(math.Ceil(float64(4*cl.NQ*net.PLog()) / eps))
@@ -290,7 +290,7 @@ func SkeletonWithT(net *hybrid.Net, alpha, t int, rng *rand.Rand, wantValues boo
 	if err != nil {
 		return nil, nil, err
 	}
-	net.Charge("apsp/skeleton-spanner", t*net.PLog()*net.PLog())
+	net.Charge(hybrid.CostSkeletonSpanner, hybrid.CostArgs{T: t})
 
 	// Broadcast the spanner edges (tokens live at skeleton nodes).
 	tokensAt := make([]int, n)
@@ -391,8 +391,7 @@ func KLSP(net *hybrid.Net, sources, targets []int, eps float64, c KLSPCase, rng 
 	)
 	switch c {
 	case KLSPArbitrarySources:
-		// ℓ' sequential Theorem 13 runs, one per target.
-		net.Charge("klsp/target-sssp", l*sssp.Theorem13Rounds(net.PLog(), eps))
+		net.Charge(hybrid.CostTargetSSSP, hybrid.CostArgs{Eps: eps, Runs: l})
 		if wantValues {
 			dist = make([][]int64, l)
 			quant := sssp.NewQuantizer(eps)

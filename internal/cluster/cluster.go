@@ -86,8 +86,7 @@ func partition(net *hybrid.Net, k, q int) (*Clustering, error) {
 	degenerate := int64(q) >= diam
 
 	alpha := 2*q + 1
-	// Cited [KMW18] cost for a (µ+1, µ⌈log n⌉)-ruling set with µ = 2·NQ_k.
-	net.Charge("cluster/ruling-set", alpha*net.PLog())
+	net.Charge(hybrid.CostRulingSet, hybrid.CostArgs{Alpha: alpha})
 	rulers, err := rulingset.Compute(g, net.SortedIDs(), alpha)
 	if err != nil {
 		return nil, err

@@ -146,9 +146,7 @@ func ApproxCuts(net *hybrid.Net, eps float64, rng *rand.Rand, opts Options) (*Sp
 	if err != nil {
 		return nil, nil, err
 	}
-	plog := net.PLog()
-	inv := int(math.Ceil(1 / (eps * eps)))
-	net.Charge("cuts/kx16", plog*plog*inv)
+	net.Charge(hybrid.CostSparsifier, hybrid.CostArgs{Eps: eps})
 	tokensAt := make([]int, net.N())
 	for _, e := range sp.Edges {
 		tokensAt[e.U]++

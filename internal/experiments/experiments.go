@@ -45,13 +45,12 @@ func DefaultFamilies() []graph.Family {
 
 func params(net *hybrid.Net, k, l int, eps float64) baseline.Params {
 	return baseline.Params{
-		N:     net.N(),
-		K:     k,
-		L:     l,
-		Gamma: net.Cap(),
-		PLog:  net.PLog(),
-		Eps:   eps,
-		Diam:  net.Graph().Diameter(),
+		N:    net.N(),
+		K:    k,
+		L:    l,
+		PLog: net.PLog(),
+		Eps:  eps,
+		Diam: net.Graph().Diameter(),
 	}
 }
 

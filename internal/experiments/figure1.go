@@ -87,7 +87,7 @@ func figure1Point(c *runner.Cell, g *graph.Graph, eps float64) (*Figure1Point, e
 		Rounds:     res.Rounds,
 		Regime:     res.Regime.String(),
 		Stretch:    res.Stretch,
-		CHLP21:     baseline.CHLP21KSSP().Rounds(p),
+		CHLP21:     baseline.CHLP21KSSP(p),
 		LowerSqrtK: lower.ExistentialSqrtK(k, net.Cap()),
 	}
 	plog2 := float64(net.PLog() * net.PLog())

@@ -129,8 +129,8 @@ func table1Row(c *runner.Cell, g *graph.Graph) (*Table1Row, error) {
 
 	// Baselines.
 	p := params(net, k, l, 0)
-	row.AHKRounds = baseline.AHKDissemination().Rounds(p)
-	row.KS20Unicast = baseline.KS20Unicast().Rounds(p)
+	row.AHKRounds = baseline.AHKDissemination(p)
+	row.KS20Unicast = baseline.KS20Unicast(p)
 	row.LocalFlood = p.Diam
 	netN, err := c.NewNet(g, rng.Int63())
 	if err != nil {

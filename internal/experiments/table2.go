@@ -112,8 +112,8 @@ func table2Row(c *runner.Cell, g *graph.Graph) (*Table2Row, error) {
 	row.CutsRounds = cres.Rounds
 
 	p := params(net, g.N(), g.N(), 0.5)
-	row.KS20Rounds = baseline.KS20APSP().Rounds(p)
-	row.AG21Rounds = baseline.AG21APSP().Rounds(p)
+	row.KS20Rounds = baseline.KS20APSP(p)
+	row.AG21Rounds = baseline.AG21APSP(p)
 	row.LocalFlood = p.Diam
 
 	lb, err := lower.WeightedKLSP(g, g.N(), net.Cap(), 0.9)

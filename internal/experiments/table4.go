@@ -52,9 +52,9 @@ func Table4Scenario(families []graph.Family, n int, epss []float64, seed int64) 
 				N:            g.N(),
 				Eps:          eps,
 				Thm13Rounds:  net.Rounds(),
-				AG21Rounds:   baseline.AG21SSSP().Rounds(p),
-				CHLP21Rounds: baseline.CHLP21SSSP().Rounds(p),
-				AHKRounds:    baseline.AHKSSSP().Rounds(p),
+				AG21Rounds:   baseline.AG21SSSP(p),
+				CHLP21Rounds: baseline.CHLP21SSSP(p),
+				AHKRounds:    baseline.AHKSSSP(p),
 				LocalFlood:   p.Diam,
 			}}, nil
 		},

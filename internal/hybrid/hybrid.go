@@ -326,12 +326,6 @@ func coalesce(audit []AuditEntry, e AuditEntry) []AuditEntry {
 	return append(audit, e)
 }
 
-// Charge records rounds of a cited black-box subroutine (Kind Charged).
-func (net *Net) Charge(phase string, rounds int) {
-	net.record(phase, rounds, Charged)
-	net.stats.GlobalRounds += int64(rounds)
-}
-
 // TickLocal charges t rounds of local (LOCAL-mode) communication,
 // e.g. a t-hop flood. In a GlobalOnly network the call is recorded as a
 // model violation instead (see Violations); algorithms written for the

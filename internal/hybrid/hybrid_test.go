@@ -177,7 +177,7 @@ func TestSendGlobalRangeError(t *testing.T) {
 func TestAuditAndKinds(t *testing.T) {
 	net := newNet(t, graph.Path(32), Config{})
 	net.TickLocal("flood", 4)
-	net.Charge("oracle", 10)
+	net.Charge(CostRulingSet, CostArgs{Alpha: 2}) // 2·⌈log₂ 32⌉
 	if _, err := net.SendGlobal("send", []Msg{{From: 0, To: 1}}); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestAuditAndKinds(t *testing.T) {
 		t.Fatalf("audit entries=%d", len(audit))
 	}
 	txt := net.FormatAudit()
-	if !strings.Contains(txt, "oracle") || !strings.Contains(txt, "TOTAL") {
+	if !strings.Contains(txt, "cluster/ruling-set") || !strings.Contains(txt, "TOTAL") {
 		t.Fatalf("FormatAudit output missing sections:\n%s", txt)
 	}
 	net.ResetRounds()

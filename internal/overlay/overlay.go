@@ -84,8 +84,7 @@ func BuildOn(net *hybrid.Net, members []int, phase string) (*Tree, error) {
 }
 
 func buildOn(net *hybrid.Net, ordered []int, phase string) *Tree {
-	plog := net.PLog()
-	net.Charge(phase+"/overlay-build", plog*plog)
+	net.Charge(hybrid.CostOverlayBuild, hybrid.CostArgs{Prefix: phase})
 	t := &Tree{Members: ordered, net: net}
 	// Tree neighbors know each other after the construction.
 	for i, v := range ordered {

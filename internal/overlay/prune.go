@@ -85,7 +85,7 @@ func Prune(net *hybrid.Net, t *Tree, keep func(v int) bool, phase string) (*Prun
 		return nil, fmt.Errorf("overlay: %s: nil keep predicate", phase)
 	}
 	d := t.Depth()
-	net.Charge(phase+"/prune", (d+1)*(d+1))
+	net.Charge(hybrid.CostPrune, hybrid.CostArgs{Prefix: phase, Depth: d})
 
 	// keptIn[i]: number of kept nodes in the subtree at heap position i.
 	n := len(t.Members)

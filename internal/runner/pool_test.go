@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -67,9 +68,13 @@ func TestPoolFairScheduling(t *testing.T) {
 		// short batch and only then release the long task blocking the
 		// single worker.
 		go func() {
-			// Run blocks until done, so release the worker once the
-			// queue is attached. Attachment happens-before the worker's
-			// next dispatch, which is blocked on shortQueued.
+			// Run blocks until done, so release the worker from here,
+			// once the pool reports both batches attached: the long one
+			// (3 undispatched tasks) and the short one. The worker's
+			// next dispatch then sees the short batch.
+			for p.Stats().Batches < 2 {
+				runtime.Gosched()
+			}
 			close(shortQueued)
 		}()
 		if err := p.Run(short); err != nil {

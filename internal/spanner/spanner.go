@@ -302,8 +302,7 @@ func Distributed(net *hybrid.Net, k int) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	plog := net.PLog()
-	net.Charge("spanner/rg20", plog*plog)
+	net.Charge(hybrid.CostSpanner, hybrid.CostArgs{})
 	return h, nil
 }
 

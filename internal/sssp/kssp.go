@@ -24,7 +24,7 @@ const (
 	// via proxy sources on the skeleton.
 	RegimeArbitraryProxy
 	// RegimeLargeK: random sources with k ≥ n^{2/3}, delegated to the
-	// exact eÕ(n^{1/3}+√k) algorithm of [CHLP21b] (charged).
+	// exact eÕ(n^{1/3}+√k) algorithm of [CHLP21a] (charged).
 	RegimeLargeK
 )
 
@@ -78,21 +78,18 @@ func KSSP(net *hybrid.Net, sources []int, eps float64, randomSources bool, rng *
 	n := net.N()
 	k := len(sources)
 	gamma := net.Cap()
-	plog := net.PLog()
-	tSSSP := Theorem13Rounds(plog, eps)
 
 	// Regime 1: enough global capacity to run all k SSSP instances in
 	// parallel (Theorem 14, third bullet).
 	if k <= gamma {
-		net.Charge("kssp/parallel", tSSSP)
+		net.Charge(hybrid.CostKSSPParallel, hybrid.CostArgs{Eps: eps})
 		return exactRows(g, sources, eps, wantValues), &KSSPResult{Regime: RegimeParallel, Stretch: 1 + eps, Rounds: net.Rounds() - start}, nil
 	}
 
 	// Regime 4: random sources with k ≥ n^{2/3} — the paper delegates to
-	// the exact k-SSP of [CHLP21b] at eÕ(n^{1/3} + √k) rounds.
+	// the exact k-SSP of [CHLP21a] at eÕ(n^{1/3} + √k) rounds.
 	if randomSources && float64(k) >= math.Pow(float64(n), 2.0/3.0) {
-		cost := int(math.Cbrt(float64(n))+math.Sqrt(float64(k))) * plog * plog
-		net.Charge("kssp/chlp21", cost)
+		net.Charge(hybrid.CostKSSPLargeK, hybrid.CostArgs{N: n, K: k})
 		return exactRows(g, sources, eps, wantValues), &KSSPResult{Regime: RegimeLargeK, Stretch: 1 + eps, Rounds: net.Rounds() - start}, nil
 	}
 
@@ -114,10 +111,9 @@ func KSSP(net *hybrid.Net, sources []int, eps float64, randomSources bool, rng *
 	// Skeleton construction: h rounds of LOCAL (Lemma 6.3).
 	net.TickLocal("kssp/skeleton", sk.H)
 	// Helper sets for the skeleton nodes (Lemma 9.2): eÕ(x) local rounds.
-	net.TickLocal("kssp/helper-sets", x*plog)
-	// Parallel scheduling of k SSSP instances on the skeleton
-	// (Lemma 9.3): eÕ(√(k/γ))·T rounds.
-	net.Charge("kssp/schedule", x*tSSSP)
+	net.TickLocal("kssp/helper-sets", x*net.PLog())
+	// Parallel scheduling of k SSSP instances on the skeleton.
+	net.Charge(hybrid.CostKSSPSchedule, hybrid.CostArgs{Eps: eps, Runs: x})
 
 	res := &KSSPResult{SkeletonSize: sk.Size(), H: sk.H}
 
@@ -138,7 +134,7 @@ func KSSP(net *hybrid.Net, sources []int, eps float64, randomSources bool, rng *
 	// (1+ε)-SSSP results are combined with h-hop distances, and the
 	// per-source offsets d^h(u_s, s) are broadcast (γ parallel Theorem 1
 	// instances, eÕ(√(k/γ)) rounds, charged).
-	net.Charge("kssp/broadcast-offsets", x*plog*plog)
+	net.Charge(hybrid.CostKSSPOffsets, hybrid.CostArgs{Runs: x})
 	res.Regime = RegimeArbitraryProxy
 	res.Stretch = 3 + 3*eps // ε' = 3ε in the Theorem 14 analysis
 	res.Rounds = net.Rounds() - start

@@ -65,8 +65,7 @@ func (ma *MinorAggregation) Round(contract []bool, value []int64, combine func(a
 			consensus[root] = value[v]
 		}
 	}
-	plog := ma.net.PLog()
-	ma.net.Charge("minor-aggregation/round", plog*plog)
+	ma.net.Charge(hybrid.CostMinorAggregation, hybrid.CostArgs{})
 	return super, consensus, nil
 }
 
@@ -134,8 +133,7 @@ func OracleEuler(net *hybrid.Net, h *graph.Graph) ([]bool, error) {
 	if err != nil {
 		return nil, err
 	}
-	plog := net.PLog()
-	net.Charge("sssp/oracle-euler", plog*plog)
+	net.Charge(hybrid.CostOracleEuler, hybrid.CostArgs{})
 	return orient, nil
 }
 

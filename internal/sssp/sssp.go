@@ -104,19 +104,6 @@ func (z *Quantizer) power(i float64) int64 {
 	return z.pow[k]
 }
 
-// Theorem13Rounds is the charged cost of one Theorem 13 SSSP run:
-// eÕ(1/ε²) with the library's eÕ(1) = ⌈log₂ n⌉² convention.
-func Theorem13Rounds(plog int, eps float64) int {
-	if eps <= 0 {
-		eps = 1
-	}
-	inv := int(math.Ceil(1 / (eps * eps)))
-	if inv < 1 {
-		inv = 1
-	}
-	return plog * plog * inv
-}
-
 // Approx computes a (1+eps)-approximation of SSSP from source
 // (Theorem 13), charging eÕ(1/ε²) rounds. The returned estimates d̃
 // satisfy d ≤ d̃ ≤ (1+eps)·d and are identical on every node, matching
@@ -128,7 +115,7 @@ func Approx(net *hybrid.Net, source int, eps float64) ([]int64, error) {
 	if eps <= 0 {
 		return nil, fmt.Errorf("sssp: eps=%v must be positive", eps)
 	}
-	net.Charge("sssp/theorem13", Theorem13Rounds(net.PLog(), eps))
+	net.Charge(hybrid.CostTheorem13, hybrid.CostArgs{Eps: eps})
 	return quantizeAll(net.Graph().Dijkstra(source), NewQuantizer(eps)), nil
 }
 

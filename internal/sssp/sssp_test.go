@@ -77,19 +77,27 @@ func TestApproxStretchAndCost(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Theorem 13: eÕ(1/ε²), independent of n beyond polylog.
-		want := Theorem13Rounds(net.PLog(), eps)
+		want := net.PLog() * net.PLog() * int(math.Ceil(1/(eps*eps)))
 		if net.Rounds() != want {
 			t.Fatalf("rounds=%d, want charged %d", net.Rounds(), want)
 		}
 	}
 }
 
+// TestTheorem13RoundsFormula checks the charge of one Approx run,
+// ⌈log₂ n⌉²·⌈1/ε²⌉, at ⌈log₂ n⌉ = 8.
 func TestTheorem13RoundsFormula(t *testing.T) {
-	if Theorem13Rounds(8, 0.5) != 8*8*4 {
-		t.Fatalf("got %d", Theorem13Rounds(8, 0.5))
-	}
-	if Theorem13Rounds(8, 0) != 8*8 { // eps clamped to 1
-		t.Fatalf("got %d", Theorem13Rounds(8, 0))
+	for _, c := range []struct {
+		eps  float64
+		want int
+	}{{0.5, 8 * 8 * 4}, {0.3, 8 * 8 * 12}, {1, 8 * 8}, {2, 8 * 8}} {
+		net := newNet(t, graph.Path(200))
+		if _, err := Approx(net, 0, c.eps); err != nil {
+			t.Fatal(err)
+		}
+		if net.Rounds() != c.want {
+			t.Errorf("eps=%v: rounds=%d, want %d", c.eps, net.Rounds(), c.want)
+		}
 	}
 }
 
@@ -280,7 +288,7 @@ func TestKSSPParallelRegime(t *testing.T) {
 		}
 	}
 	// eÕ(1/ε²): no dependence on k beyond the single charge.
-	if res.Rounds != Theorem13Rounds(net.PLog(), 0.25) {
+	if res.Rounds != net.PLog()*net.PLog()*16 {
 		t.Fatalf("rounds=%d", res.Rounds)
 	}
 }

@@ -59,7 +59,7 @@ func referenceRoute(net *hybrid.Net, spec Spec, rng *rand.Rand) (*Result, error)
 		if err != nil {
 			return nil, err
 		}
-		net.Charge("unicast/retrace", res.Rounds)
+		net.Charge(hybrid.CostRetrace, hybrid.CostArgs{Rounds: res.Rounds})
 		res.K, res.L = k, l
 		res.Reversed = true
 		res.ConditionsMet = k <= res.NQ // condition k ≤ NQ_ℓ
@@ -73,7 +73,7 @@ func referenceRoute(net *hybrid.Net, spec Spec, rng *rand.Rand) (*Result, error)
 			if err != nil {
 				return nil, err
 			}
-			net.Charge("unicast/retrace", res.Rounds)
+			net.Charge(hybrid.CostRetrace, hybrid.CostArgs{Rounds: res.Rounds})
 			res.K, res.L = k, l
 			res.Reversed = true
 			res.Rounds = net.Rounds() - start
@@ -196,7 +196,7 @@ func referenceCase3(net *hybrid.Net, sources, targets []int, k, l int, rng *rand
 	net.TickLocal("unicast/lemma54-consolidate", 2*4*cl.NQ)
 	// The super-source responsibility map is made public via Theorem 1
 	// (eÕ(NQ_k) charged; the identifier broadcast above already carried S).
-	net.Charge("unicast/lemma54-map", cl.NQ*net.PLog())
+	net.Charge(hybrid.CostLemma54Map, hybrid.CostArgs{NQ: cl.NQ})
 
 	srcHelpers, err := HelperSets(net, cl, superSet, k, rng)
 	if err != nil {
@@ -269,7 +269,7 @@ func referenceRelay(net *hybrid.Net, cl *cluster.Clustering, pairs []referencePa
 	if err != nil {
 		return nil, err
 	}
-	net.Charge("unicast/hash-seed", cl.NQ*plog)
+	net.Charge(hybrid.CostHashSeed, hybrid.CostArgs{NQ: cl.NQ})
 
 	// Requests are balanced over each target's helpers; source messages
 	// over each source's helpers (if any).

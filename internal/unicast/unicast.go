@@ -142,7 +142,7 @@ func Route(net *hybrid.Net, spec Spec, rng *rand.Rand) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		net.Charge("unicast/retrace", res.Rounds)
+		net.Charge(hybrid.CostRetrace, hybrid.CostArgs{Rounds: res.Rounds})
 		res.K, res.L = k, l
 		res.Reversed = true
 		res.ConditionsMet = k <= res.NQ // condition k ≤ NQ_ℓ
@@ -156,7 +156,7 @@ func Route(net *hybrid.Net, spec Spec, rng *rand.Rand) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			net.Charge("unicast/retrace", res.Rounds)
+			net.Charge(hybrid.CostRetrace, hybrid.CostArgs{Rounds: res.Rounds})
 			res.K, res.L = k, l
 			res.Reversed = true
 			res.Rounds = net.Rounds() - start
@@ -267,9 +267,9 @@ func routeCase3(net *hybrid.Net, sources, targets []int, k, l int, rng *rand.Ran
 	// Local consolidation: sources stream to their super-source; targets
 	// brief their sub-targets. One weak-diameter flood each.
 	net.TickLocal("unicast/lemma54-consolidate", 2*4*cl.NQ)
-	// The super-source responsibility map is made public via Theorem 1
-	// (eÕ(NQ_k) charged; the identifier broadcast above already carried S).
-	net.Charge("unicast/lemma54-map", cl.NQ*net.PLog())
+	// The super-source map is made public; the identifier broadcast
+	// above already carried S.
+	net.Charge(hybrid.CostLemma54Map, hybrid.CostArgs{NQ: cl.NQ})
 
 	srcHelpers, err := HelperSets(net, cl, superSet, k, rng)
 	if err != nil {
@@ -468,15 +468,13 @@ func allPairs(snd, rcv side) []pairMsg {
 // loop.
 func relayPairs(net *hybrid.Net, cl *cluster.Clustering, snd, rcv side, pairs []pairMsg, rng *rand.Rand) (*Result, error) {
 	n := net.N()
-	plog := net.PLog()
-	// κ-wise independent hash; seed of eÕ(NQ_k) words is broadcast with
-	// Theorem 1 (Lemma 5.3 property (3)) — charged.
-	kappa := cl.NQ * plog
+	// κ-wise independent hash; its seed is broadcast (charged).
+	kappa := cl.NQ * net.PLog()
 	h, err := NewHash(n, kappa, rng)
 	if err != nil {
 		return nil, err
 	}
-	net.Charge("unicast/hash-seed", cl.NQ*plog)
+	net.Charge(hybrid.CostHashSeed, hybrid.CostArgs{NQ: cl.NQ})
 
 	// Every pair adds one word to its sender's stage-A send, to its
 	// intermediate's stage-A receive, stage-B receive and stage-C send,
