@@ -52,6 +52,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"unsafe"
 )
 
 // defaultSegmentBytes is the rotation threshold for segment files.
@@ -343,7 +344,7 @@ func (d *diskTier) get(ns, key string) ([]byte, bool) {
 		if !ok {
 			return nil, false
 		}
-		frame, ok := d.readAt(l)
+		frame, ok := d.readAt(l, frameHeader+len(ns)+len(key))
 		if !ok {
 			continue
 		}
@@ -360,14 +361,19 @@ func (d *diskTier) get(ns, key string) ([]byte, bool) {
 	return nil, false
 }
 
-// readAt reads the frame at l with one ReadAt.
-func (d *diskTier) readAt(l loc) ([]byte, bool) {
+// readAt reads the frame at l with one ReadAt, placed in its buffer so
+// that the byte valueOff bytes into the frame — where get expects the
+// value — is 8-byte aligned: the graph and profile codecs then view
+// the value in place instead of copying it out (DESIGN.md §11).
+func (d *diskTier) readAt(l loc, valueOff int) ([]byte, bool) {
 	f, err := os.Open(segmentPath(d.dir, l.seg))
 	if err != nil {
 		return nil, false
 	}
 	defer f.Close()
-	buf := make([]byte, l.len)
+	shift := -valueOff & 7
+	words := make([]uint64, (shift+l.len+7)/8)
+	buf := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), 8*len(words))[shift : shift+l.len]
 	if _, err := f.ReadAt(buf, l.off); err != nil {
 		return nil, false
 	}

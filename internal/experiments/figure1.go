@@ -54,7 +54,8 @@ func Figure1Scenario(families []graph.Family, n int, betas []float64, eps float6
 			}
 			return []Figure1Point{*pt}, nil
 		},
-		RenderRow: figure1Spec.row,
+		RenderRow:   figure1Spec.row,
+		RowsPerCell: 1,
 	}
 }
 

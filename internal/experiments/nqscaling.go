@@ -121,7 +121,8 @@ func nqScalingScenario(spec *tableSpec[NQScalingRow], families []graph.Family, n
 				Diameter:  diam,
 			}}, nil
 		},
-		RenderRow: spec.row,
+		RenderRow:   spec.row,
+		RowsPerCell: 1,
 	}
 }
 

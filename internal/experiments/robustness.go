@@ -86,7 +86,8 @@ func RobustnessScenario(families []graph.Family, n int, seed int64) *runner.Scen
 			}
 			return robustnessRows(c, g, faults)
 		},
-		RenderRow: robustnessSpec.row,
+		RenderRow:   robustnessSpec.row,
+		RowsPerCell: 3, // bfs, approx, disseminate
 	}
 }
 

@@ -54,7 +54,8 @@ func Table1Scenario(families []graph.Family, n int, ks []int, seed int64) *runne
 			}
 			return []Table1Row{*row}, nil
 		},
-		RenderRow: table1Spec.row,
+		RenderRow:   table1Spec.row,
+		RowsPerCell: 1,
 	}
 }
 

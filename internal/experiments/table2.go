@@ -51,7 +51,8 @@ func Table2Scenario(families []graph.Family, n int, seed int64) *runner.Scenario
 			}
 			return []Table2Row{*row}, nil
 		},
-		RenderRow: table2Spec.row,
+		RenderRow:   table2Spec.row,
+		RowsPerCell: 1,
 	}
 }
 

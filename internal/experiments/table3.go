@@ -50,7 +50,8 @@ func Table3Scenario(families []graph.Family, n int, ks []int, seed int64) *runne
 			}
 			return []Table3Row{*row}, nil
 		},
-		RenderRow: table3Spec.row,
+		RenderRow:   table3Spec.row,
+		RowsPerCell: 1,
 	}
 }
 

@@ -58,7 +58,8 @@ func Table4Scenario(families []graph.Family, n int, epss []float64, seed int64) 
 				LocalFlood:   p.Diam,
 			}}, nil
 		},
-		RenderRow: table4Spec.row,
+		RenderRow:   table4Spec.row,
+		RowsPerCell: 1,
 	}
 }
 

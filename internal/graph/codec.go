@@ -13,17 +13,21 @@ package graph
 // the bounds — and here the bytes — are functions of the input graph G.
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // CodecVersion names the CSR wire format. It is part of every encoded
 // header and of runner.GraphCache's content addresses, so a format
 // change orphans persisted topologies instead of misreading them.
-const CodecVersion uint32 = 2
+// Version 3 moved w ahead of rowStart and to, so that every array sits
+// at an offset that is a multiple of its element size.
+const CodecVersion uint32 = 3
 
 // csrMagic starts every encoded graph.
 var csrMagic = [4]byte{'H', 'C', 'S', 'R'}
@@ -32,23 +36,29 @@ var csrMagic = [4]byte{'H', 'C', 'S', 'R'}
 const csrHeaderLen = 4 + 4 + 8 + 8 + 8
 
 // EncodeCSR serializes g into the deterministic binary CSR format: a
-// fixed header (magic, CodecVersion, n, half-edge count, hop diameter)
-// followed by the little-endian rowStart (int32), to (int32) and w
-// (int64) arrays. The diameter is g.Diameter() — 0 for n ≤ 1, Inf for
-// a disconnected graph — so encoding an unseeded graph pays its
-// all-sources hop-kernel sweep once, and every decode inherits it. Two
-// graphs with identical CSR arrays encode to identical bytes. Every
-// Graph encodes; the error result is always nil.
+// fixed 32-byte header (magic, CodecVersion, n, half-edge count, hop
+// diameter) followed by the little-endian w (int64), rowStart (int32)
+// and to (int32) arrays, in that order, so each array of a blob that
+// starts 8-byte aligned is naturally aligned with no padding. The
+// diameter is g.Diameter() — 0 for n ≤ 1, Inf for a disconnected graph
+// — so encoding an unseeded graph pays its all-sources hop-kernel sweep
+// once, and every decode inherits it. Two graphs with identical CSR
+// arrays encode to identical bytes. Every Graph encodes; the error
+// result is always nil.
 func EncodeCSR(g *Graph) ([]byte, error) {
 	n := g.N()
 	h := len(g.to)
-	buf := make([]byte, csrHeaderLen+4*(n+1)+4*h+8*h)
+	buf := make([]byte, csrHeaderLen+8*h+4*(n+1)+4*h)
 	copy(buf, csrMagic[:])
 	binary.LittleEndian.PutUint32(buf[4:], CodecVersion)
 	binary.LittleEndian.PutUint64(buf[8:], uint64(n))
 	binary.LittleEndian.PutUint64(buf[16:], uint64(h))
 	binary.LittleEndian.PutUint64(buf[24:], uint64(g.Diameter()))
 	off := csrHeaderLen
+	for _, v := range g.w {
+		binary.LittleEndian.PutUint64(buf[off:], uint64(v))
+		off += 8
+	}
 	for _, v := range g.rowStart {
 		binary.LittleEndian.PutUint32(buf[off:], uint32(v))
 		off += 4
@@ -57,24 +67,26 @@ func EncodeCSR(g *Graph) ([]byte, error) {
 		binary.LittleEndian.PutUint32(buf[off:], uint32(v))
 		off += 4
 	}
-	for _, v := range g.w {
-		binary.LittleEndian.PutUint64(buf[off:], uint64(v))
-		off += 8
-	}
 	return buf, nil
 }
 
-// DecodeCSR parses an EncodeCSR blob back into a graph whose arrays
-// are the blob's. The input is validated structurally — header
-// shape, exact payload length, monotone row offsets, in-range
-// endpoints, no self-loops, positive weights, and half-edge symmetry
-// (every (u,v,w) half-edge has its (v,u,w) mate) — so a corrupt or
+// DecodeCSR parses an EncodeCSR blob back into a graph. On a
+// little-endian host the graph's arrays are views of the blob's own
+// bytes, not copies: the decoded graph retains data, which must never
+// be modified afterwards (DESIGN.md §5). A blob whose first byte is
+// not 8-byte aligned is first copied once into an aligned buffer; a
+// big-endian host converts the arrays into fresh ones instead. The
+// input is validated structurally — header shape, exact payload
+// length, monotone row offsets, in-range endpoints, no self-loops,
+// positive weights, and half-edge symmetry (every (u,v,w) half-edge
+// has its (v,u,w) mate, counted with multiplicity) — so a corrupt or
 // truncated blob returns an error rather than a graph that violates
 // the library's invariants. The stored diameter D is then checked
 // against one BFS from node 0, e = ecc(0): a connected graph needs
 // e ≤ D ≤ 2e (0 when n ≤ 1), a disconnected one exactly D = Inf. An
 // accepted D pre-fills the Diameter cache, so a restore costs O(n+m)
-// instead of the all-sources hop-kernel sweep.
+// array work plus a sort of each row, instead of the all-sources
+// hop-kernel sweep.
 func DecodeCSR(data []byte) (*Graph, error) {
 	if len(data) < csrHeaderLen {
 		return nil, fmt.Errorf("graph: codec: truncated header (%d bytes)", len(data))
@@ -100,27 +112,16 @@ func DecodeCSR(data []byte) (*Graph, error) {
 	if h%2 != 0 {
 		return nil, fmt.Errorf("graph: codec: odd half-edge count %d", h)
 	}
-	want := csrHeaderLen + 4*(n+1) + 4*h + 8*h
+	want := csrHeaderLen + 8*h + 4*(n+1) + 4*h
 	if len(data) != want {
 		return nil, fmt.Errorf("graph: codec: payload is %d bytes, want %d for n=%d halfEdges=%d", len(data), want, n, h)
 	}
+	data = aligned(data)
+	rows := csrHeaderLen + 8*h
 	g := &Graph{
-		rowStart: make([]int32, n+1),
-		to:       make([]int32, h),
-		w:        make([]int64, h),
-	}
-	off := csrHeaderLen
-	for i := range g.rowStart {
-		g.rowStart[i] = int32(binary.LittleEndian.Uint32(data[off:]))
-		off += 4
-	}
-	for i := range g.to {
-		g.to[i] = int32(binary.LittleEndian.Uint32(data[off:]))
-		off += 4
-	}
-	for i := range g.w {
-		g.w[i] = int64(binary.LittleEndian.Uint64(data[off:]))
-		off += 8
+		w:        int64s(data[csrHeaderLen:rows]),
+		rowStart: int32s(data[rows : rows+4*(n+1)]),
+		to:       int32s(data[rows+4*(n+1):]),
 	}
 	if g.rowStart[0] != 0 || int(g.rowStart[n]) != h {
 		return nil, fmt.Errorf("graph: codec: row offsets span [%d,%d], want [0,%d]", g.rowStart[0], g.rowStart[n], h)
@@ -130,10 +131,6 @@ func DecodeCSR(data []byte) (*Graph, error) {
 			return nil, fmt.Errorf("graph: codec: row offsets not monotone at node %d", v)
 		}
 	}
-	// mates pairs each (v,u,w) half-edge with its reverse; every edge
-	// must cancel out for the graph to be undirected. Weight mismatches
-	// between directions surface as an unmatched leftover.
-	mates := make(map[[3]int64]int, h/2)
 	for v := 0; v < n; v++ {
 		for i := g.rowStart[v]; i < g.rowStart[v+1]; i++ {
 			u, w := int(g.to[i]), g.w[i]
@@ -146,17 +143,10 @@ func DecodeCSR(data []byte) (*Graph, error) {
 			if w <= 0 {
 				return nil, fmt.Errorf("graph: codec: non-positive weight %d on edge (%d,%d)", w, v, u)
 			}
-			if v < u {
-				mates[[3]int64{int64(v), int64(u), w}]++
-			} else {
-				mates[[3]int64{int64(u), int64(v), w}]--
-			}
 		}
 	}
-	for e, count := range mates {
-		if count != 0 {
-			return nil, fmt.Errorf("graph: codec: asymmetric edge (%d,%d,w=%d)", e[0], e[1], e[2])
-		}
+	if from, to, w, ok := g.unmatchedHalfEdge(); ok {
+		return nil, fmt.Errorf("graph: codec: asymmetric edge (%d,%d,w=%d)", min(from, to), max(from, to), w)
 	}
 	// ecc(0) brackets the diameter (ecc ≤ D ≤ 2·ecc by the triangle
 	// inequality through node 0) and is Inf exactly when the graph is
@@ -171,6 +161,72 @@ func DecodeCSR(data []byte) (*Graph, error) {
 	}
 	g.diam.Store(diam)
 	return g, nil
+}
+
+// halfEdge is one (neighbor, weight) entry of a row.
+type halfEdge struct {
+	u int32
+	w int64
+}
+
+func cmpHalfEdge(a, b halfEdge) int {
+	if a.u != b.u {
+		return cmp.Compare(a.u, b.u)
+	}
+	return cmp.Compare(a.w, b.w)
+}
+
+// unmatchedHalfEdge finds a half-edge from→to of weight w whose mates
+// to→from of weight w are fewer than its copies, and reports ok = false
+// when there is none: the graph is undirected exactly when, at every node,
+// the half-edges leaving it and those entering it are equal multisets
+// of (neighbor, weight). A counting-sort transpose lists the entering
+// half-edges of each node by source; each node's two lists are then
+// sorted by (neighbor, weight) and compared. Endpoints must already be
+// in range.
+func (g *Graph) unmatchedHalfEdge() (from, to int, w int64, ok bool) {
+	n, h := g.N(), len(g.to)
+	// in[start[x]:start[x+1]] lists the half-edges entering x as
+	// (source, weight): filled backwards from each row's end, so start
+	// ends at each row's beginning.
+	start := make([]int32, n+1)
+	for _, x := range g.to {
+		start[x]++
+	}
+	for x := 1; x < n; x++ {
+		start[x] += start[x-1]
+	}
+	start[n] = int32(h)
+	in := make([]halfEdge, h)
+	deg := 0
+	for s := n - 1; s >= 0; s-- {
+		deg = max(deg, int(g.rowStart[s+1]-g.rowStart[s]))
+		for i := g.rowStart[s+1] - 1; i >= g.rowStart[s]; i-- {
+			x := g.to[i]
+			start[x]--
+			in[start[x]] = halfEdge{int32(s), g.w[i]}
+		}
+	}
+	out := make([]halfEdge, deg)
+	for v := 0; v < n; v++ {
+		lo, hi := g.rowStart[v], g.rowStart[v+1]
+		row := out[:hi-lo]
+		for i := lo; i < hi; i++ {
+			row[i-lo] = halfEdge{g.to[i], g.w[i]}
+		}
+		slices.SortFunc(row, cmpHalfEdge)
+		mates := in[start[v]:start[v+1]]
+		slices.SortFunc(mates, cmpHalfEdge)
+		for i := 0; i < len(row) || i < len(mates); i++ {
+			switch {
+			case i == len(mates) || i < len(row) && cmpHalfEdge(row[i], mates[i]) < 0:
+				return v, int(row[i].u), row[i].w, true
+			case i == len(row) || cmpHalfEdge(mates[i], row[i]) < 0:
+				return int(mates[i].u), v, mates[i].w, true
+			}
+		}
+	}
+	return 0, 0, 0, false
 }
 
 // CSRHash returns the graph's content address: the SHA-256 hex digest

@@ -3,7 +3,9 @@ package graph_test
 // FuzzDecodeCSR hardens the codec against arbitrary input: DecodeCSR
 // must never panic, and anything it accepts must be a well-formed
 // graph that re-encodes to exactly the bytes it was decoded
-// from (the codec is a bijection on its accepted set).
+// from (the codec is a bijection on its accepted set). A misaligned
+// copy of the input must decode the same way (the one aligned copy
+// in front of the views).
 
 import (
 	"bytes"
@@ -48,9 +50,16 @@ func FuzzDecodeCSR(f *testing.F) {
 	f.Add([]byte("HCSR"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := graph.DecodeCSR(data)
+		g, err := graph.DecodeCSR(graph.AlignedCopy(data))
+		mg, merr := graph.DecodeCSR(graph.MisalignedCopy(data))
+		if (err == nil) != (merr == nil) || err != nil && err.Error() != merr.Error() {
+			t.Fatalf("misaligned input decodes differently: %v, aligned %v", merr, err)
+		}
 		if err != nil {
 			return
+		}
+		if h, mh := mustHash(t, g), mustHash(t, mg); h != mh {
+			t.Fatalf("misaligned input decodes to CSRHash %s, aligned %s", mh, h)
 		}
 		if g.N() > 0 {
 			// Spot-check invariants the library relies on: traversals
@@ -66,4 +75,13 @@ func FuzzDecodeCSR(f *testing.F) {
 			t.Fatalf("codec is not a bijection: accepted %d bytes, re-encoded %d differing bytes", len(data), len(re))
 		}
 	})
+}
+
+func mustHash(t *testing.T, g *graph.Graph) string {
+	t.Helper()
+	h, err := graph.CSRHash(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }

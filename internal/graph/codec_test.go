@@ -136,8 +136,8 @@ func TestCodecWeightedRoundTrip(t *testing.T) {
 }
 
 // headerLen derives the codec's header length from a blob: everything
-// before the rowStart (4 bytes per node + 1) and half-edge (4-byte to,
-// 8-byte w) arrays.
+// before the half-edge (8-byte w, then 4-byte to after rowStart) and
+// rowStart (4 bytes per node + 1) arrays.
 func headerLen(g *graph.Graph, blob []byte) int {
 	return len(blob) - 4*(g.N()+1) - 12*2*g.M()
 }
@@ -165,6 +165,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	g := buildFamily(t, graph.FamilyCycle, 16, 1)
 	blob := encode(g)
 	hdr := headerLen(g, blob)
+	rows := hdr + 8*2*g.M() // rowStart follows the w array
 	corrupt := func(mutate func(b []byte)) []byte {
 		b := append([]byte(nil), blob...)
 		mutate(b)
@@ -195,12 +196,19 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		"truncated":    {blob[:len(blob)-3], "payload is"},
 		"padded":       {append(append([]byte(nil), blob...), 0), "payload is"},
 		"huge n":       {corrupt(func(b []byte) { b[12] = 0xff }), "implausible sizes"},
-		// rowStart[0] lives right after the header.
-		"bad offsets": {corrupt(func(b []byte) { b[hdr] = 1 }), "row offsets"},
+		// rowStart[0] lives right after the w array.
+		"bad offsets": {corrupt(func(b []byte) { b[rows] = 1 }), "row offsets"},
 		// First endpoint: point node 0's first neighbor at itself.
 		"self-loop": {corrupt(func(b []byte) {
-			copy(b[hdr+4*(g.N()+1):], []byte{0, 0, 0, 0})
+			copy(b[rows+4*(g.N()+1):], []byte{0, 0, 0, 0})
 		}), "self-loop"},
+		// w[0], the weight of node 0's first half-edge, opens the
+		// payload; its mate keeps weight 1.
+		"weight mismatch": {corrupt(func(b []byte) { b[hdr] = 2 }), "asymmetric edge"},
+		"zero weight":     {corrupt(func(b []byte) { b[hdr] = 0 }), "non-positive weight"},
+		"endpoint out of range": {corrupt(func(b []byte) {
+			copy(b[rows+4*(g.N()+1):], []byte{99, 0, 0, 0})
+		}), "out of range"},
 		"diameter below ecc(0)":        {withDiameter(g, blob, 7), "diameter"},
 		"diameter above 2*ecc(0)":      {withDiameter(g, blob, 17), "diameter"},
 		"negative diameter":            {withDiameter(g, blob, -8), "diameter"},
@@ -238,6 +246,35 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		}
 		if re := encode(dec); !bytes.Equal(re, c.data) {
 			t.Fatalf("%s: re-encodes differently", name)
+		}
+	}
+}
+
+// BenchmarkDecodeCSR decodes the eight topologies of the restore-bump
+// workload (nqscaling-large at n = 256: path, cycle, grid2d and grid3d
+// at 1024 and 4096 nodes) from 8-byte aligned blobs, as a restore from
+// the disk tier does.
+func BenchmarkDecodeCSR(b *testing.B) {
+	var blobs [][]byte
+	for _, fam := range []graph.Family{graph.FamilyPath, graph.FamilyCycle, graph.FamilyGrid2D, graph.FamilyGrid3D} {
+		for _, n := range []int{1024, 4096} {
+			g, err := graph.Build(fam, n, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			blob, err := graph.EncodeCSR(g)
+			if err != nil {
+				b.Fatal(err)
+			}
+			blobs = append(blobs, blob)
+		}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, blob := range blobs {
+			if _, err := graph.DecodeCSR(blob); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

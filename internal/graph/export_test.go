@@ -1,5 +1,7 @@
 package graph
 
+import "unsafe"
+
 // The sequential traversals the public entry points run below
 // kernelMinN, exposed so the external tests can compare them with the
 // parallel kernels on graphs above the threshold.
@@ -34,3 +36,20 @@ var (
 
 // EccUnknown is eccUnknown for the external tests.
 const EccUnknown = eccUnknown
+
+// CSRArrays returns g's CSR arrays and ProfileArrays p's row offsets
+// and row storage, for the zero-copy decode tests, which decode copies
+// of a blob made by AlignedCopy (first byte 8-byte aligned) and
+// MisalignedCopy (first byte not).
+func CSRArrays(g *Graph) (rowStart, to []int32, w []int64) { return g.rowStart, g.to, g.w }
+
+func ProfileArrays(p *Profiles) (rowStart []int32, chunks [][]int32) { return p.rowStart, p.chunks }
+
+func AlignedCopy(b []byte) []byte {
+	words := make([]uint64, (len(b)+7)/8)
+	out := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), len(b))
+	copy(out, b)
+	return out
+}
+
+func MisalignedCopy(b []byte) []byte { return append([]byte{0}, b...)[1:] }

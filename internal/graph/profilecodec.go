@@ -27,9 +27,11 @@ var profMagic = [4]byte{'H', 'P', 'R', 'F'}
 const profHeaderLen = 4 + 4 + 8 + 8 + 8 + 8
 
 // EncodeProfiles serializes a Profiles artifact into the deterministic
-// binary format: a fixed header (magic, ProfilesCodecVersion, n, maxR,
-// the stop K, entry count) followed by the little-endian rowStart
-// (uint32) and ball-size (uint32) arrays, the rows in node order.
+// binary format: a fixed 40-byte header (magic, ProfilesCodecVersion,
+// n, maxR, the stop K, entry count) followed by the little-endian
+// rowStart (uint32) and ball-size (uint32) arrays, the rows in node
+// order — each array 4-byte aligned in a blob that starts 8-byte
+// aligned.
 func EncodeProfiles(p *Profiles) []byte {
 	n := p.n
 	entries := int(p.rowStart[n])
@@ -55,12 +57,16 @@ func EncodeProfiles(p *Profiles) []byte {
 }
 
 // DecodeProfiles parses an EncodeProfiles blob back into a Profiles
-// artifact, revalidating the structural invariants — header shape,
-// exact payload length, monotone row offsets, non-decreasing ball
-// sizes starting at 1 and bounded by n, and every row ending exactly
-// at its first end (|B_t| = n, one level after its frontier emptied,
-// t·|B_t| ≥ K, or t = maxR) — so a corrupt or truncated blob returns
-// an error rather than an artifact that violates the kernel's
+// artifact. Like DecodeCSR it views the blob's bytes in place on a
+// little-endian host (after one aligned copy when data does not start
+// 8-byte aligned; a big-endian host converts into fresh arrays), so
+// the artifact retains data, which must never be modified afterwards
+// (DESIGN.md §5). It revalidates the structural invariants — header
+// shape, exact payload length, monotone row offsets, non-decreasing
+// ball sizes starting at 1 and bounded by n, and every row ending
+// exactly at its first end (|B_t| = n, one level after its frontier
+// emptied, t·|B_t| ≥ K, or t = maxR) — so a corrupt or truncated blob
+// returns an error rather than an artifact that violates the kernel's
 // invariants or decides a k its rows do not.
 func DecodeProfiles(data []byte) (*Profiles, error) {
 	if len(data) < profHeaderLen {
@@ -88,17 +94,9 @@ func DecodeProfiles(data []byte) (*Profiles, error) {
 	if len(data) != want {
 		return nil, fmt.Errorf("graph: profile codec: payload is %d bytes, want %d for n=%d entries=%d", len(data), want, n, entries)
 	}
-	rowStart := make([]int32, n+1)
-	sizes := make([]int32, entries)
-	off := profHeaderLen
-	for i := range rowStart {
-		rowStart[i] = int32(binary.LittleEndian.Uint32(data[off:]))
-		off += 4
-	}
-	for i := range sizes {
-		sizes[i] = int32(binary.LittleEndian.Uint32(data[off:]))
-		off += 4
-	}
+	data = aligned(data)
+	rowStart := int32s(data[profHeaderLen : profHeaderLen+4*(n+1)])
+	sizes := int32s(data[profHeaderLen+4*(n+1):])
 	if rowStart[0] != 0 || int(rowStart[n]) != entries {
 		return nil, fmt.Errorf("graph: profile codec: row offsets span [%d,%d], want [0,%d]", rowStart[0], rowStart[n], entries)
 	}

@@ -4,7 +4,8 @@ package graph
 // input: DecodeProfiles must never panic, and anything it accepts must
 // re-encode to exactly the bytes it was decoded from. Its seeds include
 // rows that stop at K short of every other end, and blobs whose rows
-// end one entry late or early, or of the previous version.
+// end one entry late or early, or of the previous version. A
+// misaligned copy of the input must decode the same way.
 
 import (
 	"bytes"
@@ -41,9 +42,16 @@ func FuzzDecodeProfiles(f *testing.F) {
 	f.Add([]byte("HPRF"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := DecodeProfiles(data)
+		p, err := DecodeProfiles(AlignedCopy(data))
+		mp, merr := DecodeProfiles(MisalignedCopy(data))
+		if (err == nil) != (merr == nil) || err != nil && err.Error() != merr.Error() {
+			t.Fatalf("misaligned input decodes differently: %v, aligned %v", merr, err)
+		}
 		if err != nil {
 			return
+		}
+		if !bytes.Equal(EncodeProfiles(mp), EncodeProfiles(p)) {
+			t.Fatal("misaligned input decodes to a different artifact")
 		}
 		for v := 0; v < p.N(); v++ {
 			_ = p.Size(v, p.maxR+1)

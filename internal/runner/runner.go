@@ -101,6 +101,11 @@ type Scenario[T any] struct {
 	// Config.Seed is ignored and replaced by the cell's derived seed.
 	Model hybrid.Config
 	Run   func(c *Cell) ([]T, error)
+	// RowsPerCell, when positive, is the number of rows every cell
+	// contributes. A cached entry that decodes to another number of
+	// rows is a miss, recomputed and re-put; a Run that returns another
+	// number fails its cell.
+	RowsPerCell int
 	// RenderRow, when non-nil, renders one of the cell's rows into its
 	// table coordinates — the table name, machine column keys, and
 	// formatted values the scenario's table rendering emits for that
@@ -110,6 +115,11 @@ type Scenario[T any] struct {
 	// runner has an Observer, and attaches the result to
 	// CellEvent.Rendered.
 	RenderRow func(c *Cell, row T) RenderedRow
+}
+
+// fits reports whether rows is a whole cell's worth (RowsPerCell).
+func (sc *Scenario[T]) fits(rows []T) bool {
+	return sc.RowsPerCell <= 0 || len(rows) == sc.RowsPerCell
 }
 
 // Cell is one unit of sweep work: a single coordinate of the scenario
@@ -388,14 +398,15 @@ func Collect[T any](r *Runner, sc *Scenario[T]) ([]T, error) {
 		for i := range cells {
 			keys[i] = cells[i].CacheKey(version)
 			if blob, ok := cache.Get(keys[i]); ok {
-				if rows, err := decodeRows[T](blob); err == nil {
+				if rows, err := decodeRows[T](blob); err == nil && sc.fits(rows) {
 					results[i] = rows
 					r.observe(CellEvent{Cell: &cells[i], Total: len(cells), Key: keys[i], Cached: true,
 						Rows: len(rows), Rendered: render(&cells[i], rows)})
 					continue
 				}
 				// An undecodable entry (e.g. written by an older row
-				// schema under a stale version string) is a miss.
+				// schema under a stale version string), or one with the
+				// wrong number of rows, is a miss.
 			}
 			pending = append(pending, i)
 		}
@@ -409,6 +420,9 @@ func Collect[T any](r *Runner, sc *Scenario[T]) ([]T, error) {
 		cells[i].Transcripts = new(hybrid.Transcripts)
 		defer func() { cells[i].Transcripts = nil }()
 		results[i], errs[i] = sc.Run(&cells[i])
+		if errs[i] == nil && !sc.fits(results[i]) {
+			errs[i] = fmt.Errorf("%d rows, want %d", len(results[i]), sc.RowsPerCell)
+		}
 		ev := CellEvent{Cell: &cells[i], Total: len(cells), Rows: len(results[i]), Err: errs[i]}
 		if errs[i] == nil {
 			ev.Rendered = render(&cells[i], results[i])
