@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/congest"
+	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/hybrid"
 	"repro/internal/nq"
@@ -350,6 +351,45 @@ func TestProfileRestoreAllocBudget(t *testing.T) {
 	t.Logf("restoring path/%d's profile allocated %.3f MB", n, mb)
 	if mb >= 0.1 {
 		t.Fatalf("restoring path/%d's profile allocated %.3f MB, budget 0.1 MB", n, mb)
+	}
+}
+
+// TestCachedRowsDecodeAllocBudget pins the decode behind every cache
+// hit of a sweep: a real Table 1 cell blob must decode in at most 4
+// allocations and 512 B — the row slice and its family string, 2
+// allocations and about 116 B — where gob, which rebuilt its decode engine
+// for every blob, took 218 allocations and 9.8 KB.
+func TestCachedRowsDecodeAllocBudget(t *testing.T) {
+	requireAllocFree(t)
+	store := &mapBlobStore{m: map[string][]byte{}}
+	cfg := experiments.ReportConfig{N: 32, Families: []graph.Family{graph.FamilyPath}}
+	if _, err := experiments.Generate("table1", cfg, &runner.Runner{Workers: 1, Cache: store}); err != nil {
+		t.Fatal(err)
+	}
+	var blob []byte
+	for _, b := range store.m {
+		if len(b) > len(blob) {
+			blob = b
+		}
+	}
+	decode := func() {
+		rows, err := runner.DecodeRows[experiments.Table1Row](blob)
+		if err != nil || len(rows) != 1 {
+			t.Fatalf("decoded %d rows (%v), want 1", len(rows), err)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, decode)
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		decode()
+	}
+	runtime.ReadMemStats(&after)
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("decoding a %d-byte Table 1 cell blob: %.0f allocations, %.0f B", len(blob), allocs, perRun)
+	if allocs > 4 || perRun > 512 {
+		t.Fatalf("decoding a Table 1 cell blob took %.0f allocations and %.0f B, budget 4 and 512 B", allocs, perRun)
 	}
 }
 

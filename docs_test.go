@@ -152,6 +152,7 @@ var testOnlyKept = map[string]string{
 	"hybrid.Transcripts.Runs": "tests in several packages count recorded and replayed transcripts with it",
 	"graph.CSRHash":           "tests in several packages compare graph builds byte for byte with it",
 	"runner.Serial":           "the one-worker runner that tests in several packages sweep with",
+	"runner.DecodeRows":       "the cached-row decode that the root allocation guard measures and the runner fuzz test checks",
 	"cliutil.VerifyUsageText": "every cmd/* test checks its binary's -h text with it",
 	// The HYBRID model variants and primitives of Section 2.
 	"hybrid.NewCongestedClique":   "the Congested Clique model variant",

@@ -1,7 +1,8 @@
 package hybridnet_test
 
-// Hardening coverage (DESIGN.md §11): admission control (rate and
-// capacity shedding with Retry-After), the /metrics exposition, the
+// Hardening coverage (DESIGN.md §11): admission control (rate
+// shedding with Retry-After; capacity shedding is white-box, in
+// harden_internal_test.go), the /metrics exposition, the
 // bounded sweep registry with record rehydration, and the
 // context-aware wait paths.
 
@@ -59,37 +60,6 @@ func TestServerRateLimit429(t *testing.T) {
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
 		t.Fatalf("429 body is not the JSON error document: %v", err)
-	}
-}
-
-// TestServerCapacityShed: the bounded running-sweep count sheds the
-// submission that exceeds it with *CapacityError and a retry hint,
-// instead of queueing it.
-func TestServerCapacityShed(t *testing.T) {
-	srv := newTestServer(t, hybridnet.ServerConfig{Workers: 1, MaxActive: 1})
-	first, err := srv.Submit(hybridnet.SweepRequest{Scenario: "nq", Families: []string{"path"}, N: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = srv.Submit(hybridnet.SweepRequest{Scenario: "nq", Families: []string{"cycle"}, N: 512})
-	var cap *hybridnet.CapacityError
-	if !errors.As(err, &cap) {
-		t.Fatalf("second concurrent submit = %v, want CapacityError", err)
-	}
-	if cap.RetryAfter <= 0 {
-		t.Fatalf("CapacityError without a retry hint: %+v", cap)
-	}
-	// Resubmitting the running sweep joins it rather than being shed.
-	st, err := srv.Submit(hybridnet.SweepRequest{Scenario: "nq", Families: []string{"path"}, N: 512})
-	if err != nil || !st.Reused {
-		t.Fatalf("join of running sweep = %+v, %v", st, err)
-	}
-	if _, err := srv.Wait(first.ID); err != nil {
-		t.Fatal(err)
-	}
-	// Capacity freed: the shed sweep is admitted now.
-	if _, err := srv.Submit(hybridnet.SweepRequest{Scenario: "nq", Families: []string{"cycle"}, N: 512}); err != nil {
-		t.Fatalf("submit after capacity freed: %v", err)
 	}
 }
 

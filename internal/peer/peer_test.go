@@ -124,7 +124,7 @@ func TestRegistryValidation(t *testing.T) {
 
 // testPeer starts an httptest server acting as one artifact peer and
 // returns its host:port.
-func testPeer(t *testing.T, h http.HandlerFunc) string {
+func testPeer(t testing.TB, h http.HandlerFunc) string {
 	t.Helper()
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)

@@ -10,11 +10,15 @@ package runner
 // the key.
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"hash/fnv"
+	"math"
+	"reflect"
+	"sync"
 
 	"repro/internal/graph"
 )
@@ -88,24 +92,258 @@ func SweepID(version, scenario string, families []graph.Family, n int, seed int6
 	return "sw-" + hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// encodeRows serializes one cell's rows for the cache. Gob round-trips
-// every numeric value exactly (floats are stored as their IEEE-754
-// bits, so ±Inf and NaN survive), which is what makes a cache-hit sweep
-// byte-identical to a cold one after rendering.
-func encodeRows[T any](rows []T) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rows); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+// The cell-row codec. A blob is
+//
+//	rowsMagic | fingerprint u64 (little-endian) | uvarint row count | rows
+//
+// and each row is its struct's fields in declaration order: int and
+// int64 as zigzag varints, float64 as its IEEE-754 bits (8 bytes,
+// little-endian, so ±Inf, NaN payloads and −0 survive), string (named
+// string types included) as a uvarint length and the bytes, bool as
+// one byte 0 or 1. The fingerprint hashes the field names, kinds and
+// order, so rows stored under another schema (a renamed, retyped or
+// reordered field) fail to decode and are a miss, never rows with a
+// field silently zeroed. The decoder accepts only what encodeRows
+// writes — minimal varints, no trailing bytes — so an accepted blob
+// re-encodes to itself.
+
+// rowsMagic is the blob's first byte: the format, and a guard against
+// entries written by another codec. A gob stream, which this cache
+// stored before, never starts with it: gob writes a length either as one
+// byte below 0x80 or as a negated byte count from 0xf8 up.
+const rowsMagic = 0xc7
+
+// rowsHeader is the magic byte plus the fingerprint.
+const rowsHeader = 1 + 8
+
+// rowPlan is the codec's view of one row type, built once per type by
+// planOf: the kind of each field, in declaration order.
+type rowPlan struct {
+	kinds       []reflect.Kind
+	fingerprint uint64
+	// minRow is the fewest bytes one encoded row takes, which bounds
+	// the row count a blob of a given length can claim.
+	minRow int
+	err    error
 }
 
-// decodeRows is the inverse of encodeRows. A failure is treated by
-// Collect as a cache miss, never as a sweep error.
+// rowPlans caches a *rowPlan per reflect.Type.
+var rowPlans sync.Map
+
+// planOf returns the row plan of t, building it on first use. For a
+// type that is not a struct, has no fields, or has an unexported field
+// or a field of any kind but bool, int, int64, float64 and string, the
+// plan holds an error, and encodeRows and decodeRows fail with it.
+func planOf(t reflect.Type) *rowPlan {
+	if p, ok := rowPlans.Load(t); ok {
+		return p.(*rowPlan)
+	}
+	p, _ := rowPlans.LoadOrStore(t, buildPlan(t))
+	return p.(*rowPlan)
+}
+
+func buildPlan(t reflect.Type) *rowPlan {
+	if t.Kind() != reflect.Struct || t.NumField() == 0 {
+		return &rowPlan{err: fmt.Errorf("runner: row type %v is not a struct with fields", t)}
+	}
+	p := &rowPlan{kinds: make([]reflect.Kind, t.NumField())}
+	h := fnv.New64a()
+	for i := range p.kinds {
+		f := t.Field(i)
+		if !f.IsExported() {
+			return &rowPlan{err: fmt.Errorf("runner: row type %v: unexported field %s", t, f.Name)}
+		}
+		k := f.Type.Kind()
+		switch k {
+		case reflect.Bool, reflect.Int, reflect.Int64, reflect.String:
+			p.minRow++
+		case reflect.Float64:
+			p.minRow += 8
+		default:
+			return &rowPlan{err: fmt.Errorf("runner: row type %v: field %s has unsupported kind %v", t, f.Name, k)}
+		}
+		p.kinds[i] = k
+		fmt.Fprintf(h, "%s %v;", f.Name, k)
+	}
+	p.fingerprint = h.Sum64()
+	return p
+}
+
+// encodeRows serializes one cell's rows for the cache in the cell-row
+// codec above. It round-trips every value exactly, which is what makes
+// a cache-hit sweep byte-identical to a cold one after rendering.
+func encodeRows[T any](rows []T) ([]byte, error) {
+	p := planOf(reflect.TypeFor[T]())
+	if p.err != nil {
+		return nil, p.err
+	}
+	buf := make([]byte, rowsHeader, rowsHeader+binary.MaxVarintLen64+2*p.minRow*len(rows))
+	buf[0] = rowsMagic
+	binary.LittleEndian.PutUint64(buf[1:], p.fingerprint)
+	buf = binary.AppendUvarint(buf, uint64(len(rows)))
+	for i := range rows {
+		v := reflect.ValueOf(&rows[i]).Elem()
+		for j, k := range p.kinds {
+			fv := v.Field(j)
+			switch k {
+			case reflect.Bool:
+				b := byte(0)
+				if fv.Bool() {
+					b = 1
+				}
+				buf = append(buf, b)
+			case reflect.Int, reflect.Int64:
+				buf = binary.AppendVarint(buf, fv.Int())
+			case reflect.Float64:
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(fv.Float()))
+			case reflect.String:
+				s := fv.String()
+				buf = binary.AppendUvarint(buf, uint64(len(s)))
+				buf = append(buf, s...)
+			}
+		}
+	}
+	return buf, nil
+}
+
+// decodeRows is the inverse of encodeRows. It rejects a blob with
+// another magic byte or fingerprint, a row count the remaining bytes
+// cannot hold, a read past the end, a bool byte other than 0 or 1, an
+// int that overflows int, a non-minimal varint or trailing bytes.
+// Collect treats a failure as a cache miss, never as a sweep error.
 func decodeRows[T any](blob []byte) ([]T, error) {
-	var rows []T
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&rows); err != nil {
-		return nil, err
+	p := planOf(reflect.TypeFor[T]())
+	if p.err != nil {
+		return nil, p.err
+	}
+	if len(blob) < rowsHeader || blob[0] != rowsMagic {
+		return nil, errRowsFormat
+	}
+	if binary.LittleEndian.Uint64(blob[1:]) != p.fingerprint {
+		return nil, errRowsSchema
+	}
+	r := rowReader{buf: blob[rowsHeader:]}
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(r.buf)/p.minRow) {
+		r.err = errRowsCount
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	rows := make([]T, n)
+	for i := range rows {
+		v := reflect.ValueOf(&rows[i]).Elem()
+		for j, k := range p.kinds {
+			fv := v.Field(j)
+			switch k {
+			case reflect.Bool:
+				fv.SetBool(r.bool())
+			case reflect.Int:
+				x := r.varint()
+				if int64(int(x)) != x {
+					r.fail(errRowsOverflow)
+				}
+				fv.SetInt(x)
+			case reflect.Int64:
+				fv.SetInt(r.varint())
+			case reflect.Float64:
+				fv.SetFloat(math.Float64frombits(r.uint64()))
+			case reflect.String:
+				fv.SetString(r.string())
+			}
+		}
+		if r.err != nil {
+			return nil, r.err
+		}
+	}
+	if len(r.buf) != 0 {
+		return nil, errRowsTrailing
 	}
 	return rows, nil
+}
+
+// DecodeRows is decodeRows for callers outside the package: the root
+// allocation guard and the cell-row fuzz test decode blobs with it.
+func DecodeRows[T any](blob []byte) ([]T, error) { return decodeRows[T](blob) }
+
+var (
+	errRowsFormat   = errors.New("runner: cached rows: not a cell-row blob")
+	errRowsSchema   = errors.New("runner: cached rows: row schema fingerprint mismatch")
+	errRowsCount    = errors.New("runner: cached rows: row count exceeds the blob")
+	errRowsShort    = errors.New("runner: cached rows: truncated")
+	errRowsVarint   = errors.New("runner: cached rows: malformed varint")
+	errRowsBool     = errors.New("runner: cached rows: bool byte not 0 or 1")
+	errRowsOverflow = errors.New("runner: cached rows: int overflows int")
+	errRowsTrailing = errors.New("runner: cached rows: trailing bytes")
+)
+
+// rowReader consumes a blob's row bytes. The first failure sticks in
+// err, and every later read returns a zero value.
+type rowReader struct {
+	buf []byte
+	err error
+}
+
+func (r *rowReader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+	r.buf = nil
+}
+
+// uvarint reads a minimal uvarint: a multi-byte encoding whose last
+// byte is zero has a shorter form and is rejected.
+func (r *rowReader) uvarint() uint64 {
+	x, k := binary.Uvarint(r.buf)
+	if k <= 0 || (k > 1 && r.buf[k-1] == 0) {
+		if k == 0 {
+			r.fail(errRowsShort)
+		} else {
+			r.fail(errRowsVarint)
+		}
+		return 0
+	}
+	r.buf = r.buf[k:]
+	return x
+}
+
+// varint reads a minimal zigzag varint.
+func (r *rowReader) varint() int64 {
+	ux := r.uvarint()
+	return int64(ux>>1) ^ -int64(ux&1)
+}
+
+func (r *rowReader) uint64() uint64 {
+	if len(r.buf) < 8 {
+		r.fail(errRowsShort)
+		return 0
+	}
+	x := binary.LittleEndian.Uint64(r.buf)
+	r.buf = r.buf[8:]
+	return x
+}
+
+func (r *rowReader) bool() bool {
+	if len(r.buf) < 1 {
+		r.fail(errRowsShort)
+		return false
+	}
+	b := r.buf[0]
+	if b > 1 {
+		r.fail(errRowsBool)
+		return false
+	}
+	r.buf = r.buf[1:]
+	return b == 1
+}
+
+func (r *rowReader) string() string {
+	n := r.uvarint()
+	if n > uint64(len(r.buf)) {
+		r.fail(errRowsShort)
+		return ""
+	}
+	s := string(r.buf[:n])
+	r.buf = r.buf[n:]
+	return s
 }

@@ -115,7 +115,7 @@ func TestCollectCacheCorruptEntryFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := range cache.m {
-		cache.m[k] = []byte("not gob")
+		cache.m[k] = []byte("not a row blob")
 	}
 	before := runs.Load()
 	rows, err := Collect(&Runner{Workers: 1, Cache: cache}, floatScenario(&runs))
@@ -209,11 +209,18 @@ func TestSweepID(t *testing.T) {
 	}
 }
 
-// TestRowCodecEmpty: cells contributing zero rows round-trip too.
+// TestRowCodecEmpty: cells contributing zero rows round-trip too. A nil
+// and an empty slice encode alike, to the header and a zero count.
 func TestRowCodecEmpty(t *testing.T) {
 	blob, err := encodeRows[floatRow](nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(blob) != rowsHeader+1 || blob[rowsHeader] != 0 {
+		t.Fatalf("zero rows encode to % x, want the header and a zero count", blob)
+	}
+	if empty, err := encodeRows([]floatRow{}); err != nil || !bytes.Equal(empty, blob) {
+		t.Fatalf("an empty slice encodes to % x (%v), want % x", empty, err, blob)
 	}
 	rows, err := decodeRows[floatRow](blob)
 	if err != nil {
@@ -222,6 +229,43 @@ func TestRowCodecEmpty(t *testing.T) {
 	if len(rows) != 0 {
 		t.Fatalf("decoded %d rows, want 0", len(rows))
 	}
+}
+
+// TestRowPlanRejectsUnsupportedTypes: a row type the codec cannot
+// carry exactly — not a struct, no fields, an unexported field, or a
+// field of a kind other than bool, int, int64, float64 and string —
+// fails to encode and to decode, so Collect never caches its rows.
+func TestRowPlanRejectsUnsupportedTypes(t *testing.T) {
+	blob, err := encodeRows([]floatRow{{Label: "x"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type unexported struct {
+		V float64
+		n int
+	}
+	for name, ok := range map[string]bool{
+		"int rows":         planFails[int](blob),
+		"unexported field": planFails[unexported](blob),
+		"no fields":        planFails[struct{}](blob),
+		"slice field":      planFails[struct{ V []int }](blob),
+		"pointer field":    planFails[struct{ V *int }](blob),
+		"float32 field":    planFails[struct{ V float32 }](blob),
+		"uint field":       planFails[struct{ V uint }](blob),
+		"struct field":     planFails[struct{ F floatRow }](blob),
+	} {
+		if !ok {
+			t.Errorf("%s: the codec accepted the row type", name)
+		}
+	}
+}
+
+// planFails reports whether encoding a T row and decoding blob as T
+// rows both fail.
+func planFails[T any](blob []byte) bool {
+	_, encErr := encodeRows(make([]T, 1))
+	_, decErr := decodeRows[T](blob)
+	return encErr != nil && decErr != nil
 }
 
 // TestCollectCacheMarkdownByteIdentical is the differential contract of

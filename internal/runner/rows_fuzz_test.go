@@ -6,13 +6,13 @@ package runner_test
 // serves, a blob under a cell's key must either decode to exactly the
 // scenario's RowsPerCell rows and be served as cached, or be a counted
 // miss — the cell is reported uncached, recomputed and re-put — and
-// never a panic or a sweep error. The corpus is seeded with real row
-// blobs of the default report scenarios, nqscaling-large and
-// robustness, plus copies of them holding too few or too many rows.
+// never a panic or a sweep error, and a blob that decodes re-encodes to
+// itself. The corpus is seeded with real row blobs of the default
+// report scenarios, nqscaling-large and robustness, plus copies of them
+// holding too few or too many rows.
 
 import (
 	"bytes"
-	"encoding/gob"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -47,25 +47,26 @@ func (c *fixedCache) Get(string) ([]byte, bool) { return c.blob, true }
 func (c *fixedCache) Put(string, []byte) { c.puts.Add(1) }
 
 // rowKind is one row type the registry serves: the artifact whose rows
-// seed its corpus, the check a blob must pass, and the blobs with a
-// wrong row count derived from a real one.
+// seed its corpus, the check a blob must pass, the blobs with a wrong
+// row count derived from a real one, and codecChecks on a real blob.
 type rowKind struct {
 	artifact    string
 	check       func(t *testing.T, blob []byte)
 	wrongCounts func(blob []byte) [][]byte
+	codec       func(t *testing.T, blob []byte) (gobBlob []byte)
 }
 
 func kindOf[T any](artifact string, rowsPerCell int) rowKind {
 	decode := func(blob []byte) ([]T, bool) {
-		var rows []T
-		return rows, gob.NewDecoder(bytes.NewReader(blob)).Decode(&rows) == nil
+		rows, err := runner.DecodeRows[T](blob)
+		return rows, err == nil
 	}
 	encode := func(rows []T) []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(rows); err != nil {
+		blob, err := runner.EncodeRows(rows)
+		if err != nil {
 			panic(err)
 		}
-		return buf.Bytes()
+		return blob
 	}
 	return rowKind{
 		artifact: artifact,
@@ -89,6 +90,9 @@ func kindOf[T any](artifact string, rowsPerCell int) rowKind {
 				t.Fatalf("the cell contributed %d rows, want %d", len(rows), rowsPerCell)
 			}
 			ref, ok := decode(blob)
+			if ok && !bytes.Equal(encode(ref), blob) {
+				t.Fatalf("an accepted blob does not re-encode to itself:\n% x\n% x", blob, encode(ref))
+			}
 			fits := ok && len(ref) == rowsPerCell
 			if cached.Load() != fits {
 				t.Fatalf("cell served as cached=%v, but the blob decodes=%v to %d rows (want %d)", cached.Load(), ok, len(ref), rowsPerCell)
@@ -108,6 +112,9 @@ func kindOf[T any](artifact string, rowsPerCell int) rowKind {
 			}
 			return [][]byte{encode(rows[:0]), encode(append(rows, rows...))}
 		},
+		codec: func(t *testing.T, blob []byte) []byte {
+			return codecChecks(t, blob, decode, encode, rowsPerCell)
+		},
 	}
 }
 
@@ -122,23 +129,34 @@ var rowKinds = []rowKind{
 	kindOf[experiments.RobustnessRow]("robustness", 3),
 }
 
-func FuzzDecodeRows(f *testing.F) {
+// realRowBlobs returns, per rowKinds entry, the row blobs a sweep of
+// its artifact at n = 32 over path and grid2d puts, in put order.
+func realRowBlobs(tb testing.TB) [][][]byte {
+	tb.Helper()
 	cfg := experiments.ReportConfig{N: 32, Families: []graph.Family{graph.FamilyPath, graph.FamilyGrid2D}}
-	for i, kind := range rowKinds {
+	var out [][][]byte
+	for _, kind := range rowKinds {
 		cache := &captureCache{}
 		if _, err := experiments.Generate(kind.artifact, cfg, &runner.Runner{Workers: 1, Cache: cache}); err != nil {
-			f.Fatalf("%s: %v", kind.artifact, err)
+			tb.Fatalf("%s: %v", kind.artifact, err)
 		}
 		if len(cache.blobs) == 0 {
-			f.Fatalf("%s: the sweep put no rows", kind.artifact)
+			tb.Fatalf("%s: the sweep put no rows", kind.artifact)
 		}
-		for _, blob := range cache.blobs {
+		out = append(out, cache.blobs)
+	}
+	return out
+}
+
+func FuzzDecodeRows(f *testing.F) {
+	for i, blobs := range realRowBlobs(f) {
+		for _, blob := range blobs {
 			f.Add(uint8(i), blob)
 		}
-		for _, blob := range kind.wrongCounts(cache.blobs[0]) {
+		for _, blob := range rowKinds[i].wrongCounts(blobs[0]) {
 			f.Add(uint8(i), blob)
 		}
-		f.Add(uint8(i), cache.blobs[0][:len(cache.blobs[0])/2])
+		f.Add(uint8(i), blobs[0][:len(blobs[0])/2])
 	}
 	f.Add(uint8(0), []byte{})
 
