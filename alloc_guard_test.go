@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/congest"
+	"repro/internal/cuts"
 	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/hybrid"
@@ -579,12 +580,14 @@ func TestSpannerAllocBudget(t *testing.T) {
 	}
 
 	// k = 1 runs one search per node over g itself and never copies g's
-	// edges: on the randomly weighted 256-node clique it may allocate ten
-	// times the spanner's CSR arrays (its kept-edge list, Builder rows
-	// and CSR, with append growth) plus 256 bytes per node (the search
-	// state, candidate lists and heap). It measured 220 KB against a
-	// 285 KB budget with go1.24.0 on amd64; sorting a copy of the clique's
-	// 32640 edges, as the greedy does, took 976 KB.
+	// edges: on the randomly weighted 256-node clique it may allocate four
+	// times the spanner's CSR arrays (its kept-edge list with append
+	// growth, and the CSR laid out once at exact size by graph.FromEdges)
+	// plus 256 bytes per node (the search state, candidate lists and
+	// heap). It measured 143 KB against a 154 KB budget with go1.24.0 on
+	// amd64. Through Builder rows grown by append it took 220 KB (the
+	// budget was then ten times the CSR, 286 KB); sorting a copy of the
+	// clique's 32640 edges, as the greedy does, took 976 KB.
 	clique := graph.RandomWeights(graph.Complete(256), 1000, rand.New(rand.NewSource(3)))
 	var h *graph.Graph
 	got := allocatedBytes(func() func() {
@@ -596,8 +599,59 @@ func TestSpannerAllocBudget(t *testing.T) {
 		}
 	})
 	csr := 4*(h.N()+1) + 24*h.M()
-	if budget := uint64(10*csr + 256*h.N()); got > budget {
+	t.Logf("k = 1 on a weighted %d-clique: %d bytes, spanner CSR %d bytes, %d edges", clique.N(), got, csr, h.M())
+	if budget := uint64(4*csr + 256*h.N()); got > budget {
 		t.Fatalf("spanner.Compute(k=1) on a weighted %d-clique allocated %d bytes, budget %d (spanner CSR %d bytes, %d edges)", clique.N(), got, budget, csr, h.M())
+	}
+}
+
+// TestCutsBuildAllocBudget pins the Theorem 9 sparsifier at its output.
+// At the default ρ, which is at least the maximum degree of the
+// 576-node torus and of the 1024-node degree-4 expander, every edge is
+// kept, and Build copies g's edges into the sparsifier and allocates
+// nothing else: 24 bytes per edge, which the allocator rounds up to its
+// size class (at most an eighth more), plus 1 KB. Below Δ (ρ = 2 on the
+// expander) it samples, and may also allocate one copy of the edges (24
+// bytes each), the forest index and the list of edges left (4 bytes
+// each), one union-find (5 bytes per node) and the sampled edges (24
+// bytes each), with the same size-class slack. With go1.24.0 on
+// amd64 the default ρ measured 28704 bytes on the torus (budget 32128)
+// and 49184 on the expander (budget 56185), and ρ = 2 measured 119840
+// (budget 134062). Before Build skipped the forests at ρ ≥ Δ and shared
+// one edge copy and one union-find, it allocated 181640, 302712 and
+// 302712 bytes on the same three.
+func TestCutsBuildAllocBudget(t *testing.T) {
+	requireAllocFree(t)
+	torus, err := graph.Build(graph.FamilyTorus2D, 576, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(g *graph.Graph, rho float64) (got uint64, sp *cuts.Sparsifier) {
+		got = allocatedBytes(func() func() {
+			rng := rand.New(rand.NewSource(1))
+			return func() {
+				if sp, err = cuts.Build(g, 0.5, rng, cuts.Options{Rho: rho}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		return got, sp
+	}
+	for _, g := range []*graph.Graph{torus, coreExpander()} {
+		got, sp := build(g, 0)
+		budget := uint64(24*g.M() + 3*g.M() + 1024)
+		t.Logf("default ρ, %d nodes, %d edges: %d bytes, budget %d", g.N(), g.M(), got, budget)
+		if len(sp.Edges) != g.M() || got > budget {
+			t.Fatalf("cuts.Build at the default ρ on %d nodes kept %d of %d edges and allocated %d bytes, budget %d", g.N(), len(sp.Edges), g.M(), got, budget)
+		}
+	}
+	g := coreExpander()
+	got, sp := build(g, 2)
+	raw := 24*g.M() + 8*g.M() + 5*g.N() + 24*len(sp.Edges)
+	budget := uint64(raw + raw/8 + 1024)
+	t.Logf("ρ = 2, %d nodes, %d edges, %d kept: %d bytes, budget %d", g.N(), g.M(), len(sp.Edges), got, budget)
+	if len(sp.Edges) >= g.M() || got > budget {
+		t.Fatalf("cuts.Build at ρ = 2 on %d nodes kept %d of %d edges and allocated %d bytes, budget %d", g.N(), len(sp.Edges), g.M(), got, budget)
 	}
 }
 

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/artifact"
 	"repro/internal/cliutil"
+	"repro/internal/experiments"
 )
 
 // startServer runs the binary's run() on an ephemeral port and returns
@@ -120,6 +124,52 @@ func TestSmoke(t *testing.T) {
 	}
 }
 
+// submitSweep posts a sweep request and returns its id.
+func submitSweep(t *testing.T, url, body string) (id string) {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/sweeps", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st struct {
+		ID string `json:"id"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return st.ID
+}
+
+// waitSweep polls a sweep until it is done and returns its cell count
+// and how many of those cells the cache served.
+func waitSweep(t *testing.T, url, id string) (cells, cached int) {
+	t.Helper()
+	for {
+		r, err := http.Get(url + "/v1/sweeps/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st struct {
+			State  string `json:"state"`
+			Cells  int    `json:"cells"`
+			Cached int    `json:"cached_cells"`
+			Error  string `json:"error"`
+		}
+		if err := json.NewDecoder(r.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if st.State == "failed" {
+			t.Fatalf("sweep failed: %s", st.Error)
+		}
+		if st.State == "done" {
+			return st.Cells, st.Cached
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestSmokeRepeatSweepIsCached asserts the serving-layer acceptance
 // criterion over real HTTP: the same sweep submitted twice (second time
 // fresh) returns byte-identical markdown with every cell of the rerun
@@ -128,47 +178,6 @@ func TestSmokeRepeatSweepIsCached(t *testing.T) {
 	url, shutdown := startServer(t)
 	defer shutdown()
 
-	submit := func(body string) (id string) {
-		t.Helper()
-		resp, err := http.Post(url+"/v1/sweeps", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st struct {
-			ID string `json:"id"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return st.ID
-	}
-	wait := func(id string) (cells, cached int) {
-		t.Helper()
-		for {
-			r, err := http.Get(url + "/v1/sweeps/" + id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var st struct {
-				State  string `json:"state"`
-				Cells  int    `json:"cells"`
-				Cached int    `json:"cached_cells"`
-				Error  string `json:"error"`
-			}
-			if err := json.NewDecoder(r.Body).Decode(&st); err != nil {
-				t.Fatal(err)
-			}
-			r.Body.Close()
-			if st.State == "failed" {
-				t.Fatalf("sweep failed: %s", st.Error)
-			}
-			if st.State == "done" {
-				return st.Cells, st.Cached
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
 	get := func(id string) string {
 		t.Helper()
 		r, err := http.Get(url + "/v1/sweeps/" + id + "/results?format=md")
@@ -181,20 +190,84 @@ func TestSmokeRepeatSweepIsCached(t *testing.T) {
 	}
 
 	req := `{"scenario":"nq","families":["path","cycle"],"n":64}`
-	id := submit(req)
-	wait(id)
+	id := submitSweep(t, url, req)
+	waitSweep(t, url, id)
 	cold := get(id)
 
-	id2 := submit(`{"scenario":"nq","families":["path","cycle"],"n":64,"fresh":true}`)
+	id2 := submitSweep(t, url, `{"scenario":"nq","families":["path","cycle"],"n":64,"fresh":true}`)
 	if id2 != id {
 		t.Fatalf("content address changed: %s vs %s", id2, id)
 	}
-	cells, cached := wait(id2)
+	cells, cached := waitSweep(t, url, id2)
 	if cells == 0 || float64(cached)/float64(cells) < 0.9 {
 		t.Fatalf("rerun served %d/%d cells from cache, want ≥ 90%%", cached, cells)
 	}
 	if warm := get(id2); warm != cold {
 		t.Fatalf("rerun results differ:\ncold:\n%s\nwarm:\n%s", cold, warm)
+	}
+}
+
+// TestGobRowsCountAsRejectedMisses: a disk tier whose cached cell rows
+// are gob, the row format before the cell-row codec, serves no cell
+// from them. Reopened, it recomputes every cell, and /v1/cache/stats
+// counts each stored row as a miss and as rejected, not as a hit.
+func TestGobRowsCountAsRejectedMisses(t *testing.T) {
+	dir := t.TempDir()
+	const req = `{"scenario":"nq","families":["path","cycle"],"n":64}`
+	url, shutdown := startServer(t, "-cache-dir", dir)
+	cells, _ := waitSweep(t, url, submitSweep(t, url, req))
+	if err := shutdown(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Overwrite every stored row with a gob blob of the scenario's row
+	// type. The retain filter is the one walk over the disk index.
+	store, err := artifact.NewStoreWithDisk(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	store.SetGC(artifact.GCConfig{LiveRatio: -1, Retain: func(ns, key string) bool {
+		if ns == artifact.DefaultNamespace {
+			keys = append(keys, key)
+		}
+		return true
+	}})
+	if cells == 0 || len(keys) != cells {
+		t.Fatalf("the tier holds %d rows for %d cells", len(keys), cells)
+	}
+	var blob bytes.Buffer
+	if err := gob.NewEncoder(&blob).Encode(make([]experiments.NQScalingRow, 1)); err != nil {
+		t.Fatal(err)
+	}
+	rows := store.Namespace(artifact.DefaultNamespace)
+	for _, k := range keys {
+		rows.Put(k, blob.Bytes())
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	url, shutdown = startServer(t, "-cache-dir", dir)
+	defer shutdown()
+	got, cached := waitSweep(t, url, submitSweep(t, url, `{"scenario":"nq","families":["path","cycle"],"n":64,"fresh":true}`))
+	if got != cells || cached != 0 {
+		t.Fatalf("reopened sweep served %d of %d cells from gob rows, want 0 of %d", cached, got, cells)
+	}
+	resp, err := http.Get(url + "/v1/cache/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st struct {
+		Namespaces map[string]artifact.Stats `json:"namespaces"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	res := st.Namespaces[artifact.DefaultNamespace]
+	if res.Misses != uint64(cells) || res.Rejected != uint64(cells) || res.Hits != 0 {
+		t.Fatalf("results namespace: %d hits, %d misses, %d rejected; want 0, %d, %d", res.Hits, res.Misses, res.Rejected, cells, cells)
 	}
 }
 

@@ -301,6 +301,9 @@ type versionedCache struct {
 func (c versionedCache) Get(key string) ([]byte, bool) { return c.ns.Get(c.prefix + key) }
 func (c versionedCache) Put(key string, value []byte)  { c.ns.Put(c.prefix+key, value) }
 
+// Reject passes a rejected row back to the namespace's counters.
+func (c versionedCache) Reject() { c.ns.Reject() }
+
 // serverMetrics is the registry wiring of the service (DESIGN.md §11).
 type serverMetrics struct {
 	submitted      *metrics.Counter

@@ -51,15 +51,17 @@ const DefaultNamespace = "results"
 type Stats struct {
 	// Hits counts Gets served from memory or disk.
 	Hits uint64 `json:"hits"`
-	// Misses counts Gets served by neither tier.
+	// Misses counts Gets served by neither tier, and Gets whose blob the
+	// caller Rejected.
 	Misses uint64 `json:"misses"`
 	// Puts counts stored values.
 	Puts uint64 `json:"puts"`
 	// Evictions counts entries dropped from the memory tier by the LRU
 	// policy (they remain readable from the disk tier, if enabled).
 	Evictions uint64 `json:"evictions"`
-	// DiskHits counts the subset of Hits that fell through to the disk
-	// tier (and were promoted back into memory).
+	// DiskHits counts the Gets that fell through to the disk tier and
+	// found their blob there (promoting it back into memory); a blob
+	// the caller then Rejected stays counted here.
 	DiskHits uint64 `json:"disk_hits"`
 	// DiskPuts counts records appended to the disk tier.
 	DiskPuts uint64 `json:"disk_puts"`
@@ -72,6 +74,10 @@ type Stats struct {
 	// FillErrors counts fill attempts that failed for any reason other
 	// than a clean remote miss (ErrFillUnavailable).
 	FillErrors uint64 `json:"fill_errors,omitempty"`
+	// Rejected counts blobs a Get returned that the caller could not
+	// use (see Namespace.Reject), such as cell rows of a retired
+	// format; each moved from Hits to Misses.
+	Rejected uint64 `json:"rejected,omitempty"`
 	// Entries and Bytes describe the current memory tier.
 	Entries int   `json:"entries"`
 	Bytes   int64 `json:"bytes"`
@@ -96,6 +102,7 @@ func (s *Stats) add(o Stats) {
 	s.Fills += o.Fills
 	s.FillRejects += o.FillRejects
 	s.FillErrors += o.FillErrors
+	s.Rejected += o.Rejected
 	s.Entries += o.Entries
 	s.Bytes += o.Bytes
 }
@@ -160,7 +167,7 @@ type Store struct {
 // counters is one namespace's atomic counter block.
 type counters struct {
 	hits, misses, puts, evictions, diskHits, diskPuts atomic.Uint64
-	fills, fillRejects, fillErrors                    atomic.Uint64
+	fills, fillRejects, fillErrors, rejected          atomic.Uint64
 	entries                                           atomic.Int64
 	bytes                                             atomic.Int64
 }
@@ -176,6 +183,7 @@ func (c *counters) snapshot() Stats {
 		Fills:       c.fills.Load(),
 		FillRejects: c.fillRejects.Load(),
 		FillErrors:  c.fillErrors.Load(),
+		Rejected:    c.rejected.Load(),
 		Entries:     int(c.entries.Load()),
 		Bytes:       c.bytes.Load(),
 	}
@@ -362,6 +370,17 @@ func (ns *Namespace) Get(key string) ([]byte, bool) {
 	}
 	ns.misses.Add(1)
 	return nil, false
+}
+
+// Reject reports that a blob one of the caller's Gets returned was of no
+// use to it: a decoder refused it, or it decoded to the wrong value. That
+// Get is moved from Hits to Misses and counted as Rejected, so a tier
+// full of unusable blobs reads as the misses it is. runner.Collect and
+// the runner's derived-artifact caches call it.
+func (ns *Namespace) Reject() {
+	ns.hits.Add(^uint64(0))
+	ns.misses.Add(1)
+	ns.rejected.Add(1)
 }
 
 // GetLocal is Get restricted to the local tiers: it never invokes the

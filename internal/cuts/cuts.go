@@ -9,6 +9,15 @@
 // edge e with probability p_e = min(1, ρ/i_e) at weight w_e/p_e preserves
 // all cuts within 1±ε w.h.p. for ρ = Θ(log² n/ε²) (Fung et al.). The
 // [KX16] round cost is charged.
+//
+// An edge {u,v} in forest i has i ≤ min(deg u, deg v): it joins forest
+// i only because u and v were already connected in each of forests
+// 1..i−1, so each endpoint has an edge in every one of them, and the
+// forests are edge-disjoint. So when ρ ≥ Δ, the maximum degree, every
+// p_e = ρ/i_e ≥ 1, every edge is kept at its own weight and nothing is
+// sampled. The default ρ = 3·ln²n/ε² is about 485 at n = 576 and
+// ε = 0.5, above Δ on every generated family, so Build skips the
+// forests there and copies the edges straight from the CSR rows.
 package cuts
 
 import (
@@ -64,20 +73,21 @@ type Options struct {
 	Rho float64
 }
 
-// NIForestIndices returns, for every edge of g (in g.Edges() order), the
-// index of the Nagamochi–Ibaraki maximal spanning forest containing it
-// (1-based). An edge in forest i has local edge connectivity ≥ i.
-func NIForestIndices(g *graph.Graph) []int {
-	edges := g.Edges()
-	index := make([]int, len(edges))
-	remaining := make([]int, len(edges))
+// niForestIndices returns, for every edge (in the order given), the
+// index of the Nagamochi–Ibaraki maximal spanning forest of the n-node
+// graph containing it (1-based). An edge in forest i has local edge
+// connectivity ≥ i. Each forest is one pass over the edges no earlier
+// forest took, filtered in place, with one union-find reset per forest.
+func niForestIndices(n int, edges []graph.UndirectedEdge) []int32 {
+	index := make([]int32, len(edges))
+	remaining := make([]int32, len(edges))
 	for i := range remaining {
-		remaining[i] = i
+		remaining[i] = int32(i)
 	}
-	forest := 1
-	for len(remaining) > 0 {
-		uf := graph.NewUnionFind(g.N())
-		var next []int
+	uf := graph.NewUnionFind(n)
+	for forest := int32(1); len(remaining) > 0; forest++ {
+		uf.Reset()
+		next := remaining[:0]
 		for _, ei := range remaining {
 			e := edges[ei]
 			if uf.Union(e.U, e.V) {
@@ -87,12 +97,14 @@ func NIForestIndices(g *graph.Graph) []int {
 			}
 		}
 		remaining = next
-		forest++
 	}
 	return index
 }
 
-// Build constructs the cut sparsifier of g for accuracy ε.
+// Build constructs the cut sparsifier of g for accuracy ε. When ρ is at
+// least g's maximum degree Δ every p_e is 1 (see the package doc), so
+// the sparsifier is g itself: its edges are read off the CSR rows and
+// no forest is built and no random number drawn.
 func Build(g *graph.Graph, eps float64, rng *rand.Rand, opts Options) (*Sparsifier, error) {
 	if eps <= 0 || eps >= 1 {
 		return nil, fmt.Errorf("cuts: eps=%v outside (0,1)", eps)
@@ -109,18 +121,46 @@ func Build(g *graph.Graph, eps float64, rng *rand.Rand, opts Options) (*Sparsifi
 		}
 		rho = 3 * ln * ln / (eps * eps)
 	}
-	edges := g.Edges()
-	indices := NIForestIndices(g)
+	maxDeg := 0
+	for v := range n {
+		maxDeg = max(maxDeg, g.Degree(v))
+	}
 	sp := &Sparsifier{N: n}
-	for ei, e := range edges {
-		p := rho / float64(indices[ei])
-		if p >= 1 {
-			sp.Edges = append(sp.Edges, WeightedEdge{e.U, e.V, float64(e.W)})
+	if rho >= float64(maxDeg) {
+		sp.Edges = make([]WeightedEdge, 0, g.M())
+		for u := range n {
+			to, w := g.Row(u)
+			for i, v := range to {
+				if u < int(v) {
+					sp.Edges = append(sp.Edges, WeightedEdge{u, int(v), float64(w[i])})
+				}
+			}
+		}
+		return sp, nil
+	}
+	// Decide every edge in Edges() order, drawing for each edge with
+	// p_e < 1 and marking a dropped edge with forest index 0, then lay
+	// the kept edges out in an exact-size slice.
+	edges := g.Edges()
+	indices := niForestIndices(n, edges)
+	kept := 0
+	for ei := range edges {
+		if p := rho / float64(indices[ei]); p < 1 && rng.Float64() >= p {
+			indices[ei] = 0
 			continue
 		}
-		if rng.Float64() < p {
-			sp.Edges = append(sp.Edges, WeightedEdge{e.U, e.V, float64(e.W) / p})
+		kept++
+	}
+	sp.Edges = make([]WeightedEdge, 0, kept)
+	for ei, e := range edges {
+		if indices[ei] == 0 {
+			continue
 		}
+		w := float64(e.W)
+		if p := rho / float64(indices[ei]); p < 1 {
+			w /= p
+		}
+		sp.Edges = append(sp.Edges, WeightedEdge{e.U, e.V, w})
 	}
 	return sp, nil
 }

@@ -23,7 +23,7 @@ const Inf int64 = math.MaxInt64 / 4
 
 // Graph is an immutable undirected graph with int64 edge weights,
 // stored as compressed sparse rows (DESIGN.md §4). Construct one with a
-// Builder, a generator, Reweight or DecodeCSR; once built it never
+// Builder, FromEdges, a generator, Reweight or DecodeCSR; once built it never
 // changes, so any number of goroutines may read it concurrently.
 type Graph struct {
 	// The half-edges leaving node v occupy positions
@@ -149,7 +149,18 @@ func newBuilderDegrees(n int, deg func(v int) int) *Builder {
 // non-positive weights. Parallel edges are not detected (the generators
 // never create them; use HasEdge if in doubt).
 func (b *Builder) AddEdge(u, v int, w int64) error {
-	n := len(b.adj)
+	if err := checkEdge(len(b.adj), u, v, w); err != nil {
+		return err
+	}
+	b.adj[u] = append(b.adj[u], edge{to: int32(v), w: w})
+	b.adj[v] = append(b.adj[v], edge{to: int32(u), w: w})
+	b.m++
+	return nil
+}
+
+// checkEdge is the validity rule of AddEdge and FromEdges for the edge
+// {u,v} of weight w on n nodes.
+func checkEdge(n, u, v int, w int64) error {
 	if u < 0 || u >= n || v < 0 || v >= n {
 		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, n)
 	}
@@ -159,9 +170,6 @@ func (b *Builder) AddEdge(u, v int, w int64) error {
 	if w <= 0 {
 		return fmt.Errorf("graph: non-positive weight %d on edge (%d,%d)", w, u, v)
 	}
-	b.adj[u] = append(b.adj[u], edge{to: int32(v), w: w})
-	b.adj[v] = append(b.adj[v], edge{to: int32(u), w: w})
-	b.m++
 	return nil
 }
 
@@ -210,6 +218,41 @@ func (b *Builder) Build() *Graph {
 	}
 	g.rowStart[n] = pos
 	return g
+}
+
+// FromEdges lays the edges out as a Graph on n nodes in one pass over
+// exact-size arrays: each edge {u,v} takes the next free slot of row u
+// and of row v, which is the graph a Builder fed the same edges in order
+// builds. It rejects the first edge AddEdge would reject, with the same
+// error. Parallel edges are kept, as AddEdge keeps them.
+func FromEdges(n int, edges []UndirectedEdge) (*Graph, error) {
+	n = max(n, 0)
+	g := &Graph{
+		rowStart: make([]int32, n+1),
+		to:       make([]int32, 2*len(edges)),
+		w:        make([]int64, 2*len(edges)),
+	}
+	// Count degrees one row ahead, so the prefix sums leave
+	// rowStart[v] at the first slot of row v.
+	for _, e := range edges {
+		if err := checkEdge(n, e.U, e.V, e.W); err != nil {
+			return nil, err
+		}
+		g.rowStart[e.U+1]++
+		g.rowStart[e.V+1]++
+	}
+	for v := 1; v <= n; v++ {
+		g.rowStart[v] += g.rowStart[v-1]
+	}
+	next := make([]int32, n)
+	copy(next, g.rowStart[:n])
+	for _, e := range edges {
+		g.to[next[e.U]], g.w[next[e.U]] = int32(e.V), e.W
+		g.to[next[e.V]], g.w[next[e.V]] = int32(e.U), e.W
+		next[e.U]++
+		next[e.V]++
+	}
+	return g, nil
 }
 
 // N returns the number of nodes.

@@ -10,10 +10,16 @@ type UnionFind struct {
 // NewUnionFind returns n singleton sets.
 func NewUnionFind(n int) *UnionFind {
 	uf := &UnionFind{parent: make([]int32, n), rank: make([]int8, n)}
+	uf.Reset()
+	return uf
+}
+
+// Reset makes every element a singleton set again, reusing the arrays.
+func (uf *UnionFind) Reset() {
 	for i := range uf.parent {
 		uf.parent[i] = int32(i)
 	}
-	return uf
+	clear(uf.rank)
 }
 
 // Find returns the representative of x's set.

@@ -34,6 +34,24 @@ type BlobStore interface {
 	Put(key string, value []byte)
 }
 
+// rejecter is the optional half of a BlobStore that counts its blobs'
+// use: Reject reports that a blob one of its Gets returned could not be
+// used (it failed to decode, or decoded to a value that does not fit),
+// so the store can count that Get as a miss. artifact.Namespace
+// implements it; BlobStore stays Get/Put, so a wrapper without it still
+// serves.
+type rejecter interface {
+	Reject()
+}
+
+// reject tells store, if it counts rejections, that a blob one of its
+// Gets returned was unusable.
+func reject(store BlobStore) {
+	if r, ok := store.(rejecter); ok {
+		r.Reject()
+	}
+}
+
 // blobCache is the shared core of GraphCache and ProfileCache.
 type blobCache[V any] struct {
 	store  BlobStore // optional persistence; nil = memory only
@@ -129,8 +147,8 @@ func (c *blobCache[V]) lookup(key string, fits func(V) bool) (V, bool) {
 
 // load restores the value from the blob store or builds and persists
 // it. A blob that fails to decode (corruption, partial write) or does
-// not fit falls back to a rebuild — and the fresh encoding is re-put,
-// shadowing the bad record.
+// not fit is rejected back to the store and falls back to a rebuild —
+// and the fresh encoding is re-put, shadowing the bad record.
 func (c *blobCache[V]) load(key string, fits func(V) bool, build func() (V, error)) (V, error) {
 	if c.store != nil {
 		if blob, ok := c.store.Get(key); ok {
@@ -138,6 +156,7 @@ func (c *blobCache[V]) load(key string, fits func(V) bool, build func() (V, erro
 				c.storeHits.Add(1)
 				return v, nil
 			}
+			reject(c.store)
 		}
 	}
 	v, err := build()

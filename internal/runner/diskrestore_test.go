@@ -113,8 +113,8 @@ func TestDiskRestoreAlignedAndCorruptPayloads(t *testing.T) {
 		if builds, hits := tc.restores(ns); builds != 1 || hits != 0 {
 			t.Fatalf("%s: a corrupt payload served with %d builds, %d store hits, want a rebuild (1, 0)", tc.name, builds, hits)
 		}
-		if st := ns.Stats(); st.DiskHits != 1 || st.Puts != 1 {
-			t.Fatalf("%s: namespace stats %+v, want the corrupt record read from disk and the rebuild re-put", tc.name, st)
+		if st := ns.Stats(); st.DiskHits != 1 || st.Puts != 1 || st.Hits != 0 || st.Misses != 1 || st.Rejected != 1 {
+			t.Fatalf("%s: namespace stats %+v, want the corrupt record read from disk, rejected as a miss and the rebuild re-put", tc.name, st)
 		}
 		if c := s.Stats().Disk.CorruptRecords; c != 0 {
 			t.Fatalf("%s: %d records failed their CRC, want the corruption caught by the decoder", tc.name, c)

@@ -407,6 +407,7 @@ func Collect[T any](r *Runner, sc *Scenario[T]) ([]T, error) {
 				// An undecodable entry (e.g. written by an older row
 				// schema under a stale version string), or one with the
 				// wrong number of rows, is a miss.
+				reject(cache)
 			}
 			pending = append(pending, i)
 		}

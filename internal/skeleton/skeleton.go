@@ -93,37 +93,42 @@ func Build(g *graph.Graph, x int, forced []int, materializeEdges bool, rng *rand
 	}
 	sk.H = h
 	if materializeEdges {
-		s := graph.NewBuilder(len(sk.Nodes))
-		if err := hopEdges(g, sk.Nodes, h, s.AddEdge); err != nil {
+		edges, err := hopEdges(g, sk.Nodes, h)
+		if err != nil {
 			return nil, err
 		}
-		sk.S = s.Build()
+		if sk.S, err = graph.FromEdges(len(sk.Nodes), edges); err != nil {
+			return nil, err
+		}
 	}
 	return sk, nil
 }
 
-// hopEdges calls add(i, j, d^h(nodes[i], nodes[j])) for every pair
-// i < j within h hops, in (i, j) order. On unit weights d^h is the hop
-// distance, and the pairs come from the 64-source hop kernel
-// (graph.HopDistancesAmong); weighted graphs run one round-synchronous
-// hop-limited Bellman–Ford per node (graph.HopLimitedDistancesInto),
-// which returns d^h exactly at every n.
-func hopEdges(g *graph.Graph, nodes []int, h int, add func(i, j int, d int64) error) error {
+// hopEdges returns the edge {i, j} of weight d^h(nodes[i], nodes[j])
+// for every pair i < j within h hops, in (i, j) order. On unit weights
+// d^h is the hop distance, and the pairs come from the 64-source hop
+// kernel (graph.HopDistancesAmong); weighted graphs run one
+// round-synchronous hop-limited Bellman–Ford per node
+// (graph.HopLimitedDistancesInto), which returns d^h exactly at every n.
+func hopEdges(g *graph.Graph, nodes []int, h int) ([]graph.UndirectedEdge, error) {
+	var edges []graph.UndirectedEdge
 	if !g.IsWeighted() {
-		return g.HopDistancesAmong(nodes, h, add)
+		err := g.HopDistancesAmong(nodes, h, func(i, j int, d int64) error {
+			edges = append(edges, graph.UndirectedEdge{U: i, V: j, W: d})
+			return nil
+		})
+		return edges, err
 	}
 	dist := make([]int64, g.N())
 	for i, v := range nodes {
 		g.HopLimitedDistancesInto(dist, v, h)
 		for j := i + 1; j < len(nodes); j++ {
 			if d := dist[nodes[j]]; d < graph.Inf {
-				if err := add(i, j, d); err != nil {
-					return err
-				}
+				edges = append(edges, graph.UndirectedEdge{U: i, V: j, W: d})
 			}
 		}
 	}
-	return nil
+	return edges, nil
 }
 
 // Size returns |V_S|.

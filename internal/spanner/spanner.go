@@ -66,13 +66,7 @@ func compute(g *graph.Graph, k int, unit bool) (*graph.Graph, error) {
 	} else {
 		kept = s.greedy(g, int64(2*k-1), unit)
 	}
-	h := graph.NewBuilder(g.N())
-	for _, e := range kept {
-		if err := h.AddEdge(e.U, e.V, e.W); err != nil {
-			return nil, err
-		}
-	}
-	return h.Build(), nil
+	return graph.FromEdges(g.N(), kept)
 }
 
 // scanOrder is the greedy's edge order: by weight, then endpoints.
