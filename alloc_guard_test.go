@@ -585,9 +585,9 @@ func TestSpannerAllocBudget(t *testing.T) {
 	// growth, and the CSR laid out once at exact size by graph.FromEdges)
 	// plus 256 bytes per node (the search state, candidate lists and
 	// heap). It measured 143 KB against a 154 KB budget with go1.24.0 on
-	// amd64. Through Builder rows grown by append it took 220 KB (the
-	// budget was then ten times the CSR, 286 KB); sorting a copy of the
-	// clique's 32640 edges, as the greedy does, took 976 KB.
+	// amd64. The budget catches a spanner laid out through Builder rows
+	// grown by append (220 KB), and a sort of a copy of the clique's
+	// 32640 edges, as the greedy does (976 KB).
 	clique := graph.RandomWeights(graph.Complete(256), 1000, rand.New(rand.NewSource(3)))
 	var h *graph.Graph
 	got := allocatedBytes(func() func() {
@@ -617,9 +617,9 @@ func TestSpannerAllocBudget(t *testing.T) {
 // bytes each), with the same size-class slack. With go1.24.0 on
 // amd64 the default ρ measured 28704 bytes on the torus (budget 32128)
 // and 49184 on the expander (budget 56185), and ρ = 2 measured 119840
-// (budget 134062). Before Build skipped the forests at ρ ≥ Δ and shared
-// one edge copy and one union-find, it allocated 181640, 302712 and
-// 302712 bytes on the same three.
+// (budget 134062). Building the forests at every ρ, with a fresh
+// union-find per forest, allocates 181640, 302712 and 302712 bytes on
+// the same three, so each budget catches it.
 func TestCutsBuildAllocBudget(t *testing.T) {
 	requireAllocFree(t)
 	torus, err := graph.Build(graph.FamilyTorus2D, 576, nil)
