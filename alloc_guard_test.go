@@ -394,6 +394,63 @@ func TestCachedRowsDecodeAllocBudget(t *testing.T) {
 	}
 }
 
+// TestCachedCellServeAllocBudget pins the per-cell work of a resubmitted
+// sweep that simulates nothing: a real Table 1 cell's CacheKey must take
+// 1 allocation and 64 B, its hex string (fmt's %#v key took 10
+// allocations); rendering its row must take at most one allocation per
+// value plus the value slice (fmt.Sprintf boxed its operands); and
+// EncodeJSONL of the rendered row 1 allocation, the returned 240-byte
+// line, plus room for a pool refill after a GC (a map through
+// encoding/json took 34 allocations).
+func TestCachedCellServeAllocBudget(t *testing.T) {
+	requireAllocFree(t)
+	var mu sync.Mutex
+	var ev runner.CellEvent
+	store := &mapBlobStore{m: map[string][]byte{}}
+	r := &runner.Runner{Workers: 1, Cache: store, Observer: func(e runner.CellEvent) {
+		mu.Lock()
+		defer mu.Unlock()
+		ev = e
+	}}
+	fams := []graph.Family{graph.FamilyPath}
+	if _, err := experiments.Generate("table1", experiments.ReportConfig{N: 32, Families: fams}, r); err != nil {
+		t.Fatal(err)
+	}
+	if ev.Cell == nil || len(ev.Rendered) != 1 {
+		t.Fatalf("observed cell %v with %d rendered rows, want 1", ev.Cell, len(ev.Rendered))
+	}
+	blob, _ := store.Get(ev.Key)
+	rows, err := runner.DecodeRows[experiments.Table1Row](blob)
+	if err != nil || len(rows) != 1 {
+		t.Fatalf("decoded %d rows (%v), want 1", len(rows), err)
+	}
+	render := experiments.Table1Scenario(fams, 32, nil, 1).RenderRow
+	values := len(ev.Rendered[0].Values)
+	for _, c := range []struct {
+		what          string
+		f             func()
+		allocs, bytes float64
+	}{
+		{"CacheKey", func() { ev.Cell.CacheKey(runner.CodeVersion) }, 1, 64},
+		{"RenderRow", func() { render(ev.Cell, rows[0]) }, float64(1 + values), float64(32 * (1 + values))},
+		{"EncodeJSONL", func() { runner.EncodeJSONL(ev.Rendered) }, 1, 320},
+	} {
+		allocs := testing.AllocsPerRun(200, c.f)
+		const runs = 1000
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			c.f()
+		}
+		runtime.ReadMemStats(&after)
+		perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		t.Logf("%s of a Table 1 cell: %.0f allocations, %.0f B", c.what, allocs, perRun)
+		if allocs > c.allocs || perRun > c.bytes {
+			t.Errorf("%s of a Table 1 cell took %.0f allocations and %.0f B, budget %.0f and %.0f B", c.what, allocs, perRun, c.allocs, c.bytes)
+		}
+	}
+}
+
 // TestGraphResidentBudget pins a built graph at its CSR arrays: a
 // Graph keeps rowStart (4 bytes per node + 1) and the to/w half-edge
 // arrays (4 + 8 bytes each) and no second copy of its edges, so the

@@ -271,6 +271,75 @@ func TestGobRowsCountAsRejectedMisses(t *testing.T) {
 	}
 }
 
+// TestForeignSweepRecordIsRejectedMiss: a persisted sweep record that
+// is not the record of its own id — here sweep B's record copied over
+// sweep A's — must not rehydrate A as B's sweep after a restart: A is
+// unknown (404), the record counts as a rejected miss of the "sweeps"
+// namespace, and B still rehydrates from its own record.
+func TestForeignSweepRecordIsRejectedMiss(t *testing.T) {
+	dir := t.TempDir()
+	url, shutdown := startServer(t, "-cache-dir", dir)
+	idA := submitSweep(t, url, `{"scenario":"nq","families":["path"],"n":64}`)
+	idB := submitSweep(t, url, `{"scenario":"nq","families":["cycle"],"n":64}`)
+	waitSweep(t, url, idA)
+	waitSweep(t, url, idB)
+	if err := shutdown(); err != nil {
+		t.Fatal(err)
+	}
+
+	store, err := artifact.NewStoreWithDisk(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keyA, keyB string
+	store.SetGC(artifact.GCConfig{LiveRatio: -1, Retain: func(ns, key string) bool {
+		if ns == "sweeps" && strings.HasSuffix(key, "/"+idA) {
+			keyA = key
+		}
+		if ns == "sweeps" && strings.HasSuffix(key, "/"+idB) {
+			keyB = key
+		}
+		return true
+	}})
+	records := store.Namespace("sweeps")
+	recB, ok := records.Get(keyB)
+	if keyA == "" || !ok {
+		t.Fatalf("the tier holds no records for sweeps %s (%q) and %s (%q)", idA, keyA, idB, keyB)
+	}
+	records.Put(keyA, recB)
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	url, shutdown = startServer(t, "-cache-dir", dir)
+	defer shutdown()
+	resp, err := http.Get(url + "/v1/sweeps/" + idA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("sweep %s under sweep %s's record: code %d, want 404", idA, idB, resp.StatusCode)
+	}
+	if cells, _ := waitSweep(t, url, idB); cells == 0 {
+		t.Fatalf("sweep %s rehydrated with no cells", idB)
+	}
+	resp, err = http.Get(url + "/v1/cache/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st struct {
+		Namespaces map[string]artifact.Stats `json:"namespaces"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if sw := st.Namespaces["sweeps"]; sw.Rejected != 1 || sw.Hits != 1 {
+		t.Fatalf("sweeps namespace: %d hits, %d misses, %d rejected; want 1 hit and 1 rejected", sw.Hits, sw.Misses, sw.Rejected)
+	}
+}
+
 // TestSmokeMetricsAndRateLimit: the hardening flags work end to end —
 // an over-burst submission answers 429 with Retry-After, and /metrics
 // serves the Prometheus text exposition counting the shed.

@@ -869,7 +869,11 @@ func (s *Server) lookup(id string) (*sweep, bool) {
 	return s.rehydrate(id)
 }
 
-// rehydrate rebuilds an evicted sweep from its persisted record.
+// rehydrate rebuilds an evicted sweep from its persisted record. The
+// record must be a request that normalize accepts and whose sweep ID is
+// id, with 0 ≤ cached ≤ cells; any other record, from a damaged disk
+// tier or a peer, is a rejected miss, never a sweep served under an id
+// that is not its own.
 func (s *Server) rehydrate(id string) (*sweep, bool) {
 	if s.sweepsNS == nil {
 		return nil, false
@@ -879,14 +883,21 @@ func (s *Server) rehydrate(id string) (*sweep, bool) {
 		return nil, false
 	}
 	var rec sweepRecord
-	if err := json.Unmarshal(blob, &rec); err != nil {
+	if err := json.Unmarshal(blob, &rec); err != nil || rec.Cells < 0 || rec.Cached < 0 || rec.Cached > rec.Cells {
+		s.sweepsNS.Reject()
+		return nil, false
+	}
+	req := SweepRequest{Scenario: rec.Scenario, Families: rec.Families, N: rec.N, Seed: rec.Seed}
+	fams, err := s.normalize(&req)
+	if err != nil || runner.SweepID(s.version, req.Scenario, fams, req.N, req.Seed) != id {
+		s.sweepsNS.Reject()
 		return nil, false
 	}
 	done := make(chan struct{})
 	close(done)
 	sw := &sweep{
 		id:     id,
-		req:    SweepRequest{Scenario: rec.Scenario, Families: rec.Families, N: rec.N, Seed: rec.Seed},
+		req:    req,
 		state:  SweepDone,
 		cells:  rec.Cells,
 		cached: rec.Cached,

@@ -24,9 +24,9 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/baseline"
 	"repro/internal/graph"
@@ -54,11 +54,29 @@ func params(net *hybrid.Net, k, l int, eps float64) baseline.Params {
 	}
 }
 
+// Table values format with strconv into a stack buffer, so each value
+// takes one allocation, its string (fmt.Sprintf boxes its operands and
+// strconv.FormatFloat takes two). The bytes are fmt's for the verb each
+// helper names (TestValueFormatsMatchFmt).
+
+// itoa formats x as %d.
+func itoa[I ~int | ~int64](x I) string {
+	var b [24]byte
+	return string(strconv.AppendInt(b[:0], int64(x), 10))
+}
+
+// fixed formats x as %.<prec>f.
+func fixed(x float64, prec int) string {
+	var b [32]byte
+	return string(strconv.AppendFloat(b[:0], x, 'f', prec, 64))
+}
+
+// f1 formats x as %.1f, or "-" when x is infinite or NaN.
 func f1(x float64) string {
 	if math.IsInf(x, 0) || math.IsNaN(x) {
 		return "-"
 	}
-	return fmt.Sprintf("%.1f", x)
+	return fixed(x, 1)
 }
 
 // sampleNodes returns every node independently with probability p, but

@@ -114,15 +114,15 @@ var figure1Spec = &tableSpec[Figure1Point]{
 		"regime", "stretch", "chlp21_rounds", "sqrtk_lb", "delta_lb"},
 	values: func(p Figure1Point) []string {
 		return []string{
-			fmt.Sprintf("%.2f", p.Beta),
-			fmt.Sprintf("%d", p.K),
-			fmt.Sprintf("%d", p.Rounds),
-			fmt.Sprintf("%.3f", p.Delta),
+			fixed(p.Beta, 2),
+			itoa(p.K),
+			itoa(p.Rounds),
+			fixed(p.Delta, 3),
 			p.Regime,
-			fmt.Sprintf("%.2f", p.Stretch),
+			fixed(p.Stretch, 2),
 			f1(p.CHLP21),
 			f1(p.LowerSqrtK),
-			fmt.Sprintf("%.3f", p.DeltaLB),
+			fixed(p.DeltaLB, 3),
 		}
 	},
 	note:   asciiLandscape,

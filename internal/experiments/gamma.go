@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/graph"
 	"repro/internal/runner"
@@ -70,12 +71,18 @@ var gammaSpec = &tableSpec[GammaRow]{
 	keys:   []string{"cap_factor", "gamma", "k", "rounds", "regime", "stretch"},
 	values: func(r GammaRow) []string {
 		return []string{
-			fmt.Sprintf("%d×", r.CapFactor),
-			fmt.Sprintf("%d", r.Gamma),
-			fmt.Sprintf("%d", r.K),
-			fmt.Sprintf("%d", r.Rounds),
+			capFactor(r.CapFactor),
+			itoa(r.Gamma),
+			itoa(r.K),
+			itoa(r.Rounds),
 			r.Regime,
-			fmt.Sprintf("%.2f", r.Stretch),
+			fixed(r.Stretch, 2),
 		}
 	},
+}
+
+// capFactor formats a capacity factor as "%d×".
+func capFactor(cf int) string {
+	var b [24]byte
+	return string(append(strconv.AppendInt(b[:0], int64(cf), 10), "×"...))
 }

@@ -149,12 +149,12 @@ func nqSpec(name, title string) *tableSpec[NQScalingRow] {
 		values: func(r NQScalingRow) []string {
 			return []string{
 				r.Family,
-				fmt.Sprintf("%d", r.N),
-				fmt.Sprintf("%d", r.Diameter),
-				fmt.Sprintf("%d", r.K),
-				fmt.Sprintf("%d", r.NQ),
+				itoa(r.N),
+				itoa(r.Diameter),
+				itoa(r.K),
+				itoa(r.NQ),
 				f1(r.Predicted),
-				fmt.Sprintf("%.2f", r.Ratio),
+				fixed(r.Ratio, 2),
 			}
 		},
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 
 	"repro/internal/async"
 	"repro/internal/graph"
@@ -168,16 +169,16 @@ var robustnessSpec = &tableSpec[RobustnessRow]{
 	values: func(r RobustnessRow) []string {
 		return []string{
 			r.Family,
-			fmt.Sprintf("%d", r.N),
+			itoa(r.N),
 			r.Profile,
 			r.Algo,
-			fmt.Sprintf("%t", r.Exact),
-			fmt.Sprintf("%d", r.Ticks),
-			fmt.Sprintf("%d", r.Delivered),
-			fmt.Sprintf("%d", r.Transmissions),
-			fmt.Sprintf("%d", r.Dropped),
-			fmt.Sprintf("%d", r.Retries),
-			fmt.Sprintf("%d", r.Restarts),
+			strconv.FormatBool(r.Exact),
+			itoa(r.Ticks),
+			itoa(r.Delivered),
+			itoa(r.Transmissions),
+			itoa(r.Dropped),
+			itoa(r.Retries),
+			itoa(r.Restarts),
 		}
 	},
 	note: func([]RobustnessRow) string {

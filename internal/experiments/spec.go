@@ -32,8 +32,17 @@ func (s *tableSpec[T]) forFamily(fam graph.Family) *tableSpec[T] {
 		return s
 	}
 	fs := *s
-	fs.name, fs.title, fs.family = s.name+"/"+string(fam), fmt.Sprintf(s.title, fam), nil
+	fs.name, fs.title, fs.family = s.nameFor(fam), fmt.Sprintf(s.title, fam), nil
 	return &fs
+}
+
+// nameFor is the name of family fam's table: forFamily's name, without
+// rendering its title.
+func (s *tableSpec[T]) nameFor(fam graph.Family) string {
+	if s.family == nil {
+		return s.name
+	}
+	return s.name + "/" + string(fam)
 }
 
 // table renders rows into the finished table.
@@ -51,7 +60,7 @@ func (s *tableSpec[T]) table(rows []T) *runner.Table {
 // row renders one of cell c's rows in table coordinates; scenarios use
 // it as their RenderRow.
 func (s *tableSpec[T]) row(c *runner.Cell, r T) runner.RenderedRow {
-	return runner.RenderedRow{Table: s.forFamily(c.Family).name, Keys: s.keys, Values: s.values(r)}
+	return runner.RenderedRow{Table: s.nameFor(c.Family), Keys: s.keys, Values: s.values(r)}
 }
 
 // collectTables sweeps sc on r and renders its rows through spec: one

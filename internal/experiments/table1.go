@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/baseline"
 	"repro/internal/broadcast"
@@ -159,17 +160,26 @@ var table1Spec = &tableSpec[Table1Row]{
 	values: func(r Table1Row) []string {
 		return []string{
 			r.Family,
-			fmt.Sprintf("%d", r.N),
-			fmt.Sprintf("%d", r.K),
-			fmt.Sprintf("%d", r.NQ),
-			fmt.Sprintf("%d", r.DisseminationRounds),
-			fmt.Sprintf("%d", r.AggregationRounds),
-			fmt.Sprintf("%d (ℓ=%d)", r.RoutingRounds, r.RoutingL),
+			itoa(r.N),
+			itoa(r.K),
+			itoa(r.NQ),
+			itoa(r.DisseminationRounds),
+			itoa(r.AggregationRounds),
+			roundsWithL(r.RoutingRounds, r.RoutingL),
 			f1(r.AHKRounds),
 			f1(r.KS20Unicast),
-			fmt.Sprintf("%d", r.NaiveNCC),
-			fmt.Sprintf("%d", r.LocalFlood),
+			itoa(r.NaiveNCC),
+			itoa(r.LocalFlood),
 			f1(r.LowerBound),
 		}
 	},
+}
+
+// roundsWithL formats a Theorem 3 value as "%d (ℓ=%d)".
+func roundsWithL(rounds, l int) string {
+	var b [48]byte
+	v := strconv.AppendInt(b[:0], int64(rounds), 10)
+	v = append(v, " (ℓ="...)
+	v = strconv.AppendInt(v, int64(l), 10)
+	return string(append(v, ')'))
 }

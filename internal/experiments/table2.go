@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/apsp"
 	"repro/internal/baseline"
@@ -137,17 +138,26 @@ var table2Spec = &tableSpec[Table2Row]{
 	values: func(r Table2Row) []string {
 		return []string{
 			r.Family,
-			fmt.Sprintf("%d", r.N),
-			fmt.Sprintf("%d", r.NQ),
-			fmt.Sprintf("%d", r.UnweightedRounds),
-			fmt.Sprintf("%d", r.SparseExactRounds),
-			fmt.Sprintf("%d (%.1f)", r.SpannerRounds, r.SpannerStretch),
-			fmt.Sprintf("%d", r.SkeletonRounds),
-			fmt.Sprintf("%d", r.CutsRounds),
+			itoa(r.N),
+			itoa(r.NQ),
+			itoa(r.UnweightedRounds),
+			itoa(r.SparseExactRounds),
+			roundsWithStretch(r.SpannerRounds, r.SpannerStretch),
+			itoa(r.SkeletonRounds),
+			itoa(r.CutsRounds),
 			f1(r.KS20Rounds),
 			f1(r.AG21Rounds),
-			fmt.Sprintf("%d", r.LocalFlood),
+			itoa(r.LocalFlood),
 			f1(r.LowerBound),
 		}
 	},
+}
+
+// roundsWithStretch formats a spanner value as "%d (%.1f)".
+func roundsWithStretch(rounds int, stretch float64) string {
+	var b [48]byte
+	v := strconv.AppendInt(b[:0], int64(rounds), 10)
+	v = append(v, " ("...)
+	v = strconv.AppendFloat(v, stretch, 'f', 1, 64)
+	return string(append(v, ')'))
 }

@@ -100,15 +100,15 @@ var table3Spec = &tableSpec[Table3Row]{
 	values: func(r Table3Row) []string {
 		return []string{
 			r.Family,
-			fmt.Sprintf("%d", r.N),
-			fmt.Sprintf("%d", r.K),
-			fmt.Sprintf("%d", r.L),
-			fmt.Sprintf("%d", r.NQ),
-			fmt.Sprintf("%d", r.Rounds),
-			fmt.Sprintf("%.2f", r.Stretch),
+			itoa(r.N),
+			itoa(r.K),
+			itoa(r.L),
+			itoa(r.NQ),
+			itoa(r.Rounds),
+			fixed(r.Stretch, 2),
 			f1(r.SqrtKLower),
 			f1(r.UniversalLower),
-			fmt.Sprintf("%d", r.LocalFlood),
+			itoa(r.LocalFlood),
 		}
 	},
 }

@@ -73,13 +73,13 @@ var table4Spec = &tableSpec[Table4Row]{
 	values: func(r Table4Row) []string {
 		return []string{
 			r.Family,
-			fmt.Sprintf("%d", r.N),
-			fmt.Sprintf("%.2f", r.Eps),
-			fmt.Sprintf("%d", r.Thm13Rounds),
+			itoa(r.N),
+			fixed(r.Eps, 2),
+			itoa(r.Thm13Rounds),
 			f1(r.AG21Rounds),
 			f1(r.CHLP21Rounds),
 			f1(r.AHKRounds),
-			fmt.Sprintf("%d", r.LocalFlood),
+			itoa(r.LocalFlood),
 		}
 	},
 }

@@ -15,6 +15,8 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
+	"weak"
 )
 
 // Inf is the sentinel distance for unreachable nodes. It is chosen so that
@@ -114,8 +116,9 @@ type edge struct {
 // Builder accumulates the edges of a graph; Build lays them out as an
 // immutable Graph. The zero value is a builder for the empty graph.
 type Builder struct {
-	adj [][]edge
-	m   int
+	adj      [][]edge
+	m        int
+	weighted bool // some edge has a weight other than 1
 }
 
 // NewBuilder returns a builder for a graph with n isolated nodes.
@@ -155,6 +158,7 @@ func (b *Builder) AddEdge(u, v int, w int64) error {
 	b.adj[u] = append(b.adj[u], edge{to: int32(v), w: w})
 	b.adj[v] = append(b.adj[v], edge{to: int32(u), w: w})
 	b.m++
+	b.weighted = b.weighted || w != 1
 	return nil
 }
 
@@ -205,19 +209,74 @@ func (b *Builder) Build() *Graph {
 	g := &Graph{
 		rowStart: make([]int32, n+1),
 		to:       make([]int32, 2*b.m),
-		w:        make([]int64, 2*b.m),
 	}
+	g.setWeights(b.weighted)
 	pos := int32(0)
 	for v, es := range b.adj {
 		g.rowStart[v] = pos
 		for _, e := range es {
 			g.to[pos] = e.to
-			g.w[pos] = e.w
+			if b.weighted {
+				g.w[pos] = e.w
+			}
 			pos++
 		}
 	}
 	g.rowStart[n] = pos
 	return g
+}
+
+// setWeights gives a graph being laid out its weight array for len(to)
+// half-edges and answers IsWeighted: weighted means some weight is not
+// 1, and gets a fresh array to fill; otherwise the weights are ones.
+func (g *Graph) setWeights(weighted bool) {
+	if weighted {
+		g.w = make([]int64, len(g.to))
+		g.unit.Store(someWeighted)
+		return
+	}
+	g.w = unitWeightArray(len(g.to))
+	g.unit.Store(unitWeights)
+}
+
+// Every unweighted graph a Builder or FromEdges lays out with at most
+// maxSharedOnes half-edges views one shared array of ones as its
+// weights, instead of holding 8 bytes per half-edge of its own, a third
+// of its CSR. Graphs are immutable, so no one writes the array. The
+// package reaches the array only through a weak pointer, so it lives
+// exactly as long as some graph views it, and a larger graph gets its
+// own, so a small graph never keeps more than 1 MB of ones alive.
+const maxSharedOnes = 1 << 17
+
+var sharedOnes struct {
+	sync.Mutex
+	first weak.Pointer[int64] // the array's first element
+	len   int
+}
+
+// unitWeightArray returns k ones with capacity k: a view of the shared
+// array when 0 < k ≤ maxSharedOnes.
+func unitWeightArray(k int) []int64 {
+	fill := func(k int) []int64 {
+		w := make([]int64, k)
+		for i := range w {
+			w[i] = 1
+		}
+		return w
+	}
+	if k == 0 || k > maxSharedOnes {
+		return fill(k)
+	}
+	sharedOnes.Lock()
+	defer sharedOnes.Unlock()
+	if k <= sharedOnes.len {
+		if p := sharedOnes.first.Value(); p != nil {
+			return unsafe.Slice(p, sharedOnes.len)[:k:k]
+		}
+	}
+	w := fill(k)
+	sharedOnes.first, sharedOnes.len = weak.Make(&w[0]), k
+	return w
 }
 
 // FromEdges lays the edges out as a Graph on n nodes in one pass over
@@ -230,25 +289,29 @@ func FromEdges(n int, edges []UndirectedEdge) (*Graph, error) {
 	g := &Graph{
 		rowStart: make([]int32, n+1),
 		to:       make([]int32, 2*len(edges)),
-		w:        make([]int64, 2*len(edges)),
 	}
 	// Count degrees one row ahead, so the prefix sums leave
 	// rowStart[v] at the first slot of row v.
+	weighted := false
 	for _, e := range edges {
 		if err := checkEdge(n, e.U, e.V, e.W); err != nil {
 			return nil, err
 		}
 		g.rowStart[e.U+1]++
 		g.rowStart[e.V+1]++
+		weighted = weighted || e.W != 1
 	}
+	g.setWeights(weighted)
 	for v := 1; v <= n; v++ {
 		g.rowStart[v] += g.rowStart[v-1]
 	}
 	next := make([]int32, n)
 	copy(next, g.rowStart[:n])
 	for _, e := range edges {
-		g.to[next[e.U]], g.w[next[e.U]] = int32(e.V), e.W
-		g.to[next[e.V]], g.w[next[e.V]] = int32(e.U), e.W
+		g.to[next[e.U]], g.to[next[e.V]] = int32(e.V), int32(e.U)
+		if weighted {
+			g.w[next[e.U]], g.w[next[e.V]] = e.W, e.W
+		}
 		next[e.U]++
 		next[e.V]++
 	}

@@ -21,6 +21,7 @@ import (
 	"sync"
 
 	"repro/internal/graph"
+	"repro/internal/hybrid"
 )
 
 // CodeVersion identifies the measurement semantics of the simulation
@@ -66,17 +67,51 @@ type CellEvent struct {
 // worker goroutines and must be safe for concurrent use.
 type CellObserver func(ev CellEvent)
 
-// CacheKey returns the cell's content address: a canonical SHA-256 hash
-// of the cell coordinates (scenario, family, n, base seed, every Point
+// CacheKey returns the cell's content address: the SHA-256 of the
+// cell coordinates (scenario, family, n, base seed, every Point
 // field), the fully resolved model configuration, and the given code
-// version. The Go-syntax rendering of Point and hybrid.Config keeps the
-// serialization canonical while automatically covering fields added to
-// either struct later.
-func (c *Cell) CacheKey(version string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "version=%s\x00scenario=%s\x00family=%s\x00n=%d\x00seed=%d\x00point=%#v\x00config=%#v",
-		version, c.Scenario, c.Family, c.N, c.BaseSeed, c.Point, c.Config())
-	return hex.EncodeToString(h.Sum(nil))
+// version. The hashed bytes are the version, scenario and family, each
+// prefixed with its uvarint length; n and the base seed as varints; then
+// Point and the resolved hybrid.Config, each as a one-row blob of the
+// cell-row codec below. A blob's fingerprint covers its type's field
+// names, kinds and order, so a field added to either struct later
+// changes every key (DESIGN.md §7).
+func (c *Cell) CacheKey(version string) string { return c.key(version, c.Config()) }
+
+// key is CacheKey under the resolved model configuration cfg.
+func (c *Cell) key(version string, cfg hybrid.Config) string {
+	if pointPlan.err != nil {
+		panic(pointPlan.err)
+	}
+	if configPlan.err != nil {
+		panic(configPlan.err)
+	}
+	var scratch [256]byte
+	b := appendLenString(scratch[:0], version)
+	b = appendLenString(b, c.Scenario)
+	b = appendLenString(b, string(c.Family))
+	b = binary.AppendVarint(b, int64(c.N))
+	b = binary.AppendVarint(b, c.BaseSeed)
+	b = pointPlan.appendBlob(b, reflect.ValueOf(&c.Point).Elem())
+	b = configPlan.appendBlob(b, reflect.ValueOf(&cfg).Elem())
+	sum := sha256.Sum256(b)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
+}
+
+// The row plans of the two structs a cache key serializes. Both are
+// valid (TestCacheKeyPlans); CacheKey panics if a field of a kind the
+// codec cannot write is ever added.
+var (
+	pointPlan  = planOf(reflect.TypeFor[Point]())
+	configPlan = planOf(reflect.TypeFor[hybrid.Config]())
+)
+
+// appendLenString appends s prefixed with its uvarint length.
+func appendLenString(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
 }
 
 // SweepID returns the content address of a whole sweep request — the
@@ -177,33 +212,46 @@ func encodeRows[T any](rows []T) ([]byte, error) {
 	if p.err != nil {
 		return nil, p.err
 	}
-	buf := make([]byte, rowsHeader, rowsHeader+binary.MaxVarintLen64+2*p.minRow*len(rows))
-	buf[0] = rowsMagic
-	binary.LittleEndian.PutUint64(buf[1:], p.fingerprint)
-	buf = binary.AppendUvarint(buf, uint64(len(rows)))
+	buf := make([]byte, 0, rowsHeader+binary.MaxVarintLen64+2*p.minRow*len(rows))
+	buf = p.appendHeader(buf, len(rows))
 	for i := range rows {
-		v := reflect.ValueOf(&rows[i]).Elem()
-		for j, k := range p.kinds {
-			fv := v.Field(j)
-			switch k {
-			case reflect.Bool:
-				b := byte(0)
-				if fv.Bool() {
-					b = 1
-				}
-				buf = append(buf, b)
-			case reflect.Int, reflect.Int64:
-				buf = binary.AppendVarint(buf, fv.Int())
-			case reflect.Float64:
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(fv.Float()))
-			case reflect.String:
-				s := fv.String()
-				buf = binary.AppendUvarint(buf, uint64(len(s)))
-				buf = append(buf, s...)
-			}
-		}
+		buf = p.appendRow(buf, reflect.ValueOf(&rows[i]).Elem())
 	}
 	return buf, nil
+}
+
+// appendHeader appends a blob's magic byte, fingerprint and row count.
+func (p *rowPlan) appendHeader(b []byte, count int) []byte {
+	b = append(b, rowsMagic)
+	b = binary.LittleEndian.AppendUint64(b, p.fingerprint)
+	return binary.AppendUvarint(b, uint64(count))
+}
+
+// appendBlob appends the one-row blob of v, a value of the plan's type.
+func (p *rowPlan) appendBlob(b []byte, v reflect.Value) []byte {
+	return p.appendRow(p.appendHeader(b, 1), v)
+}
+
+// appendRow appends the fields of v, a value of the plan's type.
+func (p *rowPlan) appendRow(b []byte, v reflect.Value) []byte {
+	for j, k := range p.kinds {
+		fv := v.Field(j)
+		switch k {
+		case reflect.Bool:
+			x := byte(0)
+			if fv.Bool() {
+				x = 1
+			}
+			b = append(b, x)
+		case reflect.Int, reflect.Int64:
+			b = binary.AppendVarint(b, fv.Int())
+		case reflect.Float64:
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(fv.Float()))
+		case reflect.String:
+			b = appendLenString(b, fv.String())
+		}
+	}
+	return b
 }
 
 // decodeRows is the inverse of encodeRows. It rejects a blob with

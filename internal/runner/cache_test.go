@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -183,6 +184,55 @@ func TestCacheKeySensitivity(t *testing.T) {
 	if key(c, "v1") != k0 {
 		t.Error("changing Index changed the cache key")
 	}
+}
+
+// TestCacheKeyPlans: both structs a cache key serializes have a valid
+// row plan, so CacheKey never panics on them.
+func TestCacheKeyPlans(t *testing.T) {
+	for name, p := range map[string]*rowPlan{"Point": pointPlan, "hybrid.Config": configPlan} {
+		if p.err != nil {
+			t.Errorf("%s: %v", name, p.err)
+		}
+	}
+}
+
+// TestCacheKeyCoversEveryField: changing any exported field of Point
+// or of the resolved hybrid.Config changes the key, including fields
+// added after this test was written.
+func TestCacheKeyCoversEveryField(t *testing.T) {
+	base := Cell{Scenario: "s", Family: graph.FamilyPath, N: 32, BaseSeed: 1, Point: PointK(4)}
+	cfg := base.Config()
+	k0 := base.key("v1", cfg)
+	if k0 != base.CacheKey("v1") {
+		t.Fatal("CacheKey is not key under the resolved config")
+	}
+	check := func(what string, v reflect.Value, key func() string) {
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			old := reflect.ValueOf(f.Interface())
+			switch f.Kind() {
+			case reflect.Bool:
+				f.SetBool(!f.Bool())
+			case reflect.Int, reflect.Int64:
+				f.SetInt(f.Int() + 1)
+			case reflect.Float64:
+				f.SetFloat(f.Float() + 0.5)
+			case reflect.String:
+				f.SetString(f.String() + "x")
+			default:
+				t.Fatalf("%s.%s: kind %v", what, v.Type().Field(i).Name, f.Kind())
+			}
+			if key() == k0 {
+				t.Errorf("changing %s.%s did not change the cache key", what, v.Type().Field(i).Name)
+			}
+			f.Set(old)
+		}
+		if key() != k0 {
+			t.Fatalf("restoring %s did not restore the key", what)
+		}
+	}
+	check("Point", reflect.ValueOf(&base.Point).Elem(), func() string { return base.key("v1", cfg) })
+	check("hybrid.Config", reflect.ValueOf(&cfg).Elem(), func() string { return base.key("v1", cfg) })
 }
 
 // TestSweepID pins the sweep-level content address: stable for equal

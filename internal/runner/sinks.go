@@ -8,10 +8,12 @@ package runner
 import (
 	"bytes"
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
+	"sync"
+	"unicode/utf8"
 )
 
 // Table is one rendered sweep artifact.
@@ -171,15 +173,20 @@ func (s *CSVSink) EndTable() error {
 
 // JSONLSink streams one JSON object per row: the table name under
 // "table" plus each machine column key mapped to its formatted value.
-// Object keys are emitted in sorted order, so output is deterministic.
+// The bytes are those encoding/json writes for the map of that row
+// (members in raw key order, HTML-safe escaping); the sink writes them
+// directly into a buffer it reuses, and tests certify the two encoders
+// byte-identical (DESIGN.md §12).
 type JSONLSink struct {
-	enc  *json.Encoder
-	name string
-	keys []string
+	w      io.Writer
+	name   string
+	keys   []string
+	buf    []byte
+	layout jsonlLayout
 }
 
 // NewJSONLSink returns a JSONL sink writing to w.
-func NewJSONLSink(w io.Writer) *JSONLSink { return &JSONLSink{enc: json.NewEncoder(w)} }
+func NewJSONLSink(w io.Writer) *JSONLSink { return &JSONLSink{w: w} }
 
 // BeginTable records the table's name and column keys.
 func (s *JSONLSink) BeginTable(t *Table) error {
@@ -190,18 +197,141 @@ func (s *JSONLSink) BeginTable(t *Table) error {
 
 // Row writes one JSON line.
 func (s *JSONLSink) Row(values []string) error {
-	obj := make(map[string]string, len(values)+1)
-	obj["table"] = s.name
-	for i, v := range values {
-		if i < len(s.keys) {
-			obj[s.keys[i]] = v
-		}
-	}
-	return s.enc.Encode(obj)
+	s.buf = s.appendRow(s.buf[:0], values)
+	_, err := s.w.Write(s.buf)
+	return err
 }
 
 // EndTable is a no-op for JSONL.
 func (s *JSONLSink) EndTable() error { return nil }
+
+// appendRow appends the JSON line of one row. Its members are the
+// table name and the first len(values) columns, each under its key; a
+// column with the key "table" replaces the name, and of columns sharing
+// a key the last one wins, as in a map filled in column order.
+func (s *JSONLSink) appendRow(b []byte, values []string) []byte {
+	b = append(b, '{')
+	for j, i := range s.layout.order(s.keys, len(values)) {
+		if j > 0 {
+			b = append(b, ',')
+		}
+		k, v := "table", s.name
+		if i >= 0 {
+			k, v = s.keys[i], values[i]
+		}
+		b = appendJSONString(b, k)
+		b = append(b, ':')
+		b = appendJSONString(b, v)
+	}
+	return append(b, '}', '\n')
+}
+
+// jsonlLayout caches the member order of the last row shape a sink
+// wrote, so the rows of one table share one computation.
+type jsonlLayout struct {
+	keys  []string // the column keys idx was computed for (a copy)
+	width int      // the row length idx was computed for
+	// idx holds the column indices in member order, -1 standing for
+	// the name; empty until the first row, never empty after it.
+	idx []int
+}
+
+// order returns the column indices of a row of width values under
+// keys, sorted by raw key string as encoding/json sorts map keys, with
+// -1 standing for the table name.
+func (l *jsonlLayout) order(keys []string, width int) []int {
+	if len(l.idx) > 0 && width == l.width && slices.Equal(keys, l.keys) {
+		return l.idx
+	}
+	l.keys = append(l.keys[:0], keys...)
+	l.width = width
+	key := func(i int) string {
+		if i < 0 {
+			return "table"
+		}
+		return keys[i]
+	}
+	live := keys[:min(len(keys), width)]
+	l.idx = l.idx[:0]
+	named := false
+	for i, k := range live {
+		if slices.Contains(live[i+1:], k) {
+			continue
+		}
+		named = named || k == "table"
+		l.idx = insertByKey(l.idx, i, key)
+	}
+	if !named {
+		l.idx = insertByKey(l.idx, -1, key)
+	}
+	return l.idx
+}
+
+// insertByKey inserts column i into idx, which is sorted by key.
+func insertByKey(idx []int, i int, key func(int) string) []int {
+	idx = append(idx, i)
+	j := len(idx) - 1
+	for ; j > 0 && key(idx[j-1]) > key(i); j-- {
+		idx[j] = idx[j-1]
+	}
+	idx[j] = i
+	return idx
+}
+
+// appendJSONString appends s as a JSON string with encoding/json's
+// escaping: HTML-safe (<, > and & as \u003c, \u003e, \u0026), the
+// short escapes \" \\ \b \f \n \r \t, other control bytes as \u00XX,
+// U+2028 and U+2029 as \u2028 and \u2029, and each byte of invalid
+// UTF-8 as \ufffd.
+func appendJSONString(b []byte, s string) []byte {
+	const hexDigits = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
+}
 
 // RenderedRow is one formatted table row in table coordinates: the
 // table's machine name, its column keys, and the formatted values —
@@ -218,18 +348,24 @@ type RenderedRow struct {
 // EncodeJSONL renders rows through the JSONL sink, producing exactly
 // the bytes the static JSONL document carries for those rows (one JSON
 // object per line, keys sorted). This shared path is what certifies
-// streamed and static output byte-identical.
+// streamed and static output byte-identical. The sink's buffer and
+// member order come from a pool, so encoding a cell's rows allocates
+// only the returned bytes.
 func EncodeJSONL(rows []RenderedRow) []byte {
 	if len(rows) == 0 {
 		return nil
 	}
-	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf)
+	s := jsonlScratch.Get().(*JSONLSink)
+	b := s.buf[:0]
 	for _, r := range rows {
-		// BeginTable/Row never fail on an in-memory buffer: the JSON
-		// encoder cannot error on a map[string]string.
-		sink.BeginTable(&Table{Name: r.Table, Keys: r.Keys})
-		sink.Row(r.Values)
+		s.name, s.keys = r.Table, r.Keys
+		b = s.appendRow(b, r.Values)
 	}
-	return buf.Bytes()
+	out := bytes.Clone(b)
+	s.buf, s.name, s.keys = b, "", nil
+	jsonlScratch.Put(s)
+	return out
 }
+
+// jsonlScratch holds the sinks EncodeJSONL writes with.
+var jsonlScratch = sync.Pool{New: func() any { return new(JSONLSink) }}
