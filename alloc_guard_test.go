@@ -2,9 +2,9 @@ package repro_test
 
 // The benchmark regression guard: testing.AllocsPerRun assertions that
 // pin the allocation behaviour of the simulation core as normal tests
-// (no benchstat needed). The committed thresholds match the current
-// column of BENCH_core.json; lowering them is progress, raising them is
-// a regression that must be justified.
+// (no benchstat needed). These budgets are the gate — the BENCH_*.txt
+// records only note times on one machine; lowering a budget is
+// progress, raising one is a regression that must be justified.
 
 import (
 	"bytes"

@@ -1,43 +1,25 @@
 package repro_test
 
-// BenchmarkAsync* measures the asynchronous backend's scheduling fast
-// paths (DESIGN.md §13) against the engine's forensic full-trace mode
-// — the unoptimized behaviour the fast paths replaced:
+// BenchmarkAsync* measures the asynchronous backend (DESIGN.md §13) on
+// its two regimes:
 //
 //   - DisseminateDense: n-token dissemination on an expander, the
-//     payload-heavy workload. The default trace folds a 64-bit
-//     fingerprint per Set payload; full-trace mode folds every member
-//     of every delivered set into the sha256 stream.
-//   - BFSFaultFree: hop-distance flooding with small payloads. The
-//     default transport answers fault-free sends analytically without
-//     touching per-pair state; full-trace mode walks the per-attempt
-//     machinery for every message.
+//     payload-heavy workload; the trace folds a 64-bit fingerprint per
+//     Set payload.
+//   - BFSFaultFree: hop-distance flooding with small payloads; the
+//     transport answers fault-free sends analytically without touching
+//     per-pair state.
 //
-// Both modes run the same event schedule and converge to identical
-// outputs — the speedup column records the scheduler optimization, not
-// a different computation. The committed BENCH_async.json (regenerate
-// with cmd/benchjson -table bench_async) records the default mode
-// against the baseline, produced by running this file with
-// REPRO_BENCH_ASYNC_FULLTRACE=1.
+// BENCH_async.txt records one -count 5 run with the machine it ran on
+// (README names the command).
 
 import (
 	"math/rand"
-	"os"
 	"testing"
 
 	"repro/internal/async"
 	"repro/internal/graph"
 )
-
-// asyncBenchOptions returns the engine options under measurement:
-// full-trace mode when REPRO_BENCH_ASYNC_FULLTRACE=1 (the committed
-// baseline column), the default fingerprint trace otherwise.
-func asyncBenchOptions(seed int64) async.Options {
-	return async.Options{
-		Seed:      seed,
-		FullTrace: os.Getenv("REPRO_BENCH_ASYNC_FULLTRACE") != "",
-	}
-}
 
 // BenchmarkAsyncDisseminateDense: every node starts with one token, so
 // k = n and every delivered gossip message carries an n-bit set — the
@@ -51,7 +33,7 @@ func BenchmarkAsyncDisseminateDense(b *testing.B) {
 	for v := range tokensAt {
 		tokensAt[v] = 1
 	}
-	opt := asyncBenchOptions(1)
+	opt := async.Options{Seed: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -73,7 +55,7 @@ func BenchmarkAsyncBFSFaultFree(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt := asyncBenchOptions(2)
+	opt := async.Options{Seed: 2}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -2,11 +2,10 @@ package repro_test
 
 // BenchmarkCore* is the simulation-core suite: the engine round loop
 // (TickLocal + SendGlobal schedule building), the per-round primitives,
-// and the CSR graph kernels, each on a fixed 1024-node instance. The
-// committed BENCH_core.json records the pre-refactor baseline next to
-// the post-refactor numbers (regenerate with cmd/benchjson); the
-// allocation guarantees are pinned by TestCoreRoundLoopAllocationFree
-// in alloc_guard_test.go, which runs as a normal test.
+// and the CSR graph kernels, each on a fixed 1024-node instance.
+// BENCH_core.txt records one -count 5 run with the machine it ran on
+// (README names the command); the allocation budgets are gated by the
+// TestCore* tests in alloc_guard_test.go, which run as normal tests.
 
 import (
 	"math/rand"

@@ -1,26 +1,24 @@
 package repro_test
 
 // BenchmarkKernel* measures the parallel kernel layer (DESIGN.md §14)
-// against the sequential traversals it replaced on large graphs:
+// side by side with the sequential traversal each kernel replaces from
+// n = 2^15 upward, over the same CSR rows — the evidence behind that
+// fork:
 //
-//   - KernelBFS: the direction-optimizing (top-down/bottom-up) BFS
-//     against the classic queue BFS — on low-diameter graphs the
-//     bottom-up levels early-exit each unvisited node at its first
-//     frontier parent instead of relaxing every frontier edge.
-//   - KernelSSSP: the delta-stepping bucket kernel against the binary-
-//     heap Dijkstra — O(1) bucket appends instead of O(log n) sift
-//     chains per relaxation.
+//   - KernelBFS/queue vs KernelBFS/kernel: the classic queue BFS against
+//     the direction-optimizing (top-down/bottom-up) BFS — on
+//     low-diameter graphs the bottom-up levels early-exit each
+//     unvisited node at its first frontier parent instead of relaxing
+//     every frontier edge.
+//   - KernelSSSP/heap vs KernelSSSP/deltastep: the binary-heap Dijkstra
+//     against delta-stepping — O(1) bucket appends instead of O(log n)
+//     sift chains per relaxation.
 //
-// The committed BENCH_kernels.json (regenerate with cmd/benchjson
-// -table bench_kernels) records both against the sequential baseline,
-// produced by running this file with REPRO_BENCH_KERNELS_SEQUENTIAL=1,
-// which routes the benchmarks through local reimplementations of the
-// replaced algorithms over the same CSR rows — so the recorded
-// speedup is algorithmic, not a memory-layout artifact.
+// BENCH_kernels.txt records one -count 5 run with the machine it ran
+// on (README names the command).
 
 import (
 	"math/rand"
-	"os"
 	"testing"
 
 	"repro/internal/graph"
@@ -29,12 +27,6 @@ import (
 // kernelBenchN sizes the benchmark topology well above the kernelMinN
 // routing threshold — the regime the kernels auto-select in.
 const kernelBenchN = 1 << 17
-
-// kernelBenchSequential reports baseline mode
-// (REPRO_BENCH_KERNELS_SEQUENTIAL=1).
-func kernelBenchSequential() bool {
-	return os.Getenv("REPRO_BENCH_KERNELS_SEQUENTIAL") != ""
-}
 
 // kernelBFSGraph returns the BFS benchmark topology: a degree-32
 // expander (union of random Hamiltonian cycles), the low-diameter
@@ -56,7 +48,7 @@ func kernelSSSPGraph() *graph.Graph {
 }
 
 // seqBFS is the classic queue BFS the direction-optimizing kernel
-// replaced, over the same CSR rows.
+// replaces on large graphs, over the same CSR rows.
 func seqBFS(g *graph.Graph, src int) []int64 {
 	n := g.N()
 	dist := make([]int64, n)
@@ -81,7 +73,7 @@ func seqBFS(g *graph.Graph, src int) []int64 {
 }
 
 // seqDijkstra is the binary-heap Dijkstra the delta-stepping kernel
-// replaced on large graphs, over the same CSR rows.
+// replaces on large graphs, over the same CSR rows.
 func seqDijkstra(g *graph.Graph, src int) []int64 {
 	n := g.N()
 	dist := make([]int64, n)
@@ -146,30 +138,38 @@ func seqDijkstra(g *graph.Graph, src int) []int64 {
 	return dist
 }
 
-// BenchmarkKernelBFS: one full single-source BFS per iteration.
+// BenchmarkKernelBFS: one full single-source BFS per iteration, by the
+// queue BFS and by the 8-worker kernel.
 func BenchmarkKernelBFS(b *testing.B) {
 	g := kernelBFSGraph()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if kernelBenchSequential() {
+	b.Run("queue", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
 			seqBFS(g, 0)
-		} else {
+		}
+	})
+	b.Run("kernel", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
 			g.BFSWorkers(0, 8)
 		}
-	}
+	})
 }
 
-// BenchmarkKernelSSSP: one full weighted SSSP per iteration.
+// BenchmarkKernelSSSP: one full weighted SSSP per iteration, by the
+// binary-heap Dijkstra and by 8-worker delta-stepping.
 func BenchmarkKernelSSSP(b *testing.B) {
 	g := kernelSSSPGraph()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if kernelBenchSequential() {
+	b.Run("heap", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
 			seqDijkstra(g, 0)
-		} else {
+		}
+	})
+	b.Run("deltastep", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
 			g.DeltaStepping(0, 8)
 		}
-	}
+	})
 }

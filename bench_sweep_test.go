@@ -12,16 +12,10 @@ package repro_test
 //   - Warm: a prewarmed shared cache — the resubmission / steady-state
 //     serving cost, zero builds.
 //
-// The committed BENCH_sweep.json (regenerate with cmd/benchjson
-// -table bench_sweep) records both against the rebuild-per-cell
-// baseline, produced by running this file with
-// REPRO_BENCH_NO_GRAPHCACHE=1, under which the scenario's Run calls
-// graph.Build itself instead of Cell.BuildGraph, so every cell builds
-// its own instance — the behaviour before the artifact layer.
+// BENCH_sweep.txt records one -count 5 run with the machine it ran on
+// (README names the command).
 
 import (
-	"math/rand"
-	"os"
 	"testing"
 
 	"repro/internal/graph"
@@ -38,7 +32,7 @@ func sweepBenchScenario() *runner.Scenario[int] {
 		Ns:       []int{512},
 		Points:   runner.PointsK([]int{16, 64, 256, 1024}),
 		Run: func(c *runner.Cell) ([]int, error) {
-			g, err := benchGraph(c)
+			g, err := c.BuildGraph()
 			if err != nil {
 				return nil, err
 			}
@@ -49,19 +43,6 @@ func sweepBenchScenario() *runner.Scenario[int] {
 			return []int{q, int(g.Diameter())}, nil
 		},
 	}
-}
-
-// rebuildPerCell selects the rebuild-per-cell baseline mode
-// (REPRO_BENCH_NO_GRAPHCACHE=1).
-var rebuildPerCell = os.Getenv("REPRO_BENCH_NO_GRAPHCACHE") != ""
-
-// benchGraph returns the cell's graph: the cached instance, or in the
-// baseline mode one built for this cell alone.
-func benchGraph(c *runner.Cell) (*graph.Graph, error) {
-	if rebuildPerCell {
-		return graph.Build(c.Family, c.N, rand.New(rand.NewSource(c.GraphSeed())))
-	}
-	return c.BuildGraph()
 }
 
 func runSweepBench(b *testing.B, gc *runner.GraphCache, freshPerIter bool) {

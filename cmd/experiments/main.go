@@ -26,11 +26,16 @@ import (
 	"repro/internal/graph"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+func main() { os.Exit(exitCode(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// exitCode runs the command and reports a failure on stderr as one
+// line under the binary's name, the error's only prefix.
+func exitCode(args []string, stdout, stderr io.Writer) int {
+	if err := run(args, stdout); err != nil {
+		fmt.Fprintln(stderr, "experiments:", err)
+		return 1
 	}
+	return 0
 }
 
 func run(args []string, w io.Writer) error {

@@ -82,16 +82,27 @@ func TestRunHelpIsNotAnError(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadInput: bad input fails with exit code 1, one stderr
+// line under a single "experiments:" prefix and nothing on stdout.
 func TestRunRejectsBadInput(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-families", "nosuch"}, &buf); err == nil {
-		t.Fatal("unknown family accepted")
-	}
-	if err := run([]string{"-table", "9", "-n", "64"}, &buf); err == nil {
-		t.Fatal("unknown table accepted")
-	}
-	if err := run([]string{"-format", "xml", "-nq", "-n", "64"}, &buf); err == nil {
-		t.Fatal("unknown format accepted")
+	for _, tc := range []struct {
+		args   []string
+		stderr string
+	}{
+		{[]string{"-families", "nosuch"}, `experiments: unknown family "nosuch" (known: `},
+		{[]string{"-table", "7", "-n", "64"}, "experiments: unknown table 7\n"},
+		{[]string{"-format", "xml", "-nq", "-n", "64"}, `experiments: unknown format "xml" (want md, csv or jsonl)` + "\n"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := exitCode(tc.args, &stdout, &stderr); code != 1 {
+			t.Errorf("%v: exit code %d, want 1", tc.args, code)
+		}
+		if !strings.HasPrefix(stderr.String(), tc.stderr) || strings.Count(stderr.String(), "\n") != 1 {
+			t.Errorf("%v: stderr = %q, want one line starting %q", tc.args, stderr.String(), tc.stderr)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: stdout not empty:\n%s", tc.args, stdout.String())
+		}
 	}
 }
 

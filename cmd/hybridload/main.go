@@ -30,13 +30,13 @@
 //
 //	hybridload -addr 127.0.0.1:8080 -waves 3 -clients 8
 //	hybridload -peers 127.0.0.1:8080,127.0.0.1:8081,127.0.0.1:8082 -waves 3
-//	hybridload -addr 127.0.0.1:8080 -stream -bench | benchjson -table bench_http
+//	hybridload -addr 127.0.0.1:8080 -waves 3 -clients 4 -stream -bench | grep '^Benchmark'
 //
-// With -bench the summary is followed by `go test -bench`-style lines
-// (BenchmarkHTTPSweepCold, BenchmarkHTTPSweepWarm,
+// With -bench the summary is followed by lines in the Go benchmark
+// format (BenchmarkHTTPSweepCold, BenchmarkHTTPSweepWarm,
 // BenchmarkHTTPResultsWarm, BenchmarkHTTPMetricsScrape, and with
-// -stream BenchmarkHTTPStreamFirstEvent) that cmd/benchjson turns into
-// the committed BENCH_http.json artifact.
+// -stream BenchmarkHTTPStreamFirstEvent) — the result lines of the
+// committed BENCH_http.txt record.
 package main
 
 import (
@@ -473,7 +473,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		"hybridload -addr 127.0.0.1:8080 -waves 3 -clients 8",
 		"hybridload -peers 127.0.0.1:8080,127.0.0.1:8081,127.0.0.1:8082 -waves 3   # round-robin a cluster",
 		"hybridload -addr 127.0.0.1:8080 -stream   # also consume each sweep's live SSE stream",
-		"hybridload -addr 127.0.0.1:8080 -bench | benchjson -table bench_http -baseline BENCH_http.json",
+		"hybridload -addr 127.0.0.1:8080 -waves 3 -clients 4 -stream -bench | grep '^Benchmark'   # the result lines of BENCH_http.txt",
 	)
 	addr := fs.String("addr", "127.0.0.1:8080", "hybridd address (host:port or full URL)")
 	peersFlag := fs.String("peers", "", "comma-separated hybridd cluster addresses; jobs round-robin over them with failover (overrides -addr)")
@@ -484,7 +484,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	timeout := fs.Duration("timeout", 2*time.Minute, "per-sweep completion timeout")
 	shedWait := fs.Duration("shed-wait", 2*time.Second, "cap on how long one 429 Retry-After hint is honored")
 	stream := fs.Bool("stream", false, "consume each sweep's SSE stream live and verify it against the static jsonl document")
-	bench := fs.Bool("bench", false, "append go-test-bench-style lines for benchjson")
+	bench := fs.Bool("bench", false, "append one Go benchmark format line per phase (the result lines of BENCH_http.txt)")
 	if err := fs.Parse(args); err != nil {
 		if cliutil.HelpRequested(err) {
 			return nil
@@ -617,8 +617,8 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	fmt.Fprintf(w, "metrics scrape p50: %v\n", quantile(scrapes, 0.5).Round(time.Microsecond))
 
 	if *bench {
-		// One aggregated line per phase, in the exact shape benchjson's
-		// parser consumes (`Benchmark\S+ N <ns> ns/op`).
+		// One aggregated line per phase in the Go benchmark format
+		// (`BenchmarkName iterations value unit`).
 		fmt.Fprintf(w, "BenchmarkHTTPSweepCold 1 %d ns/op\n", mean(coldTotals).Nanoseconds())
 		if len(warmTotals) > 0 {
 			fmt.Fprintf(w, "BenchmarkHTTPSweepWarm 1 %d ns/op\n", mean(warmTotals).Nanoseconds())

@@ -32,7 +32,7 @@ func startBackend(t *testing.T, cfg hybridnet.ServerConfig) *httptest.Server {
 
 // TestLoadTwoWaves: the end-to-end load run — two waves over a small
 // mix, warm wave cache-served and byte-identical, bench lines emitted
-// in benchjson's grammar.
+// in the Go benchmark format.
 func TestLoadTwoWaves(t *testing.T) {
 	ts := startBackend(t, hybridnet.ServerConfig{})
 	var out strings.Builder

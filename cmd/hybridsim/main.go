@@ -14,17 +14,28 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/hybridnet"
 	"repro/internal/cliutil"
 	"repro/internal/graph"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "hybridsim:", err)
-		os.Exit(1)
+// algorithms are the -algo values, one per case of run's switch.
+var algorithms = []string{"disseminate", "aggregate", "route", "bcc", "sssp", "kssp",
+	"apsp-unweighted", "apsp-sparse", "apsp-spanner", "apsp-skeleton", "klsp", "cuts"}
+
+func main() { os.Exit(exitCode(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// exitCode runs the command and reports a failure on stderr as one
+// line under the binary's name, the error's only prefix.
+func exitCode(args []string, stdout, stderr io.Writer) int {
+	if err := run(args, stdout); err != nil {
+		fmt.Fprintln(stderr, "hybridsim:", err)
+		return 1
 	}
+	return 0
 }
 
 func run(args []string, w io.Writer) error {
@@ -34,7 +45,7 @@ func run(args []string, w io.Writer) error {
 		"hybridsim -algo route -family path -n 512 -k 256 -l 4",
 		"hybridsim -algo sssp -family expander -n 1024 -eps 0.25",
 	)
-	algo := fs.String("algo", "disseminate", "disseminate|aggregate|route|bcc|sssp|kssp|apsp-unweighted|apsp-sparse|apsp-spanner|apsp-skeleton|klsp|cuts")
+	algo := fs.String("algo", "disseminate", strings.Join(algorithms, "|"))
 	family := fs.String("family", "grid2d", "graph family")
 	n := fs.Int("n", 1024, "approximate node count")
 	k := fs.Int("k", 0, "workload (default n)")
@@ -48,6 +59,10 @@ func run(args []string, w io.Writer) error {
 			return nil
 		}
 		return err
+	}
+
+	if !slices.Contains(algorithms, *algo) {
+		return fmt.Errorf("unknown algorithm %q", *algo)
 	}
 
 	graph.SetMaxKernelWorkers(*workers)
@@ -166,8 +181,6 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(w, "sparsifier=%d edges NQ=%d → %d rounds\n", res.SparsifierEdges, res.NQ, res.Rounds)
-	default:
-		return fmt.Errorf("unknown algorithm %q", *algo)
 	}
 	fmt.Fprintln(w, "\nround audit:")
 	fmt.Fprint(w, net.Audit())

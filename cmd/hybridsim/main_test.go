@@ -41,10 +41,18 @@ func TestRunHybrid0Variant(t *testing.T) {
 	}
 }
 
+// TestRunUnknownAlgorithm: an unknown -algo fails before any graph is
+// built or any output written, with one prefix on its stderr line.
 func TestRunUnknownAlgorithm(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-algo", "nosuch", "-n", "16"}, &buf); err == nil {
-		t.Fatal("unknown algorithm accepted")
+	var stdout, stderr bytes.Buffer
+	if code := exitCode([]string{"-algo", "nosuch", "-n", "16"}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit code %d, want 1", code)
+	}
+	if got, want := stderr.String(), "hybridsim: unknown algorithm \"nosuch\"\n"; got != want {
+		t.Errorf("stderr = %q, want %q", got, want)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("stdout not empty:\n%s", stdout.String())
 	}
 }
 

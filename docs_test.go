@@ -13,8 +13,15 @@ package repro_test
 //
 // TestDocsChargeTable keeps DESIGN.md §2's list of charged phases equal
 // to the charge table in internal/hybrid/costs.go.
+//
+// TestBenchRecords keeps the committed BENCH_*.txt performance records
+// readable and current: Go benchmark format with the machine noted,
+// only benchmarks the tree still produces, each regenerable by a
+// command README names.
 
 import (
+	"errors"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -341,4 +348,166 @@ func TestDocsChargeTable(t *testing.T) {
 		t.Errorf("DESIGN.md §2 lists the charged phases\n%s\nbut the charge table holds\n%s",
 			strings.Join(design, "\n"), strings.Join(table, "\n"))
 	}
+}
+
+// benchConfig matches a Go benchmark format configuration line
+// ("key: value", the key lower-case and without spaces).
+var benchConfig = regexp.MustCompile(`^([a-z][^\s:]*):\s`)
+
+// benchRecordNames returns the benchmarks a BENCH_*.txt record may
+// name: every top-level Benchmark function of the root package's test
+// files and every BenchmarkHTTP… line cmd/hybridload writes.
+func benchRecordNames(t *testing.T) map[string]bool {
+	t.Helper()
+	names := make(map[string]bool)
+	files, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, file := range files {
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Benchmark") {
+				names[fn.Name.Name] = true
+			}
+		}
+	}
+	f, err := parser.ParseFile(fset, filepath.Join("cmd", "hybridload", "main.go"), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			if s, err := strconv.Unquote(lit.Value); err == nil && strings.HasPrefix(s, "BenchmarkHTTP") {
+				names[strings.Fields(s)[0]] = true
+			}
+		}
+		return true
+	})
+	return names
+}
+
+// TestBenchRecords checks every committed BENCH_* performance record:
+// it is a .txt file in the Go benchmark format (configuration lines,
+// result lines, and go test's PASS/ok lines) that notes the machine
+// (goos, goarch, cpu and go lines) and holds at least one result; it
+// names only benchmarks the tree still produces; and README shows the
+// command that regenerates it, on one line that writes the file — for
+// a go test command, with a -bench pattern matching every recorded
+// benchmark. Renaming or deleting a recorded benchmark fails here.
+func TestBenchRecords(t *testing.T) {
+	records, err := filepath.Glob("BENCH_*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) == 0 {
+		t.Fatal("no BENCH_* records at the repository root")
+	}
+	produced := benchRecordNames(t)
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, record := range records {
+		if filepath.Ext(record) != ".txt" {
+			t.Errorf("%s: performance records are Go benchmark format .txt files", record)
+			continue
+		}
+		data, err := os.ReadFile(record)
+		if err != nil {
+			t.Fatal(err)
+		}
+		config := make(map[string]bool)
+		recorded := make(map[string]bool)
+		for i, line := range strings.Split(string(data), "\n") {
+			fields := strings.Fields(line)
+			switch {
+			case len(fields) == 0, line == "PASS", fields[0] == "ok":
+			case benchConfig.MatchString(line):
+				config[benchConfig.FindStringSubmatch(line)[1]] = true
+			case strings.HasPrefix(line, "Benchmark"):
+				if err := checkBenchResult(fields); err != nil {
+					t.Errorf("%s:%d: %v: %q", record, i+1, err, line)
+					continue
+				}
+				name := strings.SplitN(fields[0], "/", 2)[0]
+				if j := strings.LastIndexByte(name, '-'); j > 0 {
+					if _, err := strconv.Atoi(name[j+1:]); err == nil {
+						name = name[:j] // the GOMAXPROCS suffix
+					}
+				}
+				if !produced[name] {
+					t.Errorf("%s:%d: %s is no longer a benchmark of the tree", record, i+1, name)
+				}
+				recorded[name] = true
+			default:
+				t.Errorf("%s:%d: not Go benchmark format: %q", record, i+1, line)
+			}
+		}
+		for _, key := range []string{"goos", "goarch", "cpu", "go"} {
+			if !config[key] {
+				t.Errorf("%s: no %q line noting the machine", record, key)
+			}
+		}
+		if len(recorded) == 0 {
+			t.Errorf("%s: no result lines", record)
+		}
+		checkBenchCommand(t, string(readme), record, recorded)
+	}
+}
+
+// checkBenchResult validates the fields of one result line: the name,
+// a positive iteration count, then value/unit pairs.
+func checkBenchResult(fields []string) error {
+	if len(fields) < 4 || len(fields)%2 != 0 {
+		return errors.New("want name, iterations and value/unit pairs")
+	}
+	if n, err := strconv.Atoi(fields[1]); err != nil || n <= 0 {
+		return errors.New("iteration count is not a positive integer")
+	}
+	for j := 2; j < len(fields); j += 2 {
+		if _, err := strconv.ParseFloat(fields[j], 64); err != nil {
+			return fmt.Errorf("value %q is not a number", fields[j])
+		}
+	}
+	return nil
+}
+
+// benchPattern extracts a go test command's -bench pattern.
+var benchPattern = regexp.MustCompile(`-bench[ =]('([^']*)'|"([^"]*)"|(\S+))`)
+
+// checkBenchCommand requires a README line that writes record with a
+// -bench command; a go test command's pattern must match every
+// recorded benchmark.
+func checkBenchCommand(t *testing.T, readme, record string, recorded map[string]bool) {
+	t.Helper()
+	for _, line := range strings.Split(readme, "\n") {
+		if !strings.Contains(line, "> "+record) || !strings.Contains(line, "-bench") {
+			continue
+		}
+		if !strings.Contains(line, "go test") {
+			return
+		}
+		m := benchPattern.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("README: no -bench pattern in the command for %s: %q", record, line)
+			return
+		}
+		re, err := regexp.Compile(m[2] + m[3] + m[4])
+		if err != nil {
+			t.Errorf("README: -bench pattern for %s: %v", record, err)
+			return
+		}
+		for name := range recorded {
+			if !re.MatchString(name) {
+				t.Errorf("README: the command for %s does not run %s: %q", record, name, line)
+			}
+		}
+		return
+	}
+	t.Errorf("README: no command line writes %s (want a -bench command ending in \"> %s\")", record, record)
 }

@@ -41,13 +41,10 @@ type Options struct {
 	Faults Faults
 	// MaxEvents overrides the quiescence guard (0 = DefaultMaxEvents).
 	MaxEvents int64
-	// FullTrace selects the forensic full-fidelity trace mode (see
-	// Config.FullTrace).
-	FullTrace bool
 }
 
 func (o Options) config() Config {
-	return Config{Seed: o.Seed, Workers: o.Workers, Faults: o.Faults, MaxEvents: o.MaxEvents, FullTrace: o.FullTrace}
+	return Config{Seed: o.Seed, Workers: o.Workers, Faults: o.Faults, MaxEvents: o.MaxEvents}
 }
 
 // distNode computes single-source distances by asynchronous

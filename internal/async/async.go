@@ -170,13 +170,6 @@ type Config struct {
 	// MaxEvents caps processed delivery events (quiescence guard);
 	// ≤ 0 means DefaultMaxEvents.
 	MaxEvents int64
-	// FullTrace selects the forensic trace mode: every Set payload's
-	// complete member list is folded into the digest (instead of the
-	// default 64-bit fingerprint) and the transport walks its
-	// per-attempt hash streams even when no fault could consume them.
-	// Several-fold slower on payload-heavy workloads; the committed
-	// BENCH_async.json records the default mode against it.
-	FullTrace bool
 }
 
 // DefaultMaxEvents is the default quiescence guard.
@@ -278,8 +271,6 @@ type Sim struct {
 	steps []chan step
 	done  chan int
 	sem   chan struct{}
-
-	scratch []int // FullTrace folding scratch for Set payloads
 }
 
 // step is one dispatch to a node goroutine.
@@ -325,7 +316,6 @@ func New(g *graph.Graph, cfg Config, mk func(v int) Node) (*Sim, error) {
 		down:  make([]bool, n),
 	}
 	s.tr = newTransport(g, cfg.Seed, cfg.Faults)
-	s.tr.full = cfg.FullTrace
 	for v := 0; v < n; v++ {
 		s.nodes[v] = mk(v)
 		s.ctxs[v] = &Context{sim: s, v: v}
@@ -500,12 +490,10 @@ func (s *Sim) foldControl(at int64, kind int, node int) {
 
 // foldDeliver folds a delivery into the trace digest: tick, endpoints,
 // mode, kind, payload words, and a 64-bit fingerprint of the Set
-// payload (capacity + members) — one bulk Write per delivery. In
-// Config.FullTrace mode the complete member list is folded instead of
-// the fingerprint.
+// payload (capacity + members) — one bulk Write per delivery.
 func (s *Sim) foldDeliver(e *event) {
 	var fp uint64
-	if !s.cfg.FullTrace && e.msg.Set.Len() > 0 {
+	if e.msg.Set.Len() > 0 {
 		fp = e.msg.Set.Fingerprint()
 	}
 	s.trace.fold(
@@ -519,13 +507,6 @@ func (s *Sim) foldDeliver(e *event) {
 		e.msg.B,
 		int64(fp),
 	)
-	if s.cfg.FullTrace && e.msg.Set.Len() > 0 {
-		s.scratch = e.msg.Set.AppendIndices(s.scratch[:0])
-		s.trace.fold(int64(len(s.scratch)))
-		for _, i := range s.scratch {
-			s.trace.fold(int64(i))
-		}
-	}
 }
 
 func (w *hashWriter) fold(vals ...int64) {

@@ -178,5 +178,5 @@ func TestDifferentialDisseminate(t *testing.T) {
 
 // sameMembers reports whether two token sets hold the same members.
 func sameMembers(a, b bitset.Set) bool {
-	return slices.Equal(a.AppendIndices(nil), b.AppendIndices(nil))
+	return slices.Equal(a.AppendIndicesRange(nil, 0, a.Len()), b.AppendIndicesRange(nil, 0, b.Len()))
 }

@@ -132,7 +132,6 @@ type pairState struct {
 type transport struct {
 	seed  int64
 	f     Faults
-	full  bool // Config.FullTrace: never skip the per-attempt walk
 	pairs map[pairKey]*pairState
 	sent  int64 // messages accepted (first attempts)
 
@@ -189,25 +188,28 @@ func (tr *transport) baseLatency(from, to int, mode Mode) int64 {
 	return lo + int64(mix(tr.seed, 0x1A7, int64(mode), int64(from), int64(to))%uint64(hi-lo+1))
 }
 
-// deliverAt schedules one message sent at tick now: it walks the
-// retry/timeout/backoff loop, drawing each attempt's jitter, loss and
-// burst-state decisions from the pair's hash stream, until an attempt
-// both survives loss and arrives while the destination is up. It
-// returns the arrival tick and the attempts consumed; ok is false when
-// MaxAttempts ran out.
+// deliverAt schedules one message sent at tick now and returns its
+// arrival tick and the attempts consumed; ok is false when MaxAttempts
+// ran out. With no loss, burst chain or jitter configured there is no
+// per-attempt state to advance, so the first attempt lands at the
+// pair's base latency unless the destination is down; only then, or
+// under faults, does it take the retry walk.
 func (tr *transport) deliverAt(from, to int, mode Mode, now int64) (at int64, attempts int, ok bool) {
 	tr.sent++
-	// Fast path: with no loss, burst chain or jitter configured there is
-	// no per-attempt state to advance — the first attempt always lands
-	// at the pair's base latency unless the destination is down, in
-	// which case delivery completes right after it comes back up
-	// (retries would land there anyway and consume no hash stream).
-	if !tr.full && tr.f.Loss == 0 && tr.f.BurstEnter == 0 && tr.f.BurstExit == 0 && tr.f.Jitter == 0 {
+	if tr.f.Loss == 0 && tr.f.BurstEnter == 0 && tr.f.BurstExit == 0 && tr.f.Jitter == 0 {
 		arrive := now + tr.baseLatency(from, to, mode)
 		if !tr.isDown(to, arrive) {
 			return arrive, 1, true
 		}
 	}
+	return tr.walk(from, to, mode, now)
+}
+
+// walk is the retry/timeout/backoff loop: it draws each attempt's
+// jitter, loss and burst-state decisions from the pair's hash stream
+// until an attempt both survives loss and arrives while the
+// destination is up.
+func (tr *transport) walk(from, to int, mode Mode, now int64) (at int64, attempts int, ok bool) {
 	key := pairKey{from, to, mode}
 	ps := tr.pairs[key]
 	if ps == nil {

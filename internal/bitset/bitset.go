@@ -58,24 +58,6 @@ func (s Set) Count() int {
 	return c
 }
 
-// AppendIndices appends the index of every set bit to dst in
-// increasing order and returns the extended slice. Whole zero words
-// are skipped and set words drain via trailing-zero counts, so the
-// cost is O(words + popcount) rather than the O(n) of probing every
-// bit with Has — the difference that matters when enumerating k-bit
-// token sets (internal/broadcast). Pass dst[:0] to reuse a scratch
-// buffer across calls.
-func (s Set) AppendIndices(dst []int) []int {
-	for wi, w := range s.words {
-		base := wi << 6
-		for w != 0 {
-			dst = append(dst, base+bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
-	return dst
-}
-
 // AndNotFrom overwrites s with a \ b (bits of a not in b) word by word.
 // All three sets must have equal capacity; shorter operands simply bound
 // the words written. s may alias a or b — each word is read before it
@@ -121,9 +103,12 @@ func (s Set) CountRange(lo, hi int) int {
 }
 
 // AppendIndicesRange appends the index of every set bit i with
-// lo ≤ i < hi to dst in increasing order, with the same word-skipping
-// drain as AppendIndices. The parallel kernels iterate 64-bit-aligned
-// node chunks through this so each worker enumerates only its shard.
+// lo ≤ i < hi to dst in increasing order and returns the extended
+// slice. Whole zero words are skipped and set words drain via
+// trailing-zero counts, so the cost is O(words + popcount) rather than
+// the O(n) of probing every bit with Has. The parallel kernels iterate
+// 64-bit-aligned node chunks through this so each worker enumerates
+// only its shard.
 func (s Set) AppendIndicesRange(dst []int, lo, hi int) []int {
 	if lo < 0 {
 		lo = 0

@@ -1,6 +1,6 @@
 // Package cliutil holds the shared command-line conventions of the
-// repro binaries (cmd/experiments, cmd/hybridsim, cmd/nq,
-// cmd/benchjson, cmd/hybridd, cmd/hybridload — the entry points to
+// repro binaries (cmd/experiments, cmd/hybridsim, cmd/nq, cmd/hybridd,
+// cmd/hybridload — the entry points to
 // the paper's reproduction harness): one usage-text generator, so
 // every binary's -h output has the same Usage / Flags / Examples
 // shape instead of drifting per command, and one usage-text

@@ -103,7 +103,7 @@ func (c *ReportConfig) NewSink(w io.Writer) (runner.Sink, error) {
 	}
 	spec, ok := formatSpecs[format]
 	if !ok {
-		return nil, fmt.Errorf("experiments: unknown format %q (want md, csv or jsonl)", c.Format)
+		return nil, fmt.Errorf("unknown format %q (want md, csv or jsonl)", c.Format)
 	}
 	return spec.newSink(w), nil
 }
@@ -139,7 +139,7 @@ func WriteReport(w io.Writer, cfg ReportConfig) error {
 	for _, tbl := range cfg.Tables {
 		name := fmt.Sprintf("table%d", tbl)
 		if _, ok := lookup(name); !ok {
-			return fmt.Errorf("experiments: unknown table %d", tbl)
+			return fmt.Errorf("unknown table %d", tbl)
 		}
 		names = append(names, name)
 	}
