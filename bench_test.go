@@ -366,7 +366,7 @@ func BenchmarkRunnerParallel(b *testing.B) {
 			var rows int
 			for i := 0; i < b.N; i++ {
 				sc := experiments.Table2Scenario(experiments.DefaultFamilies(), 144, 1)
-				out, err := runner.Collect(&runner.Runner{Workers: workers}, sc)
+				out, _, err := runner.Collect(&runner.Runner{Workers: workers}, sc)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -57,10 +57,7 @@ func run(args []string, w io.Writer) error {
 	parallel := fs.Int("parallel", 0, "sweep worker-pool size (0 = GOMAXPROCS)")
 	families := fs.String("families", "", "comma-separated graph families (default: all; figure 1 defaults to path,grid2d and the NQ section intersects with its four theorem families)")
 	format := fs.String("format", "md", "output format: md, csv or jsonl")
-	if err := fs.Parse(args); err != nil {
-		if cliutil.HelpRequested(err) {
-			return nil
-		}
+	if help, err := cliutil.Parse(fs, args); help || err != nil {
 		return err
 	}
 

@@ -65,11 +65,19 @@ import (
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "hybridd:", err)
-		os.Exit(1)
+	code := exitCode(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// exitCode runs the command and reports a failure on stderr as one
+// line under the binary's name, the error's only prefix.
+func exitCode(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	if err := run(ctx, args, stdout); err != nil {
+		fmt.Fprintln(stderr, "hybridd:", err)
+		return 1
 	}
+	return 0
 }
 
 // run starts the service and blocks until ctx is cancelled (or the
@@ -99,10 +107,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	self := fs.String("self", "", "this process's own host:port entry in -peers (required with -peers)")
 	probeInterval := fs.Duration("peer-probe-interval", time.Second, "cluster liveness probe period")
 	peerTimeout := fs.Duration("peer-timeout", 2*time.Second, "per-attempt timeout of remote artifact fetches")
-	if err := fs.Parse(args); err != nil {
-		if cliutil.HelpRequested(err) {
-			return nil
-		}
+	if help, err := cliutil.Parse(fs, args); help || err != nil {
 		return err
 	}
 

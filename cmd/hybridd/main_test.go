@@ -490,3 +490,20 @@ func TestClusterSingleMemberSmoke(t *testing.T) {
 		t.Fatalf("cache stats peers section = %+v", st.Peers)
 	}
 }
+
+// TestFlagErrors: -h prints the usage text to stdout and exits 0; an
+// unknown flag prints one error line to stderr, nothing to stdout, and
+// exits 1.
+func TestFlagErrors(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := exitCode(context.Background(), []string{"-h"}, &stdout, &stderr); code != 0 || stderr.Len() != 0 ||
+		!strings.HasPrefix(stdout.String(), "Usage: hybridd [flags]") {
+		t.Errorf("-h: exit code %d, stdout %q, stderr %q", code, stdout.String(), stderr.String())
+	}
+	stdout.Reset()
+	stderr.Reset()
+	if code := exitCode(context.Background(), []string{"-nosuch"}, &stdout, &stderr); code != 1 || stdout.Len() != 0 ||
+		stderr.String() != "hybridd: flag provided but not defined: -nosuch\n" {
+		t.Errorf("-nosuch: exit code %d, stdout %q, stderr %q", code, stdout.String(), stderr.String())
+	}
+}

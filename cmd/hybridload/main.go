@@ -64,11 +64,19 @@ import (
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "hybridload:", err)
-		os.Exit(1)
+	code := exitCode(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// exitCode runs the command and reports a failure on stderr as one
+// line under the binary's name, the error's only prefix.
+func exitCode(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	if err := run(ctx, args, stdout); err != nil {
+		fmt.Fprintln(stderr, "hybridload:", err)
+		return 1
 	}
+	return 0
 }
 
 // job is one entry of the replay mix.
@@ -485,10 +493,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	shedWait := fs.Duration("shed-wait", 2*time.Second, "cap on how long one 429 Retry-After hint is honored")
 	stream := fs.Bool("stream", false, "consume each sweep's SSE stream live and verify it against the static jsonl document")
 	bench := fs.Bool("bench", false, "append one Go benchmark format line per phase (the result lines of BENCH_http.txt)")
-	if err := fs.Parse(args); err != nil {
-		if cliutil.HelpRequested(err) {
-			return nil
-		}
+	if help, err := cliutil.Parse(fs, args); help || err != nil {
 		return err
 	}
 	if *waves < 1 || *clients < 1 {

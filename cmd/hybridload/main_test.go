@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -201,5 +202,22 @@ func TestBadFlags(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-waves", "0"}, &buf); err == nil {
 		t.Fatal("run accepted zero waves")
+	}
+}
+
+// TestFlagErrors: -h prints the usage text to stdout and exits 0; an
+// unknown flag prints one error line to stderr, nothing to stdout, and
+// exits 1.
+func TestFlagErrors(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := exitCode(context.Background(), []string{"-h"}, &stdout, &stderr); code != 0 || stderr.Len() != 0 ||
+		!strings.HasPrefix(stdout.String(), "Usage: hybridload [flags]") {
+		t.Errorf("-h: exit code %d, stdout %q, stderr %q", code, stdout.String(), stderr.String())
+	}
+	stdout.Reset()
+	stderr.Reset()
+	if code := exitCode(context.Background(), []string{"-nosuch"}, &stdout, &stderr); code != 1 || stdout.Len() != 0 ||
+		stderr.String() != "hybridload: flag provided but not defined: -nosuch\n" {
+		t.Errorf("-nosuch: exit code %d, stdout %q, stderr %q", code, stdout.String(), stderr.String())
 	}
 }

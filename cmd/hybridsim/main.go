@@ -54,10 +54,7 @@ func run(args []string, w io.Writer) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	hybrid0 := fs.Bool("hybrid0", false, "use the HYBRID0 variant")
 	workers := fs.Int("workers", 0, "worker budget for the parallel graph kernels (0 = GOMAXPROCS); output is byte-identical at any setting")
-	if err := fs.Parse(args); err != nil {
-		if cliutil.HelpRequested(err) {
-			return nil
-		}
+	if help, err := cliutil.Parse(fs, args); help || err != nil {
 		return err
 	}
 

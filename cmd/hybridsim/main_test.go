@@ -68,3 +68,20 @@ func TestUsageShape(t *testing.T) {
 		t.Errorf("usage text invalid: %v\n%s", err, buf.String())
 	}
 }
+
+// TestFlagErrors: -h prints the usage text to stdout and exits 0; an
+// unknown flag prints one error line to stderr, nothing to stdout, and
+// exits 1.
+func TestFlagErrors(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := exitCode([]string{"-h"}, &stdout, &stderr); code != 0 || stderr.Len() != 0 ||
+		!strings.HasPrefix(stdout.String(), "Usage: hybridsim [flags]") {
+		t.Errorf("-h: exit code %d, stdout %q, stderr %q", code, stdout.String(), stderr.String())
+	}
+	stdout.Reset()
+	stderr.Reset()
+	if code := exitCode([]string{"-nosuch"}, &stdout, &stderr); code != 1 || stdout.Len() != 0 ||
+		stderr.String() != "hybridsim: flag provided but not defined: -nosuch\n" {
+		t.Errorf("-nosuch: exit code %d, stdout %q, stderr %q", code, stdout.String(), stderr.String())
+	}
+}

@@ -23,11 +23,16 @@ import (
 	"repro/internal/nq"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "nq:", err)
-		os.Exit(1)
+func main() { os.Exit(exitCode(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// exitCode runs the command and reports a failure on stderr as one
+// line under the binary's name, the error's only prefix.
+func exitCode(args []string, stdout, stderr io.Writer) int {
+	if err := run(args, stdout); err != nil {
+		fmt.Fprintln(stderr, "nq:", err)
+		return 1
 	}
+	return 0
 }
 
 func run(args []string, w io.Writer) error {
@@ -40,10 +45,7 @@ func run(args []string, w io.Writer) error {
 	ks := fs.String("k", "16,64,256,1024", "comma-separated workloads k")
 	family := fs.String("family", "", "single family (default: Theorem 15/16 sweep)")
 	workers := fs.Int("workers", 0, "worker budget for the parallel graph kernels (0 = GOMAXPROCS); output is byte-identical at any setting")
-	if err := fs.Parse(args); err != nil {
-		if cliutil.HelpRequested(err) {
-			return nil
-		}
+	if help, err := cliutil.Parse(fs, args); help || err != nil {
 		return err
 	}
 

@@ -10,11 +10,14 @@ package hybridnet
 // Subscribers are buffered and never block the sweep: one that falls a
 // full buffer behind is disconnected with a terminal "dropped" event.
 //
-// Determinism contract: a cell's streamed rows are rendered through
-// the scenario's RenderRow hook and runner.EncodeJSONL — the same
-// sink the static ?format=jsonl document goes through — so the
-// streamed rows, re-ordered by canonical cell index, are byte-
-// identical to the finished document. The chunked-JSONL framing
+// Determinism contract: a cell's rows are rendered once, through the
+// scenario's RenderRow hook, as the cell resolves; the finished tables
+// share those strings. A chunk keeps the rendered rows and encodes them
+// with runner.EncodeJSONL — the same sink the static ?format=jsonl
+// document goes through — only when it is sent to a subscriber, so a
+// sweep nobody streams encodes nothing. The streamed rows, re-ordered
+// by canonical cell index, are byte-identical to the finished
+// document. The chunked-JSONL framing
 // enforces that order on the wire (holding back out-of-order cells),
 // making the streamed body itself byte-identical; the SSE framing
 // delivers cells in resolution order and carries the canonical index
@@ -88,13 +91,15 @@ type StreamEvent struct {
 	Status SweepStatus
 }
 
-// cellChunk is the broadcaster's record of one resolved cell.
+// cellChunk is the broadcaster's record of one resolved cell. It keeps
+// the cell's rendered rows, whose strings the finished tables share;
+// the JSONL bytes are encoded per delivery (streamLoop).
 type cellChunk struct {
-	index  int
-	total  int
-	cached bool
-	rows   int
-	jsonl  []byte
+	index    int
+	total    int
+	cached   bool
+	rows     int
+	rendered []runner.RenderedRow
 }
 
 // streamSub is one subscriber's buffered channel. dropped is guarded
@@ -197,14 +202,14 @@ func (b *broadcaster) terminalState() string {
 	return b.terminal
 }
 
-// chunkFromEvent renders one observer event into its broadcast form.
+// chunkFromEvent records one observer event in its broadcast form.
 func chunkFromEvent(ev runner.CellEvent) cellChunk {
 	return cellChunk{
-		index:  ev.Cell.Index,
-		total:  ev.Total,
-		cached: ev.Cached,
-		rows:   ev.Rows,
-		jsonl:  runner.EncodeJSONL(ev.Rendered),
+		index:    ev.Cell.Index,
+		total:    ev.Total,
+		cached:   ev.Cached,
+		rows:     ev.Rows,
+		rendered: ev.Rendered,
 	}
 }
 
@@ -318,7 +323,8 @@ func (s *Server) streamLoop(ctx context.Context, sw *sweep, statusEvery time.Dur
 	}
 	emit := func(c cellChunk) error {
 		s.m.streamEvents.Inc()
-		return fn(StreamEvent{Kind: StreamCell, Index: c.index, Total: c.total, Cached: c.cached, Rows: c.rows, JSONL: c.jsonl})
+		return fn(StreamEvent{Kind: StreamCell, Index: c.index, Total: c.total, Cached: c.cached, Rows: c.rows,
+			JSONL: runner.EncodeJSONL(c.rendered)})
 	}
 	for _, c := range replay {
 		if err := ctx.Err(); err != nil {

@@ -129,51 +129,30 @@ func parseSSE(t *testing.T, body string) []sseEvent {
 	return evs
 }
 
-// TestStreamHTTPFramings drives both wire framings against a live
-// sweep: the chunked-JSONL body must equal the static document
-// byte for byte (the holdback buffer re-orders on the server), and the
-// SSE cell events must reassemble to it by event id.
-func TestStreamHTTPFramings(t *testing.T) {
-	srv := newTestServer(t, hybridnet.ServerConfig{Workers: 4})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	st, err := srv.Submit(nqPathRequest())
-	if err != nil {
-		t.Fatal(err)
+// httpStreams reads sweep id's stream over both wire framings, the
+// chunked JSONL first and then SSE, and returns the JSONL body and the
+// SSE cell events reassembled by event id. The SSE stream must end
+// with a done event and deliver every cell once.
+func httpStreams(t *testing.T, base, id string) (jsonl, sse []byte) {
+	t.Helper()
+	get := func(query, wantType string) []byte {
+		t.Helper()
+		res, err := http.Get(base + "/v1/sweeps/" + id + "/stream" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(res.Body)
+		res.Body.Close()
+		if err != nil {
+			t.Fatalf("reading stream%s: %v", query, err)
+		}
+		if ct := res.Header.Get("Content-Type"); ct != wantType {
+			t.Errorf("stream%s Content-Type = %q, want %q", query, ct, wantType)
+		}
+		return body
 	}
-
-	jres, err := http.Get(ts.URL + "/v1/sweeps/" + st.ID + "/stream?format=jsonl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	jbody, err := io.ReadAll(jres.Body)
-	jres.Body.Close()
-	if err != nil {
-		t.Fatalf("reading jsonl stream: %v", err)
-	}
-	if ct := jres.Header.Get("Content-Type"); ct != "application/jsonl" {
-		t.Errorf("jsonl stream Content-Type = %q", ct)
-	}
-	static := results(t, srv, st.ID, "jsonl")
-	if !bytes.Equal(jbody, static) {
-		t.Errorf("chunked jsonl body differs from static document:\nstream:\n%s\nstatic:\n%s", jbody, static)
-	}
-
-	// The sweep is finished now; the SSE stream replays it entirely.
-	sres, err := http.Get(ts.URL + "/v1/sweeps/" + st.ID + "/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sbody, err := io.ReadAll(sres.Body)
-	sres.Body.Close()
-	if err != nil {
-		t.Fatalf("reading SSE stream: %v", err)
-	}
-	if ct := sres.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Errorf("SSE Content-Type = %q", ct)
-	}
-	events := parseSSE(t, string(sbody))
+	jsonl = get("?format=jsonl", "application/jsonl")
+	events := parseSSE(t, string(get("", "text/event-stream")))
 	rows := make(map[int][]string)
 	sawDone := false
 	for _, ev := range events {
@@ -209,8 +188,80 @@ func TestStreamHTTPFramings(t *testing.T) {
 			buf.WriteByte('\n')
 		}
 	}
-	if !bytes.Equal(buf.Bytes(), static) {
-		t.Errorf("SSE-reassembled rows differ from static document:\nstream:\n%s\nstatic:\n%s", buf.Bytes(), static)
+	return jsonl, buf.Bytes()
+}
+
+// TestStreamHTTPFramings drives both wire framings against a live
+// sweep: the chunked-JSONL body must equal the static document
+// byte for byte (the holdback buffer re-orders on the server), and the
+// SSE cell events, read once the sweep finished, must reassemble to it
+// by event id.
+func TestStreamHTTPFramings(t *testing.T) {
+	srv := newTestServer(t, hybridnet.ServerConfig{Workers: 4})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	st, err := srv.Submit(nqPathRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jbody, sse := httpStreams(t, ts.URL, st.ID)
+	static := results(t, srv, st.ID, "jsonl")
+	if !bytes.Equal(jbody, static) {
+		t.Errorf("chunked jsonl body differs from static document:\nstream:\n%s\nstatic:\n%s", jbody, static)
+	}
+	if !bytes.Equal(sse, static) {
+		t.Errorf("SSE-reassembled rows differ from static document:\nstream:\n%s\nstatic:\n%s", sse, static)
+	}
+}
+
+// TestStreamBodiesFinishedAndRehydrated: the chunks keep each cell's
+// rendered rows and encode them per delivery, so both wire framings of
+// a finished sweep, and of the same sweep rehydrated after eviction,
+// must still equal the static ?format=jsonl document — for a single
+// table and for Figure 1's per-family tables.
+func TestStreamBodiesFinishedAndRehydrated(t *testing.T) {
+	srv := newTestServer(t, hybridnet.ServerConfig{Workers: 2, MaxSweeps: 1, CacheDir: t.TempDir()})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, req := range []hybridnet.SweepRequest{
+		{Scenario: "table1", Families: []string{"path", "cycle"}, N: 32},
+		{Scenario: "figure1", Families: []string{"path", "grid2d"}, N: 36},
+	} {
+		st, err := srv.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.Wait(st.ID); err != nil {
+			t.Fatal(err)
+		}
+		static := results(t, srv, st.ID, "jsonl")
+		check := func(when string) {
+			jsonl, sse := httpStreams(t, ts.URL, st.ID)
+			if !bytes.Equal(jsonl, static) {
+				t.Errorf("%s %s: chunked jsonl body differs from static document:\nstream:\n%s\nstatic:\n%s", req.Scenario, when, jsonl, static)
+			}
+			if !bytes.Equal(sse, static) {
+				t.Errorf("%s %s: SSE-reassembled rows differ from static document:\nstream:\n%s\nstatic:\n%s", req.Scenario, when, sse, static)
+			}
+		}
+		check("finished")
+		// Another sweep pushes this one out of the single-slot registry.
+		other, err := srv.Submit(nqPathRequest())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.Wait(other.ID); err != nil {
+			t.Fatal(err)
+		}
+		before := rehydrations(t, srv)
+		check("rehydrated")
+		if rehydrations(t, srv) != before+1 {
+			t.Errorf("%s: streaming the evicted sweep did not rehydrate it once", req.Scenario)
+		}
+		if got := results(t, srv, st.ID, "jsonl"); !bytes.Equal(got, static) {
+			t.Errorf("%s: rehydrated static document differs from the original", req.Scenario)
+		}
 	}
 }
 
@@ -397,4 +448,21 @@ func TestStreamAndWaitMetricsSeries(t *testing.T) {
 		!strings.Contains(string(body), `hybridd_http_responses_total{endpoint="status_wait",code="200"} 1`) {
 		t.Errorf("status_wait response not counted under its own series:\n%s", body)
 	}
+}
+
+// rehydrations reads the server's count of rehydrated sweeps.
+func rehydrations(t *testing.T, srv *hybridnet.Server) int {
+	t.Helper()
+	var text bytes.Buffer
+	srv.Metrics().WriteText(&text)
+	const series = "\nhybridd_sweeps_rehydrated_total "
+	i := strings.Index(text.String(), series)
+	if i < 0 {
+		t.Fatalf("no %q series in:\n%s", series[1:], text.String())
+	}
+	var n int
+	if _, err := fmt.Sscanf(text.String()[i+len(series):], "%d", &n); err != nil {
+		t.Fatal(err)
+	}
+	return n
 }

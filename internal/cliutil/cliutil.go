@@ -20,8 +20,8 @@ import (
 // uniform usage text installed: a "Usage:" line, the synopsis, the
 // flag table, and the example invocations.
 //
-// Callers should pass Parse errors through HelpRequested to turn -h
-// into a clean exit.
+// Callers parse it with Parse, which prints the usage text to w for -h
+// and nothing at all for a bad flag.
 func NewFlagSet(w io.Writer, name, synopsis string, examples ...string) *flag.FlagSet {
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	fs.SetOutput(w)
@@ -49,10 +49,25 @@ func SetUsage(fs *flag.FlagSet, synopsis string, examples ...string) {
 	}
 }
 
-// HelpRequested reports whether a flag.Parse error was the built-in -h
-// /-help flag, which the uniform convention treats as a successful,
-// usage-printing exit rather than a failure.
-func HelpRequested(err error) bool { return errors.Is(err, flag.ErrHelp) }
+// Parse parses args into fs. The built-in -h/-help flag prints the
+// usage text to fs's output and reports help, which the uniform
+// convention treats as a successful exit rather than a failure. Any
+// other parse error is returned with nothing printed — neither the
+// message nor the usage text the flag package would write — so the
+// binary reports it once, as one line on stderr.
+func Parse(fs *flag.FlagSet, args []string) (help bool, err error) {
+	out, usage := fs.Output(), fs.Usage
+	fs.SetOutput(io.Discard)
+	fs.Usage = func() {}
+	err = fs.Parse(args)
+	fs.SetOutput(out)
+	fs.Usage = usage
+	if errors.Is(err, flag.ErrHelp) {
+		fs.Usage()
+		return true, nil
+	}
+	return false, err
+}
 
 // VerifyUsageText validates a binary's rendered -h output against the
 // uniform shape this package installs: the "Usage: <name> [flags]"

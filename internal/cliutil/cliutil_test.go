@@ -2,7 +2,6 @@ package cliutil
 
 import (
 	"bytes"
-	"errors"
 	"flag"
 	"strings"
 	"testing"
@@ -12,9 +11,8 @@ func TestUsageShape(t *testing.T) {
 	var buf bytes.Buffer
 	fs := NewFlagSet(&buf, "demo", "One-line synopsis.\nSecond line.", "demo -x 1", "demo -y 2")
 	fs.Int("x", 0, "the x")
-	err := fs.Parse([]string{"-h"})
-	if !HelpRequested(err) {
-		t.Fatalf("-h parse error = %v", err)
+	if help, err := Parse(fs, []string{"-h"}); !help || err != nil {
+		t.Fatalf("Parse(-h) = %v, %v, want help", help, err)
 	}
 	out := buf.String()
 	for _, want := range []string{
@@ -128,13 +126,26 @@ func TestVerifyUsageText(t *testing.T) {
 	}
 }
 
-func TestHelpRequestedOnlyForHelp(t *testing.T) {
-	if HelpRequested(errors.New("boom")) {
-		t.Error("arbitrary error classified as help")
-	}
+// TestParseHelpAndErrors: -h is help, printed to the flag set's
+// output; a bad flag is an error with nothing printed, for the binary
+// to report once on stderr; good flags parse.
+func TestParseHelpAndErrors(t *testing.T) {
 	var buf bytes.Buffer
-	fs := NewFlagSet(&buf, "demo", "s")
-	if err := fs.Parse([]string{"-nosuch"}); err == nil || HelpRequested(err) {
-		t.Errorf("undefined flag error misclassified: %v", err)
+	fs := NewFlagSet(&buf, "demo", "s", "demo -x 1")
+	x := fs.Int("x", 0, "the x")
+	for _, args := range [][]string{{"-nosuch"}, {"-x", "oops"}} {
+		help, err := Parse(fs, args)
+		if help || err == nil {
+			t.Errorf("Parse(%q) = %v, %v, want an error", args, help, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("Parse(%q) printed %q", args, buf.String())
+		}
+	}
+	if help, err := Parse(fs, []string{"-x", "3"}); help || err != nil || *x != 3 {
+		t.Errorf("Parse(-x 3) = %v, %v, x = %d", help, err, *x)
+	}
+	if help, err := Parse(fs, []string{"-help"}); !help || err != nil || !strings.HasPrefix(buf.String(), "Usage: demo [flags]") {
+		t.Errorf("Parse(-help) = %v, %v, printed %q", help, err, buf.String())
 	}
 }

@@ -11,7 +11,8 @@ import (
 )
 
 func collectWorkers[T any](workers int, sc *runner.Scenario[T]) ([]T, error) {
-	return runner.Collect(&runner.Runner{Workers: workers}, sc)
+	rows, _, err := runner.Collect(&runner.Runner{Workers: workers}, sc)
+	return rows, err
 }
 
 // TestReportByteIdenticalAcrossWorkerCounts is the determinism

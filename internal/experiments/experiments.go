@@ -68,7 +68,56 @@ func itoa[I ~int | ~int64](x I) string {
 // fixed formats x as %.<prec>f.
 func fixed(x float64, prec int) string {
 	var b [32]byte
-	return string(strconv.AppendFloat(b[:0], x, 'f', prec, 64))
+	return string(appendFixed(b[:0], x, prec))
+}
+
+// exactPow10 holds the powers of ten a float64 represents exactly.
+var exactPow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// appendFixed appends x as strconv.AppendFloat(b, x, 'f', prec, 64)
+// does, which rounds the exact binary value of x to prec decimals, ties
+// to even, through a multi-precision decimal. Most table values take a
+// shorter path: s = |x|·10^prec is one correctly rounded product, so
+// it lies within s·2^-53 of the exact one. Below 2^52, when the
+// fraction of s is farther than s·2^-50 from one half, the exact
+// product rounds to the same integer as s does, and that integer's
+// digits with a decimal point inserted are the answer. Ties, near-ties
+// and everything else fall back to strconv.
+func appendFixed(b []byte, x float64, prec int) []byte {
+	if prec < 0 || prec >= len(exactPow10) {
+		return strconv.AppendFloat(b, x, 'f', prec, 64)
+	}
+	s := math.Abs(x) * exactPow10[prec]
+	if !(s < 1<<52) { // also catches NaN and ±Inf
+		return strconv.AppendFloat(b, x, 'f', prec, 64)
+	}
+	i := math.Floor(s)
+	frac := s - i // exact below 2^52
+	if math.Abs(frac-0.5) <= s*0x1p-50 {
+		return strconv.AppendFloat(b, x, 'f', prec, 64)
+	}
+	if frac > 0.5 {
+		i++
+	}
+	var d [20]byte
+	digits := strconv.AppendUint(d[:0], uint64(i), 10)
+	if math.Signbit(x) {
+		b = append(b, '-')
+	}
+	if n := len(digits); n <= prec {
+		b = append(b, '0', '.')
+		for range prec - n {
+			b = append(b, '0')
+		}
+		return append(b, digits...)
+	}
+	b = append(b, digits[:len(digits)-prec]...)
+	if prec > 0 {
+		b = append(b, '.')
+		b = append(b, digits[len(digits)-prec:]...)
+	}
+	return b
 }
 
 // f1 formats x as %.1f, or "-" when x is infinite or NaN.

@@ -80,7 +80,7 @@ func TestTable2SmallRun(t *testing.T) {
 func TestTable2RingOfCliquesNQmFromProfile(t *testing.T) {
 	gc := runner.NewGraphCache(nil, 0)
 	sc := Table2Scenario([]graph.Family{graph.FamilyRingOfCliques}, 576, 1)
-	if _, err := runner.Collect(&runner.Runner{Workers: 1, Graphs: gc}, sc); err != nil {
+	if _, _, err := runner.Collect(&runner.Runner{Workers: 1, Graphs: gc}, sc); err != nil {
 		t.Fatal(err)
 	}
 	g, err := gc.Get(graph.FamilyRingOfCliques, 576, 1)

@@ -129,7 +129,8 @@ func nqScalingScenario(spec *tableSpec[NQScalingRow], families []graph.Family, n
 // NQScaling regenerates the Theorem 15/16 tables over all of
 // NQFamilies on the default parallel runner.
 func NQScaling(n int, ks []int) ([]NQScalingRow, error) {
-	return runner.Collect(runner.Parallel(), NQScalingScenario(nil, n, ks))
+	rows, _, err := runner.Collect(runner.Parallel(), NQScalingScenario(nil, n, ks))
+	return rows, err
 }
 
 var (

@@ -17,14 +17,14 @@ import (
 // (family, n, k) grid.
 func TestNQScalingXLShape(t *testing.T) {
 	fams := NQFamilies()
-	xlRows, err := runner.Collect(runner.Serial(), NQScalingXLScenario(fams, 400))
+	xlRows, _, err := runner.Collect(runner.Serial(), NQScalingXLScenario(fams, 400))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := len(fams) * 3; len(xlRows) != want {
 		t.Fatalf("xl sweep at n=400 produced %d rows, want %d", len(xlRows), want)
 	}
-	profRows, err := runner.Collect(runner.Serial(),
+	profRows, _, err := runner.Collect(runner.Serial(),
 		nqScalingScenario(nqScalingSpec, fams, []int{400}, []int{16, 256, 4096}, true))
 	if err != nil {
 		t.Fatal(err)

@@ -8,10 +8,11 @@ import (
 )
 
 // tableSpec declares one output table once: its name, title, display
-// header and machine keys, and how a row formats. The finished document
-// (table) and the per-cell stream (row, a scenario's RenderRow) both
-// format through it, so a streamed row is byte-identical to the
-// document's (DESIGN.md §12).
+// header and machine keys, and how a row formats. A scenario's
+// RenderRow is the spec's row, so runner.Collect formats each row
+// through values exactly once, as its cell resolves; the stream chunk
+// and the finished document (collectTables) share those strings, and
+// a streamed row is byte-identical to the document's (DESIGN.md §12).
 type tableSpec[T any] struct {
 	name, title  string
 	header, keys []string
@@ -45,12 +46,21 @@ func (s *tableSpec[T]) nameFor(fam graph.Family) string {
 	return s.name + "/" + string(fam)
 }
 
-// table renders rows into the finished table.
+// table formats rows through values and assembles the finished table;
+// a swept table is assembled from its cells' rendered rows instead
+// (collectTables).
 func (s *tableSpec[T]) table(rows []T) *runner.Table {
-	t := &runner.Table{Name: s.name, Title: s.title, Header: s.header, Keys: s.keys}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, s.values(r))
+	values := make([][]string, len(rows))
+	for i, r := range rows {
+		values[i] = s.values(r)
 	}
+	return s.assemble(rows, values)
+}
+
+// assemble builds the finished table of rows from their formatted
+// values (values[i] is rows[i]'s); the typed rows feed only the note.
+func (s *tableSpec[T]) assemble(rows []T, values [][]string) *runner.Table {
+	t := &runner.Table{Name: s.name, Title: s.title, Header: s.header, Keys: s.keys, Rows: values}
 	if s.note != nil {
 		t.Note = s.note(rows)
 	}
@@ -63,26 +73,33 @@ func (s *tableSpec[T]) row(c *runner.Cell, r T) runner.RenderedRow {
 	return runner.RenderedRow{Table: s.nameFor(c.Family), Keys: s.keys, Values: s.values(r)}
 }
 
-// collectTables sweeps sc on r and renders its rows through spec: one
-// table, or, for a spec split by family, one table per family of sc in
-// sweep order.
+// collectTables sweeps sc on r and assembles its tables from the rows
+// its cells rendered (sc.RenderRow must be spec.row): one table, or,
+// for a spec split by family, one table per family of sc in sweep
+// order. The typed rows pick each row's family and feed the note.
 func collectTables[T any](r *runner.Runner, sc *runner.Scenario[T], spec *tableSpec[T]) ([]*runner.Table, error) {
-	rows, err := runner.Collect(r, sc)
+	rows, rendered, err := runner.Collect(r, sc)
 	if err != nil {
 		return nil, err
 	}
+	values := make([][]string, len(rows))
+	for i := range rows {
+		values[i] = rendered[i].Values
+	}
 	if spec.family == nil {
-		return []*runner.Table{spec.table(rows)}, nil
+		return []*runner.Table{spec.assemble(rows, values)}, nil
 	}
 	var tables []*runner.Table
 	for _, fam := range sc.Families {
 		var famRows []T
-		for _, row := range rows {
+		var famValues [][]string
+		for i, row := range rows {
 			if spec.family(row) == fam {
 				famRows = append(famRows, row)
+				famValues = append(famValues, values[i])
 			}
 		}
-		tables = append(tables, spec.forFamily(fam).table(famRows))
+		tables = append(tables, spec.forFamily(fam).assemble(famRows, famValues))
 	}
 	return tables, nil
 }

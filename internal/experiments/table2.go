@@ -158,6 +158,6 @@ func roundsWithStretch(rounds int, stretch float64) string {
 	var b [48]byte
 	v := strconv.AppendInt(b[:0], int64(rounds), 10)
 	v = append(v, " ("...)
-	v = strconv.AppendFloat(v, stretch, 'f', 1, 64)
+	v = appendFixed(v, stretch, 1)
 	return string(append(v, ')'))
 }

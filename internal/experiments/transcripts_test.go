@@ -25,7 +25,7 @@ func collectWithTranscripts[T any](t *testing.T, sc *runner.Scenario[T]) (rows [
 			runs[pass] = append(runs[pass], clusterRuns{rec, rep})
 		}}
 		var err error
-		if rows[pass], err = runner.Collect(r, sc); err != nil {
+		if rows[pass], _, err = runner.Collect(r, sc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -99,10 +99,10 @@ func BenchmarkCell(b *testing.B) {
 	fams := []graph.Family{graph.FamilyGrid2D}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := runner.Collect(runner.Serial(), Table1Scenario(fams, 576, []int{576}, 1)); err != nil {
+		if _, _, err := runner.Collect(runner.Serial(), Table1Scenario(fams, 576, []int{576}, 1)); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := runner.Collect(runner.Serial(), Table2Scenario(fams, 576, 1)); err != nil {
+		if _, _, err := runner.Collect(runner.Serial(), Table2Scenario(fams, 576, 1)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -55,9 +55,10 @@ type CellEvent struct {
 	// Rows is the number of rows the cell contributed.
 	Rows int
 	// Rendered holds the cell's rows in table coordinates when the
-	// scenario declares a RenderRow hook and the runner has an
-	// observer (nil otherwise) — the payload streaming consumers
-	// forward as the cell resolves (DESIGN.md §12).
+	// scenario declares a RenderRow hook (nil otherwise) — the payload
+	// streaming consumers forward as the cell resolves (DESIGN.md §12).
+	// They are the very rows Collect returns to its caller, rendered
+	// once: the strings are shared with the finished document.
 	Rendered []RenderedRow
 	// Err is the cell's failure, if any.
 	Err error

@@ -66,7 +66,7 @@ func TestCollectCacheRoundTrip(t *testing.T) {
 	cache := newMapCache()
 	r := &Runner{Workers: 2, Cache: cache}
 
-	cold, err := Collect(r, floatScenario(&runs))
+	cold, _, err := Collect(r, floatScenario(&runs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestCollectCacheRoundTrip(t *testing.T) {
 	}}
 	// Workers: 1 keeps the observer single-threaded here.
 	r2.Workers = 1
-	warm, err := Collect(r2, floatScenario(&runs))
+	warm, _, err := Collect(r2, floatScenario(&runs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,14 +112,14 @@ func TestCollectCacheRoundTrip(t *testing.T) {
 func TestCollectCacheCorruptEntryFallsBack(t *testing.T) {
 	var runs atomic.Int64
 	cache := newMapCache()
-	if _, err := Collect(&Runner{Workers: 1, Cache: cache}, floatScenario(&runs)); err != nil {
+	if _, _, err := Collect(&Runner{Workers: 1, Cache: cache}, floatScenario(&runs)); err != nil {
 		t.Fatal(err)
 	}
 	for k := range cache.m {
 		cache.m[k] = []byte("not a row blob")
 	}
 	before := runs.Load()
-	rows, err := Collect(&Runner{Workers: 1, Cache: cache}, floatScenario(&runs))
+	rows, _, err := Collect(&Runner{Workers: 1, Cache: cache}, floatScenario(&runs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,11 +335,11 @@ func TestCollectCacheMarkdownByteIdentical(t *testing.T) {
 	}
 	var runs atomic.Int64
 	cache := newMapCache()
-	cold, err := Collect(&Runner{Workers: 4, Cache: cache}, floatScenario(&runs))
+	cold, _, err := Collect(&Runner{Workers: 4, Cache: cache}, floatScenario(&runs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Collect(&Runner{Workers: 4, Cache: cache}, floatScenario(&runs))
+	warm, _, err := Collect(&Runner{Workers: 4, Cache: cache}, floatScenario(&runs))
 	if err != nil {
 		t.Fatal(err)
 	}

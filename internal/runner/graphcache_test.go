@@ -249,7 +249,7 @@ func TestCollectBuildsEachGraphOnce(t *testing.T) {
 	sc.Run = func(c *Cell) ([]row, error) { return measure(c.BuildGraph()) }
 	distinct := 2 * 2 * 2 // families × ns × seeds; points share
 
-	cold, err := Collect(&Runner{Workers: 8, Graphs: gc}, sc)
+	cold, _, err := Collect(&Runner{Workers: 8, Graphs: gc}, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestCollectBuildsEachGraphOnce(t *testing.T) {
 	}
 
 	// The same sweep again: everything is a memory hit.
-	warm, err := Collect(&Runner{Workers: 8, Graphs: gc}, sc)
+	warm, _, err := Collect(&Runner{Workers: 8, Graphs: gc}, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestCollectBuildsEachGraphOnce(t *testing.T) {
 	perCell.Run = func(c *Cell) ([]row, error) {
 		return measure(graph.Build(c.Family, c.N, rand.New(rand.NewSource(c.GraphSeed()))))
 	}
-	bare, err := Collect(&Runner{Workers: 1}, &perCell)
+	bare, _, err := Collect(&Runner{Workers: 1}, &perCell)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,12 +326,12 @@ func TestSeedFreeTopologySharedAcrossScenarios(t *testing.T) {
 			Points:   PointsK([]int{4, 16}),
 			Run:      run,
 		}
-		rows, err := Collect(&Runner{Workers: 4, Graphs: gc, Profiles: pc}, sc)
+		rows, _, err := Collect(&Runner{Workers: 4, Graphs: gc, Profiles: pc}, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		shared = append(shared, rows)
-		rows, err = Collect(&Runner{Workers: 1}, sc)
+		rows, _, err = Collect(&Runner{Workers: 1}, sc)
 		if err != nil {
 			t.Fatal(err)
 		}

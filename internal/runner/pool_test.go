@@ -155,13 +155,13 @@ func TestPoolConcurrentBatches(t *testing.T) {
 // same bytes as Collect on its own workers.
 func TestCollectOnPool(t *testing.T) {
 	sc := syntheticScenario()
-	want, err := Collect(Serial(), sc)
+	want, _, err := Collect(Serial(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := NewPool(3)
 	defer p.Close()
-	got, err := Collect(&Runner{Pool: p}, sc)
+	got, _, err := Collect(&Runner{Pool: p}, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -305,7 +305,7 @@ func TestCollectComputesEachProfileOnce(t *testing.T) {
 	}
 	distinct := 2 * 2 * 2 // families × ns × seeds; k-points share
 
-	cold, err := Collect(&Runner{Workers: 8, Graphs: gc, Profiles: pc}, sc)
+	cold, _, err := Collect(&Runner{Workers: 8, Graphs: gc, Profiles: pc}, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestCollectComputesEachProfileOnce(t *testing.T) {
 		t.Fatalf("cold sweep computed %d profiles, want %d (stats %+v)", st.Computes, distinct, st)
 	}
 
-	warm, err := Collect(&Runner{Workers: 8, Graphs: gc, Profiles: pc}, sc)
+	warm, _, err := Collect(&Runner{Workers: 8, Graphs: gc, Profiles: pc}, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestCollectComputesEachProfileOnce(t *testing.T) {
 
 	// Rows are identical to a run with no profile layer at all: the
 	// profile path answers exactly what per-cell ball growth answers.
-	bare, err := Collect(&Runner{Workers: 1}, &Scenario[row]{
+	bare, _, err := Collect(&Runner{Workers: 1}, &Scenario[row]{
 		Name:     sc.Name,
 		Families: sc.Families,
 		Ns:       sc.Ns,

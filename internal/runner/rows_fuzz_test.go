@@ -82,7 +82,7 @@ func kindOf[T any](artifact string, rowsPerCell int) rowKind {
 			cache := &fixedCache{blob: blob}
 			var cached atomic.Bool
 			r := &runner.Runner{Workers: 1, Cache: cache, Observer: func(ev runner.CellEvent) { cached.Store(ev.Cached) }}
-			rows, err := runner.Collect(r, sc)
+			rows, _, err := runner.Collect(r, sc)
 			if err != nil {
 				t.Fatalf("a cached blob failed the sweep: %v", err)
 			}

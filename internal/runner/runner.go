@@ -111,9 +111,10 @@ type Scenario[T any] struct {
 	// formatted values the scenario's table rendering emits for that
 	// row. It must be a pure function of the row and the cell
 	// coordinates, so a streamed row is byte-identical to the finished
-	// document's (DESIGN.md §12). Collect invokes it only when the
-	// runner has an Observer, and attaches the result to
-	// CellEvent.Rendered.
+	// document's (DESIGN.md §12). Collect invokes it exactly once per
+	// row, with or without an Observer, and hands the result both to
+	// CellEvent.Rendered and to its own caller, which builds the
+	// finished document from it.
 	RenderRow func(c *Cell, row T) RenderedRow
 }
 
@@ -347,13 +348,18 @@ func (r *Runner) observe(ev CellEvent) {
 // output is independent of the worker count; on failure the error of
 // the lowest-indexed failing cell is returned.
 //
+// When the scenario has a RenderRow hook, each row is rendered once, as
+// its cell resolves: the second result holds the rendered rows aligned
+// with the first, and each CellEvent.Rendered is the cell's slice of
+// them. Without the hook the second result is nil.
+//
 // With r.Cache set, each cell's content address is looked up first:
 // hits decode their rows from the cache and never reach the worker
 // pool, misses run and are stored back. Either way r.Observer sees one
 // event per cell.
-func Collect[T any](r *Runner, sc *Scenario[T]) ([]T, error) {
+func Collect[T any](r *Runner, sc *Scenario[T]) ([]T, []RenderedRow, error) {
 	if sc.Run == nil {
-		return nil, fmt.Errorf("runner: scenario %q has no Run function", sc.Name)
+		return nil, nil, fmt.Errorf("runner: scenario %q has no Run function", sc.Name)
 	}
 	if r == nil {
 		r = Parallel()
@@ -368,19 +374,22 @@ func Collect[T any](r *Runner, sc *Scenario[T]) ([]T, error) {
 		}
 	}
 	results := make([][]T, len(cells))
+	rendered := make([][]RenderedRow, len(cells))
 	errs := make([]error, len(cells))
 
-	// render materializes a cell's rows in table coordinates for the
-	// observer's event — only when someone is listening and the
-	// scenario knows how (streaming delivery, DESIGN.md §12).
-	render := func(c *Cell, rows []T) []RenderedRow {
-		if sc.RenderRow == nil || r.Observer == nil || len(rows) == 0 {
+	// render materializes cell i's rows in table coordinates, for the
+	// observer's event (streaming delivery, DESIGN.md §12) and for the
+	// caller's finished document alike.
+	render := func(i int) []RenderedRow {
+		rows := results[i]
+		if sc.RenderRow == nil || len(rows) == 0 {
 			return nil
 		}
 		out := make([]RenderedRow, len(rows))
-		for i := range rows {
-			out[i] = sc.RenderRow(c, rows[i])
+		for j := range rows {
+			out[j] = sc.RenderRow(&cells[i], rows[j])
 		}
+		rendered[i] = out
 		return out
 	}
 
@@ -401,7 +410,7 @@ func Collect[T any](r *Runner, sc *Scenario[T]) ([]T, error) {
 				if rows, err := decodeRows[T](blob); err == nil && sc.fits(rows) {
 					results[i] = rows
 					r.observe(CellEvent{Cell: &cells[i], Total: len(cells), Key: keys[i], Cached: true,
-						Rows: len(rows), Rendered: render(&cells[i], rows)})
+						Rows: len(rows), Rendered: render(i)})
 					continue
 				}
 				// An undecodable entry (e.g. written by an older row
@@ -426,7 +435,7 @@ func Collect[T any](r *Runner, sc *Scenario[T]) ([]T, error) {
 		}
 		ev := CellEvent{Cell: &cells[i], Total: len(cells), Rows: len(results[i]), Err: errs[i]}
 		if errs[i] == nil {
-			ev.Rendered = render(&cells[i], results[i])
+			ev.Rendered = render(i)
 		}
 		if cache != nil {
 			ev.Key = keys[i]
@@ -454,17 +463,28 @@ func Collect[T any](r *Runner, sc *Scenario[T]) ([]T, error) {
 			defer pool.Close()
 		}
 		if err := pool.Run(tasks); err != nil {
-			return nil, fmt.Errorf("runner: scenario %q: %w", sc.Name, err)
+			return nil, nil, fmt.Errorf("runner: scenario %q: %w", sc.Name, err)
 		}
 	}
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("runner: cell %s: %w", cells[i].String(), err)
+			return nil, nil, fmt.Errorf("runner: cell %s: %w", cells[i].String(), err)
 		}
 	}
-	var out []T
+	total := 0
+	for _, rows := range results {
+		total += len(rows)
+	}
+	out := make([]T, 0, total)
 	for _, rows := range results {
 		out = append(out, rows...)
 	}
-	return out, nil
+	if sc.RenderRow == nil {
+		return out, nil, nil
+	}
+	flat := make([]RenderedRow, 0, total)
+	for _, rows := range rendered {
+		flat = append(flat, rows...)
+	}
+	return out, flat, nil
 }

@@ -42,7 +42,7 @@ func syntheticScenario() *Scenario[string] {
 // same scenario must produce byte-identical rows on 1, 2, 4, and 8
 // workers (run under -race this also certifies the pool is race-clean).
 func TestCollectDeterministicAcrossWorkerCounts(t *testing.T) {
-	want, err := Collect(Serial(), syntheticScenario())
+	want, _, err := Collect(Serial(), syntheticScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestCollectDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatalf("rows=%d, want %d", len(want), 3*2*2*2)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		got, err := Collect(&Runner{Workers: workers}, syntheticScenario())
+		got, _, err := Collect(&Runner{Workers: workers}, syntheticScenario())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestCollectErrorIsDeterministic(t *testing.T) {
 	}
 	var msgs []string
 	for _, workers := range []int{1, 4} {
-		_, err := Collect(&Runner{Workers: workers}, sc())
+		_, _, err := Collect(&Runner{Workers: workers}, sc())
 		if !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err=%v", workers, err)
 		}
@@ -177,7 +177,7 @@ func TestCollectRunsEveryCellOnce(t *testing.T) {
 			return []int{c.Index}, nil
 		},
 	}
-	rows, err := Collect(&Runner{Workers: 3}, sc)
+	rows, _, err := Collect(&Runner{Workers: 3}, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestCollectRunsEveryCellOnce(t *testing.T) {
 }
 
 func TestCollectNilRun(t *testing.T) {
-	if _, err := Collect(Serial(), &Scenario[int]{Name: "nil"}); err == nil {
+	if _, _, err := Collect(Serial(), &Scenario[int]{Name: "nil"}); err == nil {
 		t.Fatal("nil Run accepted")
 	}
 }
