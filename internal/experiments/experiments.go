@@ -78,12 +78,14 @@ var exactPow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 
 // appendFixed appends x as strconv.AppendFloat(b, x, 'f', prec, 64)
 // does, which rounds the exact binary value of x to prec decimals, ties
 // to even, through a multi-precision decimal. Most table values take a
-// shorter path: s = |x|·10^prec is one correctly rounded product, so
-// it lies within s·2^-53 of the exact one. Below 2^52, when the
-// fraction of s is farther than s·2^-50 from one half, the exact
-// product rounds to the same integer as s does, and that integer's
-// digits with a decimal point inserted are the answer. Ties, near-ties
-// and everything else fall back to strconv.
+// shorter path. s = |x|·10^prec is the correctly rounded product
+// (10^prec is exact), and rounding is monotone, so the exact product
+// lies on the same side as s of every float64 other than s. Below 2^52
+// the integers and half-way points around s are float64s, so unless s
+// lands on a half-way point the exact product rounds to the integer
+// nearest s, and that integer's digits with a decimal point inserted
+// are the answer. Half-way s, s ≥ 2^52, NaN and ±Inf fall back to
+// strconv.
 func appendFixed(b []byte, x float64, prec int) []byte {
 	if prec < 0 || prec >= len(exactPow10) {
 		return strconv.AppendFloat(b, x, 'f', prec, 64)
@@ -93,11 +95,10 @@ func appendFixed(b []byte, x float64, prec int) []byte {
 		return strconv.AppendFloat(b, x, 'f', prec, 64)
 	}
 	i := math.Floor(s)
-	frac := s - i // exact below 2^52
-	if math.Abs(frac-0.5) <= s*0x1p-50 {
+	switch frac := s - i; { // exact below 2^52
+	case frac == 0.5:
 		return strconv.AppendFloat(b, x, 'f', prec, 64)
-	}
-	if frac > 0.5 {
+	case frac > 0.5:
 		i++
 	}
 	var d [20]byte
