@@ -797,3 +797,20 @@ func TestCoreRelayAllocBudget(t *testing.T) {
 		t.Fatalf("one case (1) Route call (n=%d, k=%d, ℓ=4) allocated %d bytes, budget %d", n, n, perCall, relayCallBudget)
 	}
 }
+
+// TestCoreAsyncAllocBudget pins a fault-free async BFS run (the
+// instance of BenchmarkAsyncBFSFaultFree: a 2048-node expander) at its
+// allocation count. The engine runs every node's handler on the calling
+// goroutine and reuses each node's inboxes across ticks, so the count
+// does not vary from run to run: 16435 allocations with go1.24.0 on
+// amd64.
+func TestCoreAsyncAllocBudget(t *testing.T) {
+	requireAllocFree(t)
+	const asyncBFSAllocBudget = 16500
+	g := asyncBFSGraph(t)
+	allocs := testing.AllocsPerRun(3, func() { asyncBFS(t, g) })
+	t.Logf("async BFS on %d nodes: %.0f allocations per run, budget %d", g.N(), allocs, asyncBFSAllocBudget)
+	if allocs > asyncBFSAllocBudget {
+		t.Fatalf("fault-free async BFS on %d nodes allocated %.0f times per run, budget %d", g.N(), allocs, asyncBFSAllocBudget)
+	}
+}

@@ -51,20 +51,34 @@ func BenchmarkAsyncDisseminateDense(b *testing.B) {
 // payloads — the transport-dominated regime, where the analytic
 // fault-free send path skips the per-pair attempt machinery.
 func BenchmarkAsyncBFSFaultFree(b *testing.B) {
-	g, err := graph.Build(graph.FamilyExpander, 2048, rand.New(rand.NewSource(2)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := async.Options{Seed: 2}
+	g := asyncBFSGraph(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dist, _, err := async.BFS(g, 0, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if dist[g.N()-1] >= graph.Inf {
-			b.Fatal("unreachable node")
-		}
+		asyncBFS(b, g)
+	}
+}
+
+// asyncBFSGraph is the 2048-node expander of BenchmarkAsyncBFSFaultFree
+// and TestCoreAsyncAllocBudget.
+func asyncBFSGraph(tb testing.TB) *graph.Graph {
+	tb.Helper()
+	g, err := graph.Build(graph.FamilyExpander, 2048, rand.New(rand.NewSource(2)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
+// asyncBFS runs the fault-free flood from node 0 and checks it reached
+// every node.
+func asyncBFS(tb testing.TB, g *graph.Graph) {
+	tb.Helper()
+	dist, _, err := async.BFS(g, 0, async.Options{Seed: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if dist[g.N()-1] >= graph.Inf {
+		tb.Fatal("unreachable node")
 	}
 }

@@ -34,9 +34,6 @@ const (
 type Options struct {
 	// Seed drives the fault layer (0 means 1).
 	Seed int64
-	// Workers bounds concurrent node handlers (≤ 0 = GOMAXPROCS);
-	// outputs are identical at any value.
-	Workers int
 	// Faults selects the fault profile (zero value = fault-free).
 	Faults Faults
 	// MaxEvents overrides the quiescence guard (0 = DefaultMaxEvents).
@@ -44,7 +41,7 @@ type Options struct {
 }
 
 func (o Options) config() Config {
-	return Config{Seed: o.Seed, Workers: o.Workers, Faults: o.Faults, MaxEvents: o.MaxEvents}
+	return Config{Seed: o.Seed, Faults: o.Faults, MaxEvents: o.MaxEvents}
 }
 
 // distNode computes single-source distances by asynchronous

@@ -4,19 +4,19 @@
 // HYBRID model (Section 1.3) in synchronized rounds; real hybrid
 // deployments are asynchronous and lossy, so this backend executes the
 // same algorithms as a discrete-event simulation in which every
-// simulated node runs as its own goroutine with a local inbox (messages
-// over edges of G, the LOCAL mode) and a global inbox (node-to-node
-// messages over the global network, the NCC mode).
+// simulated node has a local inbox (messages over edges of G, the LOCAL
+// mode) and a global inbox (node-to-node messages over the global
+// network, the NCC mode).
 //
 // Execution is driven by a seeded logical clock: every message is an
 // event on a deterministic priority queue ordered by (tick, sequence),
-// all events of one tick are dispatched to their destination goroutines
-// in one batch, and the batch's emissions are merged back in node-index
-// order before new events are scheduled. Every random choice — latency,
+// all events of one tick are handed to their destination nodes in one
+// loop, and the tick's emissions are merged back in node-index order
+// before new events are scheduled. Every random choice — latency,
 // jitter, loss, churn — is a pure hash of the seed and the choice's own
 // coordinates, never of execution order, so a run is byte-identically
-// replayable at any worker count (the Report.Digest trace hash is the
-// replay certificate; see DESIGN.md §13 for the determinism argument).
+// replayable (the Report.Digest trace hash is the replay certificate;
+// see DESIGN.md §13 for the determinism argument).
 //
 // Faults are layered on top by the transport (faults.go): per-edge
 // latency distributions with per-message jitter, i.i.d. and bursty
@@ -33,8 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"hash"
-	"runtime"
-	"sort"
 
 	"repro/internal/bitset"
 	"repro/internal/graph"
@@ -73,8 +71,8 @@ type Message struct {
 }
 
 // Node is one simulated process. Implementations hold all mutable
-// algorithm state; the engine calls at most one method at a time per
-// node, so no internal locking is needed.
+// algorithm state; the engine calls one method at a time, so no
+// internal locking is needed.
 type Node interface {
 	// Start runs when the node boots at tick 0, and again after every
 	// churn restart with restart=true. On restart all learned state is
@@ -84,7 +82,9 @@ type Node interface {
 	Start(ctx *Context, restart bool)
 	// Deliver handles one tick's batch of messages: local holds the
 	// local-inbox arrivals and global the global-inbox arrivals, each
-	// sorted by scheduling sequence (deterministic).
+	// sorted by scheduling sequence (deterministic). Both slices are
+	// valid only for the call: the engine reuses them for later ticks,
+	// so copy any message that must outlive it.
 	Deliver(ctx *Context, local, global []Message)
 }
 
@@ -160,10 +160,6 @@ type Report struct {
 type Config struct {
 	// Seed drives every randomized choice of the transport; 0 means 1.
 	Seed int64
-	// Workers bounds how many node goroutines execute one tick's batch
-	// concurrently; ≤ 0 means GOMAXPROCS. The outputs and the trace
-	// digest are independent of this value.
-	Workers int
 	// Faults configures the fault layer; the zero value is the
 	// fault-free profile (unit latencies, no jitter, no loss, no churn).
 	Faults Faults
@@ -248,9 +244,9 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// Sim is one simulation instance: a set of node goroutines over a
-// read-only graph, a deterministic event queue, and a fault-injecting
-// transport. Construct with New; not safe for concurrent use.
+// Sim is one simulation instance: a set of nodes over a read-only
+// graph, a deterministic event queue, and a fault-injecting transport.
+// Construct with New; not safe for concurrent use.
 type Sim struct {
 	g     *graph.Graph
 	n     int
@@ -266,16 +262,7 @@ type Sim struct {
 
 	report Report
 	trace  hashWriter
-
-	// node goroutine machinery
-	steps []chan step
-	done  chan int
-	sem   chan struct{}
-}
-
-// step is one dispatch to a node goroutine.
-type step struct {
-	local, global []Message
+	ran    bool
 }
 
 // hashWriter folds fixed-width integers into a streaming sha256. fold
@@ -299,9 +286,6 @@ func New(g *graph.Graph, cfg Config, mk func(v int) Node) (*Sim, error) {
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.MaxEvents <= 0 {
 		cfg.MaxEvents = DefaultMaxEvents
@@ -329,32 +313,10 @@ func New(g *graph.Graph, cfg Config, mk func(v int) Node) (*Sim, error) {
 // whatever handles mk retained. A second Run on the same Sim is an
 // error — build a fresh Sim to replay.
 func (s *Sim) Run() (*Report, error) {
-	if s.steps != nil {
+	if s.ran {
 		return nil, errors.New("async: Sim already ran")
 	}
-	// Boot the node goroutines: each blocks on its step channel, and
-	// acquires a worker slot before executing, so at most cfg.Workers
-	// handlers run concurrently regardless of batch width.
-	s.steps = make([]chan step, s.n)
-	s.done = make(chan int, s.n)
-	s.sem = make(chan struct{}, s.cfg.Workers)
-	for v := 0; v < s.n; v++ {
-		v := v
-		s.steps[v] = make(chan step, 1)
-		go func() {
-			for st := range s.steps[v] {
-				s.sem <- struct{}{}
-				s.nodes[v].Deliver(s.ctxs[v], st.local, st.global)
-				<-s.sem
-				s.done <- v
-			}
-		}()
-	}
-	defer func() {
-		for _, ch := range s.steps {
-			close(ch)
-		}
-	}()
+	s.ran = true
 
 	// Schedule churn from the transport's precomputed schedule.
 	for v := 0; v < s.n; v++ {
@@ -421,22 +383,14 @@ func (s *Sim) Run() (*Report, error) {
 		if processed > s.cfg.MaxEvents {
 			return nil, fmt.Errorf("%w (%d events, tick %d)", ErrNoQuiescence, processed, t)
 		}
-		// Dispatch this tick's deliveries to the node goroutines and
-		// wait for all of them (the intra-tick barrier). active holds
-		// distinct destinations in first-arrival order; dispatch order
-		// does not matter — the merge below is index-sorted.
-		if len(active) > 0 {
-			for _, v := range active {
-				s.steps[v] <- step{local: locals[v], global: globals[v]}
-			}
-			for range active {
-				<-s.done
-			}
-			sort.Ints(active)
-			for _, v := range active {
-				locals[v] = nil
-				globals[v] = nil
-			}
+		// Hand this tick's deliveries to their nodes. active holds
+		// distinct destinations in first-arrival order; the order does
+		// not matter, since each node buffers its sends in its own
+		// context and drainEmissions merges them in node-index order.
+		for _, v := range active {
+			s.nodes[v].Deliver(s.ctxs[v], locals[v], globals[v])
+			locals[v] = locals[v][:0]
+			globals[v] = globals[v][:0]
 		}
 		if restarted || len(active) > 0 {
 			if err := s.drainEmissions(); err != nil {
@@ -456,8 +410,9 @@ func (s *Sim) nextSeq() int64 {
 }
 
 // drainEmissions feeds every node's buffered sends through the
-// transport in node-index order — the deterministic merge that makes
-// the execution independent of goroutine scheduling.
+// transport in node-index order — the deterministic merge that fixes
+// the sequence numbers of one tick's sends, whichever node (a restart's
+// Start or a delivery) emitted them first.
 func (s *Sim) drainEmissions() error {
 	for v := 0; v < s.n; v++ {
 		ctx := s.ctxs[v]

@@ -2,12 +2,12 @@ package async_test
 
 // Differential certification of the async backend (DESIGN.md §13): on
 // every family in the default sweep set × two sizes × three seeds ×
-// {no-fault, 5% loss, 20% loss, churn} fault profiles × {1, 8}
-// workers, the async backend's converged outputs must be byte-identical
-// to the synchronous engine's (internal/hybrid driving sssp/broadcast)
-// and the sequential oracle's (internal/oracle). Same-seed runs must
-// also replay byte-identically — the trace digest is compared across
-// worker counts. Runs clean under -race.
+// {no-fault, 5% loss, 20% loss, churn} fault profiles, the async
+// backend's converged outputs must be byte-identical to the synchronous
+// engine's (internal/hybrid driving sssp/broadcast) and the sequential
+// oracle's (internal/oracle). Replay is certified by
+// TestDigestIdenticalAcrossWorkers and the pinned reports of
+// TestReportsGolden.
 
 import (
 	"math/rand"
@@ -35,8 +35,6 @@ var faultMatrix = []struct {
 	{"churn", async.ChurnProfile(0.30)},
 }
 
-var workerMatrix = []int{1, 8}
-
 // forEachCell runs fn over the full certification matrix: 11 families ×
 // {24, 48} × seeds 1..3.
 func forEachCell(t *testing.T, fn func(t *testing.T, f graph.Family, n int, seed int64, g *graph.Graph)) {
@@ -56,7 +54,7 @@ func forEachCell(t *testing.T, fn func(t *testing.T, f graph.Family, n int, seed
 
 // TestDifferentialBFS: async hop distances must be byte-identical to
 // both the synchronous engine's ExactBFS and the oracle's BFS under
-// every fault profile and worker count.
+// every fault profile.
 func TestDifferentialBFS(t *testing.T) {
 	forEachCell(t, func(t *testing.T, f graph.Family, n int, seed int64, g *graph.Graph) {
 		src := (int(seed) * 7) % g.N()
@@ -73,20 +71,12 @@ func TestDifferentialBFS(t *testing.T) {
 			t.Fatalf("%s/n=%d/seed=%d: sync engine disagrees with oracle", f, n, seed)
 		}
 		for _, fm := range faultMatrix {
-			var digest [32]byte
-			for wi, workers := range workerMatrix {
-				got, rep, err := async.BFS(g, src, async.Options{Seed: seed, Workers: workers, Faults: fm.f})
-				if err != nil {
-					t.Fatalf("%s/n=%d/seed=%d/%s/w=%d: %v", f, n, seed, fm.name, workers, err)
-				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s/n=%d/seed=%d/%s/w=%d: async BFS diverged from oracle", f, n, seed, fm.name, workers)
-				}
-				if wi == 0 {
-					digest = rep.Digest
-				} else if rep.Digest != digest {
-					t.Fatalf("%s/n=%d/seed=%d/%s: replay digest differs at w=%d", f, n, seed, fm.name, workers)
-				}
+			got, _, err := async.BFS(g, src, async.Options{Seed: seed, Faults: fm.f})
+			if err != nil {
+				t.Fatalf("%s/n=%d/seed=%d/%s: %v", f, n, seed, fm.name, err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s/n=%d/seed=%d/%s: async BFS diverged from oracle", f, n, seed, fm.name)
 			}
 		}
 	})
@@ -116,14 +106,12 @@ func TestDifferentialApprox(t *testing.T) {
 			t.Fatalf("%s/n=%d/seed=%d: sync Approx disagrees with quantized oracle", f, n, seed)
 		}
 		for _, fm := range faultMatrix {
-			for _, workers := range workerMatrix {
-				got, _, err := async.Approx(wg, src, eps, async.Options{Seed: seed, Workers: workers, Faults: fm.f})
-				if err != nil {
-					t.Fatalf("%s/n=%d/seed=%d/%s/w=%d: %v", f, n, seed, fm.name, workers, err)
-				}
-				if !slices.Equal(got, sync) {
-					t.Fatalf("%s/n=%d/seed=%d/%s/w=%d: async Approx diverged from sync engine", f, n, seed, fm.name, workers)
-				}
+			got, _, err := async.Approx(wg, src, eps, async.Options{Seed: seed, Faults: fm.f})
+			if err != nil {
+				t.Fatalf("%s/n=%d/seed=%d/%s: %v", f, n, seed, fm.name, err)
+			}
+			if !slices.Equal(got, sync) {
+				t.Fatalf("%s/n=%d/seed=%d/%s: async Approx diverged from sync engine", f, n, seed, fm.name)
 			}
 		}
 	})
@@ -132,7 +120,7 @@ func TestDifferentialApprox(t *testing.T) {
 // TestDifferentialDisseminate: async token sets must converge to the
 // full k-token set at every node — the certificate the synchronous
 // broadcast.Disseminate enforces internally — with the byte encoding
-// identical across fault profiles and worker counts.
+// identical across fault profiles.
 func TestDifferentialDisseminate(t *testing.T) {
 	forEachCell(t, func(t *testing.T, f graph.Family, n int, seed int64, g *graph.Graph) {
 		rng := rand.New(rand.NewSource(seed + 200))
@@ -163,14 +151,12 @@ func TestDifferentialDisseminate(t *testing.T) {
 			want[v] = full
 		}
 		for _, fm := range faultMatrix {
-			for _, workers := range workerMatrix {
-				sets, _, err := async.Disseminate(g, tokensAt, async.Options{Seed: seed, Workers: workers, Faults: fm.f})
-				if err != nil {
-					t.Fatalf("%s/n=%d/seed=%d/%s/w=%d: %v", f, n, seed, fm.name, workers, err)
-				}
-				if !slices.EqualFunc(sets, want, sameMembers) {
-					t.Fatalf("%s/n=%d/seed=%d/%s/w=%d: async token sets diverged from sync certificate", f, n, seed, fm.name, workers)
-				}
+			sets, _, err := async.Disseminate(g, tokensAt, async.Options{Seed: seed, Faults: fm.f})
+			if err != nil {
+				t.Fatalf("%s/n=%d/seed=%d/%s: %v", f, n, seed, fm.name, err)
+			}
+			if !slices.EqualFunc(sets, want, sameMembers) {
+				t.Fatalf("%s/n=%d/seed=%d/%s: async token sets diverged from sync certificate", f, n, seed, fm.name)
 			}
 		}
 	})

@@ -4,7 +4,7 @@
 // (Gilbert–Elliott) loss with retry/timeout/backoff, and node churn.
 // Every decision is a pure hash of (seed, coordinates, attempt
 // counter), so the injected faults are a deterministic function of the
-// seed — replayable byte-identically at any worker count.
+// seed — replayable byte-identically.
 
 package async
 
@@ -127,8 +127,8 @@ type pairState struct {
 }
 
 // transport computes delivery times under the fault model. All state
-// mutations happen in the scheduler's deterministic merge order, never
-// from node goroutines.
+// mutations happen in the scheduler's deterministic merge order
+// (drainEmissions), never from a node handler.
 type transport struct {
 	seed  int64
 	f     Faults

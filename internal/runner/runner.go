@@ -19,6 +19,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"runtime"
+	"strconv"
 
 	"repro/internal/graph"
 	"repro/internal/hybrid"
@@ -37,16 +38,20 @@ type Point struct {
 }
 
 // PointK labels a workload-size point.
-func PointK(k int) Point { return Point{Label: fmt.Sprintf("k=%d", k), K: k} }
+func PointK(k int) Point { return Point{Label: "k=" + strconv.Itoa(k), K: k} }
 
 // PointEps labels an approximation-parameter point.
-func PointEps(eps float64) Point { return Point{Label: fmt.Sprintf("eps=%g", eps), Eps: eps} }
+func PointEps(eps float64) Point { return Point{Label: "eps=" + formatG(eps), Eps: eps} }
 
 // PointBeta labels a source-exponent point (k = n^β).
-func PointBeta(beta float64) Point { return Point{Label: fmt.Sprintf("beta=%g", beta), Beta: beta} }
+func PointBeta(beta float64) Point { return Point{Label: "beta=" + formatG(beta), Beta: beta} }
 
 // PointCap labels a global-capacity point (γ = CapFactor·⌈log₂ n⌉).
-func PointCap(cf int) Point { return Point{Label: fmt.Sprintf("cap=%d", cf), CapFactor: cf} }
+func PointCap(cf int) Point { return Point{Label: "cap=" + strconv.Itoa(cf), CapFactor: cf} }
+
+// formatG formats x as fmt's %g does; the labels feed DeriveSeed, so
+// they must not change.
+func formatG(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 
 // PointsK maps a workload grid to labeled points.
 func PointsK(ks []int) []Point {

@@ -3,6 +3,8 @@ package runner
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -217,4 +219,48 @@ func TestCellConfigCapFactorOverride(t *testing.T) {
 	if c0.Seed == 0 || c0.Seed == c1.Seed {
 		t.Fatal("config seeds not derived per cell")
 	}
+}
+
+// TestPointLabelsMatchFmt: point labels feed DeriveSeed, so the strconv
+// formatting must equal the fmt verbs (%d, %g) it replaced — on the
+// grids the registered scenarios sweep at the sizes they are served at,
+// and on random ints and random float64 bit patterns (NaN, ±Inf,
+// subnormals and ±0 included).
+func TestPointLabelsMatchFmt(t *testing.T) {
+	check := func(got Point, want string) {
+		t.Helper()
+		if got.Label != want {
+			t.Fatalf("label %q, fmt gives %q", got.Label, want)
+		}
+	}
+	checkInt := func(k int) {
+		t.Helper()
+		check(PointK(k), fmt.Sprintf("k=%d", k))
+		check(PointCap(k), fmt.Sprintf("cap=%d", k))
+	}
+	checkFloat := func(x float64) {
+		t.Helper()
+		check(PointEps(x), fmt.Sprintf("eps=%g", x))
+		check(PointBeta(x), fmt.Sprintf("beta=%g", x))
+	}
+	for _, n := range []int{32, 64, 576, 2304, 9216, 1_000_000} {
+		for _, k := range []int{n / 8, n / 4, n / 2, n, 4 * n, 16 * n} {
+			checkInt(k)
+		}
+	}
+	for _, k := range []int{0, 1, 4, 16, 64, 256, 1024, 4096, -1} {
+		checkInt(k)
+	}
+	for _, x := range []float64{0.5, 0.25, 0.1, 0, 1.0 / 6, 1.0 / 3, 2.0 / 3, 5.0 / 6, 1, 1e-5, 1e21, 123456789, math.Copysign(0, -1)} {
+		checkFloat(x)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 50_000 {
+		checkInt(int(rng.Uint64()))
+		checkFloat(math.Float64frombits(rng.Uint64()))
+		checkFloat(rng.Float64())
+	}
+	checkFloat(math.NaN())
+	checkFloat(math.Inf(1))
+	checkFloat(math.Inf(-1))
 }
