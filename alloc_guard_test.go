@@ -802,7 +802,7 @@ func TestCoreRelayAllocBudget(t *testing.T) {
 // instance of BenchmarkAsyncBFSFaultFree: a 2048-node expander) at its
 // allocation count. The engine runs every node's handler on the calling
 // goroutine and reuses each node's inboxes across ticks, so the count
-// does not vary from run to run: 16435 allocations with go1.24.0 on
+// does not vary from run to run: 16417 allocations with go1.24.0 on
 // amd64.
 func TestCoreAsyncAllocBudget(t *testing.T) {
 	requireAllocFree(t)

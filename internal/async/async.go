@@ -335,8 +335,7 @@ func (s *Sim) Run() (*Report, error) {
 	}
 
 	var processed int64
-	// batch buffers reused across ticks
-	var batch []event
+	// per-tick buffers reused across ticks
 	active := make([]int, 0, s.n)
 	locals := make([][]Message, s.n)
 	globals := make([][]Message, s.n)
@@ -344,14 +343,12 @@ func (s *Sim) Run() (*Report, error) {
 	for len(s.heap) > 0 {
 		t := s.heap[0].at
 		s.now = t
-		batch = batch[:0]
-		for len(s.heap) > 0 && s.heap[0].at == t {
-			batch = append(batch, s.heap.pop())
-		}
 		active = active[:0]
 		restarted := false
-		for i := range batch {
-			e := &batch[i]
+		// Handlers only buffer their sends, so nothing enters the heap
+		// until the tick's events are all popped.
+		for len(s.heap) > 0 && s.heap[0].at == t {
+			e := s.heap.pop()
 			switch e.prio {
 			case evCrash:
 				s.down[e.node] = true
@@ -367,7 +364,7 @@ func (s *Sim) Run() (*Report, error) {
 				restarted = true
 			case evDeliver:
 				processed++
-				s.foldDeliver(e)
+				s.foldDeliver(&e)
 				m := e.msg
 				if len(locals[m.To]) == 0 && len(globals[m.To]) == 0 {
 					active = append(active, m.To)

@@ -170,12 +170,7 @@ func asciiLandscape(points []Figure1Point) string {
 	}
 	b = append(b, []byte("      +"+"β: ")...)
 	for _, p := range points {
-		beta := fixed(p.Beta, 2) // %5.2f
-		for range 5 - len(beta) {
-			b = append(b, ' ')
-		}
-		b = append(b, beta...)
-		b = append(b, ' ')
+		b = append(b, []byte(fmt.Sprintf("%5.2f ", p.Beta))...)
 	}
 	b = append(b, '\n')
 	b = append(b, []byte("      ('*' measured Thm14 exponent, '.' eΩ(√k) boundary β/2)\n")...)
