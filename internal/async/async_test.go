@@ -55,9 +55,8 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 // TestDigestIdenticalAcrossWorkers is the replay certificate: the
 // sha256 trace digest — which folds every scheduled event in dispatch
 // order — and the whole report must be identical across repeated runs
-// of the same seed, whichever goroutine runs them (the sweep runner
-// hands cells to its workers in any order). The values themselves are
-// pinned by TestReportsGolden.
+// of the same seed. The values themselves are pinned by
+// TestReportsGolden.
 func TestDigestIdenticalAcrossWorkers(t *testing.T) {
 	g := testGraph(t, 96, 3)
 	profiles := map[string]Faults{
@@ -70,14 +69,9 @@ func TestDigestIdenticalAcrossWorkers(t *testing.T) {
 	for name, f := range profiles {
 		t.Run(name, func(t *testing.T) {
 			var reps [2]*Report
-			errs := make(chan error, len(reps))
 			for i := range reps {
-				go func() {
-					var err error
-					_, reps[i], err = BFS(g, 1, Options{Seed: 42, Faults: f})
-					errs <- err
-				}()
-				if err := <-errs; err != nil {
+				var err error
+				if _, reps[i], err = BFS(g, 1, Options{Seed: 42, Faults: f}); err != nil {
 					t.Fatalf("run %d: %v", i, err)
 				}
 			}
