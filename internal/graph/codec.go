@@ -85,8 +85,8 @@ func EncodeCSR(g *Graph) ([]byte, error) {
 // against one BFS from node 0, e = ecc(0): a connected graph needs
 // e ≤ D ≤ 2e (0 when n ≤ 1), a disconnected one exactly D = Inf. An
 // accepted D pre-fills the Diameter cache, so a restore costs O(n+m)
-// array work plus a sort of each row, instead of the all-sources
-// hop-kernel sweep.
+// array work — two counting-sort transposes and one BFS — instead of
+// the all-sources hop-kernel sweep.
 func DecodeCSR(data []byte) (*Graph, error) {
 	if len(data) < csrHeaderLen {
 		return nil, fmt.Errorf("graph: codec: truncated header (%d bytes)", len(data))
@@ -176,18 +176,28 @@ func cmpHalfEdge(a, b halfEdge) int {
 	return cmp.Compare(a.w, b.w)
 }
 
+// entering is one half-edge entering a node: its source and its index
+// in the source's row.
+type entering struct {
+	src, edge int32
+}
+
 // unmatchedHalfEdge finds a half-edge from→to of weight w whose mates
 // to→from of weight w are fewer than its copies, and reports ok = false
 // when there is none: the graph is undirected exactly when, at every node,
 // the half-edges leaving it and those entering it are equal multisets
-// of (neighbor, weight). A counting-sort transpose lists the entering
-// half-edges of each node by source; each node's two lists are then
-// sorted by (neighbor, weight) and compared. Endpoints must already be
-// in range.
+// of (neighbor, weight). A counting-sort transpose lists the half-edges
+// entering each node by ascending source; its own transpose lists each
+// node's half-edges by ascending neighbor, and is walked, not stored,
+// against the first position by position. On a symmetric graph the two
+// lists of a node can differ only in the order of a parallel-edge
+// group's weights, which no Builder graph has: only then are both lists
+// of every node sorted by (neighbor, weight) and compared
+// (sortedUnmatched). Endpoints must already be in range.
 func (g *Graph) unmatchedHalfEdge() (from, to int, w int64, ok bool) {
 	n, h := g.N(), len(g.to)
-	// in[start[x]:start[x+1]] lists the half-edges entering x as
-	// (source, weight): filled backwards from each row's end, so start
+	// in[start[x]:start[x+1]] lists the half-edges entering x by
+	// ascending source: filled backwards from each row's end, so start
 	// ends at each row's beginning.
 	start := make([]int32, n+1)
 	for _, x := range g.to {
@@ -197,32 +207,58 @@ func (g *Graph) unmatchedHalfEdge() (from, to int, w int64, ok bool) {
 		start[x] += start[x-1]
 	}
 	start[n] = int32(h)
-	in := make([]halfEdge, h)
-	deg := 0
+	in := make([]entering, h)
 	for s := n - 1; s >= 0; s-- {
-		deg = max(deg, int(g.rowStart[s+1]-g.rowStart[s]))
 		for i := g.rowStart[s+1] - 1; i >= g.rowStart[s]; i-- {
 			x := g.to[i]
 			start[x]--
-			in[start[x]] = halfEdge{int32(s), g.w[i]}
+			in[start[x]] = entering{int32(s), i}
 		}
 	}
-	out := make([]halfEdge, deg)
-	for v := 0; v < n; v++ {
-		lo, hi := g.rowStart[v], g.rowStart[v+1]
-		row := out[:hi-lo]
-		for i := lo; i < hi; i++ {
-			row[i-lo] = halfEdge{g.to[i], g.w[i]}
+	// Every node enters as many half-edges as it leaves exactly when
+	// the entering lists are laid out like the rows.
+	if !slices.Equal(start, g.rowStart) {
+		return g.sortedUnmatched(start, in)
+	}
+	// Read in order of x, the half-edges s→x of in are each s's own
+	// half-edges by ascending neighbor; the p-th of them must match the
+	// p-th half-edge entering s, which start[s] counts off.
+	for x := 0; x < n; x++ {
+		for k := g.rowStart[x]; k < g.rowStart[x+1]; k++ {
+			e := in[k]
+			mate := in[start[e.src]]
+			start[e.src]++
+			if mate.src != int32(x) || g.w[mate.edge] != g.w[e.edge] {
+				return g.sortedUnmatched(g.rowStart, in)
+			}
 		}
-		slices.SortFunc(row, cmpHalfEdge)
-		mates := in[start[v]:start[v+1]]
-		slices.SortFunc(mates, cmpHalfEdge)
-		for i := 0; i < len(row) || i < len(mates); i++ {
+	}
+	return 0, 0, 0, false
+}
+
+// sortedUnmatched is unmatchedHalfEdge's answer once some node's two
+// lists differ: in node order it sorts each node v's own half-edges and
+// those entering it, in[bounds[v]:bounds[v+1]], by (neighbor, weight)
+// and names the first half-edge on which they differ, or none when the
+// lists only ordered a parallel-edge group's weights differently.
+func (g *Graph) sortedUnmatched(bounds []int32, in []entering) (from, to int, w int64, ok bool) {
+	var own, ent []halfEdge
+	for v := 0; v < g.N(); v++ {
+		own, ent = own[:0], ent[:0]
+		for j := g.rowStart[v]; j < g.rowStart[v+1]; j++ {
+			own = append(own, halfEdge{g.to[j], g.w[j]})
+		}
+		for _, e := range in[bounds[v]:bounds[v+1]] {
+			ent = append(ent, halfEdge{e.src, g.w[e.edge]})
+		}
+		slices.SortFunc(own, cmpHalfEdge)
+		slices.SortFunc(ent, cmpHalfEdge)
+		for i := 0; i < len(own) || i < len(ent); i++ {
 			switch {
-			case i == len(mates) || i < len(row) && cmpHalfEdge(row[i], mates[i]) < 0:
-				return v, int(row[i].u), row[i].w, true
-			case i == len(row) || cmpHalfEdge(mates[i], row[i]) < 0:
-				return int(mates[i].u), v, mates[i].w, true
+			case i == len(ent) || i < len(own) && cmpHalfEdge(own[i], ent[i]) < 0:
+				return v, int(own[i].u), own[i].w, true
+			case i == len(own) || cmpHalfEdge(ent[i], own[i]) < 0:
+				return int(ent[i].u), v, ent[i].w, true
 			}
 		}
 	}

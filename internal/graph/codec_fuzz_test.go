@@ -5,11 +5,13 @@ package graph_test
 // graph that re-encodes to exactly the bytes it was decoded
 // from (the codec is a bijection on its accepted set). A misaligned
 // copy of the input must decode the same way (the one aligned copy
-// in front of the views).
+// in front of the views), and an asymmetric one must name the edge
+// that sorting every node's lists names.
 
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -32,6 +34,10 @@ func FuzzDecodeCSR(f *testing.F) {
 		tweaked := append([]byte(nil), blob...)
 		tweaked[len(tweaked)-1] ^= 0xff
 		f.Add(tweaked)
+		// Node 0's first half-edge, reweighted: an asymmetric edge.
+		reweighted := append([]byte(nil), blob...)
+		reweighted[32] = 2
+		f.Add(reweighted)
 	}
 	// The diameter field's two special values: Inf on a disconnected
 	// graph, 0 on a single node.
@@ -56,6 +62,9 @@ func FuzzDecodeCSR(f *testing.F) {
 			t.Fatalf("misaligned input decodes differently: %v, aligned %v", merr, err)
 		}
 		if err != nil {
+			if strings.Contains(err.Error(), "asymmetric edge") && !graph.UnmatchedAgrees(graph.AlignedCopy(data)) {
+				t.Fatalf("%v, but sorting every node's lists names another edge", err)
+			}
 			return
 		}
 		if h, mh := mustHash(t, g), mustHash(t, mg); h != mh {

@@ -249,32 +249,3 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkDecodeCSR decodes the eight topologies of the restore-bump
-// workload (nqscaling-large at n = 256: path, cycle, grid2d and grid3d
-// at 1024 and 4096 nodes) from 8-byte aligned blobs, as a restore from
-// the disk tier does.
-func BenchmarkDecodeCSR(b *testing.B) {
-	var blobs [][]byte
-	for _, fam := range []graph.Family{graph.FamilyPath, graph.FamilyCycle, graph.FamilyGrid2D, graph.FamilyGrid3D} {
-		for _, n := range []int{1024, 4096} {
-			g, err := graph.Build(fam, n, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			blob, err := graph.EncodeCSR(g)
-			if err != nil {
-				b.Fatal(err)
-			}
-			blobs = append(blobs, blob)
-		}
-	}
-	b.ReportAllocs()
-	for b.Loop() {
-		for _, blob := range blobs {
-			if _, err := graph.DecodeCSR(blob); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}

@@ -1,6 +1,9 @@
 package graph
 
-import "unsafe"
+import (
+	"encoding/binary"
+	"unsafe"
+)
 
 // The sequential traversals the public entry points run below
 // kernelMinN, exposed so the external tests can compare them with the
@@ -53,3 +56,20 @@ func AlignedCopy(b []byte) []byte {
 }
 
 func MisalignedCopy(b []byte) []byte { return append([]byte{0}, b...)[1:] }
+
+// UnmatchedAgrees reports, for a blob DecodeCSR rejects as asymmetric
+// (so every check before the symmetry check passed), whether
+// unmatchedHalfEdge names the edge sortUnmatched names on its arrays.
+func UnmatchedAgrees(data []byte) bool {
+	n, h := int(binary.LittleEndian.Uint64(data[8:])), int(binary.LittleEndian.Uint64(data[16:]))
+	data = aligned(data)
+	rows := csrHeaderLen + 8*h
+	g := &Graph{
+		w:        int64s(data[csrHeaderLen:rows]),
+		rowStart: int32s(data[rows : rows+4*(n+1)]),
+		to:       int32s(data[rows+4*(n+1):]),
+	}
+	u, v, w, ok := g.unmatchedHalfEdge()
+	su, sv, sw, sok := sortUnmatched(g)
+	return u == su && v == sv && w == sw && ok == sok
+}

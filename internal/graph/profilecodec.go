@@ -67,7 +67,9 @@ func EncodeProfiles(p *Profiles) []byte {
 // exactly at its first end (|B_t| = n, one level after its frontier
 // emptied, t·|B_t| ≥ K, or t = maxR) — so a corrupt or truncated blob
 // returns an error rather than an artifact that violates the kernel's
-// invariants or decides a k its rows do not.
+// invariants or decides a k its rows do not. The row checks take one
+// pass per row (rowValid); only a rejected row is walked again, to
+// name its fault (rowError).
 func DecodeProfiles(data []byte) (*Profiles, error) {
 	if len(data) < profHeaderLen {
 		return nil, fmt.Errorf("graph: profile codec: truncated header (%d bytes)", len(data))
@@ -115,19 +117,8 @@ func DecodeProfiles(data []byte) (*Profiles, error) {
 		if row[0] != 1 {
 			return nil, fmt.Errorf("graph: profile codec: node %d profile starts at %d, want |B_0|=1", v, row[0])
 		}
-		for t := 1; t < len(row); t++ {
-			if row[t] < row[t-1] || int(row[t]) > n {
-				return nil, fmt.Errorf("graph: profile codec: node %d profile not a monotone ball-size sequence within [1,%d]", v, n)
-			}
-		}
-		// The kernel ends a row at its first end and nowhere else: a row
-		// that ran past one would carry sizes its stop never vouched for,
-		// and one that ended early would masquerade its last size as
-		// final (Size repeats it) or decide a k it does not.
-		for t := range row {
-			if last := t == len(row)-1; rowEnds(row, t, n, maxR, stop) != last {
-				return nil, fmt.Errorf("graph: profile codec: node %d profile ends at t=%d, but its first end is elsewhere", v, len(row)-1)
-			}
+		if !rowValid(row, n, maxR, stop) {
+			return nil, rowError(v, row, n)
 		}
 	}
 	chunks := make([][]int32, (n+hopBatch-1)/hopBatch)
@@ -137,6 +128,49 @@ func DecodeProfiles(data []byte) (*Profiles, error) {
 	p := &Profiles{n: n, maxR: maxR, stop: stop, rowStart: rowStart, chunks: chunks}
 	p.decide()
 	return p, nil
+}
+
+// rowValid reports whether a row that starts at |B_0| = 1 and has at
+// most maxR+1 entries is a ball-size sequence within [1,n] that ends
+// exactly at its first end. The kernel ends a row at its first end and
+// nowhere else: a row that ran past one would carry sizes its stop
+// never vouched for, and one that ended early would masquerade its
+// last size as final (Size repeats it) or decide a k it does not.
+// Before its last entry a row must grow at every t, or the frontier
+// emptied there; so it is strictly increasing from 1, every entry but
+// the last is below n as soon as entry last−1 is, and t·|B_t| < stop
+// holds at every such t as soon as it holds at last−1, since t·|B_t|
+// strictly increases too. Entry t = 0 is no end when n > 1, which
+// |B_{last−1}| < n implies (stop ≥ 9n is positive, and t < last ≤
+// maxR). So one pass over the differences and O(1) checks at the two
+// last entries decide the row.
+func rowValid(row []int32, n, maxR int, stop int64) bool {
+	last := len(row) - 1
+	if last == 0 {
+		return rowEnds(row, 0, n, maxR, stop)
+	}
+	// The sign bit of the OR of every difference minus one is set
+	// exactly when some entry before the last fails to grow.
+	var shrink int64
+	prev := row[0]
+	for _, size := range row[1:last] {
+		shrink |= int64(size) - int64(prev) - 1
+		prev = size
+	}
+	return shrink >= 0 && int(prev) < n && int64(last-1)*int64(prev) < stop &&
+		row[last] >= prev && int(row[last]) <= n && rowEnds(row, last, n, maxR, stop)
+}
+
+// rowError names why node v's row, which starts at |B_0| = 1 and has
+// at most maxR+1 entries, failed rowValid: a size that leaves [1,n] or
+// shrinks, or else a row that does not end exactly at its first end.
+func rowError(v int, row []int32, n int) error {
+	for t := 1; t < len(row); t++ {
+		if row[t] < row[t-1] || int(row[t]) > n {
+			return fmt.Errorf("graph: profile codec: node %d profile not a monotone ball-size sequence within [1,%d]", v, n)
+		}
+	}
+	return fmt.Errorf("graph: profile codec: node %d profile ends at t=%d, but its first end is elsewhere", v, len(row)-1)
 }
 
 // rowEnds reports whether the kernel ends a row at t: |B_t| = n, the

@@ -361,6 +361,85 @@ func TestProfilesCodecRejectsCorruption(t *testing.T) {
 	}
 }
 
+// shortcutBlobs are profile blobs that each of rowValid's shortcuts
+// rejects alone, with one row off the kernel's whose last entry is an
+// end: a plateau before the last entry (ended by t = maxR = 3 on a
+// 4-path), a size equal to n before it, t·|B_t| ≥ K at entry last−1
+// (the 40-path's endpoint row, whose stop is at t = 19, run one entry
+// on), and a two-entry row on n = 1.
+func shortcutBlobs() map[string][]byte {
+	withRow0 := func(p *Profiles, row ...int32) []byte {
+		rows := profileRows(p)
+		rows[0] = row
+		return profileBlob(p.n, p.maxR, p.stop, rows)
+	}
+	short, long := Path(4).BallProfiles(3), Path(40).BallProfiles(40)
+	return map[string][]byte{
+		"plateau before the last entry": withRow0(short, 1, 2, 2, 3),
+		"size n before the last entry":  withRow0(long, 1, 5, 40, 40),
+		"t·|B_t| ≥ K at entry last−1":   withRow0(long, append(slices.Clone(long.row(0)), 21)...),
+		"two-entry row on n = 1":        profileBlob(1, 1, 9, [][]int32{{1, 1}}),
+	}
+}
+
+// TestProfileRowShortcutsKeepMessages: each row that only an O(1) end
+// check of rowValid rejects fails with refDecodeProfiles's message.
+func TestProfileRowShortcutsKeepMessages(t *testing.T) {
+	for name, blob := range shortcutBlobs() {
+		_, err := DecodeProfiles(blob)
+		want := refDecodeProfiles(blob)
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Errorf("%s: DecodeProfiles error %v, reference %v", name, err, want)
+		}
+	}
+}
+
+// TestDecodeProfilesMatchesReference decodes random small blobs whose
+// rows are mostly strictly increasing, with plateaus, shrinks, sizes
+// past n and rows ended early or late mixed in, and requires
+// refDecodeProfiles's verdict and error text for each.
+func TestDecodeProfilesMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var accepted int
+	const iters = 50000
+	for iter := 0; iter < iters; iter++ {
+		n, maxR := 1+rng.Intn(16), rng.Intn(18)
+		stop := int64(9*n + rng.Intn(12))
+		rows := make([][]int32, n)
+		for v := range rows {
+			row := []int32{1}
+			for t := 1; t <= maxR && rng.Intn(8) > 0; t++ {
+				switch next := row[t-1]; rng.Intn(10) {
+				case 0:
+					row = append(row, next)
+				case 1:
+					row = append(row, next-1)
+				default:
+					row = append(row, min(next+int32(1+rng.Intn(4)/3), int32(n)+int32(rng.Intn(2))))
+				}
+				if ended := rowEnds(row, t, n, maxR, stop); ended && rng.Intn(4) > 0 {
+					break
+				}
+			}
+			if rng.Intn(40) == 0 {
+				row[0] = int32(rng.Intn(3))
+			}
+			rows[v] = row
+		}
+		blob := profileBlob(n, maxR, stop, rows)
+		_, err := DecodeProfiles(blob)
+		if want := refDecodeProfiles(blob); errText(err) != errText(want) {
+			t.Fatalf("rows %v (n=%d maxR=%d stop=%d): DecodeProfiles error %v, reference %v", rows, n, maxR, stop, err, want)
+		}
+		if err == nil {
+			accepted++
+		}
+	}
+	if accepted < iters/20 || accepted > iters*19/20 {
+		t.Fatalf("%d of %d random blobs accepted: the rows no longer exercise both outcomes", accepted, iters)
+	}
+}
+
 // offsetPastEntriesBlob is a profile blob whose first row offset pair
 // (0,5) looks sane but runs past the two stored sizes: n=2, maxR=10,
 // stop=18, entries=2, rowStart=[0,5,2], sizes=[1,1].

@@ -23,7 +23,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -68,18 +67,24 @@ func (v *CounterVec) With(values ...string) *Counter {
 	if len(values) != len(v.labelNames) {
 		panic(fmt.Sprintf("metrics: %s needs %d label values, got %d", v.fam.name, len(v.labelNames), len(values)))
 	}
-	labels := make([]L, len(values))
+	// The key is the series' rendered label block; only a new series
+	// converts it to a string.
+	var buf [96]byte
+	key := buf[:0]
 	for i, val := range values {
-		labels[i] = L{v.labelNames[i], val}
+		key = appendLabel(key, i, v.labelNames[i], val)
 	}
-	key := renderLabels(labels)
+	if len(values) > 0 {
+		key = append(key, '}')
+	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	c, ok := v.cells[key]
+	c, ok := v.cells[string(key)]
 	if !ok {
 		c = &Counter{}
-		v.cells[key] = c
-		v.fam.add(&series{labels: key, counter: c})
+		labels := string(key)
+		v.cells[labels] = c
+		v.fam.add(&series{labels: labels, counter: c})
 	}
 	return c
 }
@@ -261,21 +266,34 @@ func renderLabels(labels []L) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	parts := make([]string, len(labels))
+	var b []byte
 	for i, l := range labels {
-		parts[i] = fmt.Sprintf("%s=%q", l.Name, l.Value)
+		b = appendLabel(b, i, l.Name, l.Value)
 	}
-	return "{" + strings.Join(parts, ",") + "}"
+	return string(append(b, '}'))
 }
 
 // mergeLabel appends one extra label pair (the histogram "le") to an
 // already-rendered label block.
 func mergeLabel(rendered, name, value string) string {
-	extra := fmt.Sprintf("%s=%q", name, value)
 	if rendered == "" {
-		return "{" + extra + "}"
+		return renderLabels([]L{{name, value}})
 	}
-	return rendered[:len(rendered)-1] + "," + extra + "}"
+	b := append([]byte(nil), rendered[:len(rendered)-1]...)
+	return string(append(appendLabel(b, 1, name, value), '}'))
+}
+
+// appendLabel appends the i-th pair of a label block, name="value",
+// after the block's opening brace or a comma. The value is quoted as
+// fmt's %q quotes a string.
+func appendLabel(b []byte, i int, name, value string) []byte {
+	if i == 0 {
+		b = append(b, '{')
+	} else {
+		b = append(b, ',')
+	}
+	b = append(append(b, name...), '=')
+	return strconv.AppendQuote(b, value)
 }
 
 func formatFloat(v float64) string {

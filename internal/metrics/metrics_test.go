@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -129,5 +131,64 @@ func TestConcurrentUse(t *testing.T) {
 	wg.Wait()
 	if c.Value() != 8000 || v.With("a").Value() != 8000 || h.Count() != 8000 {
 		t.Fatalf("lost updates: c=%d v=%d h=%d", c.Value(), v.With("a").Value(), h.Count())
+	}
+}
+
+// TestRenderLabelsMatchFmt: label blocks, merged "le" pairs and
+// CounterVec keys render byte for byte as fmt's "%s=%q" pairs did, on
+// values with quotes, backslashes, control bytes, non-ASCII text and
+// invalid UTF-8.
+func TestRenderLabelsMatchFmt(t *testing.T) {
+	fmtLabels := func(labels []L) string {
+		if len(labels) == 0 {
+			return ""
+		}
+		parts := make([]string, len(labels))
+		for i, l := range labels {
+			parts[i] = fmt.Sprintf("%s=%q", l.Name, l.Value)
+		}
+		return "{" + strings.Join(parts, ",") + "}"
+	}
+	pieces := []string{`"`, `\`, "\x00", "\n", "\t", "\x7f", "\x1b", "é", "☃", "\U0001F600", "\xff", "\xc3", "\xed\xa0\x80", "a", "le", "0.25", " "}
+	rng := rand.New(rand.NewSource(1))
+	value := func() string {
+		var b strings.Builder
+		for j := rng.Intn(8); j > 0; j-- {
+			b.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		return b.String()
+	}
+	for iter := 0; iter < 2000; iter++ {
+		labels := make([]L, rng.Intn(4))
+		names := make([]string, len(labels))
+		values := make([]string, len(labels))
+		for i := range labels {
+			names[i] = fmt.Sprintf("l%d", i)
+			values[i] = value()
+			labels[i] = L{names[i], values[i]}
+		}
+		want := fmtLabels(labels)
+		if got := renderLabels(labels); got != want {
+			t.Fatalf("renderLabels(%q) = %q, fmt renders %q", labels, got, want)
+		}
+		le := value()
+		if got, want := mergeLabel(want, "le", le), fmtLabels(append(labels, L{"le", le})); got != want {
+			t.Fatalf("mergeLabel(%q, le, %q) = %q, fmt renders %q", fmtLabels(labels), le, got, want)
+		}
+		vec := NewRegistry().CounterVec("x_total", "x", names...)
+		vec.With(values...).Inc()
+		if got := vec.fam.series[0].labels; got != want {
+			t.Fatalf("CounterVec key for %q = %q, fmt renders %q", values, got, want)
+		}
+	}
+}
+
+// TestCounterVecWithHitAllocs: looking up an existing series renders
+// its key on the stack, so a hit allocates nothing.
+func TestCounterVecWithHitAllocs(t *testing.T) {
+	vec := NewRegistry().CounterVec("x_total", "x", "endpoint", "code")
+	vec.With("/v1/sweeps", "200").Inc()
+	if allocs := testing.AllocsPerRun(100, func() { vec.With("/v1/sweeps", "200").Inc() }); allocs != 0 {
+		t.Fatalf("CounterVec.With allocates %.1f times per hit, want 0", allocs)
 	}
 }
